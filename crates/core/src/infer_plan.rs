@@ -20,11 +20,14 @@
 //!   output transform), eliminating whole-tensor passes. Epilogue passes
 //!   run row-at-a-time with the variant dispatch hoisted out of the inner
 //!   loops, so they vectorize.
-//! * **Direct blocked convolution.** The 5x5 layers skip im2col entirely:
-//!   taps accumulate straight into an L1-resident output row. The
-//!   reference path's `im2col + gemm` materializes a `cin*kh*kw x h*w`
+//! * **Direct blocked convolution.** The 5x5 layers skip im2col entirely.
+//!   The reference path's `im2col + gemm` materializes a `cin*kh*kw x h*w`
 //!   column matrix (tens of MB at video sizes) just to stream it through
-//!   the GEMM once; the direct kernel reads the input planes in place.
+//!   the GEMM once; the direct kernel instead stages, per output row, the
+//!   `kh` input rows of every channel as zero-padded rows in the band's
+//!   slab, so every tap reads the slab at an offset fixed at plan build.
+//!   [`Microkernel::conv_taps4`] then loads each tap segment once for
+//!   four output channels x 16 columns of register accumulators.
 //!   Accumulation mimics [`sesr_tensor::gemm::KC`]-block grouping, so the
 //!   bits match the packed GEMM exactly (see below).
 //! * **Row-band parallelism.** Each layer is split over output-row bands
@@ -38,16 +41,15 @@
 //! each output element as one chain per `KC`-sized k-block (each chain
 //! starts from 0.0, blocks combine in order), and the direct convolution
 //! reproduces exactly that grouping with taps visited in ascending k
-//! order — padding taps, which im2col materializes as literal `0.0`
-//! entries, are skipped, which is exact because a partial chain can never
-//! be `-0.0` and `x + 0.0 == x` for every other `x`. Winograd tiles are
+//! order — padding taps read the staged rows' `0.0` columns and multiply
+//! `0.0`, exactly as im2col + GEMM do. Winograd tiles are
 //! arithmetically independent, so any tile partition is exact; and the
 //! fused epilogue performs the same per-element operations in the same
 //! order as the separate passes it replaces. See DESIGN.md Sec. 11 for
 //! the full argument.
 
 use crate::collapsed::{Act, CollapsedSesr};
-use sesr_tensor::autotune::{gemm_blocking, pick, time_ns};
+use sesr_tensor::autotune::{pick, time_ns};
 use sesr_tensor::conv::Conv2dParams;
 use sesr_tensor::gemm::KC;
 use sesr_tensor::parallel::{num_threads, parallel_for, SendPtr};
@@ -81,8 +83,13 @@ pub struct KernelLayer {
     pub kh: usize,
     /// Kernel width.
     pub kw: usize,
-    /// Flat OIHW weights (the GEMM `A` operand for the im2col path).
-    pub weight: Vec<f32>,
+    /// Direct-convolution weights, present iff the kernel is not 3x3:
+    /// output channels packed in groups of four, tap-major inside a group
+    /// (`taps4[(g * k + p) * 4 + c]` is the weight of channel `4g + c` at
+    /// im2col row `p`, `k = cin * kh * kw`), with zeros for the missing
+    /// channels of a last partial group — the operand layout of
+    /// [`Microkernel::conv_taps4`].
+    pub taps4: Option<Vec<f32>>,
     /// Per-output-channel bias.
     pub bias: Vec<f32>,
     /// Winograd-transformed kernels (`G g Gᵀ` per `(cout, cin)` pair),
@@ -132,14 +139,24 @@ impl CollapsedKernels {
                     }
                     u
                 });
+                let taps4 = wino_u.is_none().then(|| {
+                    let k = i * kh * kw;
+                    let mut packed = vec![0.0f32; o.div_ceil(4) * k * 4];
+                    for (oo, wrow) in l.weight.data().chunks_exact(k).enumerate() {
+                        for (p, &wv) in wrow.iter().enumerate() {
+                            packed[((oo / 4) * k + p) * 4 + oo % 4] = wv;
+                        }
+                    }
+                    packed
+                });
                 KernelLayer {
                     cin: i,
                     cout: o,
                     kh,
                     kw,
-                    weight: l.weight.data().to_vec(),
                     bias: l.bias.data().to_vec(),
                     wino_u,
+                    taps4,
                     act: match &l.act {
                         None => ActKind::None,
                         Some(Act::Relu) => ActKind::Relu,
@@ -303,13 +320,11 @@ pub struct InferPlan {
     variant: KernelVariant,
     bands: Vec<(usize, usize)>,
     steps: Vec<Step>,
-    /// Autotuned column-chunk width per layer for the direct-conv bands
-    /// (`>= w` means one chunk, i.e. historic behavior). Chunking is
-    /// numerically neutral: the per-element accumulation chains are fixed
-    /// by `KC` and the ascending tap order, which column blocking never
-    /// touches — it only bounds the accumulator working set per pass.
-    /// Unused (0) for Winograd layers.
-    nc_by_layer: Vec<usize>,
+    /// Per direct-conv layer, the staging-slab offset of every tap in
+    /// im2col row order (`KC`-sized blocks are contiguous slices); empty
+    /// for Winograd layers. Padded rows make the offsets independent of
+    /// the output row, so they are fixed here once.
+    tap_offs: Vec<Vec<usize>>,
     arena: Vec<f32>,
     off_first: usize,
     first_len: usize,
@@ -338,19 +353,20 @@ impl InferPlan {
         assert!(nbands > 0, "need at least one band");
         let bands = make_bands(h, nbands);
         let steps = make_steps(&kernels);
-        // Consult the process-wide GEMM autotuner for the direct-conv
-        // column blocking (ROADMAP item 1 residual): the packed GEMM's NC
-        // choice for an `(cout, cin*kh*kw, w)` multiply transfers to the
-        // direct kernel, whose inner loops stream the same operands.
-        let nc_by_layer = kernels
+        let tap_offs = kernels
             .layers
             .iter()
             .map(|l| {
                 if l.wino_u.is_some() {
-                    0
-                } else {
-                    gemm_blocking(l.cout, l.cin * l.kh * l.kw, w).nc
+                    return Vec::new();
                 }
+                let stride = padded_stride(w, l.kw);
+                (0..l.cin * l.kh * l.kw)
+                    .map(|p| {
+                        let (row, kx) = (p / l.kw, p % l.kw);
+                        row * stride + kx
+                    })
+                    .collect()
             })
             .collect();
 
@@ -363,9 +379,9 @@ impl InferPlan {
         // Winograd layers keep one gathered and one transformed input
         // tile set, one accumulated m-tile plus one 2x2 output tile per
         // output channel, and two output rows per channel; direct-conv
-        // layers keep one running row per output channel (k-block-major
-        // execution) plus one k-block staging row. Both are small and
-        // cache-resident by construction.
+        // layers keep one padded output row per channel plus the `kh`
+        // padded input rows of every input channel for the current
+        // output row.
         let slab_len = kernels
             .layers
             .iter()
@@ -373,7 +389,7 @@ impl InferPlan {
                 if l.wino_u.is_some() {
                     2 * l.cin * 16 + l.cout * 16 + l.cout * 4 + l.cout * 2 * w
                 } else {
-                    l.cout * w + w
+                    l.cout * w.next_multiple_of(8) + l.cin * l.kh * padded_stride(w, l.kw)
                 }
             })
             .max()
@@ -391,7 +407,7 @@ impl InferPlan {
             variant: kernel_variant(),
             bands,
             steps,
-            nc_by_layer,
+            tap_offs,
             arena,
             off_first,
             first_len,
@@ -448,19 +464,6 @@ impl InferPlan {
     /// The shared preprocessed kernels.
     pub fn kernels(&self) -> &Arc<CollapsedKernels> {
         &self.kernels
-    }
-
-    /// Pins the direct-conv column-chunk width of every non-Winograd layer
-    /// (testing/tuning hook — chunking is numerically neutral, so any
-    /// value produces the same bits). Values are clamped to at least 8
-    /// columns.
-    #[doc(hidden)]
-    pub fn pin_direct_nc(&mut self, nc: usize) {
-        for (l, slot) in self.kernels.layers.iter().zip(&mut self.nc_by_layer) {
-            if l.wino_u.is_none() {
-                *slot = nc.max(8);
-            }
-        }
     }
 
     /// Total bytes of the preallocated arena — the plan's entire
@@ -570,7 +573,7 @@ impl InferPlan {
             };
             let bands = &self.bands;
             let (off_slabs, slab_len) = (self.off_slabs, self.slab_len);
-            let nc = self.nc_by_layer[step.layer];
+            let offs = &self.tap_offs[step.layer];
             parallel_for(bands.len(), 1, |b0, b1| {
                 for (bi, &(y0, y1)) in bands.iter().enumerate().take(b1).skip(b0) {
                     // SAFETY: slabs are disjoint per band and bands are
@@ -579,7 +582,7 @@ impl InferPlan {
                     if layer.wino_u.is_some() {
                         wino_band(mk, layer, src, h, w, y0, y1, slab, &epi);
                     } else {
-                        conv_band(mk, layer, src, h, w, y0, y1, nc, slab, &epi);
+                        conv_band(mk, layer, offs, src, h, w, y0, y1, slab, &epi);
                     }
                 }
             });
@@ -688,225 +691,62 @@ fn make_steps(kernels: &CollapsedKernels) -> Vec<Step> {
     steps
 }
 
-/// The valid taps of one `(output row, k-block)` pair: per tap, its
-/// weight index, input row, column shift, and the output column range it
-/// covers. The geometry depends only on `(y, k0, k1)` — never on the
-/// output channel — so [`conv_band`] gathers it once per row and k-block
-/// and reapplies it for every `co` with fresh weights. Fixed-size stack
-/// arrays: steady state must not allocate.
-struct TapBlock<'a> {
-    pidx: [usize; KC],
-    rows: [&'a [f32]; KC],
-    shifts: [isize; KC],
-    lo: [usize; KC],
-    hi: [usize; KC],
-    nt: usize,
-}
-
-impl<'a> TapBlock<'a> {
-    fn empty() -> Self {
-        TapBlock {
-            pidx: [0; KC],
-            rows: [&[]; KC],
-            shifts: [0; KC],
-            lo: [0; KC],
-            hi: [0; KC],
-            nt: 0,
-        }
-    }
-
-    /// Gathers the valid taps of block `[k0, k1)` for output row `y`,
-    /// restricted to output columns `[x0, x1)` (a full row when `x0 == 0`
-    /// and `x1 == w`). `k` enumerates `(cc, ky, kx)` row-major — exactly
-    /// the im2col row order. Padding taps (rows/columns off the input)
-    /// are skipped: im2col stores literal `0.0` there, and adding `0.0`
-    /// to a partial chain is exact (the chain is never `-0.0`: it starts
-    /// at `+0.0`, and IEEE-754 round-to-nearest addition only yields
-    /// `-0.0` from `(-0.0) + (-0.0)`). Column restriction only clamps
-    /// each tap's coverage; per-column tap order is untouched.
-    #[allow(clippy::too_many_arguments)]
-    fn gather(
-        &mut self,
-        layer: &KernelLayer,
-        src: &'a [f32],
-        y: usize,
-        h: usize,
-        w: usize,
-        k0: usize,
-        k1: usize,
-        pt: usize,
-        pl: usize,
-        x0: usize,
-        x1: usize,
-    ) {
-        let taps = layer.kh * layer.kw;
-        debug_assert!(k1 - k0 <= KC, "one k-block at a time");
-        let mut nt = 0usize;
-        for p in k0..k1 {
-            let cc = p / taps;
-            let r = p % taps;
-            let (ky, kx) = (r / layer.kw, r % layer.kw);
-            let iy = y as isize + ky as isize - pt as isize;
-            if iy < 0 || iy >= h as isize {
-                continue;
-            }
-            // Output column x reads input column x + shift.
-            let shift = kx as isize - pl as isize;
-            let x_lo = usize::try_from(-shift).unwrap_or(0).max(x0);
-            let x_hi = usize::try_from(w as isize - shift.max(0))
-                .unwrap_or(0)
-                .min(x1);
-            if x_lo >= x_hi {
-                continue;
-            }
-            self.pidx[nt] = p;
-            self.rows[nt] = &src[cc * h * w + iy as usize * w..][..w];
-            self.shifts[nt] = shift;
-            self.lo[nt] = x_lo;
-            self.hi[nt] = x_hi;
-            nt += 1;
-        }
-        self.nt = nt;
-    }
-}
-
-/// Accumulates a gathered tap block into `acc` (one float per output
-/// column), visiting taps in ascending `k` order so the per-element
-/// chain matches the packed GEMM's within one k-block. `wrow` is the
-/// output channel's flat weight row (`weight[co * k..]`).
-fn conv_taps(mk: &dyn Microkernel, acc: &mut [f32], blk: &TapBlock<'_>, wrow: &[f32]) {
-    let TapBlock {
-        pidx,
-        rows,
-        shifts,
-        lo,
-        hi,
-        nt,
-    } = blk;
-    let nt = *nt;
-    if nt == 0 {
-        return;
-    }
-    let mut ws = [0.0f32; KC];
-    for t in 0..nt {
-        ws[t] = wrow[pidx[t]];
-    }
-    // Edge columns are one or two elements per tap: a dispatched call per
-    // tap would cost more than the arithmetic. Inline the accumulation,
-    // matching the active variant's multiply-add rounding (the FMA
-    // variant fuses everywhere, including the GEMM's remainder columns,
-    // so edge chains must fuse too to stay bit-consistent with it).
-    let fused = mk.variant().fused_madd();
-    let edge = |acc: &mut [f32], seg: &[f32], c: f32| {
-        if fused {
-            for (a, &v) in acc.iter_mut().zip(seg) {
-                *a = c.mul_add(v, *a);
-            }
-        } else {
-            for (a, &v) in acc.iter_mut().zip(seg) {
-                *a += c * v;
-            }
-        }
-    };
-    // Columns covered by *every* tap of the block — the interior, where
-    // the multi-tap kernel keeps the accumulator in registers across all
-    // taps. Per-element tap order stays ascending k: each column belongs
-    // to exactly one of the three passes, and every pass visits taps in
-    // gathered (ascending) order.
-    let int_lo = lo[..nt].iter().copied().max().expect("nt > 0");
-    let int_hi = hi[..nt].iter().copied().min().expect("nt > 0");
-    if int_lo >= int_hi {
-        // Degenerate geometry (tiny width): no column is covered by all
-        // taps. One tap at a time over its full range is always
-        // order-correct.
-        for t in 0..nt {
-            let seg = &rows[t][(lo[t] as isize + shifts[t]) as usize..][..hi[t] - lo[t]];
-            edge(&mut acc[lo[t]..hi[t]], seg, ws[t]);
-        }
-        return;
-    }
-    // Left edge: columns below the interior, per tap in k order.
-    for t in 0..nt {
-        if lo[t] < int_lo {
-            let seg = &rows[t][(lo[t] as isize + shifts[t]) as usize..][..int_lo - lo[t]];
-            edge(&mut acc[lo[t]..int_lo], seg, ws[t]);
-        }
-    }
-    // Interior: all taps in one register-blocked pass.
-    let mut segs: [&[f32]; KC] = [&[]; KC];
-    for t in 0..nt {
-        segs[t] = &rows[t][(int_lo as isize + shifts[t]) as usize..];
-    }
-    mk.axpy_taps(&mut acc[int_lo..int_hi], &ws[..nt], &segs[..nt]);
-    // Right edge: columns past the interior, per tap in k order.
-    for t in 0..nt {
-        if hi[t] > int_hi {
-            let seg = &rows[t][(int_hi as isize + shifts[t]) as usize..][..hi[t] - int_hi];
-            edge(&mut acc[int_hi..hi[t]], seg, ws[t]);
-        }
-    }
+/// Row stride of the staged input rows of a `kw`-wide direct convolution
+/// over `w` columns: the output row rounded up to whole 8-lane vectors,
+/// plus the `kw - 1` columns its taps reach past it. Columns outside the
+/// input row hold `0.0`.
+fn padded_stride(w: usize, kw: usize) -> usize {
+    w.next_multiple_of(8) + kw - 1
 }
 
 /// Executes output rows `[y0, y1)` of a non-3x3 layer as a direct blocked
 /// convolution with the epilogue fused into the row write. No im2col, no
-/// GEMM call — yet bit-identical to `im2col + gemm`: taps are grouped
-/// into the same [`KC`]-sized k-blocks, each block accumulates from
-/// `+0.0` in ascending k order, and blocks combine in order (the first by
-/// plain write), exactly mirroring the packed kernel's per-element
-/// association.
+/// GEMM call — yet bit-identical to `im2col + gemm`. Per output row, the
+/// `kh` input rows of every channel are staged as zero-padded rows, so
+/// tap `p` of the im2col order reads the slab at the fixed offset
+/// `offs[p]`, and padding taps multiply `0.0` exactly as im2col's zero
+/// entries do. Taps are grouped into the same [`KC`]-sized k-blocks as
+/// the packed GEMM; each block's chain starts from `+0.0` in ascending k
+/// order, and blocks combine in order (the first by plain write).
 #[allow(clippy::too_many_arguments)]
 fn conv_band(
     mk: &dyn Microkernel,
     layer: &KernelLayer,
+    offs: &[usize],
     src: &[f32],
     h: usize,
     w: usize,
     y0: usize,
     y1: usize,
-    nc: usize,
     slab: &mut [f32],
     epi: &Epilogue<'_>,
 ) {
     let (pt, _pb, pl, _pr) = Conv2dParams::same().resolve_padding(layer.kh, layer.kw);
     let k = layer.cin * layer.kh * layer.kw;
-    let (totals, rest) = slab.split_at_mut(layer.cout * w);
-    let blkrow = &mut rest[..w];
-    let nblocks = k.div_ceil(KC);
-    let nc = nc.clamp(8, w.max(8));
-    let mut taps = TapBlock::empty();
+    let taps4 = layer.taps4.as_ref().expect("direct-conv layer");
+    let (npad, stride) = (w.next_multiple_of(8), padded_stride(w, layer.kw));
+    let (totals, rest) = slab.split_at_mut(layer.cout * npad);
+    let stage = &mut rest[..layer.cin * layer.kh * stride];
     for y in y0..y1 {
-        // Column chunks of the autotuned NC width bound the accumulator
-        // working set per pass (one chunk spanning the row reproduces the
-        // historic behavior exactly). Within a chunk, k-block-major so
-        // the (channel-independent) tap geometry is gathered once per
-        // (row, chunk, k-block) instead of once per output channel.
-        // Per-element arithmetic is unchanged from the unchunked co-major
-        // order: each column's chains per block still start at +0.0,
-        // visit taps in ascending k, and merge in block order into that
-        // channel's running row.
-        let mut x0 = 0usize;
-        while x0 < w {
-            let x1 = (x0 + nc).min(w);
-            for kb in 0..nblocks {
-                let (kstart, kend) = (kb * KC, ((kb + 1) * KC).min(k));
-                taps.gather(layer, src, y, h, w, kstart, kend, pt, pl, x0, x1);
-                for co in 0..layer.cout {
-                    let wrow = &layer.weight[co * k..(co + 1) * k];
-                    let total = &mut totals[co * w..(co + 1) * w];
-                    if kb == 0 {
-                        total[x0..x1].fill(0.0);
-                        conv_taps(mk, total, &taps, wrow);
-                    } else {
-                        blkrow[x0..x1].fill(0.0);
-                        conv_taps(mk, blkrow, &taps, wrow);
-                        mk.add_row(&mut total[x0..x1], &blkrow[x0..x1]);
-                    }
+        for (r, row) in stage.chunks_exact_mut(stride).enumerate() {
+            let (cc, ky) = (r / layer.kh, r % layer.kh);
+            match (y + ky).checked_sub(pt).filter(|&iy| iy < h) {
+                Some(iy) => {
+                    row[..pl].fill(0.0);
+                    row[pl..pl + w].copy_from_slice(&src[cc * h * w + iy * w..][..w]);
+                    row[pl + w..].fill(0.0);
                 }
+                None => row.fill(0.0),
             }
-            x0 = x1;
+        }
+        for (acc, wg) in totals.chunks_mut(4 * npad).zip(taps4.chunks_exact(4 * k)) {
+            for k0 in (0..k).step_by(KC) {
+                let k1 = (k0 + KC).min(k);
+                mk.conv_taps4(acc, npad, &wg[4 * k0..4 * k1], &offs[k0..k1], stage, k0 > 0);
+            }
         }
         for co in 0..layer.cout {
-            epi.emit_row(co, y, &mut totals[co * w..(co + 1) * w], h, w);
+            epi.emit_row(co, y, &mut totals[co * npad..][..w], h, w);
         }
     }
 }
@@ -1144,21 +984,6 @@ mod tests {
                 0.0,
                 "variant {i} diverged"
             );
-        }
-    }
-
-    #[test]
-    fn direct_conv_column_chunking_is_bit_neutral() {
-        // Forced tiny column chunks must produce exactly the bits of the
-        // unchunked plan (and the reference): NC blocking only bounds the
-        // accumulator working set, never the per-element chains.
-        let net = collapsed(SesrConfig::m(2).with_expanded(8).with_seed(3));
-        let lr = Tensor::rand_uniform(&[1, 13, 37], 0.0, 1.0, 8);
-        let want = net.run_reference(&lr);
-        for nc in [8usize, 16, 24, 4096] {
-            let mut plan = plan_of(&net, 13, 37, 3);
-            plan.pin_direct_nc(nc);
-            assert_eq!(want.max_abs_diff(&plan.run(&lr)), 0.0, "nc={nc} diverged");
         }
     }
 

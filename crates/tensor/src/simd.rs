@@ -245,12 +245,31 @@ pub trait Microkernel: Sync {
     /// `acc[x] += c * src[x]`. Slices must be equal length.
     fn axpy(&self, acc: &mut [f32], src: &[f32], c: f32);
 
-    /// Multi-tap axpy: for each `x`, applies `acc[x] += ws[t] * segs[t][x]`
-    /// for `t` ascending — the same per-element chain as `ws.len()`
-    /// successive [`Microkernel::axpy`] calls, but with the accumulator
-    /// kept in registers across taps (the direct convolution's hot loop).
-    /// Every `segs[t]` must be at least `acc.len()` long.
-    fn axpy_taps(&self, acc: &mut [f32], ws: &[f32], segs: &[&[f32]]);
+    /// Four-output-channel tap kernel — the direct convolution's hot
+    /// loop. `acc` holds `acc.len() / n` rows (1 to 4) of `n` columns,
+    /// one per output channel `c`; `ws` holds four weights per tap,
+    /// tap-major (`ws[4 * t + c]`); tap `t` reads `src[offs[t] + x]` at
+    /// column `x`. Per element the chain is
+    /// `s = 0.0; for t ascending: s = madd(ws[4 * t + c], src[offs[t] + x], s)`
+    /// — exactly `offs.len()` successive [`Microkernel::axpy`] calls onto
+    /// a zeroed row — and the row is then overwritten with `s`, or
+    /// updated to `acc + s` when `accumulate` is set. That is the packed
+    /// GEMM's per-`KC`-block chain and block combine. Wide
+    /// implementations load each tap segment once for all four channels.
+    ///
+    /// # Panics
+    ///
+    /// Unless `n > 0`, `acc` holds 1 to 4 whole rows, `ws.len() >= 4 *
+    /// offs.len()`, and `offs[t] + n <= src.len()` for every tap.
+    fn conv_taps4(
+        &self,
+        acc: &mut [f32],
+        n: usize,
+        ws: &[f32],
+        offs: &[usize],
+        src: &[f32],
+        accumulate: bool,
+    );
 
     /// Integer multi-tap multiply-accumulate for the quantized planned
     /// executor. Every `i32` element packs a *pair* of `i16` lanes (two
@@ -484,6 +503,22 @@ pub fn microkernel(v: KernelVariant) -> &'static dyn Microkernel {
     }
 }
 
+/// Asserts the [`Microkernel::conv_taps4`] length contract, which the
+/// SIMD implementations' unchecked loads rely on.
+fn check_taps4(acc: &[f32], n: usize, ws: &[f32], offs: &[usize], src: &[f32]) {
+    assert!(
+        n > 0 && acc.len().is_multiple_of(n) && (1..=4).contains(&(acc.len() / n)),
+        "acc must hold 1 to 4 rows of n columns"
+    );
+    assert!(ws.len() >= 4 * offs.len(), "four weights per tap");
+    if let Some(&last) = offs.iter().max() {
+        assert!(
+            last.checked_add(n).is_some_and(|end| end <= src.len()),
+            "tap segment runs past the end of src"
+        );
+    }
+}
+
 /// Shorthand for `microkernel(kernel_variant())`.
 pub fn default_microkernel() -> &'static dyn Microkernel {
     microkernel(kernel_variant())
@@ -529,9 +564,38 @@ mod scalar {
         }
     }
 
-    pub fn axpy_taps(acc: &mut [f32], ws: &[f32], segs: &[&[f32]]) {
-        for (&c, seg) in ws.iter().zip(segs) {
-            axpy(acc, &seg[..acc.len()], c);
+    /// Scalar [`super::Microkernel::conv_taps4`]: 16-column blocks of
+    /// four channel chains, so the compiler can keep them in registers.
+    pub fn conv_taps4(
+        acc: &mut [f32],
+        n: usize,
+        ws: &[f32],
+        offs: &[usize],
+        src: &[f32],
+        accumulate: bool,
+    ) {
+        super::check_taps4(acc, n, ws, offs, src);
+        let mut x = 0usize;
+        while x < n {
+            let bw = 16.min(n - x);
+            let mut s = [[0.0f32; 16]; 4];
+            for (&off, wt) in offs.iter().zip(ws.chunks_exact(4)) {
+                let seg = &src[off + x..][..bw];
+                for (sc, &wc) in s.iter_mut().zip(wt) {
+                    for (a, &v) in sc[..bw].iter_mut().zip(seg) {
+                        *a += wc * v;
+                    }
+                }
+            }
+            for (row, sc) in acc.chunks_exact_mut(n).zip(&s) {
+                let out = &mut row[x..x + bw];
+                if accumulate {
+                    add_row(out, &sc[..bw]);
+                } else {
+                    out.copy_from_slice(&sc[..bw]);
+                }
+            }
+            x += bw;
         }
     }
 
@@ -721,8 +785,16 @@ impl Microkernel for ScalarKernel {
         scalar::axpy(acc, src, c)
     }
 
-    fn axpy_taps(&self, acc: &mut [f32], ws: &[f32], segs: &[&[f32]]) {
-        scalar::axpy_taps(acc, ws, segs)
+    fn conv_taps4(
+        &self,
+        acc: &mut [f32],
+        n: usize,
+        ws: &[f32],
+        offs: &[usize],
+        src: &[f32],
+        accumulate: bool,
+    ) {
+        scalar::conv_taps4(acc, n, ws, offs, src, accumulate)
     }
 
     fn wino_input_transform(&self, d: &[f32; 16]) -> [f32; 16] {
@@ -778,8 +850,16 @@ impl Microkernel for NeonKernel {
         scalar::axpy(acc, src, c)
     }
 
-    fn axpy_taps(&self, acc: &mut [f32], ws: &[f32], segs: &[&[f32]]) {
-        scalar::axpy_taps(acc, ws, segs)
+    fn conv_taps4(
+        &self,
+        acc: &mut [f32],
+        n: usize,
+        ws: &[f32],
+        offs: &[usize],
+        src: &[f32],
+        accumulate: bool,
+    ) {
+        scalar::conv_taps4(acc, n, ws, offs, src, accumulate)
     }
 
     fn wino_input_transform(&self, d: &[f32; 16]) -> [f32; 16] {
@@ -845,6 +925,27 @@ mod x86 {
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn madd_fused(a: __m256, b: __m256, c: __m256) -> __m256 {
         _mm256_fmadd_ps(a, b, c)
+    }
+
+    /// Stores 8 finished chains at `p`, or adds them to what is there
+    /// (`acc + s`, the GEMM's k-block combine) when `accumulate` is set.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support; `p` must be valid for
+    /// reading and writing 8 floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn put8(p: *mut f32, v: __m256, accumulate: bool) {
+        // SAFETY: the caller guarantees 8 readable, writable floats at p.
+        unsafe {
+            let v = if accumulate {
+                _mm256_add_ps(_mm256_loadu_ps(p), v)
+            } else {
+                v
+            };
+            _mm256_storeu_ps(p, v);
+        }
     }
 
     /// Generates the arithmetic kernel set once per madd flavor. `$madd`
@@ -938,99 +1039,90 @@ mod x86 {
                     }
                 }
 
-                /// Multi-tap axpy with the accumulator registers held
-                /// across the tap loop (taps ascending per element, same
-                /// chain as successive `axpy` calls).
+                /// Four-channel tap kernel (see the trait doc): 4 channels
+                /// x 16 columns of chains in eight registers, each tap's
+                /// segment loaded once and its four weights broadcast.
                 ///
                 /// # Safety
                 ///
-                /// Caller must have verified the `$feat` CPU features;
-                /// `ws.len() == segs.len()` and every `segs[t].len() >=
-                /// acc.len()` must hold.
+                /// Caller must have verified the `$feat` CPU features and
+                /// the length contract `check_taps4` asserts.
                 #[target_feature(enable = $feat)]
-                pub unsafe fn axpy_taps(acc: &mut [f32], ws: &[f32], segs: &[&[f32]]) {
-                    debug_assert_eq!(ws.len(), segs.len());
-                    let n = acc.len();
+                pub unsafe fn conv_taps4(
+                    acc: &mut [f32],
+                    n: usize,
+                    ws: &[f32],
+                    offs: &[usize],
+                    src: &[f32],
+                    accumulate: bool,
+                ) {
+                    let rows = acc.len() / n;
                     let ap = acc.as_mut_ptr();
+                    let wp = ws.as_ptr();
+                    let sp = src.as_ptr();
                     let mut x = 0usize;
-                    // 32-column blocks: 4 accumulator registers stay live
-                    // across every tap, quartering acc load/store traffic
-                    // versus per-tap axpy.
-                    // SAFETY: x + 64 (resp. 32, 8) <= n and segs[t].len()
-                    // >= n, so every lane access below is in bounds.
+                    // SAFETY: x + 16 (resp. 8) <= n and every offs[t] + n
+                    // <= src.len(), so segment loads are in bounds; ws
+                    // holds 4 weights per tap; stores go to rows c < rows,
+                    // each n floats of `acc`.
                     unsafe {
-                        // 64-column blocks: 8 accumulator chains in
-                        // flight. The per-column chain must stay in tap
-                        // order, so the only latency lever is more
-                        // independent columns per block.
-                        while x + 64 <= n {
-                            let mut a0 = _mm256_loadu_ps(ap.add(x));
-                            let mut a1 = _mm256_loadu_ps(ap.add(x + 8));
-                            let mut a2 = _mm256_loadu_ps(ap.add(x + 16));
-                            let mut a3 = _mm256_loadu_ps(ap.add(x + 24));
-                            let mut a4 = _mm256_loadu_ps(ap.add(x + 32));
-                            let mut a5 = _mm256_loadu_ps(ap.add(x + 40));
-                            let mut a6 = _mm256_loadu_ps(ap.add(x + 48));
-                            let mut a7 = _mm256_loadu_ps(ap.add(x + 56));
-                            for (t, seg) in segs.iter().enumerate() {
-                                let cv = _mm256_set1_ps(*ws.get_unchecked(t));
-                                let sp = seg.as_ptr().add(x);
-                                a0 = $madd(cv, _mm256_loadu_ps(sp), a0);
-                                a1 = $madd(cv, _mm256_loadu_ps(sp.add(8)), a1);
-                                a2 = $madd(cv, _mm256_loadu_ps(sp.add(16)), a2);
-                                a3 = $madd(cv, _mm256_loadu_ps(sp.add(24)), a3);
-                                a4 = $madd(cv, _mm256_loadu_ps(sp.add(32)), a4);
-                                a5 = $madd(cv, _mm256_loadu_ps(sp.add(40)), a5);
-                                a6 = $madd(cv, _mm256_loadu_ps(sp.add(48)), a6);
-                                a7 = $madd(cv, _mm256_loadu_ps(sp.add(56)), a7);
+                        while x + 16 <= n {
+                            let (mut a00, mut a01) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+                            let (mut a10, mut a11) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+                            let (mut a20, mut a21) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+                            let (mut a30, mut a31) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+                            for (t, &off) in offs.iter().enumerate() {
+                                let s = sp.add(off + x);
+                                let (v0, v1) = (_mm256_loadu_ps(s), _mm256_loadu_ps(s.add(8)));
+                                let w = wp.add(4 * t);
+                                let w0 = _mm256_broadcast_ss(&*w);
+                                let w1 = _mm256_broadcast_ss(&*w.add(1));
+                                let w2 = _mm256_broadcast_ss(&*w.add(2));
+                                let w3 = _mm256_broadcast_ss(&*w.add(3));
+                                a00 = $madd(w0, v0, a00);
+                                a01 = $madd(w0, v1, a01);
+                                a10 = $madd(w1, v0, a10);
+                                a11 = $madd(w1, v1, a11);
+                                a20 = $madd(w2, v0, a20);
+                                a21 = $madd(w2, v1, a21);
+                                a30 = $madd(w3, v0, a30);
+                                a31 = $madd(w3, v1, a31);
                             }
-                            _mm256_storeu_ps(ap.add(x), a0);
-                            _mm256_storeu_ps(ap.add(x + 8), a1);
-                            _mm256_storeu_ps(ap.add(x + 16), a2);
-                            _mm256_storeu_ps(ap.add(x + 24), a3);
-                            _mm256_storeu_ps(ap.add(x + 32), a4);
-                            _mm256_storeu_ps(ap.add(x + 40), a5);
-                            _mm256_storeu_ps(ap.add(x + 48), a6);
-                            _mm256_storeu_ps(ap.add(x + 56), a7);
-                            x += 64;
+                            let chains = [[a00, a01], [a10, a11], [a20, a21], [a30, a31]];
+                            for (c, pair) in chains.iter().enumerate().take(rows) {
+                                let p = ap.add(c * n + x);
+                                put8(p, pair[0], accumulate);
+                                put8(p.add(8), pair[1], accumulate);
+                            }
+                            x += 16;
                         }
-                        while x + 32 <= n {
-                            let mut a0 = _mm256_loadu_ps(ap.add(x));
-                            let mut a1 = _mm256_loadu_ps(ap.add(x + 8));
-                            let mut a2 = _mm256_loadu_ps(ap.add(x + 16));
-                            let mut a3 = _mm256_loadu_ps(ap.add(x + 24));
-                            for (t, seg) in segs.iter().enumerate() {
-                                let cv = _mm256_set1_ps(*ws.get_unchecked(t));
-                                let sp = seg.as_ptr().add(x);
-                                a0 = $madd(cv, _mm256_loadu_ps(sp), a0);
-                                a1 = $madd(cv, _mm256_loadu_ps(sp.add(8)), a1);
-                                a2 = $madd(cv, _mm256_loadu_ps(sp.add(16)), a2);
-                                a3 = $madd(cv, _mm256_loadu_ps(sp.add(24)), a3);
+                        if x + 8 <= n {
+                            let (mut a0, mut a1) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+                            let (mut a2, mut a3) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+                            for (t, &off) in offs.iter().enumerate() {
+                                let v = _mm256_loadu_ps(sp.add(off + x));
+                                let w = wp.add(4 * t);
+                                a0 = $madd(_mm256_broadcast_ss(&*w), v, a0);
+                                a1 = $madd(_mm256_broadcast_ss(&*w.add(1)), v, a1);
+                                a2 = $madd(_mm256_broadcast_ss(&*w.add(2)), v, a2);
+                                a3 = $madd(_mm256_broadcast_ss(&*w.add(3)), v, a3);
                             }
-                            _mm256_storeu_ps(ap.add(x), a0);
-                            _mm256_storeu_ps(ap.add(x + 8), a1);
-                            _mm256_storeu_ps(ap.add(x + 16), a2);
-                            _mm256_storeu_ps(ap.add(x + 24), a3);
-                            x += 32;
-                        }
-                        while x + 8 <= n {
-                            let mut a0 = _mm256_loadu_ps(ap.add(x));
-                            for (t, seg) in segs.iter().enumerate() {
-                                let cv = _mm256_set1_ps(*ws.get_unchecked(t));
-                                a0 = $madd(cv, _mm256_loadu_ps(seg.as_ptr().add(x)), a0);
+                            for (c, v) in [a0, a1, a2, a3].into_iter().enumerate().take(rows) {
+                                put8(ap.add(c * n + x), v, accumulate);
                             }
-                            _mm256_storeu_ps(ap.add(x), a0);
                             x += 8;
                         }
-                    }
-                    for i in x..n {
-                        // SAFETY: i < n <= segs[t].len() for every t.
-                        unsafe {
-                            let mut a = *ap.add(i);
-                            for (t, seg) in segs.iter().enumerate() {
-                                a = $smadd(*ws.get_unchecked(t), *seg.as_ptr().add(i), a);
+                        // Remainder columns use the scalar twin of $madd
+                        // so their rounding matches the vector lanes.
+                        for xi in x..n {
+                            for c in 0..rows {
+                                let mut s = 0.0f32;
+                                for (t, &off) in offs.iter().enumerate() {
+                                    s = $smadd(*wp.add(4 * t + c), *sp.add(off + xi), s);
+                                }
+                                let a = ap.add(c * n + xi);
+                                *a = if accumulate { *a + s } else { s };
                             }
-                            *ap.add(i) = a;
                         }
                     }
                 }
@@ -1835,13 +1927,18 @@ macro_rules! avx2_trait_impl {
                 unsafe { x86::$madd_mod::axpy(acc, src, c) }
             }
 
-            fn axpy_taps(&self, acc: &mut [f32], ws: &[f32], segs: &[&[f32]]) {
-                assert_eq!(ws.len(), segs.len(), "one weight per tap");
-                for seg in segs {
-                    assert!(seg.len() >= acc.len(), "tap segment shorter than acc");
-                }
-                // SAFETY: features verified at dispatch; lengths asserted.
-                unsafe { x86::$madd_mod::axpy_taps(acc, ws, segs) }
+            fn conv_taps4(
+                &self,
+                acc: &mut [f32],
+                n: usize,
+                ws: &[f32],
+                offs: &[usize],
+                src: &[f32],
+                accumulate: bool,
+            ) {
+                check_taps4(acc, n, ws, offs, src);
+                // SAFETY: features verified at dispatch; lengths checked.
+                unsafe { x86::$madd_mod::conv_taps4(acc, n, ws, offs, src, accumulate) }
             }
 
             fn qmadd_taps(&self, acc: &mut [i32], ws: &[i32], segs: &[&[i32]]) {
@@ -2027,23 +2124,28 @@ mod tests {
         use std::time::Instant;
         let mk = default_microkernel();
         println!("variant: {}", mk.variant().name());
-        // axpy_taps: 400 taps x 316 columns (the m5 head shape).
-        let (nt, n) = (400usize, 316usize);
-        let ws = seeded(nt, 1);
-        let backing = seeded(n + 64, 2);
-        let segs: Vec<&[f32]> = (0..nt).map(|t| &backing[t % 32..]).collect();
-        let mut acc = seeded(n, 3);
+        // conv_taps4: the m5 x2 head at 320 columns — 4 output channels,
+        // 16 x 5 x 5 = 400 taps over 5 padded rows per input channel, run
+        // as the planner does: a 256-tap k-block, then an accumulating
+        // 144-tap one.
+        let (nt, n, kw) = (400usize, 320usize, 5usize);
+        let stride = n + kw - 1;
+        let ws = seeded(4 * nt, 1);
+        let offs: Vec<usize> = (0..nt).map(|p| (p / kw) * stride + p % kw).collect();
+        let src = seeded(nt / kw * stride, 2);
+        let mut acc = seeded(4 * n, 3);
         let reps = 2000;
         let t0 = Instant::now();
         for _ in 0..reps {
-            mk.axpy_taps(&mut acc, &ws, &segs);
+            mk.conv_taps4(&mut acc, n, &ws[..4 * 256], &offs[..256], &src, false);
+            mk.conv_taps4(&mut acc, n, &ws[4 * 256..], &offs[256..], &src, true);
         }
         let el = t0.elapsed().as_secs_f64();
         println!(
-            "axpy_taps {}x{}: {:.1} GFLOP/s",
+            "conv_taps4 4x{}x{}: {:.1} GFLOP/s",
             nt,
             n,
-            (2.0 * nt as f64 * n as f64 * reps as f64) / el / 1e9
+            (2.0 * 4.0 * nt as f64 * n as f64 * reps as f64) / el / 1e9
         );
         // wino_channel_reduce: 16x16 channels (the m5 feature layers).
         let (cout, cin) = (16usize, 16usize);
@@ -2174,26 +2276,45 @@ mod tests {
     }
 
     #[test]
-    fn axpy_taps_matches_sequential_axpy_per_variant() {
-        // The multi-tap kernel must equal T successive axpy calls *within
-        // every variant* (that is the associativity contract the direct
-        // convolution relies on).
+    fn conv_taps4_matches_sequential_axpy_per_variant() {
+        // Each channel row must equal T successive axpy calls of the same
+        // variant onto a zeroed row — written, or added to the old row
+        // when accumulating (the direct convolution's k-block contract).
         for v in detected_variants().iter().copied() {
             let mk = microkernel(v);
-            for (n, t) in [(1usize, 1usize), (7, 3), (33, 5), (64, 25), (100, 2)] {
-                let ws = seeded(t, 41 + n as u64);
-                let backing: Vec<Vec<f32>> = (0..t)
-                    .map(|i| seeded(n + 3, 100 + i as u64 + n as u64))
-                    .collect();
-                let segs: Vec<&[f32]> = backing.iter().map(|s| &s[..]).collect();
-                let mut seq = seeded(n, 7);
-                for (w, seg) in ws.iter().zip(&segs) {
-                    mk.axpy(&mut seq, &seg[..n], *w);
-                }
-                let mut multi = seeded(n, 7);
-                mk.axpy_taps(&mut multi, &ws, &segs);
-                for (i, (a, b)) in seq.iter().zip(&multi).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{} n={n} t={t} x={i}", v.name());
+            for (n, t, rows) in [
+                (1usize, 1usize, 1usize),
+                (7, 3, 2),
+                (33, 5, 4),
+                (64, 25, 3),
+                (100, 2, 4),
+            ] {
+                let ws = seeded(4 * t, 41 + n as u64);
+                let src = seeded(n + 3 * t, 100 + n as u64);
+                let offs: Vec<usize> = (0..t).map(|i| 3 * i).collect();
+                let old = seeded(rows * n, 7);
+                for accumulate in [false, true] {
+                    let mut got = old.clone();
+                    mk.conv_taps4(&mut got, n, &ws, &offs, &src, accumulate);
+                    for c in 0..rows {
+                        let mut chain = vec![0.0f32; n];
+                        for (i, &off) in offs.iter().enumerate() {
+                            mk.axpy(&mut chain, &src[off..off + n], ws[4 * i + c]);
+                        }
+                        for x in 0..n {
+                            let want = if accumulate {
+                                old[c * n + x] + chain[x]
+                            } else {
+                                chain[x]
+                            };
+                            assert_eq!(
+                                want.to_bits(),
+                                got[c * n + x].to_bits(),
+                                "{} n={n} t={t} c={c} x={x} accumulate={accumulate}",
+                                v.name()
+                            );
+                        }
+                    }
                 }
             }
         }

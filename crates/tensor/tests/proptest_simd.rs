@@ -125,30 +125,43 @@ proptest! {
         }
     }
 
-    /// `axpy_taps` keeps the documented contract: bit-identical to
-    /// `ws.len()` successive `axpy` calls of the *same* variant — the
-    /// register-resident accumulator must not change any chain.
+    /// `conv_taps4` keeps the documented contract: each of its 1–4
+    /// channel rows is bit-identical to `offs.len()` successive `axpy`
+    /// calls of the *same* variant onto a zeroed row, then written or
+    /// added to the old row — at ragged lengths (every vector-body /
+    /// remainder seam) and arbitrary, unordered tap offsets.
     #[test]
-    fn axpy_taps_equals_sequential_axpy(
+    fn conv_taps4_equals_sequential_axpy(
         len in 1usize..100,
         nt in 1usize..12,
-        acc0 in buf(100),
-        ws in buf(12),
-        segsrc in buf(12 * 104),
+        rows in 1usize..5,
+        accumulate in any::<bool>(),
+        offs in proptest::collection::vec(0usize..40, 12),
+        acc0 in buf(400),
+        ws in buf(48),
+        src in buf(140),
     ) {
+        let offs = &offs[..nt];
         for &v in detected_variants() {
             let mk = microkernel(v);
-            let segs: Vec<&[f32]> = (0..nt).map(|t| &segsrc[t * 104..t * 104 + len]).collect();
-            let mut fused_acc = acc0[..len].to_vec();
-            mk.axpy_taps(&mut fused_acc, &ws[..nt], &segs);
-            let mut seq_acc = acc0[..len].to_vec();
-            for t in 0..nt {
-                mk.axpy(&mut seq_acc, segs[t], ws[t]);
+            let mut got = acc0[..rows * len].to_vec();
+            mk.conv_taps4(&mut got, len, &ws[..4 * nt], offs, &src, accumulate);
+            for c in 0..rows {
+                let mut chain = vec![0.0f32; len];
+                for (t, &off) in offs.iter().enumerate() {
+                    mk.axpy(&mut chain, &src[off..off + len], ws[4 * t + c]);
+                }
+                let old = &acc0[c * len..(c + 1) * len];
+                let want: Vec<f32> = if accumulate {
+                    old.iter().zip(&chain).map(|(a, s)| a + s).collect()
+                } else {
+                    chain
+                };
+                prop_assert_eq!(
+                    bits(&got[c * len..(c + 1) * len]), bits(&want),
+                    "conv_taps4 row {} != sequential axpy on {}", c, v.name()
+                );
             }
-            prop_assert_eq!(
-                bits(&fused_acc), bits(&seq_acc),
-                "axpy_taps != sequential axpy on {}", v.name()
-            );
         }
     }
 

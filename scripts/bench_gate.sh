@@ -33,7 +33,7 @@ fi
 if [[ -f BENCH_infer.json ]]; then
     echo "-- bench-gate: planned inference throughput --"
     sesr infer-bench --archs m5,m11 --scale 2 --expanded 16 --seed 0 \
-        --iters 30 --warmup 5 --height 180 --width 320 --threads 4 \
+        --iters 30 --warmup 5 --height 180 --width 320 --threads 1 \
         --out "$tmp/BENCH_infer.json"
     # Wider throughput tolerance than the other gates: the committed
     # baseline is deliberately a fast-phase recording (it documents the
