@@ -20,7 +20,7 @@ use sesr_core::model::Sesr;
 use sesr_quant::{calibrate, QuantKernels, QuantPlan, QuantizedSesr};
 use sesr_serve::bench::arch_config;
 use sesr_serve::json::{array, JsonObject};
-use sesr_tensor::simd::{set_kernel_variant, KernelVariant};
+use sesr_tensor::simd::{microkernel, set_kernel_variant, KernelVariant};
 use sesr_tensor::Tensor;
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,6 +104,13 @@ pub struct Int8LaneResult {
     pub delta_psnr_db: f64,
     /// The quantized plan's fixed i32 arena footprint.
     pub arena_bytes: usize,
+    /// Per-layer planned-int8 wall-clock ms, summed over the timed runs
+    /// (same indexing as [`InferArchResult::layer_ms`]; the first layer
+    /// also carries the input quantization).
+    pub layer_ms: Vec<f64>,
+    /// Which integer tap-kernel body ran: `scalar`, `avx2`, or
+    /// `avx512vnni`.
+    pub body: &'static str,
 }
 
 /// One architecture's measured result.
@@ -296,9 +303,10 @@ fn bench_int8_lane(
     for _ in 0..cfg.warmup {
         qplan.run_image_into(lr.data(), &mut out);
     }
+    let mut layer_nanos = vec![0u64; qplan.num_steps()];
     let t0 = Instant::now();
     for _ in 0..cfg.iters {
-        qplan.run_image_into(lr.data(), &mut out);
+        qplan.run_image_into_timed(lr.data(), &mut out, &mut layer_nanos);
     }
     let int8_ms = ms_since(t0);
 
@@ -312,6 +320,8 @@ fn bench_int8_lane(
         speedup_vs_planned: planned_ms / int8_ms,
         delta_psnr_db,
         arena_bytes: qplan.arena_bytes(),
+        layer_ms: layer_nanos.iter().map(|&n| n as f64 / 1e6).collect(),
+        body: microkernel(qplan.variant()).int8_body(),
     })
 }
 
@@ -361,7 +371,12 @@ pub fn infer_bench_report_json(cfg: &InferBenchConfig, results: &[InferArchResul
                 .num("int8_images_per_sec", q.int8_images_per_sec)
                 .num("int8_speedup_vs_planned", q.speedup_vs_planned)
                 .num("int8_delta_psnr_db", q.delta_psnr_db)
-                .int("int8_arena_bytes", q.arena_bytes as u64);
+                .int("int8_arena_bytes", q.arena_bytes as u64)
+                .raw(
+                    "int8_layer_ms",
+                    &array(q.layer_ms.iter().map(|ms| format!("{ms:.6}"))),
+                )
+                .str("int8_body", q.body);
         }
         results_obj = results_obj.raw(&r.arch, &arch.finish());
     }
@@ -423,6 +438,13 @@ mod tests {
         assert!(q.speedup_vs_planned.is_finite() && q.speedup_vs_planned > 0.0);
         assert!(q.delta_psnr_db <= cfg.psnr_budget);
         assert!(q.arena_bytes > 0);
+        // One int8 timing slot per layer, next to the f32 ones, and the
+        // integer body that ran.
+        assert_eq!(q.layer_ms.len(), r.layer_ms.len());
+        assert!(q.layer_ms.iter().all(|&ms| ms > 0.0));
+        assert!(["scalar", "avx2", "avx512vnni"].contains(&q.body));
+        assert!(json.contains("\"int8_layer_ms\""));
+        assert!(json.contains(&format!("\"int8_body\":\"{}\"", q.body)));
         assert!(json.contains("\"int8_images_per_sec\""));
         assert!(json.contains("\"int8_delta_psnr_db\""));
         assert!(json.contains("\"psnr_budget\""));

@@ -1175,18 +1175,22 @@ fn infer_bench(args: &Args) -> Result<String, CliError> {
         ));
         if let Some(q) = &r.int8 {
             summary.push_str(&format!(
-                "  int8 {:.2} img/s ({:.2}x vs planned), dPSNR {:+.3} dB (budget {:.2}), arena {} KiB
+                "  int8 {:.2} img/s ({:.2}x vs planned), dPSNR {:+.3} dB (budget {:.2}), arena {} KiB, int8 body {}
 ",
                 q.int8_images_per_sec,
                 q.speedup_vs_planned,
                 q.delta_psnr_db,
                 cfg.psnr_budget,
                 q.arena_bytes / 1024,
+                q.body,
             ));
         }
         for (i, ms) in r.layer_ms.iter().enumerate() {
+            let int8 = r.int8.as_ref().map_or(String::new(), |q| {
+                format!(", int8 {:.3} ms/run", q.layer_ms[i] / r.iters as f64)
+            });
             summary.push_str(&format!(
-                "  layer {i:<2} {:>8.2} ms total ({:.3} ms/run)
+                "  layer {i:<2} {:>8.2} ms total ({:.3} ms/run{int8})
 ",
                 ms,
                 ms / r.iters as f64
@@ -1608,6 +1612,10 @@ mod tests {
         assert!(report.contains("dPSNR"));
         assert!(json.contains("\"int8_images_per_sec\""));
         assert!(json.contains("\"int8_delta_psnr_db\""));
+        assert!(report.contains("int8 body"));
+        assert!(report.contains(", int8 ") && report.contains("ms/run"));
+        assert!(json.contains("\"int8_layer_ms\""));
+        assert!(json.contains("\"int8_body\""));
 
         // --int8 off drops the lane from report and summary.
         let report = run(&args(&format!(

@@ -23,13 +23,18 @@
 //!   to the `i32` accumulator — bit-identical to the oracle's
 //!   skip-out-of-bounds loop, with no branches in the hot path.
 //!
-//! The per-row kernel is [`Microkernel::qmadd_taps`]: for interior rows
-//! (every tap row on-image) **one call per output lane** covers the whole
-//! `kh x cpin x kw` tap window — the `i32` accumulator round-trips memory
-//! once per row instead of once per tap row — and border rows fall back
-//! to per-tap-row calls. Each tap maps 1:1 onto AVX2 `vpmaddwd`, which is
-//! exact for these operand ranges (see `sesr_tensor::simd`), and integer
-//! addition is associative, so every kernel variant, band count, and call
+//! No kernel is taller or wider than `2 * HALO + 1`, so every tap of
+//! every output pixel — border rows included — lands in the plane or in
+//! its zero ring. The whole `kh x cpin x kw` window therefore runs from
+//! one row base plus a per-layer tap-offset table built once at plan
+//! compile, with no per-row gather and no border special case: a ring tap
+//! adds exactly `0`, which is what the oracle's skipped tap adds. The
+//! per-row kernel is [`Microkernel::qmadd_taps4`], fed weights packed
+//! tap-major four output channels at a time: it writes four output
+//! channels' accumulator rows from one shared set of tap loads. Each tap
+//! maps onto one AVX2 `vpmaddwd` or AVX-512 VNNI `vpdpwssd`, exact for
+//! these operand ranges (see `sesr_tensor::simd`), and integer addition is
+//! associative, so every kernel variant and body, band count, and column
 //! blocking produces identical accumulators.
 //!
 //! # Requantization epilogues
@@ -59,17 +64,12 @@ use sesr_tensor::simd::{
 };
 use sesr_tensor::Tensor;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Zero ring width around every activation plane. Two rows/columns cover
-/// the widest SESR tap (5x5, pad 2).
+/// the widest SESR tap (5x5, pad 2), so no supported kernel (at most
+/// `2 * HALO + 1` on a side) ever reads past the ring.
 const HALO: usize = 2;
-/// Tallest supported kernel (SESR uses 3x3 and 5x5).
-const MAX_KH: usize = 5;
-/// Cap on row-tap descriptors per kernel call: `cin_pairs * kw` must fit.
-/// 128 admits e.g. 51 packed input channels at 5 taps — far beyond any
-/// SESR configuration — while keeping the per-row descriptor array on the
-/// stack (no steady-state allocation).
-const MAX_ROW_TAPS: usize = 128;
 
 /// Channel pairs needed to hold `c` channels (odd counts pad the high
 /// lane with zeros).
@@ -102,10 +102,12 @@ struct QKernelLayer {
     kw: usize,
     /// Input channel pairs (`pairs(cin)`).
     cpin: usize,
-    /// Packed i16-pair weights, `[cout][kh][cpin][kw]`: element
-    /// `(o, ky, cp, kx)` holds channels `2cp` (low lane) and `2cp + 1`
-    /// (high lane, zero when `cin` is odd).
-    wpack: Vec<i32>,
+    /// Packed i16-pair weights for [`Microkernel::qmadd_taps4`], four
+    /// output channels at a time, tap-major: group `g`, tap `t = (ky, cp,
+    /// kx)` and channel `4g + c` sit at `(g * taps + t) * 4 + c`, holding
+    /// input channels `2cp` (low lane) and `2cp + 1` (high lane, zero when
+    /// `cin` is odd). The last group's missing channels are zero.
+    taps4: Vec<i32>,
     /// `in_scale * weight_scale[o]` — the accumulator-to-real factor.
     scale_io: Vec<f32>,
     bias: Vec<f32>,
@@ -140,7 +142,7 @@ impl QuantKernels {
     ///
     /// Panics on shapes the planner does not support: fewer than three
     /// layers, a first layer that is not single-channel, a head that does
-    /// not emit `scale * scale` channels, kernels taller than 5, or a
+    /// not emit `scale * scale` channels, kernels larger than 5x5, or a
     /// feature residual whose endpoints disagree on width.
     pub fn new(qnet: &QuantizedSesr) -> Self {
         let qlayers = qnet.layers();
@@ -176,14 +178,13 @@ impl QuantKernels {
             .map(|(l, inp)| {
                 let dims = &l.weight.shape;
                 let (cout, cin, kh, kw) = (dims[0], dims[1], dims[2], dims[3]);
-                assert!(kh <= MAX_KH && kw <= MAX_KH, "kernel too large: {kh}x{kw}");
-                let cpin = pairs(cin);
                 assert!(
-                    cpin * kw <= MAX_ROW_TAPS,
-                    "row taps {} exceed the stack descriptor cap {MAX_ROW_TAPS}",
-                    cpin * kw
+                    kh <= 2 * HALO + 1 && kw <= 2 * HALO + 1,
+                    "kernel too large: {kh}x{kw}"
                 );
-                let mut wpack = vec![0i32; cout * kh * cpin * kw];
+                let cpin = pairs(cin);
+                let taps = kh * cpin * kw;
+                let mut taps4 = vec![0i32; cout.div_ceil(4) * taps * 4];
                 for o in 0..cout {
                     for ky in 0..kh {
                         for cp in 0..cpin {
@@ -193,7 +194,8 @@ impl QuantKernels {
                                 };
                                 let lo = at(2 * cp);
                                 let hi = if 2 * cp + 1 < cin { at(2 * cp + 1) } else { 0 };
-                                wpack[((o * kh + ky) * cpin + cp) * kw + kx] = pack_pair(lo, hi);
+                                let t = (ky * cpin + cp) * kw + kx;
+                                taps4[((o / 4) * taps + t) * 4 + o % 4] = pack_pair(lo, hi);
                             }
                         }
                     }
@@ -210,7 +212,7 @@ impl QuantKernels {
                     kh,
                     kw,
                     cpin,
-                    wpack,
+                    taps4,
                     scale_io,
                     bias: l.bias.clone(),
                     act,
@@ -390,6 +392,10 @@ pub struct QuantPlan {
     variant: KernelVariant,
     bands: Vec<(usize, usize)>,
     steps: Vec<QStep>,
+    /// Per-layer tap offsets for [`Microkernel::qmadd_taps4`], in
+    /// `taps4`'s `(ky, cp, kx)` order, relative to padded-plane row `y`
+    /// for output row `y` (the kernel centered inside the `HALO` ring).
+    tap_offs: Vec<Vec<usize>>,
     /// Single arena: four packed pair-plane buffers (with zeroed halo
     /// rings) followed by per-band accumulator slabs.
     arena: Vec<i32>,
@@ -398,10 +404,9 @@ pub struct QuantPlan {
     off_ping: usize,
     off_pong: usize,
     off_slabs: usize,
-    /// Three `w`-wide i32 rows per band: two accumulators (an output
-    /// channel pair is accumulated together so plane stores write full
-    /// words) plus the head sink's dequantized-value scratch (reused as
-    /// f32 bits).
+    /// Five `w`-wide i32 rows per band: four accumulators (one
+    /// `qmadd_taps4` output-channel group) plus the head sink's
+    /// dequantized-value scratch (reused as f32 bits).
     slab_len: usize,
 }
 
@@ -435,7 +440,24 @@ impl QuantPlan {
             .map(|l| pairs(l.cout))
             .max()
             .expect("at least one middle layer");
-        let slab_len = 3 * w;
+        let slab_len = 5 * w;
+        let pw = w + 2 * HALO;
+        let tap_offs = kernels
+            .layers
+            .iter()
+            .map(|l| {
+                let (top, left) = (HALO - (l.kh - 1) / 2, HALO - (l.kw - 1) / 2);
+                let mut offs = Vec::with_capacity(l.kh * l.cpin * l.kw);
+                for ky in 0..l.kh {
+                    for cp in 0..l.cpin {
+                        for kx in 0..l.kw {
+                            offs.push(cp * plane + (ky + top) * pw + kx + left);
+                        }
+                    }
+                }
+                offs
+            })
+            .collect();
         let off_input = 0;
         let off_first = off_input + plane;
         let off_ping = off_first + first_pairs * plane;
@@ -449,6 +471,7 @@ impl QuantPlan {
             variant: kernel_variant(),
             bands,
             steps,
+            tap_offs,
             // Zero-filled arena: plane interiors are overwritten every
             // run; the halo rings stay zero forever — that is the
             // padding argument.
@@ -474,7 +497,8 @@ impl QuantPlan {
 
     /// Pins the kernel variant (testing / variant sweeps), returning the
     /// previous one. Any variant produces identical output bits: the
-    /// integer kernel is exact and the float epilogues are scalar.
+    /// integer kernel is exact and the epilogues reproduce the scalar
+    /// chain by construction.
     pub fn set_variant(&mut self, v: KernelVariant) -> KernelVariant {
         std::mem::replace(&mut self.variant, v)
     }
@@ -504,6 +528,12 @@ impl QuantPlan {
         }
     }
 
+    /// Number of execution steps (one per layer) — the length
+    /// [`QuantPlan::run_image_into_timed`] expects.
+    pub fn num_steps(&self) -> usize {
+        self.steps.len()
+    }
+
     /// Super-resolves one `h x w` luma plane into `out` (length
     /// `h*s * w*s`), allocating nothing.
     ///
@@ -511,10 +541,35 @@ impl QuantPlan {
     ///
     /// Panics if slice lengths disagree with the planned shape.
     pub fn run_image_into(&mut self, input: &[f32], out: &mut [f32]) {
+        self.run_steps(input, out, None);
+    }
+
+    /// [`QuantPlan::run_image_into`] with per-layer wall-time accumulation
+    /// (nanoseconds added to `layer_nanos[i]` for step `i`; step 0 also
+    /// carries the input quantization it consumes). Bench-only; same
+    /// output bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer_nanos` does not have one slot per step.
+    pub fn run_image_into_timed(
+        &mut self,
+        input: &[f32],
+        out: &mut [f32],
+        layer_nanos: &mut [u64],
+    ) {
+        assert_eq!(layer_nanos.len(), self.steps.len(), "one slot per layer");
+        self.run_steps(input, out, Some(layer_nanos));
+    }
+
+    fn run_steps(&mut self, input: &[f32], out: &mut [f32], mut timings: Option<&mut [u64]>) {
         let (h, w) = (self.h, self.w);
         let s = self.kernels.scale;
         assert_eq!(input.len(), h * w, "input plane size");
         assert_eq!(out.len(), h * s * w * s, "output plane size");
+        // Each step's slot gets the time since the previous mark, so step 0
+        // also carries the input quantization.
+        let mut mark = timings.is_some().then(Instant::now);
         let mk = microkernel(self.variant);
         let arena = QSendPtr(self.arena.as_mut_ptr());
         let out_ptr = SendPtr(out.as_mut_ptr());
@@ -538,8 +593,9 @@ impl QuantPlan {
         });
 
         let (off_slabs, slab_len) = (self.off_slabs, self.slab_len);
-        for step in &self.steps {
+        for (si, step) in self.steps.iter().enumerate() {
             let lay = &self.kernels.layers[step.layer];
+            let offs = &self.tap_offs[step.layer];
             let src_off = self.buf_off(step.src);
             let src_len = lay.cpin * plane;
             let sink = match step.dst {
@@ -577,9 +633,14 @@ impl QuantPlan {
                     // SAFETY: slabs are disjoint per band and bands are
                     // assigned whole to closure calls.
                     let slab = unsafe { arena.slice_mut(off_slabs + bi * slab_len, slab_len) };
-                    qconv_band(mk, lay, src, h, w, plane, y0, y1, slab, &sink);
+                    qconv_band(mk, lay, offs, src, w, plane, y0, y1, slab, &sink);
                 }
             });
+            if let (Some(t), Some(m)) = (timings.as_deref_mut(), mark.as_mut()) {
+                let now = Instant::now();
+                t[si] += (now - *m).as_nanos() as u64;
+                *m = now;
+            }
         }
     }
 
@@ -641,16 +702,17 @@ fn epilogue(lay: &QKernelLayer, o: usize) -> QuantEpilogue {
 }
 
 /// Runs one layer over one row band: integer accumulation via
-/// [`Microkernel::qmadd_taps`] (one whole-window call on interior rows),
-/// then the vectorized requantization row epilogue selected by `sink`.
-/// Output channels are processed in pairs so plane sinks write whole
-/// packed words.
+/// [`Microkernel::qmadd_taps4`] — one whole-window call per output row and
+/// four-channel group, reading the taps at `offs` from the row's base in
+/// the padded planes — then the vectorized requantization row epilogue
+/// selected by `sink`, one output-channel pair at a time so plane sinks
+/// write whole packed words.
 #[allow(clippy::too_many_arguments)]
 fn qconv_band(
     mk: &dyn Microkernel,
     lay: &QKernelLayer,
+    offs: &[usize],
     src: &[i32],
-    h: usize,
     w: usize,
     plane: usize,
     y0: usize,
@@ -658,13 +720,8 @@ fn qconv_band(
     slab: &mut [i32],
     sink: &QSink<'_>,
 ) {
-    let (kh, kw, cpin) = (lay.kh, lay.kw, lay.cpin);
-    let (pt, pl) = ((kh - 1) / 2, (kw - 1) / 2);
     let pw = w + 2 * HALO;
-    let row_taps = cpin * kw;
-    let all_taps = kh * row_taps;
-    let (acc0, rest) = slab.split_at_mut(w);
-    let (acc1, vals_raw) = rest.split_at_mut(w);
+    let (accs, vals_raw) = slab.split_at_mut(4 * w);
     // The head sink's dequantized-value scratch, reinterpreted as f32.
     // SAFETY: i32 and f32 share size and alignment; the slab is
     // band-private and `vals_raw` is never read as i32.
@@ -672,159 +729,94 @@ fn qconv_band(
         unsafe { std::slice::from_raw_parts_mut(vals_raw.as_mut_ptr() as *mut f32, w) };
 
     for y in y0..y1 {
-        // Gather tap segments once per row — they are shared by every
-        // output channel — flattened in `(ky, cp, kx)` order to match
-        // `wpack`'s layout. Off-image tap rows are skipped (their
-        // contribution is exactly 0 either way); when every row is
-        // on-image (the interior), one contiguous weight slice covers the
-        // whole window, so the accumulator makes a single memory pass.
-        let mut segs = [&[] as &[i32]; MAX_KH * MAX_ROW_TAPS];
-        let mut seg_at = [usize::MAX; MAX_KH];
-        let mut t = 0usize;
-        for (ky, slot) in seg_at.iter_mut().enumerate().take(kh) {
-            let iy = y as isize + ky as isize - pt as isize;
-            if iy < 0 || iy >= h as isize {
-                continue;
-            }
-            *slot = t;
-            let prow = iy as usize + HALO;
-            for cp in 0..cpin {
-                let row = &src[cp * plane + prow * pw..][..pw];
-                for kx in 0..kw {
-                    segs[t] = &row[kx + HALO - pl..];
-                    t += 1;
-                }
-            }
-        }
-        let full_window = t == all_taps;
-
-        let mut oi = 0;
-        while oi < lay.cout {
-            let lanes = (lay.cout - oi).min(2);
-            if lanes == 2 {
-                // Channel pair: one pass over the shared segments feeds
-                // both accumulators, and interior rows take all tap rows
-                // in a single call. Integer adds are associative and
-                // exact, so any blocking equals the per-channel,
-                // per-tap-row loop bit for bit.
-                acc0.fill(0);
-                acc1.fill(0);
-                if full_window {
-                    mk.qmadd_taps2(
-                        acc0,
-                        acc1,
-                        &lay.wpack[oi * all_taps..][..all_taps],
-                        &lay.wpack[(oi + 1) * all_taps..][..all_taps],
-                        &segs[..all_taps],
-                    );
+        // Every tap of row `y` lies in the plane or its zero ring (see the
+        // module docs), so the whole window runs from the row base; ring
+        // taps add exactly 0, as the oracle's skipped taps do.
+        let row = &src[y * pw..];
+        for (g, ws) in lay.taps4.chunks_exact(4 * offs.len()).enumerate() {
+            let lanes = (lay.cout - 4 * g).min(4);
+            let acc = &mut accs[..lanes * w];
+            mk.qmadd_taps4(acc, w, ws, offs, row);
+            for p in (0..lanes).step_by(2) {
+                let oi = 4 * g + p;
+                let acc0 = &acc[p * w..(p + 1) * w];
+                // A lone trailing channel packs a zero high lane and never
+                // reads `acc1`.
+                let (acc1, e1) = if p + 1 < lanes {
+                    (&acc[(p + 1) * w..(p + 2) * w], Some(epilogue(lay, oi + 1)))
                 } else {
-                    for (ky, &s0) in seg_at.iter().enumerate().take(kh) {
-                        if s0 == usize::MAX {
-                            continue;
-                        }
-                        mk.qmadd_taps2(
+                    (acc0, None)
+                };
+                let e0 = epilogue(lay, oi);
+                match *sink {
+                    QSink::Plane { arena, off } => {
+                        // SAFETY: bands partition rows, one writer per row.
+                        let drow = unsafe {
+                            arena.slice_mut(off + (oi / 2) * plane + (y + HALO) * pw + HALO, w)
+                        };
+                        mk.qrequant_pack_row(acc0, acc1, drow, &e0, e1.as_ref());
+                    }
+                    QSink::ResidualPlane {
+                        arena,
+                        off,
+                        first_off,
+                        first_scale,
+                        wide,
+                    } => {
+                        // SAFETY: `first` was written by step 0 and is never
+                        // a destination afterwards; `dst` rows have one
+                        // writer.
+                        let frow = unsafe {
+                            arena.slice(first_off + (oi / 2) * plane + (y + HALO) * pw + HALO, w)
+                        };
+                        let drow = unsafe {
+                            arena.slice_mut(off + (oi / 2) * plane + (y + HALO) * pw + HALO, w)
+                        };
+                        // Residual at wire precision: dequantize both
+                        // operands, add, requantize to the widened wire —
+                        // the oracle's `a.add(&b)` path, lane for lane.
+                        mk.qresidual_pack_row(
                             acc0,
                             acc1,
-                            &lay.wpack[(oi * kh + ky) * row_taps..][..row_taps],
-                            &lay.wpack[((oi + 1) * kh + ky) * row_taps..][..row_taps],
-                            &segs[s0..s0 + row_taps],
+                            frow,
+                            drow,
+                            &e0,
+                            e1.as_ref(),
+                            first_scale,
+                            wide.scale,
+                            wide.zero_point,
                         );
                     }
-                }
-            } else {
-                acc0.fill(0);
-                if full_window {
-                    mk.qmadd_taps(
-                        acc0,
-                        &lay.wpack[oi * all_taps..][..all_taps],
-                        &segs[..all_taps],
-                    );
-                } else {
-                    for (ky, &s0) in seg_at.iter().enumerate().take(kh) {
-                        if s0 == usize::MAX {
-                            continue;
-                        }
-                        let ws = &lay.wpack[(oi * kh + ky) * row_taps..][..row_taps];
-                        mk.qmadd_taps(acc0, ws, &segs[s0..s0 + row_taps]);
-                    }
-                }
-            }
-            let e0 = epilogue(lay, oi);
-            let e1 = if lanes == 2 {
-                Some(epilogue(lay, oi + 1))
-            } else {
-                None
-            };
-            match *sink {
-                QSink::Plane { arena, off } => {
-                    // SAFETY: bands partition rows, one writer per row.
-                    let drow = unsafe {
-                        arena.slice_mut(off + (oi / 2) * plane + (y + HALO) * pw + HALO, w)
-                    };
-                    mk.qrequant_pack_row(acc0, acc1, drow, &e0, e1.as_ref());
-                }
-                QSink::ResidualPlane {
-                    arena,
-                    off,
-                    first_off,
-                    first_scale,
-                    wide,
-                } => {
-                    // SAFETY: `first` was written by step 0 and is never a
-                    // destination afterwards; `dst` rows have one writer.
-                    let frow = unsafe {
-                        arena.slice(first_off + (oi / 2) * plane + (y + HALO) * pw + HALO, w)
-                    };
-                    let drow = unsafe {
-                        arena.slice_mut(off + (oi / 2) * plane + (y + HALO) * pw + HALO, w)
-                    };
-                    // Residual at wire precision: dequantize both
-                    // operands, add, requantize to the widened wire —
-                    // the oracle's `a.add(&b)` path, lane for lane.
-                    mk.qresidual_pack_row(
-                        acc0,
-                        acc1,
-                        frow,
-                        drow,
-                        &e0,
-                        e1.as_ref(),
-                        first_scale,
-                        wide.scale,
-                        wide.zero_point,
-                    );
-                }
-                QSink::Head {
-                    out,
-                    arena,
-                    input_off,
-                    input_scale,
-                    map,
-                    scale,
-                    out_w,
-                } => {
-                    // SAFETY: the input plane was written before step 0
-                    // and never again.
-                    let irow =
-                        input_off.map(|io| unsafe { arena.slice(io + (y + HALO) * pw + HALO, w) });
-                    for j in 0..lanes {
-                        let o = oi + j;
-                        let acc: &[i32] = if j == 0 { acc0 } else { acc1 };
-                        // Output leaves on the head wire: quantize, then
-                        // hand callers the dequantized levels — exactly
-                        // the oracle's `qy.dequantize()`.
-                        let e = if j == 0 { e0 } else { epilogue(lay, o) };
-                        mk.qhead_row(acc, irow.map(|ir| (ir, input_scale)), vals, &e);
-                        let (ry, rx) = map[o];
-                        let row_base = (scale * y + ry) * out_w + rx;
-                        for (x, &outv) in vals.iter().enumerate() {
-                            // SAFETY: bands are disjoint in y, so output
-                            // rows `scale*y + ry` are disjoint too.
-                            unsafe { out.write(row_base + scale * x, outv) };
+                    QSink::Head {
+                        out,
+                        arena,
+                        input_off,
+                        input_scale,
+                        map,
+                        scale,
+                        out_w,
+                    } => {
+                        // SAFETY: the input plane was written before step 0
+                        // and never again.
+                        let irow = input_off
+                            .map(|io| unsafe { arena.slice(io + (y + HALO) * pw + HALO, w) });
+                        for (o, acc, e) in [(oi, acc0, Some(e0)), (oi + 1, acc1, e1)] {
+                            let Some(e) = e else { continue };
+                            // Output leaves on the head wire: quantize, then
+                            // hand callers the dequantized levels — exactly
+                            // the oracle's `qy.dequantize()`.
+                            mk.qhead_row(acc, irow.map(|ir| (ir, input_scale)), vals, &e);
+                            let (ry, rx) = map[o];
+                            let row_base = (scale * y + ry) * out_w + rx;
+                            for (x, &outv) in vals.iter().enumerate() {
+                                // SAFETY: bands are disjoint in y, so output
+                                // rows `scale*y + ry` are disjoint too.
+                                unsafe { out.write(row_base + scale * x, outv) };
+                            }
                         }
                     }
                 }
             }
-            oi += 2;
         }
     }
 }
@@ -1060,6 +1052,38 @@ mod tests {
         assert_eq!(tp.evictions(), 1);
         tp.plan_for(8, 10); // rebuild after eviction
         assert_eq!(tp.evictions(), 2);
+    }
+
+    #[test]
+    fn timed_run_matches_untimed_and_fills_every_slot() {
+        let (_, qnet) = quantized(2, 2, 17);
+        let kernels = Arc::new(QuantKernels::new(&qnet));
+        let lr = lr_image(Family::Urban, 15, 19, 8);
+        let mut plan = QuantPlan::with_bands(kernels, 15, 19, 2);
+        assert_eq!(plan.num_steps(), qnet.layers().len());
+        let want = plan.run(&lr);
+        let mut out = vec![0.0f32; want.data().len()];
+        let mut nanos = vec![0u64; plan.num_steps()];
+        plan.run_image_into_timed(lr.data(), &mut out, &mut nanos);
+        assert!(want
+            .data()
+            .iter()
+            .zip(&out)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert!(nanos.iter().all(|&n| n > 0), "{nanos:?}");
+        // Slots accumulate across runs.
+        let first = nanos.clone();
+        plan.run_image_into_timed(lr.data(), &mut out, &mut nanos);
+        assert!(nanos.iter().zip(&first).all(|(b, a)| b > a));
+    }
+
+    #[test]
+    #[should_panic(expected = "one slot per layer")]
+    fn timed_run_rejects_a_wrong_slot_count() {
+        let (_, qnet) = quantized(1, 2, 19);
+        let mut plan = QuantPlan::with_bands(Arc::new(QuantKernels::new(&qnet)), 8, 8, 1);
+        let mut out = vec![0.0f32; 16 * 16];
+        plan.run_image_into_timed(&[0.5; 64], &mut out, &mut [0u64; 1]);
     }
 
     #[test]

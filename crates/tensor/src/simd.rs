@@ -21,6 +21,17 @@
 //!   the variant. Scalar remainder lanes use [`f32::mul_add`], which the
 //!   probe tests prove bit-equal to `vfmadd`.
 //!
+//! The quantized executor's integer tap kernel,
+//! [`Microkernel::qmadd_taps4`], has no madd flavor, so both AVX2 variants
+//! share it, and it carries its own body choice *inside* them: on CPUs
+//! with AVX-512F and AVX-512 VNNI it runs `vpdpwssd` on zmm (4 channels x
+//! 32 columns, masked tail), otherwise `vpmaddwd` + `vpaddd` on ymm (4
+//! channels x 16 columns, scalar tail). The choice is probed once per
+//! process and is not a [`KernelVariant`] of its own: integer
+//! accumulation under the executor's operand bounds is exact and
+//! associative, so every body, like the scalar reference, yields the same
+//! bits. [`Microkernel::int8_body`] names the body that runs.
+//!
 //! [`KernelVariant::Neon`] names the aarch64 slot behind the same trait;
 //! its implementation is currently a guarded stub that executes the scalar
 //! ops (structured so 4-lane intrinsics can drop in without touching call
@@ -271,42 +282,42 @@ pub trait Microkernel: Sync {
         accumulate: bool,
     );
 
-    /// Integer multi-tap multiply-accumulate for the quantized planned
-    /// executor. Every `i32` element packs a *pair* of `i16` lanes (two
-    /// adjacent input channels, low channel in the low half): for each
-    /// `x` and each tap `t`,
-    /// `acc[x] += lo(segs[t][x]) * lo(ws[t]) + hi(segs[t][x]) * hi(ws[t])`
-    /// where `lo`/`hi` sign-extend the 16-bit halves. This is exactly one
-    /// `vpmaddwd` per tap on AVX2 — and because the packed values are
+    /// Four-output-channel integer tap kernel — the quantized planned
+    /// executor's hot loop and the integer twin of
+    /// [`Microkernel::conv_taps4`]. Every `i32` element packs a *pair* of
+    /// `i16` lanes (two adjacent input channels, low channel in the low
+    /// half). `acc` holds `acc.len() / n` rows (1 to 4) of `n` columns, one
+    /// per output channel `c`; `ws` holds four packed weights per tap,
+    /// tap-major (`ws[4 * t + c]`); tap `t` reads `src[offs[t] + x]` at
+    /// column `x`. Each row is overwritten with
+    /// `acc[c * n + x] = sum_t lo(s) * lo(w) + hi(s) * hi(w)` where
+    /// `s = src[offs[t] + x]`, `w = ws[4 * t + c]`, and `lo`/`hi`
+    /// sign-extend the 16-bit halves. Wide implementations load each tap
+    /// segment once for all four channels.
+    ///
+    /// Each tap is exactly one `vpmaddwd` (AVX2) or `vpdpwssd` (AVX-512
+    /// VNNI) per lane group, and because the packed values are
     /// zero-point-subtracted uint8 activations (`|v| <= 255`) against
-    /// int8 weights (`|w| <= 127`), each pair sum is at most `2 * 255 *
-    /// 127`, far inside `i32`: no saturation, so every implementation is
-    /// **bit-identical** (integer addition is associative). Every
-    /// `segs[t]` must be at least `acc.len()` long and `ws.len() ==
-    /// segs.len()`.
-    fn qmadd_taps(&self, acc: &mut [i32], ws: &[i32], segs: &[&[i32]]) {
-        scalar::qmadd_taps(acc, ws, segs);
+    /// int8 weights (`|w| <= 127`), each pair sum is at most
+    /// `2 * 255 * 127`, far inside `i32`: nothing saturates or wraps for
+    /// any window the executor builds, integer addition is associative,
+    /// and so every implementation and every column or tap blocking is
+    /// **bit-identical**.
+    ///
+    /// # Panics
+    ///
+    /// Unless `n > 0`, `acc` holds 1 to 4 whole rows, `ws.len() >= 4 *
+    /// offs.len()`, and `offs[t] + n <= src.len()` for every tap.
+    fn qmadd_taps4(&self, acc: &mut [i32], n: usize, ws: &[i32], offs: &[usize], src: &[i32]) {
+        scalar::qmadd_taps4(acc, n, ws, offs, src);
     }
 
-    /// Two-output-channel [`Microkernel::qmadd_taps`]: accumulates the
-    /// same tap segments into `acc0` (with weights `ws0`) and `acc1`
-    /// (with `ws1`), so wide implementations load each activation vector
-    /// once and feed both channels' `vpmaddwd` from it — the segments
-    /// are shared by every output channel, and they dominate the tap
-    /// loop's memory traffic. Bit-identical to two independent
-    /// [`Microkernel::qmadd_taps`] calls for the same reason any blocking
-    /// is: integer addition is associative and exact. `acc0` and `acc1`
-    /// must be equal length; `ws0`/`ws1` each match `segs.len()`.
-    fn qmadd_taps2(
-        &self,
-        acc0: &mut [i32],
-        acc1: &mut [i32],
-        ws0: &[i32],
-        ws1: &[i32],
-        segs: &[&[i32]],
-    ) {
-        scalar::qmadd_taps(acc0, ws0, segs);
-        scalar::qmadd_taps(acc1, ws1, segs);
+    /// Which body [`Microkernel::qmadd_taps4`] runs on: `"scalar"`,
+    /// `"avx2"`, or `"avx512vnni"`. The AVX2 variants share one integer
+    /// kernel and pick its body once per process from CPUID; the choice
+    /// cannot change a bit (see `qmadd_taps4`), only the speed.
+    fn int8_body(&self) -> &'static str {
+        "scalar"
     }
 
     /// Requantize-to-wire for one output-channel *pair* row: applies
@@ -503,9 +514,10 @@ pub fn microkernel(v: KernelVariant) -> &'static dyn Microkernel {
     }
 }
 
-/// Asserts the [`Microkernel::conv_taps4`] length contract, which the
-/// SIMD implementations' unchecked loads rely on.
-fn check_taps4(acc: &[f32], n: usize, ws: &[f32], offs: &[usize], src: &[f32]) {
+/// Asserts the [`Microkernel::conv_taps4`] / [`Microkernel::qmadd_taps4`]
+/// length contract, which the SIMD implementations' unchecked loads rely
+/// on.
+fn check_taps4<T>(acc: &[T], n: usize, ws: &[T], offs: &[usize], src: &[T]) {
     assert!(
         n > 0 && acc.len().is_multiple_of(n) && (1..=4).contains(&(acc.len() / n)),
         "acc must hold 1 to 4 rows of n columns"
@@ -599,20 +611,33 @@ mod scalar {
         }
     }
 
-    /// Integer paired-lane multiply-accumulate — the scalar model of
-    /// `vpmaddwd`. See [`super::Microkernel::qmadd_taps`] for the packing
-    /// contract.
-    pub fn qmadd_taps(acc: &mut [i32], ws: &[i32], segs: &[&[i32]]) {
-        debug_assert_eq!(ws.len(), segs.len());
-        for (x, a) in acc.iter_mut().enumerate() {
-            let mut sum = *a;
-            for (&w, seg) in ws.iter().zip(segs) {
-                let s = seg[x];
-                let (wlo, whi) = (w as i16 as i32, w >> 16);
-                let (slo, shi) = (s as i16 as i32, s >> 16);
-                sum += slo * wlo + shi * whi;
+    /// One packed tap — the scalar model of a `vpmaddwd` lane: both
+    /// sign-extended `i16` halves of `s` times those of `w`, summed.
+    #[inline]
+    pub fn pmadd(s: i32, w: i32) -> i32 {
+        (s as i16 as i32) * (w as i16 as i32) + (s >> 16) * (w >> 16)
+    }
+
+    /// Scalar [`super::Microkernel::qmadd_taps4`]: 16-column blocks of
+    /// four channel sums, so the compiler can keep them in registers.
+    pub fn qmadd_taps4(acc: &mut [i32], n: usize, ws: &[i32], offs: &[usize], src: &[i32]) {
+        super::check_taps4(acc, n, ws, offs, src);
+        let mut x = 0usize;
+        while x < n {
+            let bw = 16.min(n - x);
+            let mut s = [[0i32; 16]; 4];
+            for (&off, wt) in offs.iter().zip(ws.chunks_exact(4)) {
+                let seg = &src[off + x..][..bw];
+                for (sc, &wc) in s.iter_mut().zip(wt) {
+                    for (a, &v) in sc[..bw].iter_mut().zip(seg) {
+                        *a += pmadd(v, wc);
+                    }
+                }
             }
-            *a = sum;
+            for (row, sc) in acc.chunks_exact_mut(n).zip(&s) {
+                row[x..x + bw].copy_from_slice(&sc[..bw]);
+            }
+            x += bw;
         }
     }
 
@@ -1222,166 +1247,182 @@ mod x86 {
 
     // --- madd-free kernels, shared by both AVX2 variants ------------------
 
-    /// Integer paired-lane multiply-accumulate: one `vpmaddwd` + `vpaddd`
-    /// per tap per 8 output columns, with four accumulator registers live
-    /// across the tap loop on the wide path. Integer adds are associative
-    /// and `vpmaddwd` cannot saturate under the quantized executor's
-    /// operand bounds (see the trait doc), so this is bit-identical to
-    /// [`scalar::qmadd_taps`] for any blocking.
+    /// Whether the AVX2 variants' [`super::Microkernel::qmadd_taps4`] runs
+    /// the AVX-512 VNNI body: probed once per process, then cached.
+    pub fn has_vnni() -> bool {
+        static VNNI: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *VNNI.get_or_init(|| {
+            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vnni")
+        })
+    }
+
+    /// Four-channel integer tap kernel, AVX2 body (see the trait doc):
+    /// 4 channels x 16 columns of `i32` sums in eight registers, each
+    /// tap's segment loaded once and its four packed weights broadcast
+    /// into `vpmaddwd` + `vpaddd`; then an 8-column block and scalar
+    /// remainder columns. Exact integer arithmetic, so bit-identical to
+    /// [`scalar::qmadd_taps4`] under any blocking.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2 support; `ws.len() == segs.len()`
-    /// and every `segs[t].len() >= acc.len()` must hold.
+    /// Caller must have verified AVX2 support and the length contract
+    /// `check_taps4` asserts.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn qmadd_taps(acc: &mut [i32], ws: &[i32], segs: &[&[i32]]) {
-        debug_assert_eq!(ws.len(), segs.len());
-        let n = acc.len();
+    pub unsafe fn qmadd_taps4_avx2(
+        acc: &mut [i32],
+        n: usize,
+        ws: &[i32],
+        offs: &[usize],
+        src: &[i32],
+    ) {
+        let rows = acc.len() / n;
         let ap = acc.as_mut_ptr();
+        let wp = ws.as_ptr();
+        let sp = src.as_ptr();
         let mut x = 0usize;
-        // SAFETY: x + 32 (resp. 8) <= n and segs[t].len() >= n, so every
-        // lane load/store below is in bounds.
+        // SAFETY: x + 16 (resp. 8) <= n and every offs[t] + n <=
+        // src.len(), so segment loads are in bounds; ws holds 4 weights
+        // per tap; stores go to rows c < rows, each n words of `acc`.
         unsafe {
-            while x + 32 <= n {
-                let mut a0 = _mm256_loadu_si256(ap.add(x) as *const __m256i);
-                let mut a1 = _mm256_loadu_si256(ap.add(x + 8) as *const __m256i);
-                let mut a2 = _mm256_loadu_si256(ap.add(x + 16) as *const __m256i);
-                let mut a3 = _mm256_loadu_si256(ap.add(x + 24) as *const __m256i);
-                for (t, seg) in segs.iter().enumerate() {
-                    let wv = _mm256_set1_epi32(*ws.get_unchecked(t));
-                    let sp = seg.as_ptr().add(x);
-                    a0 = _mm256_add_epi32(
-                        a0,
-                        _mm256_madd_epi16(_mm256_loadu_si256(sp as *const __m256i), wv),
-                    );
-                    a1 = _mm256_add_epi32(
-                        a1,
-                        _mm256_madd_epi16(_mm256_loadu_si256(sp.add(8) as *const __m256i), wv),
-                    );
-                    a2 = _mm256_add_epi32(
-                        a2,
-                        _mm256_madd_epi16(_mm256_loadu_si256(sp.add(16) as *const __m256i), wv),
-                    );
-                    a3 = _mm256_add_epi32(
-                        a3,
-                        _mm256_madd_epi16(_mm256_loadu_si256(sp.add(24) as *const __m256i), wv),
-                    );
+            while x + 16 <= n {
+                let z = _mm256_setzero_si256();
+                let (mut a00, mut a01, mut a10, mut a11) = (z, z, z, z);
+                let (mut a20, mut a21, mut a30, mut a31) = (z, z, z, z);
+                for (t, &off) in offs.iter().enumerate() {
+                    let s = sp.add(off + x);
+                    let v0 = _mm256_loadu_si256(s as *const __m256i);
+                    let v1 = _mm256_loadu_si256(s.add(8) as *const __m256i);
+                    let w = wp.add(4 * t);
+                    let w0 = _mm256_set1_epi32(*w);
+                    let w1 = _mm256_set1_epi32(*w.add(1));
+                    let w2 = _mm256_set1_epi32(*w.add(2));
+                    let w3 = _mm256_set1_epi32(*w.add(3));
+                    a00 = _mm256_add_epi32(a00, _mm256_madd_epi16(v0, w0));
+                    a01 = _mm256_add_epi32(a01, _mm256_madd_epi16(v1, w0));
+                    a10 = _mm256_add_epi32(a10, _mm256_madd_epi16(v0, w1));
+                    a11 = _mm256_add_epi32(a11, _mm256_madd_epi16(v1, w1));
+                    a20 = _mm256_add_epi32(a20, _mm256_madd_epi16(v0, w2));
+                    a21 = _mm256_add_epi32(a21, _mm256_madd_epi16(v1, w2));
+                    a30 = _mm256_add_epi32(a30, _mm256_madd_epi16(v0, w3));
+                    a31 = _mm256_add_epi32(a31, _mm256_madd_epi16(v1, w3));
                 }
-                _mm256_storeu_si256(ap.add(x) as *mut __m256i, a0);
-                _mm256_storeu_si256(ap.add(x + 8) as *mut __m256i, a1);
-                _mm256_storeu_si256(ap.add(x + 16) as *mut __m256i, a2);
-                _mm256_storeu_si256(ap.add(x + 24) as *mut __m256i, a3);
-                x += 32;
+                let sums = [[a00, a01], [a10, a11], [a20, a21], [a30, a31]];
+                for (c, pair) in sums.iter().enumerate().take(rows) {
+                    let p = ap.add(c * n + x);
+                    _mm256_storeu_si256(p as *mut __m256i, pair[0]);
+                    _mm256_storeu_si256(p.add(8) as *mut __m256i, pair[1]);
+                }
+                x += 16;
             }
-            while x + 8 <= n {
-                let mut a0 = _mm256_loadu_si256(ap.add(x) as *const __m256i);
-                for (t, seg) in segs.iter().enumerate() {
-                    let wv = _mm256_set1_epi32(*ws.get_unchecked(t));
-                    let sv = _mm256_loadu_si256(seg.as_ptr().add(x) as *const __m256i);
-                    a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(sv, wv));
+            if x + 8 <= n {
+                let z = _mm256_setzero_si256();
+                let (mut a0, mut a1, mut a2, mut a3) = (z, z, z, z);
+                for (t, &off) in offs.iter().enumerate() {
+                    let v = _mm256_loadu_si256(sp.add(off + x) as *const __m256i);
+                    let w = wp.add(4 * t);
+                    a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(v, _mm256_set1_epi32(*w)));
+                    a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(v, _mm256_set1_epi32(*w.add(1))));
+                    a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(v, _mm256_set1_epi32(*w.add(2))));
+                    a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(v, _mm256_set1_epi32(*w.add(3))));
                 }
-                _mm256_storeu_si256(ap.add(x) as *mut __m256i, a0);
+                for (c, v) in [a0, a1, a2, a3].into_iter().enumerate().take(rows) {
+                    _mm256_storeu_si256(ap.add(c * n + x) as *mut __m256i, v);
+                }
                 x += 8;
             }
-        }
-        for i in x..n {
-            // SAFETY: i < n <= segs[t].len() for every t.
-            unsafe {
-                let mut sum = *ap.add(i);
-                for (t, seg) in segs.iter().enumerate() {
-                    let w = *ws.get_unchecked(t);
-                    let s = *seg.as_ptr().add(i);
-                    sum += (s as i16 as i32) * (w as i16 as i32) + (s >> 16) * (w >> 16);
+            for xi in x..n {
+                for c in 0..rows {
+                    let mut sum = 0i32;
+                    for (t, &off) in offs.iter().enumerate() {
+                        sum += scalar::pmadd(*sp.add(off + xi), *wp.add(4 * t + c));
+                    }
+                    *ap.add(c * n + xi) = sum;
                 }
-                *ap.add(i) = sum;
             }
         }
     }
 
-    /// Dual-channel [`qmadd_taps`]: each activation vector is loaded once
-    /// and multiplied against both channels' weights, halving segment
-    /// traffic through the tap loop. Same no-saturation argument, so
-    /// bit-identical to two single-channel passes.
+    /// Four-channel integer tap kernel, AVX-512 VNNI body: 4 channels x
+    /// 32 columns of `i32` sums in eight zmm registers, one `vpdpwssd`
+    /// (the fused `vpmaddwd` + `vpaddd`) per channel per 16 columns per
+    /// tap; the last `n % 32` columns run 16 at a time with masked loads
+    /// and stores instead of a scalar remainder. `vpdpwssd` wraps rather
+    /// than saturates, and under the trait's operand bounds nothing wraps,
+    /// so this is bit-identical to [`scalar::qmadd_taps4`].
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2 support; `acc0.len() ==
-    /// acc1.len()`, `ws0.len() == ws1.len() == segs.len()`, and every
-    /// `segs[t].len() >= acc0.len()` must hold.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn qmadd_taps2(
-        acc0: &mut [i32],
-        acc1: &mut [i32],
-        ws0: &[i32],
-        ws1: &[i32],
-        segs: &[&[i32]],
+    /// Caller must have verified AVX-512F and AVX-512 VNNI support
+    /// ([`has_vnni`]) and the length contract `check_taps4` asserts.
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    pub unsafe fn qmadd_taps4_vnni(
+        acc: &mut [i32],
+        n: usize,
+        ws: &[i32],
+        offs: &[usize],
+        src: &[i32],
     ) {
-        debug_assert_eq!(acc0.len(), acc1.len());
-        debug_assert_eq!(ws0.len(), segs.len());
-        debug_assert_eq!(ws1.len(), segs.len());
-        let n = acc0.len();
-        let p = acc0.as_mut_ptr();
-        let q = acc1.as_mut_ptr();
+        let rows = acc.len() / n;
+        let ap = acc.as_mut_ptr();
+        let wp = ws.as_ptr();
+        let sp = src.as_ptr();
         let mut x = 0usize;
-        // SAFETY: x + 16 (resp. 8) <= n and segs[t].len() >= n, so every
-        // lane load/store below is in bounds.
+        // SAFETY: x + 32 <= n in the wide block and every offs[t] + n <=
+        // src.len(), so its loads are in bounds; the tail block's masked
+        // loads and stores touch only columns x..n (masked-out lanes are
+        // never accessed, and x < n keeps the base pointers in bounds);
+        // ws holds 4 weights per tap; stores go to rows c < rows.
         unsafe {
-            while x + 16 <= n {
-                let mut p0 = _mm256_loadu_si256(p.add(x) as *const __m256i);
-                let mut p1 = _mm256_loadu_si256(p.add(x + 8) as *const __m256i);
-                let mut q0 = _mm256_loadu_si256(q.add(x) as *const __m256i);
-                let mut q1 = _mm256_loadu_si256(q.add(x + 8) as *const __m256i);
-                for (t, seg) in segs.iter().enumerate() {
-                    let w0 = _mm256_set1_epi32(*ws0.get_unchecked(t));
-                    let w1 = _mm256_set1_epi32(*ws1.get_unchecked(t));
-                    let sp = seg.as_ptr().add(x);
-                    let s0 = _mm256_loadu_si256(sp as *const __m256i);
-                    let s1 = _mm256_loadu_si256(sp.add(8) as *const __m256i);
-                    p0 = _mm256_add_epi32(p0, _mm256_madd_epi16(s0, w0));
-                    p1 = _mm256_add_epi32(p1, _mm256_madd_epi16(s1, w0));
-                    q0 = _mm256_add_epi32(q0, _mm256_madd_epi16(s0, w1));
-                    q1 = _mm256_add_epi32(q1, _mm256_madd_epi16(s1, w1));
+            while x + 32 <= n {
+                let z = _mm512_setzero_si512();
+                let (mut a00, mut a01, mut a10, mut a11) = (z, z, z, z);
+                let (mut a20, mut a21, mut a30, mut a31) = (z, z, z, z);
+                for (t, &off) in offs.iter().enumerate() {
+                    let s = sp.add(off + x);
+                    let v0 = _mm512_loadu_si512(s as *const __m512i);
+                    let v1 = _mm512_loadu_si512(s.add(16) as *const __m512i);
+                    let w = wp.add(4 * t);
+                    let w0 = _mm512_set1_epi32(*w);
+                    let w1 = _mm512_set1_epi32(*w.add(1));
+                    let w2 = _mm512_set1_epi32(*w.add(2));
+                    let w3 = _mm512_set1_epi32(*w.add(3));
+                    a00 = _mm512_dpwssd_epi32(a00, v0, w0);
+                    a01 = _mm512_dpwssd_epi32(a01, v1, w0);
+                    a10 = _mm512_dpwssd_epi32(a10, v0, w1);
+                    a11 = _mm512_dpwssd_epi32(a11, v1, w1);
+                    a20 = _mm512_dpwssd_epi32(a20, v0, w2);
+                    a21 = _mm512_dpwssd_epi32(a21, v1, w2);
+                    a30 = _mm512_dpwssd_epi32(a30, v0, w3);
+                    a31 = _mm512_dpwssd_epi32(a31, v1, w3);
                 }
-                _mm256_storeu_si256(p.add(x) as *mut __m256i, p0);
-                _mm256_storeu_si256(p.add(x + 8) as *mut __m256i, p1);
-                _mm256_storeu_si256(q.add(x) as *mut __m256i, q0);
-                _mm256_storeu_si256(q.add(x + 8) as *mut __m256i, q1);
+                let sums = [[a00, a01], [a10, a11], [a20, a21], [a30, a31]];
+                for (c, pair) in sums.iter().enumerate().take(rows) {
+                    let p = ap.add(c * n + x);
+                    _mm512_storeu_si512(p as *mut __m512i, pair[0]);
+                    _mm512_storeu_si512(p.add(16) as *mut __m512i, pair[1]);
+                }
+                x += 32;
+            }
+            while x < n {
+                let m: __mmask16 = if n - x >= 16 {
+                    0xffff
+                } else {
+                    (1u16 << (n - x)) - 1
+                };
+                let z = _mm512_setzero_si512();
+                let (mut a0, mut a1, mut a2, mut a3) = (z, z, z, z);
+                for (t, &off) in offs.iter().enumerate() {
+                    let v = _mm512_maskz_loadu_epi32(m, sp.add(off + x));
+                    let w = wp.add(4 * t);
+                    a0 = _mm512_dpwssd_epi32(a0, v, _mm512_set1_epi32(*w));
+                    a1 = _mm512_dpwssd_epi32(a1, v, _mm512_set1_epi32(*w.add(1)));
+                    a2 = _mm512_dpwssd_epi32(a2, v, _mm512_set1_epi32(*w.add(2)));
+                    a3 = _mm512_dpwssd_epi32(a3, v, _mm512_set1_epi32(*w.add(3)));
+                }
+                for (c, v) in [a0, a1, a2, a3].into_iter().enumerate().take(rows) {
+                    _mm512_mask_storeu_epi32(ap.add(c * n + x), m, v);
+                }
                 x += 16;
-            }
-            while x + 8 <= n {
-                let mut p0 = _mm256_loadu_si256(p.add(x) as *const __m256i);
-                let mut q0 = _mm256_loadu_si256(q.add(x) as *const __m256i);
-                for (t, seg) in segs.iter().enumerate() {
-                    let s0 = _mm256_loadu_si256(seg.as_ptr().add(x) as *const __m256i);
-                    p0 = _mm256_add_epi32(
-                        p0,
-                        _mm256_madd_epi16(s0, _mm256_set1_epi32(*ws0.get_unchecked(t))),
-                    );
-                    q0 = _mm256_add_epi32(
-                        q0,
-                        _mm256_madd_epi16(s0, _mm256_set1_epi32(*ws1.get_unchecked(t))),
-                    );
-                }
-                _mm256_storeu_si256(p.add(x) as *mut __m256i, p0);
-                _mm256_storeu_si256(q.add(x) as *mut __m256i, q0);
-                x += 8;
-            }
-        }
-        for i in x..n {
-            // SAFETY: i < n <= segs[t].len() for every t.
-            unsafe {
-                let mut s0 = *p.add(i);
-                let mut s1 = *q.add(i);
-                for (t, seg) in segs.iter().enumerate() {
-                    let s = *seg.as_ptr().add(i);
-                    let (slo, shi) = (s as i16 as i32, s >> 16);
-                    let w0 = *ws0.get_unchecked(t);
-                    let w1 = *ws1.get_unchecked(t);
-                    s0 += slo * (w0 as i16 as i32) + shi * (w0 >> 16);
-                    s1 += slo * (w1 as i16 as i32) + shi * (w1 >> 16);
-                }
-                *p.add(i) = s0;
-                *q.add(i) = s1;
             }
         }
     }
@@ -1941,33 +1982,35 @@ macro_rules! avx2_trait_impl {
                 unsafe { x86::$madd_mod::conv_taps4(acc, n, ws, offs, src, accumulate) }
             }
 
-            fn qmadd_taps(&self, acc: &mut [i32], ws: &[i32], segs: &[&[i32]]) {
-                assert_eq!(ws.len(), segs.len(), "one packed weight per tap");
-                for seg in segs {
-                    assert!(seg.len() >= acc.len(), "tap segment shorter than acc");
+            fn qmadd_taps4(
+                &self,
+                acc: &mut [i32],
+                n: usize,
+                ws: &[i32],
+                offs: &[usize],
+                src: &[i32],
+            ) {
+                check_taps4(acc, n, ws, offs, src);
+                // Integer kernel shared by both AVX2 variants (there is no
+                // madd flavor to differ on); the body is picked once per
+                // process and cannot change a bit.
+                // SAFETY: AVX2 verified at dispatch, AVX-512F + VNNI by
+                // `has_vnni`; lengths checked.
+                unsafe {
+                    if x86::has_vnni() {
+                        x86::qmadd_taps4_vnni(acc, n, ws, offs, src)
+                    } else {
+                        x86::qmadd_taps4_avx2(acc, n, ws, offs, src)
+                    }
                 }
-                // Integer kernel shared by both AVX2 variants: `vpmaddwd`
-                // has exactly one (rounding-free) form, no madd flavor.
-                // SAFETY: features verified at dispatch; lengths asserted.
-                unsafe { x86::qmadd_taps(acc, ws, segs) }
             }
 
-            fn qmadd_taps2(
-                &self,
-                acc0: &mut [i32],
-                acc1: &mut [i32],
-                ws0: &[i32],
-                ws1: &[i32],
-                segs: &[&[i32]],
-            ) {
-                assert_eq!(acc0.len(), acc1.len(), "accumulator rows differ");
-                assert_eq!(ws0.len(), segs.len(), "one packed weight per tap");
-                assert_eq!(ws1.len(), segs.len(), "one packed weight per tap");
-                for seg in segs {
-                    assert!(seg.len() >= acc0.len(), "tap segment shorter than acc");
+            fn int8_body(&self) -> &'static str {
+                if x86::has_vnni() {
+                    "avx512vnni"
+                } else {
+                    "avx2"
                 }
-                // SAFETY: features verified at dispatch; lengths asserted.
-                unsafe { x86::qmadd_taps2(acc0, acc1, ws0, ws1, segs) }
             }
 
             fn qrequant_pack_row(
@@ -2168,7 +2211,37 @@ mod tests {
             cin,
             (2.0 * cout as f64 * cin as f64 * 16.0 * reps as f64) / el / 1e9
         );
+        // qmadd_taps4: an m5 3x3 body layer's row at the bulk tile patch
+        // width — 4 output channels, 8 input channel pairs x 3 x 3 = 72
+        // packed taps over 146 columns, rows `pw` apart inside planes of
+        // three padded rows.
+        let (nt, n, pw) = (72usize, 146usize, 150usize);
+        let offs: Vec<usize> = (0..nt)
+            .map(|t| (t / 9) * 3 * pw + (t % 9 / 3) * pw + t % 3)
+            .collect();
+        let level = |i: usize, m: usize| (i % (2 * m + 1)) as i32 - m as i32;
+        let qsrc: Vec<i32> = (0..8 * 3 * pw)
+            .map(|i| pack(level(37 * i, 255), level(11 * i, 255)))
+            .collect();
+        let qws: Vec<i32> = (0..4 * nt)
+            .map(|i| pack(level(13 * i, 127), level(7 * i, 127)))
+            .collect();
+        let mut qacc = vec![0i32; 4 * n];
+        let reps = 20_000;
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            mk.qmadd_taps4(&mut qacc, n, &qws, &offs, &qsrc);
+        }
+        let el = t0.elapsed().as_secs_f64();
+        println!(
+            "qmadd_taps4 ({}) 4x{}x{}: {:.1} GMAC/s (int8 MACs, two per packed tap)",
+            mk.int8_body(),
+            nt,
+            n,
+            (2.0 * 4.0 * nt as f64 * n as f64 * reps as f64) / el / 1e9
+        );
         assert!(acc[0].is_finite() && m[0].is_finite());
+        std::hint::black_box(&qacc);
     }
 
     /// Variants whose arithmetic must equal scalar bit-for-bit.
@@ -2320,87 +2393,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn qmadd_taps_known_answer() {
-        // One tap, one column: 2*5 + 3*7 = 31 on top of acc = 10.
-        let pack = |lo: i32, hi: i32| (lo & 0xFFFF) | (hi << 16);
-        let seg = [pack(5, 7)];
-        let mut acc = [10i32];
-        microkernel(KernelVariant::Scalar).qmadd_taps(&mut acc, &[pack(2, 3)], &[&seg]);
-        assert_eq!(acc, [41]);
-        // Negative halves must sign-extend: (-2)*5 + 3*(-7) = -31.
-        let mut acc = [0i32];
-        microkernel(KernelVariant::Scalar).qmadd_taps(&mut acc, &[pack(-2, 3)], &[&seg[..1]]);
-        assert_eq!(acc, [(-2) * 5 + 3 * 7]);
-        let neg = [pack(5, -7)];
-        let mut acc = [0i32];
-        microkernel(KernelVariant::Scalar).qmadd_taps(&mut acc, &[pack(-2, 3)], &[&neg]);
-        assert_eq!(acc, [(-2) * 5 + 3 * (-7)]);
+    /// Packs two `i16` lanes the way the quantized executor does.
+    fn pack(lo: i32, hi: i32) -> i32 {
+        (lo & 0xFFFF) | (hi << 16)
     }
 
     #[test]
-    fn qmadd_taps_matches_scalar_exactly_for_all_variants() {
-        // Pseudo-random packed i16 pairs in the quantized executor's
-        // operand range (activations |v| <= 255, weights |w| <= 127);
-        // every variant must agree bit-for-bit (integer arithmetic).
-        let pack = |lo: i32, hi: i32| (lo & 0xFFFF) | (hi << 16);
+    fn qmadd_taps4_known_answer() {
+        // Two taps over two rows; negative halves must sign-extend and the
+        // rows are overwritten, not accumulated. Tap 0 reads (5, 7) and tap
+        // 1 reads (-3, 2); channel 0 weighs them (2, 3) and (1, -1),
+        // channel 1 (-2, 3) and (4, 0); channels 2 and 3 are padding.
+        let src = [pack(5, 7), pack(-3, 2)];
+        let ws = [pack(2, 3), pack(-2, 3), 0, 0, pack(1, -1), pack(4, 0), 0, 0];
+        for &v in detected_variants() {
+            let mut acc = [99i32, 99];
+            microkernel(v).qmadd_taps4(&mut acc, 1, &ws, &[0, 1], &src);
+            assert_eq!(acc, [10 + 21 - 3 - 2, -10 + 21 - 12], "{}", v.name());
+        }
+    }
+
+    /// Every `qmadd_taps4` body — the AVX2 and AVX-512 VNNI bodies called
+    /// directly (each when the CPU has it) and every detected variant
+    /// through the trait — equals the scalar reference bit for bit, over
+    /// the column counts that exercise zmm blocks, AVX2 16- and 8-column
+    /// blocks, masked and scalar tails, 1 to 200 taps, 1 to 4 rows, and
+    /// operands at the executor's extremes (`±255` activations against
+    /// `±127` weights), where any saturation would show.
+    #[test]
+    fn qmadd_taps4_bodies_match_scalar_exactly() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move |m: i32| {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((state >> 33) as i32 % (2 * m + 1)) - m
+            let r = (state >> 33) as i32;
+            // Half the draws sit on the range's rails.
+            match r % 4 {
+                0 => m,
+                1 => -m,
+                _ => (r / 4) % (2 * m + 1) - m,
+            }
         };
-        for n in [1usize, 5, 8, 31, 32, 63, 200] {
-            for nt in [1usize, 3, 25] {
-                let rows: Vec<Vec<i32>> = (0..nt)
-                    .map(|_| (0..n).map(|_| pack(next(255), next(255))).collect())
+        for n in [1usize, 8, 15, 16, 17, 31, 32, 33, 64, 65, 146] {
+            for nt in [1usize, 2, 9, 25, 72, 200] {
+                let offs: Vec<usize> = (0..nt).map(|t| 3 * t + t % 5).collect();
+                let src: Vec<i32> = (0..n + 3 * nt + 5)
+                    .map(|_| pack(next(255), next(255)))
                     .collect();
-                let ws: Vec<i32> = (0..nt).map(|_| pack(next(127), next(127))).collect();
-                let segs: Vec<&[i32]> = rows.iter().map(|r| r.as_slice()).collect();
-                let base: Vec<i32> = (0..n).map(|_| next(1000)).collect();
-                let mut want = base.clone();
-                microkernel(KernelVariant::Scalar).qmadd_taps(&mut want, &ws, &segs);
-                for v in detected_variants() {
-                    let mut got = base.clone();
-                    microkernel(*v).qmadd_taps(&mut got, &ws, &segs);
-                    assert_eq!(got, want, "variant {} n={n} nt={nt}", v.name());
+                let ws: Vec<i32> = (0..4 * nt).map(|_| pack(next(127), next(127))).collect();
+                for rows in 1..=4usize {
+                    let mut want = vec![0i32; rows * n];
+                    microkernel(KernelVariant::Scalar).qmadd_taps4(&mut want, n, &ws, &offs, &src);
+                    let mut bodies: Vec<(&str, Vec<i32>)> = Vec::new();
+                    for &v in detected_variants() {
+                        let mut got = vec![7i32; rows * n];
+                        microkernel(v).qmadd_taps4(&mut got, n, &ws, &offs, &src);
+                        bodies.push((v.name(), got));
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        if is_x86_feature_detected!("avx2") {
+                            let mut got = vec![7i32; rows * n];
+                            // SAFETY: AVX2 detected just above; the
+                            // lengths satisfy check_taps4 (offs[t] + n <=
+                            // src.len(), four weights per tap).
+                            unsafe { x86::qmadd_taps4_avx2(&mut got, n, &ws, &offs, &src) };
+                            bodies.push(("avx2 body", got));
+                        }
+                        if x86::has_vnni() {
+                            let mut got = vec![7i32; rows * n];
+                            // SAFETY: AVX-512F + VNNI detected by
+                            // has_vnni; lengths as above.
+                            unsafe { x86::qmadd_taps4_vnni(&mut got, n, &ws, &offs, &src) };
+                            bodies.push(("avx512vnni body", got));
+                        }
+                    }
+                    for (name, got) in bodies {
+                        assert_eq!(got, want, "{name} n={n} taps={nt} rows={rows}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn qmadd_taps2_matches_two_single_calls_for_all_variants() {
-        let pack = |lo: i32, hi: i32| (lo & 0xFFFF) | (hi << 16);
-        let mut state = 0xD1B5_4A32_D192_ED03u64;
-        let mut next = move |m: i32| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as i32 % (2 * m + 1)) - m
-        };
-        for n in [1usize, 7, 8, 16, 17, 40, 177] {
-            for nt in [1usize, 9, 50] {
-                let rows: Vec<Vec<i32>> = (0..nt)
-                    .map(|_| (0..n).map(|_| pack(next(255), next(255))).collect())
-                    .collect();
-                let ws0: Vec<i32> = (0..nt).map(|_| pack(next(127), next(127))).collect();
-                let ws1: Vec<i32> = (0..nt).map(|_| pack(next(127), next(127))).collect();
-                let segs: Vec<&[i32]> = rows.iter().map(|r| r.as_slice()).collect();
-                let base0: Vec<i32> = (0..n).map(|_| next(1000)).collect();
-                let base1: Vec<i32> = (0..n).map(|_| next(1000)).collect();
-                let (mut want0, mut want1) = (base0.clone(), base1.clone());
-                let sc = microkernel(KernelVariant::Scalar);
-                sc.qmadd_taps(&mut want0, &ws0, &segs);
-                sc.qmadd_taps(&mut want1, &ws1, &segs);
-                for v in detected_variants() {
-                    let (mut got0, mut got1) = (base0.clone(), base1.clone());
-                    microkernel(*v).qmadd_taps2(&mut got0, &mut got1, &ws0, &ws1, &segs);
-                    assert_eq!(got0, want0, "variant {} n={n} nt={nt} lane0", v.name());
-                    assert_eq!(got1, want1, "variant {} n={n} nt={nt} lane1", v.name());
-                }
-            }
+    fn qmadd_taps4_names_its_integer_body() {
+        assert_eq!(microkernel(KernelVariant::Scalar).int8_body(), "scalar");
+        for &v in detected_variants() {
+            let body = microkernel(v).int8_body();
+            assert!(["scalar", "avx2", "avx512vnni"].contains(&body), "{body}");
         }
     }
 
@@ -2449,7 +2531,7 @@ mod tests {
                         .collect();
                     let acc1: Vec<i32> = (0..n).map(|_| next(2_000_000)).collect();
                     let first: Vec<i32> = (0..n)
-                        .map(|_| ((next(255) & 0xFFFF) | (next(255) << 16)))
+                        .map(|_| (next(255) & 0xFFFF) | (next(255) << 16))
                         .collect();
 
                     let mut want = vec![0i32; n];

@@ -160,12 +160,16 @@ step_infer() {
 step_int8() {
     # The int8 serving path's load-bearing guarantees: the quantized
     # plan's bit-identity to the QuantizedSesr oracle across
-    # architectures/shapes/bands/variants/threads (property sweep), zero
-    # steady-state heap allocations, quantizer edge cases, the
-    # kernel-level requantization-epilogue identity sweep (round ties,
-    # clamp saturation, zero-point extremes, -0.0), and the engine's
-    # PSNR-budget grading with silent f32 fallback plus the autoscaler's
-    # warm-decision replication.
+    # architectures/shapes/bands/variants/threads (property sweep) and on
+    # every detected kernel variant over ragged tap-kernel geometries,
+    # the quantizer's own properties, zero steady-state heap allocations,
+    # quantizer edge cases, the kernel-level identity sweeps (every
+    # integer tap-kernel body against scalar; requantization epilogues
+    # under round ties, clamp saturation, zero-point extremes, -0.0), and
+    # the engine's PSNR-budget grading with silent f32 fallback plus the
+    # autoscaler's warm-decision replication.
+    cargo test -q --offline -p sesr --test proptest_qplan
+    cargo test -q --offline -p sesr-quant --test ragged_geometry
     cargo test -q --offline -p sesr-quant --test proptest_quant
     cargo test -q --offline -p sesr-quant --test zero_alloc_int8
     cargo test -q --offline -p sesr-quant --test edge_cases
