@@ -91,8 +91,7 @@ USAGE:
   sesr infer-bench [--archs m5,m11] [--scale 2] [--expanded 16] [--seed 0]
                 [--iters 30] [--warmup 5] [--height 180] [--width 320]
                 [--threads N] [--variant scalar|avx2|avx2fma|neon]
-                [--int8 on|off] [--psnr-budget 1.0]
-                [--tuner-out tuned.sesr-tuner] [--out BENCH_infer.json]
+                [--int8 on|off] [--psnr-budget 1.0] [--out BENCH_infer.json]
   sesr serve-chaos [--seed 0xC4A05] [--requests 400] [--workers 3]
                 [--concurrency 12] [--height 8] [--width 8]
                 [--panic-per-mille 150] [--slow-per-mille 150]
@@ -103,8 +102,7 @@ USAGE:
                 [--deadline-ms 40] [--heavy-hz 12] [--big-height 432]
                 [--big-width 576] [--overload-factor 2]
                 [--overload-heavy-hz 16] [--autoscale-hz 600]
-                [--autoscale-quiet-ms 1500]
-                [--tuner-file tuned.sesr-tuner] [--out BENCH_router.json]
+                [--autoscale-quiet-ms 1500] [--out BENCH_router.json]
   sesr router-chaos [--seed 0xF1EE7] [--requests 450] [--shards 3]
                 [--concurrency 24] [--kill-per-mille 12]
                 [--wedge-per-mille 12] [--respawn-fail-per-mille 500]
@@ -678,7 +676,6 @@ fn router_bench(args: &Args) -> Result<String, CliError> {
         autoscale_quiet: Duration::from_millis(
             args.parsed_or("autoscale-quiet-ms", d.autoscale_quiet.as_millis() as u64)?,
         ),
-        tuner_file: args.get("tuner-file").map(std::path::PathBuf::from),
         ..d
     };
     let out_path = args.get("out").unwrap_or("BENCH_router.json").to_string();
@@ -1149,7 +1146,6 @@ fn infer_bench(args: &Args) -> Result<String, CliError> {
         psnr_budget: args.parsed_or("psnr-budget", 1.0f64)?,
     };
     let out_path = args.get("out").unwrap_or("BENCH_infer.json").to_string();
-    let tuner_out = args.get("tuner-out").map(str::to_string);
 
     let results =
         sesr_bench::run_infer_bench(&cfg).map_err(|e| CliError::Io(std::io::Error::other(e)))?;
@@ -1196,13 +1192,6 @@ fn infer_bench(args: &Args) -> Result<String, CliError> {
                 ms / r.iters as f64
             ));
         }
-    }
-    // The bench's autotuned GEMM blockings live in the process-wide
-    // cache; --tuner-out persists them so engine spawns (serve/router,
-    // including elastic scale-ups) start warm instead of re-tuning.
-    if let Some(path) = tuner_out {
-        let n = sesr_tensor::autotune::save_choices(Path::new(&path))?;
-        summary.push_str(&format!("saved {n} tuned GEMM blocking(s) to {path}\n"));
     }
     summary.push_str(&format!("wrote {out_path}"));
     Ok(summary)

@@ -1,19 +1,43 @@
-//! Planned, zero-allocation execution of the collapsed network.
+//! Planned, zero-allocation execution of the collapsed network, at either
+//! precision.
 //!
-//! [`crate::collapsed::CollapsedSesr::run`] executes layer by layer with a
-//! fresh tensor per op, a separate activation pass, a separate residual
-//! add, and a standalone depth-to-space — and the per-layer kernels are
-//! single-threaded for a single image. This module compiles the collapsed
-//! network once per `(model, input shape)` into an [`InferPlan`] that
-//! fixes all of that while producing **bit-identical** output:
+//! After collapse, SESR is one linear chain: a first 5x5 conv, `m` 3x3
+//! convs under a long residual, a 5x5 head, then depth-to-space. This
+//! module compiles that chain once per `(model, input shape)` into a
+//! [`Plan`], built from two halves:
 //!
-//! * **Buffer arena.** One `Vec<f32>` sized from the layer graph holds the
-//!   long-residual buffer, two ping-pong feature buffers, and one small
-//!   scratch slab per row band (accumulator rows, Winograd tile scratch).
-//!   Steady-state [`InferPlan::run_image_into`] touches only the
-//!   arena: zero heap allocations after the plan is built (at one thread;
-//!   with a pool, `parallel_for` posts one job header per layer — see
-//!   DESIGN.md Sec. 11).
+//! * **The skeleton**, shared by both precisions. A [`LayerGraph`] holds
+//!   each layer's shape, the step list (source and destination buffer,
+//!   fused residual flags) and the head's depth-to-space scatter map.
+//!   [`Plan`] sizes one arena from it — the staged input (if the datapath
+//!   stages one), the long-residual buffer, two ping-pong feature buffers,
+//!   and one scratch slab per row band — and runs the one step loop: each
+//!   step splits its output rows into bands fixed at build (`make_bands`)
+//!   and runs them on the persistent pool. The timed run charges each step
+//!   the time since the previous mark. [`TilePlanner`] caches one
+//!   single-band plan per tile shape in a bounded LRU.
+//! * **The datapath** ([`Datapath`]), which supplies only what differs
+//!   between precisions: the arena element, buffer and slab lengths, the
+//!   per-layer tap-offset table, input staging, and the band runner with
+//!   its fused epilogue. [`CollapsedKernels`] below is the f32 datapath
+//!   ([`InferPlan`]); `sesr_quant::QuantKernels` is the int8 one
+//!   (`sesr_quant::QuantPlan`).
+//!
+//! `Plan` is monomorphized per datapath. Steady-state
+//! [`Plan::run_image_into`] touches only the arena: zero heap allocations
+//! after the plan is built (at one thread; with a pool, `parallel_for`
+//! posts one job header per layer — see DESIGN.md Sec. 11). Bands are
+//! aligned to Winograd tile rows (2 rows), and every per-element
+//! accumulation order is independent of the band split, so output is
+//! bit-identical from 1 to N threads.
+//!
+//! # The f32 datapath
+//!
+//! [`crate::collapsed::CollapsedSesr::run_reference`] executes layer by
+//! layer with a fresh tensor per op, a separate activation pass, a separate
+//! residual add, and a standalone depth-to-space. The f32 datapath fixes
+//! all of that while producing **bit-identical** output:
+//!
 //! * **Fused epilogues.** Bias, PReLU/ReLU, the long feature residual, the
 //!   input residual, and the depth-to-space permutation are folded into
 //!   the producing conv's output-row write (including after the Winograd
@@ -30,12 +54,6 @@
 //!   four output channels x 16 columns of register accumulators.
 //!   Accumulation mimics [`sesr_tensor::gemm::KC`]-block grouping, so the
 //!   bits match the packed GEMM exactly (see below).
-//! * **Row-band parallelism.** Each layer is split over output-row bands
-//!   executed on the persistent pool. Bands are fixed at plan build and
-//!   aligned to Winograd tile rows (2 rows), and every per-element
-//!   accumulation order is unchanged from the unfused kernels, so output
-//!   is bit-identical from 1 to N threads and to the reference path
-//!   ([`crate::collapsed::CollapsedSesr::run_batch_reference`]).
 //!
 //! Why bit-identical (and not merely close): the packed GEMM accumulates
 //! each output element as one chain per `KC`-sized k-block (each chain
@@ -49,6 +67,7 @@
 //! the full argument.
 
 use crate::collapsed::{Act, CollapsedSesr};
+use crate::tiling::TileSpec;
 use sesr_tensor::autotune::{pick, time_ns};
 use sesr_tensor::conv::Conv2dParams;
 use sesr_tensor::gemm::KC;
@@ -58,23 +77,13 @@ use sesr_tensor::simd::{
 };
 use sesr_tensor::winograd::kernel_transform;
 use sesr_tensor::Tensor;
+use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Activation of one planned layer, with slopes flattened out of tensors.
-#[derive(Debug, Clone)]
-pub enum ActKind {
-    /// No activation (the collapsed head).
-    None,
-    /// Plain ReLU.
-    Relu,
-    /// Parametric ReLU with one slope per output channel.
-    PRelu(Vec<f32>),
-}
-
-/// One collapsed convolution, preprocessed for planned execution.
-#[derive(Debug, Clone)]
-pub struct KernelLayer {
+/// Shape of one collapsed convolution (stride 1, same padding).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LayerShape {
     /// Input channels.
     pub cin: usize,
     /// Output channels.
@@ -83,126 +92,12 @@ pub struct KernelLayer {
     pub kh: usize,
     /// Kernel width.
     pub kw: usize,
-    /// Direct-convolution weights, present iff the kernel is not 3x3:
-    /// output channels packed in groups of four, tap-major inside a group
-    /// (`taps4[(g * k + p) * 4 + c]` is the weight of channel `4g + c` at
-    /// im2col row `p`, `k = cin * kh * kw`), with zeros for the missing
-    /// channels of a last partial group — the operand layout of
-    /// [`Microkernel::conv_taps4`].
-    pub taps4: Option<Vec<f32>>,
-    /// Per-output-channel bias.
-    pub bias: Vec<f32>,
-    /// Winograd-transformed kernels (`G g Gᵀ` per `(cout, cin)` pair),
-    /// present iff the kernel is 3x3. Computed once here instead of per
-    /// call inside `winograd_conv3x3`.
-    pub wino_u: Option<Vec<[f32; 16]>>,
-    /// Activation fused into this layer's output write.
-    pub act: ActKind,
-}
-
-/// Shape-independent planned form of a [`CollapsedSesr`]: flattened
-/// weights, pre-transformed Winograd kernels, and the depth-to-space
-/// scatter map. Immutable and `Sync`; share one `Arc` across plans,
-/// worker threads, and tile planners.
-#[derive(Debug, Clone)]
-pub struct CollapsedKernels {
-    layers: Vec<KernelLayer>,
-    scale: usize,
-    feature_residual: bool,
-    input_residual: bool,
-    /// `head_scatter[ci]` is the `(row, col)` offset inside each
-    /// `scale x scale` output cell written by head channel `ci` —
-    /// the composition of the model's depth-to-space permutations.
-    head_scatter: Vec<(usize, usize)>,
-}
-
-impl CollapsedKernels {
-    /// Preprocesses a collapsed network for planned execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the head does not emit `scale * scale` channels.
-    pub fn new(model: &CollapsedSesr) -> Self {
-        let layers: Vec<KernelLayer> = model
-            .layers()
-            .iter()
-            .map(|l| {
-                let s = l.weight.shape();
-                let (o, i, kh, kw) = (s[0], s[1], s[2], s[3]);
-                let wino_u = (kh == 3 && kw == 3).then(|| {
-                    let mut u = vec![[0.0f32; 16]; o * i];
-                    for oo in 0..o {
-                        for ii in 0..i {
-                            let base = (oo * i + ii) * 9;
-                            u[oo * i + ii] = kernel_transform(&l.weight.data()[base..base + 9]);
-                        }
-                    }
-                    u
-                });
-                let taps4 = wino_u.is_none().then(|| {
-                    let k = i * kh * kw;
-                    let mut packed = vec![0.0f32; o.div_ceil(4) * k * 4];
-                    for (oo, wrow) in l.weight.data().chunks_exact(k).enumerate() {
-                        for (p, &wv) in wrow.iter().enumerate() {
-                            packed[((oo / 4) * k + p) * 4 + oo % 4] = wv;
-                        }
-                    }
-                    packed
-                });
-                KernelLayer {
-                    cin: i,
-                    cout: o,
-                    kh,
-                    kw,
-                    bias: l.bias.data().to_vec(),
-                    wino_u,
-                    taps4,
-                    act: match &l.act {
-                        None => ActKind::None,
-                        Some(Act::Relu) => ActKind::Relu,
-                        Some(Act::PRelu(a)) => ActKind::PRelu(a.data().to_vec()),
-                    },
-                }
-            })
-            .collect();
-        let scale = model.scale();
-        let head_cout = layers.last().expect("collapsed model has layers").cout;
-        assert_eq!(head_cout, scale * scale, "head must emit scale^2 channels");
-        // x2 is one depth-to-space (r = 2); x4 composes two of them. Both
-        // reduce to a per-channel (row, col) offset in the output cell.
-        let head_scatter = (0..head_cout)
-            .map(|ci| {
-                if scale == 2 {
-                    (ci / 2, ci % 2)
-                } else {
-                    (2 * ((ci % 4) / 2) + ci / 8, 2 * (ci % 2) + (ci / 4) % 2)
-                }
-            })
-            .collect();
-        Self {
-            layers,
-            scale,
-            feature_residual: model.has_feature_residual(),
-            input_residual: model.has_input_residual(),
-            head_scatter,
-        }
-    }
-
-    /// The planned layers, in execution order.
-    pub fn layers(&self) -> &[KernelLayer] {
-        &self.layers
-    }
-
-    /// The upscaling factor.
-    pub fn scale(&self) -> usize {
-        self.scale
-    }
 }
 
 /// Which logical buffer a step reads or writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Buf {
-    /// The caller's LR input plane.
+    /// The LR input plane (the caller's, or the datapath's staged copy).
     Input,
     /// Layer 0's output, kept live for the long feature residual.
     First,
@@ -225,6 +120,804 @@ struct Step {
     /// Degenerate 2-layer network with a feature residual: the head input
     /// is `first + first`, fused here as a doubled write.
     double_output: bool,
+}
+
+/// The collapsed chain as both datapaths execute it, built once per
+/// model: layer shapes, the step list, and the head's scatter map.
+#[derive(Debug, Clone)]
+pub struct LayerGraph {
+    layers: Vec<LayerShape>,
+    scale: usize,
+    input_residual: bool,
+    steps: Vec<Step>,
+    /// `head_scatter[ci]` is the `(row, col)` offset inside each
+    /// `scale x scale` output cell written by head channel `ci` —
+    /// the composition of the model's depth-to-space permutations.
+    head_scatter: Vec<(usize, usize)>,
+}
+
+impl LayerGraph {
+    /// Builds the graph of a chain of `layers` with a `scale` head. Steps
+    /// assign each layer a source and destination buffer plus its fused
+    /// residual flags, mirroring the reference dataflow exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics on fewer than two layers or a head that does not emit
+    /// `scale * scale` channels.
+    pub fn new(
+        layers: Vec<LayerShape>,
+        scale: usize,
+        feature_residual: bool,
+        input_residual: bool,
+    ) -> Self {
+        let ll = layers.len();
+        assert!(ll >= 2, "a planned network needs a first layer and a head");
+        let head_cout = layers[ll - 1].cout;
+        assert_eq!(head_cout, scale * scale, "head must emit scale^2 channels");
+        let mut steps = Vec::with_capacity(ll);
+        steps.push(Step {
+            layer: 0,
+            src: Buf::Input,
+            dst: Buf::First,
+            add_first: false,
+            double_output: ll == 2 && feature_residual,
+        });
+        let mut cur = Buf::First;
+        for i in 1..ll - 1 {
+            let dst = if cur == Buf::Ping {
+                Buf::Pong
+            } else {
+                Buf::Ping
+            };
+            steps.push(Step {
+                layer: i,
+                src: cur,
+                dst,
+                add_first: feature_residual && i == ll - 2,
+                double_output: false,
+            });
+            cur = dst;
+        }
+        steps.push(Step {
+            layer: ll - 1,
+            src: cur,
+            dst: Buf::Output,
+            add_first: false,
+            double_output: false,
+        });
+        // x2 is one depth-to-space (r = 2); x4 composes two of them. Both
+        // reduce to a per-channel (row, col) offset in the output cell.
+        let head_scatter = (0..head_cout)
+            .map(|ci| {
+                if scale == 2 {
+                    (ci / 2, ci % 2)
+                } else {
+                    (2 * ((ci % 4) / 2) + ci / 8, 2 * (ci % 2) + (ci / 4) % 2)
+                }
+            })
+            .collect();
+        Self {
+            layers,
+            scale,
+            input_residual,
+            steps,
+            head_scatter,
+        }
+    }
+
+    /// Each layer's shape, in execution order.
+    pub fn layers(&self) -> &[LayerShape] {
+        &self.layers
+    }
+
+    /// The upscaling factor.
+    pub fn scale(&self) -> usize {
+        self.scale
+    }
+
+    /// The head's per-channel offsets inside each output cell.
+    pub fn head_scatter(&self) -> &[(usize, usize)] {
+        &self.head_scatter
+    }
+}
+
+/// What differs between the f32 and the int8 planned executor; [`Plan`]
+/// owns everything else. Implementations are immutable, preprocessed
+/// kernels shared (`Arc`) across plans, threads, and tile shapes.
+pub trait Datapath: Debug + Send + Sync + 'static {
+    /// Arena element: `f32`, or two `i16` channel levels packed in an
+    /// `i32`.
+    type Elem: Copy + Default + Debug + Send + Sync + 'static;
+
+    /// Whether step 0 reads a copy of the input staged in the arena
+    /// (written by [`Datapath::stage_input`]) rather than the caller's
+    /// plane.
+    const STAGES_INPUT: bool;
+
+    /// The chain this datapath executes.
+    fn graph(&self) -> &LayerGraph;
+
+    /// Arena elements of one buffer holding `c` channels of an `h x w`
+    /// activation.
+    fn buffer_len(c: usize, h: usize, w: usize) -> usize;
+
+    /// Elements of one band's scratch slab, enough for every layer.
+    fn slab_len(&self, h: usize, w: usize) -> usize;
+
+    /// Layer `layer`'s tap-offset table at `h x w`, fixed at plan build.
+    fn tap_offsets(&self, layer: usize, h: usize, w: usize) -> Vec<usize>;
+
+    /// Step 0's source planes for `input`: the caller's plane itself, or
+    /// its staged copy, written into `staged` row band by row band.
+    /// `staged` is the arena's input region, `buffer_len(1, h, w)`
+    /// elements when [`Datapath::STAGES_INPUT`] and empty otherwise.
+    fn stage_input<'a>(
+        &self,
+        mk: &dyn Microkernel,
+        input: &'a [f32],
+        staged: &'a mut [Self::Elem],
+        bands: &[(usize, usize)],
+        w: usize,
+    ) -> &'a [Self::Elem];
+
+    /// Runs output rows `[y0, y1)` of one step, fused epilogue included,
+    /// with `slab` as band-private scratch.
+    fn run_band(
+        &self,
+        mk: &dyn Microkernel,
+        io: &StepIo<'_, Self::Elem>,
+        y0: usize,
+        y1: usize,
+        slab: &mut [Self::Elem],
+    );
+}
+
+/// One step's operands, handed by [`Plan`] to every band of the step.
+pub struct StepIo<'a, E> {
+    /// Index of the layer the step runs.
+    pub layer: usize,
+    /// Planned LR height.
+    pub h: usize,
+    /// Planned LR width.
+    pub w: usize,
+    /// The step's source planes.
+    pub src: &'a [E],
+    /// The layer's tap-offset table ([`Datapath::tap_offsets`]).
+    pub offs: &'a [usize],
+    /// Layer 0's output planes, when the step fuses the long feature
+    /// residual.
+    pub first: Option<&'a [E]>,
+    /// Step 0's source planes, when the step (the head) fuses the input
+    /// residual.
+    pub input: Option<&'a [E]>,
+    /// Fuse `first + first` as a doubled write (a two-layer network with a
+    /// feature residual).
+    pub double_output: bool,
+    /// The plan's arena.
+    pub arena: SendPtr<E>,
+    /// Arena offset of the destination planes; `None` for the head, which
+    /// scatters into `out`.
+    pub dst: Option<usize>,
+    /// The caller's HR output plane.
+    pub out: SendPtr<f32>,
+}
+
+/// A compiled execution plan for one `(kernels, input shape)` pair.
+///
+/// Building the plan allocates the arena; [`Plan::run_image_into`] then
+/// runs the full network without touching the heap. Reuse a plan for
+/// every same-shaped input (batches, repeated requests, same-shaped
+/// tiles).
+#[derive(Debug)]
+pub struct Plan<D: Datapath> {
+    kernels: Arc<D>,
+    h: usize,
+    w: usize,
+    /// Microkernel variant every step dispatches through. Defaults to the
+    /// process-global [`kernel_variant`]; [`Plan::autotune_variant`]
+    /// measures and pins the fastest one for this plan's shapes. Within a
+    /// variant, f32 output is bit-identical to the reference path run on
+    /// the same variant; *between* variants, FMA contraction changes bits.
+    /// Int8 output is the same on every variant.
+    variant: KernelVariant,
+    bands: Vec<(usize, usize)>,
+    /// Per-layer tap-offset tables ([`Datapath::tap_offsets`]).
+    tap_offs: Vec<Vec<usize>>,
+    /// The staged input (`input_len` elements, possibly none), `first`,
+    /// ping, pong, then one slab per band.
+    arena: Vec<D::Elem>,
+    input_len: usize,
+    off_first: usize,
+    first_len: usize,
+    off_ping: usize,
+    off_pong: usize,
+    off_slabs: usize,
+    slab_len: usize,
+}
+
+/// The f32 planned executor.
+pub type InferPlan = Plan<CollapsedKernels>;
+
+impl<D: Datapath> Plan<D> {
+    /// Compiles a plan for an `h x w` LR input, with one row band per
+    /// available worker thread (fixed at build time).
+    ///
+    /// # Panics
+    ///
+    /// As [`Plan::with_bands`].
+    pub fn new(kernels: Arc<D>, h: usize, w: usize) -> Self {
+        let n = num_threads();
+        Self::with_bands(kernels, h, w, n)
+    }
+
+    /// Compiles a plan with an explicit band count (1 disables intra-layer
+    /// parallelism — used by tile executors that parallelize over tiles).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate shape or zero bands.
+    pub fn with_bands(kernels: Arc<D>, h: usize, w: usize, nbands: usize) -> Self {
+        assert!(h > 0 && w > 0, "degenerate input {h}x{w}");
+        assert!(nbands > 0, "need at least one band");
+        let bands = make_bands(h, nbands);
+        let layers = kernels.graph().layers();
+        let tap_offs = (0..layers.len())
+            .map(|l| kernels.tap_offsets(l, h, w))
+            .collect();
+        let input_len = if D::STAGES_INPUT {
+            D::buffer_len(1, h, w)
+        } else {
+            0
+        };
+        let first_len = D::buffer_len(layers[0].cout, h, w);
+        let mid_len = layers[1..layers.len() - 1]
+            .iter()
+            .map(|l| D::buffer_len(l.cout, h, w))
+            .max()
+            .unwrap_or(0);
+        let slab_len = kernels.slab_len(h, w);
+        let off_first = input_len;
+        let off_ping = off_first + first_len;
+        let off_pong = off_ping + mid_len;
+        let off_slabs = off_pong + mid_len;
+        // Zero-filled: buffers are overwritten every run, except the int8
+        // planes' halo rings, which stay zero forever — the int8 padding
+        // argument.
+        let arena = vec![D::Elem::default(); off_slabs + bands.len() * slab_len];
+        Self {
+            kernels,
+            h,
+            w,
+            variant: kernel_variant(),
+            bands,
+            tap_offs,
+            arena,
+            input_len,
+            off_first,
+            first_len,
+            off_ping,
+            off_pong,
+            off_slabs,
+            slab_len,
+        }
+    }
+
+    /// The `(h, w)` LR shape this plan was compiled for.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.h, self.w)
+    }
+
+    /// The microkernel variant this plan dispatches through.
+    pub fn variant(&self) -> KernelVariant {
+        self.variant
+    }
+
+    /// Pins the plan to `v` (degraded to the best available variant if `v`
+    /// cannot run here) and returns the effective choice. Callers that
+    /// need bit-identity with another f32 executor (the reference path, a
+    /// whole-frame plan next to tile plans) must pin both sides to the
+    /// same variant.
+    pub fn set_variant(&mut self, v: KernelVariant) -> KernelVariant {
+        self.variant = microkernel(v).variant();
+        self.variant
+    }
+
+    /// Measures one full planned run per detected variant (twice, scored
+    /// by minimum wall time; ties resolve toward detection order, i.e.
+    /// the fastest-assumed variant) and pins the winner. Runs on a
+    /// synthetic input and allocates scratch — call at plan-compile time,
+    /// never in steady state. Deterministic given the measurements; see
+    /// [`pick`].
+    pub fn autotune_variant(&mut self) -> KernelVariant {
+        let cands = detected_variants();
+        if cands.len() > 1 {
+            let s = self.kernels.graph().scale();
+            let input = vec![0.25f32; self.h * self.w];
+            let mut out = vec![0.0f32; self.h * s * self.w * s];
+            let (winner, _costs) = pick(cands, 2, |&v| {
+                self.variant = v;
+                time_ns(|| self.run_image_into(&input, &mut out))
+            });
+            self.variant = cands[winner];
+        } else {
+            self.variant = cands[0];
+        }
+        self.variant
+    }
+
+    /// Total bytes of the preallocated arena — the plan's entire
+    /// steady-state working set besides input and output.
+    pub fn arena_bytes(&self) -> usize {
+        self.arena.len() * std::mem::size_of::<D::Elem>()
+    }
+
+    /// Number of planned layer executions (= collapsed layers) — the
+    /// length [`Plan::run_image_into_timed`] expects.
+    pub fn num_steps(&self) -> usize {
+        self.kernels.graph().steps.len()
+    }
+
+    fn buf_off(&self, buf: Buf) -> usize {
+        match buf {
+            Buf::First => self.off_first,
+            Buf::Ping => self.off_ping,
+            Buf::Pong => self.off_pong,
+            Buf::Input | Buf::Output => unreachable!("not an arena buffer"),
+        }
+    }
+
+    /// Runs the planned network on one LR plane (`h * w` floats) into a
+    /// preallocated HR plane (`h*scale * w*scale` floats). Performs zero
+    /// heap allocations (one pool-job header per layer when running on
+    /// more than one thread).
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths disagree with the planned shape.
+    pub fn run_image_into(&mut self, input: &[f32], out: &mut [f32]) {
+        self.run_steps(input, out, None);
+    }
+
+    /// [`Plan::run_image_into`] with per-layer wall-time accumulation
+    /// (nanoseconds added to `layer_nanos[i]` for step `i`; step 0 also
+    /// carries the input staging it consumes). Bench-only; same output
+    /// bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer_nanos` does not have one slot per step.
+    pub fn run_image_into_timed(
+        &mut self,
+        input: &[f32],
+        out: &mut [f32],
+        layer_nanos: &mut [u64],
+    ) {
+        assert_eq!(layer_nanos.len(), self.num_steps(), "one slot per layer");
+        self.run_steps(input, out, Some(layer_nanos));
+    }
+
+    fn run_steps(&mut self, input: &[f32], out: &mut [f32], mut timings: Option<&mut [u64]>) {
+        let (h, w) = (self.h, self.w);
+        let kernels = &*self.kernels;
+        let graph = kernels.graph();
+        let s = graph.scale();
+        assert_eq!(input.len(), h * w, "input plane size");
+        assert_eq!(out.len(), h * s * w * s, "output plane size");
+        // Each step's slot gets the time since the previous mark, so step 0
+        // also carries the input staging.
+        let mut mark = timings.is_some().then(Instant::now);
+        let mk = microkernel(self.variant);
+        let arena = SendPtr(self.arena.as_mut_ptr());
+        let out_ptr = SendPtr(out.as_mut_ptr());
+        // SAFETY: the input region `[0, input_len)` is disjoint from every
+        // other buffer and written only here, before any step reads it.
+        let staged = unsafe { arena.slice_mut(0, self.input_len) };
+        let input = kernels.stage_input(mk, input, staged, &self.bands, w);
+
+        for (si, step) in graph.steps.iter().enumerate() {
+            let cin = graph.layers()[step.layer].cin;
+            let io = StepIo {
+                layer: step.layer,
+                h,
+                w,
+                src: match step.src {
+                    Buf::Input => input,
+                    // SAFETY: the source buffer was fully written by a
+                    // previous step (steps are separated by parallel_for
+                    // joins) and no band writes it during this step —
+                    // ping-pong assignment keeps src and dst disjoint.
+                    b => unsafe { arena.slice(self.buf_off(b), D::buffer_len(cin, h, w)) },
+                },
+                offs: &self.tap_offs[step.layer],
+                // SAFETY: `first` was written by step 0 and is never a
+                // destination afterwards.
+                first: step
+                    .add_first
+                    .then(|| unsafe { arena.slice(self.off_first, self.first_len) }),
+                input: (step.dst == Buf::Output && graph.input_residual).then_some(input),
+                double_output: step.double_output,
+                arena,
+                dst: (step.dst != Buf::Output).then(|| self.buf_off(step.dst)),
+                out: out_ptr,
+            };
+            let bands = &self.bands;
+            let (off_slabs, slab_len) = (self.off_slabs, self.slab_len);
+            parallel_for(bands.len(), 1, |b0, b1| {
+                for (bi, &(y0, y1)) in bands.iter().enumerate().take(b1).skip(b0) {
+                    // SAFETY: slabs are disjoint per band and bands are
+                    // assigned whole to closure calls.
+                    let slab = unsafe { arena.slice_mut(off_slabs + bi * slab_len, slab_len) };
+                    kernels.run_band(mk, &io, y0, y1, slab);
+                }
+            });
+            if let (Some(t), Some(m)) = (timings.as_deref_mut(), mark.as_mut()) {
+                let now = Instant::now();
+                t[si] += (now - *m).as_nanos() as u64;
+                *m = now;
+            }
+        }
+    }
+
+    /// Super-resolves a `[1, h, w]` luma image through the plan. Allocates
+    /// only the returned tensor; all intermediates live in the arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape disagrees with the planned shape.
+    pub fn run(&mut self, lr: &Tensor) -> Tensor {
+        let dims = lr.shape();
+        assert_eq!(dims, &[1, self.h, self.w], "input must match plan shape");
+        let s = self.kernels.graph().scale();
+        let mut out = Tensor::zeros(&[1, self.h * s, self.w * s]);
+        self.run_image_into(lr.data(), out.data_mut());
+        out
+    }
+
+    /// Super-resolves a `[N, 1, h, w]` batch, reusing this plan's single
+    /// arena across all `N` images.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not single-channel NCHW of the planned
+    /// shape.
+    pub fn run_batch(&mut self, input: &Tensor) -> Tensor {
+        let (n, c, h, w) = input.shape_obj().as_nchw();
+        assert_eq!(c, 1, "SESR operates on the Y channel (1 input channel)");
+        assert_eq!((h, w), (self.h, self.w), "input must match plan shape");
+        let s = self.kernels.graph().scale();
+        let (oh, ow) = (h * s, w * s);
+        let mut out = Tensor::zeros(&[n, 1, oh, ow]);
+        let out_data = out.data_mut();
+        for ni in 0..n {
+            self.run_image_into(
+                &input.data()[ni * h * w..(ni + 1) * h * w],
+                &mut out_data[ni * oh * ow..(ni + 1) * oh * ow],
+            );
+        }
+        out
+    }
+}
+
+/// Splits `0..h` into at most `nbands` contiguous row bands aligned to
+/// Winograd tile rows: every band start is even, and band ends are even
+/// or `h`. Band boundaries are a pure function of `(h, nbands)` — fixed
+/// band order is part of the determinism argument.
+fn make_bands(h: usize, nbands: usize) -> Vec<(usize, usize)> {
+    let pairs = h.div_ceil(2);
+    let nb = nbands.min(pairs).max(1);
+    let base = pairs / nb;
+    let rem = pairs % nb;
+    let mut bands = Vec::with_capacity(nb);
+    let mut p = 0usize;
+    for i in 0..nb {
+        let take = base + usize::from(i < rem);
+        let (p0, p1) = (p, p + take);
+        bands.push((2 * p0, (2 * p1).min(h)));
+        p = p1;
+    }
+    bands
+}
+
+/// Lazily builds and caches one [`Plan`] per tile shape. Tile executors
+/// parallelize over tiles, so cached plans use a single band. Int8
+/// quantization parameters are fixed per model (calibrated once), so int8
+/// tiles composite exactly like f32 ones.
+///
+/// The cache is bounded: at most [`TilePlanner::DEFAULT_CAP`] shapes are
+/// kept (override with [`TilePlanner::with_capacity`]), evicting the
+/// least-recently-used plan once full. An image run sees a handful of
+/// shapes (interior, right edge, bottom edge, corner) and never evicts;
+/// long-lived video sessions with varying frame sizes would otherwise
+/// grow the cache without bound. Eviction only costs a rebuild on the
+/// next use of that shape — plans are caches of geometry, not state —
+/// so it can never change output bits.
+#[derive(Debug)]
+pub struct TilePlanner<D: Datapath = CollapsedKernels> {
+    kernels: Arc<D>,
+    /// Most-recently-used first.
+    plans: Vec<Plan<D>>,
+    cap: usize,
+    evictions: u64,
+}
+
+impl<D: Datapath> TilePlanner<D> {
+    /// Default bound on cached tile shapes. A single frame size needs at
+    /// most four (interior / right edge / bottom edge / corner); eight
+    /// leaves headroom for one resolution change without thrash.
+    pub const DEFAULT_CAP: usize = 8;
+
+    /// Creates an empty planner over shared kernels.
+    pub fn new(kernels: Arc<D>) -> Self {
+        Self::with_capacity(kernels, Self::DEFAULT_CAP)
+    }
+
+    /// Creates an empty planner holding at most `cap` tile shapes.
+    ///
+    /// # Panics
+    ///
+    /// When `cap` is zero — a planner that cannot hold any plan would
+    /// rebuild on every call.
+    pub fn with_capacity(kernels: Arc<D>, cap: usize) -> Self {
+        assert!(cap > 0, "tile-plan cache capacity must be positive");
+        Self {
+            kernels,
+            plans: Vec::new(),
+            cap,
+            evictions: 0,
+        }
+    }
+
+    /// The plan for an `h x w` tile, building it on first use. Moves the
+    /// plan to the front of the LRU order; evicts the least-recently-used
+    /// shape when inserting past capacity.
+    pub fn plan_for(&mut self, h: usize, w: usize) -> &mut Plan<D> {
+        if let Some(i) = self.plans.iter().position(|p| p.shape() == (h, w)) {
+            let plan = self.plans.remove(i);
+            self.plans.insert(0, plan);
+        } else {
+            if self.plans.len() == self.cap {
+                self.plans.pop();
+                self.evictions += 1;
+            }
+            self.plans
+                .insert(0, Plan::with_bands(self.kernels.clone(), h, w, 1));
+        }
+        &mut self.plans[0]
+    }
+
+    /// How many plans have been evicted over the planner's lifetime.
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    /// Number of currently cached tile shapes.
+    pub fn cached_plans(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Crops the halo-expanded patch of `spec` and runs it through the
+    /// cached plan for that patch shape.
+    pub fn run_tile(&mut self, lr: &Tensor, spec: &TileSpec) -> Tensor {
+        let patch = lr.crop_hw(spec.ey0, spec.ey1, spec.ex0, spec.ex1);
+        let dims = patch.shape();
+        self.plan_for(dims[1], dims[2]).run(&patch)
+    }
+
+    /// Largest arena across the cached plans (telemetry).
+    pub fn max_arena_bytes(&self) -> usize {
+        self.plans.iter().map(Plan::arena_bytes).max().unwrap_or(0)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The f32 datapath
+// ---------------------------------------------------------------------------
+
+/// Activation of one planned layer, with slopes flattened out of tensors.
+#[derive(Debug, Clone)]
+enum ActKind {
+    /// No activation (the collapsed head).
+    None,
+    /// Plain ReLU.
+    Relu,
+    /// Parametric ReLU with one slope per output channel.
+    PRelu(Vec<f32>),
+}
+
+/// One collapsed convolution's weights, preprocessed for planned
+/// execution (its shape lives in the [`LayerGraph`]).
+#[derive(Debug, Clone)]
+struct KernelLayer {
+    /// Direct-convolution weights, present iff the kernel is not 3x3:
+    /// output channels packed in groups of four, tap-major inside a group
+    /// (`taps4[(g * k + p) * 4 + c]` is the weight of channel `4g + c` at
+    /// im2col row `p`, `k = cin * kh * kw`), with zeros for the missing
+    /// channels of a last partial group — the operand layout of
+    /// [`Microkernel::conv_taps4`].
+    taps4: Option<Vec<f32>>,
+    /// Per-output-channel bias.
+    bias: Vec<f32>,
+    /// Winograd-transformed kernels (`G g Gᵀ` per `(cout, cin)` pair),
+    /// present iff the kernel is 3x3. Computed once here instead of per
+    /// call inside `winograd_conv3x3`.
+    wino_u: Option<Vec<[f32; 16]>>,
+    /// Activation fused into this layer's output write.
+    act: ActKind,
+}
+
+/// Shape-independent planned form of a [`CollapsedSesr`] — the f32
+/// datapath: flattened weights, pre-transformed Winograd kernels, and the
+/// layer graph. Immutable and `Sync`; share one `Arc` across plans,
+/// worker threads, and tile planners.
+#[derive(Debug, Clone)]
+pub struct CollapsedKernels {
+    layers: Vec<KernelLayer>,
+    graph: LayerGraph,
+}
+
+impl CollapsedKernels {
+    /// Preprocesses a collapsed network for planned execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the head does not emit `scale * scale` channels.
+    pub fn new(model: &CollapsedSesr) -> Self {
+        let mut shapes = Vec::with_capacity(model.layers().len());
+        let layers = model
+            .layers()
+            .iter()
+            .map(|l| {
+                let s = l.weight.shape();
+                let (o, i, kh, kw) = (s[0], s[1], s[2], s[3]);
+                shapes.push(LayerShape {
+                    cin: i,
+                    cout: o,
+                    kh,
+                    kw,
+                });
+                let wino_u = (kh == 3 && kw == 3).then(|| {
+                    let mut u = vec![[0.0f32; 16]; o * i];
+                    for oo in 0..o {
+                        for ii in 0..i {
+                            let base = (oo * i + ii) * 9;
+                            u[oo * i + ii] = kernel_transform(&l.weight.data()[base..base + 9]);
+                        }
+                    }
+                    u
+                });
+                let taps4 = wino_u.is_none().then(|| {
+                    let k = i * kh * kw;
+                    let mut packed = vec![0.0f32; o.div_ceil(4) * k * 4];
+                    for (oo, wrow) in l.weight.data().chunks_exact(k).enumerate() {
+                        for (p, &wv) in wrow.iter().enumerate() {
+                            packed[((oo / 4) * k + p) * 4 + oo % 4] = wv;
+                        }
+                    }
+                    packed
+                });
+                KernelLayer {
+                    bias: l.bias.data().to_vec(),
+                    wino_u,
+                    taps4,
+                    act: match &l.act {
+                        None => ActKind::None,
+                        Some(Act::Relu) => ActKind::Relu,
+                        Some(Act::PRelu(a)) => ActKind::PRelu(a.data().to_vec()),
+                    },
+                }
+            })
+            .collect();
+        let graph = LayerGraph::new(
+            shapes,
+            model.scale(),
+            model.has_feature_residual(),
+            model.has_input_residual(),
+        );
+        Self { layers, graph }
+    }
+
+    /// Each layer's shape, in execution order.
+    pub fn layers(&self) -> &[LayerShape] {
+        self.graph.layers()
+    }
+}
+
+impl Datapath for CollapsedKernels {
+    type Elem = f32;
+    const STAGES_INPUT: bool = false;
+
+    fn graph(&self) -> &LayerGraph {
+        &self.graph
+    }
+
+    fn buffer_len(c: usize, h: usize, w: usize) -> usize {
+        c * h * w
+    }
+
+    /// Winograd layers keep one gathered and one transformed input tile
+    /// set, one accumulated m-tile plus one 2x2 output tile per output
+    /// channel, and two output rows per channel; direct-conv layers keep
+    /// one padded output row per channel plus the `kh` padded input rows
+    /// of every input channel for the current output row.
+    fn slab_len(&self, _h: usize, w: usize) -> usize {
+        self.layers
+            .iter()
+            .zip(self.graph.layers())
+            .map(|(l, s)| {
+                if l.wino_u.is_some() {
+                    2 * s.cin * 16 + s.cout * 16 + s.cout * 4 + s.cout * 2 * w
+                } else {
+                    s.cout * w.next_multiple_of(8) + s.cin * s.kh * padded_stride(w, s.kw)
+                }
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The staging-slab offset of every tap of a direct-conv layer in
+    /// im2col row order (`KC`-sized blocks are contiguous slices); empty
+    /// for Winograd layers. Padded rows make the offsets independent of
+    /// the output row.
+    fn tap_offsets(&self, layer: usize, _h: usize, w: usize) -> Vec<usize> {
+        if self.layers[layer].wino_u.is_some() {
+            return Vec::new();
+        }
+        let s = self.graph.layers()[layer];
+        let stride = padded_stride(w, s.kw);
+        (0..s.cin * s.kh * s.kw)
+            .map(|p| {
+                let (row, kx) = (p / s.kw, p % s.kw);
+                row * stride + kx
+            })
+            .collect()
+    }
+
+    /// Step 0 reads the caller's plane directly.
+    fn stage_input<'a>(
+        &self,
+        _mk: &dyn Microkernel,
+        input: &'a [f32],
+        _staged: &'a mut [f32],
+        _bands: &[(usize, usize)],
+        _w: usize,
+    ) -> &'a [f32] {
+        input
+    }
+
+    fn run_band(
+        &self,
+        mk: &dyn Microkernel,
+        io: &StepIo<'_, f32>,
+        y0: usize,
+        y1: usize,
+        slab: &mut [f32],
+    ) {
+        let (layer, shape) = (&self.layers[io.layer], self.graph.layers()[io.layer]);
+        let (h, w, s) = (io.h, io.w, self.graph.scale());
+        let epi = Epilogue {
+            mk,
+            bias: &layer.bias,
+            act: &layer.act,
+            double_output: io.double_output,
+            add_first: io.first,
+            input_plane: io.input,
+            dst: match io.dst {
+                Some(off) => Dst::Plane { ptr: io.arena, off },
+                None => Dst::Scatter {
+                    ptr: io.out,
+                    scale: s,
+                    out_w: w * s,
+                    map: self.graph.head_scatter(),
+                },
+            },
+        };
+        if layer.wino_u.is_some() {
+            wino_band(mk, layer, shape, io.src, h, w, y0, y1, slab, &epi);
+        } else {
+            conv_band(mk, layer, shape, io.offs, io.src, h, w, y0, y1, slab, &epi);
+        }
+    }
 }
 
 /// Everything the fused output write of one band needs. `emit` performs
@@ -301,396 +994,6 @@ impl Epilogue<'_> {
     }
 }
 
-/// A compiled execution plan for one `(model, input shape)` pair.
-///
-/// Building the plan allocates the arena; [`InferPlan::run_image_into`]
-/// then runs the full network without touching the heap. Reuse a plan for
-/// every same-shaped input (batches, repeated requests, same-shaped
-/// tiles).
-#[derive(Debug)]
-pub struct InferPlan {
-    kernels: Arc<CollapsedKernels>,
-    h: usize,
-    w: usize,
-    /// Microkernel variant every step dispatches through. Defaults to the
-    /// process-global [`kernel_variant`]; [`InferPlan::autotune_variant`]
-    /// measures and pins the fastest one for this plan's shapes. Within a
-    /// variant, output is bit-identical to the reference path run on the
-    /// same variant; *between* variants, FMA contraction changes bits.
-    variant: KernelVariant,
-    bands: Vec<(usize, usize)>,
-    steps: Vec<Step>,
-    /// Per direct-conv layer, the staging-slab offset of every tap in
-    /// im2col row order (`KC`-sized blocks are contiguous slices); empty
-    /// for Winograd layers. Padded rows make the offsets independent of
-    /// the output row, so they are fixed here once.
-    tap_offs: Vec<Vec<usize>>,
-    arena: Vec<f32>,
-    off_first: usize,
-    first_len: usize,
-    off_ping: usize,
-    off_pong: usize,
-    off_slabs: usize,
-    slab_len: usize,
-}
-
-impl InferPlan {
-    /// Compiles a plan for an `h x w` LR input, with one row band per
-    /// available worker thread (fixed at build time).
-    pub fn new(kernels: Arc<CollapsedKernels>, h: usize, w: usize) -> Self {
-        let n = num_threads();
-        Self::with_bands(kernels, h, w, n)
-    }
-
-    /// Compiles a plan with an explicit band count (1 disables intra-layer
-    /// parallelism — used by tile executors that parallelize over tiles).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate shape or zero bands.
-    pub fn with_bands(kernels: Arc<CollapsedKernels>, h: usize, w: usize, nbands: usize) -> Self {
-        assert!(h > 0 && w > 0, "degenerate input {h}x{w}");
-        assert!(nbands > 0, "need at least one band");
-        let bands = make_bands(h, nbands);
-        let steps = make_steps(&kernels);
-        let tap_offs = kernels
-            .layers
-            .iter()
-            .map(|l| {
-                if l.wino_u.is_some() {
-                    return Vec::new();
-                }
-                let stride = padded_stride(w, l.kw);
-                (0..l.cin * l.kh * l.kw)
-                    .map(|p| {
-                        let (row, kx) = (p / l.kw, p % l.kw);
-                        row * stride + kx
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let first_len = kernels.layers[0].cout * h * w;
-        let mid_len = kernels.layers[1..kernels.layers.len() - 1]
-            .iter()
-            .map(|l| l.cout * h * w)
-            .max()
-            .unwrap_or(0);
-        // Winograd layers keep one gathered and one transformed input
-        // tile set, one accumulated m-tile plus one 2x2 output tile per
-        // output channel, and two output rows per channel; direct-conv
-        // layers keep one padded output row per channel plus the `kh`
-        // padded input rows of every input channel for the current
-        // output row.
-        let slab_len = kernels
-            .layers
-            .iter()
-            .map(|l| {
-                if l.wino_u.is_some() {
-                    2 * l.cin * 16 + l.cout * 16 + l.cout * 4 + l.cout * 2 * w
-                } else {
-                    l.cout * w.next_multiple_of(8) + l.cin * l.kh * padded_stride(w, l.kw)
-                }
-            })
-            .max()
-            .unwrap_or(0);
-
-        let off_first = 0;
-        let off_ping = off_first + first_len;
-        let off_pong = off_ping + mid_len;
-        let off_slabs = off_pong + mid_len;
-        let arena = vec![0.0f32; off_slabs + bands.len() * slab_len];
-        Self {
-            kernels,
-            h,
-            w,
-            variant: kernel_variant(),
-            bands,
-            steps,
-            tap_offs,
-            arena,
-            off_first,
-            first_len,
-            off_ping,
-            off_pong,
-            off_slabs,
-            slab_len,
-        }
-    }
-
-    /// The `(h, w)` LR shape this plan was compiled for.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.h, self.w)
-    }
-
-    /// The microkernel variant this plan dispatches through.
-    pub fn variant(&self) -> KernelVariant {
-        self.variant
-    }
-
-    /// Pins the plan to `v` (degraded to the best available variant if `v`
-    /// cannot run here) and returns the effective choice. Callers that
-    /// need bit-identity with another executor (the reference path, a
-    /// whole-frame plan next to tile plans) must pin both sides to the
-    /// same variant.
-    pub fn set_variant(&mut self, v: KernelVariant) -> KernelVariant {
-        self.variant = microkernel(v).variant();
-        self.variant
-    }
-
-    /// Measures one full planned run per detected variant (twice, scored
-    /// by minimum wall time; ties resolve toward detection order, i.e.
-    /// the fastest-assumed variant) and pins the winner. Runs on a
-    /// synthetic input and allocates scratch — call at plan-compile time,
-    /// never in steady state. Deterministic given the measurements; see
-    /// [`pick`].
-    pub fn autotune_variant(&mut self) -> KernelVariant {
-        let cands = detected_variants();
-        if cands.len() > 1 {
-            let s = self.kernels.scale;
-            let input = vec![0.25f32; self.h * self.w];
-            let mut out = vec![0.0f32; self.h * s * self.w * s];
-            let (winner, _costs) = pick(cands, 2, |&v| {
-                self.variant = v;
-                time_ns(|| self.run_image_into(&input, &mut out))
-            });
-            self.variant = cands[winner];
-        } else {
-            self.variant = cands[0];
-        }
-        self.variant
-    }
-
-    /// The shared preprocessed kernels.
-    pub fn kernels(&self) -> &Arc<CollapsedKernels> {
-        &self.kernels
-    }
-
-    /// Total bytes of the preallocated arena — the plan's entire
-    /// steady-state working set besides input and output.
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Number of planned layer executions (= collapsed layers).
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
-    }
-
-    fn buf_off(&self, buf: Buf) -> usize {
-        match buf {
-            Buf::First => self.off_first,
-            Buf::Ping => self.off_ping,
-            Buf::Pong => self.off_pong,
-            Buf::Input | Buf::Output => unreachable!("not an arena buffer"),
-        }
-    }
-
-    /// Runs the planned network on one LR plane (`h * w` floats) into a
-    /// preallocated HR plane (`h*scale * w*scale` floats). Performs zero
-    /// heap allocations (one pool-job header per layer when running on
-    /// more than one thread).
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths disagree with the planned shape.
-    pub fn run_image_into(&mut self, input: &[f32], out: &mut [f32]) {
-        self.run_steps(input, out, None);
-    }
-
-    /// [`InferPlan::run_image_into`] with per-layer wall-time accumulation
-    /// (nanoseconds added to `layer_nanos[i]` for step `i`). Bench-only;
-    /// same output bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer_nanos` does not have one slot per step.
-    pub fn run_image_into_timed(
-        &mut self,
-        input: &[f32],
-        out: &mut [f32],
-        layer_nanos: &mut [u64],
-    ) {
-        assert_eq!(layer_nanos.len(), self.steps.len(), "one slot per layer");
-        self.run_steps(input, out, Some(layer_nanos));
-    }
-
-    fn run_steps(&mut self, input: &[f32], out: &mut [f32], mut timings: Option<&mut [u64]>) {
-        let (h, w) = (self.h, self.w);
-        let s = self.kernels.scale;
-        assert_eq!(input.len(), h * w, "input plane size");
-        assert_eq!(out.len(), h * s * w * s, "output plane size");
-        let arena_ptr = SendPtr(self.arena.as_mut_ptr());
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        let mk = microkernel(self.variant);
-
-        for (si, step) in self.steps.iter().enumerate() {
-            let t0 = timings.is_some().then(Instant::now);
-            let layer = &self.kernels.layers[step.layer];
-            let src: &[f32] = match step.src {
-                Buf::Input => input,
-                b => {
-                    // SAFETY: the source buffer was fully written by a
-                    // previous step (steps are separated by parallel_for
-                    // joins) and no band writes it during this step —
-                    // ping-pong assignment keeps src and dst disjoint.
-                    unsafe {
-                        std::slice::from_raw_parts(
-                            arena_ptr.0.add(self.buf_off(b)),
-                            layer.cin * h * w,
-                        )
-                    }
-                }
-            };
-            let first: Option<&[f32]> = step.add_first.then(|| {
-                // SAFETY: `first` was written by step 0 and is never a
-                // destination afterwards.
-                unsafe {
-                    std::slice::from_raw_parts(arena_ptr.0.add(self.off_first), self.first_len)
-                }
-            });
-            let dst = match step.dst {
-                Buf::Output => Dst::Scatter {
-                    ptr: out_ptr,
-                    scale: s,
-                    out_w: w * s,
-                    map: &self.kernels.head_scatter,
-                },
-                b => Dst::Plane {
-                    ptr: arena_ptr,
-                    off: self.buf_off(b),
-                },
-            };
-            let epi = Epilogue {
-                mk,
-                bias: &layer.bias,
-                act: &layer.act,
-                double_output: step.double_output,
-                add_first: first,
-                input_plane: (step.dst == Buf::Output && self.kernels.input_residual)
-                    .then_some(input),
-                dst,
-            };
-            let bands = &self.bands;
-            let (off_slabs, slab_len) = (self.off_slabs, self.slab_len);
-            let offs = &self.tap_offs[step.layer];
-            parallel_for(bands.len(), 1, |b0, b1| {
-                for (bi, &(y0, y1)) in bands.iter().enumerate().take(b1).skip(b0) {
-                    // SAFETY: slabs are disjoint per band and bands are
-                    // assigned whole to closure calls.
-                    let slab = unsafe { arena_ptr.slice_mut(off_slabs + bi * slab_len, slab_len) };
-                    if layer.wino_u.is_some() {
-                        wino_band(mk, layer, src, h, w, y0, y1, slab, &epi);
-                    } else {
-                        conv_band(mk, layer, offs, src, h, w, y0, y1, slab, &epi);
-                    }
-                }
-            });
-            if let Some(t) = timings.as_deref_mut() {
-                t[si] += t0.expect("timer started").elapsed().as_nanos() as u64;
-            }
-        }
-    }
-
-    /// Super-resolves a `[1, h, w]` luma image through the plan. Allocates
-    /// only the returned tensor; all intermediates live in the arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input shape disagrees with the planned shape.
-    pub fn run(&mut self, lr: &Tensor) -> Tensor {
-        let dims = lr.shape();
-        assert_eq!(dims, &[1, self.h, self.w], "input must match plan shape");
-        let s = self.kernels.scale;
-        let mut out = Tensor::zeros(&[1, self.h * s, self.w * s]);
-        self.run_image_into(lr.data(), out.data_mut());
-        out
-    }
-
-    /// Super-resolves a `[N, 1, h, w]` batch, reusing this plan's single
-    /// arena across all `N` images.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not single-channel NCHW of the planned
-    /// shape.
-    pub fn run_batch(&mut self, input: &Tensor) -> Tensor {
-        let (n, c, h, w) = input.shape_obj().as_nchw();
-        assert_eq!(c, 1, "SESR operates on the Y channel (1 input channel)");
-        assert_eq!((h, w), (self.h, self.w), "input must match plan shape");
-        let s = self.kernels.scale;
-        let (oh, ow) = (h * s, w * s);
-        let mut out = Tensor::zeros(&[n, 1, oh, ow]);
-        let out_data = out.data_mut();
-        for ni in 0..n {
-            self.run_image_into(
-                &input.data()[ni * h * w..(ni + 1) * h * w],
-                &mut out_data[ni * oh * ow..(ni + 1) * oh * ow],
-            );
-        }
-        out
-    }
-}
-
-/// Splits `0..h` into at most `nbands` contiguous row bands aligned to
-/// Winograd tile rows: every band start is even, and band ends are even
-/// or `h`. Band boundaries are a pure function of `(h, nbands)` — fixed
-/// band order is part of the determinism argument. Public so the
-/// quantized planned executor (`sesr-quant`) bands identically.
-pub fn make_bands(h: usize, nbands: usize) -> Vec<(usize, usize)> {
-    let pairs = h.div_ceil(2);
-    let nb = nbands.min(pairs).max(1);
-    let base = pairs / nb;
-    let rem = pairs % nb;
-    let mut bands = Vec::with_capacity(nb);
-    let mut p = 0usize;
-    for i in 0..nb {
-        let take = base + usize::from(i < rem);
-        let (p0, p1) = (p, p + take);
-        bands.push((2 * p0, (2 * p1).min(h)));
-        p = p1;
-    }
-    bands
-}
-
-/// Assigns each layer a source and destination buffer plus its fused
-/// residual flags, mirroring the reference dataflow exactly.
-fn make_steps(kernels: &CollapsedKernels) -> Vec<Step> {
-    let ll = kernels.layers.len();
-    let mut steps = Vec::with_capacity(ll);
-    steps.push(Step {
-        layer: 0,
-        src: Buf::Input,
-        dst: Buf::First,
-        add_first: false,
-        double_output: ll == 2 && kernels.feature_residual,
-    });
-    let mut cur = Buf::First;
-    for i in 1..ll - 1 {
-        let dst = if cur == Buf::Ping {
-            Buf::Pong
-        } else {
-            Buf::Ping
-        };
-        steps.push(Step {
-            layer: i,
-            src: cur,
-            dst,
-            add_first: kernels.feature_residual && i == ll - 2,
-            double_output: false,
-        });
-        cur = dst;
-    }
-    steps.push(Step {
-        layer: ll - 1,
-        src: cur,
-        dst: Buf::Output,
-        add_first: false,
-        double_output: false,
-    });
-    steps
-}
-
 /// Row stride of the staged input rows of a `kw`-wide direct convolution
 /// over `w` columns: the output row rounded up to whole 8-lane vectors,
 /// plus the `kw - 1` columns its taps reach past it. Columns outside the
@@ -712,6 +1015,7 @@ fn padded_stride(w: usize, kw: usize) -> usize {
 fn conv_band(
     mk: &dyn Microkernel,
     layer: &KernelLayer,
+    shape: LayerShape,
     offs: &[usize],
     src: &[f32],
     h: usize,
@@ -721,15 +1025,15 @@ fn conv_band(
     slab: &mut [f32],
     epi: &Epilogue<'_>,
 ) {
-    let (pt, _pb, pl, _pr) = Conv2dParams::same().resolve_padding(layer.kh, layer.kw);
-    let k = layer.cin * layer.kh * layer.kw;
+    let (pt, _pb, pl, _pr) = Conv2dParams::same().resolve_padding(shape.kh, shape.kw);
+    let k = shape.cin * shape.kh * shape.kw;
     let taps4 = layer.taps4.as_ref().expect("direct-conv layer");
-    let (npad, stride) = (w.next_multiple_of(8), padded_stride(w, layer.kw));
-    let (totals, rest) = slab.split_at_mut(layer.cout * npad);
-    let stage = &mut rest[..layer.cin * layer.kh * stride];
+    let (npad, stride) = (w.next_multiple_of(8), padded_stride(w, shape.kw));
+    let (totals, rest) = slab.split_at_mut(shape.cout * npad);
+    let stage = &mut rest[..shape.cin * shape.kh * stride];
     for y in y0..y1 {
         for (r, row) in stage.chunks_exact_mut(stride).enumerate() {
-            let (cc, ky) = (r / layer.kh, r % layer.kh);
+            let (cc, ky) = (r / shape.kh, r % shape.kh);
             match (y + ky).checked_sub(pt).filter(|&iy| iy < h) {
                 Some(iy) => {
                     row[..pl].fill(0.0);
@@ -745,7 +1049,7 @@ fn conv_band(
                 mk.conv_taps4(acc, npad, &wg[4 * k0..4 * k1], &offs[k0..k1], stage, k0 > 0);
             }
         }
-        for co in 0..layer.cout {
+        for co in 0..shape.cout {
             epi.emit_row(co, y, &mut totals[co * npad..][..w], h, w);
         }
     }
@@ -760,6 +1064,7 @@ fn conv_band(
 fn wino_band(
     mk: &dyn Microkernel,
     layer: &KernelLayer,
+    shape: LayerShape,
     src: &[f32],
     h: usize,
     w: usize,
@@ -768,7 +1073,7 @@ fn wino_band(
     slab: &mut [f32],
     epi: &Epilogue<'_>,
 ) {
-    let (cin, cout) = (layer.cin, layer.cout);
+    let (cin, cout) = (shape.cin, shape.cout);
     let u = layer.wino_u.as_ref().expect("wino layer");
     let (d_slab, rest) = slab.split_at_mut(cin * 16);
     let (v_slab, rest) = rest.split_at_mut(cin * 16);
@@ -838,99 +1143,6 @@ fn wino_band(
                 epi.emit_row(oo, yy, &mut rowbuf[(oo * 2 + dy) * w..][..w], h, w);
             }
         }
-    }
-}
-
-/// Lazily builds and caches one [`InferPlan`] per tile shape. Tile
-/// executors parallelize over tiles, so cached plans use a single band.
-///
-/// The cache is bounded: at most [`TilePlanner::DEFAULT_CAP`] shapes are
-/// kept (override with [`TilePlanner::with_capacity`]), evicting the
-/// least-recently-used plan once full. An image run sees a handful of
-/// shapes (interior, right edge, bottom edge, corner) and never evicts;
-/// long-lived video sessions with varying frame sizes would otherwise
-/// grow the cache without bound. Eviction only costs a rebuild on the
-/// next use of that shape — plans are caches of geometry, not state —
-/// so it can never change output bits.
-#[derive(Debug)]
-pub struct TilePlanner {
-    kernels: Arc<CollapsedKernels>,
-    /// Most-recently-used first.
-    plans: Vec<InferPlan>,
-    cap: usize,
-    evictions: u64,
-}
-
-impl TilePlanner {
-    /// Default bound on cached tile shapes. A single frame size needs at
-    /// most four (interior / right edge / bottom edge / corner); eight
-    /// leaves headroom for one resolution change without thrash.
-    pub const DEFAULT_CAP: usize = 8;
-
-    /// Creates an empty planner over shared kernels.
-    pub fn new(kernels: Arc<CollapsedKernels>) -> Self {
-        Self::with_capacity(kernels, Self::DEFAULT_CAP)
-    }
-
-    /// Creates an empty planner holding at most `cap` tile shapes.
-    ///
-    /// # Panics
-    ///
-    /// When `cap` is zero — a planner that cannot hold any plan would
-    /// rebuild on every call.
-    pub fn with_capacity(kernels: Arc<CollapsedKernels>, cap: usize) -> Self {
-        assert!(cap > 0, "tile-plan cache capacity must be positive");
-        Self {
-            kernels,
-            plans: Vec::new(),
-            cap,
-            evictions: 0,
-        }
-    }
-
-    /// The plan for an `h x w` tile, building it on first use. Moves the
-    /// plan to the front of the LRU order; evicts the least-recently-used
-    /// shape when inserting past capacity.
-    pub fn plan_for(&mut self, h: usize, w: usize) -> &mut InferPlan {
-        if let Some(i) = self.plans.iter().position(|p| p.shape() == (h, w)) {
-            let plan = self.plans.remove(i);
-            self.plans.insert(0, plan);
-        } else {
-            if self.plans.len() == self.cap {
-                self.plans.pop();
-                self.evictions += 1;
-            }
-            self.plans
-                .insert(0, InferPlan::with_bands(self.kernels.clone(), h, w, 1));
-        }
-        &mut self.plans[0]
-    }
-
-    /// How many plans have been evicted over the planner's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Number of currently cached tile shapes.
-    pub fn cached_plans(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Crops the halo-expanded patch of `spec` and runs it through the
-    /// cached plan for that patch shape.
-    pub fn run_tile(&mut self, lr: &Tensor, spec: &crate::tiling::TileSpec) -> Tensor {
-        let patch = lr.crop_hw(spec.ey0, spec.ey1, spec.ex0, spec.ex1);
-        let dims = patch.shape();
-        self.plan_for(dims[1], dims[2]).run(&patch)
-    }
-
-    /// Largest arena across the cached plans (telemetry).
-    pub fn max_arena_bytes(&self) -> usize {
-        self.plans
-            .iter()
-            .map(InferPlan::arena_bytes)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -1069,38 +1281,6 @@ mod tests {
         assert_eq!(planner.plans.len(), 2, "same shape must share one plan");
         assert!(planner.max_arena_bytes() > 0);
         assert_eq!(planner.evictions(), 0);
-    }
-
-    #[test]
-    fn tile_planner_evicts_lru_and_stays_correct() {
-        let net = collapsed(SesrConfig::m(2).with_expanded(8).with_seed(3));
-        let kernels = Arc::new(CollapsedKernels::new(&net));
-        let mut planner = TilePlanner::with_capacity(kernels, 2);
-        let shapes = [(8usize, 8usize), (8, 6), (6, 8), (8, 8), (6, 6)];
-        for &(h, w) in &shapes {
-            // Every call — hit, miss, or post-eviction rebuild — must
-            // produce exactly the reference bits.
-            let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, (h * 31 + w) as u64);
-            let got = planner.plan_for(h, w).run(&lr);
-            let want = net.run_reference(&lr);
-            assert_eq!(
-                want.max_abs_diff(&got.reshape(want.shape())),
-                0.0,
-                "{h}x{w}"
-            );
-            assert!(planner.cached_plans() <= 2, "capacity bound violated");
-        }
-        // 5 distinct-shape misses into a cap of 2 ⇒ at least one eviction;
-        // exact count: misses at (8,8),(8,6),(6,8)[evict],(8,8)[evict],(6,6)[evict].
-        assert_eq!(planner.evictions(), 3);
-        // Re-touching a shape must move it to the front: (6,6) and (8,8)
-        // are resident; touching (6,6) then inserting a new shape must
-        // evict (8,8), not (6,6).
-        let _ = planner.plan_for(6, 6);
-        let _ = planner.plan_for(10, 10);
-        assert_eq!(planner.evictions(), 4);
-        let _ = planner.plan_for(6, 6); // still resident: no eviction
-        assert_eq!(planner.evictions(), 4);
     }
 
     #[test]

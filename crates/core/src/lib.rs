@@ -54,7 +54,7 @@ pub use checkpoint::{
     CheckpointError,
 };
 pub use collapsed::CollapsedSesr;
-pub use infer_plan::{CollapsedKernels, InferPlan, TilePlanner};
+pub use infer_plan::{CollapsedKernels, Datapath, InferPlan, LayerGraph, Plan, TilePlanner};
 pub use model::{Activation, BlockKind, Sesr, SesrConfig};
 pub use model_io::{decode_model, encode_model, load_model, save_model};
 pub use tiling::{TileError, TilePlan, TileSpec};

@@ -92,11 +92,6 @@ pub struct EngineConfig {
     /// worker fully independent; the router injects one store across its
     /// whole fleet so freshly spawned shards start warm.
     pub shared_plans: Option<Arc<crate::plan_cache::SharedPlanCache>>,
-    /// Autotuner-choice file (written by `sesr_tensor::autotune::
-    /// save_choices`) loaded once per process when the engine starts, so
-    /// replacement and scaled-up shards skip re-measurement. Load
-    /// failures are non-fatal: the engine runs with baseline blocking.
-    pub tuner_path: Option<std::path::PathBuf>,
     /// Serving-precision policy. Under `Int8 { psnr_budget }` every
     /// model is graded once at first use (calibrate → quantize → ΔPSNR
     /// vs f32 on a fixed synthetic scene) and served from planned int8
@@ -123,7 +118,6 @@ impl Default for EngineConfig {
             jitter_seed: 0x5E5E_B0FF,
             chaos: None,
             shared_plans: None,
-            tuner_path: None,
             precision: PrecisionPolicy::F32,
         }
     }
@@ -468,13 +462,6 @@ impl Engine {
     /// `workers == 0` is allowed (useful in tests: requests queue but
     /// nothing consumes them until the engine shuts down).
     pub fn new(cfg: EngineConfig, registry: Arc<ModelRegistry>) -> Self {
-        if let Some(path) = &cfg.tuner_path {
-            // Warm the process-wide GEMM blocking cache from persisted
-            // autotuner choices (once per path per process, so respawns
-            // and scale-ups cost nothing). A stale/corrupt/mismatched
-            // file is survivable: baseline blocking, not a dead shard.
-            let _ = sesr_tensor::autotune::load_choices_once(path);
-        }
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(cfg.queue_capacity),
             registry,

@@ -98,11 +98,6 @@ pub struct RouterBenchConfig {
     /// arrivals, long enough for the controller's cold streak to drain
     /// the fleet back down at least once.
     pub autoscale_quiet: Duration,
-    /// Optional persisted-autotuner file (written by
-    /// `sesr infer-bench --tuner-out`); every engine spawn — including
-    /// elastic scale-ups — seeds its GEMM blocking choices from it
-    /// instead of re-tuning.
-    pub tuner_file: Option<std::path::PathBuf>,
 }
 
 impl Default for RouterBenchConfig {
@@ -125,7 +120,6 @@ impl Default for RouterBenchConfig {
             expanded: 16,
             autoscale_hz: 600.0,
             autoscale_quiet: Duration::from_millis(1500),
-            tuner_file: None,
         }
     }
 }
@@ -208,7 +202,6 @@ fn router_for(
     shards: usize,
     registry: Arc<ModelRegistry>,
     autoscale: Option<AutoscaleConfig>,
-    tuner_file: Option<std::path::PathBuf>,
 ) -> Router {
     // The elastic phase starts at one shard under the full mix, so the
     // router queue must absorb the pre-scale-up backlog (deadline
@@ -227,7 +220,6 @@ fn router_for(
                 // Keep big inputs on the whole-image path so one heavy
                 // request occupies the worker in one piece.
                 tile_threshold_px: usize::MAX,
-                tuner_path: tuner_file,
                 ..EngineConfig::default()
             },
             shard_queue_capacity,
@@ -299,12 +291,7 @@ fn run_phase(
     problems: &mut Vec<String>,
 ) -> Result<PhaseReport, String> {
     let registry = registry_for(cfg)?;
-    let router = Arc::new(router_for(
-        shards,
-        registry,
-        autoscale,
-        cfg.tuner_file.clone(),
-    ));
+    let router = Arc::new(router_for(shards, registry, autoscale));
     let key = ModelKey::new(&cfg.arch, cfg.scale);
     let assignments: Vec<(String, usize)> = specs
         .iter()
@@ -374,7 +361,7 @@ fn place_heavy_tenant(cfg: &RouterBenchConfig, interactive: &[String]) -> String
     let Ok(registry) = registry_for(cfg) else {
         return "bulk-0".to_string();
     };
-    let probe = router_for(cfg.shard_counts.1, registry, None, None);
+    let probe = router_for(cfg.shard_counts.1, registry, None);
     let key = ModelKey::new(&cfg.arch, cfg.scale);
     let taken: Vec<usize> = interactive
         .iter()
@@ -561,13 +548,6 @@ pub fn router_bench_report_json(cfg: &RouterBenchConfig, r: &RouterBenchReport) 
         .int("expanded", cfg.expanded as u64)
         .num("autoscale_hz", cfg.autoscale_hz)
         .num("autoscale_quiet_s", cfg.autoscale_quiet.as_secs_f64())
-        .str(
-            "tuner_file",
-            &cfg.tuner_file
-                .as_deref()
-                .map(|p| p.display().to_string())
-                .unwrap_or_default(),
-        )
         .finish();
     let problems: Vec<String> = r
         .problems

@@ -354,7 +354,7 @@ impl Autoscaler {
     /// Spawns an engine into a dormant slot and joins it to the ring.
     /// The new shard is warm by construction: its workers draw collapsed
     /// kernels from the shared plan store and the GEMM autotuner cache
-    /// is process-wide (plus file-seeded via `EngineConfig::tuner_path`).
+    /// is process-wide.
     fn scale_up(&mut self, core: &Arc<RouterCore>, tick: u64, st: &mut [ProbeState]) {
         let Some(slot) = core.shards.iter().position(|s| {
             s.engine

@@ -29,9 +29,7 @@
 
 use crate::gemm;
 use crate::parallel::num_threads;
-use std::collections::{HashMap, HashSet};
-use std::fmt;
-use std::path::{Path, PathBuf};
+use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -195,204 +193,6 @@ pub fn cached_gemm_choices() -> usize {
         .map_or(0, HashMap::len)
 }
 
-// ---------------------------------------------------------------------------
-// Tuner-choice persistence
-// ---------------------------------------------------------------------------
-
-/// Magic + version line of the tuner file. Bumping the format bumps the
-/// version; loaders reject anything they don't understand rather than
-/// guessing.
-const TUNER_MAGIC: &str = "sesr-tuner v1";
-
-/// Why a tuner file failed to load. `VariantMismatch` is not an error in
-/// the usual sense — the file is valid but was tuned for different
-/// hardware paths, so installing its choices would be wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TunerFileError {
-    /// I/O failure reading the file (missing file, permissions, ...).
-    Io(String),
-    /// Magic/version line absent or unknown.
-    BadMagic,
-    /// Trailing checksum line missing or wrong — truncated or hand-edited.
-    BadChecksum,
-    /// A body line failed to parse.
-    BadEntry(String),
-    /// The file records choices for a different kernel variant than the
-    /// one active in this process; its measurements don't transfer.
-    VariantMismatch {
-        /// Variant name recorded in the file.
-        recorded: String,
-        /// Variant active in this process.
-        active: String,
-    },
-}
-
-impl fmt::Display for TunerFileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TunerFileError::Io(e) => write!(f, "tuner file io error: {e}"),
-            TunerFileError::BadMagic => write!(f, "tuner file has unknown magic/version"),
-            TunerFileError::BadChecksum => write!(f, "tuner file checksum mismatch"),
-            TunerFileError::BadEntry(line) => write!(f, "tuner file bad entry: {line:?}"),
-            TunerFileError::VariantMismatch { recorded, active } => write!(
-                f,
-                "tuner file recorded for variant {recorded}, process runs {active}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TunerFileError {}
-
-/// FNV-1a over the body text — cheap corruption/truncation detection, not
-/// cryptographic integrity.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Renders the current tuned choices as the versioned file body (without
-/// the checksum line). Entries are sorted so the output is byte-stable
-/// for a given cache state.
-fn render_choices(variant: &str, choices: &GemmChoiceMap) -> String {
-    let mut entries: Vec<_> = choices.iter().collect();
-    entries.sort_by_key(|(&k, _)| k);
-    let mut body = format!("{TUNER_MAGIC}\nvariant {variant}\n");
-    for (&(m, k, n), b) in entries {
-        body.push_str(&format!("gemm {m} {k} {n} {} {}\n", b.nc, b.mc_blocks));
-    }
-    body
-}
-
-/// Writes every cached GEMM blocking choice (and the active kernel
-/// variant) to `path` as a small versioned text file. Returns the number
-/// of entries written. Writing an empty cache is valid — the file then
-/// just pins the variant.
-pub fn save_choices(path: &Path) -> std::io::Result<usize> {
-    let variant = crate::simd::kernel_variant().name().to_string();
-    let choices = GEMM_CHOICES
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-        .unwrap_or_default();
-    let body = render_choices(&variant, &choices);
-    let text = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
-    std::fs::write(path, text)?;
-    Ok(choices.len())
-}
-
-/// One parsed tuner-file entry: the `(m, k, n)` shape and its blocking.
-type TunedEntry = ((usize, usize, usize), GemmBlocking);
-
-/// Parses and validates a tuner file, returning `(variant, entries)`
-/// without installing anything.
-fn parse_choices(text: &str) -> Result<(String, Vec<TunedEntry>), TunerFileError> {
-    // Split the trailing checksum line off the body it covers.
-    let trimmed = text.trim_end_matches('\n');
-    let (body_end, checksum_line) = match trimmed.rfind('\n') {
-        Some(i) => (i + 1, &trimmed[i + 1..]),
-        None => return Err(TunerFileError::BadMagic),
-    };
-    let body = &text[..body_end];
-    let recorded = checksum_line
-        .strip_prefix("checksum ")
-        .and_then(|h| u64::from_str_radix(h.trim(), 16).ok())
-        .ok_or(TunerFileError::BadChecksum)?;
-    if recorded != fnv1a(body.as_bytes()) {
-        return Err(TunerFileError::BadChecksum);
-    }
-    let mut lines = body.lines();
-    if lines.next() != Some(TUNER_MAGIC) {
-        return Err(TunerFileError::BadMagic);
-    }
-    let variant = lines
-        .next()
-        .and_then(|l| l.strip_prefix("variant "))
-        .ok_or(TunerFileError::BadMagic)?
-        .trim()
-        .to_string();
-    let mut entries = Vec::new();
-    for line in lines {
-        let mut it = line.split_whitespace();
-        let bad = || TunerFileError::BadEntry(line.to_string());
-        if it.next() != Some("gemm") {
-            return Err(bad());
-        }
-        let mut num = || -> Result<usize, TunerFileError> {
-            it.next().and_then(|t| t.parse().ok()).ok_or_else(bad)
-        };
-        let (m, k, n, nc, mc) = (num()?, num()?, num()?, num()?, num()?);
-        entries.push(((m, k, n), GemmBlocking { nc, mc_blocks: mc }.clamped()));
-    }
-    Ok((variant, entries))
-}
-
-/// Loads a tuner file written by [`save_choices`] and installs its GEMM
-/// choices into the process-wide cache (up to [`CACHE_CAP`]; entries
-/// already present locally win — they were measured here). Returns the
-/// number of entries installed.
-///
-/// Choices are only installed when the file's recorded kernel variant
-/// matches the variant active in this process — blocking measured under
-/// AVX2 says nothing about scalar, and installing it would silently
-/// de-tune the GEMM. A mismatch returns
-/// [`TunerFileError::VariantMismatch`] and installs nothing.
-pub fn load_choices(path: &Path) -> Result<usize, TunerFileError> {
-    let text = std::fs::read_to_string(path).map_err(|e| TunerFileError::Io(e.to_string()))?;
-    let (variant, entries) = parse_choices(&text)?;
-    let active = crate::simd::kernel_variant().name();
-    if variant != active {
-        return Err(TunerFileError::VariantMismatch {
-            recorded: variant,
-            active: active.to_string(),
-        });
-    }
-    let mut guard = GEMM_CHOICES.lock().unwrap_or_else(|e| e.into_inner());
-    let cache = guard.get_or_insert_with(HashMap::new);
-    let mut installed = 0;
-    for (key, choice) in entries {
-        if cache.len() >= CACHE_CAP {
-            break;
-        }
-        if let std::collections::hash_map::Entry::Vacant(slot) = cache.entry(key) {
-            slot.insert(choice);
-            installed += 1;
-        }
-    }
-    Ok(installed)
-}
-
-static LOADED_TUNER_PATHS: Mutex<Option<HashSet<PathBuf>>> = Mutex::new(None);
-
-/// Idempotent [`load_choices`]: each path is loaded at most once per
-/// process, so every shard spawn can pass the same `tuner_path` without
-/// re-reading the file. Returns `Ok(None)` on an already-loaded path.
-pub fn load_choices_once(path: &Path) -> Result<Option<usize>, TunerFileError> {
-    {
-        let mut guard = LOADED_TUNER_PATHS.lock().unwrap_or_else(|e| e.into_inner());
-        let seen = guard.get_or_insert_with(HashSet::new);
-        if !seen.insert(path.to_path_buf()) {
-            return Ok(None);
-        }
-    }
-    match load_choices(path) {
-        Ok(n) => Ok(Some(n)),
-        Err(e) => {
-            // A failed load should not pin the path forever — a later
-            // attempt (e.g. after the file is re-written) may succeed.
-            let mut guard = LOADED_TUNER_PATHS.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(seen) = guard.as_mut() {
-                seen.remove(path);
-            }
-            Err(e)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,124 +264,5 @@ mod tests {
         .clamped();
         assert_eq!(b.nc, 16);
         assert_eq!(b.mc_blocks, 1);
-    }
-
-    fn tmp_file(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("sesr-autotune-{name}-{}", std::process::id()));
-        p
-    }
-
-    #[test]
-    fn tuner_file_round_trips_choices() {
-        // Seed a couple of distinct shapes through the injected-measurer
-        // path, save, wipe nothing (the cache is process-global), and
-        // verify the rendered body parses back to the same choices.
-        let model = |b: &GemmBlocking| b.nc as u64;
-        let a = gemm_blocking_with(96, 301, 2048, model);
-        let b = gemm_blocking_with(96, 302, 2048, model);
-        let path = tmp_file("roundtrip");
-        let written = save_choices(&path).expect("save");
-        assert!(written >= 2, "expected the seeded shapes in the file");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (variant, entries) = parse_choices(&text).expect("parse");
-        assert_eq!(variant, crate::simd::kernel_variant().name());
-        let map: GemmChoiceMap = entries.into_iter().collect();
-        assert_eq!(map.get(&(96, 301, 2048)), Some(&a));
-        assert_eq!(map.get(&(96, 302, 2048)), Some(&b));
-        // Loading into the same process is a no-op install (entries
-        // already cached locally) but must succeed.
-        load_choices(&path).expect("load");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn tuner_file_rejects_corruption_and_unknown_version() {
-        let path = tmp_file("corrupt");
-        save_choices(&path).unwrap();
-        let good = std::fs::read_to_string(&path).unwrap();
-
-        // Flip a body byte without fixing the checksum.
-        let bad = good.replacen("variant", "varianx", 1);
-        assert_eq!(parse_choices(&bad), Err(TunerFileError::BadChecksum));
-
-        // Unknown version with a *valid* checksum must fail on magic.
-        let body = good
-            .replacen("sesr-tuner v1", "sesr-tuner v9", 1)
-            .lines()
-            .filter(|l| !l.starts_with("checksum "))
-            .fold(String::new(), |mut s, l| {
-                s.push_str(l);
-                s.push('\n');
-                s
-            });
-        let reversioned = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
-        assert_eq!(parse_choices(&reversioned), Err(TunerFileError::BadMagic));
-
-        // Truncation drops the checksum line entirely.
-        let truncated: String = good.lines().take(2).map(|l| format!("{l}\n")).collect();
-        assert_eq!(parse_choices(&truncated), Err(TunerFileError::BadChecksum));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn tuner_file_variant_mismatch_installs_nothing() {
-        let body = format!("{TUNER_MAGIC}\nvariant not-a-real-variant\ngemm 8 8 4096 256 2\n");
-        let text = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
-        let path = tmp_file("mismatch");
-        std::fs::write(&path, text).unwrap();
-        let before = cached_gemm_choices();
-        match load_choices(&path) {
-            Err(TunerFileError::VariantMismatch { recorded, .. }) => {
-                assert_eq!(recorded, "not-a-real-variant");
-            }
-            other => panic!("expected variant mismatch, got {other:?}"),
-        }
-        assert_eq!(cached_gemm_choices(), before, "mismatch must not install");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn load_choices_once_is_idempotent_per_path() {
-        let path = tmp_file("once");
-        save_choices(&path).unwrap();
-        let first = load_choices_once(&path).expect("first load");
-        assert!(first.is_some(), "first load must actually read the file");
-        let second = load_choices_once(&path).expect("second load");
-        assert_eq!(second, None, "second load of the same path is a no-op");
-        let _ = std::fs::remove_file(&path);
-
-        // A missing path errors and does NOT get pinned as loaded.
-        let gone = tmp_file("never-written");
-        assert!(matches!(
-            load_choices_once(&gone),
-            Err(TunerFileError::Io(_))
-        ));
-        assert!(matches!(
-            load_choices_once(&gone),
-            Err(TunerFileError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn loaded_entries_are_clamped() {
-        // A hand-edited file with out-of-range blocking must come back
-        // clamped into the range the pack-scratch sizing supports.
-        let body = format!(
-            "{TUNER_MAGIC}\nvariant {}\ngemm 9 9 4096 13 0\n",
-            crate::simd::kernel_variant().name()
-        );
-        let text = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
-        let (_, entries) = parse_choices(&text).expect("parse");
-        assert_eq!(
-            entries,
-            vec![(
-                (9, 9, 4096),
-                GemmBlocking {
-                    nc: 16,
-                    mc_blocks: 1
-                }
-            )]
-        );
     }
 }

@@ -242,6 +242,8 @@ pub fn parallel_for(n: usize, min_chunk: usize, body: impl Fn(usize, usize) + Sy
 
 /// A `Send`/`Sync` wrapper around a raw mutable pointer, used to let
 /// disjoint chunks of one output buffer be written from multiple threads.
+/// Generic over the element (`f32` unless named), so the f32 and int8
+/// planned executors share one wrapper.
 ///
 /// # Safety contract
 ///
@@ -249,14 +251,17 @@ pub fn parallel_for(n: usize, min_chunk: usize, body: impl Fn(usize, usize) + Sy
 /// ranges. [`parallel_for`] hands out disjoint ranges, so pairing the two is
 /// safe by construction.
 #[derive(Clone, Copy)]
-pub struct SendPtr(pub *mut f32);
+pub struct SendPtr<T = f32>(pub *mut T);
 
-// SAFETY: `SendPtr` is only used with `parallel_for`, whose chunks index
-// disjoint regions of the pointee buffer.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+// SAFETY: the one field is a pointer into a buffer that outlives every
+// use; `SendPtr` is only used with `parallel_for`, whose chunks index
+// disjoint regions of it. Other threads write and read `T` through it,
+// hence the `Send + Sync` bound on the element.
+unsafe impl<T: Send + Sync> Send for SendPtr<T> {}
+// SAFETY: as for `Send`.
+unsafe impl<T: Send + Sync> Sync for SendPtr<T> {}
 
-impl SendPtr {
+impl<T> SendPtr<T> {
     /// Writes `value` at `offset`.
     ///
     /// # Safety
@@ -264,22 +269,10 @@ impl SendPtr {
     /// `offset` must be in bounds for the allocation and not concurrently
     /// written by another thread.
     #[inline]
-    pub unsafe fn write(&self, offset: usize, value: f32) {
+    pub unsafe fn write(&self, offset: usize, value: T) {
         // SAFETY: bounds and non-aliasing are the caller's contract (see
         // above).
         unsafe { *self.0.add(offset) = value };
-    }
-
-    /// Adds `value` at `offset`.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`SendPtr::write`].
-    #[inline]
-    pub unsafe fn add_assign(&self, offset: usize, value: f32) {
-        // SAFETY: bounds and non-aliasing are the caller's contract (see
-        // above).
-        unsafe { *self.0.add(offset) += value };
     }
 
     /// Reborrows `offset..offset + len` of the pointee as a mutable
@@ -292,10 +285,37 @@ impl SendPtr {
     /// lifetime. The caller also chooses `'a`: the slice must not outlive
     /// the buffer the pointer was taken from.
     #[inline]
-    pub unsafe fn slice_mut<'a>(self, offset: usize, len: usize) -> &'a mut [f32] {
+    pub unsafe fn slice_mut<'a>(self, offset: usize, len: usize) -> &'a mut [T] {
         // SAFETY: range validity, non-aliasing, and the lifetime bound are
         // the caller's contract (see above).
         unsafe { std::slice::from_raw_parts_mut(self.0.add(offset), len) }
+    }
+
+    /// Reborrows `offset..offset + len` of the pointee as a shared slice.
+    ///
+    /// # Safety
+    ///
+    /// As [`SendPtr::slice_mut`], except that other shared readers may
+    /// coexist: the range must not be written for the slice's lifetime.
+    #[inline]
+    pub unsafe fn slice<'a>(self, offset: usize, len: usize) -> &'a [T] {
+        // SAFETY: range validity, absence of writers, and the lifetime
+        // bound are the caller's contract (see above).
+        unsafe { std::slice::from_raw_parts(self.0.add(offset), len) }
+    }
+}
+
+impl<T: std::ops::AddAssign> SendPtr<T> {
+    /// Adds `value` at `offset`.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`SendPtr::write`].
+    #[inline]
+    pub unsafe fn add_assign(&self, offset: usize, value: T) {
+        // SAFETY: bounds and non-aliasing are the caller's contract (see
+        // above).
+        unsafe { *self.0.add(offset) += value };
     }
 }
 

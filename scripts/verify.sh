@@ -16,13 +16,16 @@
 #   router-bench router-bench smoke run + shed-order/ledger check
 #   autoscale   bounded-rebalancing proptest + elastic scaling chaos soak
 #   video       streaming-video session tests + video-bench smoke run
-#   infer       planned-inference identity + zero-allocation proofs
+#   infer       planned-inference identity + zero-allocation proofs,
+#               and the plan skeleton's checks at both precisions
 #   int8        quantized-plan oracle identity + zero-allocation proofs,
 #               epilogue kernel sweep, engine precision grading/fallback
 #   simd        kernel unsafe-hygiene audit + scalar/SIMD identity tests
 #               (both dispatch legs: default detection and force-scalar)
 #   bench-smoke serve-bench smoke run + JSON well-formedness check
 #   bench-gate  fresh train/serve/infer/router bench runs vs baselines
+#   benchmark   the benchmark package's own tests (it sits outside the
+#               workspace) + its committed lockfile left unchanged
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -155,6 +158,9 @@ step_infer() {
     cargo test -q --offline -p sesr --test proptest_infer_plan
     cargo test -q --offline -p sesr-core --test ragged_geometry
     cargo test -q --offline -p sesr-core --test zero_alloc
+    # The f32 and int8 plans share one skeleton (tile LRU, timing hook,
+    # variant pin); its checks run once per datapath.
+    cargo test -q --offline -p sesr --test plan_datapaths
 }
 
 step_int8() {
@@ -249,7 +255,19 @@ step_bench_gate() {
     ./scripts/bench_gate.sh
 }
 
-ALL_STEPS=(fmt build test clippy serve chaos router router-bench autoscale video infer int8 simd bench-smoke bench-gate)
+step_benchmark() {
+    # The benchmark (BENCHMARK.json) is a package of its own outside the
+    # workspace, so `cargo test --workspace` never compiles it against
+    # the crates' current API. Build and test it here (unit tests plus a
+    # short smoke run of every workload), then require that the build
+    # left its committed lockfile untouched: a dependency change that
+    # rewrites it must ship with a deliberate change to the benchmark.
+    local manifest=crates/bench/src/bin/benchmark/Cargo.toml
+    cargo test --release --offline --manifest-path "$manifest"
+    git diff --exit-code -- crates/bench/src/bin/benchmark/Cargo.lock
+}
+
+ALL_STEPS=(fmt build test clippy serve chaos router router-bench autoscale video infer int8 simd bench-smoke bench-gate benchmark)
 
 steps=("$@")
 if [[ ${#steps[@]} -eq 0 ]]; then
