@@ -39,14 +39,13 @@
 
 use crate::chaos::{Chaos, ChaosConfig, FaultPoint};
 use crate::plan_cache::{
-    AnyTilePlanner, DecisionSource, PlanCache, Precision, PrecisionDecision, PrecisionPolicy,
+    DecisionSource, PlanCache, PrecisionPolicy, ServedDatapath, ServingKernels,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::{ModelKey, ModelRegistry};
-use crate::telemetry::{Stage, Telemetry};
+use crate::telemetry::{Counters, Stage, Telemetry};
 use crate::video::{SessionStats, VideoError, VideoSession, VideoSessionSpec};
 use sesr_core::{CollapsedSesr, TilePlanner};
-use sesr_quant::QuantTilePlanner;
 use sesr_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
@@ -68,7 +67,7 @@ pub struct EngineConfig {
     pub max_batch: usize,
     /// Inputs with more than this many pixels take the tiled path.
     pub tile_threshold_px: usize,
-    /// Interior tile side used by the tiled path.
+    /// Interior tile side used by the tiled path; must be positive.
     pub tile: usize,
     /// Re-enqueue attempts per request after a retryable failure
     /// (worker crash, transient model-load failure).
@@ -87,10 +86,11 @@ pub struct EngineConfig {
     pub jitter_seed: u64,
     /// Deterministic fault injection (`None` = no faults).
     pub chaos: Option<ChaosConfig>,
-    /// Process-wide collapsed-kernel store worker plan caches consult on
-    /// a local miss (and publish compilations to). `None` keeps every
-    /// worker fully independent; the router injects one store across its
-    /// whole fleet so freshly spawned shards start warm.
+    /// Process-wide store of precision decisions (and the kernels they
+    /// carry) that worker plan caches consult on a local miss and publish
+    /// to. `None` gives every worker a private store; the router injects
+    /// one store across its whole fleet so freshly spawned shards start
+    /// warm.
     pub shared_plans: Option<Arc<crate::plan_cache::SharedPlanCache>>,
     /// Serving-precision policy. Under `Int8 { psnr_budget }` every
     /// model is graded once at first use (calibrate → quantize → ΔPSNR
@@ -461,7 +461,13 @@ impl Engine {
     ///
     /// `workers == 0` is allowed (useful in tests: requests queue but
     /// nothing consumes them until the engine shuts down).
+    ///
+    /// # Panics
+    ///
+    /// When `cfg.tile` is zero: the tiled path could not plan a single
+    /// tile, and would fail every large request.
     pub fn new(cfg: EngineConfig, registry: Arc<ModelRegistry>) -> Self {
+        assert!(cfg.tile > 0, "EngineConfig::tile must be positive");
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(cfg.queue_capacity),
             registry,
@@ -1143,12 +1149,12 @@ fn worker_loop(shared: &Shared) -> LoopEnd {
         (j.key.clone(), j.input.shape().to_vec(), sid)
     };
     // Worker-local: plans survive across groups, die with the worker.
-    // Kernel compilations are drawn from (and published to) the shared
-    // per-process store when the engine has one, so a respawned worker
-    // or a freshly scaled-up shard starts from warm kernels; the plan
-    // arenas themselves stay worker-local (sharing them would serialize
-    // compute on a lock).
-    let mut plans = PlanCache::with_shared(shared.cfg.shared_plans.clone());
+    // Precision decisions are drawn from (and published to) the store,
+    // shared per process when the router injects one, so a respawned
+    // worker or a freshly scaled-up shard starts from warm kernels; the
+    // plan arenas themselves stay worker-local (sharing them would
+    // serialize compute on a lock).
+    let mut plans = PlanCache::with_shared(shared.cfg.shared_plans.clone().unwrap_or_default());
     while let Some(group) = shared.queue.pop_group(shared.cfg.max_batch, batch_key) {
         let outcome = if matches!(group[0].kind, JobKind::Frame { .. }) {
             process_video_group(shared, &mut plans, group)
@@ -1217,32 +1223,44 @@ fn process_group(shared: &Shared, plans: &mut PlanCache, group: Vec<Job>) -> Gro
         std::thread::sleep(delay);
     }
     // Resolve the serving precision once per group. Under the f32 policy
-    // this is free; under int8 the first group for a model pays the
-    // grading (calibrate → quantize → ΔPSNR) or warms it from the shared
-    // store, and every later group hits the worker-local decision cache.
-    let resolved;
-    let (decision, decision_warm): (&PrecisionDecision, bool) = match shared.cfg.precision {
-        PrecisionPolicy::F32 => (&PrecisionDecision::F32, false),
-        PrecisionPolicy::Int8 { psnr_budget } => {
-            let (d, source) = plans.decision_for(&live[0].key, &model, psnr_budget);
-            if source == DecisionSource::Computed && d.precision == Precision::F32 {
-                // Graded here and the budget lost: one fallback per fresh
-                // measurement, not per request.
-                shared.telemetry.counters(|c| c.precision_fallbacks += 1);
-            }
-            resolved = d;
-            (&*resolved, source != DecisionSource::Computed)
-        }
-    };
+    // the first group for a model pays the flatten; under int8 it pays
+    // the grading (calibrate → quantize → ΔPSNR). Either may be warmed
+    // from the store, and every later group hits the worker-local entry.
+    let policy = shared.cfg.precision;
+    let (decision, source) = plans.decision(&live[0].key, &model, policy);
+    if source == DecisionSource::Computed
+        && matches!(policy, PrecisionPolicy::Int8 { .. })
+        && !decision.is_int8()
+    {
+        // Graded here and the budget lost: one fallback per fresh
+        // measurement, not per request.
+        shared.telemetry.counters(|c| c.precision_fallbacks += 1);
+    }
+    let warm = source != DecisionSource::Computed;
+    match &decision.kernels {
+        ServingKernels::F32(k) => serve_group(shared, plans, &model, k, live, warm),
+        ServingKernels::Int8(k) => serve_group(shared, plans, &model, k, live, warm),
+    }
+}
+
+/// One group past the precision decision, on the datapath it chose: a
+/// large single request takes the tiled path, everything else one batch.
+fn serve_group<D: ServedDatapath>(
+    shared: &Shared,
+    plans: &mut PlanCache,
+    model: &CollapsedSesr,
+    kernels: &Arc<D>,
+    live: Vec<Job>,
+    warm: bool,
+) -> GroupOutcome {
     let shape = live[0].input.shape();
-    let px = shape[1] * shape[2];
-    if live.len() == 1 && px > shared.cfg.tile_threshold_px {
+    if live.len() == 1 && shape[1] * shape[2] > shared.cfg.tile_threshold_px {
         if let Some(job) = live.into_iter().next() {
-            run_tiled_request(shared, plans, &model, job, decision, decision_warm);
+            run_tiled_request(shared, model, kernels, job, warm);
         }
         GroupOutcome::Done
     } else {
-        run_batch_jobs(shared, plans, &model, live, decision)
+        run_batch_jobs(shared, plans, kernels, live)
     }
 }
 
@@ -1425,75 +1443,47 @@ fn terminal_failure(shared: &Shared, job: &Job, kind: &FailureKind, msg: &str) {
 /// (compute), then tile interiors are pasted into the output
 /// (reassembly). Tile-worker panics are contained: they fail this
 /// request (retryably), never the worker thread or the process.
-fn run_tiled_request(
+fn run_tiled_request<D: ServedDatapath>(
     shared: &Shared,
-    plans: &mut PlanCache,
-    model: &Arc<CollapsedSesr>,
+    model: &CollapsedSesr,
+    kernels: &Arc<D>,
     job: Job,
-    decision: &PrecisionDecision,
-    decision_warm: bool,
+    warm: bool,
 ) {
-    match run_tiled_compute(shared, plans, model, &job, decision, decision_warm) {
+    match run_tiled_compute(shared, model, kernels, &job, warm) {
         Ok(out) => {
             // Single-lock completion: `completed` and the Total histogram
             // move together, so concurrent snapshots are never torn.
             shared.telemetry.complete(job.enqueued.elapsed());
             job.slot.fulfill(Ok(out));
         }
-        Err(TiledFailure::Plan(msg)) => {
-            // Only reachable with a degenerate config (tile = 0); surface
-            // it rather than panicking a worker.
-            job.slot.fulfill(Err(ServeError::ModelLoad(msg)));
-        }
-        Err(TiledFailure::Crash(msg)) => {
+        Err(msg) => {
             shared.telemetry.counters(|c| c.worker_crashes += 1);
             retry_or_fail(shared, vec![job], &FailureKind::Crash, &msg);
         }
     }
 }
 
-enum TiledFailure {
-    /// Tile planning rejected the geometry.
-    Plan(String),
-    /// A tile worker panicked (captured, not propagated).
-    Crash(String),
-}
-
-fn run_tiled_compute(
+/// The tiled forward pass; `Err` carries a tile worker's panic message
+/// (captured, not propagated).
+fn run_tiled_compute<D: ServedDatapath>(
     shared: &Shared,
-    plans: &mut PlanCache,
-    model: &Arc<CollapsedSesr>,
+    model: &CollapsedSesr,
+    kernels: &Arc<D>,
     job: &Job,
-    decision: &PrecisionDecision,
-    decision_warm: bool,
-) -> Result<Tensor, TiledFailure> {
+    warm: bool,
+) -> Result<Tensor, String> {
     let dims = job.input.shape();
     let (h, w) = (dims[1], dims[2]);
-    let overlap = model.receptive_field_radius();
+    // The overlap is the model's own radius, so the only planning error
+    // left is a zero tile, which `Engine::new` rejects.
     let plan = model
-        .plan_tiles(h, w, shared.cfg.tile, overlap)
-        .map_err(|e| TiledFailure::Plan(e.to_string()))?;
+        .plan_tiles(h, w, shared.cfg.tile, model.receptive_field_radius())
+        .expect("a positive tile at the receptive-field radius always plans");
     let t0 = Instant::now();
     let specs = plan.tiles();
-    // Kernels come from the worker's plan cache (f32) or ride inside the
-    // precision decision (int8) and are shared by every tile thread
-    // below; each thread builds its own (cheap) per-shape tile plans
-    // over them.
-    let (fkernels, qkernels, kernels_hit) = match decision.precision {
-        Precision::F32 => {
-            let (k, hit) = plans.kernels_for(&job.key, model);
-            (Some(k), None, hit)
-        }
-        Precision::Int8 => {
-            let qk = decision
-                .qkernels
-                .clone()
-                .expect("an int8 decision always carries packed kernels");
-            // The packed kernels were compiled with the decision, so
-            // "hit" means the decision itself was already warm.
-            (None, Some(qk), decision_warm)
-        }
-    };
+    // The decision's kernels are shared by every tile thread below; each
+    // thread builds its own (cheap) per-shape tile plans over them.
     let peak_arena = AtomicU64::new(0);
     // Chaos draws once per tiled attempt; the panic detonates inside a
     // tile worker so the containment path is the one exercised.
@@ -1514,15 +1504,8 @@ fn run_tiled_compute(
                 rest = tail;
                 let input = &job.input;
                 let (armed, crash, peak_arena) = (&armed, &crash, &peak_arena);
-                let (fkernels, qkernels) = (&fkernels, &qkernels);
                 s.spawn(move |_| {
-                    let mut planner = match qkernels {
-                        Some(qk) => AnyTilePlanner::Int8(QuantTilePlanner::new(qk.clone())),
-                        None => {
-                            let k = fkernels.as_ref().expect("f32 path resolved kernels");
-                            AnyTilePlanner::F32(TilePlanner::new(k.clone()))
-                        }
-                    };
+                    let mut planner = TilePlanner::new(kernels.clone());
                     for (slot, spec) in head.iter_mut().zip(chunk_specs) {
                         let tile = catch_unwind(AssertUnwindSafe(|| {
                             if armed.swap(false, Ordering::Relaxed) {
@@ -1551,7 +1534,7 @@ fn run_tiled_compute(
         }
     }
     if let Some(msg) = crash.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        return Err(TiledFailure::Crash(msg));
+        return Err(msg);
     }
     let t1 = Instant::now();
     shared.telemetry.record(Stage::Compute, t1 - t0);
@@ -1560,7 +1543,7 @@ fn run_tiled_compute(
     let out_w = w * s;
     for (spec, sr) in specs.iter().zip(&tiles) {
         let Some(sr) = sr.as_ref() else {
-            return Err(TiledFailure::Crash("tile result missing".to_string()));
+            return Err("tile result missing".to_string());
         };
         let sr_w = spec.patch_w() * s;
         for y in spec.y0 * s..spec.y1 * s {
@@ -1573,58 +1556,48 @@ fn run_tiled_compute(
     }
     shared.telemetry.record(Stage::Reassembly, t1.elapsed());
     let arena = peak_arena.load(Ordering::Relaxed);
-    let is_int8 = decision.precision == Precision::Int8;
     shared.telemetry.counters(|c| {
         c.tiled_requests += 1;
         c.tiles_run += specs.len() as u64;
-        if kernels_hit {
-            c.plan_cache_hits += 1;
-            if is_int8 {
-                c.int8_plan_cache_hits += 1;
-            }
-        } else {
-            c.plan_cache_misses += 1;
-            if is_int8 {
-                c.int8_plans_active += 1;
-            }
-        }
-        c.peak_arena_bytes = c.peak_arena_bytes.max(arena);
+        // The tiled path has no plan level: its kernels were compiled with
+        // the decision, so a warm decision is its cache hit.
+        count_plan_lookup::<D>(c, warm, arena);
     });
     Ok(out)
+}
+
+/// Counts one plan-cache lookup (a hit, or a miss that compiled) and
+/// the arena it ran in.
+fn count_plan_lookup<D: ServedDatapath>(c: &mut Counters, hit: bool, arena: u64) {
+    if hit {
+        c.plan_cache_hits += 1;
+        c.int8_plan_cache_hits += u64::from(D::INT8);
+    } else {
+        c.plan_cache_misses += 1;
+        c.int8_plans_active += u64::from(D::INT8);
+    }
+    c.peak_arena_bytes = c.peak_arena_bytes.max(arena);
 }
 
 /// Same-shape batch: stack → one `run_batch` forward → unstack. A panic
 /// anywhere in the pass is caught; the batch's requests are retried or
 /// answered with [`ServeError::WorkerCrashed`], and the worker thread
 /// exits to be respawned by the supervisor.
-fn run_batch_jobs(
+fn run_batch_jobs<D: ServedDatapath>(
     shared: &Shared,
     plans: &mut PlanCache,
-    model: &Arc<CollapsedSesr>,
+    kernels: &Arc<D>,
     jobs: Vec<Job>,
-    decision: &PrecisionDecision,
 ) -> GroupOutcome {
     let t0 = Instant::now();
     // The queue groups same-key same-shape requests, so one cached plan
     // serves the whole batch (its arena is reused image by image).
     let shape = jobs[0].input.shape();
-    let (plan, plan_hit) = plans.plan_for(&jobs[0].key, model, shape[1], shape[2], decision);
+    let (plan, plan_hit) = plans.plan_for(&jobs[0].key, kernels, shape[1], shape[2]);
     let arena = plan.arena_bytes() as u64;
-    let is_int8 = plan.precision() == Precision::Int8;
-    shared.telemetry.counters(|c| {
-        if plan_hit {
-            c.plan_cache_hits += 1;
-            if is_int8 {
-                c.int8_plan_cache_hits += 1;
-            }
-        } else {
-            c.plan_cache_misses += 1;
-            if is_int8 {
-                c.int8_plans_active += 1;
-            }
-        }
-        c.peak_arena_bytes = c.peak_arena_bytes.max(arena);
-    });
+    shared
+        .telemetry
+        .counters(|c| count_plan_lookup::<D>(c, plan_hit, arena));
     let compute = {
         let inputs: Vec<&Tensor> = jobs.iter().map(|j| &j.input).collect();
         catch_unwind(AssertUnwindSafe(|| {

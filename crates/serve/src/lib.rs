@@ -27,6 +27,9 @@
 //!   panics are caught and converted to per-request typed errors; crashed
 //!   workers are respawned with backoff under a restart budget; requests
 //!   retry retryable failures; `shutdown(deadline)` drains gracefully.
+//! * [`plan_cache`] — per-worker LRU levels of precision decisions (the
+//!   f32 or int8 kernels a model serves with, made once per model and
+//!   replicated across shards) and of compiled plans per datapath.
 //! * [`registry`] — models keyed by `(arch, scale)`, lazily loaded from
 //!   `model_io` artifacts, LRU-bounded residency.
 //! * [`telemetry`] — log-scale latency histograms per pipeline stage
@@ -86,8 +89,7 @@ pub use engine::{
 };
 pub use loadgen::{run_load, LoadMode, LoadReport, LoadSpec};
 pub use plan_cache::{
-    AnyPlan, AnyTilePlanner, DecisionSource, PlanCache, Precision, PrecisionDecision,
-    PrecisionPolicy, SharedPlanCache,
+    DecisionSource, PlanCache, PrecisionDecision, PrecisionPolicy, ServingKernels, SharedPlanCache,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use registry::{ModelKey, ModelRegistry, RegistryError, RegistryStats};

@@ -1,39 +1,38 @@
-//! Per-worker cache of compiled inference plans.
+//! Per-worker cache of serving decisions and compiled inference plans.
 //!
-//! Planned execution ([`InferPlan`]) amortizes its setup cost — kernel
-//! flattening, Winograd kernel pre-transform, arena allocation — only if
-//! the plan is reused across requests. Each engine worker owns one
-//! [`PlanCache`]; nothing here is shared or locked, so a cache lookup on
-//! the request hot path costs a short `Vec` scan.
+//! Planned execution ([`Plan`]) amortizes its setup cost — kernel
+//! flattening or quantization, Winograd kernel pre-transform, arena
+//! allocation — only if it is reused across requests. Each engine worker
+//! owns one [`PlanCache`]; its levels are worker-local and unlocked, so a
+//! lookup on the request hot path costs a short `Vec` scan.
 //!
-//! Two levels mirror the two halves of a plan:
+//! **Decisions** are the model-level half. The precision is decided once
+//! per `(model, policy)`: under [`PrecisionPolicy::F32`] the decision is
+//! the flattened float kernels, made without measurement; under
+//! [`PrecisionPolicy::Int8`] the model is calibrated, quantized and
+//! graded against its ΔPSNR budget, and the decision carries the packed
+//! int8 kernels when the loss fits, the flattened float kernels when it
+//! does not. Either way a [`PrecisionDecision`] holds the
+//! [`ServingKernels`] the model serves with, so past the decision the
+//! serving path is generic over the [`Datapath`]. Decisions sit in a
+//! worker-local LRU backed by a [`SharedPlanCache`]; the router hands
+//! every shard one store, so autoscaled shards start warm, and a lone
+//! engine's workers each get a private one.
 //!
-//! * **Kernels** (`Arc<CollapsedKernels>`) are shape-independent and
-//!   shared: the batch path's plans and every tile planner for a model
-//!   reuse one copy of the flattened weights.
-//! * **Plans** (`InferPlan`) are `(model, height, width)`-specific; the
-//!   queue batches same-key same-shape requests, so steady-state traffic
-//!   for a handful of shapes hits a warm plan every time.
-//!
-//! **Precision.** Every plan and tile planner is additionally keyed by
-//! the serving [`Precision`] resolved from the engine's
-//! [`PrecisionPolicy`]: an int8-eligible model caches [`QuantPlan`]s, an
-//! f32 model caches [`InferPlan`]s, and the two never mix. The
-//! load-time decision itself — calibrate, quantize, measure ΔPSNR
-//! against f32, fall back if the budget is exceeded — is cached at a
-//! third level ([`PlanCache::decision_for`]) and replicated through the
-//! [`SharedPlanCache`] so autoscaled shards warm int8 serving without
-//! re-grading the model.
+//! **Plans** are the per-shape half, one level per datapath: whole-frame
+//! [`Plan`]s keyed by the kernels they were built from (`Arc::ptr_eq`),
+//! the shape and the kernel variant. The queue batches same-key
+//! same-shape requests, so steady-state traffic for a handful of shapes
+//! hits a warm plan every time. Video sessions add a level of f32
+//! [`TilePlanner`]s, one per ladder rung, keyed the same way.
 //!
 //! **Staleness.** The registry can evict and reload a model under the
-//! same [`ModelKey`] (e.g. after an artifact is replaced), so a key
-//! match alone is not enough: every entry also remembers the
-//! `Arc<CollapsedSesr>` it was compiled from and is valid only while
-//! `Arc::ptr_eq` holds against the model the registry resolves for the
-//! request. A reload therefore misses once, recompiles, and the stale
-//! entry is dropped on that same lookup. A precision-policy flip
-//! invalidates the same way: the first lookup after the flip drops the
-//! other-precision entries for that key.
+//! same [`ModelKey`] (e.g. after an artifact is replaced), so a key match
+//! alone is not enough: a decision is valid only while `Arc::ptr_eq`
+//! holds against the model the registry resolves for the request, and
+//! plans only while it holds against the decision's kernels. A reload
+//! therefore misses once, recompiles, and the stale same-key entries are
+//! dropped on that same lookup.
 //!
 //! **Kernel variant.** Plans and tile planners pin the process-global
 //! [`kernel_variant`] at compile time, and an entry is valid only while
@@ -47,11 +46,12 @@
 //! outputs can be served.
 //!
 //! Capacities are small and fixed (a worker serves few distinct models
-//! and shapes at once); eviction is LRU via move-to-front.
+//! and shapes at once); every level evicts through one move-to-front
+//! `Lru`.
 
 use crate::registry::ModelKey;
-use sesr_core::{CollapsedKernels, CollapsedSesr, InferPlan, TilePlanner, TileSpec};
-use sesr_quant::{QuantKernels, QuantPlan, QuantTilePlanner, QuantizedSesr};
+use sesr_core::{CollapsedKernels, CollapsedSesr, Datapath, Plan, TilePlanner};
+use sesr_quant::{QuantKernels, QuantizedSesr};
 use sesr_tensor::simd::{kernel_variant, KernelVariant};
 use sesr_tensor::Tensor;
 use std::fmt;
@@ -59,16 +59,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Distinct models a worker keeps flattened kernels for.
-const KERNELS_CAP: usize = 4;
-/// Distinct `(model, shape)` plans a worker keeps arenas for.
+/// Distinct `(model, policy)` decisions a worker keeps.
+const DECISIONS_CAP: usize = 4;
+/// Distinct `(kernels, shape)` plans a worker keeps arenas for, per
+/// datapath.
 const PLANS_CAP: usize = 8;
 /// Distinct models a worker keeps tile planners for. Sized for one
 /// video any-time ladder (m3/m5/m7/m11); the planners themselves bound
 /// their per-shape plans internally.
 const TILE_PLANNERS_CAP: usize = 4;
-/// Distinct `(model, budget)` precision decisions a worker remembers.
-const DECISIONS_CAP: usize = 4;
+/// Distinct `(model, policy)` decisions a [`SharedPlanCache`] keeps.
+const SHARED_DECISIONS_CAP: usize = 8;
 
 /// Calibration-scene geometry for load-time precision decisions. One
 /// fixed scene per process: the decision must be deterministic across
@@ -82,7 +83,7 @@ const CALIB_SEED: u64 = 0xCA11B;
 const N_CALIB: u64 = 3;
 
 /// Engine-wide serving-precision policy; per-model decisions flow from
-/// it at load time (see [`PlanCache::decision_for`]).
+/// it at load time (see [`PlanCache::decision`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrecisionPolicy {
     /// Always serve float plans.
@@ -96,61 +97,74 @@ pub enum PrecisionPolicy {
     },
 }
 
-/// The resolved serving precision for one model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Precision {
-    /// Float planned execution.
-    F32,
-    /// Quantized planned execution (uint8 wires, int8 weights, i32
-    /// accumulation).
-    Int8,
+impl PrecisionPolicy {
+    /// Exact cache identity: `None` for f32, the budget's `f64::to_bits`
+    /// for int8 (no `NaN` comparison pitfalls).
+    fn bits(self) -> Option<u64> {
+        match self {
+            PrecisionPolicy::F32 => None,
+            PrecisionPolicy::Int8 { psnr_budget } => Some(psnr_budget.to_bits()),
+        }
+    }
 }
 
-/// A load-time precision decision for one `(model, budget)` pair: the
-/// resolved precision, the measured ΔPSNR, and — when int8 won — the
-/// packed quantized kernels ready for plan compilation. Decisions are
-/// immutable and shared (`Arc`) like kernels: calibration, quantization,
-/// and the ΔPSNR measurement are the expensive model-level half of int8
-/// serving, plan arenas are the cheap per-shape half.
+/// The kernels one model serves with: its precision decision in
+/// executable form. Immutable and shared (`Arc`) by every plan, tile
+/// planner and shard that serves the model.
+#[derive(Debug)]
+pub enum ServingKernels {
+    /// Flattened float kernels.
+    F32(Arc<CollapsedKernels>),
+    /// Packed quantized kernels (uint8 wires, int8 weights, i32
+    /// accumulation).
+    Int8(Arc<QuantKernels>),
+}
+
+/// A load-time precision decision for one `(model, policy)` pair: the
+/// measured ΔPSNR and the kernels the model serves with. Calibration,
+/// quantization, the ΔPSNR measurement and the kernel packing are the
+/// expensive model-level half of serving; plan arenas are the cheap
+/// per-shape half.
 #[derive(Debug)]
 pub struct PrecisionDecision {
-    /// The precision this model serves at.
-    pub precision: Precision,
     /// Measured PSNR cost of int8 on the calibration scene, in dB
     /// (positive = int8 is worse; `NaN` when nothing was measured, i.e.
     /// the policy was [`PrecisionPolicy::F32`]).
     pub delta_db: f64,
-    /// Packed int8 kernels, present exactly when `precision == Int8`.
-    pub qkernels: Option<Arc<QuantKernels>>,
+    /// The kernels this model serves with.
+    pub kernels: ServingKernels,
 }
 
 impl PrecisionDecision {
-    /// The trivial f32 decision (no measurement performed). Callers on
-    /// pure-f32 paths (video sessions, `PrecisionPolicy::F32` engines)
-    /// borrow this constant instead of resolving a decision.
-    pub const F32: PrecisionDecision = PrecisionDecision {
-        precision: Precision::F32,
-        delta_db: f64::NAN,
-        qkernels: None,
-    };
+    /// Whether the model serves int8.
+    pub fn is_int8(&self) -> bool {
+        matches!(self.kernels, ServingKernels::Int8(_))
+    }
 }
 
-/// Where [`PlanCache::decision_for`] found the decision. Telemetry uses
+/// Where [`PlanCache::decision`] found the decision. Telemetry uses
 /// `Computed` to count fallbacks exactly once per fresh measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionSource {
     /// Worker-local cache hit.
     LocalHit,
-    /// Served by the process-wide [`SharedPlanCache`] (another shard
-    /// already paid for the measurement).
+    /// Served by the [`SharedPlanCache`] (another worker already paid
+    /// for the decision).
     SharedHit,
-    /// Measured and quantized here, now.
+    /// Decided here, now.
     Computed,
 }
 
-/// Calibrates, quantizes, and grades one model against the int8 PSNR
-/// budget. Deterministic: fixed synthetic scene, fixed seeds.
-fn compute_decision(model: &CollapsedSesr, psnr_budget: f64) -> PrecisionDecision {
+/// Makes the decision for `model` under `policy`. Deterministic: fixed
+/// synthetic scene, fixed seeds.
+fn decide(model: &CollapsedSesr, policy: PrecisionPolicy) -> PrecisionDecision {
+    let flat = || ServingKernels::F32(Arc::new(CollapsedKernels::new(model)));
+    let PrecisionPolicy::Int8 { psnr_budget } = policy else {
+        return PrecisionDecision {
+            delta_db: f64::NAN,
+            kernels: flat(),
+        };
+    };
     let calib: Vec<Tensor> = (0..N_CALIB)
         .map(|i| {
             sesr_quant::calibration_pair(model.scale(), CALIB_TILE, CALIB_TILE, CALIB_SEED + i).1
@@ -160,86 +174,141 @@ fn compute_decision(model: &CollapsedSesr, psnr_budget: f64) -> PrecisionDecisio
     let qnet = QuantizedSesr::quantize(model, &profile);
     let delta_db =
         sesr_quant::delta_psnr(model, &qnet, CALIB_TILE, CALIB_TILE, CALIB_SEED ^ 0x5EED);
-    if delta_db <= psnr_budget {
-        PrecisionDecision {
-            precision: Precision::Int8,
-            delta_db,
-            qkernels: Some(Arc::new(QuantKernels::new(&qnet))),
-        }
+    let kernels = if delta_db <= psnr_budget {
+        ServingKernels::Int8(Arc::new(QuantKernels::new(&qnet)))
     } else {
-        PrecisionDecision {
-            precision: Precision::F32,
-            delta_db,
-            qkernels: None,
+        flat()
+    };
+    PrecisionDecision { delta_db, kernels }
+}
+
+/// A bounded, most-recently-used-first list: the one move-to-front LRU
+/// behind every cache level in this module.
+pub(crate) struct Lru<T> {
+    items: Vec<T>,
+    cap: usize,
+}
+
+impl<T> Lru<T> {
+    fn new(cap: usize) -> Self {
+        Self {
+            items: Vec::with_capacity(cap),
+            cap,
         }
+    }
+
+    /// The first item `hit` accepts, moved to the front.
+    fn get(&mut self, hit: impl FnMut(&T) -> bool) -> Option<&mut T> {
+        let idx = self.items.iter().position(hit)?;
+        let item = self.items.remove(idx);
+        self.items.insert(0, item);
+        self.items.first_mut()
+    }
+
+    /// Drops the items `stale` names, then puts `item` at the front,
+    /// evicting the least recently used past capacity.
+    fn insert(&mut self, item: T, stale: impl Fn(&T) -> bool) {
+        self.items.retain(|e| !stale(e));
+        self.items.insert(0, item);
+        self.items.truncate(self.cap);
+    }
+
+    /// [`Lru::get`], or on a miss [`Lru::insert`] of `make()`. The `bool`
+    /// is `true` on a hit.
+    fn get_or_insert(
+        &mut self,
+        hit: impl FnMut(&T) -> bool,
+        stale: impl Fn(&T) -> bool,
+        make: impl FnOnce() -> T,
+    ) -> (&mut T, bool) {
+        let found = self.get(hit).is_some();
+        if !found {
+            self.insert(make(), stale);
+        }
+        (&mut self.items[0], found)
+    }
+
+    fn len(&self) -> usize {
+        self.items.len()
     }
 }
 
-struct KernelsEntry {
-    key: ModelKey,
-    model: Arc<CollapsedSesr>,
-    kernels: Arc<CollapsedKernels>,
+/// One decision entry: model key, the model `Arc` it was decided for
+/// (staleness identity), the policy bits, and the decision.
+type DecisionSlot = (
+    ModelKey,
+    Arc<CollapsedSesr>,
+    Option<u64>,
+    Arc<PrecisionDecision>,
+);
+/// One plan entry: model key, the kernels the plan was built from, and
+/// the plan (which knows its shape and pinned variant).
+pub(crate) type PlanSlot<D> = (ModelKey, Arc<D>, Plan<D>);
+/// One tile-planner entry: model key, kernels, the variant the
+/// planner's lazily built plans pin, and the planner.
+type PlannerSlot = (
+    ModelKey,
+    Arc<CollapsedKernels>,
+    KernelVariant,
+    TilePlanner<CollapsedKernels>,
+);
+
+/// Whether `e` is the decision for `(key, model, bits)`.
+fn same_decision(
+    e: &DecisionSlot,
+    key: &ModelKey,
+    model: &Arc<CollapsedSesr>,
+    bits: Option<u64>,
+) -> bool {
+    e.0 == *key && e.2 == bits && Arc::ptr_eq(&e.1, model)
 }
 
-/// Distinct models the process-wide shared store keeps kernels for.
-const SHARED_KERNELS_CAP: usize = 8;
-
-/// One shared-store entry: the model key, the exact model `Arc` the
-/// kernels were flattened from (staleness identity), and the kernels.
-type SharedKernelEntry = (ModelKey, Arc<CollapsedSesr>, Arc<CollapsedKernels>);
-
-/// One shared precision-decision entry: model key, model identity, the
-/// PSNR budget it was graded against (as `f64::to_bits`, so `NaN`-free
-/// exact keying), and the decision.
-type SharedDecisionEntry = (ModelKey, Arc<CollapsedSesr>, u64, Arc<PrecisionDecision>);
-
-/// Process-wide store of flattened kernels, shared across every engine
+/// Process-wide store of precision decisions, shared across every engine
 /// shard the router owns (hot-model replication).
 ///
-/// [`CollapsedKernels`] is the expensive *immutable* half of a plan:
-/// flattened weights and pre-transformed Winograd kernels. Plans
-/// themselves (arenas) are mutable per-worker scratch and stay
-/// worker-local — sharing them would serialize compute — but the
-/// kernels behind them are safely shared `Arc`s. A freshly spawned
-/// shard's workers therefore skip the flattening entirely whenever any
-/// other shard has served the model before: its first request is warm.
+/// A [`PrecisionDecision`] is the expensive *immutable* half of serving:
+/// flattened or quantized kernels, and for int8 the calibration and
+/// ΔPSNR grading behind them. Plans themselves (arenas) are mutable
+/// per-worker scratch and stay worker-local — sharing them would
+/// serialize compute — but the kernels behind them are safely shared
+/// `Arc`s. A freshly spawned shard's workers therefore skip the decision
+/// entirely whenever any other shard has served the model before.
 ///
 /// The `warm_hits` counter feeds the router's `replication_warm_hits`
-/// telemetry; it counts worker-local misses that the shared store
-/// served, i.e. exactly the compiles replication avoided.
+/// telemetry; it counts worker-local misses that the store served, i.e.
+/// exactly the decisions replication avoided.
 ///
-/// Staleness follows the same `Arc::ptr_eq` rule as [`PlanCache`]:
-/// entries are keyed by the model Arc they were flattened from, so a
-/// registry reload misses once and replaces the shared entry.
+/// Staleness follows the same `Arc::ptr_eq` rule as [`PlanCache`]: a
+/// registry reload misses once and replaces the same-key entry.
 pub struct SharedPlanCache {
-    kernels: Mutex<Vec<SharedKernelEntry>>,
-    decisions: Mutex<Vec<SharedDecisionEntry>>,
-    /// Gradings currently in flight somewhere in the fleet, keyed by
-    /// `(key, model identity, budget bits)` — the single-flight set
-    /// behind [`SharedPlanCache::grade_single_flight`].
-    grading: Mutex<Vec<(ModelKey, usize, u64)>>,
-    grading_done: Condvar,
+    decisions: Mutex<Lru<DecisionSlot>>,
+    /// Decisions currently in flight, keyed by `(key, model identity,
+    /// policy bits)` — the single-flight set behind
+    /// [`SharedPlanCache::decide_single_flight`].
+    deciding: Mutex<Vec<Ticket>>,
+    deciding_done: Condvar,
     warm_hits: AtomicU64,
-    published: AtomicU64,
 }
 
-/// Removes a grading ticket and wakes waiters on drop, so a panicking
-/// grade closure never strands the shards waiting on it.
-struct GradeTicket<'a> {
+type Ticket = (ModelKey, usize, Option<u64>);
+
+/// Removes a decision ticket and wakes waiters on drop, so a panicking
+/// decision never strands the workers waiting on it.
+struct TicketGuard<'a> {
     store: &'a SharedPlanCache,
-    ticket: (ModelKey, usize, u64),
+    ticket: Ticket,
 }
 
-impl Drop for GradeTicket<'_> {
+impl Drop for TicketGuard<'_> {
     fn drop(&mut self) {
         let mut g = self
             .store
-            .grading
+            .deciding
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         g.retain(|t| *t != self.ticket);
         drop(g);
-        self.store.grading_done.notify_all();
+        self.store.deciding_done.notify_all();
     }
 }
 
@@ -247,174 +316,83 @@ impl SharedPlanCache {
     /// An empty shared store.
     pub fn new() -> Self {
         Self {
-            kernels: Mutex::new(Vec::with_capacity(SHARED_KERNELS_CAP)),
-            decisions: Mutex::new(Vec::with_capacity(SHARED_KERNELS_CAP)),
-            grading: Mutex::new(Vec::new()),
-            grading_done: Condvar::new(),
+            decisions: Mutex::new(Lru::new(SHARED_DECISIONS_CAP)),
+            deciding: Mutex::new(Vec::new()),
+            deciding_done: Condvar::new(),
             warm_hits: AtomicU64::new(0),
-            published: AtomicU64::new(0),
         }
     }
 
-    /// Looks up kernels for `(key, model)`. A hit bumps `warm_hits` —
-    /// callers only consult the shared store after a local miss, so
-    /// every hit here is a compile some other worker already paid for.
-    pub fn get(&self, key: &ModelKey, model: &Arc<CollapsedSesr>) -> Option<Arc<CollapsedKernels>> {
-        let mut g = self.kernels.lock().unwrap_or_else(PoisonError::into_inner);
-        let idx = g
-            .iter()
-            .position(|(k, m, _)| k == key && Arc::ptr_eq(m, model))?;
-        let entry = g.remove(idx);
-        let kernels = entry.2.clone();
-        g.insert(0, entry);
-        drop(g);
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-        Some(kernels)
-    }
-
-    /// Publishes freshly compiled kernels so other shards skip the
-    /// compile. Stale same-key entries (reloaded model) are replaced.
-    pub fn publish(
+    /// Looks up the decision for `(key, model, policy)`, or makes it with
+    /// `decide` under single-flight: if another worker anywhere in the
+    /// fleet is already deciding this exact `(model, policy)`, wait for
+    /// its publish instead of paying the decision (for int8: calibrate +
+    /// quantize + ΔPSNR) again. Without this, a shard scaled up during
+    /// the load ramp races the first shard's in-flight decision, misses
+    /// the store, and decides again — after which both serve from
+    /// worker-local caches and replication never gets a second chance.
+    /// Returns the decision and whether it was warmed (`true` = served by
+    /// the store, counted in `warm_hits`; `false` = this call ran
+    /// `decide` and published the result).
+    pub fn decide_single_flight(
         &self,
         key: &ModelKey,
         model: &Arc<CollapsedSesr>,
-        kernels: &Arc<CollapsedKernels>,
-    ) {
-        let mut g = self.kernels.lock().unwrap_or_else(PoisonError::into_inner);
-        g.retain(|(k, m, _)| k != key || Arc::ptr_eq(m, model));
-        if g.iter().any(|(k, m, _)| k == key && Arc::ptr_eq(m, model)) {
-            return; // lost a publish race; the existing entry is equivalent
-        }
-        g.insert(0, (key.clone(), model.clone(), kernels.clone()));
-        g.truncate(SHARED_KERNELS_CAP);
-        drop(g);
-        self.published.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Looks up a precision decision for `(key, model, budget)`. Like
-    /// kernels, a hit bumps `warm_hits`: the calibration, quantization,
-    /// and ΔPSNR measurement were paid by another shard, so a freshly
-    /// autoscaled shard warms its int8 plans without re-grading the
-    /// model.
-    pub fn get_decision(
-        &self,
-        key: &ModelKey,
-        model: &Arc<CollapsedSesr>,
-        budget_bits: u64,
-    ) -> Option<Arc<PrecisionDecision>> {
-        let mut g = self
-            .decisions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let idx = g
-            .iter()
-            .position(|(k, m, b, _)| k == key && *b == budget_bits && Arc::ptr_eq(m, model))?;
-        let entry = g.remove(idx);
-        let decision = entry.3.clone();
-        g.insert(0, entry);
-        drop(g);
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-        Some(decision)
-    }
-
-    /// Publishes a freshly computed precision decision. Same-key entries
-    /// for a reloaded model or a different budget are replaced: a policy
-    /// or artifact change must not leave decisions other shards could
-    /// wrongly warm from.
-    pub fn publish_decision(
-        &self,
-        key: &ModelKey,
-        model: &Arc<CollapsedSesr>,
-        budget_bits: u64,
-        decision: &Arc<PrecisionDecision>,
-    ) {
-        let mut g = self
-            .decisions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        g.retain(|(k, m, b, _)| k != key || (Arc::ptr_eq(m, model) && *b == budget_bits));
-        if g.iter()
-            .any(|(k, m, b, _)| k == key && *b == budget_bits && Arc::ptr_eq(m, model))
-        {
-            return; // lost a publish race; the existing entry is equivalent
-        }
-        g.insert(
-            0,
-            (key.clone(), model.clone(), budget_bits, decision.clone()),
-        );
-        g.truncate(SHARED_KERNELS_CAP);
-        drop(g);
-        self.published.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Looks up a decision, or grades it with cross-shard single-flight:
-    /// if another worker anywhere in the fleet is already grading this
-    /// exact `(model, budget)`, wait for its publish instead of paying
-    /// the grade (calibrate + quantize + ΔPSNR) again. Without this,
-    /// a shard scaled up during the load ramp races the first shard's
-    /// in-flight grading, misses the store, and re-grades — after which
-    /// both serve from worker-local caches and replication never gets a
-    /// second chance. Returns the decision and whether it was warmed
-    /// (`true` = served by the store, counted in `warm_hits`; `false` =
-    /// this call ran `grade` and published the result).
-    pub fn grade_single_flight(
-        &self,
-        key: &ModelKey,
-        model: &Arc<CollapsedSesr>,
-        budget_bits: u64,
-        grade: impl FnOnce() -> PrecisionDecision,
+        policy: PrecisionPolicy,
+        decide: impl FnOnce() -> PrecisionDecision,
     ) -> (Arc<PrecisionDecision>, bool) {
-        let ticket = (key.clone(), Arc::as_ptr(model) as usize, budget_bits);
+        let bits = policy.bits();
+        let ticket = (key.clone(), Arc::as_ptr(model) as usize, bits);
         loop {
-            if let Some(d) = self.get_decision(key, model, budget_bits) {
+            // The store is checked under the ticket lock, and a decider
+            // publishes before it drops its ticket, so a miss here with
+            // no ticket in flight is a true miss.
+            let mut g = self.deciding.lock().unwrap_or_else(PoisonError::into_inner);
+            let warm = self
+                .decisions
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(|e| same_decision(e, key, model, bits))
+                .map(|e| e.3.clone());
+            if let Some(d) = warm {
+                self.warm_hits.fetch_add(1, Ordering::Relaxed);
                 return (d, true);
             }
-            let g = self.grading.lock().unwrap_or_else(PoisonError::into_inner);
             if !g.contains(&ticket) {
-                let mut g = g;
                 g.push(ticket.clone());
                 break;
             }
-            // Someone else is grading. The timeout is a liveness
-            // backstop, not the protocol: the grader's drop guard
+            // Someone else is deciding. The timeout is a liveness
+            // backstop, not the protocol: the decider's drop guard
             // notifies even on panic, and the loop re-checks the store
-            // before ever becoming the grader itself.
+            // before ever becoming the decider itself.
             let _unused = self
-                .grading_done
+                .deciding_done
                 .wait_timeout(g, Duration::from_millis(50))
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        let _ticket = GradeTicket {
+        let _ticket = TicketGuard {
             store: self,
             ticket,
         };
-        let d = Arc::new(grade());
-        self.publish_decision(key, model, budget_bits, &d);
-        (d, false)
-    }
-
-    /// Precision decisions currently held.
-    pub fn decisions_len(&self) -> usize {
+        let d = Arc::new(decide());
         self.decisions
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .len()
+            .insert((key.clone(), model.clone(), bits, d.clone()), |e| {
+                e.0 == *key && !Arc::ptr_eq(&e.1, model)
+            });
+        (d, false)
     }
 
-    /// Worker-local misses served from the shared store so far (kernels
-    /// and precision decisions).
+    /// Worker-local misses served from the store so far.
     pub fn warm_hits(&self) -> u64 {
         self.warm_hits.load(Ordering::Relaxed)
     }
 
-    /// Kernel sets published into the store so far.
-    pub fn published(&self) -> u64 {
-        self.published.load(Ordering::Relaxed)
-    }
-
-    /// Models currently held.
+    /// Decisions currently held.
     pub fn len(&self) -> usize {
-        self.kernels
+        self.decisions
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
@@ -435,405 +413,167 @@ impl Default for SharedPlanCache {
 impl fmt::Debug for SharedPlanCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedPlanCache")
-            .field("models", &self.len())
+            .field("decisions", &self.len())
             .field("warm_hits", &self.warm_hits())
             .finish()
     }
 }
 
-/// A compiled whole-frame plan at either serving precision. Past the
-/// precision decision the engine's batch path is precision-agnostic:
-/// both arms run out of a single pre-sized arena with zero steady-state
-/// allocations.
-pub enum AnyPlan {
-    /// Float planned executor.
-    F32(InferPlan),
-    /// Quantized planned executor (uint8 wires, i32 accumulation, fused
-    /// requantization epilogues).
-    Int8(QuantPlan),
+/// A datapath with a plan level in [`PlanCache`].
+pub(crate) trait ServedDatapath: Datapath + Sized {
+    /// Whether plans on this datapath count as int8 in telemetry.
+    const INT8: bool;
+    /// The cache's plan level for this datapath.
+    fn plans(cache: &mut PlanCache) -> &mut Lru<PlanSlot<Self>>;
 }
 
-impl AnyPlan {
-    /// Runs a `[N, 1, H, W]` batch, reusing the arena per image.
-    pub fn run_batch(&mut self, input: &Tensor) -> Tensor {
-        match self {
-            AnyPlan::F32(p) => p.run_batch(input),
-            AnyPlan::Int8(p) => p.run_batch(input),
-        }
-    }
-
-    /// The kernel variant pinned at compile time.
-    pub fn variant(&self) -> KernelVariant {
-        match self {
-            AnyPlan::F32(p) => p.variant(),
-            AnyPlan::Int8(p) => p.variant(),
-        }
-    }
-
-    /// Bytes in this plan's arena.
-    pub fn arena_bytes(&self) -> usize {
-        match self {
-            AnyPlan::F32(p) => p.arena_bytes(),
-            AnyPlan::Int8(p) => p.arena_bytes(),
-        }
-    }
-
-    /// The precision this plan serves at.
-    pub fn precision(&self) -> Precision {
-        match self {
-            AnyPlan::F32(_) => Precision::F32,
-            AnyPlan::Int8(_) => Precision::Int8,
-        }
+impl ServedDatapath for CollapsedKernels {
+    const INT8: bool = false;
+    fn plans(cache: &mut PlanCache) -> &mut Lru<PlanSlot<Self>> {
+        &mut cache.f32_plans
     }
 }
 
-impl fmt::Debug for AnyPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AnyPlan")
-            .field("precision", &self.precision())
-            .field("arena_bytes", &self.arena_bytes())
-            .finish()
+impl ServedDatapath for QuantKernels {
+    const INT8: bool = true;
+    fn plans(cache: &mut PlanCache) -> &mut Lru<PlanSlot<Self>> {
+        &mut cache.int8_plans
     }
 }
 
-/// A tile planner at either serving precision; both arms keep a bounded
-/// LRU of per-shape plans and composite bit-identically with their
-/// whole-frame counterpart.
-pub enum AnyTilePlanner {
-    /// Float tile planner.
-    F32(TilePlanner),
-    /// Quantized tile planner.
-    Int8(QuantTilePlanner),
-}
-
-impl AnyTilePlanner {
-    /// Runs one tile through the plan for its expanded shape.
-    pub fn run_tile(&mut self, lr: &Tensor, spec: &TileSpec) -> Tensor {
-        match self {
-            AnyTilePlanner::F32(p) => p.run_tile(lr, spec),
-            AnyTilePlanner::Int8(p) => p.run_tile(lr, spec),
-        }
-    }
-
-    /// Pre-compiles the plan for an `h x w` tile (warm path).
-    pub fn warm_shape(&mut self, h: usize, w: usize) {
-        match self {
-            AnyTilePlanner::F32(p) => {
-                p.plan_for(h, w);
-            }
-            AnyTilePlanner::Int8(p) => {
-                p.plan_for(h, w);
-            }
-        }
-    }
-
-    /// Distinct tile shapes currently planned.
-    pub fn cached_plans(&self) -> usize {
-        match self {
-            AnyTilePlanner::F32(p) => p.cached_plans(),
-            AnyTilePlanner::Int8(p) => p.cached_plans(),
-        }
-    }
-
-    /// Largest arena across the cached per-shape plans.
-    pub fn max_arena_bytes(&self) -> usize {
-        match self {
-            AnyTilePlanner::F32(p) => p.max_arena_bytes(),
-            AnyTilePlanner::Int8(p) => p.max_arena_bytes(),
-        }
-    }
-
-    /// The precision this planner serves at.
-    pub fn precision(&self) -> Precision {
-        match self {
-            AnyTilePlanner::F32(_) => Precision::F32,
-            AnyTilePlanner::Int8(_) => Precision::Int8,
-        }
-    }
-}
-
-struct PlanEntry {
-    key: ModelKey,
-    h: usize,
-    w: usize,
-    /// The serving precision the plan was compiled at; a precision-policy
-    /// flip invalidates entries the same way a model reload does.
-    precision: Precision,
-    model: Arc<CollapsedSesr>,
-    plan: AnyPlan,
-}
-
-struct TilePlannerEntry {
-    key: ModelKey,
-    model: Arc<CollapsedSesr>,
-    /// The process-global kernel variant when the planner was built; its
-    /// lazily-compiled per-tile plans all pin this, so a global repin
-    /// invalidates the whole planner.
-    variant: KernelVariant,
-    /// Serving precision (see [`PlanEntry::precision`]).
-    precision: Precision,
-    planner: AnyTilePlanner,
-}
-
-struct DecisionEntry {
-    key: ModelKey,
-    model: Arc<CollapsedSesr>,
-    /// `f64::to_bits` of the PSNR budget the decision was graded
-    /// against: exact keying, no `NaN` comparison pitfalls.
-    budget_bits: u64,
-    decision: Arc<PrecisionDecision>,
-}
-
-/// Worker-local LRU cache of [`CollapsedKernels`] and [`InferPlan`]s,
-/// optionally backed by a process-wide [`SharedPlanCache`] so sibling
-/// shards replicate hot kernels instead of recompiling them.
+/// Worker-local LRU cache of precision decisions, plans and tile
+/// planners, backed by a [`SharedPlanCache`] for decisions.
 pub struct PlanCache {
-    kernels: Vec<KernelsEntry>,
-    plans: Vec<PlanEntry>,
-    tile_planners: Vec<TilePlannerEntry>,
-    decisions: Vec<DecisionEntry>,
-    shared: Option<Arc<SharedPlanCache>>,
+    decisions: Lru<DecisionSlot>,
+    f32_plans: Lru<PlanSlot<CollapsedKernels>>,
+    int8_plans: Lru<PlanSlot<QuantKernels>>,
+    tile_planners: Lru<PlannerSlot>,
+    shared: Arc<SharedPlanCache>,
 }
 
 impl PlanCache {
+    /// A cache over a private store of its own.
     pub fn new() -> Self {
-        Self::with_shared(None)
+        Self::with_shared(Arc::default())
     }
 
     /// A cache that consults (and publishes to) `shared` on local
-    /// kernel misses.
-    pub fn with_shared(shared: Option<Arc<SharedPlanCache>>) -> Self {
+    /// decision misses.
+    pub fn with_shared(shared: Arc<SharedPlanCache>) -> Self {
         PlanCache {
-            kernels: Vec::with_capacity(KERNELS_CAP),
-            plans: Vec::with_capacity(PLANS_CAP),
-            tile_planners: Vec::with_capacity(TILE_PLANNERS_CAP),
-            decisions: Vec::with_capacity(DECISIONS_CAP),
+            decisions: Lru::new(DECISIONS_CAP),
+            f32_plans: Lru::new(PLANS_CAP),
+            int8_plans: Lru::new(PLANS_CAP),
+            tile_planners: Lru::new(TILE_PLANNERS_CAP),
             shared,
         }
     }
 
-    /// The precision decision for `(model, psnr_budget)`, computed on
-    /// first use: calibrate on the fixed synthetic scene, quantize,
-    /// measure ΔPSNR against the f32 reference, and serve int8 only if
-    /// the loss fits the budget. The decision (and, when int8 wins, the
-    /// packed `QuantKernels` inside it) is cached locally and in the
-    /// shared store, so autoscaled sibling shards warm their int8 plans
-    /// without re-grading the model. Staleness mirrors the other levels:
-    /// a model reload or a budget change drops the same-key entry.
+    /// The decision for `(model, policy)`, made on first use (see
+    /// [`PrecisionPolicy`]): free under f32, a calibrate → quantize →
+    /// ΔPSNR grading under int8. It is cached locally and in the store,
+    /// so sibling shards warm from it instead of deciding again. A model
+    /// reload drops the same-key entry.
     ///
-    /// Note a decision evicted here and recomputed later yields bitwise
-    /// identical kernels (fixed seeds, deterministic pipeline), so plans
-    /// compiled against the older `QuantKernels` Arc remain valid.
+    /// A decision evicted here and made again later yields bitwise
+    /// identical kernels (fixed seeds, deterministic pipeline) in a new
+    /// `Arc`; plans built from the old one miss once and are dropped.
+    pub fn decision(
+        &mut self,
+        key: &ModelKey,
+        model: &Arc<CollapsedSesr>,
+        policy: PrecisionPolicy,
+    ) -> (Arc<PrecisionDecision>, DecisionSource) {
+        let bits = policy.bits();
+        let mut source = DecisionSource::LocalHit;
+        let shared = &self.shared;
+        let (slot, _) = self.decisions.get_or_insert(
+            |e| same_decision(e, key, model, bits),
+            |e| e.0 == *key && !Arc::ptr_eq(&e.1, model),
+            || {
+                // Single-flight across the fleet: concurrent first
+                // requests on different shards collapse to one decision.
+                let (d, warm) =
+                    shared.decide_single_flight(key, model, policy, || decide(model, policy));
+                source = if warm {
+                    DecisionSource::SharedHit
+                } else {
+                    DecisionSource::Computed
+                };
+                (key.clone(), model.clone(), bits, d)
+            },
+        );
+        (slot.3.clone(), source)
+    }
+
+    /// The int8 decision for `(model, psnr_budget)`:
+    /// [`PlanCache::decision`] under [`PrecisionPolicy::Int8`].
     pub fn decision_for(
         &mut self,
         key: &ModelKey,
         model: &Arc<CollapsedSesr>,
         psnr_budget: f64,
     ) -> (Arc<PrecisionDecision>, DecisionSource) {
-        let bits = psnr_budget.to_bits();
-        if let Some(idx) = self
-            .decisions
-            .iter()
-            .position(|e| e.key == *key && e.budget_bits == bits && Arc::ptr_eq(&e.model, model))
-        {
-            let entry = self.decisions.remove(idx);
-            self.decisions.insert(0, entry);
-            return (self.decisions[0].decision.clone(), DecisionSource::LocalHit);
-        }
-        self.decisions
-            .retain(|e| e.key != *key || (Arc::ptr_eq(&e.model, model) && e.budget_bits == bits));
-        let (decision, source) = match &self.shared {
-            Some(shared) => {
-                // Single-flight across the fleet: concurrent first
-                // requests on different shards collapse to one grading.
-                let (d, warm) = shared
-                    .grade_single_flight(key, model, bits, || compute_decision(model, psnr_budget));
-                let source = if warm {
-                    DecisionSource::SharedHit
-                } else {
-                    DecisionSource::Computed
-                };
-                (d, source)
-            }
-            None => (
-                Arc::new(compute_decision(model, psnr_budget)),
-                DecisionSource::Computed,
-            ),
-        };
-        self.decisions.insert(
-            0,
-            DecisionEntry {
-                key: key.clone(),
-                model: model.clone(),
-                budget_bits: bits,
-                decision: decision.clone(),
-            },
-        );
-        self.decisions.truncate(DECISIONS_CAP);
-        (decision, source)
+        self.decision(key, model, PrecisionPolicy::Int8 { psnr_budget })
     }
 
-    /// Flattened kernels for `model`, compiled on first use. The `bool`
-    /// is `true` on a cache hit (callers feed it to telemetry) — a
-    /// shared-store hit counts: the flattening was not paid here.
-    pub fn kernels_for(
+    /// A ready-to-run plan for an `h x w` input over `kernels`, compiled
+    /// on first use. The `bool` is `true` on a cache hit.
+    pub(crate) fn plan_for<D: ServedDatapath>(
         &mut self,
         key: &ModelKey,
-        model: &Arc<CollapsedSesr>,
-    ) -> (Arc<CollapsedKernels>, bool) {
-        if let Some(idx) = self
-            .kernels
-            .iter()
-            .position(|e| e.key == *key && Arc::ptr_eq(&e.model, model))
-        {
-            let entry = self.kernels.remove(idx);
-            self.kernels.insert(0, entry);
-            return (self.kernels[0].kernels.clone(), true);
-        }
-        // A same-key entry that failed ptr_eq is a stale compile of a
-        // reloaded model; it can never hit again, so drop it now.
-        self.kernels
-            .retain(|e| e.key != *key || Arc::ptr_eq(&e.model, model));
-        // Hot-model replication: another shard may have flattened these
-        // weights already.
-        let (kernels, warm) = match self.shared.as_ref().and_then(|s| s.get(key, model)) {
-            Some(k) => (k, true),
-            None => {
-                let k = Arc::new(CollapsedKernels::new(model));
-                if let Some(shared) = &self.shared {
-                    shared.publish(key, model, &k);
-                }
-                (k, false)
-            }
-        };
-        self.kernels.insert(
-            0,
-            KernelsEntry {
-                key: key.clone(),
-                model: model.clone(),
-                kernels: kernels.clone(),
-            },
-        );
-        self.kernels.truncate(KERNELS_CAP);
-        (kernels, warm)
-    }
-
-    /// A ready-to-run plan for `(model, h, w)` at the decision's
-    /// precision, compiled on first use. The `bool` is `true` on a
-    /// cache hit.
-    pub fn plan_for(
-        &mut self,
-        key: &ModelKey,
-        model: &Arc<CollapsedSesr>,
+        kernels: &Arc<D>,
         h: usize,
         w: usize,
-        decision: &PrecisionDecision,
-    ) -> (&mut AnyPlan, bool) {
+    ) -> (&mut Plan<D>, bool) {
         let variant = kernel_variant();
-        let want = decision.precision;
-        if let Some(idx) = self.plans.iter().position(|e| {
-            e.key == *key
-                && e.h == h
-                && e.w == w
-                && e.precision == want
-                && Arc::ptr_eq(&e.model, model)
-                && e.plan.variant() == variant
-        }) {
-            let entry = self.plans.remove(idx);
-            self.plans.insert(0, entry);
-            return (&mut self.plans[0].plan, true);
-        }
-        // Stale entries can never hit again: a same-key ptr_eq failure is
-        // a reloaded model, a variant mismatch (any key) is a plan
-        // compiled under a repinned kernel global, and a same-key
-        // precision mismatch is a plan from before a policy flip. Drop
-        // all three now — a flipped model must never serve
-        // mixed-precision outputs from leftover plans.
-        self.plans.retain(|e| {
-            (e.key != *key || (Arc::ptr_eq(&e.model, model) && e.precision == want))
-                && e.plan.variant() == variant
-        });
-        let plan = match want {
-            Precision::F32 => {
-                let (kernels, _) = self.kernels_for(key, model);
-                AnyPlan::F32(InferPlan::new(kernels, h, w))
-            }
-            Precision::Int8 => {
-                let qk = decision
-                    .qkernels
-                    .clone()
-                    .expect("an int8 decision always carries packed kernels");
-                AnyPlan::Int8(QuantPlan::new(qk, h, w))
-            }
-        };
-        self.plans.insert(
-            0,
-            PlanEntry {
-                key: key.clone(),
-                h,
-                w,
-                precision: want,
-                model: model.clone(),
-                plan,
+        let (slot, hit) = D::plans(self).get_or_insert(
+            |e| {
+                e.0 == *key
+                    && Arc::ptr_eq(&e.1, kernels)
+                    && e.2.shape() == (h, w)
+                    && e.2.variant() == variant
+            },
+            // A same-key entry over other kernels is a reloaded model; a
+            // variant mismatch (any key) was compiled under a repinned
+            // kernel global. Neither can hit again.
+            |e| (e.0 == *key && !Arc::ptr_eq(&e.1, kernels)) || e.2.variant() != variant,
+            || {
+                (
+                    key.clone(),
+                    kernels.clone(),
+                    Plan::new(kernels.clone(), h, w),
+                )
             },
         );
-        self.plans.truncate(PLANS_CAP);
-        (&mut self.plans[0].plan, false)
+        (&mut slot.2, hit)
     }
 
-    /// A [`TilePlanner`] for `model`, created on first use and shared by
-    /// every tile shape that model runs at. Video sessions walk the
+    /// An f32 [`TilePlanner`] for `model`, created on first use and shared
+    /// by every tile shape that model runs at. Video sessions walk the
     /// any-time ladder per dirty tile, so one worker holds one warm
-    /// planner per rung; each planner bounds its per-shape plans with
-    /// its own LRU. The `bool` is `true` on a cache hit. Staleness
-    /// follows the same `Arc::ptr_eq` rule as the other levels.
+    /// planner per rung; each planner bounds its per-shape plans with its
+    /// own LRU. The `bool` is `true` on a cache hit. Staleness follows
+    /// the same rules as the plan levels.
     pub fn tile_planner_for(
         &mut self,
         key: &ModelKey,
         model: &Arc<CollapsedSesr>,
-        decision: &PrecisionDecision,
-    ) -> (&mut AnyTilePlanner, bool) {
-        let variant = kernel_variant();
-        let want = decision.precision;
-        if let Some(idx) = self.tile_planners.iter().position(|e| {
-            e.key == *key
-                && e.precision == want
-                && Arc::ptr_eq(&e.model, model)
-                && e.variant == variant
-        }) {
-            let entry = self.tile_planners.remove(idx);
-            self.tile_planners.insert(0, entry);
-            return (&mut self.tile_planners[0].planner, true);
-        }
-        self.tile_planners.retain(|e| {
-            (e.key != *key || (Arc::ptr_eq(&e.model, model) && e.precision == want))
-                && e.variant == variant
-        });
-        let planner = match want {
-            Precision::F32 => {
-                let (kernels, _) = self.kernels_for(key, model);
-                AnyTilePlanner::F32(TilePlanner::new(kernels))
-            }
-            Precision::Int8 => {
-                let qk = decision
-                    .qkernels
-                    .clone()
-                    .expect("an int8 decision always carries packed kernels");
-                AnyTilePlanner::Int8(QuantTilePlanner::new(qk))
-            }
+    ) -> (&mut TilePlanner<CollapsedKernels>, bool) {
+        let (decision, _) = self.decision(key, model, PrecisionPolicy::F32);
+        let ServingKernels::F32(kernels) = &decision.kernels else {
+            unreachable!("the f32 policy never quantizes");
         };
-        self.tile_planners.insert(
-            0,
-            TilePlannerEntry {
-                key: key.clone(),
-                model: model.clone(),
-                variant,
-                precision: want,
-                planner,
+        let variant = kernel_variant();
+        let (slot, hit) = self.tile_planners.get_or_insert(
+            |e| e.0 == *key && Arc::ptr_eq(&e.1, kernels) && e.2 == variant,
+            |e| (e.0 == *key && !Arc::ptr_eq(&e.1, kernels)) || e.2 != variant,
+            || {
+                let planner = TilePlanner::new(kernels.clone());
+                (key.clone(), kernels.clone(), variant, planner)
             },
         );
-        self.tile_planners.truncate(TILE_PLANNERS_CAP);
-        (&mut self.tile_planners[0].planner, false)
+        (&mut slot.3, hit)
     }
 }
 
@@ -852,26 +592,38 @@ mod tests {
         Arc::new(Sesr::new(SesrConfig::m(1).with_expanded(4).with_seed(3)).collapse())
     }
 
+    /// The f32 kernels `cache` serves `model` with.
+    fn f32_kernels(
+        cache: &mut PlanCache,
+        key: &ModelKey,
+        model: &Arc<CollapsedSesr>,
+    ) -> (Arc<CollapsedKernels>, DecisionSource) {
+        let (d, source) = cache.decision(key, model, PrecisionPolicy::F32);
+        match &d.kernels {
+            ServingKernels::F32(k) => (k.clone(), source),
+            ServingKernels::Int8(_) => panic!("the f32 policy decided int8"),
+        }
+    }
+
     #[test]
     fn plan_lookup_hits_after_miss_and_shares_kernels() {
         let mut cache = PlanCache::new();
         let key = ModelKey::new("m1", 2);
         let model = tiny_model();
 
-        let (_, hit) = cache.plan_for(&key, &model, 8, 10, &PrecisionDecision::F32);
+        let (k1, source) = f32_kernels(&mut cache, &key, &model);
+        assert_eq!(source, DecisionSource::Computed, "first use flattens");
+        let (_, hit) = cache.plan_for(&key, &k1, 8, 10);
         assert!(!hit, "first lookup must compile");
-        let (_, hit) = cache.plan_for(&key, &model, 8, 10, &PrecisionDecision::F32);
+        let (_, hit) = cache.plan_for(&key, &k1, 8, 10);
         assert!(hit, "second lookup must reuse the plan");
-        // The plan compile also primed the kernels level.
-        let (_, hit) = cache.kernels_for(&key, &model);
-        assert!(hit, "kernels were compiled as part of the plan");
 
         // A different shape misses at the plan level but reuses kernels.
-        let (k1, _) = cache.kernels_for(&key, &model);
-        let (_, hit) = cache.plan_for(&key, &model, 6, 6, &PrecisionDecision::F32);
-        assert!(!hit);
-        let (k2, _) = cache.kernels_for(&key, &model);
+        let (k2, source) = f32_kernels(&mut cache, &key, &model);
+        assert_eq!(source, DecisionSource::LocalHit);
         assert!(Arc::ptr_eq(&k1, &k2));
+        let (_, hit) = cache.plan_for(&key, &k2, 6, 6);
+        assert!(!hit);
     }
 
     #[test]
@@ -879,18 +631,23 @@ mod tests {
         let mut cache = PlanCache::new();
         let key = ModelKey::new("m1", 2);
         let old = tiny_model();
-        cache.plan_for(&key, &old, 8, 8, &PrecisionDecision::F32);
+        let (k_old, _) = f32_kernels(&mut cache, &key, &old);
+        cache.plan_for(&key, &k_old, 8, 8);
 
         // Same key, different Arc: a registry reload. Must miss and
         // recompile against the new weights.
         let reloaded = tiny_model();
-        let (_, hit) = cache.plan_for(&key, &reloaded, 8, 8, &PrecisionDecision::F32);
+        let (k_new, source) = f32_kernels(&mut cache, &key, &reloaded);
+        assert_eq!(source, DecisionSource::Computed, "reload must reflatten");
+        assert!(!Arc::ptr_eq(&k_old, &k_new));
+        let (_, hit) = cache.plan_for(&key, &k_new, 8, 8);
         assert!(!hit, "reload must invalidate the cached plan");
-        let (_, hit) = cache.plan_for(&key, &reloaded, 8, 8, &PrecisionDecision::F32);
+        let (_, hit) = cache.plan_for(&key, &k_new, 8, 8);
         assert!(hit);
-        // The stale entry was dropped, not just shadowed.
-        assert_eq!(cache.plans.len(), 1);
-        assert_eq!(cache.kernels.len(), 1);
+        // The stale entries were dropped, not just shadowed.
+        assert_eq!(cache.f32_plans.len(), 1);
+        assert_eq!(cache.decisions.len(), 1);
+        assert_eq!(cache.shared.len(), 1, "stale store entry replaced");
     }
 
     #[test]
@@ -898,19 +655,20 @@ mod tests {
         let mut cache = PlanCache::new();
         let key = ModelKey::new("m1", 2);
         let model = tiny_model();
-        let (_, hit) = cache.tile_planner_for(&key, &model, &PrecisionDecision::F32);
+        let (_, hit) = cache.tile_planner_for(&key, &model);
         assert!(!hit, "first lookup must build the planner");
-        let (planner, hit) = cache.tile_planner_for(&key, &model, &PrecisionDecision::F32);
+        let (planner, hit) = cache.tile_planner_for(&key, &model);
         assert!(hit, "second lookup must reuse it");
         // Warm per-shape plans inside the planner survive across lookups.
-        planner.warm_shape(8, 8);
-        let (planner, _) = cache.tile_planner_for(&key, &model, &PrecisionDecision::F32);
+        planner.plan_for(8, 8);
+        let (planner, _) = cache.tile_planner_for(&key, &model);
         assert_eq!(planner.cached_plans(), 1);
         // A reload (same key, new Arc) invalidates the planner.
         let reloaded = tiny_model();
-        let (planner, hit) = cache.tile_planner_for(&key, &reloaded, &PrecisionDecision::F32);
+        let (planner, hit) = cache.tile_planner_for(&key, &reloaded);
         assert!(!hit, "reload must rebuild the planner");
         assert_eq!(planner.cached_plans(), 0);
+        assert_eq!(cache.tile_planners.len(), 1);
     }
 
     #[test]
@@ -921,14 +679,15 @@ mod tests {
         let mut cache = PlanCache::new();
         let key = ModelKey::new("m1", 2);
         let model = tiny_model();
+        let (k, _) = f32_kernels(&mut cache, &key, &model);
 
         let prev = sesr_tensor::simd::set_kernel_variant(KernelVariant::Scalar);
-        cache.plan_for(&key, &model, 8, 8, &PrecisionDecision::F32);
-        cache.tile_planner_for(&key, &model, &PrecisionDecision::F32);
-        let (plan, hit) = cache.plan_for(&key, &model, 8, 8, &PrecisionDecision::F32);
+        cache.plan_for(&key, &k, 8, 8);
+        cache.tile_planner_for(&key, &model);
+        let (plan, hit) = cache.plan_for(&key, &k, 8, 8);
         assert!(hit);
         assert_eq!(plan.variant(), KernelVariant::Scalar);
-        let (_, hit) = cache.tile_planner_for(&key, &model, &PrecisionDecision::F32);
+        let (_, hit) = cache.tile_planner_for(&key, &model);
         assert!(hit);
 
         // Repin to the detected default. On hardware where that is still
@@ -936,12 +695,16 @@ mod tests {
         // SIMD machine the old-variant entries must miss and be dropped.
         sesr_tensor::simd::set_kernel_variant(prev);
         let current = kernel_variant();
-        let (plan, hit) = cache.plan_for(&key, &model, 8, 8, &PrecisionDecision::F32);
+        let (plan, hit) = cache.plan_for(&key, &k, 8, 8);
         assert_eq!(hit, current == KernelVariant::Scalar);
         assert_eq!(plan.variant(), current);
-        let (_, hit) = cache.tile_planner_for(&key, &model, &PrecisionDecision::F32);
+        let (_, hit) = cache.tile_planner_for(&key, &model);
         assert_eq!(hit, current == KernelVariant::Scalar);
-        assert_eq!(cache.plans.len(), 1, "stale-variant plan must be dropped");
+        assert_eq!(
+            cache.f32_plans.len(),
+            1,
+            "stale-variant plan must be dropped"
+        );
         assert_eq!(cache.tile_planners.len(), 1);
     }
 
@@ -951,29 +714,29 @@ mod tests {
         let key = ModelKey::new("m1", 2);
         let model = tiny_model();
 
-        // "Shard A" compiles and publishes.
-        let mut a = PlanCache::with_shared(Some(shared.clone()));
-        let (ka, hit) = a.kernels_for(&key, &model);
-        assert!(!hit, "first compile anywhere is a miss");
-        assert_eq!(shared.published(), 1);
+        // "Shard A" flattens and publishes.
+        let mut a = PlanCache::with_shared(shared.clone());
+        let (ka, source) = f32_kernels(&mut a, &key, &model);
+        assert_eq!(source, DecisionSource::Computed, "first decision anywhere");
+        assert_eq!(shared.len(), 1);
         assert_eq!(shared.warm_hits(), 0);
 
         // "Shard B" (a freshly spawned shard's worker) warms instantly.
-        let mut b = PlanCache::with_shared(Some(shared.clone()));
-        let (kb, hit) = b.kernels_for(&key, &model);
-        assert!(hit, "replicated kernels must count as a hit");
+        let mut b = PlanCache::with_shared(shared.clone());
+        let (kb, source) = f32_kernels(&mut b, &key, &model);
+        assert_eq!(source, DecisionSource::SharedHit);
         assert!(Arc::ptr_eq(&ka, &kb), "one flattening shared by both");
         assert_eq!(shared.warm_hits(), 1);
 
         // B's local cache now holds it: no further shared traffic.
-        let (_, hit) = b.kernels_for(&key, &model);
-        assert!(hit);
+        let (_, source) = f32_kernels(&mut b, &key, &model);
+        assert_eq!(source, DecisionSource::LocalHit);
         assert_eq!(shared.warm_hits(), 1);
 
         // A reloaded model misses and replaces the shared entry.
         let reloaded = tiny_model();
-        let (_, hit) = b.kernels_for(&key, &reloaded);
-        assert!(!hit);
+        let (_, source) = f32_kernels(&mut b, &key, &reloaded);
+        assert_eq!(source, DecisionSource::Computed);
         assert_eq!(shared.len(), 1, "stale shared entry must be replaced");
     }
 
@@ -982,19 +745,17 @@ mod tests {
         let mut cache = PlanCache::new();
         let model = tiny_model();
         let key = ModelKey::new("m1", 2);
+        let (k, _) = f32_kernels(&mut cache, &key, &model);
         for i in 0..2 * PLANS_CAP {
-            cache.plan_for(&key, &model, 6 + i, 6, &PrecisionDecision::F32);
+            cache.plan_for(&key, &k, 6 + i, 6);
         }
-        assert_eq!(cache.plans.len(), PLANS_CAP);
-        assert!(cache.kernels.len() <= KERNELS_CAP);
+        assert_eq!(cache.f32_plans.len(), PLANS_CAP);
+        for i in 0..2 * DECISIONS_CAP {
+            cache.decision_for(&key, &model, i as f64);
+        }
+        assert_eq!(cache.decisions.len(), DECISIONS_CAP);
         // Most-recent shapes survived.
-        let (_, hit) = cache.plan_for(
-            &key,
-            &model,
-            6 + 2 * PLANS_CAP - 1,
-            6,
-            &PrecisionDecision::F32,
-        );
+        let (_, hit) = cache.plan_for(&key, &k, 6 + 2 * PLANS_CAP - 1, 6);
         assert!(hit);
     }
 
@@ -1013,9 +774,8 @@ mod tests {
 
         let (d, src) = cache.decision_for(&key, &model, ALWAYS_INT8);
         assert_eq!(src, DecisionSource::Computed);
-        assert_eq!(d.precision, Precision::Int8);
+        assert!(d.is_int8(), "int8 decision must carry int8 kernels");
         assert!(d.delta_db.is_finite());
-        assert!(d.qkernels.is_some(), "int8 decision must carry kernels");
 
         // Same budget again: local hit, same Arc.
         let (d2, src) = cache.decision_for(&key, &model, ALWAYS_INT8);
@@ -1025,46 +785,16 @@ mod tests {
         // A budget no measurement can meet: measured, then fell back.
         let (d3, src) = cache.decision_for(&key, &model, NEVER_INT8);
         assert_eq!(src, DecisionSource::Computed);
-        assert_eq!(d3.precision, Precision::F32);
+        assert!(
+            matches!(d3.kernels, ServingKernels::F32(_)),
+            "a fallback carries f32 kernels"
+        );
         assert!(d3.delta_db.is_finite(), "fallback still reports ΔPSNR");
-        assert!(d3.qkernels.is_none());
-    }
 
-    #[test]
-    fn precision_policy_flip_drops_stale_plans_and_planners() {
-        // Satellite: flipping a model's policy f32 -> int8 (or back) must
-        // drop the other-precision entries on the first lookup, so no
-        // request can be served from a mixed-precision cache.
-        let mut cache = PlanCache::new();
-        let key = ModelKey::new("m1", 2);
-        let model = tiny_model();
-        let (int8, _) = cache.decision_for(&key, &model, ALWAYS_INT8);
-
-        // Serve f32 first.
-        cache.plan_for(&key, &model, 8, 8, &PrecisionDecision::F32);
-        cache.plan_for(&key, &model, 6, 10, &PrecisionDecision::F32);
-        cache.tile_planner_for(&key, &model, &PrecisionDecision::F32);
-        assert_eq!(cache.plans.len(), 2);
-
-        // Policy flips to int8: every f32 plan for the key is stale.
-        let (plan, hit) = cache.plan_for(&key, &model, 8, 8, &int8);
-        assert!(!hit, "post-flip lookup must recompile at int8");
-        assert_eq!(plan.precision(), Precision::Int8);
-        assert_eq!(cache.plans.len(), 1, "stale f32 plans must be dropped");
-        let (planner, hit) = cache.tile_planner_for(&key, &model, &int8);
-        assert!(!hit);
-        assert_eq!(planner.precision(), Precision::Int8);
-        assert_eq!(cache.tile_planners.len(), 1);
-
-        // Steady state at int8 hits.
-        let (_, hit) = cache.plan_for(&key, &model, 8, 8, &int8);
-        assert!(hit);
-
-        // Flip back: the int8 entries are dropped in turn.
-        let (plan, hit) = cache.plan_for(&key, &model, 8, 8, &PrecisionDecision::F32);
-        assert!(!hit);
-        assert_eq!(plan.precision(), Precision::F32);
-        assert_eq!(cache.plans.len(), 1);
+        // The f32 policy decides without measuring.
+        let (d4, _) = cache.decision(&key, &model, PrecisionPolicy::F32);
+        assert!(!d4.is_int8());
+        assert!(d4.delta_db.is_nan());
     }
 
     #[test]
@@ -1075,12 +805,15 @@ mod tests {
         let key = ModelKey::new("m1", 2);
         let model = tiny_model();
         let (d, _) = cache.decision_for(&key, &model, ALWAYS_INT8);
+        let ServingKernels::Int8(qk) = &d.kernels else {
+            panic!("an in-budget decision must serve int8");
+        };
         let lr = Tensor::rand_uniform(&[1, 9, 11], 0.0, 1.0, 5);
         let batch = Tensor::stack(&[&lr]);
-        let (plan, _) = cache.plan_for(&key, &model, 9, 11, &d);
+        let (plan, _) = cache.plan_for(&key, qk, 9, 11);
         let got = plan.run_batch(&batch);
 
-        // Rebuild the oracle exactly as compute_decision does.
+        // Rebuild the oracle exactly as decide does.
         let oracle = {
             let calib: Vec<Tensor> = (0..N_CALIB)
                 .map(|i| {
@@ -1101,41 +834,46 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_gradings_collapse_to_one() {
+    fn concurrent_decisions_collapse_to_one() {
         // The autoscale race: two shards' workers both miss the store
-        // and grade "simultaneously". Single-flight must run the grade
+        // and decide "simultaneously". Single-flight must run the decide
         // closure exactly once; the loser waits and warms from the
-        // winner's publish instead of paying a second grading.
+        // winner's publish instead of paying a second decision.
         use std::sync::atomic::AtomicUsize;
 
         let shared = Arc::new(SharedPlanCache::new());
         let key = ModelKey::new("m1", 2);
         let model = tiny_model();
-        let grades = Arc::new(AtomicUsize::new(0));
+        let decisions = Arc::new(AtomicUsize::new(0));
+        let policy = PrecisionPolicy::F32;
 
         let winner = {
-            let (shared, key, model, grades) =
-                (shared.clone(), key.clone(), model.clone(), grades.clone());
+            let (shared, key, model, decisions) = (
+                shared.clone(),
+                key.clone(),
+                model.clone(),
+                decisions.clone(),
+            );
             std::thread::spawn(move || {
-                shared.grade_single_flight(&key, &model, 0, || {
-                    grades.fetch_add(1, Ordering::SeqCst);
-                    // Hold the grading slot long enough that the other
-                    // thread reliably arrives mid-flight.
+                shared.decide_single_flight(&key, &model, policy, || {
+                    decisions.fetch_add(1, Ordering::SeqCst);
+                    // Hold the slot long enough that the other thread
+                    // reliably arrives mid-flight.
                     std::thread::sleep(Duration::from_millis(150));
-                    PrecisionDecision::F32
+                    decide(&model, policy)
                 })
             })
         };
-        // Arrive while the winner is mid-grade.
+        // Arrive while the winner is mid-decision.
         std::thread::sleep(Duration::from_millis(30));
-        let (d_loser, warm_loser) = shared.grade_single_flight(&key, &model, 0, || {
-            grades.fetch_add(1, Ordering::SeqCst);
-            PrecisionDecision::F32
+        let (d_loser, warm_loser) = shared.decide_single_flight(&key, &model, policy, || {
+            decisions.fetch_add(1, Ordering::SeqCst);
+            decide(&model, policy)
         });
-        let (d_winner, warm_winner) = winner.join().expect("grader thread");
+        let (d_winner, warm_winner) = winner.join().expect("decider thread");
 
-        assert_eq!(grades.load(Ordering::SeqCst), 1, "grade must run once");
-        assert!(!warm_winner, "the grader itself is not warm");
+        assert_eq!(decisions.load(Ordering::SeqCst), 1, "decide must run once");
+        assert!(!warm_winner, "the decider itself is not warm");
         assert!(warm_loser, "the waiter must warm from the publish");
         assert!(Arc::ptr_eq(&d_winner, &d_loser), "one shared decision");
         assert_eq!(shared.warm_hits(), 1);
@@ -1150,14 +888,14 @@ mod tests {
         let key = ModelKey::new("m1", 2);
         let model = tiny_model();
 
-        let mut a = PlanCache::with_shared(Some(shared.clone()));
+        let mut a = PlanCache::with_shared(shared.clone());
         let (da, src) = a.decision_for(&key, &model, ALWAYS_INT8);
         assert_eq!(src, DecisionSource::Computed);
-        assert_eq!(shared.decisions_len(), 1);
+        assert_eq!(shared.len(), 1);
         let warm_before = shared.warm_hits();
 
         // Fresh shard, fresh worker cache: decision comes from the store.
-        let mut b = PlanCache::with_shared(Some(shared.clone()));
+        let mut b = PlanCache::with_shared(shared.clone());
         let (db, src) = b.decision_for(&key, &model, ALWAYS_INT8);
         assert_eq!(src, DecisionSource::SharedHit);
         assert!(Arc::ptr_eq(&da, &db), "one grading shared by both shards");
@@ -1165,9 +903,11 @@ mod tests {
 
         // And so do the packed kernels inside it: compiling a plan on the
         // new shard allocates only the arena.
-        let (plan, hit) = b.plan_for(&key, &model, 8, 8, &db);
+        let ServingKernels::Int8(qk) = &db.kernels else {
+            panic!("an in-budget decision must serve int8");
+        };
+        let (_, hit) = b.plan_for(&key, qk, 8, 8);
         assert!(!hit, "plan arenas stay shard-local");
-        assert_eq!(plan.precision(), Precision::Int8);
 
         // A different budget is a different decision.
         let (_, src) = b.decision_for(&key, &model, 0.5);

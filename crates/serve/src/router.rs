@@ -696,8 +696,8 @@ pub struct RouterCounters {
     /// Keys (out of a fixed deterministic sample) observed to change
     /// owner across ring edits — the measured bounded-rebalance cost.
     pub keys_rebalanced: u64,
-    /// Plan-cache kernel compilations avoided because the shared
-    /// per-process store already held the collapsed kernels (how warm
+    /// Precision decisions (kernel flattening, int8 grading) avoided
+    /// because the shared per-process store already held them (how warm
     /// replication made fresh shards).
     pub replication_warm_hits: u64,
     /// Sustained-pressure windows that wanted one more shard while the
@@ -1073,8 +1073,8 @@ pub(crate) struct RouterCore {
     pub(crate) telemetry: RouterTelemetry,
     pub(crate) chaos: Option<ShardChaos>,
     pub(crate) jitter_draws: AtomicU64,
-    /// The process-wide collapsed-kernel store every shard engine warms
-    /// from (hot-plan replication; `replication_warm_hits`).
+    /// The process-wide decision store every shard engine warms from
+    /// (hot-plan replication; `replication_warm_hits`).
     pub(crate) shared_plans: Arc<SharedPlanCache>,
     buckets: Mutex<HashMap<(Arc<str>, usize), Bucket>>,
     policies: HashMap<String, TenantPolicy>,
@@ -1436,7 +1436,7 @@ impl Router {
             slots = a.max_shards.max(cfg.shards);
         }
         // Hot-plan replication: every shard engine (initial, respawned,
-        // or scaled-up) warms its collapsed kernels from one shared
+        // or scaled-up) warms its precision decisions from one shared
         // per-process store unless the caller injected their own.
         let shared_plans = cfg
             .engine

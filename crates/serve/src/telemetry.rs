@@ -268,18 +268,6 @@ pub struct Counters {
     pub video_deadline_misses: u64,
 }
 
-impl Counters {
-    /// Bumps one ladder-rung bucket (rungs past 3 clamp into the last).
-    pub fn bump_video_rung(&mut self, rung: usize) {
-        match rung {
-            0 => self.video_rung_0 += 1,
-            1 => self.video_rung_1 += 1,
-            2 => self.video_rung_2 += 1,
-            _ => self.video_rung_3 += 1,
-        }
-    }
-}
-
 struct Inner {
     stages: [Histogram; 5],
     counters: Counters,
@@ -629,11 +617,9 @@ mod tests {
             c.video_tiles_skipped = 500;
             c.video_tiles_recomputed = 77;
             c.video_tiles_degraded = 12;
-            c.bump_video_rung(0);
-            c.bump_video_rung(1);
-            c.bump_video_rung(1);
-            c.bump_video_rung(3);
-            c.bump_video_rung(9); // clamps into the last bucket
+            c.video_rung_0 = 1;
+            c.video_rung_1 = 2;
+            c.video_rung_3 = 2;
             c.video_deadline_misses = 1;
         });
         let json = t.snapshot().to_json();

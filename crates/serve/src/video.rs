@@ -31,11 +31,12 @@
 //! idempotent frame settlement), and `router::Router` adds per-tenant
 //! session caps and shard pinning on top.
 
-// Video sessions always serve f32 (`PrecisionDecision::F32`): temporal
-// tile reuse composites cached HR tiles across frames, and mixing
-// precisions within one session would break its bit-consistency
-// guarantees (a composited frame must equal the whole-frame run).
-use crate::plan_cache::{PlanCache, PrecisionDecision};
+// Video sessions always serve f32 (`PlanCache::tile_planner_for` is
+// f32-only): temporal tile reuse composites cached HR tiles across
+// frames, and mixing precisions within one session would break its
+// bit-consistency guarantees (a composited frame must equal the
+// whole-frame run).
+use crate::plan_cache::PlanCache;
 use crate::registry::ModelKey;
 use sesr_core::crc32::Crc32;
 use sesr_core::{CollapsedSesr, TileError, TilePlan, TileSpec};
@@ -45,7 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Ladder histogram buckets tracked per session (rungs past the last
-/// bucket clamp into it, matching `telemetry::Counters::bump_video_rung`).
+/// bucket clamp into it, like the engine's `video_rung_3` counter).
 pub const RUNG_BUCKETS: usize = 4;
 
 /// Typed failure modes of the video-session layer.
@@ -340,7 +341,7 @@ impl VideoSession {
     pub fn warm_plans(&self, models: &[Arc<CollapsedSesr>], plans: &mut PlanCache) {
         let frame = Tensor::zeros(&[1, self.spec.height, self.spec.width]);
         for (key, model) in self.spec.ladder.iter().zip(models) {
-            let (planner, _) = plans.tile_planner_for(key, model, &PrecisionDecision::F32);
+            let (planner, _) = plans.tile_planner_for(key, model);
             for &spec in self.plan.tiles() {
                 planner.run_tile(&frame, &spec);
             }
@@ -477,8 +478,7 @@ impl VideoSession {
             };
             let spec = self.plan.tiles()[d.index];
             let started = Instant::now();
-            let (planner, _) =
-                plans.tile_planner_for(&keys[rung], &models[rung], &PrecisionDecision::F32);
+            let (planner, _) = plans.tile_planner_for(&keys[rung], &models[rung]);
             let sr = planner.run_tile(frame, &spec);
             let elapsed = started.elapsed().as_nanos() as f64;
             let sample = elapsed / d.patch_px.max(1.0);

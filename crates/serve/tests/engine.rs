@@ -505,28 +505,26 @@ fn plan_cache_counters_track_hits_misses_and_arena() {
 
 /// Derives the int8 oracle exactly as the engine's load-time grading
 /// does: same deterministic calibration scene, same packed kernels.
-fn int8_oracle(key: &ModelKey, model: CollapsedSesr, budget: f64) -> sesr_serve::PrecisionDecision {
+/// Panics unless the budget resolves to int8.
+fn int8_oracle(key: &ModelKey, model: CollapsedSesr, budget: f64) -> Arc<sesr_quant::QuantKernels> {
     let mut cache = sesr_serve::PlanCache::new();
     let (d, _) = cache.decision_for(key, &Arc::new(model), budget);
-    // The Arc is ours alone; unwrap the decision for direct use.
-    Arc::try_unwrap(d).unwrap_or_else(|d| sesr_serve::PrecisionDecision {
-        precision: d.precision,
-        delta_db: d.delta_db,
-        qkernels: d.qkernels.clone(),
-    })
+    match &d.kernels {
+        sesr_serve::ServingKernels::Int8(qk) => qk.clone(),
+        sesr_serve::ServingKernels::F32(_) => panic!("budget {budget} did not resolve to int8"),
+    }
 }
 
 #[test]
 fn int8_policy_serves_the_quantized_plan_bit_exactly() {
     use sesr_quant::QuantPlan;
-    use sesr_serve::{Precision, PrecisionPolicy};
+    use sesr_serve::PrecisionPolicy;
 
     let key = ModelKey::new("m2", 2);
     let registry = registry_with(&key, tiny_model(1));
     // A generous budget: every calibrated model loses far less than
     // 100 dB, so the decision must resolve to int8.
     let oracle = int8_oracle(&key, tiny_model(1), 100.0);
-    assert_eq!(oracle.precision, Precision::Int8);
     let engine = Engine::new(
         EngineConfig {
             workers: 1,
@@ -536,7 +534,7 @@ fn int8_policy_serves_the_quantized_plan_bit_exactly() {
         registry,
     );
     let x = img(3, 12, 16);
-    let mut plan = QuantPlan::new(oracle.qkernels.clone().unwrap(), 12, 16);
+    let mut plan = QuantPlan::new(oracle, 12, 16);
     let want = plan.run(&x);
     for _ in 0..2 {
         let served = engine
@@ -634,7 +632,7 @@ fn tiled_int8_request_matches_the_whole_frame_quantized_plan() {
         registry,
     );
     let x = img(6, 20, 24);
-    let mut plan = QuantPlan::new(oracle.qkernels.clone().unwrap(), 20, 24);
+    let mut plan = QuantPlan::new(oracle, 20, 24);
     let want = plan.run(&x);
     let served = engine.submit(&key, x, None).unwrap().wait().unwrap();
     let exact = served
@@ -654,4 +652,60 @@ fn tiled_int8_request_matches_the_whole_frame_quantized_plan() {
     );
     assert_eq!(c.int8_plans_active, 1, "{c:?}");
     assert_eq!(c.precision_fallbacks, 0, "{c:?}");
+}
+
+/// Two same-shape tiled requests on one worker: the first decides (a
+/// plan-cache miss), the second reuses the decision's kernels (a hit).
+fn tiled_plan_cache_accounting(precision: sesr_serve::PrecisionPolicy) {
+    let key = ModelKey::new("m2", 2);
+    let registry = registry_with(&key, tiny_model(1));
+    let engine = Engine::new(
+        EngineConfig {
+            workers: 1,
+            tile_threshold_px: 256,
+            tile: 12,
+            precision,
+            ..EngineConfig::default()
+        },
+        registry,
+    );
+    for seed in 0..2 {
+        engine
+            .submit(&key, img(seed, 20, 24), None)
+            .unwrap()
+            .wait()
+            .unwrap();
+    }
+    let c = engine.telemetry().snapshot().counters;
+    assert_eq!(c.tiled_requests, 2, "{c:?}");
+    assert_eq!(c.plan_cache_misses, 1, "{c:?}");
+    assert_eq!(c.plan_cache_hits, 1, "{c:?}");
+    if precision != sesr_serve::PrecisionPolicy::F32 {
+        assert_eq!(c.int8_plans_active, 1, "{c:?}");
+        assert_eq!(c.int8_plan_cache_hits, 1, "{c:?}");
+    }
+}
+
+#[test]
+fn tiled_plan_cache_accounting_f32() {
+    tiled_plan_cache_accounting(sesr_serve::PrecisionPolicy::F32);
+}
+
+#[test]
+fn tiled_plan_cache_accounting_int8() {
+    tiled_plan_cache_accounting(sesr_serve::PrecisionPolicy::Int8 { psnr_budget: 100.0 });
+}
+
+#[test]
+#[should_panic(expected = "tile must be positive")]
+fn zero_tile_is_rejected_at_engine_construction() {
+    let key = ModelKey::new("m2", 2);
+    let _ = Engine::new(
+        EngineConfig {
+            workers: 0,
+            tile: 0,
+            ..EngineConfig::default()
+        },
+        registry_with(&key, tiny_model(1)),
+    );
 }

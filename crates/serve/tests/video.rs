@@ -450,7 +450,7 @@ fn warm_plans_precompiles_without_changing_outputs() {
     warm.warm_plans(&models, &mut warm_plans);
     // Every rung's planner now exists: re-requesting each is a hit.
     for (key, model) in ladder() {
-        let (_, hit) = warm_plans.tile_planner_for(key, model, &sesr_serve::PrecisionDecision::F32);
+        let (_, hit) = warm_plans.tile_planner_for(key, model);
         assert!(hit, "warm_plans must have built the {key:?} planner");
     }
     assert_eq!(warm.stats(), Default::default(), "warming touched stats");

@@ -4,10 +4,11 @@
 # the headline throughput metrics via `sesr bench-gate`, which fails if
 # a fresh run regresses more than MAX_REGRESS (default 25%).
 #
-# The flag sets below MUST mirror the `config` blocks inside the
-# committed BENCH_train.json / BENCH_serve.json / BENCH_infer.json —
-# re-record a baseline and update its flags here together, never one
-# without the other.
+# Lanes, in order: train, infer, serve, video, router. The flag sets
+# below MUST mirror the `config` blocks inside the committed
+# BENCH_train.json / BENCH_infer.json / BENCH_serve.json /
+# BENCH_video.json / BENCH_router.json — re-record a baseline and update
+# its flags here together, never one without the other.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -19,11 +19,12 @@
 #   infer       planned-inference identity + zero-allocation proofs,
 #               and the plan skeleton's checks at both precisions
 #   int8        quantized-plan oracle identity + zero-allocation proofs,
-#               epilogue kernel sweep, engine precision grading/fallback
+#               epilogue kernel sweep, plan-cache int8 oracle and
+#               replication, engine precision grading/fallback
 #   simd        kernel unsafe-hygiene audit + scalar/SIMD identity tests
 #               (both dispatch legs: default detection and force-scalar)
 #   bench-smoke serve-bench smoke run + JSON well-formedness check
-#   bench-gate  fresh train/serve/infer/router bench runs vs baselines
+#   bench-gate  fresh train/infer/serve/video/router bench runs vs baselines
 #   benchmark   the benchmark package's own tests (it sits outside the
 #               workspace) + its committed lockfile left unchanged
 set -euo pipefail
@@ -172,8 +173,9 @@ step_int8() {
     # quantizer edge cases, the kernel-level identity sweeps (every
     # integer tap-kernel body against scalar; requantization epilogues
     # under round ties, clamp saturation, zero-point extremes, -0.0), and
-    # the engine's PSNR-budget grading with silent f32 fallback plus the
-    # autoscaler's warm-decision replication.
+    # the plan cache's int8 oracle, single-flight and replication tests,
+    # and the engine's PSNR-budget grading with silent f32 fallback plus
+    # the autoscaler's warm-decision replication.
     cargo test -q --offline -p sesr --test proptest_qplan
     cargo test -q --offline -p sesr-quant --test ragged_geometry
     cargo test -q --offline -p sesr-quant --test proptest_quant
@@ -181,6 +183,7 @@ step_int8() {
     cargo test -q --offline -p sesr-quant --test edge_cases
     cargo test -q --offline -p sesr-tensor quant_epilogues
     cargo test -q --offline -p sesr-tensor qmadd
+    cargo test -q --offline -p sesr-serve --lib plan_cache
     cargo test -q --offline -p sesr-serve --test engine int8
     cargo test -q --offline -p sesr-serve --test autoscale int8
 }
