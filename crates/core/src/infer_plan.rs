@@ -73,7 +73,8 @@ use sesr_tensor::conv::Conv2dParams;
 use sesr_tensor::gemm::KC;
 use sesr_tensor::parallel::{num_threads, parallel_for, SendPtr};
 use sesr_tensor::simd::{
-    detected_variants, kernel_variant, microkernel, KernelVariant, Microkernel, RowAct,
+    detected_variants, kernel_variant, microkernel, wino_pack_u, wino_scratch_len, KernelVariant,
+    Microkernel, RowAct, WinoRow,
 };
 use sesr_tensor::winograd::kernel_transform;
 use sesr_tensor::Tensor;
@@ -739,9 +740,10 @@ struct KernelLayer {
     /// Per-output-channel bias.
     bias: Vec<f32>,
     /// Winograd-transformed kernels (`G g Gᵀ` per `(cout, cin)` pair),
-    /// present iff the kernel is 3x3. Computed once here instead of per
+    /// present iff the kernel is 3x3, laid out `[k][cin][cout4]` for
+    /// [`Microkernel::wino_tile_row`]. Computed once here instead of per
     /// call inside `winograd_conv3x3`.
-    wino_u: Option<Vec<[f32; 16]>>,
+    wino_u: Option<Vec<f32>>,
     /// Activation fused into this layer's output write.
     act: ActKind,
 }
@@ -777,14 +779,13 @@ impl CollapsedKernels {
                     kw,
                 });
                 let wino_u = (kh == 3 && kw == 3).then(|| {
-                    let mut u = vec![[0.0f32; 16]; o * i];
-                    for oo in 0..o {
-                        for ii in 0..i {
-                            let base = (oo * i + ii) * 9;
-                            u[oo * i + ii] = kernel_transform(&l.weight.data()[base..base + 9]);
-                        }
-                    }
-                    u
+                    let tiles: Vec<[f32; 16]> = l
+                        .weight
+                        .data()
+                        .chunks_exact(9)
+                        .map(kernel_transform)
+                        .collect();
+                    wino_pack_u(&tiles, o, i)
                 });
                 let taps4 = wino_u.is_none().then(|| {
                     let k = i * kh * kw;
@@ -835,18 +836,19 @@ impl Datapath for CollapsedKernels {
         c * h * w
     }
 
-    /// Winograd layers keep one gathered and one transformed input tile
-    /// set, one accumulated m-tile plus one 2x2 output tile per output
-    /// channel, and two output rows per channel; direct-conv layers keep
-    /// one padded output row per channel plus the `kh` padded input rows
-    /// of every input channel for the current output row.
+    /// Winograd layers keep a four-row ring of split input rows per
+    /// input channel, the tile-row kernel's scratch, and two raw output
+    /// rows per output channel; direct-conv layers keep one padded output
+    /// row per channel plus the `kh` padded input rows of every input
+    /// channel for the current output row.
     fn slab_len(&self, _h: usize, w: usize) -> usize {
         self.layers
             .iter()
             .zip(self.graph.layers())
             .map(|(l, s)| {
                 if l.wino_u.is_some() {
-                    2 * s.cin * 16 + s.cout * 16 + s.cout * 4 + s.cout * 2 * w
+                    let (tiles, sw) = wino_row_geometry(w);
+                    4 * s.cin * 2 * sw + wino_scratch_len(s.cin) + s.cout * 2 * 2 * tiles
                 } else {
                     s.cout * w.next_multiple_of(8) + s.cin * s.kh * padded_stride(w, s.kw)
                 }
@@ -1056,10 +1058,16 @@ fn conv_band(
 }
 
 /// Executes output rows `[y0, y1)` of a 3x3 layer with the Winograd
-/// `F(2x2, 3x3)` pipeline, epilogue fused into the output transform's
-/// tile write. Tiles are independent, so running the band's tile rows is
-/// arithmetically identical to the whole-image kernel; bands are 2-row
-/// aligned so no tile straddles a band boundary.
+/// `F(2x2, 3x3)` pipeline, one tile row at a time, epilogue fused into
+/// the row write. Each input row is split once per band into zero-padded
+/// even/odd columns and kept in a four-row ring (a tile row reads input
+/// rows `oy - 1 ..= oy + 2`, so consecutive tile rows share two), then
+/// [`Microkernel::wino_tile_row`] runs the whole row and writes both raw
+/// output rows of every channel for the epilogue. Rows and columns
+/// outside the plane stage as `0.0`, the zero padding of the reference's
+/// per-tile gather. Tiles are independent, so running the band's tile
+/// rows is arithmetically identical to the whole-image kernel; bands are
+/// 2-row aligned so no tile straddles a band boundary.
 #[allow(clippy::too_many_arguments)]
 fn wino_band(
     mk: &dyn Microkernel,
@@ -1075,74 +1083,71 @@ fn wino_band(
 ) {
     let (cin, cout) = (shape.cin, shape.cout);
     let u = layer.wino_u.as_ref().expect("wino layer");
-    let (d_slab, rest) = slab.split_at_mut(cin * 16);
-    let (v_slab, rest) = rest.split_at_mut(cin * 16);
-    // Accumulated m-tiles are staged here between the channel-reduction
-    // loop and the output transform. The store keeps the two loops
-    // separate in codegen: letting the compiler fuse the reduction into
-    // the transform's butterfly trades the clean 8-wide accumulation for
-    // a shuffle-bound hybrid (measurably slower).
-    let (m_slab, rest) = rest.split_at_mut(cout * 16);
-    let (y_slab, rest) = rest.split_at_mut(cout * 4);
-    // Two raw output rows per channel, filled tile by tile, then flushed
-    // through the fused epilogue row-at-a-time.
-    let rowbuf = &mut rest[..cout * 2 * w];
-    let tiles_x = w.div_ceil(2);
+    let (tiles, sw) = wino_row_geometry(w);
+    let (ring, rest) = slab.split_at_mut(4 * cin * 2 * sw);
+    let (scratch, rest) = rest.split_at_mut(wino_scratch_len(cin));
+    let ostride = 2 * tiles;
+    let rowbuf = &mut rest[..cout * 2 * ostride];
+    let slot_len = cin * 2 * sw;
     for ty in y0 / 2..y1.div_ceil(2) {
         let oy = 2 * ty;
-        for tx in 0..tiles_x {
-            let ox = 2 * tx;
-            // A tile is interior when its 4x4 input window (offset -1)
-            // lies fully inside the plane; the hot path then gathers with
-            // four straight row copies and no bounds checks.
-            let interior = oy >= 1 && oy + 3 <= h && ox >= 1 && ox + 3 <= w;
-            if interior {
-                let base = (oy - 1) * w + (ox - 1);
-                mk.wino_input_transform_interior(src, h * w, base, w, v_slab, cin);
-            } else {
-                d_slab.fill(0.0);
-                for cc in 0..cin {
-                    let plane = &src[cc * h * w..(cc + 1) * h * w];
-                    let d = &mut d_slab[cc * 16..cc * 16 + 16];
-                    for dy in 0..4 {
-                        let iy = oy as isize + dy as isize - 1;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for dx in 0..4 {
-                            let ix = ox as isize + dx as isize - 1;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            d[4 * dy + dx] = plane[iy as usize * w + ix as usize];
-                        }
-                    }
-                }
-                mk.wino_input_transform_many(d_slab, v_slab, cin);
-            }
-            mk.wino_channel_reduce(m_slab, u, v_slab, cout, cin);
-            mk.wino_output_transform_many(m_slab, y_slab, cout);
-            for oo in 0..cout {
-                let yv = &y_slab[oo * 4..oo * 4 + 4];
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let xx = ox + dx;
-                        if xx < w {
-                            rowbuf[(oo * 2 + dy) * w + xx] = yv[2 * dy + dx];
-                        }
-                    }
+        // Input row `oy - 1 + r` lives in ring slot `(oy + r) % 4`; a
+        // band's first tile row stages all four, later ones the two new.
+        let fresh = if ty == y0 / 2 { 0 } else { 2 };
+        for r in fresh..4 {
+            let slot = &mut ring[(oy + r) % 4 * slot_len..][..slot_len];
+            let iy = (oy + r).checked_sub(1).filter(|&iy| iy < h);
+            for (cc, halves) in slot.chunks_exact_mut(2 * sw).enumerate() {
+                match iy {
+                    Some(iy) => split_row(halves, &src[cc * h * w + iy * w..][..w]),
+                    None => halves.fill(0.0),
                 }
             }
         }
+        let row = WinoRow {
+            rows: std::array::from_fn(|r| &ring[(oy + r) % 4 * slot_len..][..slot_len]),
+            sw,
+            tiles,
+            u,
+            cin,
+            cout,
+        };
+        mk.wino_tile_row(&row, scratch, rowbuf, ostride);
         for oo in 0..cout {
             for dy in 0..2 {
                 let yy = oy + dy;
-                if yy >= h {
-                    continue;
+                if yy < h {
+                    epi.emit_row(oo, yy, &mut rowbuf[(oo * 2 + dy) * ostride..][..w], h, w);
                 }
-                epi.emit_row(oo, yy, &mut rowbuf[(oo * 2 + dy) * w..][..w], h, w);
             }
         }
+    }
+}
+
+/// Tiles per Winograd tile row at width `w`, and the length of one
+/// even/odd half of a split input row (`tiles + 1`: tile `t` reads
+/// columns `t` and `t + 1` of each half).
+fn wino_row_geometry(w: usize) -> (usize, usize) {
+    let tiles = w.div_ceil(2);
+    (tiles, tiles + 1)
+}
+
+/// Splits input row `x` into the zero-padded halves of a
+/// [`WinoRow`] row: `e[t] = x[2t - 1]` then `o[t] = x[2t]`, `0.0`
+/// outside the row.
+fn split_row(halves: &mut [f32], x: &[f32]) {
+    let (e, o) = halves.split_at_mut(halves.len() / 2);
+    let pairs = x.chunks_exact(2);
+    let (half, tail) = (x.len() / 2, pairs.remainder());
+    for ((p, ot), et) in pairs.zip(o.iter_mut()).zip(&mut e[1..]) {
+        *ot = p[0];
+        *et = p[1];
+    }
+    e[0] = 0.0;
+    e[half + 1..].fill(0.0);
+    o[half..].fill(0.0);
+    if let [last] = tail {
+        o[half] = *last;
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Every hot inner loop of the planned executor — the packed GEMM's 8x8
 //! register tile, the direct convolution's tap-accumulate, the Winograd
-//! `F(2x2, 3x3)` transforms and channel reduction, and the fused epilogue
-//! row passes — dispatches through one [`Microkernel`] trait object picked
+//! `F(2x2, 3x3)` tile row (and the per-tile transforms and channel
+//! reduction of the reference), and the fused epilogue row passes —
+//! dispatches through one [`Microkernel`] trait object picked
 //! at runtime with `is_x86_feature_detected!`. Three x86 variants exist:
 //!
 //! * [`KernelVariant::Scalar`] — the reference implementation; plain Rust
@@ -21,16 +22,24 @@
 //!   the variant. Scalar remainder lanes use [`f32::mul_add`], which the
 //!   probe tests prove bit-equal to `vfmadd`.
 //!
-//! The quantized executor's integer tap kernel,
-//! [`Microkernel::qmadd_taps4`], has no madd flavor, so both AVX2 variants
-//! share it, and it carries its own body choice *inside* them: on CPUs
-//! with AVX-512F and AVX-512 VNNI it runs `vpdpwssd` on zmm (4 channels x
-//! 32 columns, masked tail), otherwise `vpmaddwd` + `vpaddd` on ymm (4
-//! channels x 16 columns, scalar tail). The choice is probed once per
-//! process and is not a [`KernelVariant`] of its own: integer
-//! accumulation under the executor's operand bounds is exact and
-//! associative, so every body, like the scalar reference, yields the same
-//! bits. [`Microkernel::int8_body`] names the body that runs.
+//! Vector width is not part of that contract — a lane runs the same op at
+//! any width — so some methods carry a wider body *inside* the AVX2
+//! variants, probed once per process and never a [`KernelVariant`] of its
+//! own:
+//!
+//! * [`Microkernel::wino_tile_row`] and the int8 epilogues
+//!   ([`Microkernel::qrequant_pack_row`], [`Microkernel::qresidual_pack_row`],
+//!   [`Microkernel::qhead_row`]) run 16-lane AVX-512F bodies when the CPU
+//!   has AVX-512F, with the variant's own madd (`Avx2` stays unfused,
+//!   `Avx2Fma` fused) and masked tails.
+//! * The quantized executor's integer tap kernel,
+//!   [`Microkernel::qmadd_taps4`], has no madd flavor, so both AVX2
+//!   variants share it: on CPUs with AVX-512F and AVX-512 VNNI it runs
+//!   `vpdpwssd` on zmm (4 channels x 32 columns, masked tail), otherwise
+//!   `vpmaddwd` + `vpaddd` on ymm (4 channels x 16 columns, scalar tail).
+//!   Integer accumulation under the executor's operand bounds is exact
+//!   and associative, so every body, like the scalar reference, yields
+//!   the same bits. [`Microkernel::int8_body`] names the body that runs.
 //!
 //! [`KernelVariant::Neon`] names the aarch64 slot behind the same trait;
 //! its implementation is currently a guarded stub that executes the scalar
@@ -413,59 +422,6 @@ pub trait Microkernel: Sync {
     /// Winograd `Aᵀ m A`, producing the 2x2 output tile. Pure add/sub.
     fn wino_output_transform(&self, m: &[f32; 16]) -> [f32; 4];
 
-    /// [`Microkernel::wino_input_transform`] over `cin` consecutive tiles:
-    /// `v_slab[cc*16..] = BᵀdB(d_slab[cc*16..])`. One virtual call per
-    /// tile *set* instead of per tile — the default body is monomorphized
-    /// per implementation, so the inner per-tile calls dispatch
-    /// statically. Both slabs must hold `cin * 16` floats.
-    fn wino_input_transform_many(&self, d_slab: &[f32], v_slab: &mut [f32], cin: usize) {
-        for cc in 0..cin {
-            let d: &[f32; 16] = d_slab[cc * 16..cc * 16 + 16]
-                .try_into()
-                .expect("16-element tile");
-            v_slab[cc * 16..cc * 16 + 16].copy_from_slice(&self.wino_input_transform(d));
-        }
-    }
-
-    /// [`Microkernel::wino_output_transform`] over `cout` consecutive
-    /// tiles: `y_slab[oo*4..] = AᵀmA(m_slab[oo*16..])`. Same batching
-    /// rationale as [`Microkernel::wino_input_transform_many`].
-    fn wino_output_transform_many(&self, m_slab: &[f32], y_slab: &mut [f32], cout: usize) {
-        for oo in 0..cout {
-            let m: &[f32; 16] = m_slab[oo * 16..oo * 16 + 16]
-                .try_into()
-                .expect("16-element tile");
-            y_slab[oo * 4..oo * 4 + 4].copy_from_slice(&self.wino_output_transform(m));
-        }
-    }
-
-    /// Fused gather + input transform for an *interior* tile: reads the
-    /// 4x4 window whose top-left element sits at `base` (rows `stride`
-    /// apart) of each `plane_len`-float channel plane in `src`, and
-    /// writes the transformed tile to `v_slab[cc*16..]` — no staging
-    /// copy. Bit-identical to gathering into a d-tile first (the
-    /// transform is pure add/sub). The window must be fully in bounds
-    /// for every channel: `(cin-1)*plane_len + base + 3*stride + 4 <=
-    /// src.len()`, and `v_slab` must hold `cin * 16` floats.
-    fn wino_input_transform_interior(
-        &self,
-        src: &[f32],
-        plane_len: usize,
-        base: usize,
-        stride: usize,
-        v_slab: &mut [f32],
-        cin: usize,
-    ) {
-        for cc in 0..cin {
-            let plane = &src[cc * plane_len..];
-            let mut d = [0.0f32; 16];
-            for dy in 0..4 {
-                d[4 * dy..4 * dy + 4].copy_from_slice(&plane[base + dy * stride..][..4]);
-            }
-            v_slab[cc * 16..cc * 16 + 16].copy_from_slice(&self.wino_input_transform(&d));
-        }
-    }
-
     /// The Winograd channel reduction: for each output channel `oo`,
     /// `m_slab[oo*16 + k] = sum_cc u[oo*cin + cc][k] * v_slab[cc*16 + k]`
     /// with `cc` ascending. `m_slab` is `cout * 16`, `v_slab` is
@@ -478,6 +434,41 @@ pub trait Microkernel: Sync {
         cout: usize,
         cin: usize,
     );
+
+    /// One Winograd `F(2x2, 3x3)` tile row — the planned executor's 3x3
+    /// hot loop. Tile `t` reads the 4x4 window whose row `r` is
+    /// `[e_r[t], o_r[t], e_r[t + 1], o_r[t + 1]]` of every channel (see
+    /// [`WinoRow`]) and writes its 2x2 output tile of channel `oo` to
+    /// `out[(2 * oo + dy) * ostride + 2 * t + dx]`.
+    ///
+    /// Per tile the arithmetic is exactly [`Microkernel::wino_input_transform`],
+    /// then [`Microkernel::wino_channel_reduce`] (each of the 16 chains
+    /// starts from `0.0` and takes `cc` ascending with this variant's
+    /// madd), then [`Microkernel::wino_output_transform`], so the output
+    /// is bit-identical to that per-tile pipeline on the same variant.
+    /// Implementations run the tiles [`WINO_CHUNK`] at a time: `V` is laid
+    /// out `[k][cin][tiles]` in `scratch`, the reduction is sixteen small
+    /// GEMMs `M_k = U_kᵀ V_k` with `u` broadcast and tiles in vector
+    /// lanes, and the output transform interleaves each tile pair's
+    /// columns straight into `out`. A narrower last chunk runs narrower
+    /// (masked vector lanes), it is not padded.
+    ///
+    /// # Panics
+    ///
+    /// Unless the lengths [`WinoRow`] documents hold, `scratch` holds
+    /// [`wino_scratch_len`]`(cin)` floats, `ostride >= 2 * tiles`, and
+    /// `out` holds `2 * cout` rows of `ostride` (the last needs only
+    /// `2 * tiles` floats).
+    fn wino_tile_row(
+        &self,
+        row: &WinoRow<'_>,
+        scratch: &mut [f32],
+        out: &mut [f32],
+        ostride: usize,
+    ) {
+        check_wino_row(row, scratch, out, ostride);
+        scalar::wino_tile_row(row, scratch, out, ostride);
+    }
 
     /// Fused epilogue head: `row[x] = act(row[x] + bias)`. Bit-identical
     /// across variants (no multiply-add pairs).
@@ -529,6 +520,94 @@ fn check_taps4<T>(acc: &[T], n: usize, ws: &[T], offs: &[usize], src: &[T]) {
             "tap segment runs past the end of src"
         );
     }
+}
+
+/// Tiles per chunk of [`Microkernel::wino_tile_row`]: two 16-lane or four
+/// 8-lane vectors, so a chunk's transformed input stays in L1 at 16
+/// channels.
+pub const WINO_CHUNK: usize = 32;
+
+/// The read-only operands of one [`Microkernel::wino_tile_row`] call.
+#[derive(Debug, Clone, Copy)]
+pub struct WinoRow<'a> {
+    /// The tile row's four input rows, top to bottom, each split into
+    /// zero-padded even/odd columns for every channel: channel `cc` of
+    /// row `r` holds `e_r[t] = x[2t - 1]` at `rows[r][cc * 2 * sw + t]`
+    /// and `o_r[t] = x[2t]` at `rows[r][cc * 2 * sw + sw + t]`, with
+    /// `0.0` for every column (or whole row) outside the plane. Each
+    /// slice holds at least `cin * 2 * sw` floats.
+    pub rows: [&'a [f32]; 4],
+    /// Length of one even or odd half; at least `tiles + 1`.
+    pub sw: usize,
+    /// Tiles in the row (at least one).
+    pub tiles: usize,
+    /// Transformed kernels laid out `[k][cin][cout4]` by
+    /// [`wino_pack_u`].
+    pub u: &'a [f32],
+    /// Input channels (at least one).
+    pub cin: usize,
+    /// Output channels (at least one).
+    pub cout: usize,
+}
+
+/// Floats of scratch [`Microkernel::wino_tile_row`] needs at `cin` input
+/// channels: one chunk's `V` plus one four-channel group's `M`.
+pub fn wino_scratch_len(cin: usize) -> usize {
+    16 * (cin + 4) * WINO_CHUNK
+}
+
+/// Re-lays per-`(cout, cin)` transformed kernels (`u[oo * cin + cc]`, as
+/// [`crate::winograd::kernel_transform`] makes them) as the `[k][cin][cout4]`
+/// operand of [`Microkernel::wino_tile_row`]: element `k` of tile
+/// `(oo, cc)` at `(k * cin + cc) * cout4 + oo`, where `cout4` rounds
+/// `cout` up to a multiple of four and the padding channels hold `0.0`.
+///
+/// # Panics
+///
+/// If `u` does not hold exactly `cout * cin` tiles.
+pub fn wino_pack_u(u: &[[f32; 16]], cout: usize, cin: usize) -> Vec<f32> {
+    assert_eq!(u.len(), cout * cin, "one tile per (cout, cin) pair");
+    let cout4 = cout.next_multiple_of(4);
+    let mut packed = vec![0.0f32; 16 * cin * cout4];
+    for (i, tile) in u.iter().enumerate() {
+        let (oo, cc) = (i / cin, i % cin);
+        for (k, &x) in tile.iter().enumerate() {
+            packed[(k * cin + cc) * cout4 + oo] = x;
+        }
+    }
+    packed
+}
+
+/// Asserts the [`Microkernel::wino_tile_row`] length contract, which the
+/// SIMD implementations' unchecked loads and stores rely on.
+fn check_wino_row(row: &WinoRow<'_>, scratch: &[f32], out: &[f32], ostride: usize) {
+    let WinoRow {
+        rows,
+        sw,
+        tiles,
+        u,
+        cin,
+        cout,
+    } = *row;
+    assert!(tiles > 0 && cin > 0 && cout > 0, "empty tile row");
+    assert!(sw > tiles, "a split half needs tiles + 1 columns");
+    assert!(
+        rows.iter().all(|r| r.len() >= cin * 2 * sw),
+        "input row shorter than cin split rows"
+    );
+    assert!(
+        u.len() >= 16 * cin * cout.next_multiple_of(4),
+        "u shorter than [16][cin][cout4]"
+    );
+    assert!(scratch.len() >= wino_scratch_len(cin), "scratch too short");
+    assert!(
+        ostride >= 2 * tiles,
+        "output stride narrower than the tiles"
+    );
+    assert!(
+        out.len() >= (2 * cout - 1) * ostride + 2 * tiles,
+        "out shorter than 2 * cout rows"
+    );
 }
 
 /// Shorthand for `microkernel(kernel_variant())`.
@@ -760,6 +839,76 @@ mod scalar {
         }
     }
 
+    /// Scalar [`super::Microkernel::wino_tile_row`]: the per-tile
+    /// transforms themselves around a reduction whose loops run over
+    /// tiles innermost, so the compiler can vectorize it.
+    pub fn wino_tile_row(
+        row: &super::WinoRow<'_>,
+        scratch: &mut [f32],
+        out: &mut [f32],
+        ostride: usize,
+    ) {
+        use crate::winograd::{input_transform, output_transform};
+        let super::WinoRow {
+            rows,
+            sw,
+            tiles,
+            u,
+            cin,
+            cout,
+        } = *row;
+        let cout4 = cout.next_multiple_of(4);
+        let (vs, ms) = scratch.split_at_mut(16 * cin * super::WINO_CHUNK);
+        for t0 in (0..tiles).step_by(super::WINO_CHUNK) {
+            let nt = super::WINO_CHUNK.min(tiles - t0);
+            for cc in 0..cin {
+                let (e, o) = (cc * 2 * sw + t0, cc * 2 * sw + sw + t0);
+                for j in 0..nt {
+                    let mut d = [0.0f32; 16];
+                    for (r, src) in rows.iter().enumerate() {
+                        d[4 * r..4 * r + 4].copy_from_slice(&[
+                            src[e + j],
+                            src[o + j],
+                            src[e + j + 1],
+                            src[o + j + 1],
+                        ]);
+                    }
+                    for (k, &v) in input_transform(&d).iter().enumerate() {
+                        vs[(k * cin + cc) * nt + j] = v;
+                    }
+                }
+            }
+            for g in 0..cout4 / 4 {
+                for k in 0..16 {
+                    let m = &mut ms[k * 4 * nt..(k + 1) * 4 * nt];
+                    m.fill(0.0);
+                    for cc in 0..cin {
+                        let v = &vs[(k * cin + cc) * nt..][..nt];
+                        let uk = &u[(k * cin + cc) * cout4 + 4 * g..][..4];
+                        for (mc, &uc) in m.chunks_exact_mut(nt).zip(uk) {
+                            for (a, &vv) in mc.iter_mut().zip(v) {
+                                *a += uc * vv;
+                            }
+                        }
+                    }
+                }
+                for c in 0..4.min(cout - 4 * g) {
+                    let oo = 4 * g + c;
+                    for j in 0..nt {
+                        let mut m = [0.0f32; 16];
+                        for (k, mk) in m.iter_mut().enumerate() {
+                            *mk = ms[(k * 4 + c) * nt + j];
+                        }
+                        let y = output_transform(&m);
+                        let x = 2 * (t0 + j);
+                        out[2 * oo * ostride + x..][..2].copy_from_slice(&y[..2]);
+                        out[(2 * oo + 1) * ostride + x..][..2].copy_from_slice(&y[2..]);
+                    }
+                }
+            }
+        }
+    }
+
     pub fn bias_act_row(row: &mut [f32], bias: f32, act: RowAct) {
         match act {
             RowAct::Linear => {
@@ -952,6 +1101,413 @@ mod x86 {
         _mm256_fmadd_ps(a, b, c)
     }
 
+    /// [`madd_two_round`] on 16 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn madd512_two_round(a: __m512, b: __m512, c: __m512) -> __m512 {
+        _mm512_add_ps(c, _mm512_mul_ps(a, b))
+    }
+
+    /// [`madd_fused`] on 16 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn madd512_fused(a: __m512, b: __m512, c: __m512) -> __m512 {
+        _mm512_fmadd_ps(a, b, c)
+    }
+
+    /// Whether the AVX2 variants run their AVX-512 bodies (the f32 tile
+    /// row and the int8 epilogues): probed once per process, then cached.
+    /// A lane computes the same operation at any vector width, so the
+    /// answer changes speed, never bits.
+    pub fn has_avx512() -> bool {
+        static AVX512: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *AVX512.get_or_init(|| is_x86_feature_detected!("avx512f"))
+    }
+
+    /// The width-independent vector operations `wino_tile_row_kernel!` is
+    /// written against, expanded inside [`l256`] and [`l512`] on top of
+    /// each module's own `mask`, `maskload`, `maskstore` and `zip`. `n`
+    /// counts the valid lanes of a possibly partial vector: masked-out
+    /// lanes load `0.0` and are never stored, and their addresses are
+    /// never accessed.
+    macro_rules! lane_ops {
+        ($feat:literal, $v:ty, $n:literal, load: $ld:path, store: $st:path,
+         add: $add:path, sub: $sub:path, splat: $splat:path, zero: $zero:path) => {
+            pub type V = $v;
+            pub const N: usize = $n;
+
+            /// Loads `min(n, N)` lanes at `p`, zero in the rest.
+            ///
+            /// # Safety
+            ///
+            /// Caller must have verified the `$feat` CPU features, and the
+            /// first `min(n, N)` floats at `p` must be readable.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub unsafe fn load(p: *const f32, n: usize) -> V {
+                // SAFETY: the caller guarantees the valid lanes are
+                // readable; masked-out lanes are never accessed.
+                unsafe {
+                    if n >= N {
+                        $ld(p)
+                    } else {
+                        maskload(p, mask(n))
+                    }
+                }
+            }
+
+            /// Stores all `N` lanes at `p`.
+            ///
+            /// # Safety
+            ///
+            /// Caller must have verified the `$feat` CPU features, and `N`
+            /// floats at `p` must be writable.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub unsafe fn store(p: *mut f32, v: V) {
+                // SAFETY: guaranteed by the caller.
+                unsafe { $st(p, v) }
+            }
+
+            /// Stores the first `n` lanes of `a` and `b` interleaved (`a0
+            /// b0 a1 b1 ...`, `2 * min(n, N)` floats) at `p`.
+            ///
+            /// # Safety
+            ///
+            /// Caller must have verified the `$feat` CPU features, and
+            /// `2 * min(n, N)` floats at `p` must be writable.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub unsafe fn store_zip(p: *mut f32, a: V, b: V, n: usize) {
+                let (lo, hi) = zip(a, b);
+                let n2 = 2 * n.min(N);
+                // SAFETY: each store touches only lanes below `n2`, which
+                // the caller guarantees writable; masked-out lanes are
+                // never accessed.
+                unsafe {
+                    if n2 == 2 * N {
+                        $st(p, lo);
+                        $st(p.add(N), hi);
+                    } else {
+                        maskstore(p, mask(n2), lo);
+                        if n2 > N {
+                            maskstore(p.add(N), mask(n2 - N), hi);
+                        }
+                    }
+                }
+            }
+
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub fn add(a: V, b: V) -> V {
+                $add(a, b)
+            }
+
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub fn sub(a: V, b: V) -> V {
+                $sub(a, b)
+            }
+
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub fn splat(x: f32) -> V {
+                $splat(x)
+            }
+
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub fn zero() -> V {
+                $zero()
+            }
+
+            /// The Winograd input transform's row pass (`Bᵀ ·` on one
+            /// column class) over `min(n, N)` tiles: rows `p[0..4]` map
+            /// to `[x0 - x2, x1 + x2, x2 - x1, x1 - x3]`, the scalar
+            /// transform's operand order.
+            ///
+            /// # Safety
+            ///
+            /// As [`load`], for each of the four rows.
+            #[inline]
+            #[target_feature(enable = $feat)]
+            pub unsafe fn row_pass(p: [*const f32; 4], n: usize) -> [V; 4] {
+                // SAFETY: forwarded from the caller.
+                let (x0, x1, x2, x3) =
+                    unsafe { (load(p[0], n), load(p[1], n), load(p[2], n), load(p[3], n)) };
+                [sub(x0, x2), add(x1, x2), sub(x2, x1), sub(x1, x3)]
+            }
+        };
+    }
+
+    /// 8-lane vectors for the AVX2 tile-row bodies.
+    mod l256 {
+        use std::arch::x86_64::*;
+
+        /// Lane mask with the first `min(n, 8)` lanes set.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn mask(n: usize) -> __m256i {
+            _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(n.min(8) as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            )
+        }
+
+        /// # Safety
+        ///
+        /// AVX2, and the lanes `m` selects must be readable at `p`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn maskload(p: *const f32, m: __m256i) -> __m256 {
+            // SAFETY: guaranteed by the caller.
+            unsafe { _mm256_maskload_ps(p, m) }
+        }
+
+        /// # Safety
+        ///
+        /// AVX2, and the lanes `m` selects must be writable at `p`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn maskstore(p: *mut f32, m: __m256i, v: __m256) {
+            // SAFETY: guaranteed by the caller.
+            unsafe { _mm256_maskstore_ps(p, m, v) }
+        }
+
+        /// `(a0 b0 .. a3 b3, a4 b4 .. a7 b7)`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn zip(a: __m256, b: __m256) -> (__m256, __m256) {
+            let (lo, hi) = (_mm256_unpacklo_ps(a, b), _mm256_unpackhi_ps(a, b));
+            (
+                _mm256_permute2f128_ps::<0x20>(lo, hi),
+                _mm256_permute2f128_ps::<0x31>(lo, hi),
+            )
+        }
+
+        lane_ops!(
+            "avx2", __m256, 8,
+            load: _mm256_loadu_ps,
+            store: _mm256_storeu_ps,
+            add: _mm256_add_ps,
+            sub: _mm256_sub_ps,
+            splat: _mm256_set1_ps,
+            zero: _mm256_setzero_ps
+        );
+    }
+
+    /// 16-lane vectors for the AVX-512 tile-row bodies.
+    mod l512 {
+        use std::arch::x86_64::*;
+
+        /// Lane mask with the first `min(n, 16)` lanes set.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub fn mask(n: usize) -> __mmask16 {
+            ((1u32 << n.min(16)) - 1) as __mmask16
+        }
+
+        /// # Safety
+        ///
+        /// AVX-512F, and the lanes `m` selects must be readable at `p`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn maskload(p: *const f32, m: __mmask16) -> __m512 {
+            // SAFETY: guaranteed by the caller.
+            unsafe { _mm512_maskz_loadu_ps(m, p) }
+        }
+
+        /// # Safety
+        ///
+        /// AVX-512F, and the lanes `m` selects must be writable at `p`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn maskstore(p: *mut f32, m: __mmask16, v: __m512) {
+            // SAFETY: guaranteed by the caller.
+            unsafe { _mm512_mask_storeu_ps(p, m, v) }
+        }
+
+        /// `(a0 b0 .. a7 b7, a8 b8 .. a15 b15)`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn zip(a: __m512, b: __m512) -> (__m512, __m512) {
+            let lo = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+            let hi =
+                _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+            (
+                _mm512_permutex2var_ps(a, lo, b),
+                _mm512_permutex2var_ps(a, hi, b),
+            )
+        }
+
+        lane_ops!(
+            "avx512f", __m512, 16,
+            load: _mm512_loadu_ps,
+            store: _mm512_storeu_ps,
+            add: _mm512_add_ps,
+            sub: _mm512_sub_ps,
+            splat: _mm512_set1_ps,
+            zero: _mm512_setzero_ps
+        );
+    }
+
+    /// Generates one body of [`super::Microkernel::wino_tile_row`] over the
+    /// lane module `$l` with the multiply-add `$madd`. Per chunk of at
+    /// most [`super::WINO_CHUNK`] tiles: the input transform, `N` tiles
+    /// per vector, into `V[k][cc][np]`; per group of four output
+    /// channels, sixteen GEMMs of `[4 x cin] x [cin x np]` with two
+    /// vectors of tiles x four channels of chains in registers into
+    /// `M[k][c][np]`; then the output transform, interleaved into `out`.
+    /// `np` rounds the chunk up to whole vectors; the extra lanes carry
+    /// the zeros their masked loads read and are never stored.
+    macro_rules! wino_tile_row_kernel {
+        ($name:ident, $feat:literal, $l:ident, $madd:path) => {
+            /// A [`super::Microkernel::wino_tile_row`] body (see
+            /// `wino_tile_row_kernel!`).
+            ///
+            /// # Safety
+            ///
+            /// Caller must have verified the `$feat` CPU features and the
+            /// length contract `check_wino_row` asserts.
+            #[target_feature(enable = $feat)]
+            pub unsafe fn $name(
+                row: &super::super::WinoRow<'_>,
+                scratch: &mut [f32],
+                out: &mut [f32],
+                ostride: usize,
+            ) {
+                use super::$l::{add, load, row_pass, splat, store, store_zip, sub, zero, N};
+                let super::super::WinoRow {
+                    rows,
+                    sw,
+                    tiles,
+                    u,
+                    cin,
+                    cout,
+                } = *row;
+                let cout4 = cout.next_multiple_of(4);
+                let chunk = super::super::WINO_CHUNK;
+                let (vs, ms) = scratch.split_at_mut(16 * cin * chunk);
+                let (vp, mp) = (vs.as_mut_ptr(), ms.as_mut_ptr());
+                let (up, op) = (u.as_ptr(), out.as_mut_ptr());
+                let at = |p: [*const f32; 4], d: usize| p.map(|q| q.wrapping_add(d));
+                // SAFETY: (whole body) `check_wino_row` bounds every
+                // access: split-row loads read columns `t0 + j ..= t0 + j
+                // + n` of halves holding `sw > tiles` floats; `V` and `M`
+                // indices stay below `16 * cin * np` and `16 * 4 * np`
+                // with `np <= WINO_CHUNK`; `u` reads stay below `16 * cin
+                // * cout4`; `out` stores cover columns `< 2 * tiles` of
+                // rows `< 2 * cout`.
+                unsafe {
+                    for t0 in (0..tiles).step_by(chunk) {
+                        let nt = chunk.min(tiles - t0);
+                        let np = nt.next_multiple_of(N);
+                        // Bᵀ d B: the row pass per column class, then the
+                        // column pass, in the scalar transform's order.
+                        for cc in 0..cin {
+                            let base = at(rows.map(|r| r.as_ptr()), cc * 2 * sw + t0);
+                            for j in (0..nt).step_by(N) {
+                                let n = nt - j;
+                                let ea = row_pass(at(base, j), n);
+                                let oa = row_pass(at(base, sw + j), n);
+                                let eb = row_pass(at(base, j + 1), n);
+                                let ob = row_pass(at(base, sw + j + 1), n);
+                                for r in 0..4 {
+                                    let v = [
+                                        sub(ea[r], eb[r]),
+                                        add(oa[r], eb[r]),
+                                        sub(eb[r], oa[r]),
+                                        sub(oa[r], ob[r]),
+                                    ];
+                                    for (c, vv) in v.into_iter().enumerate() {
+                                        store(vp.add(((4 * r + c) * cin + cc) * np + j), vv);
+                                    }
+                                }
+                            }
+                        }
+                        for g in 0..cout4 / 4 {
+                            // M_k = U_kᵀ V_k: each chain starts from 0.0
+                            // and takes cc ascending.
+                            for k in 0..16 {
+                                let vk = vp.add(k * cin * np);
+                                let uk = up.add(k * cin * cout4 + 4 * g);
+                                let mk = mp.add(k * 4 * np);
+                                let mut j = 0;
+                                while j + 2 * N <= np {
+                                    let mut a = [[zero(); 2]; 4];
+                                    for cc in 0..cin {
+                                        let v0 = load(vk.add(cc * np + j), N);
+                                        let v1 = load(vk.add(cc * np + j + N), N);
+                                        let w = uk.add(cc * cout4);
+                                        for (c, ac) in a.iter_mut().enumerate() {
+                                            let wc = splat(*w.add(c));
+                                            ac[0] = $madd(wc, v0, ac[0]);
+                                            ac[1] = $madd(wc, v1, ac[1]);
+                                        }
+                                    }
+                                    for (c, ac) in a.iter().enumerate() {
+                                        store(mk.add(c * np + j), ac[0]);
+                                        store(mk.add(c * np + j + N), ac[1]);
+                                    }
+                                    j += 2 * N;
+                                }
+                                if j < np {
+                                    let mut a = [zero(); 4];
+                                    for cc in 0..cin {
+                                        let v0 = load(vk.add(cc * np + j), N);
+                                        let w = uk.add(cc * cout4);
+                                        for (c, ac) in a.iter_mut().enumerate() {
+                                            *ac = $madd(splat(*w.add(c)), v0, *ac);
+                                        }
+                                    }
+                                    for (c, ac) in a.iter().enumerate() {
+                                        store(mk.add(c * np + j), *ac);
+                                    }
+                                }
+                            }
+                            // Aᵀ m A, both output rows interleaved.
+                            for c in 0..4.min(cout - 4 * g) {
+                                let oo = 4 * g + c;
+                                for j in (0..nt).step_by(N) {
+                                    let mut m = [zero(); 16];
+                                    for (k, mk) in m.iter_mut().enumerate() {
+                                        *mk = load(mp.add((k * 4 + c) * np + j), N);
+                                    }
+                                    let (mut t, mut b) = ([zero(); 4], [zero(); 4]);
+                                    for i in 0..4 {
+                                        t[i] = add(add(m[i], m[4 + i]), m[8 + i]);
+                                        b[i] = sub(sub(m[4 + i], m[8 + i]), m[12 + i]);
+                                    }
+                                    let x = 2 * (t0 + j);
+                                    store_zip(
+                                        op.add(2 * oo * ostride + x),
+                                        add(add(t[0], t[1]), t[2]),
+                                        sub(sub(t[1], t[2]), t[3]),
+                                        nt - j,
+                                    );
+                                    store_zip(
+                                        op.add((2 * oo + 1) * ostride + x),
+                                        add(add(b[0], b[1]), b[2]),
+                                        sub(sub(b[1], b[2]), b[3]),
+                                        nt - j,
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        };
+    }
+
     /// Stores 8 finished chains at `p`, or adds them to what is there
     /// (`acc + s`, the GEMM's k-block combine) when `accumulate` is set.
     ///
@@ -979,9 +1535,12 @@ mod x86 {
     /// probe-tested) so remainder columns match their vector lanes'
     /// variant semantics.
     macro_rules! madd_kernels {
-        ($modname:ident, $feat:literal, $madd:path, $smadd:expr) => {
+        ($modname:ident, $feat:literal, $madd:path, $smadd:expr, $madd512:path) => {
             pub mod $modname {
                 use super::*;
+
+                wino_tile_row_kernel!(wino_tile_row, $feat, l256, $madd);
+                wino_tile_row_kernel!(wino_tile_row_512, "avx512f", l512, $madd512);
 
                 /// 8x8 register-tile GEMM update (see the trait doc).
                 ///
@@ -1240,10 +1799,16 @@ mod x86 {
         two_round,
         "avx2",
         madd_two_round,
-        |a: f32, b: f32, c: f32| c + a * b
+        |a: f32, b: f32, c: f32| c + a * b,
+        madd512_two_round
     );
-    madd_kernels!(fused, "avx2,fma", madd_fused, |a: f32, b: f32, c: f32| a
-        .mul_add(b, c));
+    madd_kernels!(
+        fused,
+        "avx2,fma",
+        madd_fused,
+        |a: f32, b: f32, c: f32| a.mul_add(b, c),
+        madd512_fused
+    );
 
     // --- madd-free kernels, shared by both AVX2 variants ------------------
 
@@ -1672,6 +2237,240 @@ mod x86 {
         );
     }
 
+    // --- AVX-512 bodies of the int8 epilogues -----------------------------
+    //
+    // The same per-lane ops as the 8-lane bodies above, in the same order
+    // and unfused, on 16 lanes; the last `n % 16` columns run masked
+    // instead of through the scalar remainder. Masked-out lanes compute on
+    // zeros and are never stored, so every output is bit-identical to the
+    // scalar chain.
+
+    /// [`round_clamp_wire8`] on 16 lanes. AVX-512F has no float `and`/`or`,
+    /// so `copysign(0.5, f)` is built on the integer view.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn round_clamp_wire16(f: __m512, zp: i32) -> __m512 {
+        let sign = _mm512_and_si512(_mm512_castps_si512(f), _mm512_set1_epi32(i32::MIN));
+        let half = _mm512_castsi512_ps(_mm512_or_si512(
+            sign,
+            _mm512_castps_si512(_mm512_set1_ps(0.5)),
+        ));
+        let t = _mm512_roundscale_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(_mm512_add_ps(
+            f, half,
+        ));
+        let lo = _mm512_set1_ps(-(zp as f32));
+        let hi = _mm512_set1_ps((255 - zp) as f32);
+        _mm512_min_ps(_mm512_max_ps(t, lo), hi)
+    }
+
+    /// `act(scale_io * acc + bias)` on 16 lanes, as [`requant_wire8`]
+    /// computes it before the rounding.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn dequant_act16(acc: __m512i, e: &super::QuantEpilogue) -> __m512 {
+        let af = _mm512_cvtepi32_ps(acc);
+        let v = _mm512_add_ps(
+            _mm512_mul_ps(af, _mm512_set1_ps(e.scale_io)),
+            _mm512_set1_ps(e.bias),
+        );
+        match e.act {
+            RowAct::Linear => v,
+            RowAct::Relu => _mm512_max_ps(v, _mm512_setzero_ps()),
+            RowAct::PRelu(a) => {
+                let neg = _mm512_mul_ps(_mm512_set1_ps(a), v);
+                let keep = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, _mm512_setzero_ps());
+                _mm512_mask_blend_ps(keep, neg, v)
+            }
+        }
+    }
+
+    /// [`requant_wire8`] on 16 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn requant_wire16(acc: __m512i, e: &super::QuantEpilogue) -> __m512 {
+        // SAFETY: pure register ops under the caller's AVX-512F check.
+        unsafe {
+            let v = dequant_act16(acc, e);
+            round_clamp_wire16(_mm512_div_ps(v, _mm512_set1_ps(e.out_scale)), e.zero_point)
+        }
+    }
+
+    /// [`pack_wire8`] on 16 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn pack_wire16(lo: __m512, hi: __m512) -> __m512i {
+        _mm512_or_si512(
+            _mm512_and_si512(_mm512_cvtps_epi32(lo), _mm512_set1_epi32(0xffff)),
+            _mm512_slli_epi32::<16>(_mm512_cvtps_epi32(hi)),
+        )
+    }
+
+    /// Sign-extends the low (`hi == false`) or high packed 16-bit lane of
+    /// each word to a float.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn lane16_ps(v: __m512i, hi: bool) -> __m512 {
+        let v = if hi { v } else { _mm512_slli_epi32::<16>(v) };
+        _mm512_cvtepi32_ps(_mm512_srai_epi32::<16>(v))
+    }
+
+    /// One lane set of [`qresidual_pack_row`]'s fused chain on 16 lanes:
+    /// requantize, dequantize, add the dequantized `first` lane `f`,
+    /// requantize onto the widened wire.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn residual_wire16(
+        acc: __m512i,
+        e: &super::QuantEpilogue,
+        f: __m512,
+        vfirst: __m512,
+        vwide: __m512,
+        wide_zp: i32,
+    ) -> __m512 {
+        // SAFETY: pure register ops under the caller's AVX-512F check.
+        unsafe {
+            let a = _mm512_mul_ps(_mm512_set1_ps(e.out_scale), requant_wire16(acc, e));
+            let s = _mm512_div_ps(_mm512_add_ps(a, _mm512_mul_ps(vfirst, f)), vwide);
+            round_clamp_wire16(s, wide_zp)
+        }
+    }
+
+    /// AVX-512 body of [`qrequant_pack_row`].
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support ([`has_avx512`]);
+    /// `acc0.len()` and `acc1.len()` must be at least `dst.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn qrequant_pack_row_512(
+        acc0: &[i32],
+        acc1: &[i32],
+        dst: &mut [i32],
+        e0: &super::QuantEpilogue,
+        e1: Option<&super::QuantEpilogue>,
+    ) {
+        let n = dst.len();
+        // SAFETY: the masked loads and stores touch only columns x..n,
+        // inside every slice; masked-out lanes are never accessed.
+        unsafe {
+            for x in (0..n).step_by(16) {
+                let k = l512::mask(n - x);
+                let lo = requant_wire16(_mm512_maskz_loadu_epi32(k, acc0.as_ptr().add(x)), e0);
+                let hi = match e1 {
+                    Some(e1) => {
+                        requant_wire16(_mm512_maskz_loadu_epi32(k, acc1.as_ptr().add(x)), e1)
+                    }
+                    None => _mm512_setzero_ps(),
+                };
+                _mm512_mask_storeu_epi32(dst.as_mut_ptr().add(x), k, pack_wire16(lo, hi));
+            }
+        }
+    }
+
+    /// AVX-512 body of [`qresidual_pack_row`].
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support ([`has_avx512`]);
+    /// `acc0`/`acc1`/`first` must be at least `dst.len()` long.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn qresidual_pack_row_512(
+        acc0: &[i32],
+        acc1: &[i32],
+        first: &[i32],
+        dst: &mut [i32],
+        e0: &super::QuantEpilogue,
+        e1: Option<&super::QuantEpilogue>,
+        first_scale: f32,
+        wide_scale: f32,
+        wide_zp: i32,
+    ) {
+        let n = dst.len();
+        let (vfirst, vwide) = (_mm512_set1_ps(first_scale), _mm512_set1_ps(wide_scale));
+        // SAFETY: as in `qrequant_pack_row_512`; every source is at least
+        // n long.
+        unsafe {
+            for x in (0..n).step_by(16) {
+                let k = l512::mask(n - x);
+                let fv = _mm512_maskz_loadu_epi32(k, first.as_ptr().add(x));
+                let a0 = _mm512_maskz_loadu_epi32(k, acc0.as_ptr().add(x));
+                let lo = residual_wire16(a0, e0, lane16_ps(fv, false), vfirst, vwide, wide_zp);
+                let hi = match e1 {
+                    Some(e1) => {
+                        let a1 = _mm512_maskz_loadu_epi32(k, acc1.as_ptr().add(x));
+                        residual_wire16(a1, e1, lane16_ps(fv, true), vfirst, vwide, wide_zp)
+                    }
+                    None => _mm512_setzero_ps(),
+                };
+                _mm512_mask_storeu_epi32(dst.as_mut_ptr().add(x), k, pack_wire16(lo, hi));
+            }
+        }
+    }
+
+    /// AVX-512 body of [`qhead_row`].
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX-512F support ([`has_avx512`]); `acc`
+    /// (and the input row, when present) must be at least `vals.len()`
+    /// long.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn qhead_row_512(
+        acc: &[i32],
+        input: Option<(&[i32], f32)>,
+        vals: &mut [f32],
+        e: &super::QuantEpilogue,
+    ) {
+        let n = vals.len();
+        // SAFETY: as in `qrequant_pack_row_512`; every source is at least
+        // n long.
+        unsafe {
+            for x in (0..n).step_by(16) {
+                let k = l512::mask(n - x);
+                let mut v = dequant_act16(_mm512_maskz_loadu_epi32(k, acc.as_ptr().add(x)), e);
+                if let Some((ir, iscale)) = input {
+                    let il = lane16_ps(_mm512_maskz_loadu_epi32(k, ir.as_ptr().add(x)), false);
+                    v = _mm512_add_ps(v, _mm512_mul_ps(_mm512_set1_ps(iscale), il));
+                }
+                let wire =
+                    round_clamp_wire16(_mm512_div_ps(v, _mm512_set1_ps(e.out_scale)), e.zero_point);
+                // The integer round trip canonicalizes -0.0, as in
+                // `qhead_row`.
+                let wi = _mm512_cvtepi32_ps(_mm512_cvtps_epi32(wire));
+                _mm512_mask_storeu_ps(
+                    vals.as_mut_ptr().add(x),
+                    k,
+                    _mm512_mul_ps(_mm512_set1_ps(e.out_scale), wi),
+                );
+            }
+        }
+    }
+
     /// Vectorized [`scalar::qquantize_row`]: quantize real inputs onto the
     /// zero-point-subtracted wire, low lane only.
     ///
@@ -1737,56 +2536,6 @@ mod x86 {
             _mm_storeu_ps(q.add(12), r3);
         }
         out
-    }
-
-    /// Fused interior gather + input transform over all channels (see
-    /// the trait method doc): strided 4-float row loads straight from
-    /// the channel planes, the same butterflies as
-    /// [`wino_input_transform`], one store per tile row.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support, and that for every
-    /// channel the 4x4 window is in bounds: `(cin-1)*plane_len + base +
-    /// 3*stride + 4 <= src.len()` and `v_slab.len() >= cin * 16`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn wino_input_transform_interior(
-        src: &[f32],
-        plane_len: usize,
-        base: usize,
-        stride: usize,
-        v_slab: &mut [f32],
-        cin: usize,
-    ) {
-        debug_assert!(v_slab.len() >= cin * 16);
-        debug_assert!(cin == 0 || (cin - 1) * plane_len + base + 3 * stride + 4 <= src.len());
-        // SAFETY: the caller guarantees every strided 4-float row load
-        // is in bounds; stores stay below `cin * 16`.
-        unsafe {
-            let q = v_slab.as_mut_ptr();
-            for cc in 0..cin {
-                let p = src.as_ptr().add(cc * plane_len + base);
-                let d0 = _mm_loadu_ps(p);
-                let d1 = _mm_loadu_ps(p.add(stride));
-                let d2 = _mm_loadu_ps(p.add(2 * stride));
-                let d3 = _mm_loadu_ps(p.add(3 * stride));
-                let t0 = _mm_sub_ps(d0, d2);
-                let t1 = _mm_add_ps(d1, d2);
-                let t2 = _mm_sub_ps(d2, d1);
-                let t3 = _mm_sub_ps(d1, d3);
-                let (c0, c1, c2, c3) = transpose4(t0, t1, t2, t3);
-                let o0 = _mm_sub_ps(c0, c2);
-                let o1 = _mm_add_ps(c1, c2);
-                let o2 = _mm_sub_ps(c2, c1);
-                let o3 = _mm_sub_ps(c1, c3);
-                let (r0, r1, r2, r3) = transpose4(o0, o1, o2, o3);
-                let qq = q.add(cc * 16);
-                _mm_storeu_ps(qq, r0);
-                _mm_storeu_ps(qq.add(4), r1);
-                _mm_storeu_ps(qq.add(8), r2);
-                _mm_storeu_ps(qq.add(12), r3);
-            }
-        }
     }
 
     /// Winograd output transform (2x2 from the 4x4 m-tile). Pure add/sub.
@@ -2026,8 +2775,15 @@ macro_rules! avx2_trait_impl {
                 // Shared by both AVX2 variants: the epilogue mirrors the
                 // scalar chain with unfused mul/add, so there is no madd
                 // flavor to diverge on.
-                // SAFETY: features verified at dispatch; lengths asserted.
-                unsafe { x86::qrequant_pack_row(acc0, acc1, dst, e0, e1) }
+                // SAFETY: AVX2 verified at dispatch, AVX-512F by
+                // `has_avx512`; lengths asserted.
+                unsafe {
+                    if x86::has_avx512() {
+                        x86::qrequant_pack_row_512(acc0, acc1, dst, e0, e1)
+                    } else {
+                        x86::qrequant_pack_row(acc0, acc1, dst, e0, e1)
+                    }
+                }
             }
 
             fn qresidual_pack_row(
@@ -2045,19 +2801,34 @@ macro_rules! avx2_trait_impl {
                 assert!(acc0.len() >= dst.len(), "acc0 shorter than dst");
                 assert!(acc1.len() >= dst.len(), "acc1 shorter than dst");
                 assert!(first.len() >= dst.len(), "first shorter than dst");
-                // SAFETY: features verified at dispatch; lengths asserted.
+                // SAFETY: AVX2 verified at dispatch, AVX-512F by
+                // `has_avx512`; lengths asserted.
                 unsafe {
-                    x86::qresidual_pack_row(
-                        acc0,
-                        acc1,
-                        first,
-                        dst,
-                        e0,
-                        e1,
-                        first_scale,
-                        wide_scale,
-                        wide_zp,
-                    )
+                    if x86::has_avx512() {
+                        x86::qresidual_pack_row_512(
+                            acc0,
+                            acc1,
+                            first,
+                            dst,
+                            e0,
+                            e1,
+                            first_scale,
+                            wide_scale,
+                            wide_zp,
+                        )
+                    } else {
+                        x86::qresidual_pack_row(
+                            acc0,
+                            acc1,
+                            first,
+                            dst,
+                            e0,
+                            e1,
+                            first_scale,
+                            wide_scale,
+                            wide_zp,
+                        )
+                    }
                 }
             }
 
@@ -2072,8 +2843,15 @@ macro_rules! avx2_trait_impl {
                 if let Some((ir, _)) = input {
                     assert!(ir.len() >= vals.len(), "input row shorter than vals");
                 }
-                // SAFETY: features verified at dispatch; lengths asserted.
-                unsafe { x86::qhead_row(acc, input, vals, e) }
+                // SAFETY: AVX2 verified at dispatch, AVX-512F by
+                // `has_avx512`; lengths asserted.
+                unsafe {
+                    if x86::has_avx512() {
+                        x86::qhead_row_512(acc, input, vals, e)
+                    } else {
+                        x86::qhead_row(acc, input, vals, e)
+                    }
+                }
             }
 
             fn qquantize_row(&self, src: &[f32], dst: &mut [i32], scale: f32, zp: i32) {
@@ -2092,26 +2870,6 @@ macro_rules! avx2_trait_impl {
                 unsafe { x86::wino_output_transform(m) }
             }
 
-            fn wino_input_transform_interior(
-                &self,
-                src: &[f32],
-                plane_len: usize,
-                base: usize,
-                stride: usize,
-                v_slab: &mut [f32],
-                cin: usize,
-            ) {
-                assert!(v_slab.len() >= cin * 16, "v slab too short");
-                assert!(
-                    cin == 0 || (cin - 1) * plane_len + base + 3 * stride + 4 <= src.len(),
-                    "interior window out of bounds"
-                );
-                // SAFETY: features verified at dispatch; bounds asserted.
-                unsafe {
-                    x86::wino_input_transform_interior(src, plane_len, base, stride, v_slab, cin)
-                }
-            }
-
             fn wino_channel_reduce(
                 &self,
                 m_slab: &mut [f32],
@@ -2125,6 +2883,25 @@ macro_rules! avx2_trait_impl {
                 assert!(u.len() >= cout * cin, "u tile table too short");
                 // SAFETY: features verified at dispatch; lengths asserted.
                 unsafe { x86::$madd_mod::wino_channel_reduce(m_slab, u, v_slab, cout, cin) }
+            }
+
+            fn wino_tile_row(
+                &self,
+                row: &WinoRow<'_>,
+                scratch: &mut [f32],
+                out: &mut [f32],
+                ostride: usize,
+            ) {
+                check_wino_row(row, scratch, out, ostride);
+                // SAFETY: the AVX2 features verified at dispatch, AVX-512F
+                // by `has_avx512`; lengths checked.
+                unsafe {
+                    if x86::has_avx512() {
+                        x86::$madd_mod::wino_tile_row_512(row, scratch, out, ostride)
+                    } else {
+                        x86::$madd_mod::wino_tile_row(row, scratch, out, ostride)
+                    }
+                }
             }
 
             fn bias_act_row(&self, row: &mut [f32], bias: f32, act: RowAct) {
@@ -2240,7 +3017,41 @@ mod tests {
             n,
             (2.0 * 4.0 * nt as f64 * n as f64 * reps as f64) / el / 1e9
         );
-        assert!(acc[0].is_finite() && m[0].is_finite());
+        // wino_tile_row: one m5 body layer, 16 -> 16 channels over a
+        // 180x320 plane — 90 tile rows of 160 tiles — as the planner runs
+        // it (staging excluded). The reduction does 2 * 16 * cin * cout
+        // flops per tile.
+        let (cin, cout, tiles, trows) = (16usize, 16usize, 160usize, 90usize);
+        let sw = tiles + 1;
+        let rows: Vec<Vec<f32>> = (0..4).map(|r| seeded(cin * 2 * sw, 6 + r)).collect();
+        let tiles_u: Vec<[f32; 16]> = (0..cout * cin)
+            .map(|i| seeded(16, 10 + i as u64).try_into().unwrap())
+            .collect();
+        let packed = wino_pack_u(&tiles_u, cout, cin);
+        let row = WinoRow {
+            rows: [&rows[0], &rows[1], &rows[2], &rows[3]],
+            sw,
+            tiles,
+            u: &packed,
+            cin,
+            cout,
+        };
+        let mut scratch = vec![0.0f32; wino_scratch_len(cin)];
+        let mut out = vec![0.0f32; 2 * cout * 2 * tiles];
+        let reps = 20;
+        let t0 = Instant::now();
+        for _ in 0..reps * trows {
+            mk.wino_tile_row(&row, &mut scratch, &mut out, 2 * tiles);
+        }
+        let el = t0.elapsed().as_secs_f64() / reps as f64;
+        println!(
+            "wino_tile_row {}x{} 180x320: {:.3} ms/layer, reduce {:.1} GFLOP/s",
+            cout,
+            cin,
+            el * 1e3,
+            (2.0 * (cin * cout * 16 * tiles * trows) as f64) / el / 1e9
+        );
+        assert!(acc[0].is_finite() && m[0].is_finite() && out[0].is_finite());
         std::hint::black_box(&qacc);
     }
 
@@ -2603,6 +3414,117 @@ mod tests {
         }
     }
 
+    /// Both x86 bodies of the three fused int8 epilogues — the 8-lane
+    /// AVX2 one and the 16-lane AVX-512 one, called directly whichever the
+    /// trait would pick here — equal the scalar chain bit for bit at every
+    /// length 1..=40 (full vectors, masked and scalar tails), on clamp
+    /// saturation, half-ties and `-0.0`.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn int8_epilogue_bodies_match_scalar_exactly() {
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut state = 0x1234_5678_9ABC_DEF1u64;
+        let mut next = move |m: i32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as i32 % (2 * m + 1)) - m
+        };
+        for n in 1..=40usize {
+            for (zp, act) in [
+                (0, RowAct::Linear),
+                (128, RowAct::Relu),
+                (37, RowAct::PRelu(-0.7)),
+            ] {
+                let e0 = QuantEpilogue {
+                    scale_io: 1.0,
+                    bias: 0.25,
+                    act,
+                    out_scale: 2.0,
+                    zero_point: zp,
+                };
+                let e1 = QuantEpilogue {
+                    scale_io: 3.1e-4,
+                    bias: -0.125,
+                    act,
+                    out_scale: 0.0173,
+                    zero_point: zp,
+                };
+                let acc0: Vec<i32> = (0..n)
+                    .map(|i| if i % 3 == 0 { next(2_000_000) } else { next(7) })
+                    .collect();
+                let acc1: Vec<i32> = (0..n).map(|_| next(2_000_000)).collect();
+                let first: Vec<i32> = (0..n)
+                    .map(|_| (next(255) & 0xFFFF) | (next(255) << 16))
+                    .collect();
+                let mut want = vec![0i32; n];
+                scalar::qrequant_pack_row(&acc0, &acc1, &mut want, &e0, Some(&e1));
+                let mut want_res = vec![0i32; n];
+                scalar::qresidual_pack_row(
+                    &acc0,
+                    &acc1,
+                    &first,
+                    &mut want_res,
+                    &e0,
+                    Some(&e1),
+                    0.021,
+                    0.044,
+                    116,
+                );
+                let mut want_head = vec![0f32; n];
+                scalar::qhead_row(&acc0, Some((&first, 0.013)), &mut want_head, &e0);
+                let want_head: Vec<u32> = want_head.iter().map(|x| x.to_bits()).collect();
+                for wide in [false, true] {
+                    if wide && !x86::has_avx512() {
+                        continue;
+                    }
+                    let ctx = format!("n={n} zp={zp} act={act:?} avx512={wide}");
+                    let (mut got, mut got_res, mut got_head) =
+                        (vec![0i32; n], vec![0i32; n], vec![0f32; n]);
+                    // SAFETY: AVX2 detected above, AVX-512F by has_avx512
+                    // for the wide bodies; every source is n long.
+                    unsafe {
+                        if wide {
+                            x86::qrequant_pack_row_512(&acc0, &acc1, &mut got, &e0, Some(&e1));
+                            x86::qresidual_pack_row_512(
+                                &acc0,
+                                &acc1,
+                                &first,
+                                &mut got_res,
+                                &e0,
+                                Some(&e1),
+                                0.021,
+                                0.044,
+                                116,
+                            );
+                            x86::qhead_row_512(&acc0, Some((&first, 0.013)), &mut got_head, &e0);
+                        } else {
+                            x86::qrequant_pack_row(&acc0, &acc1, &mut got, &e0, Some(&e1));
+                            x86::qresidual_pack_row(
+                                &acc0,
+                                &acc1,
+                                &first,
+                                &mut got_res,
+                                &e0,
+                                Some(&e1),
+                                0.021,
+                                0.044,
+                                116,
+                            );
+                            x86::qhead_row(&acc0, Some((&first, 0.013)), &mut got_head, &e0);
+                        }
+                    }
+                    assert_eq!(got, want, "qrequant_pack_row {ctx}");
+                    assert_eq!(got_res, want_res, "qresidual_pack_row {ctx}");
+                    let got_head: Vec<u32> = got_head.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got_head, want_head, "qhead_row {ctx}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn axpy_two_round_variants_match_scalar_bitwise() {
         for n in [1usize, 5, 8, 17, 64, 129] {
@@ -2663,6 +3585,120 @@ mod tests {
                     "{} {cout}x{cin}",
                     v.name()
                 );
+            }
+        }
+    }
+
+    /// The per-tile pipeline `wino_tile_row` must reproduce on variant
+    /// `mk`: gather the tile's 4x4 window from the split rows, then the
+    /// per-tile transform, reduction and output transform.
+    fn tile_row_oracle(mk: &dyn Microkernel, row: &WinoRow<'_>, u: &[[f32; 16]]) -> Vec<f32> {
+        let WinoRow {
+            rows,
+            sw,
+            tiles,
+            cin,
+            cout,
+            ..
+        } = *row;
+        let mut out = vec![0.0f32; 2 * cout * 2 * tiles];
+        let (mut v, mut m) = (vec![0.0f32; 16 * cin], vec![0.0f32; 16 * cout]);
+        for t in 0..tiles {
+            for cc in 0..cin {
+                let mut d = [0.0f32; 16];
+                for (r, src) in rows.iter().enumerate() {
+                    let (e, o) = (cc * 2 * sw + t, cc * 2 * sw + sw + t);
+                    d[4 * r..4 * r + 4].copy_from_slice(&[src[e], src[o], src[e + 1], src[o + 1]]);
+                }
+                v[16 * cc..16 * cc + 16].copy_from_slice(&mk.wino_input_transform(&d));
+            }
+            mk.wino_channel_reduce(&mut m, u, &v, cout, cin);
+            for oo in 0..cout {
+                let y = mk.wino_output_transform(m[16 * oo..16 * oo + 16].try_into().unwrap());
+                for dy in 0..2 {
+                    let at = (2 * oo + dy) * 2 * tiles + 2 * t;
+                    out[at..at + 2].copy_from_slice(&y[2 * dy..2 * dy + 2]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Every `wino_tile_row` body — each detected variant through the
+    /// trait and, on x86, the 8- and 16-lane bodies of both madd flavors
+    /// called directly — equals the per-tile pipeline bit for bit, over
+    /// tile counts that cross chunk and vector seams, 1–4-channel output
+    /// groups and signed-zero inputs.
+    #[test]
+    fn wino_tile_row_bodies_match_per_tile_pipeline() {
+        for (tiles, cin, cout) in [
+            (1usize, 1usize, 1usize),
+            (7, 3, 6),
+            (9, 2, 5),
+            (16, 16, 16),
+            (17, 4, 3),
+            (33, 5, 8),
+            (74, 16, 16),
+        ] {
+            let sw = tiles + 3;
+            let mut rows: Vec<Vec<f32>> = (0..4)
+                .map(|r| seeded(cin * 2 * sw, 500 + (r * tiles) as u64))
+                .collect();
+            rows[1][0] = -0.0;
+            rows[2][1] = 0.0;
+            let u: Vec<[f32; 16]> = (0..cout * cin)
+                .map(|i| seeded(16, 900 + i as u64).try_into().unwrap())
+                .collect();
+            let packed = wino_pack_u(&u, cout, cin);
+            let row = WinoRow {
+                rows: [&rows[0], &rows[1], &rows[2], &rows[3]],
+                sw,
+                tiles,
+                u: &packed,
+                cin,
+                cout,
+            };
+            let scratch = vec![f32::NAN; wino_scratch_len(cin)];
+            let run = |f: &mut dyn FnMut(&mut [f32], &mut [f32])| {
+                let mut out = vec![7.0f32; 2 * cout * 2 * tiles];
+                f(&mut scratch.clone(), &mut out);
+                out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            let ctx = format!("tiles={tiles} cin={cin} cout={cout}");
+            for &v in detected_variants() {
+                let mk = microkernel(v);
+                let want = tile_row_oracle(mk, &row, &u);
+                let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+                let got = run(&mut |s, o| mk.wino_tile_row(&row, s, o, 2 * tiles));
+                assert_eq!(got, want, "{} {ctx}", v.name());
+                #[cfg(target_arch = "x86_64")]
+                {
+                    // SAFETY: the bodies are only collected here; each is
+                    // called below, once its CPU features are confirmed.
+                    type Body = unsafe fn(&WinoRow<'_>, &mut [f32], &mut [f32], usize);
+                    let bodies: Vec<(&str, Body)> = match v {
+                        KernelVariant::Avx2 => vec![
+                            ("avx2 body", x86::two_round::wino_tile_row),
+                            ("avx512 body", x86::two_round::wino_tile_row_512),
+                        ],
+                        KernelVariant::Avx2Fma => vec![
+                            ("avx2fma body", x86::fused::wino_tile_row),
+                            ("avx512fma body", x86::fused::wino_tile_row_512),
+                        ],
+                        _ => vec![],
+                    };
+                    for (name, body) in bodies {
+                        if name.starts_with("avx512") && !x86::has_avx512() {
+                            continue;
+                        }
+                        // SAFETY: the variant's features were detected (it
+                        // is in `detected_variants`), AVX-512F by
+                        // `has_avx512`; the operands satisfy
+                        // `check_wino_row`.
+                        let got = run(&mut |s, o| unsafe { body(&row, s, o, 2 * tiles) });
+                        assert_eq!(got, want, "{name} {ctx}");
+                    }
+                }
             }
         }
     }

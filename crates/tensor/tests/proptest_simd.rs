@@ -22,7 +22,10 @@
 
 use proptest::prelude::*;
 use sesr_tensor::autotune::{gemm_blocking_with, pick, GemmBlocking};
-use sesr_tensor::simd::{detected_variants, microkernel, KernelVariant, RowAct};
+use sesr_tensor::simd::{
+    detected_variants, microkernel, wino_pack_u, wino_scratch_len, KernelVariant, Microkernel,
+    QuantEpilogue, RowAct, WinoRow,
+};
 
 /// One multiply-add with the variant's documented rounding behavior.
 fn madd(fused: bool, a: f32, b: f32, c: f32) -> f32 {
@@ -185,51 +188,64 @@ proptest! {
         }
     }
 
-    /// The batched and fused-gather transform entry points agree with the
-    /// per-tile method: `_many` over a staged slab and
-    /// `wino_input_transform_interior` reading strided plane windows must
-    /// both produce the per-tile transform's exact bits.
+    /// `wino_tile_row` equals the per-tile pipeline of the same variant —
+    /// gather each tile's window from the split rows, then
+    /// `wino_input_transform`, `wino_channel_reduce` and
+    /// `wino_output_transform` — bit for bit, at tile counts that cross
+    /// the 32-tile chunk and every vector seam, 1–4-channel output groups,
+    /// slack past the split halves, and signed zeros.
     #[test]
-    fn wino_batched_and_interior_match_per_tile(
-        cin in 1usize..8,
-        h in 4usize..12,
-        w in 4usize..20,
-        by in 0usize..8,
-        bx in 0usize..16,
-        src in buf(8 * 12 * 20),
+    fn wino_tile_row_matches_per_tile_pipeline(
+        tiles in 1usize..80,
+        slack in 1usize..4,
+        cin in 1usize..7,
+        cout in 1usize..10,
+        rseed in buf(4 * 6 * 2 * 83),
+        useed in buf(9 * 6 * 16),
     ) {
-        let (by, bx) = (by.min(h - 4), bx.min(w - 4));
-        let plane_len = h * w;
-        let src = &src[..cin * plane_len];
-        let base = by * w + bx;
+        let sw = tiles + slack;
+        let len = cin * 2 * sw;
+        let rows: Vec<&[f32]> = (0..4).map(|r| &rseed[r * len..(r + 1) * len]).collect();
+        let u: Vec<[f32; 16]> = (0..cout * cin)
+            .map(|t| useed[t * 16..t * 16 + 16].try_into().unwrap())
+            .collect();
+        let packed = wino_pack_u(&u, cout, cin);
+        let row = WinoRow {
+            rows: [rows[0], rows[1], rows[2], rows[3]],
+            sw,
+            tiles,
+            u: &packed,
+            cin,
+            cout,
+        };
+        let ostride = 2 * tiles + slack;
         for &v in detected_variants() {
             let mk = microkernel(v);
-            // Stage the d-tiles by scalar gather, as the boundary path does.
-            let mut d_slab = vec![0.0f32; cin * 16];
-            for cc in 0..cin {
-                for dy in 0..4 {
-                    d_slab[cc * 16 + 4 * dy..cc * 16 + 4 * dy + 4].copy_from_slice(
-                        &src[cc * plane_len + base + dy * w..][..4],
-                    );
+            let mut want = vec![f32::NAN; 2 * cout * ostride];
+            let (mut vt, mut m) = (vec![0.0f32; 16 * cin], vec![0.0f32; 16 * cout]);
+            for t in 0..tiles {
+                for cc in 0..cin {
+                    let mut d = [0.0f32; 16];
+                    for (r, src) in rows.iter().enumerate() {
+                        let (e, o) = (cc * 2 * sw + t, cc * 2 * sw + sw + t);
+                        d[4 * r..4 * r + 4]
+                            .copy_from_slice(&[src[e], src[o], src[e + 1], src[o + 1]]);
+                    }
+                    vt[16 * cc..16 * cc + 16].copy_from_slice(&mk.wino_input_transform(&d));
+                }
+                mk.wino_channel_reduce(&mut m, &u, &vt, cout, cin);
+                for oo in 0..cout {
+                    let y = mk.wino_output_transform(m[16 * oo..16 * oo + 16].try_into().unwrap());
+                    for dy in 0..2 {
+                        let at = (2 * oo + dy) * ostride + 2 * t;
+                        want[at..at + 2].copy_from_slice(&y[2 * dy..2 * dy + 2]);
+                    }
                 }
             }
-            let mut want = vec![0.0f32; cin * 16];
-            for cc in 0..cin {
-                let d: [f32; 16] = d_slab[cc * 16..cc * 16 + 16].try_into().unwrap();
-                want[cc * 16..cc * 16 + 16].copy_from_slice(&mk.wino_input_transform(&d));
-            }
-            let mut from_many = vec![0.0f32; cin * 16];
-            mk.wino_input_transform_many(&d_slab, &mut from_many, cin);
-            prop_assert_eq!(
-                bits(&from_many), bits(&want),
-                "transform_many diverged on {}", v.name()
-            );
-            let mut from_interior = vec![0.0f32; cin * 16];
-            mk.wino_input_transform_interior(src, plane_len, base, w, &mut from_interior, cin);
-            prop_assert_eq!(
-                bits(&from_interior), bits(&want),
-                "transform_interior diverged on {}", v.name()
-            );
+            let mut got = vec![f32::NAN; 2 * cout * ostride];
+            let mut scratch = vec![f32::NAN; wino_scratch_len(cin)];
+            mk.wino_tile_row(&row, &mut scratch, &mut got, ostride);
+            prop_assert_eq!(bits(&got), bits(&want), "wino_tile_row diverged on {}", v.name());
         }
     }
 
@@ -264,6 +280,37 @@ proptest! {
                 bits(&m_slab), bits(&want),
                 "channel reduce diverged on {}", v.name()
             );
+        }
+    }
+
+    /// The fused int8 epilogues (requantize-and-pack, the residual fuse,
+    /// the head row) equal the scalar chain bit for bit on every variant
+    /// at lengths 1..=40 — the 16-lane bodies' full vectors and masked
+    /// tails where AVX-512 runs, the 8-lane bodies' scalar tails where it
+    /// does not.
+    #[test]
+    fn int8_epilogues_match_scalar(
+        n in 1usize..41,
+        zp in 0i32..256,
+        act in row_act(),
+        out_scale in prop_oneof![Just(2.0f32), 0.002f32..0.5],
+        accs in proptest::collection::vec(-3_000_000i32..3_000_000, 80),
+        lanes in proptest::collection::vec(-255i32..256, 80),
+    ) {
+        let e0 = QuantEpilogue { scale_io: 1.0, bias: 0.25, act, out_scale, zero_point: zp };
+        let e1 = QuantEpilogue { scale_io: 3.1e-4, bias: -0.125, act, out_scale, zero_point: zp };
+        let (acc0, acc1) = (&accs[..n], &accs[40..40 + n]);
+        let first: Vec<i32> = (0..n).map(|x| (lanes[x] & 0xFFFF) | (lanes[40 + x] << 16)).collect();
+        let run = |mk: &dyn Microkernel| {
+            let (mut q, mut r, mut hd) = (vec![0i32; n], vec![0i32; n], vec![0f32; n]);
+            mk.qrequant_pack_row(acc0, acc1, &mut q, &e0, Some(&e1));
+            mk.qresidual_pack_row(acc0, acc1, &first, &mut r, &e0, Some(&e1), 0.021, 0.044, 116);
+            mk.qhead_row(acc0, Some((&first, 0.013)), &mut hd, &e0);
+            (q, r, bits(&hd))
+        };
+        let want = run(microkernel(KernelVariant::Scalar));
+        for &v in detected_variants() {
+            prop_assert_eq!(run(microkernel(v)), want.clone(), "int8 epilogue diverged on {}", v.name());
         }
     }
 

@@ -74,7 +74,10 @@ if [[ -f BENCH_infer.json ]]; then
     # path on every architecture in the report. The ratio is measured
     # within one run on one box, so unlike raw throughput it does not
     # swing with background load; a drop below the floor means the int8
-    # path itself slowed down (or the lane silently vanished).
+    # path itself slowed down (or the lane silently vanished) — or that
+    # the f32 denominator sped up: a faster f32 plan lowers the ratio
+    # with no change to int8, so an f32 speed-up must bring int8 work
+    # that keeps the ratio above the floor, not a lower floor.
     echo "-- bench-gate: sesr-infer-int8 (quantized lane floor) --"
     int8_floor="${INT8_SPEEDUP_FLOOR:-1.4}"
     speedups="$(grep -o '"int8_speedup_vs_planned":[0-9.]*' "$tmp/BENCH_infer.json" \

@@ -153,11 +153,13 @@ PY
 step_infer() {
     # The planner's two load-bearing guarantees, proven by dedicated test
     # binaries: bit-identity to the reference executor across
-    # architectures/scales/shapes/threads (property sweep) and on every
-    # detected kernel variant over ragged direct-conv geometries, and
-    # zero steady-state heap allocations (counting global allocator).
+    # architectures/scales/shapes/threads (property sweep), on every
+    # detected kernel variant over ragged direct-conv geometries and over
+    # widths that cross the Winograd tile-row chunks, and zero
+    # steady-state heap allocations (counting global allocator).
     cargo test -q --offline -p sesr --test proptest_infer_plan
     cargo test -q --offline -p sesr-core --test ragged_geometry
+    cargo test -q --offline -p sesr-core --test wide_geometry
     cargo test -q --offline -p sesr-core --test zero_alloc
     # The f32 and int8 plans share one skeleton (tile LRU, timing hook,
     # variant pin); its checks run once per datapath.
