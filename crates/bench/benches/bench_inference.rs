@@ -31,9 +31,6 @@ fn bench_tiled_vs_whole(c: &mut Criterion) {
     group.bench_function("tiled_48px_overlap8", |b| {
         b.iter(|| net.run_tiled(&lr, 48, 8).unwrap())
     });
-    group.bench_function("tiled_parallel_48px_overlap8", |b| {
-        b.iter(|| net.run_tiled_parallel(&lr, 48, 8).unwrap())
-    });
     group.finish();
 }
 

@@ -274,7 +274,7 @@ fn upscale(args: &Args) -> Result<String, CliError> {
     let (sr, how) = if tile > 0 {
         let radius = model.receptive_field_radius();
         (
-            model.run_tiled_parallel(&lr, tile, radius)?,
+            model.run_tiled(&lr, tile, radius)?,
             format!("tiled {tile}px"),
         )
     } else {

@@ -6,12 +6,11 @@
 //! network with plain tensor ops (no tape), which is what a deployment
 //! runtime would ship.
 
-use crate::infer_plan::{CollapsedKernels, InferPlan, TilePlanner};
-use crate::tiling::{TileError, TilePlan, TileSpec};
+use crate::infer_plan::{CollapsedKernels, InferPlan};
+use crate::tiling::{run_tiles, TileError, TilePlan};
 use serde::{Deserialize, Serialize};
 use sesr_tensor::activations::{prelu_inplace, relu_inplace};
 use sesr_tensor::conv::Conv2dParams;
-use sesr_tensor::parallel::{parallel_for, SendPtr};
 use sesr_tensor::pixel_shuffle::depth_to_space;
 use sesr_tensor::winograd::conv2d_auto;
 use sesr_tensor::Tensor;
@@ -245,20 +244,14 @@ impl CollapsedSesr {
         TilePlan::new(h, w, tile, overlap)
     }
 
-    /// Runs one tile of a plan: crops the halo-expanded patch,
-    /// super-resolves it, and returns the SR patch (still including the
-    /// upscaled halo; callers crop the interior).
-    pub fn run_tile(&self, lr: &Tensor, spec: &TileSpec) -> Tensor {
-        let patch = lr.crop_hw(spec.ey0, spec.ey1, spec.ex0, spec.ex1);
-        self.run(&patch)
-    }
-
     /// Super-resolves a large image tile by tile (the paper's DRAM
-    /// optimization, Sec. 5.6). `tile` is the LR tile side length; tiles at
-    /// the right/bottom edges may be smaller. `overlap` LR pixels of halo
-    /// are added around every tile and cropped after upscaling; with the
-    /// plan's receptive-field and alignment guarantees the result is
-    /// bit-identical to [`CollapsedSesr::run`].
+    /// optimization, Sec. 5.6): plans the tiles, runs them through
+    /// [`run_tiles`] (fanned across the intra-op thread pool), and
+    /// composites the interiors. `tile` is the LR tile side length; tiles
+    /// at the right/bottom edges may be smaller. `overlap` LR pixels of
+    /// halo are added around every tile and cropped after upscaling; with
+    /// the plan's receptive-field and alignment guarantees the result is
+    /// bit-identical to [`CollapsedSesr::run`] at any thread count.
     ///
     /// # Errors
     ///
@@ -270,83 +263,9 @@ impl CollapsedSesr {
     pub fn run_tiled(&self, lr: &Tensor, tile: usize, overlap: usize) -> Result<Tensor, TileError> {
         let dims = lr.shape();
         assert_eq!(dims.len(), 3, "expected [1, H, W]");
-        let (h, w) = (dims[1], dims[2]);
-        let plan = self.plan_tiles(h, w, tile, overlap)?;
-        let s = self.scale;
-        let mut out = Tensor::zeros(&[1, h * s, w * s]);
-        // Interior tiles share a shape, so one planner reuses a compiled
-        // plan (and its arena) across them.
-        let mut planner = TilePlanner::new(Arc::new(CollapsedKernels::new(self)));
-        for spec in plan.tiles() {
-            let sr = planner.run_tile(lr, spec);
-            paste_interior(&sr, spec, s, w * s, out.data_mut());
-        }
-        Ok(out)
-    }
-
-    /// Like [`CollapsedSesr::run_tiled`], but fans the tiles out across
-    /// the machine's cores (`sesr_tensor::parallel`). Tiles write disjoint
-    /// interior regions of the output, so the result is bit-identical to
-    /// both the sequential tiled path and the whole-image [`CollapsedSesr::run`].
-    ///
-    /// # Errors
-    ///
-    /// See [`CollapsedSesr::plan_tiles`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not a `[1, H, W]` tensor.
-    pub fn run_tiled_parallel(
-        &self,
-        lr: &Tensor,
-        tile: usize,
-        overlap: usize,
-    ) -> Result<Tensor, TileError> {
-        let dims = lr.shape();
-        assert_eq!(dims.len(), 3, "expected [1, H, W]");
-        let (h, w) = (dims[1], dims[2]);
-        let plan = self.plan_tiles(h, w, tile, overlap)?;
-        let s = self.scale;
-        let mut out = Tensor::zeros(&[1, h * s, w * s]);
-        let ptr = SendPtr(out.data_mut().as_mut_ptr());
-        let tiles = plan.tiles();
-        // Kernels are preprocessed once and shared; each chunk of tiles
-        // gets its own planner so same-shaped tiles within the chunk reuse
-        // one compiled plan. Tile plans use a single band — parallelism
-        // here comes from the tile fan-out itself.
+        let plan = self.plan_tiles(dims[1], dims[2], tile, overlap)?;
         let kernels = Arc::new(CollapsedKernels::new(self));
-        parallel_for(tiles.len(), 1, |a, b| {
-            let mut planner = TilePlanner::new(kernels.clone());
-            for spec in &tiles[a..b] {
-                let sr = planner.run_tile(lr, spec);
-                let out_w = w * s;
-                let sr_w = spec.patch_w() * s;
-                for y in spec.y0 * s..spec.y1 * s {
-                    let py = y - spec.ey0 * s;
-                    for x in spec.x0 * s..spec.x1 * s {
-                        let px = x - spec.ex0 * s;
-                        // SAFETY: tile interiors are disjoint regions of
-                        // the output buffer (TilePlan partitions the
-                        // image), so no two threads write the same index.
-                        unsafe { ptr.write(y * out_w + x, sr.data()[py * sr_w + px]) };
-                    }
-                }
-            }
-        });
-        Ok(out)
-    }
-}
-
-/// Copies the interior (non-halo) region of an upscaled tile into the
-/// full-image output buffer.
-fn paste_interior(sr: &Tensor, spec: &TileSpec, s: usize, out_w: usize, out: &mut [f32]) {
-    let sr_w = spec.patch_w() * s;
-    for y in spec.y0 * s..spec.y1 * s {
-        let py = y - spec.ey0 * s;
-        for x in spec.x0 * s..spec.x1 * s {
-            let px = x - spec.ex0 * s;
-            out[y * out_w + x] = sr.data()[py * sr_w + px];
-        }
+        Ok(run_tiles(&kernels, lr, &plan).composite(&plan))
     }
 }
 
@@ -418,7 +337,7 @@ mod tests {
                 got: 0
             }
         );
-        let err = net.run_tiled_parallel(&lr, 12, 5).unwrap_err();
+        let err = net.run_tiled(&lr, 12, 5).unwrap_err();
         assert_eq!(
             err,
             crate::tiling::TileError::OverlapTooSmall {
@@ -446,7 +365,7 @@ mod tests {
     fn parallel_tiled_is_bit_identical_across_configs() {
         // Three distinct collapsed architectures: the default PReLU x2, the
         // hardware-efficient ReLU variant (no input residual), and an x4
-        // head — the parallel fan-out must be bit-exact on all of them.
+        // head — the tile fan-out must be bit-exact on all of them.
         let configs = [
             SesrConfig::m(2).with_expanded(8).with_seed(3),
             SesrConfig::m(3)
@@ -460,14 +379,12 @@ mod tests {
             let lr = Tensor::rand_uniform(&[1, 21, 27], 0.0, 1.0, 40 + i as u64);
             let whole = net.run(&lr);
             let overlap = net.receptive_field_radius() + (i % 2);
-            let par = net.run_tiled_parallel(&lr, 9, overlap).unwrap();
+            let tiled = net.run_tiled(&lr, 9, overlap).unwrap();
             assert_eq!(
-                whole.max_abs_diff(&par),
+                whole.max_abs_diff(&tiled),
                 0.0,
-                "config {i}: parallel tiled output must be bit-exact"
+                "config {i}: tiled output must be bit-exact"
             );
-            let seq = net.run_tiled(&lr, 9, overlap).unwrap();
-            assert_eq!(seq.max_abs_diff(&par), 0.0, "config {i}");
         }
     }
 

@@ -1,15 +1,25 @@
-//! Tile-plan extraction for seam-exact tiled inference.
+//! Seam-exact tiled inference: tile-plan geometry and the one tiled
+//! executor.
 //!
 //! The paper's DRAM optimization (Sec. 5.6) splits a large LR image into
 //! tiles, runs the collapsed network per tile with a halo of `overlap`
 //! pixels, and crops the halo after upscaling. This module extracts that
-//! geometry into a first-class [`TilePlan`] so that every execution
-//! strategy — the sequential loop in `CollapsedSesr::run_tiled`, the
-//! data-parallel fan-out in `run_tiled_parallel`, and the serving engine's
-//! worker pool — iterates the *same* tile set and stays bit-identical to
-//! whole-image execution.
+//! geometry into a first-class [`TilePlan`] and runs it in two phases that
+//! every caller shares — `CollapsedSesr::run_tiled`, the serving engine's
+//! tiled path and the video session's dirty-tile recompute:
 //!
-//! Two properties make tiling exact rather than merely approximate:
+//! * **Compute** ([`run_tiles`]): the plan's tiles fan over
+//!   `sesr_tensor::parallel::parallel_for` chunks on the persistent pool,
+//!   one [`TilePlanner`] per chunk, each tile through the same
+//!   single-band plan; the result is every tile's SR patch plus the peak
+//!   arena size. At one thread the fan-out runs inline on the caller.
+//! * **Composite** ([`TiledRun::composite`]): one [`paste_interior`] per
+//!   tile, built on `Tensor::copy_region_hw`.
+//!
+//! Which thread runs a tile never changes its arithmetic, so the
+//! composite stays bit-identical to whole-image execution at any thread
+//! count, on either datapath. Two properties make tiling exact rather
+//! than merely approximate:
 //!
 //! 1. **Halo ≥ receptive-field radius.** Every output pixel of the
 //!    collapsed network depends on LR pixels within the network's
@@ -25,7 +35,12 @@
 //!    each patch phase-aligned with the full image so the arithmetic — and
 //!    hence the bits — match exactly.
 
+use crate::infer_plan::{Datapath, TilePlanner};
+use sesr_tensor::parallel::parallel_for;
+use sesr_tensor::Tensor;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Typed failure modes of tile-plan construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,6 +240,74 @@ impl TilePlan {
             })
             .collect()
     }
+}
+
+/// Every tile's output from one [`run_tiles`] call.
+#[derive(Debug)]
+pub struct TiledRun {
+    /// Each tile's SR patch, halo included, in [`TilePlan::tiles`] order.
+    pub patches: Vec<Tensor>,
+    /// Largest arena any chunk's planner ran in, in bytes (telemetry).
+    pub peak_arena_bytes: usize,
+    scale: usize,
+}
+
+impl TiledRun {
+    /// The composite phase: pastes every patch's interior into a fresh
+    /// `[1, h * scale, w * scale]` plane.
+    ///
+    /// # Panics
+    ///
+    /// When `plan` is not the plan these patches were computed for.
+    pub fn composite(&self, plan: &TilePlan) -> Tensor {
+        assert_eq!(self.patches.len(), plan.len(), "one patch per tile");
+        let s = self.scale;
+        let mut out = Tensor::zeros(&[1, plan.image_h() * s, plan.image_w() * s]);
+        for (spec, sr) in plan.tiles().iter().zip(&self.patches) {
+            paste_interior(&mut out, sr, spec, s);
+        }
+        out
+    }
+}
+
+/// The compute phase: runs every tile of `plan` over `lr` (`[1, H, W]`)
+/// on `kernels`' datapath. Tiles fan over `parallel_for` chunks, one
+/// [`TilePlanner`] per chunk, so same-shaped tiles in a chunk reuse one
+/// compiled single-band plan and its arena. A panic in any tile reaches
+/// the caller (`parallel_for` re-raises it on the submitting thread).
+pub fn run_tiles<D: Datapath>(kernels: &Arc<D>, lr: &Tensor, plan: &TilePlan) -> TiledRun {
+    let tiles = plan.tiles();
+    let slots: Vec<OnceLock<Tensor>> = tiles.iter().map(|_| OnceLock::new()).collect();
+    let peak = AtomicUsize::new(0);
+    parallel_for(tiles.len(), 1, |a, b| {
+        let mut planner = TilePlanner::new(kernels.clone());
+        for (slot, spec) in slots[a..b].iter().zip(&tiles[a..b]) {
+            let _ = slot.set(planner.run_tile(lr, spec));
+        }
+        peak.fetch_max(planner.max_arena_bytes(), Ordering::Relaxed);
+    });
+    TiledRun {
+        patches: slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("every tile ran"))
+            .collect(),
+        peak_arena_bytes: peak.into_inner(),
+        scale: kernels.graph().scale(),
+    }
+}
+
+/// Pastes the interior of tile `spec`'s halo-expanded SR patch `sr` into
+/// the HR plane `out`; `s` is the upscaling factor.
+pub fn paste_interior(out: &mut Tensor, sr: &Tensor, spec: &TileSpec, s: usize) {
+    out.copy_region_hw(
+        sr,
+        (spec.y0 - spec.ey0) * s,
+        (spec.x0 - spec.ex0) * s,
+        (spec.y1 - spec.y0) * s,
+        (spec.x1 - spec.x0) * s,
+        spec.y0 * s,
+        spec.x0 * s,
+    );
 }
 
 #[cfg(test)]

@@ -507,6 +507,7 @@ mod tests {
     use crate::scheme::calibrate;
     use sesr_core::collapsed::CollapsedSesr;
     use sesr_core::model::{Sesr, SesrConfig};
+    use sesr_core::tiling::paste_interior;
     use sesr_data::synth::{generate, Family};
     use sesr_tensor::simd::detected_variants;
     use sesr_tensor::Tensor;
@@ -616,17 +617,8 @@ mod tests {
         let plan = net.plan_tiles(33, 29, 16, overlap).unwrap();
         let mut tp = QuantTilePlanner::new(kernels);
         let mut out = Tensor::zeros(&[1, 66, 58]);
-        let s = 2;
         for spec in plan.tiles() {
-            let sr = tp.run_tile(&lr, spec);
-            let sr_w = spec.patch_w() * s;
-            for y in spec.y0 * s..spec.y1 * s {
-                let py = y - spec.ey0 * s;
-                for x in spec.x0 * s..spec.x1 * s {
-                    let px = x - spec.ex0 * s;
-                    out.data_mut()[y * 58 + x] = sr.data()[py * sr_w + px];
-                }
-            }
+            paste_interior(&mut out, &tp.run_tile(&lr, spec), spec, 2);
         }
         let exact = want
             .data()

@@ -17,9 +17,10 @@
 //! requests are retried (bounded, with exponential backoff, honoring
 //! their deadlines) or answered with [`ServeError::WorkerCrashed`], and
 //! the dead worker thread is respawned by a supervisor under an
-//! exponential-backoff restart budget. Tiled-path panics are contained
-//! inside the scoped tile pool and surface the same way without killing
-//! the worker. Transient model-load failures follow the same retry
+//! exponential-backoff restart budget. Tiled-path panics are caught
+//! around the tile fan-out (a pool worker's panic is re-raised on the
+//! submitting thread) and surface the same way without killing the
+//! worker. Transient model-load failures follow the same retry
 //! path. A request that crashes every attempt exhausts its retries and
 //! is quarantined — a poison-pill input cannot crash-loop the pool
 //! beyond its retry budget. Result delivery is idempotent: a ticket's
@@ -45,7 +46,8 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::registry::{ModelKey, ModelRegistry};
 use crate::telemetry::{Counters, Stage, Telemetry};
 use crate::video::{SessionStats, VideoError, VideoSession, VideoSessionSpec};
-use sesr_core::{CollapsedSesr, TilePlanner};
+use sesr_core::tiling::run_tiles;
+use sesr_core::CollapsedSesr;
 use sesr_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
@@ -1441,8 +1443,8 @@ fn terminal_failure(shared: &Shared, job: &Job, kind: &FailureKind, msg: &str) {
 
 /// Large single request: halo tiles fan across the intra-op thread pool
 /// (compute), then tile interiors are pasted into the output
-/// (reassembly). Tile-worker panics are contained: they fail this
-/// request (retryably), never the worker thread or the process.
+/// (reassembly). Tile panics are contained: they fail this request
+/// (retryably), never the worker thread or the process.
 fn run_tiled_request<D: ServedDatapath>(
     shared: &Shared,
     model: &CollapsedSesr,
@@ -1464,8 +1466,8 @@ fn run_tiled_request<D: ServedDatapath>(
     }
 }
 
-/// The tiled forward pass; `Err` carries a tile worker's panic message
-/// (captured, not propagated).
+/// The tiled forward pass through the core executor; `Err` carries the
+/// panic message of a failed tile run (captured, not propagated).
 fn run_tiled_compute<D: ServedDatapath>(
     shared: &Shared,
     model: &CollapsedSesr,
@@ -1480,88 +1482,31 @@ fn run_tiled_compute<D: ServedDatapath>(
     let plan = model
         .plan_tiles(h, w, shared.cfg.tile, model.receptive_field_radius())
         .expect("a positive tile at the receptive-field radius always plans");
-    let t0 = Instant::now();
-    let specs = plan.tiles();
-    // The decision's kernels are shared by every tile thread below; each
-    // thread builds its own (cheap) per-shape tile plans over them.
-    let peak_arena = AtomicU64::new(0);
-    // Chaos draws once per tiled attempt; the panic detonates inside a
-    // tile worker so the containment path is the one exercised.
+    // Chaos draws once per tiled attempt and detonates inside the same
+    // `catch_unwind` that contains a real tile panic (`parallel_for`
+    // re-raises a pool worker's panic on this thread).
     let inject = shared.chaos.as_ref().is_some_and(Chaos::panic_in_forward);
     if inject {
         shared.count_fault(FaultPoint::PanicInForward);
     }
-    let armed = AtomicBool::new(inject);
-    let crash: Mutex<Option<String>> = Mutex::new(None);
-    let mut tiles: Vec<Option<Tensor>> = (0..specs.len()).map(|_| None).collect();
-    {
-        let threads = sesr_tensor::parallel::num_threads().clamp(1, specs.len().max(1));
-        let chunk = specs.len().div_ceil(threads);
-        let mut rest: &mut [Option<Tensor>] = &mut tiles;
-        let scope_result = crossbeam::scope(|s| {
-            for chunk_specs in specs.chunks(chunk) {
-                let (head, tail) = rest.split_at_mut(chunk_specs.len());
-                rest = tail;
-                let input = &job.input;
-                let (armed, crash, peak_arena) = (&armed, &crash, &peak_arena);
-                s.spawn(move |_| {
-                    let mut planner = TilePlanner::new(kernels.clone());
-                    for (slot, spec) in head.iter_mut().zip(chunk_specs) {
-                        let tile = catch_unwind(AssertUnwindSafe(|| {
-                            if armed.swap(false, Ordering::Relaxed) {
-                                panic!("chaos: injected panic in tile worker");
-                            }
-                            planner.run_tile(input, spec)
-                        }));
-                        match tile {
-                            Ok(t) => *slot = Some(t),
-                            Err(p) => {
-                                let mut g = crash.lock().unwrap_or_else(PoisonError::into_inner);
-                                g.get_or_insert_with(|| panic_message(p.as_ref()));
-                                return; // the request fails as a unit
-                            }
-                        }
-                    }
-                    peak_arena.fetch_max(planner.max_arena_bytes() as u64, Ordering::Relaxed);
-                });
-            }
-        });
-        if scope_result.is_err() {
-            // Unreachable in practice (tile bodies catch their own
-            // panics), but a scope error must never abort the worker.
-            let mut g = crash.lock().unwrap_or_else(PoisonError::into_inner);
-            g.get_or_insert_with(|| "tile scope failed".to_string());
+    let t0 = Instant::now();
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        if inject {
+            panic!("chaos: injected panic in tiled forward");
         }
-    }
-    if let Some(msg) = crash.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        return Err(msg);
-    }
+        run_tiles(kernels, &job.input, &plan)
+    }))
+    .map_err(|p| panic_message(p.as_ref()))?;
     let t1 = Instant::now();
     shared.telemetry.record(Stage::Compute, t1 - t0);
-    let s = model.scale();
-    let mut out = Tensor::zeros(&[1, h * s, w * s]);
-    let out_w = w * s;
-    for (spec, sr) in specs.iter().zip(&tiles) {
-        let Some(sr) = sr.as_ref() else {
-            return Err("tile result missing".to_string());
-        };
-        let sr_w = spec.patch_w() * s;
-        for y in spec.y0 * s..spec.y1 * s {
-            let py = y - spec.ey0 * s;
-            for x in spec.x0 * s..spec.x1 * s {
-                let px = x - spec.ex0 * s;
-                out.data_mut()[y * out_w + x] = sr.data()[py * sr_w + px];
-            }
-        }
-    }
+    let out = run.composite(&plan);
     shared.telemetry.record(Stage::Reassembly, t1.elapsed());
-    let arena = peak_arena.load(Ordering::Relaxed);
     shared.telemetry.counters(|c| {
         c.tiled_requests += 1;
-        c.tiles_run += specs.len() as u64;
+        c.tiles_run += plan.len() as u64;
         // The tiled path has no plan level: its kernels were compiled with
         // the decision, so a warm decision is its cache hit.
-        count_plan_lookup::<D>(c, warm, arena);
+        count_plan_lookup::<D>(c, warm, run.peak_arena_bytes as u64);
     });
     Ok(out)
 }

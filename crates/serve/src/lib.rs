@@ -23,7 +23,9 @@
 //!   requests under one lock.
 //! * [`engine`] — supervised worker pool; same-shape requests run as one
 //!   `run_batch` forward pass, oversized single images take the
-//!   halo-tiled path (bit-identical to whole-image inference). Worker
+//!   halo-tiled path: `sesr_core::tiling::run_tiles` fans the tiles
+//!   across the intra-op thread pool (bit-identical to whole-image
+//!   inference). Worker
 //!   panics are caught and converted to per-request typed errors; crashed
 //!   workers are respawned with backoff under a restart budget; requests
 //!   retry retryable failures; `shutdown(deadline)` drains gracefully.

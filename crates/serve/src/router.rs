@@ -1867,20 +1867,29 @@ impl Router {
             // Supervisor first, so no fault injection or respawn races
             // the drain.
             if let Some(sup) = threads.supervisor {
-                joined &= join_within(sup, start, deadline);
+                if wait_past(&sup, start, deadline) {
+                    let _ = sup.join();
+                } else {
+                    joined = false; // detach: threads cannot be killed
+                }
             }
             for shard in &self.core.shards {
                 shard.queue.close();
             }
+            // Dispatchers are waited for, never detached: past the drain
+            // deadline every dispatcher path settles without blocking
+            // (`dispatch_one` checks it in its backpressure wait), so a
+            // job a dispatcher holds is settled before this returns.
             for d in threads.dispatchers {
-                joined &= join_within(d, start, deadline);
+                joined &= wait_past(&d, start, deadline);
+                let _ = d.join();
             }
         } else {
             for shard in &self.core.shards {
                 shard.queue.close();
             }
         }
-        // Backstop: settle anything a detached dispatcher left queued.
+        // Backstop: settle anything a panicked dispatcher left queued.
         let mut dropped = 0u64;
         for shard in &self.core.shards {
             while let Popped::Job(job) = shard.queue.pop(Duration::ZERO) {
@@ -1914,18 +1923,16 @@ impl Drop for Router {
     }
 }
 
-fn join_within(h: JoinHandle<()>, start: Instant, deadline: Duration) -> bool {
-    loop {
-        if h.is_finished() {
-            let _ = h.join();
-            return true;
-        }
+/// Waits until `h` finishes or `deadline` (from `start`) passes; true
+/// when it finished in time.
+fn wait_past(h: &JoinHandle<()>, start: Instant, deadline: Duration) -> bool {
+    while !h.is_finished() {
         if start.elapsed() >= deadline {
-            drop(h); // detach: threads cannot be killed
             return false;
         }
         std::thread::sleep(Duration::from_millis(1));
     }
+    true
 }
 
 /// Consistent-hash point for a (tenant, model) pair.

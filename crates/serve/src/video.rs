@@ -39,6 +39,7 @@
 use crate::plan_cache::PlanCache;
 use crate::registry::ModelKey;
 use sesr_core::crc32::Crc32;
+use sesr_core::tiling::paste_interior;
 use sesr_core::{CollapsedSesr, TileError, TilePlan, TileSpec};
 use sesr_tensor::Tensor;
 use std::fmt;
@@ -599,19 +600,6 @@ fn edge_energy(frame: &Tensor, t: &TileSpec) -> f64 {
     } else {
         sum / n as f64
     }
-}
-
-/// Pastes the interior of a halo-expanded SR patch into the HR plane.
-fn paste_interior(out: &mut Tensor, sr: &Tensor, spec: &TileSpec, s: usize) {
-    out.copy_region_hw(
-        sr,
-        (spec.y0 - spec.ey0) * s,
-        (spec.x0 - spec.ex0) * s,
-        (spec.y1 - spec.y0) * s,
-        (spec.x1 - spec.x0) * s,
-        spec.y0 * s,
-        spec.x0 * s,
-    );
 }
 
 #[cfg(test)]

@@ -313,6 +313,50 @@ fn overload_sheds_batch_then_degrades_interactive_then_rejects() {
     }
 }
 
+/// The overload scenario again, drained with a deadline so short that
+/// the dispatcher is still holding a job in its backpressure wait when
+/// it passes: `shutdown` must not return before that job is settled, so
+/// the ledger reconciles the moment it returns. Repeated because the
+/// dispatcher and the shutdown path race on every drain.
+#[test]
+fn short_drain_deadline_settles_dispatcher_held_jobs_before_shutdown_returns() {
+    let registry = registry_with_archs(&[("m11", 11), ("m5", 5), ("m3", 3)]);
+    let key = ModelKey::new("m11", 2);
+    for round in 0..40u64 {
+        let router = Router::new(
+            RouterConfig {
+                shards: 1,
+                engine: EngineConfig {
+                    workers: 0, // nothing consumes: the dispatcher blocks on depth
+                    ..fast_engine(0)
+                },
+                shard_queue_capacity: 16,
+                batch_shed_at: 0.5,
+                degrade_at: 0.75,
+                ..RouterConfig::default()
+            },
+            Arc::clone(&registry),
+        );
+        let mut tickets = Vec::new();
+        for i in 0..48u64 {
+            for class in [Priority::Batch, Priority::Interactive] {
+                if let Ok(t) = router.submit("t", class, &key, img(i, 8, 8), None) {
+                    tickets.push(t);
+                }
+            }
+        }
+        router.shutdown(Duration::from_millis(10));
+        let snap = router.telemetry();
+        assert_eq!(snap.reconcile(), Vec::<String>::new(), "round {round}");
+        for t in tickets {
+            match t.wait() {
+                Err(RouterServeError::ShuttingDown) => {}
+                other => panic!("round {round}: expected ShuttingDown, got {other:?}"),
+            }
+        }
+    }
+}
+
 /// Degraded interactive requests actually run the cheaper architecture
 /// and still return a correctly-shaped output.
 #[test]

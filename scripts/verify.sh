@@ -16,7 +16,7 @@
 #   router-bench router-bench smoke run + shed-order/ledger check
 #   autoscale   bounded-rebalancing proptest + elastic scaling chaos soak
 #   video       streaming-video session tests + video-bench smoke run
-#   infer       planned-inference identity + zero-allocation proofs,
+#   infer       planned-inference and tiled identity + zero-allocation proofs,
 #               and the plan skeleton's checks at both precisions
 #   int8        quantized-plan oracle identity + zero-allocation proofs,
 #               epilogue kernel sweep, plan-cache int8 oracle and
@@ -156,8 +156,9 @@ step_infer() {
     # architectures/scales/shapes/threads (property sweep), on every
     # detected kernel variant over ragged direct-conv geometries and over
     # widths that cross the Winograd tile-row chunks, and zero
-    # steady-state heap allocations (counting global allocator).
-    cargo test -q --offline -p sesr --test proptest_infer_plan
+    # steady-state heap allocations (counting global allocator). The
+    # tiled executor's composite is checked against the whole frame too.
+    cargo test -q --offline -p sesr --test proptest_infer_plan --test proptest_tiling
     cargo test -q --offline -p sesr-core --test ragged_geometry
     cargo test -q --offline -p sesr-core --test wide_geometry
     cargo test -q --offline -p sesr-core --test zero_alloc

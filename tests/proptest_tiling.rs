@@ -1,10 +1,10 @@
 //! Property-based seam correctness of tiled inference: for *any* tile
 //! size, and *any* overlap at or above the receptive-field radius, the
-//! tiled paths (sequential and parallel) must be **bit-identical** to
-//! whole-image [`CollapsedSesr::run`] — the halo alignment in `TilePlan`
-//! guarantees even the floating-point rounding matches. Overlaps below
-//! the radius are rejected with a typed error instead of silently
-//! producing seams.
+//! tiled executor must be **bit-identical** to whole-image
+//! [`CollapsedSesr::run`], whether its tiles run inline on one thread or
+//! fan across the pool — the halo alignment in `TilePlan` guarantees even
+//! the floating-point rounding matches. Overlaps below the radius are
+//! rejected with a typed error instead of silently producing seams.
 //!
 //! [`CollapsedSesr::run`]: sesr::core::CollapsedSesr
 
@@ -12,8 +12,15 @@ use proptest::prelude::*;
 use sesr::core::model::{Sesr, SesrConfig};
 use sesr::core::tiling::TileError;
 use sesr::core::CollapsedSesr;
+use sesr::tensor::parallel::set_num_threads;
 use sesr::tensor::Tensor;
 use std::sync::OnceLock;
+
+/// The pool's default size (what `num_threads` starts at), independent
+/// of any override a test left behind.
+fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(16))
+}
 
 /// Models are expensive to collapse; build each config once per process.
 fn model(scale: usize) -> &'static CollapsedSesr {
@@ -34,8 +41,10 @@ fn model(scale: usize) -> &'static CollapsedSesr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sweep tile sizes and overlaps ≥ the receptive-field radius: both
-    /// tiled paths reproduce the whole-image result bit-for-bit.
+    /// Sweep tile sizes and overlaps ≥ the receptive-field radius: the
+    /// tiled executor reproduces the whole-image result bit-for-bit at one
+    /// thread (tiles inline) and at the default thread count (tiles
+    /// fanned across the pool).
     #[test]
     fn tiled_inference_is_seam_free_and_bit_identical(
         tile in 4usize..20,
@@ -50,17 +59,16 @@ proptest! {
         let overlap = radius + extra;
         let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, seed);
         let whole = model.run(&lr);
-        let tiled = model.run_tiled(&lr, tile, overlap).unwrap();
-        let parallel = model.run_tiled_parallel(&lr, tile, overlap).unwrap();
-        prop_assert_eq!(whole.shape(), tiled.shape());
-        prop_assert!(
-            whole.max_abs_diff(&tiled) == 0.0,
-            "sequential tiled path differs (tile {}, overlap {})", tile, overlap
-        );
-        prop_assert!(
-            whole.max_abs_diff(&parallel) == 0.0,
-            "parallel tiled path differs (tile {}, overlap {})", tile, overlap
-        );
+        for threads in [1, default_threads()] {
+            set_num_threads(threads);
+            let tiled = model.run_tiled(&lr, tile, overlap).unwrap();
+            prop_assert_eq!(whole.shape(), tiled.shape());
+            prop_assert!(
+                whole.max_abs_diff(&tiled) == 0.0,
+                "tiled path differs at {} thread(s) (tile {}, overlap {})",
+                threads, tile, overlap
+            );
+        }
     }
 
     /// Any overlap below the receptive-field radius is a typed error
@@ -77,11 +85,6 @@ proptest! {
         let overlap = radius - short;
         let lr = Tensor::rand_uniform(&[1, 16, 16], 0.0, 1.0, seed);
         let err = model.run_tiled(&lr, tile, overlap).unwrap_err();
-        prop_assert_eq!(
-            err,
-            TileError::OverlapTooSmall { required: radius, got: overlap }
-        );
-        let err = model.run_tiled_parallel(&lr, tile, overlap).unwrap_err();
         prop_assert_eq!(
             err,
             TileError::OverlapTooSmall { required: radius, got: overlap }
