@@ -249,28 +249,16 @@ fn train(args: &Args) -> Result<String, CliError> {
     Ok(summary)
 }
 
-/// LR pixel count above which `upscale` switches to the tiled path on its
-/// own: beyond this, the whole-image im2col buffer for the 5x5 stages gets
-/// large enough (~25x the image) to dominate memory.
-const AUTO_TILE_PIXELS: usize = 256 * 256;
-
-/// Tile side used when auto-tiling kicks in.
-const AUTO_TILE_SIDE: usize = 128;
-
 fn upscale(args: &Args) -> Result<String, CliError> {
     let model_path = args.required("model")?.to_string();
     let input = args.required("in")?.to_string();
     let output = args.required("out")?.to_string();
     let model = load_model(Path::new(&model_path))?;
     let lr = pgm::read(Path::new(&input))?;
-    // Explicit --tile N tiles at that size; --tile 0 forces whole-image;
-    // no flag picks automatically so large inputs never allocate a
-    // full-image im2col buffer.
-    let tile = match args.get("tile") {
-        Some(_) => args.parsed_or("tile", 0usize)?,
-        None if lr.shape()[1] * lr.shape()[2] > AUTO_TILE_PIXELS => AUTO_TILE_SIDE,
-        None => 0,
-    };
+    // `--tile N` tiles at that size; without it (or with 0) the image runs
+    // whole through the streamed plan, whose arena grows with the width
+    // only.
+    let tile = args.parsed_or("tile", 0usize)?;
     let (sr, how) = if tile > 0 {
         let radius = model.receptive_field_radius();
         (
@@ -502,7 +490,9 @@ fn serve_chaos(args: &Args) -> Result<String, CliError> {
         chaos: Some(chaos),
         ..EngineConfig::default()
     };
-    let batch_path_only = height * width <= cfg.tile_threshold_px;
+    // A lone frame above the threshold contains its panic instead of
+    // respawning the worker.
+    let respawns_every_panic = height * width <= cfg.tile_threshold_px;
     let engine = Engine::new(cfg, registry);
 
     let deadline = Some(Duration::from_secs(30));
@@ -573,7 +563,7 @@ fn serve_chaos(args: &Args) -> Result<String, CliError> {
             c.requests_quarantined
         ));
     }
-    if batch_path_only && c.worker_restarts != c.faults_panic {
+    if respawns_every_panic && c.worker_restarts != c.faults_panic {
         problems.push(format!(
             "{} worker restarts for {} injected panics",
             c.worker_restarts, c.faults_panic

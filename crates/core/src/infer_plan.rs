@@ -7,29 +7,38 @@
 //! [`Plan`], built from two halves:
 //!
 //! * **The skeleton**, shared by both precisions. A [`LayerGraph`] holds
-//!   each layer's shape, the step list (source and destination buffer,
-//!   fused residual flags) and the head's depth-to-space scatter map.
-//!   [`Plan`] sizes one arena from it — the staged input (if the datapath
-//!   stages one), the long-residual buffer, two ping-pong feature buffers,
-//!   and one scratch slab per row band — and runs the one step loop: each
-//!   step splits its output rows into bands fixed at build (`make_bands`)
-//!   and runs them on the persistent pool. The timed run charges each step
-//!   the time since the previous mark. [`TilePlanner`] caches one
-//!   single-band plan per tile shape in a bounded LRU.
+//!   each layer's shape, the step list (fused residual flags) and the
+//!   head's depth-to-space map. [`Plan`] runs the chain **depth-first**:
+//!   output rows advance in row groups, and in each group every step
+//!   produces just the rows its consumer's window needs next. Each step
+//!   writes its own rolling row ring, so the arena — the staged input
+//!   ring (if the datapath stages one), one ring per non-head step, the
+//!   per-band state and one scratch slab per row band — grows with the
+//!   width, not the height. Within a group a step's rows split into
+//!   2-row-aligned sub-bands on the persistent pool. The group height is
+//!   derived at build from the graph and the width ([`Plan::group_rows`]),
+//!   unless one group's layer-at-a-time planes would take less memory
+//!   than the rings; when the group covers the whole image the plan is
+//!   the layer-at-a-time run, and alternate middle rings share two
+//!   buffers as ping-pong planes.
+//!   The timed run charges each step the time since the previous mark.
+//!   [`TilePlanner`] caches one single-band plan per tile shape in a
+//!   bounded LRU.
 //! * **The datapath** ([`Datapath`]), which supplies only what differs
-//!   between precisions: the arena element, buffer and slab lengths, the
-//!   per-layer tap-offset table, input staging, and the band runner with
-//!   its fused epilogue. [`CollapsedKernels`] below is the f32 datapath
-//!   ([`InferPlan`]); `sesr_quant::QuantKernels` is the int8 one
+//!   between precisions: the arena element, ring, state and slab lengths,
+//!   the per-layer tap-offset table, input staging, and the band runner
+//!   with its fused epilogue. [`CollapsedKernels`] below is the f32
+//!   datapath ([`InferPlan`]); `sesr_quant::QuantKernels` is the int8 one
 //!   (`sesr_quant::QuantPlan`).
 //!
 //! `Plan` is monomorphized per datapath. Steady-state
 //! [`Plan::run_image_into`] touches only the arena: zero heap allocations
 //! after the plan is built (at one thread; with a pool, `parallel_for`
-//! posts one job header per layer — see DESIGN.md Sec. 11). Bands are
-//! aligned to Winograd tile rows (2 rows), and every per-element
-//! accumulation order is independent of the band split, so output is
-//! bit-identical from 1 to N threads.
+//! posts one job header per step and row group — see DESIGN.md Sec. 11).
+//! Sub-bands are aligned to Winograd tile rows (2 rows), rows are kept in
+//! the rings rather than recomputed, and every per-element accumulation
+//! order is independent of the band split, so output is bit-identical
+//! from 1 to N threads and to the layer-at-a-time run.
 //!
 //! # The f32 datapath
 //!
@@ -43,7 +52,8 @@
 //!   the producing conv's output-row write (including after the Winograd
 //!   output transform), eliminating whole-tensor passes. Epilogue passes
 //!   run row-at-a-time with the variant dispatch hoisted out of the inner
-//!   loops, so they vectorize.
+//!   loops, so they vectorize; the head interleaves the `scale` channel
+//!   rows that share an output row in one contiguous store.
 //! * **Direct blocked convolution.** The 5x5 layers skip im2col entirely.
 //!   The reference path's `im2col + gemm` materializes a `cin*kh*kw x h*w`
 //!   column matrix (tens of MB at video sizes) just to stream it through
@@ -95,27 +105,20 @@ pub struct LayerShape {
     pub kw: usize,
 }
 
-/// Which logical buffer a step reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Buf {
-    /// The LR input plane (the caller's, or the datapath's staged copy).
-    Input,
-    /// Layer 0's output, kept live for the long feature residual.
-    First,
-    /// Ping-pong feature buffer A.
-    Ping,
-    /// Ping-pong feature buffer B.
-    Pong,
-    /// The caller's HR output plane (written via depth-to-space scatter).
-    Output,
+impl LayerShape {
+    /// Rows of its input the layer reads above and below each output
+    /// row (same padding).
+    pub fn reach(&self) -> (usize, usize) {
+        let (up, down, _, _) = Conv2dParams::same().resolve_padding(self.kh, self.kw);
+        (up, down)
+    }
 }
 
-/// One planned layer execution.
+/// One planned layer execution. Step `s` runs layer `s`: it reads step
+/// `s - 1`'s ring (step 0 reads the input) and writes its own ring (the
+/// head writes the caller's output plane).
 #[derive(Debug, Clone, Copy)]
 struct Step {
-    layer: usize,
-    src: Buf,
-    dst: Buf,
     /// Fuse the long feature residual (`+ first`) into this step's write.
     add_first: bool,
     /// Degenerate 2-layer network with a feature residual: the head input
@@ -124,28 +127,28 @@ struct Step {
 }
 
 /// The collapsed chain as both datapaths execute it, built once per
-/// model: layer shapes, the step list, and the head's scatter map.
+/// model: layer shapes, the step list, and the head's depth-to-space map.
 #[derive(Debug, Clone)]
 pub struct LayerGraph {
     layers: Vec<LayerShape>,
     scale: usize,
     input_residual: bool,
     steps: Vec<Step>,
-    /// `head_scatter[ci]` is the `(row, col)` offset inside each
-    /// `scale x scale` output cell written by head channel `ci` —
+    /// `head_gather[ry * scale + rx]` is the head channel written at
+    /// `(ry, rx)` inside each `scale x scale` output cell — the inverse of
     /// the composition of the model's depth-to-space permutations.
-    head_scatter: Vec<(usize, usize)>,
+    head_gather: Vec<usize>,
 }
 
 impl LayerGraph {
     /// Builds the graph of a chain of `layers` with a `scale` head. Steps
-    /// assign each layer a source and destination buffer plus its fused
-    /// residual flags, mirroring the reference dataflow exactly.
+    /// carry their fused residual flags, mirroring the reference dataflow
+    /// exactly.
     ///
     /// # Panics
     ///
-    /// Panics on fewer than two layers or a head that does not emit
-    /// `scale * scale` channels.
+    /// Panics on fewer than two layers, a scale other than 2 or 4, or a
+    /// head that does not emit `scale * scale` channels.
     pub fn new(
         layers: Vec<LayerShape>,
         scale: usize,
@@ -154,56 +157,32 @@ impl LayerGraph {
     ) -> Self {
         let ll = layers.len();
         assert!(ll >= 2, "a planned network needs a first layer and a head");
+        assert!(scale == 2 || scale == 4, "planned heads are x2 or x4");
         let head_cout = layers[ll - 1].cout;
         assert_eq!(head_cout, scale * scale, "head must emit scale^2 channels");
-        let mut steps = Vec::with_capacity(ll);
-        steps.push(Step {
-            layer: 0,
-            src: Buf::Input,
-            dst: Buf::First,
-            add_first: false,
-            double_output: ll == 2 && feature_residual,
-        });
-        let mut cur = Buf::First;
-        for i in 1..ll - 1 {
-            let dst = if cur == Buf::Ping {
-                Buf::Pong
-            } else {
-                Buf::Ping
-            };
-            steps.push(Step {
-                layer: i,
-                src: cur,
-                dst,
-                add_first: feature_residual && i == ll - 2,
-                double_output: false,
-            });
-            cur = dst;
-        }
-        steps.push(Step {
-            layer: ll - 1,
-            src: cur,
-            dst: Buf::Output,
-            add_first: false,
-            double_output: false,
-        });
-        // x2 is one depth-to-space (r = 2); x4 composes two of them. Both
-        // reduce to a per-channel (row, col) offset in the output cell.
-        let head_scatter = (0..head_cout)
-            .map(|ci| {
-                if scale == 2 {
-                    (ci / 2, ci % 2)
-                } else {
-                    (2 * ((ci % 4) / 2) + ci / 8, 2 * (ci % 2) + (ci / 4) % 2)
-                }
+        let steps = (0..ll)
+            .map(|i| Step {
+                add_first: feature_residual && ll > 2 && i == ll - 2,
+                double_output: feature_residual && ll == 2 && i == 0,
             })
             .collect();
+        // x2 is one depth-to-space (r = 2); x4 composes two of them. Both
+        // reduce to a per-channel (row, col) offset in the output cell.
+        let mut head_gather = vec![0; head_cout];
+        for ci in 0..head_cout {
+            let (ry, rx) = if scale == 2 {
+                (ci / 2, ci % 2)
+            } else {
+                (2 * ((ci % 4) / 2) + ci / 8, 2 * (ci % 2) + (ci / 4) % 2)
+            };
+            head_gather[ry * scale + rx] = ci;
+        }
         Self {
             layers,
             scale,
             input_residual,
             steps,
-            head_scatter,
+            head_gather,
         }
     }
 
@@ -217,9 +196,54 @@ impl LayerGraph {
         self.scale
     }
 
-    /// The head's per-channel offsets inside each output cell.
-    pub fn head_scatter(&self) -> &[(usize, usize)] {
-        &self.head_scatter
+    /// The head channels of output sub-row `ry` of every output cell, in
+    /// column order.
+    pub fn head_row(&self, ry: usize) -> &[usize] {
+        &self.head_gather[ry * self.scale..][..self.scale]
+    }
+
+    /// Who reads ring `col` (column 0 is the input, column `s + 1` step
+    /// `s`'s output): `(consumer column, rows above, rows below)`.
+    fn consumers(&self, col: usize) -> Vec<(usize, usize, usize)> {
+        let n = self.layers.len();
+        let (up, down) = self.layers[col].reach();
+        let mut out = vec![(col + 1, up, down)];
+        if col == 0 && self.input_residual {
+            out.push((n, 0, 0));
+        }
+        if col == 1 {
+            out.extend(
+                (0..n)
+                    .filter(|&s| self.steps[s].add_first)
+                    .map(|s| (s + 1, 0, 0)),
+            );
+        }
+        out
+    }
+}
+
+/// Writes one output row of the depth-to-space cell rows: `dst[x * s +
+/// rx] = src[rx][x]` for `s = src.len()` (2 or 4) — the `s` channel rows
+/// that share the output row, interleaved in one contiguous pass.
+///
+/// # Panics
+///
+/// Panics unless `src` holds 2 or 4 rows.
+pub fn depth_to_space_row(dst: &mut [f32], src: &[&[f32]]) {
+    match *src {
+        [a, b] => {
+            for ((d, &x0), &x1) in dst.chunks_exact_mut(2).zip(a).zip(b) {
+                d[0] = x0;
+                d[1] = x1;
+            }
+        }
+        [a, b, c, e] => {
+            for ((((d, &x0), &x1), &x2), &x3) in dst.chunks_exact_mut(4).zip(a).zip(b).zip(c).zip(e)
+            {
+                d.copy_from_slice(&[x0, x1, x2, x3]);
+            }
+        }
+        _ => panic!("depth-to-space interleaves 2 or 4 rows, got {}", src.len()),
     }
 }
 
@@ -231,47 +255,106 @@ pub trait Datapath: Debug + Send + Sync + 'static {
     /// `i32`.
     type Elem: Copy + Default + Debug + Send + Sync + 'static;
 
-    /// Whether step 0 reads a copy of the input staged in the arena
-    /// (written by [`Datapath::stage_input`]) rather than the caller's
-    /// plane.
+    /// Whether step 0 reads a copy of the input staged in the arena's
+    /// input ring (written by [`Datapath::stage_rows`]) rather than the
+    /// caller's plane.
     const STAGES_INPUT: bool;
+
+    /// Rows outside the image a ring stores on either side (the int8
+    /// planes' zero rows); 0 when the kernels test the image bounds.
+    const ZERO_ROWS: usize;
 
     /// The chain this datapath executes.
     fn graph(&self) -> &LayerGraph;
 
-    /// Arena elements of one buffer holding `c` channels of an `h x w`
-    /// activation.
-    fn buffer_len(c: usize, h: usize, w: usize) -> usize;
+    /// Arena elements of one ring holding `c` channels of `period` rows
+    /// of a `w`-wide activation, read through windows up to `window` rows
+    /// tall.
+    fn ring_len(c: usize, period: usize, window: usize, w: usize) -> usize;
 
     /// Elements of one band's scratch slab, enough for every layer.
-    fn slab_len(&self, h: usize, w: usize) -> usize;
+    fn slab_len(&self, w: usize) -> usize;
 
-    /// Layer `layer`'s tap-offset table at `h x w`, fixed at plan build.
-    fn tap_offsets(&self, layer: usize, h: usize, w: usize) -> Vec<usize>;
+    /// Elements of the state one band of `layer` carries from one row
+    /// group to the next (0 when it carries none).
+    fn state_len(&self, layer: usize, w: usize) -> usize;
 
-    /// Step 0's source planes for `input`: the caller's plane itself, or
-    /// its staged copy, written into `staged` row band by row band.
-    /// `staged` is the arena's input region, `buffer_len(1, h, w)`
-    /// elements when [`Datapath::STAGES_INPUT`] and empty otherwise.
-    fn stage_input<'a>(
+    /// Step 0's source rows: the caller's `input` plane itself, or the
+    /// staged input ring `staged` when [`Datapath::STAGES_INPUT`].
+    fn input_rows<'a>(input: &'a [f32], staged: &'a [Self::Elem]) -> &'a [Self::Elem];
+
+    /// Layer `layer`'s tap-offset table at width `w` for a source ring of
+    /// `period` rows read through `window`-row windows, fixed at plan
+    /// build.
+    fn tap_offsets(&self, layer: usize, period: usize, window: usize, w: usize) -> Vec<usize>;
+
+    /// Stages input rows `[y0, y1)` of the caller's `input` plane into
+    /// the input ring `ring` of `arena`. Called only when
+    /// [`Datapath::STAGES_INPUT`].
+    #[allow(clippy::too_many_arguments)]
+    fn stage_rows(
         &self,
         mk: &dyn Microkernel,
-        input: &'a [f32],
-        staged: &'a mut [Self::Elem],
-        bands: &[(usize, usize)],
+        input: &[f32],
+        arena: SendPtr<Self::Elem>,
+        ring: Ring,
+        h: usize,
         w: usize,
-    ) -> &'a [Self::Elem];
+        y0: usize,
+        y1: usize,
+    );
 
-    /// Runs output rows `[y0, y1)` of one step, fused epilogue included,
-    /// with `slab` as band-private scratch.
+    /// Runs output rows `band.y0..band.y1` of one step, fused epilogue
+    /// included, with `slab` as band-private scratch and `state` as the
+    /// band slot's carried state for this step.
     fn run_band(
         &self,
         mk: &dyn Microkernel,
         io: &StepIo<'_, Self::Elem>,
-        y0: usize,
-        y1: usize,
+        band: Band,
         slab: &mut [Self::Elem],
+        state: &mut [Self::Elem],
     );
+}
+
+/// Where one rolling row ring lives in the arena. Row `y` lives in slot
+/// `(y + ZERO_ROWS) % period`; the datapath lays the slots out so that
+/// every window up to `window` rows tall is addressable from its first
+/// slot.
+#[derive(Debug, Clone, Copy)]
+pub struct Ring {
+    /// Arena offset.
+    pub off: usize,
+    /// Arena elements.
+    pub len: usize,
+    /// Rows held before the ring wraps.
+    pub period: usize,
+    /// Tallest window its consumers read, in rows.
+    pub window: usize,
+}
+
+/// A read view of a ring: the arena's elements of a [`Ring`], or the
+/// caller's input plane as a ring whose period is the image height.
+#[derive(Debug, Clone, Copy)]
+pub struct RingRef<'a, E> {
+    /// The ring's elements.
+    pub data: &'a [E],
+    /// Rows held before the ring wraps.
+    pub period: usize,
+    /// Tallest window its consumers read, in rows.
+    pub window: usize,
+}
+
+/// One sub-band of one step in one row group.
+#[derive(Debug, Clone, Copy)]
+pub struct Band {
+    /// First output row (even).
+    pub y0: usize,
+    /// One past the last output row.
+    pub y1: usize,
+    /// The band's state slot last ran this step on the rows just above
+    /// `y0`, in this run, so state carried in it is valid.
+    pub resume: bool,
 }
 
 /// One step's operands, handed by [`Plan`] to every band of the step.
@@ -282,27 +365,35 @@ pub struct StepIo<'a, E> {
     pub h: usize,
     /// Planned LR width.
     pub w: usize,
-    /// The step's source planes.
-    pub src: &'a [E],
+    /// The step's source ring.
+    pub src: RingRef<'a, E>,
     /// The layer's tap-offset table ([`Datapath::tap_offsets`]).
     pub offs: &'a [usize],
-    /// Layer 0's output planes, when the step fuses the long feature
+    /// Layer 0's output ring, when the step fuses the long feature
     /// residual.
-    pub first: Option<&'a [E]>,
-    /// Step 0's source planes, when the step (the head) fuses the input
+    pub first: Option<RingRef<'a, E>>,
+    /// Step 0's source ring, when the step (the head) fuses the input
     /// residual.
-    pub input: Option<&'a [E]>,
+    pub input: Option<RingRef<'a, E>>,
     /// Fuse `first + first` as a doubled write (a two-layer network with a
     /// feature residual).
     pub double_output: bool,
     /// The plan's arena.
     pub arena: SendPtr<E>,
-    /// Arena offset of the destination planes; `None` for the head, which
-    /// scatters into `out`.
-    pub dst: Option<usize>,
+    /// The destination ring; `None` for the head, which writes `out`.
+    pub dst: Option<Ring>,
     /// The caller's HR output plane.
     pub out: SendPtr<f32>,
 }
+
+/// Working-set bytes one row group aims at: the rows of a group's
+/// widest step, source plus destination, should stay in a core's L2.
+const GROUP_BYTES: usize = 512 << 10;
+
+/// Tallest row group. Past it, per-group overhead is already amortized
+/// and taller groups only grow the rings; images up to it (small
+/// requests, video tiles) run as one group, layer at a time.
+const MAX_GROUP: usize = 64;
 
 /// A compiled execution plan for one `(kernels, input shape)` pair.
 ///
@@ -322,17 +413,25 @@ pub struct Plan<D: Datapath> {
     /// the same variant; *between* variants, FMA contraction changes bits.
     /// Int8 output is the same on every variant.
     variant: KernelVariant,
-    bands: Vec<(usize, usize)>,
+    /// Most sub-bands one step splits a group's rows into.
+    nbands: usize,
+    /// Head rows per row group.
+    group: usize,
+    /// `targets[g * (n + 1) + c]`: rows producer column `c` has written
+    /// once group `g` ran. Column 0 stages the input, column `s + 1` runs
+    /// step `s` (the head is column `n`).
+    targets: Vec<usize>,
+    /// The ring each producer column below the head writes (column 0's is
+    /// empty unless the datapath stages the input).
+    rings: Vec<Ring>,
     /// Per-layer tap-offset tables ([`Datapath::tap_offsets`]).
     tap_offs: Vec<Vec<usize>>,
-    /// The staged input (`input_len` elements, possibly none), `first`,
-    /// ping, pong, then one slab per band.
+    /// Per step: arena offset and length of one band slot's state.
+    states: Vec<(usize, usize)>,
+    /// Per step: the band slot that ran its last sub-band this run.
+    last_slot: Vec<usize>,
+    /// The rings, then per-step band states, then one slab per band.
     arena: Vec<D::Elem>,
-    input_len: usize,
-    off_first: usize,
-    first_len: usize,
-    off_ping: usize,
-    off_pong: usize,
     off_slabs: usize,
     slab_len: usize,
 }
@@ -361,45 +460,54 @@ impl<D: Datapath> Plan<D> {
     pub fn with_bands(kernels: Arc<D>, h: usize, w: usize, nbands: usize) -> Self {
         assert!(h > 0 && w > 0, "degenerate input {h}x{w}");
         assert!(nbands > 0, "need at least one band");
-        let bands = make_bands(h, nbands);
-        let layers = kernels.graph().layers();
-        let tap_offs = (0..layers.len())
-            .map(|l| kernels.tap_offsets(l, h, w))
+        let graph = kernels.graph();
+        let n = graph.layers().len();
+        // Streaming pays only when its rings take less memory than one
+        // group's layer-at-a-time planes: a short image whose planes are
+        // smaller runs as one group.
+        let (group, (rings, mut off)) = [group_rows::<D>(graph, w), h]
+            .into_iter()
+            .map(|g| (g, ring_layout::<D>(graph, h, w, g)))
+            .min_by_key(|(_, (_, end))| *end)
+            .expect("two candidate groups");
+        let targets = schedule(graph, h, group);
+        let tap_offs = (0..n)
+            .map(|l| kernels.tap_offsets(l, rings[l].period, rings[l].window, w))
             .collect();
-        let input_len = if D::STAGES_INPUT {
-            D::buffer_len(1, h, w)
+        // One group never resumes, so its steps (which run one after
+        // another) share one state region.
+        let lens: Vec<usize> = (0..n).map(|l| kernels.state_len(l, w)).collect();
+        let states = if h <= group {
+            let base = off;
+            off += nbands * lens.iter().max().unwrap_or(&0);
+            lens.iter().map(|&len| (base, len)).collect()
         } else {
-            0
+            lens.iter()
+                .map(|&len| {
+                    off += nbands * len;
+                    (off - nbands * len, len)
+                })
+                .collect()
         };
-        let first_len = D::buffer_len(layers[0].cout, h, w);
-        let mid_len = layers[1..layers.len() - 1]
-            .iter()
-            .map(|l| D::buffer_len(l.cout, h, w))
-            .max()
-            .unwrap_or(0);
-        let slab_len = kernels.slab_len(h, w);
-        let off_first = input_len;
-        let off_ping = off_first + first_len;
-        let off_pong = off_ping + mid_len;
-        let off_slabs = off_pong + mid_len;
-        // Zero-filled: buffers are overwritten every run, except the int8
-        // planes' halo rings, which stay zero forever — the int8 padding
-        // argument.
-        let arena = vec![D::Elem::default(); off_slabs + bands.len() * slab_len];
+        let slab_len = kernels.slab_len(w);
+        // Zero-filled: rings are overwritten every run, except the int8
+        // rings' zero columns, which stay zero forever — the int8
+        // padding argument.
+        let arena = vec![D::Elem::default(); off + nbands * slab_len];
         Self {
             kernels,
             h,
             w,
             variant: kernel_variant(),
-            bands,
+            nbands,
+            group,
+            targets,
+            rings,
             tap_offs,
+            states,
+            last_slot: vec![0; n],
             arena,
-            input_len,
-            off_first,
-            first_len,
-            off_ping,
-            off_pong,
-            off_slabs,
+            off_slabs: off,
             slab_len,
         }
     }
@@ -407,6 +515,19 @@ impl<D: Datapath> Plan<D> {
     /// The `(h, w)` LR shape this plan was compiled for.
     pub fn shape(&self) -> (usize, usize) {
         (self.h, self.w)
+    }
+
+    /// Head rows per row group, derived at build from the layer graph
+    /// and the width — or `h` when the image is short enough that its
+    /// layer-at-a-time planes take less memory than the rings. A plan
+    /// whose group covers `h` runs layer at a time.
+    pub fn group_rows(&self) -> usize {
+        self.group
+    }
+
+    /// Rows the tallest ring holds before it wraps.
+    pub fn ring_rows(&self) -> usize {
+        self.rings.iter().map(|r| r.period).max().unwrap_or(0)
     }
 
     /// The microkernel variant this plan dispatches through.
@@ -459,19 +580,10 @@ impl<D: Datapath> Plan<D> {
         self.kernels.graph().steps.len()
     }
 
-    fn buf_off(&self, buf: Buf) -> usize {
-        match buf {
-            Buf::First => self.off_first,
-            Buf::Ping => self.off_ping,
-            Buf::Pong => self.off_pong,
-            Buf::Input | Buf::Output => unreachable!("not an arena buffer"),
-        }
-    }
-
     /// Runs the planned network on one LR plane (`h * w` floats) into a
     /// preallocated HR plane (`h*scale * w*scale` floats). Performs zero
-    /// heap allocations (one pool-job header per layer when running on
-    /// more than one thread).
+    /// heap allocations (one pool-job header per step and row group when
+    /// running on more than one thread).
     ///
     /// # Panics
     ///
@@ -499,63 +611,98 @@ impl<D: Datapath> Plan<D> {
     }
 
     fn run_steps(&mut self, input: &[f32], out: &mut [f32], mut timings: Option<&mut [u64]>) {
-        let (h, w) = (self.h, self.w);
+        let (h, w, nb) = (self.h, self.w, self.nbands);
         let kernels = &*self.kernels;
         let graph = kernels.graph();
         let s = graph.scale();
+        let cols = graph.steps.len() + 1;
         assert_eq!(input.len(), h * w, "input plane size");
         assert_eq!(out.len(), h * s * w * s, "output plane size");
         // Each step's slot gets the time since the previous mark, so step 0
-        // also carries the input staging.
+        // also carries the input staging of every group.
         let mut mark = timings.is_some().then(Instant::now);
         let mk = microkernel(self.variant);
         let arena = SendPtr(self.arena.as_mut_ptr());
         let out_ptr = SendPtr(out.as_mut_ptr());
-        // SAFETY: the input region `[0, input_len)` is disjoint from every
-        // other buffer and written only here, before any step reads it.
-        let staged = unsafe { arena.slice_mut(0, self.input_len) };
-        let input = kernels.stage_input(mk, input, staged, &self.bands, w);
-
-        for (si, step) in graph.steps.iter().enumerate() {
-            let cin = graph.layers()[step.layer].cin;
-            let io = StepIo {
-                layer: step.layer,
-                h,
-                w,
-                src: match step.src {
-                    Buf::Input => input,
-                    // SAFETY: the source buffer was fully written by a
-                    // previous step (steps are separated by parallel_for
-                    // joins) and no band writes it during this step —
-                    // ping-pong assignment keeps src and dst disjoint.
-                    b => unsafe { arena.slice(self.buf_off(b), D::buffer_len(cin, h, w)) },
+        let (off_slabs, slab_len) = (self.off_slabs, self.slab_len);
+        // SAFETY (every ring view below): a step reads only rings other
+        // than the one it writes, and each ring's rows were written by an
+        // earlier step or group — steps are separated by parallel_for
+        // joins. Ring periods cover every row still read (`ring_periods`).
+        let view = |c: usize| {
+            let r = self.rings[c];
+            let data = unsafe { arena.slice(r.off, r.len) };
+            RingRef {
+                data: if c == 0 {
+                    D::input_rows(input, data)
+                } else {
+                    data
                 },
-                offs: &self.tap_offs[step.layer],
-                // SAFETY: `first` was written by step 0 and is never a
-                // destination afterwards.
-                first: step
-                    .add_first
-                    .then(|| unsafe { arena.slice(self.off_first, self.first_len) }),
-                input: (step.dst == Buf::Output && graph.input_residual).then_some(input),
-                double_output: step.double_output,
-                arena,
-                dst: (step.dst != Buf::Output).then(|| self.buf_off(step.dst)),
-                out: out_ptr,
-            };
-            let bands = &self.bands;
-            let (off_slabs, slab_len) = (self.off_slabs, self.slab_len);
-            parallel_for(bands.len(), 1, |b0, b1| {
-                for (bi, &(y0, y1)) in bands.iter().enumerate().take(b1).skip(b0) {
-                    // SAFETY: slabs are disjoint per band and bands are
-                    // assigned whole to closure calls.
-                    let slab = unsafe { arena.slice_mut(off_slabs + bi * slab_len, slab_len) };
-                    kernels.run_band(mk, &io, y0, y1, slab);
+                period: r.period,
+                window: r.window,
+            }
+        };
+        for (g, row) in self.targets.chunks_exact(cols).enumerate() {
+            for (c, &y1) in row.iter().enumerate() {
+                let y0 = if g == 0 {
+                    0
+                } else {
+                    self.targets[(g - 1) * cols + c]
+                };
+                if c == 0 {
+                    if D::STAGES_INPUT && y0 < y1 {
+                        let ring = self.rings[0];
+                        on_bands(y0, y1, nb, |_, a, b| {
+                            kernels.stage_rows(mk, input, arena, ring, h, w, a, b);
+                        });
+                    }
+                    continue;
                 }
-            });
-            if let (Some(t), Some(m)) = (timings.as_deref_mut(), mark.as_mut()) {
-                let now = Instant::now();
-                t[si] += (now - *m).as_nanos() as u64;
-                *m = now;
+                let si = c - 1;
+                if y0 < y1 {
+                    let step = graph.steps[si];
+                    let head = c == cols - 1;
+                    let io = StepIo {
+                        layer: si,
+                        h,
+                        w,
+                        src: view(si),
+                        offs: &self.tap_offs[si],
+                        first: step.add_first.then(|| view(1)),
+                        input: (head && graph.input_residual).then(|| view(0)),
+                        double_output: step.double_output,
+                        arena,
+                        dst: (!head).then(|| self.rings[c]),
+                        out: out_ptr,
+                    };
+                    let (state_off, state_len) = self.states[si];
+                    let first_slot = self.last_slot[si];
+                    let k = on_bands(y0, y1, nb, |i, a, b| {
+                        // Sub-band 0 continues on the slot that ran this
+                        // step's rows just above it.
+                        let slot = (first_slot + i) % nb;
+                        // SAFETY: the sub-bands of one step use distinct
+                        // slots, so slabs and states are disjoint.
+                        let (slab, state) = unsafe {
+                            (
+                                arena.slice_mut(off_slabs + slot * slab_len, slab_len),
+                                arena.slice_mut(state_off + slot * state_len, state_len),
+                            )
+                        };
+                        let band = Band {
+                            y0: a,
+                            y1: b,
+                            resume: i == 0 && y0 > 0,
+                        };
+                        kernels.run_band(mk, &io, band, slab, state);
+                    });
+                    self.last_slot[si] = (first_slot + k - 1) % nb;
+                }
+                if let (Some(t), Some(m)) = (timings.as_deref_mut(), mark.as_mut()) {
+                    let now = Instant::now();
+                    t[si] += (now - *m).as_nanos() as u64;
+                    *m = now;
+                }
             }
         }
     }
@@ -600,24 +747,190 @@ impl<D: Datapath> Plan<D> {
     }
 }
 
-/// Splits `0..h` into at most `nbands` contiguous row bands aligned to
-/// Winograd tile rows: every band start is even, and band ends are even
-/// or `h`. Band boundaries are a pure function of `(h, nbands)` — fixed
-/// band order is part of the determinism argument.
-fn make_bands(h: usize, nbands: usize) -> Vec<(usize, usize)> {
-    let pairs = h.div_ceil(2);
-    let nb = nbands.min(pairs).max(1);
-    let base = pairs / nb;
-    let rem = pairs % nb;
-    let mut bands = Vec::with_capacity(nb);
-    let mut p = 0usize;
-    for i in 0..nb {
-        let take = base + usize::from(i < rem);
-        let (p0, p1) = (p, p + take);
-        bands.push((2 * p0, (2 * p1).min(h)));
-        p = p1;
+/// The rings of an `h x w` plan streaming `group`-row groups, each
+/// producer column's at its arena offset, and the arena offset past them:
+/// the input and `first` rings, then the middle steps' rings. A one-group
+/// plan runs layer at a time, so alternate middle rings are never live
+/// together and share two buffers (ping-pong).
+fn ring_layout<D: Datapath>(
+    graph: &LayerGraph,
+    h: usize,
+    w: usize,
+    group: usize,
+) -> (Vec<Ring>, usize) {
+    let layers = graph.layers();
+    let periods = ring_periods(graph, h, group, D::ZERO_ROWS);
+    let mut rings: Vec<Ring> = (0..layers.len())
+        .map(|c| {
+            let window = graph
+                .consumers(c)
+                .iter()
+                .map(|&(_, up, down)| up + down + 1)
+                .max()
+                .unwrap_or(1);
+            // Column 0 without staging is the caller's plane: a ring that
+            // never wraps and takes no arena.
+            let (period, len) = match c {
+                0 if !D::STAGES_INPUT => (h, 0),
+                0 => (periods[0], D::ring_len(1, periods[0], window, w)),
+                _ => (
+                    periods[c],
+                    D::ring_len(layers[c - 1].cout, periods[c], window, w),
+                ),
+            };
+            Ring {
+                off: 0,
+                len,
+                period,
+                window,
+            }
+        })
+        .collect();
+    let mut off = 0;
+    let (ends, middles) = rings.split_at_mut(2);
+    for r in ends {
+        r.off = off;
+        off += r.len;
     }
-    bands
+    if h <= group {
+        let len = middles.iter().map(|r| r.len).max().unwrap_or(0);
+        for (i, r) in middles.iter_mut().enumerate() {
+            r.off = off + (i % 2) * len;
+        }
+        off += middles.len().min(2) * len;
+    } else {
+        for r in middles {
+            r.off = off;
+            off += r.len;
+        }
+    }
+    (rings, off)
+}
+
+/// Head rows per group for `graph` at width `w`: as many as keep the
+/// widest step's source and destination rows within [`GROUP_BYTES`],
+/// even (Winograd tile rows), between 2 and [`MAX_GROUP`].
+fn group_rows<D: Datapath>(graph: &LayerGraph, w: usize) -> usize {
+    let row_bytes = graph
+        .layers()
+        .iter()
+        .map(|l| D::ring_len(l.cin + l.cout, 1, 1, w))
+        .max()
+        .unwrap_or(1)
+        * std::mem::size_of::<D::Elem>();
+    (GROUP_BYTES / row_bytes.max(1)).clamp(2, MAX_GROUP) & !1
+}
+
+/// The depth-first schedule of an `h`-row image: per row group, how many
+/// rows each producer column (0 = input staging, `s + 1` = step `s`) has
+/// written once the group ran. The head advances `group` rows; every
+/// other column runs ahead to the last row its consumer's window reads,
+/// rounded up to a whole Winograd tile row.
+fn schedule(graph: &LayerGraph, h: usize, group: usize) -> Vec<usize> {
+    let n = graph.layers().len();
+    let mut targets = vec![0; h.div_ceil(group) * (n + 1)];
+    for (g, row) in targets.chunks_exact_mut(n + 1).enumerate() {
+        row[n] = ((g + 1) * group).min(h);
+        for c in (0..n).rev() {
+            let (_, down) = graph.layers()[c].reach();
+            row[c] = (row[c + 1] + down).next_multiple_of(2).min(h);
+        }
+    }
+    targets
+}
+
+/// Rows each ring must hold under `schedule(graph, h, group)`: per group,
+/// from the lowest row any consumer still reads (or the producer writes)
+/// to the highest row written, counting `zero_rows` stored rows past
+/// either image edge. A group's writes thus never land on a slot another
+/// band writes or a consumer still reads.
+fn ring_spans(graph: &LayerGraph, h: usize, group: usize, zero_rows: usize) -> Vec<usize> {
+    let n = graph.layers().len();
+    let targets = schedule(graph, h, group);
+    let zr = zero_rows as isize;
+    let mut spans = vec![0; n];
+    for (c, span) in spans.iter_mut().enumerate() {
+        let consumers = graph.consumers(c);
+        let mut done = 0isize;
+        for g in 0..targets.len() / (n + 1) {
+            let range = |col: usize| {
+                let lo = if g == 0 {
+                    0
+                } else {
+                    targets[(g - 1) * (n + 1) + col]
+                };
+                (lo as isize, targets[g * (n + 1) + col] as isize)
+            };
+            let (w0, w1) = range(c);
+            if w1 > w0 {
+                done = if w1 == h as isize { w1 + zr } else { w1 };
+            }
+            // The lowest row this group writes or still reads.
+            let written = (w0 < w1).then_some(if w0 == 0 { -zr } else { w0 });
+            let read = consumers.iter().filter_map(|&(cc, up, _)| {
+                let (c0, c1) = range(cc);
+                (c0 < c1).then_some((c0 - up as isize).max(-zr))
+            });
+            if let Some(lo) = written.into_iter().chain(read).min() {
+                *span = (*span).max((done - lo) as usize);
+            }
+        }
+    }
+    spans
+}
+
+/// Ring periods for an `h`-row image. They cover this schedule and every
+/// tall image's (the row patterns of images taller than `base` repeat
+/// with period `group`), so a plan's arena stops growing with `h` once
+/// `h` passes a few row groups; no ring holds more rows than exist.
+fn ring_periods(graph: &LayerGraph, h: usize, group: usize, zero_rows: usize) -> Vec<usize> {
+    let base = group * (graph.layers().len() + 3);
+    let mut periods = ring_spans(graph, h, group, zero_rows);
+    // One group: nothing wraps, and every period is already the cap.
+    let tall = if h > group { base..base + group } else { 0..0 };
+    for hv in tall {
+        for (p, s) in periods
+            .iter_mut()
+            .zip(ring_spans(graph, hv, group, zero_rows))
+        {
+            *p = (*p).max(s);
+        }
+    }
+    for p in &mut periods {
+        *p = (*p).min(h + 2 * zero_rows);
+    }
+    periods
+}
+
+/// Splits rows `[y0, y1)` into at most `nb` sub-bands ([`band`]) and runs
+/// `f(i, band_y0, band_y1)` for each on the pool, every sub-band handed
+/// whole to one closure call. Returns the sub-band count.
+fn on_bands(y0: usize, y1: usize, nb: usize, f: impl Fn(usize, usize, usize) + Sync) -> usize {
+    let k = band_count(y0, y1, nb);
+    parallel_for(k, 1, |b0, b1| {
+        for i in b0..b1 {
+            let (a, b) = band(y0, y1, k, i);
+            f(i, a, b);
+        }
+    });
+    k
+}
+
+/// Sub-bands rows `[y0, y1)` split into: at most `nb`, each at least one
+/// Winograd tile row.
+fn band_count(y0: usize, y1: usize, nb: usize) -> usize {
+    (y1 - y0).div_ceil(2).min(nb).max(1)
+}
+
+/// Sub-band `i` of the `k` that split rows `[y0, y1)` (`y0` even):
+/// contiguous, 2-row aligned, ends even or `y1`, a pure function of its
+/// arguments — fixed band order is part of the determinism argument.
+fn band(y0: usize, y1: usize, k: usize, i: usize) -> (usize, usize) {
+    let pairs = (y1 - y0).div_ceil(2);
+    let (base, rem) = (pairs / k, pairs % k);
+    let p0 = i * base + i.min(rem);
+    let p1 = p0 + base + usize::from(i < rem);
+    (y0 + 2 * p0, (y0 + 2 * p1).min(y1))
 }
 
 /// Lazily builds and caches one [`Plan`] per tile shape. Tile executors
@@ -827,28 +1140,28 @@ impl CollapsedKernels {
 impl Datapath for CollapsedKernels {
     type Elem = f32;
     const STAGES_INPUT: bool = false;
+    const ZERO_ROWS: usize = 0;
 
     fn graph(&self) -> &LayerGraph {
         &self.graph
     }
 
-    fn buffer_len(c: usize, h: usize, w: usize) -> usize {
-        c * h * w
+    fn ring_len(c: usize, period: usize, _window: usize, w: usize) -> usize {
+        c * period * w
     }
 
-    /// Winograd layers keep a four-row ring of split input rows per
-    /// input channel, the tile-row kernel's scratch, and two raw output
-    /// rows per output channel; direct-conv layers keep one padded output
-    /// row per channel plus the `kh` padded input rows of every input
-    /// channel for the current output row.
-    fn slab_len(&self, _h: usize, w: usize) -> usize {
+    /// Winograd layers keep the tile-row kernel's scratch and two raw
+    /// output rows per output channel; direct-conv layers keep one padded
+    /// output row per channel plus the `kh` padded input rows of every
+    /// input channel for the current output row.
+    fn slab_len(&self, w: usize) -> usize {
         self.layers
             .iter()
             .zip(self.graph.layers())
             .map(|(l, s)| {
                 if l.wino_u.is_some() {
-                    let (tiles, sw) = wino_row_geometry(w);
-                    4 * s.cin * 2 * sw + wino_scratch_len(s.cin) + s.cout * 2 * 2 * tiles
+                    let (tiles, _) = wino_row_geometry(w);
+                    wino_scratch_len(s.cin) + s.cout * 2 * 2 * tiles
                 } else {
                     s.cout * w.next_multiple_of(8) + s.cin * s.kh * padded_stride(w, s.kw)
                 }
@@ -857,11 +1170,22 @@ impl Datapath for CollapsedKernels {
             .unwrap_or(0)
     }
 
+    /// A Winograd layer's band carries its four-row ring of split input
+    /// rows, so each input row is split once per band slot, not once per
+    /// row group.
+    fn state_len(&self, layer: usize, w: usize) -> usize {
+        if self.layers[layer].wino_u.is_some() {
+            4 * self.graph.layers()[layer].cin * 2 * wino_row_geometry(w).1
+        } else {
+            0
+        }
+    }
+
     /// The staging-slab offset of every tap of a direct-conv layer in
     /// im2col row order (`KC`-sized blocks are contiguous slices); empty
     /// for Winograd layers. Padded rows make the offsets independent of
-    /// the output row.
-    fn tap_offsets(&self, layer: usize, _h: usize, w: usize) -> Vec<usize> {
+    /// the output row and of the source ring.
+    fn tap_offsets(&self, layer: usize, _period: usize, _window: usize, w: usize) -> Vec<usize> {
         if self.layers[layer].wino_u.is_some() {
             return Vec::new();
         }
@@ -875,28 +1199,35 @@ impl Datapath for CollapsedKernels {
             .collect()
     }
 
-    /// Step 0 reads the caller's plane directly.
-    fn stage_input<'a>(
+    fn input_rows<'a>(input: &'a [f32], _staged: &'a [f32]) -> &'a [f32] {
+        input
+    }
+
+    /// Step 0 reads the caller's plane directly; nothing is staged.
+    fn stage_rows(
         &self,
         _mk: &dyn Microkernel,
-        input: &'a [f32],
-        _staged: &'a mut [f32],
-        _bands: &[(usize, usize)],
+        _input: &[f32],
+        _arena: SendPtr<f32>,
+        _ring: Ring,
+        _h: usize,
         _w: usize,
-    ) -> &'a [f32] {
-        input
+        _y0: usize,
+        _y1: usize,
+    ) {
+        unreachable!("the f32 datapath reads the caller's input plane")
     }
 
     fn run_band(
         &self,
         mk: &dyn Microkernel,
         io: &StepIo<'_, f32>,
-        y0: usize,
-        y1: usize,
+        band: Band,
         slab: &mut [f32],
+        state: &mut [f32],
     ) {
         let (layer, shape) = (&self.layers[io.layer], self.graph.layers()[io.layer]);
-        let (h, w, s) = (io.h, io.w, self.graph.scale());
+        let (w, s) = (io.w, self.graph.scale());
         let epi = Epilogue {
             mk,
             bias: &layer.bias,
@@ -905,21 +1236,31 @@ impl Datapath for CollapsedKernels {
             add_first: io.first,
             input_plane: io.input,
             dst: match io.dst {
-                Some(off) => Dst::Plane { ptr: io.arena, off },
-                None => Dst::Scatter {
+                Some(ring) => Dst::Ring {
+                    ptr: io.arena,
+                    off: ring.off,
+                    period: ring.period,
+                },
+                None => Dst::DepthToSpace {
                     ptr: io.out,
-                    scale: s,
                     out_w: w * s,
-                    map: self.graph.head_scatter(),
+                    graph: &self.graph,
                 },
             },
         };
         if layer.wino_u.is_some() {
-            wino_band(mk, layer, shape, io.src, h, w, y0, y1, slab, &epi);
+            wino_band(mk, layer, shape, &io.src, io.h, w, band, slab, state, &epi);
         } else {
-            conv_band(mk, layer, shape, io.offs, io.src, h, w, y0, y1, slab, &epi);
+            conv_band(
+                mk, layer, shape, io.offs, &io.src, io.h, w, band, slab, &epi,
+            );
         }
     }
+}
+
+/// Row `y` of channel `c` of an f32 ring (`w` floats).
+fn ring_row<'a>(r: &RingRef<'a, f32>, c: usize, y: usize, w: usize) -> &'a [f32] {
+    &r.data[(c * r.period + y % r.period) * w..][..w]
 }
 
 /// Everything the fused output write of one band needs. `emit` performs
@@ -930,67 +1271,71 @@ struct Epilogue<'a> {
     bias: &'a [f32],
     act: &'a ActKind,
     double_output: bool,
-    add_first: Option<&'a [f32]>,
-    input_plane: Option<&'a [f32]>,
+    add_first: Option<RingRef<'a, f32>>,
+    input_plane: Option<RingRef<'a, f32>>,
     dst: Dst<'a>,
 }
 
 enum Dst<'a> {
-    /// Plane-major CHW write at `off` in the arena.
-    Plane { ptr: SendPtr, off: usize },
-    /// Depth-to-space scatter into the HR output.
-    Scatter {
+    /// Channel-major rows of the ring at `off` in the arena.
+    Ring {
         ptr: SendPtr,
-        scale: usize,
+        off: usize,
+        period: usize,
+    },
+    /// Depth-to-space into the HR output.
+    DepthToSpace {
+        ptr: SendPtr,
         out_w: usize,
-        map: &'a [(usize, usize)],
+        graph: &'a LayerGraph,
     },
 }
 
 impl Epilogue<'_> {
-    /// Applies the fused tail to one raw output row (in place) and writes
-    /// it to the destination. Each pass applies one per-element op over
-    /// the whole row with the variant dispatch hoisted outside the loop,
-    /// so the loops vectorize; the op *order* per element is exactly that
-    /// of the unfused path: `+ bias`, activation, doubling, `+ first`,
-    /// `+ input`, destination permutation.
-    fn emit_row(&self, co: usize, y: usize, raw: &mut [f32], h: usize, w: usize) {
-        debug_assert_eq!(raw.len(), w);
-        let act = match self.act {
-            ActKind::None => RowAct::Linear,
-            ActKind::Relu => RowAct::Relu,
-            ActKind::PRelu(ref a) => RowAct::PRelu(a[co]),
-        };
-        self.mk.bias_act_row(raw, self.bias[co], act);
-        if self.double_output {
-            self.mk.double_row(raw);
-        }
-        if let Some(first) = self.add_first {
-            self.mk.add_row(raw, &first[co * h * w + y * w..][..w]);
-        }
-        if let Some(inp) = self.input_plane {
-            self.mk.add_row(raw, &inp[y * w..][..w]);
-        }
-        match &self.dst {
-            // SAFETY (both arms): bands write disjoint row ranges of the
-            // destination — `parallel_for` hands each band to one closure
-            // call, and the plan's band list partitions `0..h`.
-            Dst::Plane { ptr, off } => {
-                let base = off + co * h * w + y * w;
-                let dstrow = unsafe { ptr.slice_mut(base, raw.len()) };
-                dstrow.copy_from_slice(raw);
+    /// Applies the fused tail to output row `y` of every channel — raw
+    /// rows `raw[co * stride..][..w]`, in place — and writes them to the
+    /// destination. Each pass applies one per-element op over a whole row
+    /// with the variant dispatch hoisted outside the loop, so the loops
+    /// vectorize; the op *order* per element is exactly that of the
+    /// unfused path: `+ bias`, activation, doubling, `+ first`, `+ input`,
+    /// destination permutation. The head's permutation interleaves the
+    /// `scale` channel rows of each output row in one pass.
+    fn emit(&self, y: usize, raw: &mut [f32], stride: usize, w: usize) {
+        for (co, &bias) in self.bias.iter().enumerate() {
+            let row = &mut raw[co * stride..][..w];
+            let act = match self.act {
+                ActKind::None => RowAct::Linear,
+                ActKind::Relu => RowAct::Relu,
+                ActKind::PRelu(ref a) => RowAct::PRelu(a[co]),
+            };
+            self.mk.bias_act_row(row, bias, act);
+            if self.double_output {
+                self.mk.double_row(row);
             }
-            Dst::Scatter {
-                ptr,
-                scale,
-                out_w,
-                map,
-            } => {
-                let (ry, rx) = map[co];
-                let base = (scale * y + ry) * out_w + rx;
-                for (x, &v) in raw.iter().enumerate() {
-                    unsafe { ptr.write(base + scale * x, v) }
-                }
+            if let Some(first) = &self.add_first {
+                self.mk.add_row(row, ring_row(first, co, y, w));
+            }
+            if let Some(inp) = &self.input_plane {
+                self.mk.add_row(row, ring_row(inp, 0, y, w));
+            }
+            if let Dst::Ring { ptr, off, period } = self.dst {
+                // SAFETY: bands write disjoint rows, and a group's rows
+                // land on distinct ring slots (`ring_periods`).
+                let dstrow = unsafe { ptr.slice_mut(off + (co * period + y % period) * w, w) };
+                dstrow.copy_from_slice(row);
+            }
+        }
+        if let Dst::DepthToSpace { ptr, out_w, graph } = self.dst {
+            let s = graph.scale();
+            for ry in 0..s {
+                let chans = graph.head_row(ry);
+                let src: [&[f32]; 4] = std::array::from_fn(|rx| {
+                    chans.get(rx).map_or(&[][..], |&c| &raw[c * stride..][..w])
+                });
+                // SAFETY: bands are disjoint in y, so output rows
+                // `s * y + ry` are disjoint too.
+                let dst = unsafe { ptr.slice_mut((s * y + ry) * out_w, out_w) };
+                depth_to_space_row(dst, &src[..s]);
             }
         }
     }
@@ -1004,26 +1349,26 @@ fn padded_stride(w: usize, kw: usize) -> usize {
     w.next_multiple_of(8) + kw - 1
 }
 
-/// Executes output rows `[y0, y1)` of a non-3x3 layer as a direct blocked
-/// convolution with the epilogue fused into the row write. No im2col, no
-/// GEMM call — yet bit-identical to `im2col + gemm`. Per output row, the
-/// `kh` input rows of every channel are staged as zero-padded rows, so
-/// tap `p` of the im2col order reads the slab at the fixed offset
-/// `offs[p]`, and padding taps multiply `0.0` exactly as im2col's zero
-/// entries do. Taps are grouped into the same [`KC`]-sized k-blocks as
-/// the packed GEMM; each block's chain starts from `+0.0` in ascending k
-/// order, and blocks combine in order (the first by plain write).
+/// Executes output rows `band.y0..band.y1` of a non-3x3 layer as a
+/// direct blocked convolution with the epilogue fused into the row write.
+/// No im2col, no GEMM call — yet bit-identical to `im2col + gemm`. Per
+/// output row, the `kh` input rows of every channel are staged from the
+/// source ring as zero-padded rows, so tap `p` of the im2col order reads
+/// the slab at the fixed offset `offs[p]`, and padding taps multiply
+/// `0.0` exactly as im2col's zero entries do. Taps are grouped into the
+/// same [`KC`]-sized k-blocks as the packed GEMM; each block's chain
+/// starts from `+0.0` in ascending k order, and blocks combine in order
+/// (the first by plain write).
 #[allow(clippy::too_many_arguments)]
 fn conv_band(
     mk: &dyn Microkernel,
     layer: &KernelLayer,
     shape: LayerShape,
     offs: &[usize],
-    src: &[f32],
+    src: &RingRef<'_, f32>,
     h: usize,
     w: usize,
-    y0: usize,
-    y1: usize,
+    band: Band,
     slab: &mut [f32],
     epi: &Epilogue<'_>,
 ) {
@@ -1033,13 +1378,13 @@ fn conv_band(
     let (npad, stride) = (w.next_multiple_of(8), padded_stride(w, shape.kw));
     let (totals, rest) = slab.split_at_mut(shape.cout * npad);
     let stage = &mut rest[..shape.cin * shape.kh * stride];
-    for y in y0..y1 {
+    for y in band.y0..band.y1 {
         for (r, row) in stage.chunks_exact_mut(stride).enumerate() {
             let (cc, ky) = (r / shape.kh, r % shape.kh);
             match (y + ky).checked_sub(pt).filter(|&iy| iy < h) {
                 Some(iy) => {
                     row[..pl].fill(0.0);
-                    row[pl..pl + w].copy_from_slice(&src[cc * h * w + iy * w..][..w]);
+                    row[pl..pl + w].copy_from_slice(ring_row(src, cc, iy, w));
                     row[pl + w..].fill(0.0);
                 }
                 None => row.fill(0.0),
@@ -1051,55 +1396,56 @@ fn conv_band(
                 mk.conv_taps4(acc, npad, &wg[4 * k0..4 * k1], &offs[k0..k1], stage, k0 > 0);
             }
         }
-        for co in 0..shape.cout {
-            epi.emit_row(co, y, &mut totals[co * npad..][..w], h, w);
-        }
+        epi.emit(y, totals, npad, w);
     }
 }
 
-/// Executes output rows `[y0, y1)` of a 3x3 layer with the Winograd
-/// `F(2x2, 3x3)` pipeline, one tile row at a time, epilogue fused into
-/// the row write. Each input row is split once per band into zero-padded
-/// even/odd columns and kept in a four-row ring (a tile row reads input
-/// rows `oy - 1 ..= oy + 2`, so consecutive tile rows share two), then
-/// [`Microkernel::wino_tile_row`] runs the whole row and writes both raw
-/// output rows of every channel for the epilogue. Rows and columns
-/// outside the plane stage as `0.0`, the zero padding of the reference's
-/// per-tile gather. Tiles are independent, so running the band's tile
-/// rows is arithmetically identical to the whole-image kernel; bands are
-/// 2-row aligned so no tile straddles a band boundary.
+/// Executes output rows `band.y0..band.y1` of a 3x3 layer with the
+/// Winograd `F(2x2, 3x3)` pipeline, one tile row at a time, epilogue fused
+/// into the row write. Each input row is split once into zero-padded
+/// even/odd columns and kept in `ring`, the band slot's four-row ring (a
+/// tile row reads input rows `oy - 1 ..= oy + 2`, so consecutive tile
+/// rows share two; a band that resumes where its slot stopped in the
+/// previous row group keeps them too), then [`Microkernel::wino_tile_row`]
+/// runs the whole row and writes both raw output rows of every channel
+/// for the epilogue. Rows and columns outside the plane stage as `0.0`,
+/// the zero padding of the reference's per-tile gather. Tiles are
+/// independent, so running the band's tile rows is arithmetically
+/// identical to the whole-image kernel; bands are 2-row aligned so no
+/// tile straddles a band boundary.
 #[allow(clippy::too_many_arguments)]
 fn wino_band(
     mk: &dyn Microkernel,
     layer: &KernelLayer,
     shape: LayerShape,
-    src: &[f32],
+    src: &RingRef<'_, f32>,
     h: usize,
     w: usize,
-    y0: usize,
-    y1: usize,
+    band: Band,
     slab: &mut [f32],
+    ring: &mut [f32],
     epi: &Epilogue<'_>,
 ) {
     let (cin, cout) = (shape.cin, shape.cout);
     let u = layer.wino_u.as_ref().expect("wino layer");
     let (tiles, sw) = wino_row_geometry(w);
-    let (ring, rest) = slab.split_at_mut(4 * cin * 2 * sw);
-    let (scratch, rest) = rest.split_at_mut(wino_scratch_len(cin));
+    let (scratch, rest) = slab.split_at_mut(wino_scratch_len(cin));
     let ostride = 2 * tiles;
     let rowbuf = &mut rest[..cout * 2 * ostride];
     let slot_len = cin * 2 * sw;
-    for ty in y0 / 2..y1.div_ceil(2) {
+    let ty0 = band.y0 / 2;
+    for ty in ty0..band.y1.div_ceil(2) {
         let oy = 2 * ty;
         // Input row `oy - 1 + r` lives in ring slot `(oy + r) % 4`; a
-        // band's first tile row stages all four, later ones the two new.
-        let fresh = if ty == y0 / 2 { 0 } else { 2 };
+        // band's first tile row stages all four unless it resumes, later
+        // ones the two new.
+        let fresh = if ty == ty0 && !band.resume { 0 } else { 2 };
         for r in fresh..4 {
             let slot = &mut ring[(oy + r) % 4 * slot_len..][..slot_len];
             let iy = (oy + r).checked_sub(1).filter(|&iy| iy < h);
             for (cc, halves) in slot.chunks_exact_mut(2 * sw).enumerate() {
                 match iy {
-                    Some(iy) => split_row(halves, &src[cc * h * w + iy * w..][..w]),
+                    Some(iy) => split_row(halves, ring_row(src, cc, iy, w)),
                     None => halves.fill(0.0),
                 }
             }
@@ -1113,12 +1459,9 @@ fn wino_band(
             cout,
         };
         mk.wino_tile_row(&row, scratch, rowbuf, ostride);
-        for oo in 0..cout {
-            for dy in 0..2 {
-                let yy = oy + dy;
-                if yy < h {
-                    epi.emit_row(oo, yy, &mut rowbuf[(oo * 2 + dy) * ostride..][..w], h, w);
-                }
+        for dy in 0..2 {
+            if oy + dy < h {
+                epi.emit(oy + dy, &mut rowbuf[dy * ostride..], 2 * ostride, w);
             }
         }
     }
@@ -1297,20 +1640,72 @@ mod tests {
 
     #[test]
     fn bands_are_even_aligned_and_cover_rows() {
-        for h in [1usize, 2, 3, 7, 8, 17] {
+        for (y0, y1) in [(0usize, 1usize), (0, 2), (0, 3), (4, 11), (6, 14), (0, 17)] {
             for nb in [1usize, 2, 4, 13] {
-                let bands = make_bands(h, nb);
-                assert_eq!(bands[0].0, 0);
-                assert_eq!(bands.last().unwrap().1, h);
+                let k = band_count(y0, y1, nb);
+                let bands: Vec<_> = (0..k).map(|i| band(y0, y1, k, i)).collect();
+                assert_eq!(bands[0].0, y0);
+                assert_eq!(bands.last().unwrap().1, y1);
                 for win in bands.windows(2) {
                     assert_eq!(win[0].1, win[1].0, "bands must be contiguous");
                 }
-                for &(y0, y1) in &bands {
-                    assert!(y0 % 2 == 0, "band start must be tile-aligned");
-                    assert!(y1 % 2 == 0 || y1 == h);
-                    assert!(y1 > y0, "empty band");
+                for &(a, b) in &bands {
+                    assert!(a % 2 == 0, "band start must be tile-aligned");
+                    assert!(b % 2 == 0 || b == y1);
+                    assert!(b > a, "empty band");
                 }
             }
         }
+    }
+
+    #[test]
+    fn schedule_runs_every_step_ahead_of_its_consumer() {
+        let net = collapsed(SesrConfig::m(3).with_expanded(8).with_seed(3));
+        let kernels = CollapsedKernels::new(&net);
+        let graph = kernels.graph();
+        let n = graph.layers().len();
+        for h in [1usize, 5, 16, 37] {
+            let t = schedule(graph, h, 4);
+            assert_eq!(t.len(), h.div_ceil(4) * (n + 1));
+            for row in t.chunks_exact(n + 1) {
+                for c in 0..n {
+                    let (_, down) = graph.layers()[c].reach();
+                    assert!(row[c] >= (row[c + 1] + down).min(h), "column {c} behind");
+                    assert!(row[c] % 2 == 0 || row[c] == h);
+                }
+            }
+            assert!(t[t.len() - (n + 1)..].iter().all(|&r| r == h));
+        }
+    }
+
+    #[test]
+    fn streamed_plan_matches_reference_on_tall_images() {
+        let net = collapsed(SesrConfig::m(2).with_expanded(8).with_seed(6));
+        let w = 9;
+        let group = plan_of(&net, 1, w, 1).group_rows();
+        for h in [group - 1, group + 1, 3 * group + 5] {
+            let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, h as u64);
+            let reference = net.run_reference(&lr);
+            for bands in [1usize, 3] {
+                let mut plan = plan_of(&net, h, w, bands);
+                assert_eq!(
+                    reference.max_abs_diff(&plan.run(&lr)),
+                    0.0,
+                    "h={h} bands={bands} diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn arena_is_bounded_by_width_not_height() {
+        let net = collapsed(SesrConfig::m(3).with_expanded(8).with_seed(3));
+        let w = 24;
+        let group = plan_of(&net, 1, w, 2).group_rows();
+        let h = 12 * group;
+        let short = plan_of(&net, h, w, 2).arena_bytes();
+        assert_eq!(short, plan_of(&net, 2 * h, w, 2).arena_bytes());
+        assert_eq!(short, plan_of(&net, 2 * h + 3, w, 2).arena_bytes());
+        assert!(plan_of(&net, h, 2 * w, 2).arena_bytes() > short);
     }
 }

@@ -5,8 +5,12 @@
 //! tiles, runs the collapsed network per tile with a halo of `overlap`
 //! pixels, and crops the halo after upscaling. This module extracts that
 //! geometry into a first-class [`TilePlan`] and runs it in two phases that
-//! every caller shares — `CollapsedSesr::run_tiled`, the serving engine's
-//! tiled path and the video session's dirty-tile recompute:
+//! every caller shares — `CollapsedSesr::run_tiled` (and `sesr upscale
+//! --tile N` through it) and the video session's dirty-tile recompute,
+//! whose per-tile CRC reuse needs tiles. Whole frames no longer need
+//! tiling to bound memory: a [`crate::infer_plan::Plan`] streams the chain
+//! depth-first through row rings, so its arena grows with the width only,
+//! and the serving engine runs large frames whole.
 //!
 //! * **Compute** ([`run_tiles`]): the plan's tiles fan over
 //!   `sesr_tensor::parallel::parallel_for` chunks on the persistent pool,

@@ -47,11 +47,15 @@ fn planned_run_is_allocation_free_after_warmup() {
     set_num_threads(1);
     let net = Sesr::new(SesrConfig::m(3).with_expanded(8).with_seed(7)).collapse();
     let kernels = Arc::new(CollapsedKernels::new(&net));
-    let mut plan = InferPlan::with_bands(kernels, 32, 40, 1);
+    // Tall enough that the plan streams several row groups through its
+    // rings, wrapping them.
+    let (h, w) = (160, 40);
+    let mut plan = InferPlan::with_bands(kernels, h, w, 1);
+    assert!(2 * plan.group_rows() < h, "the plan must stream");
 
-    let lr = Tensor::rand_uniform(&[1, 32, 40], 0.0, 1.0, 1);
+    let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, 1);
     let scale = net.scale();
-    let mut out = vec![0.0f32; 32 * scale * 40 * scale];
+    let mut out = vec![0.0f32; h * scale * w * scale];
 
     // Warmup (first run touches nothing lazily today, but keep the claim
     // honest about "steady state").

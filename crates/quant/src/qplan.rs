@@ -3,10 +3,11 @@
 //! [`QuantKernels`] preprocesses a [`QuantizedSesr`] once (weight packing,
 //! wire-parameter chaining, layer graph) and implements [`Datapath`], so
 //! [`QuantPlan`] and [`QuantTilePlanner`] are the `sesr_core::infer_plan`
-//! skeleton — row bands, steps, arena, timing hook, tile LRU — over a
-//! pre-sized `i32` arena with zero steady-state allocations. This module
-//! supplies only the integer parts: packed-pair planes with a zero ring,
-//! input quantization, and the band kernel with its requantizing sinks.
+//! skeleton — depth-first row groups, row rings, bands, timing hook, tile
+//! LRU — over a pre-sized `i32` arena with zero steady-state allocations.
+//! This module supplies only the integer parts: packed-pair rings with
+//! zero borders, input quantization into the input ring, and the band
+//! kernel with its requantizing sinks.
 //!
 //! # Integer datapath
 //!
@@ -18,17 +19,24 @@
 //! - the convolution becomes a plain integer dot product
 //!   `acc += (q - zp) * w` with no per-tap zero-point correction, exactly
 //!   the oracle's accumulation, and
-//! - zero padding is *universally* the value `0` for every wire, so each
-//!   plane carries a [`HALO`]-wide ring of zeros written once at
-//!   construction. Border taps read the ring and contribute exactly `0`
+//! - zero padding is *universally* the value `0` for every wire, so every
+//!   stored row carries [`HALO`] zero columns on either side, written
+//!   once at construction, and the rows past the image's top and bottom
+//!   edges are stored as zero rows, rewritten each run by the bands that
+//!   touch those edges. Border taps read them and contribute exactly `0`
 //!   to the `i32` accumulator — bit-identical to the oracle's
 //!   skip-out-of-bounds loop, with no branches in the hot path.
 //!
-//! No kernel is taller or wider than `2 * HALO + 1`, so every tap of
-//! every output pixel — border rows included — lands in the plane or in
-//! its zero ring. The whole `kh x cpin x kw` window therefore runs from
+//! Each activation is a rolling ring of such padded rows per channel pair
+//! (see `QRing`): the plan streams the chain a row group at a time, so
+//! a ring holds only the rows its consumers still read. The ring's lowest
+//! `window - 1` slots are mirrored past its period, so every consumer
+//! window is contiguous from its first slot wherever the ring wraps. No
+//! kernel is taller or wider than `2 * HALO + 1`, so every tap of every
+//! output pixel — border rows included — lands on an image row or a zero
+//! row and column. The whole `kh x cpin x kw` window therefore runs from
 //! one row base plus a per-layer tap-offset table built once at plan
-//! compile, with no per-row gather and no border special case: a ring tap
+//! compile, with no per-row gather and no border special case: a zero tap
 //! adds exactly `0`, which is what the oracle's skipped tap adds. The
 //! per-row kernel is [`Microkernel::qmadd_taps4`], fed weights packed
 //! tap-major four output channels at a time: it writes four output
@@ -42,7 +50,7 @@
 //!
 //! Everything after the accumulator — `v = s_in * s_w[o] * acc + bias`,
 //! activation, requantize-to-wire, the two long residual additions, and
-//! the head's dequantize + depth-to-space scatter — replicates
+//! the head's dequantize + depth-to-space interleave — replicates
 //! [`QuantizedSesr::run`] operation for operation through the
 //! `Microkernel` row epilogues (`qrequant_pack_row`, `qresidual_pack_row`,
 //! `qhead_row`, `qquantize_row`). Their SIMD implementations are
@@ -58,8 +66,11 @@
 use crate::execute::QuantizedSesr;
 use crate::qtensor::AffineParams;
 use sesr_core::collapsed::Act;
-use sesr_core::infer_plan::{Datapath, LayerGraph, LayerShape, Plan, StepIo, TilePlanner};
-use sesr_tensor::parallel::{parallel_for, SendPtr};
+use sesr_core::infer_plan::{
+    depth_to_space_row, Band, Datapath, LayerGraph, LayerShape, Plan, Ring, RingRef, StepIo,
+    TilePlanner,
+};
+use sesr_tensor::parallel::SendPtr;
 use sesr_tensor::simd::{Microkernel, QuantEpilogue, RowAct};
 
 /// Zero ring width around every activation plane. Two rows/columns cover
@@ -72,11 +83,6 @@ const HALO: usize = 2;
 #[inline]
 fn pairs(c: usize) -> usize {
     c.div_ceil(2)
-}
-
-/// Elements of one padded pair-plane of an `h x w` activation.
-fn plane_len(h: usize, w: usize) -> usize {
-    (h + 2 * HALO) * (w + 2 * HALO)
 }
 
 /// Packs two zero-point-subtracted levels into one arena element.
@@ -241,89 +247,104 @@ impl QuantKernels {
 impl Datapath for QuantKernels {
     type Elem = i32;
     const STAGES_INPUT: bool = true;
+    const ZERO_ROWS: usize = HALO;
 
     fn graph(&self) -> &LayerGraph {
         &self.graph
     }
 
-    /// Packed channel pairs, each a padded plane with its zero ring.
-    fn buffer_len(c: usize, h: usize, w: usize) -> usize {
-        pairs(c) * plane_len(h, w)
+    /// Packed channel pairs, each a ring of padded rows with its zero
+    /// columns and mirrored window rows ([`QRing`]).
+    fn ring_len(c: usize, period: usize, window: usize, w: usize) -> usize {
+        pairs(c) * ring_plane(period, window, w)
     }
 
-    /// Five `w`-wide rows: four accumulators (one `qmadd_taps4`
-    /// output-channel group) plus the head sink's dequantized-value
-    /// scratch (reused as f32 bits).
-    fn slab_len(&self, _h: usize, w: usize) -> usize {
-        5 * w
+    /// Four `w`-wide accumulator rows (one `qmadd_taps4` output-channel
+    /// group) plus the head's dequantized rows, one per head channel
+    /// (reused as f32 bits).
+    fn slab_len(&self, w: usize) -> usize {
+        let head = self.graph.layers().last().map_or(0, |l| l.cout);
+        (4 + head) * w
+    }
+
+    fn state_len(&self, _layer: usize, _w: usize) -> usize {
+        0
+    }
+
+    fn input_rows<'a>(_input: &'a [f32], staged: &'a [i32]) -> &'a [i32] {
+        staged
     }
 
     /// Tap offsets for [`Microkernel::qmadd_taps4`], in `taps4`'s
-    /// `(ky, cp, kx)` order, relative to padded-plane row `y` for output
-    /// row `y` (the kernel centered inside the `HALO` ring).
-    fn tap_offsets(&self, layer: usize, h: usize, w: usize) -> Vec<usize> {
+    /// `(ky, cp, kx)` order, relative to the first padded row of the
+    /// output row's window in a source ring of `period` rows read through
+    /// `window`-row windows.
+    fn tap_offsets(&self, layer: usize, period: usize, window: usize, w: usize) -> Vec<usize> {
         let l = self.graph.layers()[layer];
-        let (plane, pw, cpin) = (plane_len(h, w), w + 2 * HALO, pairs(l.cin));
-        let (top, left) = (HALO - (l.kh - 1) / 2, HALO - (l.kw - 1) / 2);
+        let (plane, pw, cpin) = (ring_plane(period, window, w), w + 2 * HALO, pairs(l.cin));
+        let left = HALO - (l.kw - 1) / 2;
         let mut offs = Vec::with_capacity(l.kh * cpin * l.kw);
         for ky in 0..l.kh {
             for cp in 0..cpin {
                 for kx in 0..l.kw {
-                    offs.push(cp * plane + (ky + top) * pw + kx + left);
+                    offs.push(cp * plane + ky * pw + kx + left);
                 }
             }
         }
         offs
     }
 
-    /// Quantizes the input onto its wire, zero-point subtracted, into the
-    /// low lane of the single input pair-plane (high lane zero: there is
-    /// no channel 1).
-    fn stage_input<'a>(
+    /// Quantizes input rows onto the input wire, zero-point subtracted,
+    /// into the low lane of the input ring's single pair plane (high lane
+    /// zero: there is no channel 1).
+    fn stage_rows(
         &self,
         mk: &dyn Microkernel,
-        input: &'a [f32],
-        staged: &'a mut [i32],
-        bands: &[(usize, usize)],
+        input: &[f32],
+        arena: SendPtr<i32>,
+        ring: Ring,
+        h: usize,
         w: usize,
-    ) -> &'a [i32] {
+        y0: usize,
+        y1: usize,
+    ) {
         let ip = self.input_params;
-        let pw = w + 2 * HALO;
-        let dst = SendPtr(staged.as_mut_ptr());
-        parallel_for(bands.len(), 1, |b0, b1| {
-            for &(y0, y1) in &bands[b0..b1] {
-                for y in y0..y1 {
-                    // SAFETY: bands partition rows; each row has one writer.
-                    let drow = unsafe { dst.slice_mut((y + HALO) * pw + HALO, w) };
-                    mk.qquantize_row(&input[y * w..(y + 1) * w], drow, ip.scale, ip.zero_point);
-                }
+        let dst = QRing::new(arena, ring, w);
+        for y in y0..y1 {
+            // SAFETY: bands partition rows, and a group's rows land on
+            // distinct ring slots; each row has one writer.
+            unsafe {
+                dst.put(0, y, |drow| {
+                    mk.qquantize_row(&input[y * w..][..w], drow, ip.scale, ip.zero_point)
+                });
             }
-        });
-        staged
+        }
+        // SAFETY: as above; only the bands touching an image edge write
+        // the zero rows past it.
+        unsafe { dst.zero_edges(1, y0, y1, h) };
     }
 
     fn run_band(
         &self,
         mk: &dyn Microkernel,
         io: &StepIo<'_, i32>,
-        y0: usize,
-        y1: usize,
+        band: Band,
         slab: &mut [i32],
+        _state: &mut [i32],
     ) {
         let lay = &self.layers[io.layer];
         let s = self.graph.scale();
-        let sink = match (io.dst, io.first) {
+        let dst = io.dst.map(|ring| QRing::new(io.arena, ring, io.w));
+        let sink = match (dst, io.first) {
             (None, _) => QSink::Head {
                 out: io.out,
                 input: io.input,
                 input_scale: self.input_params.scale,
-                map: self.graph.head_scatter(),
-                scale: s,
+                graph: &self.graph,
                 out_w: io.w * s,
             },
-            (Some(off), Some(first)) => QSink::ResidualPlane {
-                arena: io.arena,
-                off,
+            (Some(ring), Some(first)) => QSink::ResidualPlane {
+                ring,
                 first,
                 first_scale: self.layers[0].out_params.scale,
                 wide: AffineParams {
@@ -331,42 +352,141 @@ impl Datapath for QuantKernels {
                     zero_point: lay.out_params.zero_point,
                 },
             },
-            (Some(off), None) => QSink::Plane {
-                arena: io.arena,
-                off,
-            },
+            (Some(ring), None) => QSink::Plane { ring },
         };
-        let cout = self.graph.layers()[io.layer].cout;
-        let plane = plane_len(io.h, io.w);
-        qconv_band(
-            mk, lay, cout, io.offs, io.src, io.w, plane, y0, y1, slab, &sink,
-        );
+        let shape = self.graph.layers()[io.layer];
+        qconv_band(mk, lay, shape, io.offs, &io.src, io.w, band, slab, &sink);
+        if let Some(ring) = dst {
+            // SAFETY: only the bands touching an image edge write the
+            // zero rows past it, on slots no other band of the group
+            // writes.
+            unsafe { ring.zero_edges(pairs(shape.cout), band.y0, band.y1, io.h) };
+        }
+    }
+}
+
+/// Elements of one pair plane of an int8 ring: `period` padded rows plus
+/// `window - 1` mirrored ones, each `w + 2 * HALO` wide.
+fn ring_plane(period: usize, window: usize, w: usize) -> usize {
+    (period + window - 1) * (w + 2 * HALO)
+}
+
+/// Row `y`'s `w` interior levels in pair plane `cp` of an int8 ring.
+fn qrow<'a>(r: &RingRef<'a, i32>, cp: usize, y: usize, w: usize) -> &'a [i32] {
+    let plane = ring_plane(r.period, r.window, w);
+    &r.data[cp * plane + ((y + HALO) % r.period) * (w + 2 * HALO) + HALO..][..w]
+}
+
+/// Write access to an int8 ring in the arena. Padded row `py = y + HALO`
+/// lives in slot `py % period`; the `window - 1` lowest slots are
+/// mirrored past `period`, so the rows of every window lie contiguous
+/// from its first slot and one tap-offset table serves every output row.
+/// Rows past the image edges are stored as zero rows, and every row's
+/// `HALO` columns on either side stay zero from construction.
+#[derive(Clone, Copy)]
+struct QRing {
+    arena: SendPtr<i32>,
+    ring: Ring,
+    pw: usize,
+    plane: usize,
+}
+
+impl QRing {
+    fn new(arena: SendPtr<i32>, ring: Ring, w: usize) -> Self {
+        Self {
+            arena,
+            ring,
+            pw: w + 2 * HALO,
+            plane: ring_plane(ring.period, ring.window, w),
+        }
+    }
+
+    /// The `len` elements at column `x` of slot `slot` of pair plane
+    /// `cp`, and those of its mirror slot when it has one.
+    ///
+    /// # Safety
+    ///
+    /// No other thread touches those elements while the slices live.
+    unsafe fn slot<'a>(
+        self,
+        cp: usize,
+        slot: usize,
+        x: usize,
+        len: usize,
+    ) -> (&'a mut [i32], Option<&'a mut [i32]>) {
+        let at = |s: usize| {
+            let off = self.ring.off + cp * self.plane + s * self.pw + x;
+            // SAFETY: in bounds by the ring's layout; exclusive by the
+            // caller's contract.
+            unsafe { self.arena.slice_mut(off, len) }
+        };
+        let mirrored = slot + 1 < self.ring.window;
+        (at(slot), mirrored.then(|| at(slot + self.ring.period)))
+    }
+
+    /// Lets `f` write image row `y`'s interior in pair plane `cp`, then
+    /// copies it to the mirror slot.
+    ///
+    /// # Safety
+    ///
+    /// As [`QRing::slot`].
+    unsafe fn put(&self, cp: usize, y: usize, f: impl FnOnce(&mut [i32])) {
+        let w = self.pw - 2 * HALO;
+        // SAFETY: the caller's contract.
+        let (row, mirror) = unsafe { self.slot(cp, (y + HALO) % self.ring.period, HALO, w) };
+        f(row);
+        if let Some(mirror) = mirror {
+            mirror.copy_from_slice(row);
+        }
+    }
+
+    /// Zeroes the stored rows past the image edges that rows `[y0, y1)`
+    /// of an `h`-row image border, in the first `pairs` planes.
+    ///
+    /// # Safety
+    ///
+    /// As [`QRing::slot`], for those rows.
+    unsafe fn zero_edges(&self, pairs: usize, y0: usize, y1: usize, h: usize) {
+        let top = if y0 == 0 { 0..HALO } else { 0..0 };
+        let bottom = if y1 == h {
+            h + HALO..h + 2 * HALO
+        } else {
+            0..0
+        };
+        for py in top.chain(bottom) {
+            for cp in 0..pairs {
+                // SAFETY: the caller's contract.
+                let (row, mirror) = unsafe { self.slot(cp, py % self.ring.period, 0, self.pw) };
+                row.fill(0);
+                if let Some(mirror) = mirror {
+                    mirror.fill(0);
+                }
+            }
+        }
     }
 }
 
 /// Where a band's requantized rows go.
 enum QSink<'a> {
-    /// Pack into an arena plane buffer at `off`.
-    Plane { arena: SendPtr<i32>, off: usize },
-    /// Pack into `off`, fusing `+ first` on the widened wire first.
+    /// Pack into a ring.
+    Plane { ring: QRing },
+    /// Pack into a ring, fusing `+ first` on the widened wire first.
     ResidualPlane {
-        arena: SendPtr<i32>,
-        off: usize,
-        /// Layer 0's output planes.
-        first: &'a [i32],
+        ring: QRing,
+        /// Layer 0's output ring.
+        first: RingRef<'a, i32>,
         /// Layer-0 output wire scale (dequantizes the stored levels).
         first_scale: f32,
         /// The widened wire the residual sum is requantized to.
         wide: AffineParams,
     },
-    /// Head: dequantize and depth-to-space scatter into the output image.
+    /// Head: dequantize, then depth-to-space into the output image.
     Head {
         out: SendPtr,
-        /// The staged input plane when the model adds the input residual.
-        input: Option<&'a [i32]>,
+        /// The staged input ring when the model adds the input residual.
+        input: Option<RingRef<'a, i32>>,
         input_scale: f32,
-        map: &'a [(usize, usize)],
-        scale: usize,
+        graph: &'a LayerGraph,
         out_w: usize,
     },
 }
@@ -390,37 +510,39 @@ fn epilogue(lay: &QKernelLayer, o: usize) -> QuantEpilogue {
 
 /// Runs one layer over one row band: integer accumulation via
 /// [`Microkernel::qmadd_taps4`] — one whole-window call per output row and
-/// four-channel group, reading the taps at `offs` from the row's base in
-/// the padded planes — then the vectorized requantization row epilogue
-/// selected by `sink`, one output-channel pair at a time so plane sinks
-/// write whole packed words.
+/// four-channel group, reading the taps at `offs` from the first slot of
+/// the row's window in the source ring — then the vectorized
+/// requantization row epilogue selected by `sink`, one output-channel
+/// pair at a time so ring sinks write whole packed words. The head
+/// dequantizes every channel's row, then interleaves the `scale` rows of
+/// each output row in one pass.
 #[allow(clippy::too_many_arguments)]
 fn qconv_band(
     mk: &dyn Microkernel,
     lay: &QKernelLayer,
-    cout: usize,
+    shape: LayerShape,
     offs: &[usize],
-    src: &[i32],
+    src: &RingRef<'_, i32>,
     w: usize,
-    plane: usize,
-    y0: usize,
-    y1: usize,
+    band: Band,
     slab: &mut [i32],
     sink: &QSink<'_>,
 ) {
-    let pw = w + 2 * HALO;
+    let (pw, cout, up) = (w + 2 * HALO, shape.cout, shape.reach().0);
     let (accs, vals_raw) = slab.split_at_mut(4 * w);
     // The head sink's dequantized-value scratch, reinterpreted as f32.
     // SAFETY: i32 and f32 share size and alignment; the slab is
     // band-private and `vals_raw` is never read as i32.
-    let vals: &mut [f32] =
-        unsafe { std::slice::from_raw_parts_mut(vals_raw.as_mut_ptr() as *mut f32, w) };
+    let vals: &mut [f32] = unsafe {
+        std::slice::from_raw_parts_mut(vals_raw.as_mut_ptr() as *mut f32, vals_raw.len())
+    };
 
-    for y in y0..y1 {
-        // Every tap of row `y` lies in the plane or its zero ring (see the
-        // module docs), so the whole window runs from the row base; ring
-        // taps add exactly 0, as the oracle's skipped taps do.
-        let row = &src[y * pw..];
+    for y in band.y0..band.y1 {
+        // Every tap of row `y` lies in the ring's window rows — image rows
+        // or stored zero rows — and its zero columns (see the module
+        // docs), so the whole window runs from its first slot; zero taps
+        // add exactly 0, as the oracle's skipped taps do.
+        let row = &src.data[((y + HALO - up) % src.period) * pw..];
         for (g, ws) in lay.taps4.chunks_exact(4 * offs.len()).enumerate() {
             let lanes = (cout - 4 * g).min(4);
             let acc = &mut accs[..lanes * w];
@@ -436,66 +558,70 @@ fn qconv_band(
                     (acc0, None)
                 };
                 let e0 = epilogue(lay, oi);
-                match *sink {
-                    QSink::Plane { arena, off } => {
-                        // SAFETY: bands partition rows, one writer per row.
-                        let drow = unsafe {
-                            arena.slice_mut(off + (oi / 2) * plane + (y + HALO) * pw + HALO, w)
-                        };
-                        mk.qrequant_pack_row(acc0, acc1, drow, &e0, e1.as_ref());
-                    }
+                match sink {
+                    // SAFETY: bands partition rows, and a group's rows
+                    // land on distinct ring slots.
+                    QSink::Plane { ring } => unsafe {
+                        ring.put(oi / 2, y, |drow| {
+                            mk.qrequant_pack_row(acc0, acc1, drow, &e0, e1.as_ref())
+                        });
+                    },
                     QSink::ResidualPlane {
-                        arena,
-                        off,
+                        ring,
                         first,
                         first_scale,
                         wide,
                     } => {
-                        let frow = &first[(oi / 2) * plane + (y + HALO) * pw + HALO..][..w];
-                        // SAFETY: bands partition rows, one writer per row.
-                        let drow = unsafe {
-                            arena.slice_mut(off + (oi / 2) * plane + (y + HALO) * pw + HALO, w)
-                        };
+                        let frow = qrow(first, oi / 2, y, w);
                         // Residual at wire precision: dequantize both
                         // operands, add, requantize to the widened wire —
                         // the oracle's `a.add(&b)` path, lane for lane.
-                        mk.qresidual_pack_row(
-                            acc0,
-                            acc1,
-                            frow,
-                            drow,
-                            &e0,
-                            e1.as_ref(),
-                            first_scale,
-                            wide.scale,
-                            wide.zero_point,
-                        );
+                        // SAFETY: as for the plane arm.
+                        unsafe {
+                            ring.put(oi / 2, y, |drow| {
+                                mk.qresidual_pack_row(
+                                    acc0,
+                                    acc1,
+                                    frow,
+                                    drow,
+                                    &e0,
+                                    e1.as_ref(),
+                                    *first_scale,
+                                    wide.scale,
+                                    wide.zero_point,
+                                )
+                            });
+                        }
                     }
                     QSink::Head {
-                        out,
-                        input,
-                        input_scale,
-                        map,
-                        scale,
-                        out_w,
+                        input, input_scale, ..
                     } => {
-                        let irow = input.map(|inp| &inp[(y + HALO) * pw + HALO..][..w]);
+                        let irow = input.as_ref().map(|inp| (qrow(inp, 0, y, w), *input_scale));
                         for (o, acc, e) in [(oi, acc0, Some(e0)), (oi + 1, acc1, e1)] {
                             let Some(e) = e else { continue };
                             // Output leaves on the head wire: quantize, then
                             // hand callers the dequantized levels — exactly
                             // the oracle's `qy.dequantize()`.
-                            mk.qhead_row(acc, irow.map(|ir| (ir, input_scale)), vals, &e);
-                            let (ry, rx) = map[o];
-                            let row_base = (scale * y + ry) * out_w + rx;
-                            for (x, &outv) in vals.iter().enumerate() {
-                                // SAFETY: bands are disjoint in y, so output
-                                // rows `scale*y + ry` are disjoint too.
-                                unsafe { out.write(row_base + scale * x, outv) };
-                            }
+                            mk.qhead_row(acc, irow, &mut vals[o * w..][..w], &e);
                         }
                     }
                 }
+            }
+        }
+        if let QSink::Head {
+            out, graph, out_w, ..
+        } = *sink
+        {
+            let s = graph.scale();
+            for ry in 0..s {
+                let chans = graph.head_row(ry);
+                let rows: [&[f32]; 4] = std::array::from_fn(|rx| {
+                    chans.get(rx).map_or(&[][..], |&c| &vals[c * w..][..w])
+                });
+                // SAFETY: bands are disjoint in y, so output rows
+                // `s * y + ry` are disjoint too.
+                let dst = unsafe { out.slice_mut((s * y + ry) * out_w, out_w) };
+                depth_to_space_row(dst, &rows[..s]);
             }
         }
     }
@@ -629,6 +755,33 @@ mod tests {
             exact,
             "tiled int8 output diverged from the whole-image oracle"
         );
+    }
+
+    #[test]
+    fn streamed_plan_matches_oracle_on_tall_images() {
+        let (_, qnet) = quantized(2, 2, 17);
+        let kernels = Arc::new(QuantKernels::new(&qnet));
+        let w = 11;
+        let group = QuantPlan::with_bands(kernels.clone(), 1, w, 1).group_rows();
+        for h in [group - 1, group + 1, 3 * group + 5] {
+            for nbands in [1, 3] {
+                assert_bit_identical(&qnet, h, w, nbands, h as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn arena_is_bounded_by_width_not_height() {
+        let (_, qnet) = quantized(3, 2, 19);
+        let kernels = Arc::new(QuantKernels::new(&qnet));
+        let w = 24;
+        let group = QuantPlan::with_bands(kernels.clone(), 1, w, 2).group_rows();
+        let bytes =
+            |h: usize, w: usize| QuantPlan::with_bands(kernels.clone(), h, w, 2).arena_bytes();
+        let h = 12 * group;
+        assert_eq!(bytes(h, w), bytes(2 * h, w));
+        assert_eq!(bytes(h, w), bytes(2 * h + 3, w));
+        assert!(bytes(h, 2 * w) > bytes(h, w));
     }
 
     #[test]

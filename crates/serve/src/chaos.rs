@@ -58,7 +58,7 @@ impl Default for ChaosConfig {
 /// The four fault points threaded through the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPoint {
-    /// The forward pass (batched or tiled) panics.
+    /// The forward pass (a batch, a large frame or a video frame) panics.
     PanicInForward,
     /// The forward pass is artificially delayed.
     SlowModel,

@@ -6,10 +6,12 @@
 //! immediately — or a typed [`SubmitError`] when the queue is full, the
 //! model unknown, or the engine draining. Worker threads pull *groups*
 //! of same-model, same-shape requests from the queue and execute them as
-//! one batched forward pass; oversized single requests instead take the
-//! tiled path, fanning halo tiles across the intra-op thread pool. Each
-//! request's journey is timed per stage (queue wait → batch assembly →
-//! compute → reassembly) into the shared
+//! one batched forward pass through a cached plan. Large frames take the
+//! same path: plans stream the chain depth-first through row rings, so a
+//! whole-frame plan's arena grows with the width, not the height, and a
+//! 360x640 frame runs whole instead of as halo tiles. Each request's
+//! journey is timed per stage (queue wait → batch assembly → compute →
+//! reassembly) into the shared
 //! [`Telemetry`](crate::telemetry::Telemetry).
 //!
 //! **Fault model.** A panicking forward pass no longer aborts the
@@ -17,11 +19,11 @@
 //! requests are retried (bounded, with exponential backoff, honoring
 //! their deadlines) or answered with [`ServeError::WorkerCrashed`], and
 //! the dead worker thread is respawned by a supervisor under an
-//! exponential-backoff restart budget. Tiled-path panics are caught
-//! around the tile fan-out (a pool worker's panic is re-raised on the
-//! submitting thread) and surface the same way without killing the
-//! worker. Transient model-load failures follow the same retry
-//! path. A request that crashes every attempt exhausts its retries and
+//! exponential-backoff restart budget. A panic on a lone large frame
+//! (above [`EngineConfig::tile_threshold_px`]) is caught the same way but
+//! does not kill the worker, which keeps its warm plans. A pool worker's
+//! panic is re-raised on the submitting thread either way. Transient
+//! model-load failures follow the same retry path. A request that crashes every attempt exhausts its retries and
 //! is quarantined — a poison-pill input cannot crash-loop the pool
 //! beyond its retry budget. Result delivery is idempotent: a ticket's
 //! slot accepts only the first terminal outcome, so a late duplicate
@@ -46,7 +48,6 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::registry::{ModelKey, ModelRegistry};
 use crate::telemetry::{Counters, Stage, Telemetry};
 use crate::video::{SessionStats, VideoError, VideoSession, VideoSessionSpec};
-use sesr_core::tiling::run_tiles;
 use sesr_core::CollapsedSesr;
 use sesr_tensor::Tensor;
 use std::collections::HashMap;
@@ -67,9 +68,17 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Largest micro-batch a worker will assemble.
     pub max_batch: usize,
-    /// Inputs with more than this many pixels take the tiled path.
+    /// Pixel count above which a lone request is a large frame. It no
+    /// longer routes anything: large frames run whole through the same
+    /// cached streamed plan as any batch. It only decides that a panic
+    /// in a large frame's forward pass is contained — the request is
+    /// retried and the worker survives with its warm plans — where any
+    /// other group's panic exits the worker for the supervisor to respawn.
     pub tile_threshold_px: usize,
-    /// Interior tile side used by the tiled path; must be positive.
+    /// Halo-tile side the engine used to cut large frames into. Unused
+    /// by the engine since plans stream whole frames; kept for configs
+    /// and reports that still read it. Video sessions take their tile
+    /// from [`VideoSessionSpec`].
     pub tile: usize,
     /// Re-enqueue attempts per request after a retryable failure
     /// (worker crash, transient model-load failure).
@@ -463,13 +472,7 @@ impl Engine {
     ///
     /// `workers == 0` is allowed (useful in tests: requests queue but
     /// nothing consumes them until the engine shuts down).
-    ///
-    /// # Panics
-    ///
-    /// When `cfg.tile` is zero: the tiled path could not plan a single
-    /// tile, and would fail every large request.
     pub fn new(cfg: EngineConfig, registry: Arc<ModelRegistry>) -> Self {
-        assert!(cfg.tile > 0, "EngineConfig::tile must be positive");
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(cfg.queue_capacity),
             registry,
@@ -1238,39 +1241,17 @@ fn process_group(shared: &Shared, plans: &mut PlanCache, group: Vec<Job>) -> Gro
         // measurement, not per request.
         shared.telemetry.counters(|c| c.precision_fallbacks += 1);
     }
-    let warm = source != DecisionSource::Computed;
     match &decision.kernels {
-        ServingKernels::F32(k) => serve_group(shared, plans, &model, k, live, warm),
-        ServingKernels::Int8(k) => serve_group(shared, plans, &model, k, live, warm),
-    }
-}
-
-/// One group past the precision decision, on the datapath it chose: a
-/// large single request takes the tiled path, everything else one batch.
-fn serve_group<D: ServedDatapath>(
-    shared: &Shared,
-    plans: &mut PlanCache,
-    model: &CollapsedSesr,
-    kernels: &Arc<D>,
-    live: Vec<Job>,
-    warm: bool,
-) -> GroupOutcome {
-    let shape = live[0].input.shape();
-    if live.len() == 1 && shape[1] * shape[2] > shared.cfg.tile_threshold_px {
-        if let Some(job) = live.into_iter().next() {
-            run_tiled_request(shared, model, kernels, job, warm);
-        }
-        GroupOutcome::Done
-    } else {
-        run_batch_jobs(shared, plans, kernels, live)
+        ServingKernels::F32(k) => run_batch_jobs(shared, plans, k, live),
+        ServingKernels::Int8(k) => run_batch_jobs(shared, plans, k, live),
     }
 }
 
 /// Video-session group: frames of one session, dequeued in FIFO (=
 /// sequence) order. Each frame locks the session state machine and
-/// settles independently. Panics are contained per frame — like the
-/// tiled path, a crash fails (retryably) only that frame, never the
-/// worker thread — and because the session commits state only after a
+/// settles independently. Panics are contained per frame — like a large
+/// frame's, a crash fails (retryably) only that frame, never the worker
+/// thread — and because the session commits state only after a
 /// frame fully computes, the retry replays against unchanged state.
 fn process_video_group(shared: &Shared, plans: &mut PlanCache, group: Vec<Job>) -> GroupOutcome {
     let dequeued = Instant::now();
@@ -1441,76 +1422,6 @@ fn terminal_failure(shared: &Shared, job: &Job, kind: &FailureKind, msg: &str) {
     }
 }
 
-/// Large single request: halo tiles fan across the intra-op thread pool
-/// (compute), then tile interiors are pasted into the output
-/// (reassembly). Tile panics are contained: they fail this request
-/// (retryably), never the worker thread or the process.
-fn run_tiled_request<D: ServedDatapath>(
-    shared: &Shared,
-    model: &CollapsedSesr,
-    kernels: &Arc<D>,
-    job: Job,
-    warm: bool,
-) {
-    match run_tiled_compute(shared, model, kernels, &job, warm) {
-        Ok(out) => {
-            // Single-lock completion: `completed` and the Total histogram
-            // move together, so concurrent snapshots are never torn.
-            shared.telemetry.complete(job.enqueued.elapsed());
-            job.slot.fulfill(Ok(out));
-        }
-        Err(msg) => {
-            shared.telemetry.counters(|c| c.worker_crashes += 1);
-            retry_or_fail(shared, vec![job], &FailureKind::Crash, &msg);
-        }
-    }
-}
-
-/// The tiled forward pass through the core executor; `Err` carries the
-/// panic message of a failed tile run (captured, not propagated).
-fn run_tiled_compute<D: ServedDatapath>(
-    shared: &Shared,
-    model: &CollapsedSesr,
-    kernels: &Arc<D>,
-    job: &Job,
-    warm: bool,
-) -> Result<Tensor, String> {
-    let dims = job.input.shape();
-    let (h, w) = (dims[1], dims[2]);
-    // The overlap is the model's own radius, so the only planning error
-    // left is a zero tile, which `Engine::new` rejects.
-    let plan = model
-        .plan_tiles(h, w, shared.cfg.tile, model.receptive_field_radius())
-        .expect("a positive tile at the receptive-field radius always plans");
-    // Chaos draws once per tiled attempt and detonates inside the same
-    // `catch_unwind` that contains a real tile panic (`parallel_for`
-    // re-raises a pool worker's panic on this thread).
-    let inject = shared.chaos.as_ref().is_some_and(Chaos::panic_in_forward);
-    if inject {
-        shared.count_fault(FaultPoint::PanicInForward);
-    }
-    let t0 = Instant::now();
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        if inject {
-            panic!("chaos: injected panic in tiled forward");
-        }
-        run_tiles(kernels, &job.input, &plan)
-    }))
-    .map_err(|p| panic_message(p.as_ref()))?;
-    let t1 = Instant::now();
-    shared.telemetry.record(Stage::Compute, t1 - t0);
-    let out = run.composite(&plan);
-    shared.telemetry.record(Stage::Reassembly, t1.elapsed());
-    shared.telemetry.counters(|c| {
-        c.tiled_requests += 1;
-        c.tiles_run += plan.len() as u64;
-        // The tiled path has no plan level: its kernels were compiled with
-        // the decision, so a warm decision is its cache hit.
-        count_plan_lookup::<D>(c, warm, run.peak_arena_bytes as u64);
-    });
-    Ok(out)
-}
-
 /// Counts one plan-cache lookup (a hit, or a miss that compiled) and
 /// the arena it ran in.
 fn count_plan_lookup<D: ServedDatapath>(c: &mut Counters, hit: bool, arena: u64) {
@@ -1527,7 +1438,10 @@ fn count_plan_lookup<D: ServedDatapath>(c: &mut Counters, hit: bool, arena: u64)
 /// Same-shape batch: stack → one `run_batch` forward → unstack. A panic
 /// anywhere in the pass is caught; the batch's requests are retried or
 /// answered with [`ServeError::WorkerCrashed`], and the worker thread
-/// exits to be respawned by the supervisor.
+/// exits to be respawned by the supervisor — except after a lone large
+/// frame (see [`EngineConfig::tile_threshold_px`]), where the worker
+/// carries on. An unwound run leaves its plan reusable: every run
+/// rewrites the rows it reads before reading them.
 fn run_batch_jobs<D: ServedDatapath>(
     shared: &Shared,
     plans: &mut PlanCache,
@@ -1561,9 +1475,14 @@ fn run_batch_jobs<D: ServedDatapath>(
         Ok(parts) => parts,
         Err(p) => {
             let msg = panic_message(p.as_ref());
+            let large = jobs.len() == 1 && shape[1] * shape[2] > shared.cfg.tile_threshold_px;
             shared.telemetry.counters(|c| c.worker_crashes += 1);
             retry_or_fail(shared, jobs, &FailureKind::Crash, &msg);
-            return GroupOutcome::WorkerCrashed;
+            return if large {
+                GroupOutcome::Done
+            } else {
+                GroupOutcome::WorkerCrashed
+            };
         }
     };
     shared.telemetry.record(Stage::BatchAssembly, t1 - t0);

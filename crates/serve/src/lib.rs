@@ -22,10 +22,9 @@
 //!   reason (explicit backpressure), `pop_group` batches same-key
 //!   requests under one lock.
 //! * [`engine`] — supervised worker pool; same-shape requests run as one
-//!   `run_batch` forward pass, oversized single images take the
-//!   halo-tiled path: `sesr_core::tiling::run_tiles` fans the tiles
-//!   across the intra-op thread pool (bit-identical to whole-image
-//!   inference). Worker
+//!   `run_batch` forward pass through a cached plan, large frames
+//!   included: plans stream depth-first through row rings, so a whole
+//!   frame needs an arena bounded by its width and no halo tiles. Worker
 //!   panics are caught and converted to per-request typed errors; crashed
 //!   workers are respawned with backoff under a restart budget; requests
 //!   retry retryable failures; `shutdown(deadline)` drains gracefully.

@@ -217,9 +217,6 @@ fn router_for(
                 // Small engine queue: backlog accumulates in the router
                 // queue, where the shed/degrade thresholds read it.
                 queue_capacity: 4,
-                // Keep big inputs on the whole-image path so one heavy
-                // request occupies the worker in one piece.
-                tile_threshold_px: usize::MAX,
                 ..EngineConfig::default()
             },
             shard_queue_capacity,

@@ -21,10 +21,10 @@ pub enum Stage {
     /// Grouping and stacking same-shape requests into one NCHW batch
     /// (recorded per batch).
     BatchAssembly,
-    /// Forward pass (recorded per batch / per tiled request).
+    /// Forward pass (recorded per batch).
     Compute,
-    /// Splitting batched output / pasting tile interiors and fulfilling
-    /// tickets (recorded per batch / per tiled request).
+    /// Splitting batched output and fulfilling tickets (recorded per
+    /// batch).
     Reassembly,
     /// Submit → response fulfilled (per request).
     Total,
@@ -182,8 +182,9 @@ pub struct Counters {
     pub rejected_draining: u64,
     /// Requests failed because their model could not be loaded.
     pub model_load_failures: u64,
-    /// Forward-pass panics caught (batched path: the worker dies and is
-    /// respawned; tiled path: contained in the tile pool).
+    /// Forward-pass panics caught (a batch: the worker dies and is
+    /// respawned; a lone large frame or a video frame: contained, the
+    /// worker survives).
     pub worker_crashes: u64,
     /// Workers respawned by the supervisor after a crash.
     pub worker_restarts: u64,
@@ -212,9 +213,13 @@ pub struct Counters {
     pub batched_requests: u64,
     /// Largest micro-batch executed.
     pub max_batch: u64,
-    /// Requests routed through the tiled path.
+    /// Requests the engine cut into halo tiles. Always 0 since large
+    /// frames run whole through streamed plans; kept for reports that
+    /// still read it.
     pub tiled_requests: u64,
-    /// Individual tiles executed by the tiled path.
+    /// Halo tiles the engine ran for whole-frame requests. Always 0, as
+    /// `tiled_requests`; video tiles are counted by the `video_tiles_*`
+    /// counters.
     pub tiles_run: u64,
     /// Requests served from an already-compiled inference plan (per-worker
     /// plan cache hit on `(model, shape)`).

@@ -82,7 +82,7 @@ fn batch_panic_is_retried_and_the_worker_respawned() {
 }
 
 #[test]
-fn tile_panic_is_contained_and_retried_without_killing_the_worker() {
+fn large_frame_panic_is_contained_and_retried_without_killing_the_worker() {
     let seed = seed_with_single_leading_panic(500, 8);
     let key = ModelKey::new("m2", 2);
     let model = tiny_model(4);
@@ -90,10 +90,9 @@ fn tile_panic_is_contained_and_retried_without_killing_the_worker() {
     let engine = Engine::new(
         EngineConfig {
             workers: 1,
-            tile_threshold_px: 24 * 24, // low threshold: the request tiles
-            tile: 10,
+            tile_threshold_px: 24 * 24, // low threshold: the request is a large frame
             max_retries: 1,
-            // Zero budget: if the tile panic escaped its containment the
+            // Zero budget: if the panic escaped its containment the
             // lone worker would die unrecoverably and this test would
             // observe WorkerCrashed instead of a result.
             restart_budget: 0,
@@ -106,7 +105,7 @@ fn tile_panic_is_contained_and_retried_without_killing_the_worker() {
         },
         registry,
     );
-    let x = img(7, 30, 26);
+    let x = img(7, 150, 26);
     let served = engine
         .submit(&key, x.clone(), None)
         .unwrap()
@@ -116,11 +115,14 @@ fn tile_panic_is_contained_and_retried_without_killing_the_worker() {
     assert_eq!(
         served.data(),
         direct.data(),
-        "the retried tiled request must stay bit-identical"
+        "the retried large frame must stay bit-identical"
     );
     let c = engine.telemetry().snapshot().counters;
-    assert_eq!(c.worker_crashes, 1, "the injected tile panic was captured");
-    assert_eq!(c.worker_restarts, 0, "the worker must survive a tile panic");
+    assert_eq!(c.worker_crashes, 1, "the injected panic was captured");
+    assert_eq!(
+        c.worker_restarts, 0,
+        "the worker must survive a large-frame panic"
+    );
     assert_eq!(c.requests_retried, 1);
     assert_eq!(c.completed, 1);
     assert_eq!(engine.health(), Health::Healthy);

@@ -1,5 +1,5 @@
 //! End-to-end tests of the serving engine: correctness of batched and
-//! tiled execution against direct `CollapsedSesr::run`, the typed
+//! large-frame execution against direct `CollapsedSesr::run`, the typed
 //! backpressure and deadline paths, registry LRU behavior through the
 //! engine, and telemetry export.
 
@@ -130,20 +130,20 @@ fn unknown_model_is_rejected_at_submit() {
 }
 
 #[test]
-fn oversized_requests_take_the_tiled_path_and_stay_bit_exact() {
+fn large_frames_run_whole_through_a_streamed_plan_and_stay_bit_exact() {
     let key = ModelKey::new("m2", 2);
     let model = tiny_model(4);
     let registry = registry_with(&key, tiny_model(4));
     let engine = Engine::new(
         EngineConfig {
             workers: 1,
-            tile_threshold_px: 24 * 24, // low threshold so a small test image tiles
-            tile: 10,
+            tile_threshold_px: 24 * 24, // low threshold: the request is a large frame
             ..EngineConfig::default()
         },
         registry,
     );
-    let x = img(7, 30, 26);
+    // Tall enough that the plan streams row groups through its rings.
+    let x = img(7, 150, 26);
     let served = engine
         .submit(&key, x.clone(), None)
         .unwrap()
@@ -156,10 +156,14 @@ fn oversized_requests_take_the_tiled_path_and_stay_bit_exact() {
         .zip(direct.data())
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f32, f32::max);
-    assert_eq!(diff, 0.0, "tiled serving must match whole-image run");
+    assert_eq!(diff, 0.0, "large-frame serving must match whole-image run");
     let c = engine.telemetry().snapshot().counters;
-    assert_eq!(c.tiled_requests, 1);
-    assert!(c.tiles_run > 1, "a 30x26 image with 10px tiles must split");
+    assert_eq!(
+        (c.batches, c.tiled_requests, c.tiles_run),
+        (1, 0, 0),
+        "{c:?}"
+    );
+    assert!(c.peak_arena_bytes > 0, "{c:?}");
 }
 
 #[test]
@@ -613,7 +617,7 @@ fn impossible_budget_falls_back_to_f32_and_counts_once() {
 }
 
 #[test]
-fn tiled_int8_request_matches_the_whole_frame_quantized_plan() {
+fn large_int8_frame_matches_the_whole_frame_quantized_plan() {
     use sesr_quant::QuantPlan;
     use sesr_serve::PrecisionPolicy;
 
@@ -623,16 +627,16 @@ fn tiled_int8_request_matches_the_whole_frame_quantized_plan() {
     let engine = Engine::new(
         EngineConfig {
             workers: 1,
-            // 20x24 = 480 px exceeds the threshold: tiled path.
+            // 150x24 = 3600 px exceeds the threshold: a large frame, tall
+            // enough to stream row groups.
             tile_threshold_px: 256,
-            tile: 12,
             precision: PrecisionPolicy::Int8 { psnr_budget: 100.0 },
             ..EngineConfig::default()
         },
         registry,
     );
-    let x = img(6, 20, 24);
-    let mut plan = QuantPlan::new(oracle, 20, 24);
+    let x = img(6, 150, 24);
+    let mut plan = QuantPlan::with_bands(oracle, 150, 24, 1);
     let want = plan.run(&x);
     let served = engine.submit(&key, x, None).unwrap().wait().unwrap();
     let exact = served
@@ -642,28 +646,23 @@ fn tiled_int8_request_matches_the_whole_frame_quantized_plan() {
         .all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(
         exact,
-        "tiled int8 composite must equal the whole-frame quantized plan"
+        "served int8 frame must equal the single-band whole-frame quantized plan"
     );
     let c = engine.telemetry().snapshot().counters;
-    assert_eq!(c.tiled_requests, 1, "{c:?}");
-    assert!(
-        c.tiles_run > 1,
-        "the request must actually have tiled: {c:?}"
-    );
+    assert_eq!((c.batches, c.tiled_requests), (1, 0), "{c:?}");
     assert_eq!(c.int8_plans_active, 1, "{c:?}");
     assert_eq!(c.precision_fallbacks, 0, "{c:?}");
 }
 
-/// Two same-shape tiled requests on one worker: the first decides (a
-/// plan-cache miss), the second reuses the decision's kernels (a hit).
-fn tiled_plan_cache_accounting(precision: sesr_serve::PrecisionPolicy) {
+/// Two same-shape large frames on one worker: the first compiles its
+/// plan (a plan-cache miss), the second reuses it (a hit).
+fn large_frame_plan_cache_accounting(precision: sesr_serve::PrecisionPolicy) {
     let key = ModelKey::new("m2", 2);
     let registry = registry_with(&key, tiny_model(1));
     let engine = Engine::new(
         EngineConfig {
             workers: 1,
             tile_threshold_px: 256,
-            tile: 12,
             precision,
             ..EngineConfig::default()
         },
@@ -671,13 +670,13 @@ fn tiled_plan_cache_accounting(precision: sesr_serve::PrecisionPolicy) {
     );
     for seed in 0..2 {
         engine
-            .submit(&key, img(seed, 20, 24), None)
+            .submit(&key, img(seed, 150, 24), None)
             .unwrap()
             .wait()
             .unwrap();
     }
     let c = engine.telemetry().snapshot().counters;
-    assert_eq!(c.tiled_requests, 2, "{c:?}");
+    assert_eq!((c.batches, c.tiled_requests), (2, 0), "{c:?}");
     assert_eq!(c.plan_cache_misses, 1, "{c:?}");
     assert_eq!(c.plan_cache_hits, 1, "{c:?}");
     if precision != sesr_serve::PrecisionPolicy::F32 {
@@ -687,25 +686,11 @@ fn tiled_plan_cache_accounting(precision: sesr_serve::PrecisionPolicy) {
 }
 
 #[test]
-fn tiled_plan_cache_accounting_f32() {
-    tiled_plan_cache_accounting(sesr_serve::PrecisionPolicy::F32);
+fn large_frame_plan_cache_accounting_f32() {
+    large_frame_plan_cache_accounting(sesr_serve::PrecisionPolicy::F32);
 }
 
 #[test]
-fn tiled_plan_cache_accounting_int8() {
-    tiled_plan_cache_accounting(sesr_serve::PrecisionPolicy::Int8 { psnr_budget: 100.0 });
-}
-
-#[test]
-#[should_panic(expected = "tile must be positive")]
-fn zero_tile_is_rejected_at_engine_construction() {
-    let key = ModelKey::new("m2", 2);
-    let _ = Engine::new(
-        EngineConfig {
-            workers: 0,
-            tile: 0,
-            ..EngineConfig::default()
-        },
-        registry_with(&key, tiny_model(1)),
-    );
+fn large_frame_plan_cache_accounting_int8() {
+    large_frame_plan_cache_accounting(sesr_serve::PrecisionPolicy::Int8 { psnr_budget: 100.0 });
 }

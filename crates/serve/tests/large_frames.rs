@@ -1,8 +1,9 @@
-//! Concurrent tiled serving through the shared intra-op pool: two engine
-//! workers run same-shape oversized requests at the same time, with the
-//! tiles inline at one thread and fanned across the pool at four. Every
-//! composite must stay bit-identical to its whole-frame oracle — f32 to
-//! `CollapsedSesr::run`, int8 to the whole-frame `QuantPlan`.
+//! Concurrent large frames through the shared intra-op pool: two engine
+//! workers run same-shape large requests at the same time through cached
+//! streamed plans, their row bands inline at one thread and fanned across
+//! the pool at four. Every output must stay bit-identical to its
+//! whole-frame oracle — f32 to `CollapsedSesr::run`, int8 to a
+//! single-band whole-frame `QuantPlan`.
 //!
 //! Its own binary because it pins the process-wide pool size.
 
@@ -16,7 +17,7 @@ use sesr_tensor::parallel::{num_threads, set_num_threads};
 use sesr_tensor::Tensor;
 use std::sync::Arc;
 
-const H: usize = 30;
+const H: usize = 150;
 const W: usize = 34;
 const REQUESTS: u64 = 6;
 
@@ -41,7 +42,7 @@ fn oracle(key: &ModelKey, precision: PrecisionPolicy) -> impl Fn(&Tensor) -> Ten
     };
     move |x: &Tensor| match &kernels {
         None => model.run(x),
-        Some(qk) => QuantPlan::new(qk.clone(), H, W).run(x),
+        Some(qk) => QuantPlan::with_bands(qk.clone(), H, W, 1).run(x),
     }
 }
 
@@ -50,7 +51,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 }
 
 #[test]
-fn concurrent_tiled_requests_share_the_pool_and_stay_bit_identical() {
+fn concurrent_large_frames_share_the_pool_and_stay_bit_identical() {
     let before = num_threads();
     for precision in [
         PrecisionPolicy::F32,
@@ -65,13 +66,12 @@ fn concurrent_tiled_requests_share_the_pool_and_stay_bit_identical() {
             let engine = Engine::new(
                 EngineConfig {
                     workers: 2,
-                    // Same-shape requests would otherwise batch; only a
-                    // lone oversized request takes the tiled path.
+                    // Same-shape requests would otherwise batch: every
+                    // request runs alone, as a large frame.
                     max_batch: 1,
-                    // 30x34 = 1020 px exceeds the threshold: every request
-                    // tiles (3x3 tiles of 12 px).
+                    // 150x34 = 5100 px exceeds the threshold, and 150 rows
+                    // stream row groups through the plan's rings.
                     tile_threshold_px: 256,
-                    tile: 12,
                     precision,
                     ..EngineConfig::default()
                 },
@@ -89,12 +89,12 @@ fn concurrent_tiled_requests_share_the_pool_and_stay_bit_identical() {
                 assert_eq!(
                     bits(&served),
                     bits(&want(x)),
-                    "{precision:?}, {threads} thread(s), request {i}: tiled composite diverged"
+                    "{precision:?}, {threads} thread(s), request {i}: served frame diverged"
                 );
             }
             let c = engine.telemetry().snapshot().counters;
-            assert_eq!(c.tiled_requests, REQUESTS, "{c:?}");
-            assert!(c.tiles_run > c.tiled_requests, "{c:?}");
+            assert_eq!(c.batched_requests, REQUESTS, "{c:?}");
+            assert_eq!((c.tiled_requests, c.tiles_run), (0, 0), "{c:?}");
             assert!(c.peak_arena_bytes > 0, "{c:?}");
             assert_eq!(c.completed, REQUESTS, "{c:?}");
         }
