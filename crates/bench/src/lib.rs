@@ -1,7 +1,8 @@
 //! # sesr-bench
 //!
 //! Regeneration harness for every table and figure in the SESR paper's
-//! evaluation, plus criterion micro-benchmarks.
+//! evaluation, plus the `train-bench` and `infer-bench` throughput
+//! harnesses behind the `sesr` CLI.
 //!
 //! One binary per experiment (see DESIGN.md's per-experiment index):
 //!

@@ -3,10 +3,10 @@
 //! a per-phase and per-op wall-clock breakdown, and emit the
 //! `BENCH_train.json` report.
 //!
-//! This is the training-side sibling of `serve-bench`
-//! (`crates/serve/src/bench.rs`): same report discipline — one JSON
-//! object, checked with [`sesr_serve::json::validate`] before it touches
-//! disk — but pointed at the hot path the paper says dominates (Fig. 3:
+//! It shares the report discipline of the other `sesr` bench harnesses
+//! (`router-bench`, `video-bench`, `infer-bench`) — one JSON object,
+//! checked with [`sesr_serve::json::validate`] before it touches disk —
+//! but is pointed at the hot path the paper says dominates (Fig. 3:
 //! overparameterized training costs 10–20x the MACs of the collapsed
 //! net). Each timed step mirrors `TrainLoop::step_once` exactly: sample a
 //! batch, build a tape, forward, L1 loss, backward, Adam update. Phases

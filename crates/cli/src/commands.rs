@@ -79,12 +79,6 @@ USAGE:
   sesr upscale  --model <model.sesr> --in <image.pgm> --out <sr.pgm> [--tile N]
   sesr simulate --model <model.sesr> [--height 1080] [--width 1920] [--tops 4]
   sesr info     --model <model.sesr>
-  sesr serve-bench [--arch m5] [--scale 2] [--expanded 32] [--seed 0]
-                [--workers 2] [--queue-cap 64] [--max-batch 8]
-                [--requests 64] [--height 64] [--width 64]
-                [--mode closed|open] [--concurrency 4] [--rate-hz 50]
-                [--deadline-ms N] [--burst N] [--load-seed 0]
-                [--intra-threads N] [--out BENCH_serve.json]
   sesr train-bench [--archs m5,m11] [--scale 2] [--expanded 16] [--seed 0]
                 [--steps 10] [--warmup 2] [--batch 8] [--hr-patch 32]
                 [--threads N] [--out BENCH_train.json]
@@ -92,21 +86,12 @@ USAGE:
                 [--iters 30] [--warmup 5] [--height 180] [--width 320]
                 [--threads N] [--variant scalar|avx2|avx2fma|neon]
                 [--int8 on|off] [--psnr-budget 1.0] [--out BENCH_infer.json]
-  sesr serve-chaos [--seed 0xC4A05] [--requests 400] [--workers 3]
-                [--concurrency 12] [--height 8] [--width 8]
-                [--panic-per-mille 150] [--slow-per-mille 150]
-                [--load-fail-per-mille 200] [--skew-per-mille 50]
-                [--min-faults N]
   sesr router-bench [--seed 0xB0A7] [--phase-ms 3000] [--shards-low 1]
                 [--shards-high 4] [--tenants 3] [--interactive-hz 30]
                 [--deadline-ms 40] [--heavy-hz 12] [--big-height 432]
                 [--big-width 576] [--overload-factor 2]
                 [--overload-heavy-hz 16] [--autoscale-hz 600]
                 [--autoscale-quiet-ms 1500] [--out BENCH_router.json]
-  sesr router-chaos [--seed 0xF1EE7] [--requests 450] [--shards 3]
-                [--concurrency 24] [--kill-per-mille 12]
-                [--wedge-per-mille 12] [--respawn-fail-per-mille 500]
-                [--timeout-s 120]
   sesr video-bench [--height 96] [--width 96] [--tile 24] [--frames 24]
                 [--scale 2] [--expanded 16] [--seed 7] [--overload 2]
                 [--ladder m3,m5,m7,m11] [--out BENCH_video.json]
@@ -118,13 +103,6 @@ Crash safety: with --ckpt, training state is checkpointed atomically every
 --resume <run.ckpt> (and identical hyper-parameters) to continue
 bit-identically. --guard enables divergence detection with automatic
 rollback and learning-rate backoff.
-
-Fault tolerance: serve-chaos drives seeded fault injection (worker
-panics, slow forwards, registry load failures, clock-skewed deadlines)
-through the serving engine under load, then fails unless every request
-got exactly one terminal outcome and the fault/restart/retry counters
-reconcile. router-chaos does the same at fleet scope: whole-shard kills,
-wedged-slow shards, and failed respawns against the sharded router.
 
 Multi-tenant serving: router-bench drives a deterministic tenant mix
 (interactive small-image tenants under tight deadlines plus one heavy
@@ -155,10 +133,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         Some("upscale") => upscale(args),
         Some("simulate") => simulate_cmd(args),
         Some("info") => info(args),
-        Some("serve-bench") => serve_bench(args),
-        Some("serve-chaos") => serve_chaos(args),
         Some("router-bench") => router_bench(args),
-        Some("router-chaos") => router_chaos(args),
         Some("video-bench") => video_bench(args),
         Some("train-bench") => train_bench(args),
         Some("infer-bench") => infer_bench(args),
@@ -353,268 +328,6 @@ fn info(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn serve_bench(args: &Args) -> Result<String, CliError> {
-    use sesr_serve::engine::EngineConfig;
-    use sesr_serve::loadgen::{LoadMode, LoadSpec};
-    use sesr_serve::BenchConfig;
-
-    let queue_cap = args.parsed_or("queue-cap", 64usize)?;
-    let mode = match args.get("mode").unwrap_or("closed") {
-        "closed" => LoadMode::Closed {
-            concurrency: args.parsed_or("concurrency", 4usize)?,
-        },
-        "open" => LoadMode::Open {
-            rate_hz: args.parsed_or("rate-hz", 50.0f64)?,
-        },
-        other => {
-            return Err(CliError::Args(ArgError::Invalid {
-                key: "mode".to_string(),
-                value: other.to_string(),
-            }))
-        }
-    };
-    let deadline = match args.get("deadline-ms") {
-        None => None,
-        Some(_) => Some(std::time::Duration::from_millis(
-            args.parsed_or("deadline-ms", 50u64)?,
-        )),
-    };
-    let intra_op_threads = match args.get("intra-threads") {
-        None => None,
-        Some(_) => Some(args.parsed_or("intra-threads", 1usize)?),
-    };
-    let cfg = BenchConfig {
-        arch: args.get("arch").unwrap_or("m5").to_string(),
-        scale: args.parsed_or("scale", 2usize)?,
-        expanded: args.parsed_or("expanded", 32usize)?,
-        seed: args.parsed_or("seed", 0u64)?,
-        engine: EngineConfig {
-            workers: args.parsed_or("workers", 2usize)?,
-            queue_capacity: queue_cap,
-            max_batch: args.parsed_or("max-batch", 8usize)?,
-            ..EngineConfig::default()
-        },
-        load: LoadSpec {
-            requests: args.parsed_or("requests", 64usize)?,
-            mode,
-            height: args.parsed_or("height", 64usize)?,
-            width: args.parsed_or("width", 64usize)?,
-            seed: args.parsed_or("load-seed", 0u64)?,
-            deadline,
-            // The default burst oversubscribes the queue against a paused
-            // engine, so every report demonstrates the rejection path.
-            burst: args.parsed_or("burst", queue_cap + 16)?,
-        },
-        intra_op_threads,
-        model_dir: None,
-    };
-    let out_path = args.get("out").unwrap_or("BENCH_serve.json").to_string();
-
-    let outcome =
-        sesr_serve::run_bench(&cfg).map_err(|e| CliError::Io(std::io::Error::other(e)))?;
-    let json = sesr_serve::bench_report_json(&cfg, &outcome);
-    sesr_serve::json::validate(&json)
-        .map_err(|e| CliError::Io(std::io::Error::other(format!("malformed report: {e}"))))?;
-    std::fs::write(Path::new(&out_path), &json)?;
-
-    let r = &outcome.report;
-    let mut summary = format!(
-        "serve-bench {}x{}: {} requests ({} completed, {} rejected, {} expired)\n  throughput {:.1} req/s, {:.2} MP/s output; burst: {}/{} rejected\n",
-        cfg.arch,
-        cfg.scale,
-        r.submitted,
-        r.completed,
-        r.rejected,
-        r.deadline_expired,
-        r.throughput_rps,
-        r.output_megapixels_per_s,
-        r.burst_rejected,
-        r.burst_rejected + r.burst_admitted,
-    );
-    for (name, s) in &outcome.snapshot.stages {
-        if s.count > 0 {
-            summary.push_str(&format!(
-                "  {name:<15} p50 {:>8.3} ms  p95 {:>8.3} ms  p99 {:>8.3} ms  (n={})\n",
-                s.p50_ms, s.p95_ms, s.p99_ms, s.count
-            ));
-        }
-    }
-    summary.push_str(&format!("wrote {out_path}"));
-    Ok(summary)
-}
-
-/// The chaos soak: drive seeded fault injection through the serving
-/// engine under closed-loop load, then reconcile the client's view of
-/// outcomes against the engine's fault/restart/retry ledger. Returns an
-/// error (failing the CI step) if any request is lost, any counter
-/// disagrees, or the drain misses its deadline.
-fn serve_chaos(args: &Args) -> Result<String, CliError> {
-    use sesr_serve::chaos::ChaosConfig;
-    use sesr_serve::engine::{Engine, EngineConfig, ServeError, Ticket};
-    use sesr_serve::registry::{ModelKey, ModelRegistry};
-    use std::collections::VecDeque;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let requests = args.parsed_or("requests", 400u64)?;
-    let seed = parse_seed(args, "seed", 0xC4A05)?;
-    let workers = args.parsed_or("workers", 3usize)?;
-    let concurrency = args.parsed_or("concurrency", 12usize)?.max(1);
-    let height = args.parsed_or("height", 8usize)?;
-    let width = args.parsed_or("width", 8usize)?;
-    let min_faults = args.parsed_or("min-faults", requests / 8)?;
-    let chaos = ChaosConfig {
-        seed,
-        panic_per_mille: args.parsed_or("panic-per-mille", 150u32)?,
-        slow_per_mille: args.parsed_or("slow-per-mille", 150u32)?,
-        load_fail_per_mille: args.parsed_or("load-fail-per-mille", 200u32)?,
-        skew_per_mille: args.parsed_or("skew-per-mille", 50u32)?,
-        slow: Duration::from_millis(args.parsed_or("slow-ms", 1u64)?),
-        // Far beyond the request deadline: a skewed clock expires its
-        // whole batch deterministically.
-        skew: Duration::from_secs(60),
-    };
-
-    let model = Sesr::new(SesrConfig::m(2).with_expanded(8).with_seed(seed)).collapse();
-    let key = ModelKey::new("m2", 2);
-    let registry = Arc::new(ModelRegistry::new(4));
-    registry.insert(key.clone(), model);
-    let cfg = EngineConfig {
-        workers,
-        queue_capacity: 256,
-        max_batch: 3,
-        max_retries: 3,
-        restart_budget: 10_000,
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(4),
-        chaos: Some(chaos),
-        ..EngineConfig::default()
-    };
-    // A lone frame above the threshold contains its panic instead of
-    // respawning the worker.
-    let respawns_every_panic = height * width <= cfg.tile_threshold_px;
-    let engine = Engine::new(cfg, registry);
-
-    let deadline = Some(Duration::from_secs(30));
-    let (mut ok, mut expired, mut load_failed, mut crashed, mut other) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut resolve = |t: Ticket| match t.wait() {
-        Ok(_) => ok += 1,
-        Err(ServeError::DeadlineExpired) => expired += 1,
-        Err(ServeError::ModelLoad(_)) => load_failed += 1,
-        Err(ServeError::WorkerCrashed(_)) => crashed += 1,
-        Err(_) => other += 1,
-    };
-    let mut inflight: VecDeque<Ticket> = VecDeque::new();
-    for i in 0..requests {
-        while inflight.len() >= concurrency {
-            if let Some(t) = inflight.pop_front() {
-                resolve(t);
-            }
-        }
-        let input = sesr_tensor::Tensor::rand_uniform(&[1, height, width], 0.0, 1.0, i);
-        match engine.submit(&key, input, deadline) {
-            Ok(t) => inflight.push_back(t),
-            Err(e) => {
-                return Err(CliError::Io(std::io::Error::other(format!(
-                    "submission rejected under soak load: {e}"
-                ))))
-            }
-        }
-    }
-    for t in inflight {
-        resolve(t);
-    }
-    let drain = engine.shutdown(Duration::from_secs(10));
-    let c = engine.telemetry().snapshot().counters;
-
-    let outcomes = ok + expired + load_failed + crashed + other;
-    let fault_sum = c.faults_panic + c.faults_slow + c.faults_load + c.faults_skew;
-    let mut problems: Vec<String> = Vec::new();
-    if outcomes != requests {
-        problems.push(format!(
-            "lost requests: {outcomes} terminal outcomes for {requests} submissions"
-        ));
-    }
-    if other != 0 {
-        problems.push(format!("{other} request(s) saw an unexpected error kind"));
-    }
-    if c.faults_injected != fault_sum {
-        problems.push(format!(
-            "faults_injected {} != per-point sum {fault_sum}",
-            c.faults_injected
-        ));
-    }
-    if c.faults_injected < min_faults {
-        problems.push(format!(
-            "only {} faults injected (need >= {min_faults}; raise rates or requests)",
-            c.faults_injected
-        ));
-    }
-    if c.completed != ok {
-        problems.push(format!(
-            "engine completed {} but client saw {ok}",
-            c.completed
-        ));
-    }
-    if c.requests_quarantined != crashed {
-        problems.push(format!(
-            "quarantined {} but client saw {crashed} crash errors",
-            c.requests_quarantined
-        ));
-    }
-    if respawns_every_panic && c.worker_restarts != c.faults_panic {
-        problems.push(format!(
-            "{} worker restarts for {} injected panics",
-            c.worker_restarts, c.faults_panic
-        ));
-    }
-    if c.requests_retried + c.requests_quarantined + load_failed < c.faults_panic + c.faults_load {
-        problems.push(format!(
-            "retries {} + quarantined {} + load failures {load_failed} do not cover panic {} + load {} faults",
-            c.requests_retried, c.requests_quarantined, c.faults_panic, c.faults_load
-        ));
-    }
-    if !drain.joined {
-        problems.push("shutdown failed to join workers within its deadline".to_string());
-    }
-    if drain.dropped != 0 {
-        problems.push(format!(
-            "{} settled requests were re-dropped in drain",
-            drain.dropped
-        ));
-    }
-
-    let summary = format!(
-        "serve-chaos seed {seed:#x}: {requests} requests ({height}x{width}), {workers} workers\n\
-         \x20 outcomes: {ok} ok, {expired} expired, {load_failed} load-failed, {crashed} crashed\n\
-         \x20 faults injected: {} (panic {}, slow {}, load {}, skew {})\n\
-         \x20 recovery: {} worker restarts, {} retries, {} quarantined\n\
-         \x20 drain: joined={} in {:.0} ms, {} dropped",
-        c.faults_injected,
-        c.faults_panic,
-        c.faults_slow,
-        c.faults_load,
-        c.faults_skew,
-        c.worker_restarts,
-        c.requests_retried,
-        c.requests_quarantined,
-        drain.joined,
-        drain.elapsed.as_secs_f64() * 1e3,
-        drain.dropped,
-    );
-    if problems.is_empty() {
-        Ok(format!(
-            "{summary}\nchaos soak reconciled: zero lost requests"
-        ))
-    } else {
-        Err(CliError::Io(std::io::Error::other(format!(
-            "{summary}\nchaos reconciliation FAILED:\n  {}",
-            problems.join("\n  ")
-        ))))
-    }
-}
-
 /// Parses a seed option; seeds are conventionally written in hex, so
 /// both `0x…` and decimal are accepted.
 fn parse_seed(args: &Args, key: &str, default: u64) -> Result<u64, CliError> {
@@ -782,270 +495,6 @@ fn video_bench(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// The fleet-scope chaos soak: whole-shard kills, wedged-slow shards,
-/// and failed respawns against the sharded router under closed-loop
-/// multi-tenant load; fails unless every admitted request got exactly
-/// one terminal outcome and the fleet ledger reconciles.
-fn router_chaos(args: &Args) -> Result<String, CliError> {
-    use sesr_serve::chaos::ShardChaosConfig;
-    use std::time::Duration;
-
-    let requests = args.parsed_or("requests", 450u64)?;
-    let seed = parse_seed(args, "seed", 0xF1EE7)?;
-    let shards = args.parsed_or("shards", 3usize)?.max(1);
-    let concurrency = args.parsed_or("concurrency", 24usize)?.max(1);
-    let timeout = Duration::from_secs(args.parsed_or("timeout-s", 120u64)?);
-    let base_chaos = ShardChaosConfig {
-        seed,
-        kill_per_mille: args.parsed_or("kill-per-mille", 12u32)?,
-        wedge_per_mille: args.parsed_or("wedge-per-mille", 12u32)?,
-        respawn_fail_per_mille: args.parsed_or("respawn-fail-per-mille", 500u32)?,
-        max_kills: 2,
-        max_wedges: 2,
-        max_respawn_fails: 2,
-        // Far beyond the stall detector: the wedge must be *detected*
-        // and drain-and-replaced, not sat out.
-        wedge: Duration::from_secs(30),
-        // Scaling-event faults stay off here: this harness runs a
-        // fixed-size fleet; the autoscale soak test owns those points.
-        ..ShardChaosConfig::default()
-    };
-
-    // The fault *schedule* is seeded, but whether e.g. a kill intersects
-    // queued work (forcing a reroute) depends on wall-clock interleaving
-    // between the load loop and the supervisor. A schedule miss — a
-    // fault kind that never fired, or a kill that found an empty queue —
-    // says nothing about the router, so it re-rolls with a perturbed
-    // seed. Invariant violations (lost requests, ledger mismatches)
-    // fail immediately on any attempt.
-    const ATTEMPTS: u64 = 4;
-    let mut last = String::new();
-    for attempt in 0..ATTEMPTS {
-        let shard_chaos = ShardChaosConfig {
-            seed: seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9)),
-            ..base_chaos
-        };
-        let shard_seed = shard_chaos.seed;
-        let (summary, schedule_misses, invariants) =
-            run_router_chaos_soak(requests, shards, concurrency, timeout, shard_chaos)?;
-        if !invariants.is_empty() {
-            return Err(CliError::Io(std::io::Error::other(format!(
-                "{summary}\nfleet chaos reconciliation FAILED:\n  {}",
-                invariants.join("\n  ")
-            ))));
-        }
-        if schedule_misses.is_empty() {
-            let note = if attempt == 0 {
-                String::new()
-            } else {
-                format!(" (fault schedule re-rolled {attempt}x)")
-            };
-            return Ok(format!(
-                "{summary}\nfleet chaos soak reconciled: zero lost requests{note}"
-            ));
-        }
-        last = format!(
-            "{summary}\nattempt {attempt} (seed {shard_seed:#x}) missed:\n  {}",
-            schedule_misses.join("\n  ")
-        );
-    }
-    Err(CliError::Io(std::io::Error::other(format!(
-        "{last}\nfault schedule never hit every kind in {ATTEMPTS} attempts (raise rates or requests)"
-    ))))
-}
-
-/// One soak run. Returns `(summary, schedule_misses, invariant_problems)`:
-/// the former are retryable properties of the seeded fault schedule, the
-/// latter are real router bugs.
-#[allow(clippy::type_complexity)]
-fn run_router_chaos_soak(
-    requests: u64,
-    shards: usize,
-    concurrency: usize,
-    timeout: std::time::Duration,
-    shard_chaos: sesr_serve::chaos::ShardChaosConfig,
-) -> Result<(String, Vec<String>, Vec<String>), CliError> {
-    use sesr_serve::chaos::ChaosConfig;
-    use sesr_serve::engine::EngineConfig;
-    use sesr_serve::registry::{ModelKey, ModelRegistry};
-    use sesr_serve::{
-        Priority, Router, RouterConfig, RouterServeError, RouterSubmitError, RouterTicket,
-    };
-    use std::collections::VecDeque;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let seed = shard_chaos.seed;
-    let model = Sesr::new(SesrConfig::m(2).with_expanded(8).with_seed(seed)).collapse();
-    let key = ModelKey::new("m2", 2);
-    let registry = Arc::new(ModelRegistry::new(4));
-    registry.insert(key.clone(), model);
-    let router = Router::new(
-        RouterConfig {
-            shards,
-            engine: EngineConfig {
-                workers: 1,
-                queue_capacity: 16,
-                backoff_base: Duration::from_millis(1),
-                backoff_cap: Duration::from_millis(4),
-                // Engine-level faults run concurrently with the shard
-                // faults: panics exercise in-shard retry/respawn, and
-                // slow-model delays keep queues non-empty so shard kills
-                // intersect queued work (forcing reroutes). The seed is
-                // fixed so --seed varies only the shard-fault schedule
-                // against a stable slow/panic background.
-                chaos: Some(ChaosConfig {
-                    seed: 0xD15EA5E,
-                    panic_per_mille: 15,
-                    slow_per_mille: 150,
-                    slow: Duration::from_millis(8),
-                    load_fail_per_mille: 0,
-                    skew_per_mille: 0,
-                    ..ChaosConfig::default()
-                }),
-                ..EngineConfig::default()
-            },
-            shard_queue_capacity: 64,
-            probe_interval: Duration::from_millis(2),
-            stall_ticks: 100,
-            respawn_budget: 32,
-            reroute_budget: 8,
-            respawn_backoff: Duration::from_millis(2),
-            respawn_backoff_cap: Duration::from_millis(10),
-            shard_chaos: Some(shard_chaos),
-            ..RouterConfig::default()
-        },
-        registry,
-    );
-
-    let mut in_flight: VecDeque<RouterTicket> = VecDeque::new();
-    let (mut ok, mut failed) = (0u64, 0u64);
-    let resolve = |t: RouterTicket, ok: &mut u64, failed: &mut u64| match t.wait() {
-        Ok(_) => *ok += 1,
-        Err(
-            RouterServeError::DeadlineExpired
-            | RouterServeError::WorkerCrashed(_)
-            | RouterServeError::ModelLoad(_)
-            | RouterServeError::ShardLost(_)
-            | RouterServeError::ShuttingDown,
-        ) => *failed += 1,
-    };
-    let mut admitted = 0u64;
-    let mut i = 0u64;
-    let start = Instant::now();
-    while admitted < requests {
-        if start.elapsed() >= timeout {
-            let snap = router.telemetry();
-            return Err(CliError::Io(std::io::Error::other(format!(
-                "router-chaos wedged: {admitted}/{requests} admitted after {}s\ncounters: {:?}",
-                timeout.as_secs(),
-                snap.counters
-            ))));
-        }
-        i += 1;
-        let tenant = format!("tenant-{}", i % 6);
-        let class = if i.is_multiple_of(4) {
-            Priority::Batch
-        } else {
-            Priority::Interactive
-        };
-        let input = sesr_tensor::Tensor::rand_uniform(&[1, 10, 10], 0.0, 1.0, i);
-        match router.submit(&tenant, class, &key, input, Some(Duration::from_secs(20))) {
-            Ok(t) => {
-                admitted += 1;
-                in_flight.push_back(t);
-                if in_flight.len() >= concurrency {
-                    if let Some(t) = in_flight.pop_front() {
-                        resolve(t, &mut ok, &mut failed);
-                    }
-                }
-            }
-            Err(
-                RouterSubmitError::ShedBatch
-                | RouterSubmitError::Overloaded
-                | RouterSubmitError::Throttled { .. }
-                | RouterSubmitError::NoHealthyShard,
-            ) => std::thread::sleep(Duration::from_millis(2)),
-            Err(e) => {
-                return Err(CliError::Io(std::io::Error::other(format!(
-                    "unexpected rejection under chaos: {e}"
-                ))))
-            }
-        }
-    }
-    while let Some(t) = in_flight.pop_front() {
-        resolve(t, &mut ok, &mut failed);
-    }
-    let snap = router.telemetry();
-    let c = snap.counters;
-    let mut invariants = snap.reconcile();
-    let mut schedule_misses = Vec::new();
-    for (fired, what) in [
-        (c.shard_kills >= 1, "no whole-shard kill fired"),
-        (c.shard_wedges >= 1, "no shard wedge fired"),
-        (c.respawn_failures >= 1, "no respawn failure fired"),
-        (c.shard_respawns >= 1, "no shard respawned"),
-        (c.wedges_detected >= 1, "stall probe never detected a wedge"),
-        (c.rerouted >= 1, "no request was rerouted"),
-        (
-            c.breaker_opens >= 1 && c.breaker_half_opens >= 1,
-            "circuit breaker never cycled open -> half-open",
-        ),
-    ] {
-        if !fired {
-            schedule_misses.push(what.to_string());
-        }
-    }
-    if ok + failed != admitted {
-        invariants.push(format!(
-            "lost requests: client saw {ok}+{failed} outcomes for {admitted} admissions"
-        ));
-    }
-    if c.admitted() != admitted {
-        invariants.push(format!(
-            "router admitted {} != client {admitted}",
-            c.admitted()
-        ));
-    }
-    if c.completed != ok {
-        invariants.push(format!(
-            "router completed {} != client ok {ok}",
-            c.completed
-        ));
-    }
-    if ok <= admitted / 2 {
-        invariants.push(format!("chaos failed the majority: ok={ok} of {admitted}"));
-    }
-    let report = router.shutdown(Duration::from_secs(10));
-    if !report.joined {
-        invariants.push("shutdown failed to join within its deadline".to_string());
-    }
-    for p in router.telemetry().reconcile() {
-        invariants.push(format!("post-shutdown: {p}"));
-    }
-
-    let summary = format!(
-        "router-chaos seed {seed:#x}: {requests} requests, {shards} shards\n\
-         \x20 outcomes: {ok} ok, {failed} failed; rerouted {}, requeued {}\n\
-         \x20 shard faults: {} kills, {} wedges ({} detected), {} respawn failures, {} respawns\n\
-         \x20 breaker: {} opens, {} half-opens, {} closes\n\
-         \x20 drain: joined={} in {:.0} ms",
-        c.rerouted,
-        c.requeued_backpressure,
-        c.shard_kills,
-        c.shard_wedges,
-        c.wedges_detected,
-        c.respawn_failures,
-        c.shard_respawns,
-        c.breaker_opens,
-        c.breaker_half_opens,
-        c.breaker_closes,
-        report.joined,
-        report.elapsed.as_secs_f64() * 1e3,
-    );
-    Ok((summary, schedule_misses, invariants))
-}
-
 fn train_bench(args: &Args) -> Result<String, CliError> {
     use sesr_bench::TrainBenchConfig;
 
@@ -1191,7 +640,6 @@ fn infer_bench(args: &Args) -> Result<String, CliError> {
 /// (identified by the top-level `"bench"` tag).
 fn gate_metric_paths(kind: &str) -> Result<Vec<&'static [&'static str]>, CliError> {
     match kind {
-        "sesr-serve" => Ok(vec![&["results", "throughput_rps"]]),
         "sesr-router" => Ok(vec![
             &["results", "shards_4", "rps"],
             &["results", "scaling_x"],
@@ -1212,7 +660,7 @@ fn gate_metric_paths(kind: &str) -> Result<Vec<&'static [&'static str]>, CliErro
         ]),
         "sesr-train" | "sesr-infer" => Ok(vec![]), // resolved per-arch below
         other => Err(CliError::Io(std::io::Error::other(format!(
-            "unknown bench kind {other:?} (expected sesr-serve|sesr-router|sesr-video|sesr-train|sesr-infer)"
+            "unknown bench kind {other:?} (expected sesr-router|sesr-video|sesr-train|sesr-infer)"
         )))),
     }
 }
@@ -1233,6 +681,14 @@ fn bench_gate(args: &Args) -> Result<String, CliError> {
     let baseline_path = args.required("baseline")?.to_string();
     let fresh_path = args.required("fresh")?.to_string();
     let max_regress = args.parsed_or("max-regress", 0.25f64)?;
+    // The floor is baseline × (1 − max_regress): at 1 or above it drops to
+    // zero and passes every run; a negative value or NaN fails every one.
+    if !(0.0..1.0).contains(&max_regress) {
+        return Err(CliError::Args(ArgError::Invalid {
+            key: "max-regress".to_string(),
+            value: args.get("max-regress").unwrap_or_default().to_string(),
+        }));
+    }
 
     let load = |path: &str| -> Result<JsonValue, CliError> {
         let text = std::fs::read_to_string(Path::new(path))?;
@@ -1495,56 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_writes_valid_report_with_rejections() {
-        let out_path = tmp("bench_serve_test.json");
-        std::fs::remove_file(&out_path).ok();
-        let report = run(&args(&format!(
-            "serve-bench --arch m3 --expanded 8 --workers 1 --queue-cap 4 \
-             --requests 6 --height 16 --width 16 --concurrency 2 --burst 8 \
-             --out {}",
-            out_path.display()
-        )))
-        .unwrap();
-        assert!(report.contains("serve-bench m3x2"));
-        assert!(report.contains("p50"));
-        let json = std::fs::read_to_string(&out_path).unwrap();
-        sesr_serve::json::validate(&json).unwrap();
-        assert!(json.contains("\"throughput_rps\""));
-        assert!(json.contains("\"burst_rejected\":4"), "{json}");
-    }
-
-    #[test]
-    fn serve_chaos_soak_reconciles_with_zero_lost_requests() {
-        let report = run(&args(
-            "serve-chaos --requests 160 --seed 7 --workers 2 --concurrency 8",
-        ))
-        .unwrap();
-        assert!(report.contains("chaos soak reconciled"), "{report}");
-        assert!(report.contains("faults injected"), "{report}");
-        assert!(report.contains("0 dropped"), "{report}");
-    }
-
-    #[test]
-    fn serve_chaos_with_zero_rates_injects_nothing_and_still_reconciles() {
-        let report = run(&args(
-            "serve-chaos --requests 40 --workers 2 --panic-per-mille 0 \
-             --slow-per-mille 0 --load-fail-per-mille 0 --skew-per-mille 0 \
-             --min-faults 0",
-        ))
-        .unwrap();
-        assert!(report.contains("faults injected: 0"), "{report}");
-        assert!(report.contains("40 ok"), "{report}");
-    }
-
-    #[test]
-    fn serve_bench_rejects_unknown_arch_and_mode() {
-        let err = run(&args("serve-bench --arch nope")).unwrap_err();
-        assert!(err.to_string().contains("unknown arch"));
-        let err = run(&args("serve-bench --mode sideways")).unwrap_err();
-        assert!(matches!(err, CliError::Args(_)));
-    }
-
-    #[test]
     fn train_bench_writes_valid_report() {
         let out_path = tmp("bench_train_test.json");
         std::fs::remove_file(&out_path).ok();
@@ -1755,15 +1161,41 @@ mod tests {
     }
 
     #[test]
+    fn bench_gate_rejects_max_regress_outside_zero_to_one() {
+        let report = tmp("gate_range.json");
+        std::fs::write(
+            &report,
+            r#"{"bench":"sesr-train","results":{"m5":{"steps_per_sec":1}}}"#,
+        )
+        .unwrap();
+        for bad in ["1.5", "-0.1", "NaN"] {
+            let err = run(&args(&format!(
+                "bench-gate --baseline {0} --fresh {0} --max-regress {bad}",
+                report.display()
+            )))
+            .unwrap_err();
+            assert!(
+                matches!(&err, CliError::Args(ArgError::Invalid { key, .. }) if key == "max-regress"),
+                "--max-regress {bad}: {err:?}"
+            );
+        }
+        // The ends of the range: 0 gates exactly, just under 1 is the
+        // loosest floor still above zero.
+        for good in ["0", "0.99"] {
+            run(&args(&format!(
+                "bench-gate --baseline {0} --fresh {0} --max-regress {good}",
+                report.display()
+            )))
+            .unwrap();
+        }
+    }
+
+    #[test]
     fn bench_gate_rejects_mismatched_kinds() {
         let a = tmp("gate_kind_a.json");
         let b = tmp("gate_kind_b.json");
         std::fs::write(&a, r#"{"bench":"sesr-train","results":{}}"#).unwrap();
-        std::fs::write(
-            &b,
-            r#"{"bench":"sesr-serve","results":{"throughput_rps":1}}"#,
-        )
-        .unwrap();
+        std::fs::write(&b, r#"{"bench":"sesr-router","results":{"scaling_x":1}}"#).unwrap();
         let err = run(&args(&format!(
             "bench-gate --baseline {} --fresh {}",
             a.display(),
@@ -1777,6 +1209,21 @@ mod tests {
     fn unknown_subcommand_yields_usage() {
         let err = run(&args("frobnicate")).unwrap_err();
         assert!(err.to_string().contains("USAGE"));
+    }
+
+    #[test]
+    fn retired_harness_subcommands_yield_usage() {
+        // The engine and fleet chaos soaks live in sesr-serve's chaos and
+        // router tests; engine serving throughput is measured by
+        // router-bench and the repository benchmark.
+        for sub in ["serve-bench", "serve-chaos", "router-chaos"] {
+            let err = run(&args(sub)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{sub}: {err:?}");
+            assert!(
+                !err.to_string().contains(sub),
+                "{sub} still in the usage text"
+            );
+        }
     }
 
     #[test]

@@ -1,60 +1,8 @@
-//! The `serve-bench` harness: build a model, stand up an [`Engine`],
-//! drive a seeded load profile, and emit a `BENCH_serve.json` report.
-//!
-//! The report is one JSON object with four sections: `model` (what was
-//! served), `engine`/`load` (the knobs), `results` (load-generator view:
-//! throughput, rejections) and `telemetry` (engine view: per-stage
-//! latency distributions and counters). It is written by
-//! [`bench_report_json`] and checked with [`crate::json::validate`]
-//! before anything touches disk, so a malformed report fails the run
-//! rather than polluting baselines.
+//! Architecture labels shared by the bench harnesses: `router-bench`,
+//! `video-bench`, `train-bench`, `infer-bench` and the repository
+//! benchmark all name models as `m3`/`m5`/`m7`/`m11`/`xl`.
 
-use crate::engine::{Engine, EngineConfig};
-use crate::json::JsonObject;
-use crate::loadgen::{run_load, LoadMode, LoadReport, LoadSpec};
-use crate::registry::{ModelKey, ModelRegistry};
-use crate::telemetry::Snapshot;
-use sesr_core::model::{Sesr, SesrConfig};
-use sesr_core::model_io::save_model;
-use std::path::PathBuf;
-use std::sync::Arc;
-
-/// Everything a serve-bench run needs, with reproducible defaults.
-#[derive(Debug, Clone)]
-pub struct BenchConfig {
-    /// Architecture label: `m3`, `m5`, `m7`, `m11`, or `xl`.
-    pub arch: String,
-    /// Upscaling factor (2 or 4).
-    pub scale: usize,
-    /// Overparameterized training width (collapsed away before serving).
-    pub expanded: usize,
-    /// Weight-initialization seed.
-    pub seed: u64,
-    /// Engine sizing and batching policy.
-    pub engine: EngineConfig,
-    /// Load profile to drive.
-    pub load: LoadSpec,
-    /// Cap the intra-op (tile/conv) thread pool; `None` = autodetect.
-    pub intra_op_threads: Option<usize>,
-    /// Where the model artifact is written (exercises the registry's
-    /// lazy-load path). `None` = a temp directory.
-    pub model_dir: Option<PathBuf>,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        Self {
-            arch: "m5".to_string(),
-            scale: 2,
-            expanded: 32,
-            seed: 0,
-            engine: EngineConfig::default(),
-            load: LoadSpec::default(),
-            intra_op_threads: None,
-            model_dir: None,
-        }
-    }
-}
+use sesr_core::model::SesrConfig;
 
 /// Maps an architecture label to its `SesrConfig`.
 ///
@@ -79,110 +27,4 @@ pub fn arch_config(
         .with_scale(scale)
         .with_expanded(expanded)
         .with_seed(seed))
-}
-
-/// A completed bench run: the load generator's view and the engine's.
-pub struct BenchOutcome {
-    /// Load-generator-side measurements.
-    pub report: LoadReport,
-    /// Engine-side telemetry snapshot.
-    pub snapshot: Snapshot,
-}
-
-/// Builds and collapses the model, registers it for lazy load, runs the
-/// configured load, and returns both views of the run.
-///
-/// # Errors
-///
-/// Unknown arch label, or an I/O failure writing the model artifact.
-pub fn run_bench(cfg: &BenchConfig) -> Result<BenchOutcome, String> {
-    if let Some(n) = cfg.intra_op_threads {
-        sesr_tensor::parallel::set_num_threads(n);
-    }
-    let model_cfg = arch_config(&cfg.arch, cfg.scale, cfg.expanded, cfg.seed)?;
-    let collapsed = Sesr::new(model_cfg).collapse();
-
-    let dir = cfg
-        .model_dir
-        .clone()
-        .unwrap_or_else(|| std::env::temp_dir().join("sesr_serve_bench"));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let key = ModelKey::new(&cfg.arch, cfg.scale);
-    let path = dir.join(format!("{key}.sesr"));
-    save_model(&collapsed, &path).map_err(|e| format!("save {}: {e}", path.display()))?;
-
-    let registry = Arc::new(ModelRegistry::new(4));
-    registry.register_path(key.clone(), path);
-
-    let engine = Engine::new(cfg.engine.clone(), registry);
-    let report = run_load(&engine, &key, &cfg.load);
-    let snapshot = engine.telemetry().snapshot();
-    Ok(BenchOutcome { report, snapshot })
-}
-
-/// Serializes a bench run into the `BENCH_serve.json` document.
-pub fn bench_report_json(cfg: &BenchConfig, out: &BenchOutcome) -> String {
-    let mode = match cfg.load.mode {
-        LoadMode::Closed { concurrency } => JsonObject::new()
-            .str("kind", "closed")
-            .int("concurrency", concurrency as u64)
-            .finish(),
-        LoadMode::Open { rate_hz } => JsonObject::new()
-            .str("kind", "open")
-            .num("rate_hz", rate_hz)
-            .finish(),
-    };
-    let model = JsonObject::new()
-        .str("arch", &cfg.arch)
-        .int("scale", cfg.scale as u64)
-        .int("expanded", cfg.expanded as u64)
-        .int("seed", cfg.seed)
-        .finish();
-    let engine = JsonObject::new()
-        .int("workers", cfg.engine.workers as u64)
-        .int("queue_capacity", cfg.engine.queue_capacity as u64)
-        .int("max_batch", cfg.engine.max_batch as u64)
-        .int("tile_threshold_px", cfg.engine.tile_threshold_px as u64)
-        .int("tile", cfg.engine.tile as u64)
-        .int(
-            "intra_op_threads",
-            cfg.intra_op_threads
-                .unwrap_or_else(sesr_tensor::parallel::num_threads) as u64,
-        )
-        .finish();
-    let load = JsonObject::new()
-        .int("requests", cfg.load.requests as u64)
-        .raw("mode", &mode)
-        .int("height", cfg.load.height as u64)
-        .int("width", cfg.load.width as u64)
-        .int("seed", cfg.load.seed)
-        .num(
-            "deadline_ms",
-            cfg.load
-                .deadline
-                .map_or(f64::NAN, |d| d.as_secs_f64() * 1e3),
-        )
-        .int("burst", cfg.load.burst as u64)
-        .finish();
-    let r = &out.report;
-    let results = JsonObject::new()
-        .int("submitted", r.submitted)
-        .int("completed", r.completed)
-        .int("rejected_queue_full", r.rejected)
-        .int("deadline_expired", r.deadline_expired)
-        .int("failed", r.failed)
-        .int("burst_admitted", r.burst_admitted)
-        .int("burst_rejected", r.burst_rejected)
-        .num("wall_ms", r.wall_ms)
-        .num("throughput_rps", r.throughput_rps)
-        .num("output_megapixels_per_s", r.output_megapixels_per_s)
-        .finish();
-    JsonObject::new()
-        .str("bench", "sesr-serve")
-        .raw("model", &model)
-        .raw("engine", &engine)
-        .raw("load", &load)
-        .raw("results", &results)
-        .raw("telemetry", &out.snapshot.to_json())
-        .finish()
 }

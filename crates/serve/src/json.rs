@@ -3,9 +3,8 @@
 //! The workspace builds offline against a no-op `serde` stand-in, so this
 //! module provides the two things the serving layer actually needs: a
 //! small builder that emits well-formed JSON objects/arrays, and a strict
-//! recursive-descent validator used by `serve-bench` to check the
-//! `BENCH_serve.json` it just wrote (and by the verify script's smoke
-//! run).
+//! recursive-descent validator: every `sesr` bench harness checks its
+//! report with it before writing, and `bench-gate` parses through it.
 
 use std::fmt::Write as _;
 

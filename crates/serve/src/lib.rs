@@ -36,13 +36,12 @@
 //! * [`telemetry`] — log-scale latency histograms per pipeline stage
 //!   (queue wait, batch assembly, compute, reassembly) plus throughput
 //!   and rejection counters; exportable as JSON.
-//! * [`loadgen`] — deterministic closed/open-loop load generation and a
-//!   paused-engine burst that demonstrates the rejection path.
-//! * [`bench`] — the `serve-bench` harness emitting `BENCH_serve.json`.
+//! * [`bench`] — the architecture labels (`m3` … `xl`) every bench
+//!   harness names its models by.
 //! * [`chaos`] — deterministic seed-driven fault injection (panics, slow
-//!   models, load failures, clock skew) for the `serve-chaos` harness and
-//!   the chaos soak test, plus shard-level faults (kill / wedge / failed
-//!   respawn) for the router's fleet-scope chaos.
+//!   models, load failures, clock skew) for the engine's chaos soak test,
+//!   plus shard-level faults (kill / wedge / failed respawn) for the
+//!   router's fleet-scope chaos soak.
 //! * [`router`] — the fleet front door: N supervised engine shards
 //!   behind consistent-hash routing, per-tenant token buckets,
 //!   two-priority weighted-fair queues, and priority-ordered load
@@ -71,7 +70,6 @@ pub mod bench;
 pub mod chaos;
 pub mod engine;
 pub mod json;
-pub mod loadgen;
 pub mod plan_cache;
 pub mod queue;
 pub mod registry;
@@ -83,12 +81,10 @@ pub mod video;
 pub mod video_bench;
 
 pub use autoscale::{AutoscaleConfig, AutoscaleController, HashRing, ScaleSignal};
-pub use bench::{bench_report_json, run_bench, BenchConfig, BenchOutcome};
 pub use chaos::{Chaos, ChaosConfig, FaultPoint, ShardChaos, ShardChaosConfig, ShardFaultPoint};
 pub use engine::{
     Completion, Engine, EngineConfig, Health, ServeError, ShutdownReport, SubmitError, Ticket,
 };
-pub use loadgen::{run_load, LoadMode, LoadReport, LoadSpec};
 pub use plan_cache::{
     DecisionSource, PlanCache, PrecisionDecision, PrecisionPolicy, ServingKernels, SharedPlanCache,
 };

@@ -8,9 +8,9 @@
 //! up to `max - 1` further requests with the same batching key (model +
 //! shape), preserving FIFO order within the group.
 //!
-//! A `paused` switch (used by tests and the load generator's backpressure
-//! demonstration) stops consumers without stopping producers, so the
-//! queue can be filled to its bound deterministically.
+//! A `paused` switch (used by the backpressure tests and the shard-chaos
+//! wedge) stops consumers without stopping producers, so the queue can be
+//! filled to its bound deterministically.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -128,50 +128,52 @@ fn large_frame_panic_is_contained_and_retried_without_killing_the_worker() {
     assert_eq!(engine.health(), Health::Healthy);
 }
 
-#[test]
-fn chaos_soak_survives_injected_faults_with_zero_lost_requests() {
-    const REQUESTS: u64 = 400;
+/// The client's view of a soak: one terminal outcome per request.
+#[derive(Debug, Default)]
+struct Outcomes {
+    ok: u64,
+    expired: u64,
+    load_failed: u64,
+    crashed: u64,
+}
+
+/// Drives `requests` 8x8 requests through `workers` workers under
+/// `chaos`, 12 in flight at all times, then drains. Checks what holds at
+/// any fault rate: the drain joins and re-drops nothing, every request
+/// gets exactly one terminal outcome (none sees a shutdown error), and
+/// the engine's ledger matches the client's.
+fn soak(requests: u64, workers: usize, chaos: ChaosConfig) -> (Engine, Outcomes) {
     let key = ModelKey::new("m2", 2);
     let registry = registry_with(&key, tiny_model(1));
     let engine = Engine::new(
         EngineConfig {
-            workers: 3,
+            workers,
             queue_capacity: 256,
             max_batch: 3,
             max_retries: 3,
             restart_budget: 10_000,
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(4),
-            chaos: Some(ChaosConfig {
-                seed: 0xC4A05,
-                panic_per_mille: 150,
-                slow_per_mille: 150,
-                load_fail_per_mille: 200,
-                skew_per_mille: 50,
-                slow: Duration::from_millis(1),
-                // Far beyond the request deadline below: a skewed clock
-                // expires its whole batch.
-                skew: Duration::from_secs(60),
-            }),
+            chaos: Some(chaos),
             ..EngineConfig::default()
         },
         registry,
     );
 
     let deadline = Some(Duration::from_secs(30));
-    let (mut ok, mut expired, mut load_failed, mut crashed, mut other) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut o = Outcomes::default();
+    let mut other = 0u64;
     let mut resolve = |t: Ticket| match t.wait() {
-        Ok(_) => ok += 1,
-        Err(ServeError::DeadlineExpired) => expired += 1,
-        Err(ServeError::ModelLoad(_)) => load_failed += 1,
-        Err(ServeError::WorkerCrashed(_)) => crashed += 1,
+        Ok(_) => o.ok += 1,
+        Err(ServeError::DeadlineExpired) => o.expired += 1,
+        Err(ServeError::ModelLoad(_)) => o.load_failed += 1,
+        Err(ServeError::WorkerCrashed(_)) => o.crashed += 1,
         Err(_) => other += 1,
     };
 
     // Closed-loop client: 12 requests in flight at all times.
     let mut inflight: VecDeque<Ticket> = VecDeque::new();
-    for i in 0..REQUESTS {
+    for i in 0..requests {
         while inflight.len() >= 12 {
             let t = inflight.pop_front().expect("inflight non-empty");
             resolve(t);
@@ -194,20 +196,41 @@ fn chaos_soak_survives_injected_faults_with_zero_lost_requests() {
     // Exactly one terminal outcome per submitted request; the process
     // never aborted (we are still here) and nothing saw ShuttingDown.
     assert_eq!(
-        ok + expired + load_failed + crashed + other,
-        REQUESTS,
+        o.ok + o.expired + o.load_failed + o.crashed + other,
+        requests,
         "every request gets exactly one terminal outcome"
     );
     assert_eq!(other, 0, "no request may observe a shutdown error mid-soak");
 
     // Reconciliation: the engine's ledger must match the client's.
     let c = engine.telemetry().snapshot().counters;
-    assert_eq!(c.submitted, REQUESTS);
-    assert_eq!(c.completed, ok);
-    assert_eq!(c.rejected_deadline, expired);
-    assert_eq!(c.requests_quarantined, crashed);
+    assert_eq!(c.submitted, requests);
+    assert_eq!(c.completed, o.ok);
+    assert_eq!(c.rejected_deadline, o.expired);
+    assert_eq!(c.requests_quarantined, o.crashed);
     let fault_sum = c.faults_panic + c.faults_slow + c.faults_load + c.faults_skew;
     assert_eq!(c.faults_injected, fault_sum);
+    (engine, o)
+}
+
+#[test]
+fn chaos_soak_survives_injected_faults_with_zero_lost_requests() {
+    let (engine, o) = soak(
+        400,
+        3,
+        ChaosConfig {
+            seed: 0xC4A05,
+            panic_per_mille: 150,
+            slow_per_mille: 150,
+            load_fail_per_mille: 200,
+            skew_per_mille: 50,
+            slow: Duration::from_millis(1),
+            // Far beyond the request deadline: a skewed clock expires its
+            // whole batch.
+            skew: Duration::from_secs(60),
+        },
+    );
+    let c = engine.telemetry().snapshot().counters;
     assert!(
         c.faults_injected >= 50,
         "the soak must inject >= 50 faults, got {}",
@@ -226,21 +249,37 @@ fn chaos_soak_survives_injected_faults_with_zero_lost_requests() {
     // either retried or terminally failed with the matching typed error.
     assert!(c.requests_retried > 0, "some faults must have been retried");
     assert!(
-        c.requests_retried + c.requests_quarantined + load_failed
+        c.requests_retried + c.requests_quarantined + o.load_failed
             >= c.faults_panic + c.faults_load,
         "retries ({}) + quarantined ({}) + terminal load failures ({}) must cover panic ({}) + load ({}) faults",
         c.requests_retried,
         c.requests_quarantined,
-        load_failed,
+        o.load_failed,
         c.faults_panic,
         c.faults_load
     );
 
     // Post-shutdown: draining state, admissions rejected with Draining.
+    let key = ModelKey::new("m2", 2);
     assert_eq!(engine.health(), Health::Draining);
     assert_eq!(
         engine.submit(&key, img(0, 8, 8), None).unwrap_err(),
         SubmitError::Draining
     );
     assert_eq!(engine.telemetry().snapshot().counters.rejected_draining, 1);
+
+    // The same soak with every rate at zero injects nothing, so every
+    // request succeeds and no worker restarts.
+    let (engine, o) = soak(
+        40,
+        2,
+        ChaosConfig {
+            seed: 0xC4A05,
+            ..ChaosConfig::default()
+        },
+    );
+    let c = engine.telemetry().snapshot().counters;
+    assert_eq!(c.faults_injected, 0);
+    assert_eq!(o.ok, 40);
+    assert_eq!(c.worker_restarts + c.requests_retried, 0);
 }

@@ -6,7 +6,7 @@
 use sesr_core::model::{Sesr, SesrConfig};
 use sesr_core::model_io::save_model;
 use sesr_core::CollapsedSesr;
-use sesr_serve::engine::{Engine, EngineConfig, Health, ServeError, SubmitError};
+use sesr_serve::engine::{Engine, EngineConfig, Health, ServeError, SubmitError, Ticket};
 use sesr_serve::registry::{ModelKey, ModelRegistry};
 use sesr_tensor::Tensor;
 use std::path::PathBuf;
@@ -440,20 +440,25 @@ fn more_workers_increase_throughput_on_multicore_hosts() {
             },
             registry,
         );
-        let spec = sesr_serve::loadgen::LoadSpec {
-            requests: 48,
-            mode: sesr_serve::loadgen::LoadMode::Closed {
-                concurrency: workers.max(2) * 2,
-            },
-            height: 48,
-            width: 48,
-            seed: 11,
-            deadline: None,
-            burst: 0,
-        };
-        let report = sesr_serve::loadgen::run_load(&engine, &key, &spec);
-        assert_eq!(report.completed as usize, spec.requests);
-        report.throughput_rps
+        // Closed loop: keep `concurrency` requests in flight, submitting
+        // the next one as the oldest completes; every request must succeed.
+        const REQUESTS: usize = 48;
+        let concurrency = workers.max(2) * 2;
+        let inputs: Vec<Tensor> = (0..8).map(|i| img(11 + i, 48, 48)).collect();
+        let mut inflight = std::collections::VecDeque::<Ticket>::new();
+        let started = std::time::Instant::now();
+        for i in 0..REQUESTS {
+            if inflight.len() >= concurrency {
+                let t = inflight.pop_front().expect("inflight non-empty");
+                t.wait().expect("request completes");
+            }
+            let input = inputs[i % inputs.len()].clone();
+            inflight.push_back(engine.submit(&key, input, None).expect("admitted"));
+        }
+        for t in inflight {
+            t.wait().expect("request completes");
+        }
+        REQUESTS as f64 / started.elapsed().as_secs_f64()
     };
     let single = run(1);
     let multi = run(cores.min(4));
