@@ -940,10 +940,10 @@ fn band(y0: usize, y1: usize, k: usize, i: usize) -> (usize, usize) {
 ///
 /// The cache is bounded: at most [`TilePlanner::DEFAULT_CAP`] shapes are
 /// kept (override with [`TilePlanner::with_capacity`]), evicting the
-/// least-recently-used plan once full. An image run sees a handful of
-/// shapes (interior, right edge, bottom edge, corner) and never evicts;
-/// long-lived video sessions with varying frame sizes would otherwise
-/// grow the cache without bound. Eviction only costs a rebuild on the
+/// least-recently-used plan once full. An image run sees up to nine
+/// shapes (see [`TilePlanner::DEFAULT_CAP`]); long-lived video sessions
+/// with varying frame sizes would otherwise grow the cache without
+/// bound. Eviction only costs a rebuild on the
 /// next use of that shape — plans are caches of geometry, not state —
 /// so it can never change output bits.
 #[derive(Debug)]
@@ -956,9 +956,13 @@ pub struct TilePlanner<D: Datapath = CollapsedKernels> {
 }
 
 impl<D: Datapath> TilePlanner<D> {
-    /// Default bound on cached tile shapes. A single frame size needs at
-    /// most four (interior / right edge / bottom edge / corner); eight
-    /// leaves headroom for one resolution change without thrash.
+    /// Default bound on cached tile shapes. A tiled run of one frame size
+    /// touches up to nine: the halo is clamped at the image border, so
+    /// the first, interior and last tiles differ on each axis, and a
+    /// walk over all nine through one planner evicts. Video sessions run
+    /// dirty rectangles instead ([`crate::TilePlan::dirty_rects`]): a
+    /// steady pan touches two or three rectangle shapes plus the whole
+    /// frame, well inside the bound.
     pub const DEFAULT_CAP: usize = 8;
 
     /// Creates an empty planner over shared kernels.

@@ -57,7 +57,7 @@ pub use collapsed::CollapsedSesr;
 pub use infer_plan::{CollapsedKernels, Datapath, InferPlan, LayerGraph, Plan, TilePlanner};
 pub use model::{Activation, BlockKind, Sesr, SesrConfig};
 pub use model_io::{decode_model, encode_model, load_model, save_model};
-pub use tiling::{TileError, TilePlan, TileSpec};
+pub use tiling::{TileError, TilePlan, TileRect, TileSpec};
 pub use train::{
     DivergenceGuard, FaultInjection, RecoveryEvent, RecoveryKind, SrNetwork, StepOutcome,
     TrainConfig, TrainError, TrainLoop, TrainReport, Trainer,

@@ -4,10 +4,11 @@
 //! The paper's DRAM optimization (Sec. 5.6) splits a large LR image into
 //! tiles, runs the collapsed network per tile with a halo of `overlap`
 //! pixels, and crops the halo after upscaling. This module extracts that
-//! geometry into a first-class [`TilePlan`] and runs it in two phases that
-//! every caller shares — `CollapsedSesr::run_tiled` (and `sesr upscale
-//! --tile N` through it) and the video session's dirty-tile recompute,
-//! whose per-tile CRC reuse needs tiles. Whole frames no longer need
+//! geometry into a first-class [`TilePlan`] and runs it in two phases for
+//! `CollapsedSesr::run_tiled` (and `sesr upscale --tile N` through it).
+//! Video sessions hash tiles for CRC reuse, merge the dirty ones into
+//! rectangles ([`TilePlan::dirty_rects`]), and run each rectangle through
+//! `TilePlanner::run_tile` and [`paste_interior`]. Whole frames no longer need
 //! tiling to bound memory: a [`crate::infer_plan::Plan`] streams the chain
 //! depth-first through row rings, so its arena grows with the width only,
 //! and the serving engine runs large frames whole.
@@ -244,6 +245,91 @@ impl TilePlan {
             })
             .collect()
     }
+
+    /// Merges the `dirty` tiles (one entry per tile, e.g. from
+    /// [`TilePlan::recompute_mask`]) into rectangles that each run once
+    /// with one halo, instead of one halo per tile.
+    ///
+    /// Each tile row's maximal runs of dirty tiles are found first; runs
+    /// in consecutive tile rows with identical column spans then stack
+    /// into one rectangle. A rectangle's [`TileSpec`] is the union of its
+    /// members' specs — `ey0`/`ex0` from the first tile, `ey1`/`ex1` from
+    /// the last — so its origin stays even and its halo covers the same
+    /// radius on every side: the seam-exact argument of the module docs
+    /// holds unchanged. A rectangle never includes a clean tile, and its
+    /// patch is never larger than the sum of its members' patches.
+    /// Rectangles come in row-major order of their first tile.
+    ///
+    /// # Panics
+    ///
+    /// When `dirty.len() != self.len()`.
+    pub fn dirty_rects(&self, dirty: &[bool]) -> Vec<TileRect> {
+        assert_eq!(
+            dirty.len(),
+            self.tiles.len(),
+            "dirty mask must have one entry per tile"
+        );
+        if self.tiles.is_empty() {
+            return Vec::new();
+        }
+        let cols = self.w.div_ceil(self.tile);
+        let rows = self.tiles.len() / cols;
+        // Open rectangles as (first row, column span), extended while the
+        // next tile row has a run with the same span. Row `rows` has no
+        // runs, so it closes every rectangle still open.
+        let mut open: Vec<(usize, usize, usize)> = Vec::new();
+        let mut done: Vec<(usize, usize, usize, usize)> = Vec::new();
+        for r in 0..=rows {
+            let row = dirty.get(r * cols..(r + 1) * cols).unwrap_or_default();
+            let mut next = Vec::new();
+            let mut c0 = 0;
+            for run in row.chunk_by(|a, b| a == b) {
+                let c1 = c0 + run.len();
+                if run[0] {
+                    let r0 = match open.iter().position(|&(_, a, b)| (a, b) == (c0, c1)) {
+                        Some(i) => open.swap_remove(i).0,
+                        None => r,
+                    };
+                    next.push((r0, c0, c1));
+                }
+                c0 = c1;
+            }
+            done.extend(open.drain(..).map(|(r0, c0, c1)| (r0, r, c0, c1)));
+            open = next;
+        }
+        done.sort_unstable_by_key(|&(r0, _, c0, _)| (r0, c0));
+        done.into_iter()
+            .map(|(r0, r1, c0, c1)| {
+                let first = &self.tiles[r0 * cols + c0];
+                let last = &self.tiles[(r1 - 1) * cols + c1 - 1];
+                TileRect {
+                    spec: TileSpec {
+                        y0: first.y0,
+                        y1: last.y1,
+                        x0: first.x0,
+                        x1: last.x1,
+                        ey0: first.ey0,
+                        ey1: last.ey1,
+                        ex0: first.ex0,
+                        ex1: last.ex1,
+                    },
+                    tiles: (r0..r1)
+                        .flat_map(|r| (c0..c1).map(move |c| r * cols + c))
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+}
+
+/// A block of whole tiles from [`TilePlan::dirty_rects`], run as one
+/// patch with one halo.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TileRect {
+    /// The union of the member tiles' specs (even origin, one halo).
+    pub spec: TileSpec,
+    /// Member tile indices into [`TilePlan::tiles`], row-major.
+    pub tiles: Vec<usize>,
 }
 
 /// Every tile's output from one [`run_tiles`] call.
@@ -405,6 +491,141 @@ mod tests {
     fn recompute_mask_rejects_wrong_length() {
         let plan = TilePlan::new(16, 16, 8, 2).unwrap();
         let _ = plan.recompute_mask(&[true]);
+    }
+
+    /// Grid `(row, col)` spans of each rectangle, for readable asserts.
+    fn spans(plan: &TilePlan, rects: &[TileRect]) -> Vec<((usize, usize), (usize, usize))> {
+        let t = plan.tile();
+        rects
+            .iter()
+            .map(|r| {
+                let s = r.spec;
+                ((s.y0 / t, s.y1.div_ceil(t)), (s.x0 / t, s.x1.div_ceil(t)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dirty_rects_partition_exactly_the_dirty_interiors() {
+        for (h, w, tile, overlap) in [(17, 23, 6, 4), (96, 160, 32, 15), (31, 19, 5, 6)] {
+            let plan = TilePlan::new(h, w, tile, overlap).unwrap();
+            let mut state = 0x9E37_79B9u64 ^ (h * w) as u64;
+            for _ in 0..64 {
+                let dirty: Vec<bool> = (0..plan.len())
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        !(state >> 33).is_multiple_of(3)
+                    })
+                    .collect();
+                let rects = plan.dirty_rects(&dirty);
+                let mut covered = vec![0u8; h * w];
+                let mut members = vec![0u8; plan.len()];
+                for r in &rects {
+                    let s = r.spec;
+                    assert_eq!((s.ey0 % 2, s.ex0 % 2), (0, 0), "{s:?}");
+                    let summed: usize = r
+                        .tiles
+                        .iter()
+                        .map(|&i| plan.tiles()[i].patch_h() * plan.tiles()[i].patch_w())
+                        .sum();
+                    assert!(s.patch_h() * s.patch_w() <= summed, "{s:?}");
+                    for &i in &r.tiles {
+                        assert!(dirty[i], "clean tile {i} inside {s:?}");
+                        members[i] += 1;
+                    }
+                    for y in s.y0..s.y1 {
+                        for x in s.x0..s.x1 {
+                            covered[y * w + x] += 1;
+                        }
+                    }
+                }
+                for (i, t) in plan.tiles().iter().enumerate() {
+                    assert_eq!(members[i], u8::from(dirty[i]), "tile {i}");
+                    for y in t.y0..t.y1 {
+                        for x in t.x0..t.x1 {
+                            assert_eq!(covered[y * w + x], u8::from(dirty[i]), "({y},{x})");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_rects_keep_every_member_halo() {
+        // A rectangle's halo-expanded region covers each member tile's:
+        // every member output sees the pixels it would see alone.
+        let plan = TilePlan::new(40, 52, 8, 5).unwrap();
+        let rects = plan.dirty_rects(&vec![true; plan.len()]);
+        assert_eq!(rects.len(), 1);
+        let s = rects[0].spec;
+        assert_eq!((s.y0, s.y1, s.x0, s.x1), (0, 40, 0, 52));
+        assert_eq!((s.ey0, s.ey1, s.ex0, s.ex1), (0, 40, 0, 52));
+        for (i, t) in plan.tiles().iter().enumerate() {
+            assert!(s.ey0 <= t.ey0 && t.ey1 <= s.ey1, "tile {i}");
+            assert!(s.ex0 <= t.ex0 && t.ex1 <= s.ex1, "tile {i}");
+        }
+        assert!(plan.dirty_rects(&vec![false; plan.len()]).is_empty());
+    }
+
+    #[test]
+    fn dirty_rects_split_an_l_shape_into_two() {
+        // 4x4 grid: column 0 dirty in rows 0-3, plus row 3 columns 1-2.
+        // Rows 0-2 share the span [0, 1); row 3's run [0, 3) differs.
+        let plan = TilePlan::new(32, 32, 8, 2).unwrap();
+        let mut dirty = vec![false; plan.len()];
+        for r in 0..4 {
+            dirty[r * 4] = true;
+        }
+        dirty[13] = true;
+        dirty[14] = true;
+        let rects = plan.dirty_rects(&dirty);
+        assert_eq!(
+            spans(&plan, &rects),
+            vec![((0, 3), (0, 1)), ((3, 4), (0, 3))]
+        );
+        assert_eq!(rects[0].tiles, vec![0, 4, 8]);
+        assert_eq!(rects[1].tiles, vec![12, 13, 14]);
+    }
+
+    #[test]
+    fn dirty_rects_merge_the_pan_into_one_rectangle() {
+        // 96x160 LR, 32 px tiles, an m11-radius (15 px) halo: a sprite
+        // stepping from tile (1, 1) to (1, 2) changes two tiles, which
+        // dirties 12 (every row, columns 0-3) — one 96x143 rectangle.
+        let plan = TilePlan::new(96, 160, 32, 15).unwrap();
+        let mut changed = vec![false; plan.len()];
+        changed[5 + 1] = true;
+        changed[5 + 2] = true;
+        let rects = plan.dirty_rects(&plan.recompute_mask(&changed));
+        assert_eq!(spans(&plan, &rects), vec![((0, 3), (0, 4))]);
+        assert_eq!(rects[0].tiles.len(), 12);
+        let s = rects[0].spec;
+        assert_eq!((s.patch_h(), s.patch_w()), (96, 143));
+        // The step from (1, 2) to (1, 3) gives columns 1-4: 96x144.
+        let mut changed = vec![false; plan.len()];
+        changed[5 + 2] = true;
+        changed[5 + 3] = true;
+        let rects = plan.dirty_rects(&plan.recompute_mask(&changed));
+        assert_eq!(spans(&plan, &rects), vec![((0, 3), (1, 5))]);
+        let s = rects[0].spec;
+        assert_eq!((s.ex0, s.patch_h(), s.patch_w()), (16, 96, 144));
+        // Per-tile patches would have summed to far more work.
+        let summed: usize = rects[0]
+            .tiles
+            .iter()
+            .map(|&i| plan.tiles()[i].patch_h() * plan.tiles()[i].patch_w())
+            .sum();
+        assert!(summed > 2 * s.patch_h() * s.patch_w(), "{summed}");
+    }
+
+    #[test]
+    #[should_panic(expected = "one entry per tile")]
+    fn dirty_rects_rejects_wrong_length() {
+        let plan = TilePlan::new(16, 16, 8, 2).unwrap();
+        let _ = plan.dirty_rects(&[true]);
     }
 
     #[test]

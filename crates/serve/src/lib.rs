@@ -58,8 +58,9 @@
 //!   workspace has no real serde).
 //! * [`video`] — stateful streaming-SR sessions: per-tile CRC32 content
 //!   hashes skip unchanged tiles (cached HR bits blitted back), dirty
-//!   rects expand by the halo radius so composites stay bit-identical
-//!   to whole-frame runs, and an any-time M3/M5/M7/M11 ladder degrades
+//!   tiles expand by the halo radius and merge into rectangles that run
+//!   with one halo each, so composites stay bit-identical to whole-frame
+//!   runs, and an any-time M3/M5/M7/M11 ladder degrades
 //!   PSNR instead of latency under deadline pressure.
 //! * [`video_bench`] — the `video-bench` harness emitting
 //!   `BENCH_video.json` (frames/sec and PSNR-vs-deadline on synthetic

@@ -551,7 +551,7 @@ impl PlanCache {
 
     /// An f32 [`TilePlanner`] for `model`, created on first use and shared
     /// by every tile shape that model runs at. Video sessions walk the
-    /// any-time ladder per dirty tile, so one worker holds one warm
+    /// any-time ladder per dirty rectangle, so one worker holds one warm
     /// planner per rung; each planner bounds its per-shape plans with its
     /// own LRU. The `bool` is `true` on a cache hit. Staleness follows
     /// the same rules as the plan levels.

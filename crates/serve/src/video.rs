@@ -13,17 +13,27 @@
 //! * **Dirty-rect planning.** Changed tiles are expanded by the halo
 //!   radius through [`TilePlan::recompute_mask`]: tile `T` recomputes
 //!   exactly when some changed interior intersects `T`'s run region.
-//!   Because `T`'s output depends on precisely its expanded region, the
+//!   [`TilePlan::dirty_rects`] then merges the dirty tiles into
+//!   rectangles — maximal runs per tile row, stacked while consecutive
+//!   rows share a column span — and each rectangle runs once through
+//!   `TilePlanner::run_tile` with one halo, instead of one halo per
+//!   tile (a 12-tile pan at a 15 px halo drops from 37k to 14k LR pixels
+//!   of work). A rectangle's spec is the union of its members' specs:
+//!   even origin, halo ≥ radius on every side, no clean member. Because
+//!   each output depends on precisely its expanded region, the
 //!   reused+recomputed composite is **bit-identical** to a whole-frame
 //!   run (enforced by proptest in `tests/video.rs`).
 //! * **Any-time quality ladder.** Under deadline pressure the session
 //!   degrades PSNR instead of latency (after "ARM: Any-Time
-//!   Super-Resolution Method"): each dirty tile picks a rung of the
-//!   M3/M5/M7/M11 ladder from a cheap edge-energy difficulty estimate,
-//!   then rungs are walked down when the per-rung EWMA cost model says
-//!   the remaining deadline cannot fit the remaining tiles. Hard tiles
-//!   are computed first at high rungs so the cheap rungs land on flat
-//!   tiles, where the PSNR loss is smallest.
+//!   Super-Resolution Method"): each dirty rectangle picks a rung of the
+//!   M3/M5/M7/M11 ladder from a cheap edge-energy difficulty estimate —
+//!   the max over its member tiles, so a rectangle never runs below what
+//!   its hardest tile asks for — then rungs are walked down when the
+//!   per-rung EWMA cost model says the remaining deadline cannot fit the
+//!   remaining rectangles. Hard rectangles are computed first at high
+//!   rungs so the cheap rungs land on flat ones, where the PSNR loss is
+//!   smallest. The tile counters (`FrameStats`, `SessionStats`) still
+//!   count tiles: a rectangle adds its member count.
 //!
 //! The session itself is a pure state machine — hashing, planning,
 //! compositing — with no threads or queues; `engine::Engine` wires it
@@ -232,9 +242,11 @@ pub struct FrameResult {
     pub stats: FrameStats,
 }
 
-/// One dirty tile scheduled for recompute, ordered hardest-first.
-struct DirtyTile {
-    index: usize,
+/// One rectangle of dirty tiles scheduled for recompute, ordered
+/// hardest-first. `tiles` is its member count, for the tile counters.
+struct DirtyRect {
+    spec: TileSpec,
+    tiles: u64,
     difficulty: f64,
     desired_rung: usize,
     patch_px: f64,
@@ -332,19 +344,21 @@ impl VideoSession {
         self.last_seq
     }
 
-    /// Precompiles every (rung, tile shape) plan this session can touch
-    /// by running each grid tile once per ladder rung against a zero
-    /// frame. A long-lived session reaches this state on its own within
-    /// a few frames; a caller that must hold per-frame deadlines from
-    /// the start pays the compile cost here instead of inside a
-    /// deadline window. Session state and the EWMA cost model are
-    /// untouched — warming runs are not load-representative samples.
+    /// Precompiles, per ladder rung, the plan of the all-dirty frame —
+    /// the one whole-frame rectangle that frame 0 and every scene cut
+    /// run — by running it once against a zero frame. Partial frames'
+    /// rectangle shapes depend on where the content moves, so they
+    /// compile on first use. A caller that must hold per-frame deadlines
+    /// from the start pays the largest compile cost here instead of
+    /// inside a deadline window. Session state and the EWMA cost model
+    /// are untouched — warming runs are not load-representative samples.
     pub fn warm_plans(&self, models: &[Arc<CollapsedSesr>], plans: &mut PlanCache) {
         let frame = Tensor::zeros(&[1, self.spec.height, self.spec.width]);
+        let rects = self.plan.dirty_rects(&vec![true; self.plan.len()]);
         for (key, model) in self.spec.ladder.iter().zip(models) {
             let (planner, _) = plans.tile_planner_for(key, model);
-            for &spec in self.plan.tiles() {
-                planner.run_tile(&frame, &spec);
+            for rect in &rects {
+                planner.run_tile(&frame, &rect.spec);
             }
         }
     }
@@ -419,31 +433,39 @@ impl VideoSession {
             self.plan.recompute_mask(&changed)
         };
 
-        // Pass 3: rung selection. Hardest tiles first, so that when the
-        // deadline budget runs low it is the flat tiles that degrade.
-        let mut dirty: Vec<DirtyTile> = self
+        // Pass 3: merge the dirty tiles into rectangles with one halo
+        // each, and pick each rectangle's rung: the hardest member tile
+        // sets both its desired rung and its place in the hardest-first
+        // order, so that when the deadline budget runs low it is the flat
+        // rectangles that degrade.
+        let mut dirty: Vec<DirtyRect> = self
             .plan
-            .tiles()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| recompute[i])
-            .map(|(i, t)| {
-                let difficulty = edge_energy(frame, t);
-                let desired_rung = if self.spec.anytime {
-                    self.spec
+            .dirty_rects(&recompute)
+            .into_iter()
+            .map(|rect| {
+                let (difficulty, desired_rung) = if self.spec.anytime {
+                    let difficulty = rect
+                        .tiles
+                        .iter()
+                        .map(|&i| edge_energy(frame, &self.plan.tiles()[i]))
+                        .fold(0.0, f64::max);
+                    let rung = self
+                        .spec
                         .difficulty_thresholds
                         .iter()
                         .take(top)
                         .filter(|&&th| difficulty >= f64::from(th))
-                        .count()
+                        .count();
+                    (difficulty, rung)
                 } else {
-                    top
+                    (0.0, top)
                 };
-                DirtyTile {
-                    index: i,
+                DirtyRect {
+                    patch_px: (rect.spec.patch_h() * rect.spec.patch_w()) as f64,
+                    spec: rect.spec,
+                    tiles: rect.tiles.len() as u64,
                     difficulty,
                     desired_rung,
-                    patch_px: (t.patch_h() * t.patch_w()) as f64,
                 }
             })
             .collect();
@@ -453,22 +475,23 @@ impl VideoSession {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
 
-        // Pass 4: compute dirty tiles into a fresh copy of the plane
+        // Pass 4: compute dirty rectangles into a fresh copy of the plane
         // (commit-at-end keeps a mid-frame panic from corrupting state).
         let mut out = match &self.hr {
             Some(prev) => prev.clone(),
             None => Tensor::zeros(&[1, h * s, w * s]),
         };
+        let dirty_tiles = recompute.iter().filter(|&&r| r).count();
         let mut frame_stats = FrameStats {
             seq,
             tiles_total: self.plan.len() as u64,
-            tiles_skipped: (recompute.len() - dirty.len()) as u64,
+            tiles_skipped: (recompute.len() - dirty_tiles) as u64,
             ..FrameStats::default()
         };
         let mut ewma = self.ewma_ns_per_px.clone();
-        // LR pixels still queued behind the current tile; with the live
-        // cheapest-rung estimate this prices the floor cost of finishing
-        // the frame, which the deadline fit reserves room for.
+        // LR pixels still queued behind the current rectangle; with the
+        // live cheapest-rung estimate this prices the floor cost of
+        // finishing the frame, which the deadline fit reserves room for.
         let mut suffix_px: f64 = dirty.iter().map(|d| d.patch_px).sum();
         for d in &dirty {
             suffix_px -= d.patch_px;
@@ -477,21 +500,20 @@ impl VideoSession {
             } else {
                 top
             };
-            let spec = self.plan.tiles()[d.index];
             let started = Instant::now();
             let (planner, _) = plans.tile_planner_for(&keys[rung], &models[rung]);
-            let sr = planner.run_tile(frame, &spec);
+            let sr = planner.run_tile(frame, &d.spec);
             let elapsed = started.elapsed().as_nanos() as f64;
             let sample = elapsed / d.patch_px.max(1.0);
             ewma[rung] = Some(match ewma[rung] {
                 Some(prev) => 0.7 * prev + 0.3 * sample,
                 None => sample,
             });
-            paste_interior(&mut out, &sr, &spec, s);
-            frame_stats.tiles_recomputed += 1;
-            frame_stats.rungs[rung.min(RUNG_BUCKETS - 1)] += 1;
+            paste_interior(&mut out, &sr, &d.spec, s);
+            frame_stats.tiles_recomputed += d.tiles;
+            frame_stats.rungs[rung.min(RUNG_BUCKETS - 1)] += d.tiles;
             if rung < top {
-                frame_stats.tiles_degraded += 1;
+                frame_stats.tiles_degraded += d.tiles;
             }
         }
         if let Some(d) = deadline {
@@ -531,12 +553,12 @@ impl VideoSession {
 const DEADLINE_SLACK: f64 = 0.8;
 
 /// Picks the best rung ≤ `desired` whose estimated cost, plus a
-/// cheapest-rung floor for the tiles still queued behind this one, fits
-/// the slack-adjusted remaining deadline. Unknown costs are treated as
-/// fitting (the first frame is exploratory — its samples train the
+/// cheapest-rung floor for the rectangles still queued behind this one,
+/// fits the slack-adjusted remaining deadline. Unknown costs are treated
+/// as fitting (the first frame is exploratory — its samples train the
 /// EWMA).
 fn fit_rung(
-    d: &DirtyTile,
+    d: &DirtyRect,
     deadline: Option<Instant>,
     ewma: &[Option<f64>],
     floor_rest_ns: f64,

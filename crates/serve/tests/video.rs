@@ -65,6 +65,83 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One randomized frame sequence for the reuse invariant.
+#[derive(Debug, Clone)]
+struct ReuseCase {
+    h: usize,
+    w: usize,
+    tile: usize,
+    n_pokes: usize,
+    poke_seed: u64,
+    scramble: bool,
+    frames: usize,
+}
+
+/// Feeds `case`'s frames through a session with `spec`'s settings and
+/// checks every composite against the whole-frame top-rung run.
+fn check_reuse_case(case: &ReuseCase, mut spec: VideoSessionSpec) {
+    let ReuseCase {
+        h,
+        w,
+        tile,
+        n_pokes,
+        poke_seed,
+        scramble,
+        frames,
+    } = *case;
+    spec.tile = tile;
+    let models: Vec<Arc<CollapsedSesr>> = ladder().iter().map(|(_, m)| Arc::clone(m)).collect();
+    let mut sess = VideoSession::new(spec, &models).unwrap();
+    let mut plans = PlanCache::new();
+    let mut cur = frame(poke_seed ^ 0xF00D, h, w);
+    let first = sess
+        .process_frame(0, &cur, None, &models, &mut plans)
+        .unwrap();
+    prop_assert_eq!(reference(&cur).max_abs_diff(&first.output), 0.0);
+    let mut rng = poke_seed;
+    for seq in 1..frames as u64 {
+        if scramble {
+            // All-dirty extreme: a scene cut.
+            cur = frame(splitmix(&mut rng), h, w);
+        } else {
+            // n_pokes == 0 is the all-static extreme. Even pokes
+            // land on tile corners — the halo-boundary extreme —
+            // odd pokes land anywhere.
+            for p in 0..n_pokes {
+                let (y, x) = if p % 2 == 0 {
+                    (
+                        ((splitmix(&mut rng) as usize) / tile * tile).min(h - 1),
+                        ((splitmix(&mut rng) as usize) / tile * tile).min(w - 1),
+                    )
+                } else {
+                    (
+                        splitmix(&mut rng) as usize % h,
+                        splitmix(&mut rng) as usize % w,
+                    )
+                };
+                cur.data_mut()[y * w + x] += 0.25 + (p as f32) * 0.01;
+            }
+        }
+        let r = sess
+            .process_frame(seq, &cur, None, &models, &mut plans)
+            .unwrap();
+        prop_assert_eq!(
+            reference(&cur).max_abs_diff(&r.output),
+            0.0,
+            "composite diverged at seq {} ({:?})",
+            seq,
+            case
+        );
+        prop_assert_eq!(
+            r.stats.tiles_recomputed + r.stats.tiles_skipped,
+            r.stats.tiles_total
+        );
+        if !scramble && n_pokes == 0 {
+            prop_assert_eq!(r.stats.tiles_recomputed, 0);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -82,50 +159,29 @@ proptest! {
         scramble in any::<bool>(),
         frames in 2usize..=4,
     ) {
+        let case = ReuseCase { h, w, tile, n_pokes, poke_seed, scramble, frames };
+        check_reuse_case(&case, VideoSessionSpec::new(h, w, ladder_keys()));
+    }
+
+    /// The same invariant through the any-time walk: with every tile
+    /// "hard" and no deadline, each merged rectangle runs at the top
+    /// rung, so the composite must still match the reference bit for
+    /// bit.
+    #[test]
+    fn anytime_reuse_composite_is_bit_identical_to_full_run(
+        h in 12usize..=34,
+        w in 12usize..=34,
+        tile in prop::sample::select(vec![6usize, 8, 12]),
+        n_pokes in 0usize..=6,
+        poke_seed in any::<u64>(),
+        scramble in any::<bool>(),
+        frames in 2usize..=4,
+    ) {
+        let case = ReuseCase { h, w, tile, n_pokes, poke_seed, scramble, frames };
         let mut spec = VideoSessionSpec::new(h, w, ladder_keys());
-        spec.tile = tile;
-        let models: Vec<Arc<CollapsedSesr>> =
-            ladder().iter().map(|(_, m)| Arc::clone(m)).collect();
-        let mut sess = VideoSession::new(spec, &models).unwrap();
-        let mut plans = PlanCache::new();
-        let mut cur = frame(poke_seed ^ 0xF00D, h, w);
-        let first = sess.process_frame(0, &cur, None, &models, &mut plans).unwrap();
-        prop_assert_eq!(reference(&cur).max_abs_diff(&first.output), 0.0);
-        let mut rng = poke_seed;
-        for seq in 1..frames as u64 {
-            if scramble {
-                // All-dirty extreme: a scene cut.
-                cur = frame(splitmix(&mut rng), h, w);
-            } else {
-                // n_pokes == 0 is the all-static extreme. Even pokes
-                // land on tile corners — the halo-boundary extreme —
-                // odd pokes land anywhere.
-                for p in 0..n_pokes {
-                    let (y, x) = if p % 2 == 0 {
-                        (
-                            ((splitmix(&mut rng) as usize) / tile * tile).min(h - 1),
-                            ((splitmix(&mut rng) as usize) / tile * tile).min(w - 1),
-                        )
-                    } else {
-                        (
-                            splitmix(&mut rng) as usize % h,
-                            splitmix(&mut rng) as usize % w,
-                        )
-                    };
-                    cur.data_mut()[y * w + x] += 0.25 + (p as f32) * 0.01;
-                }
-            }
-            let r = sess.process_frame(seq, &cur, None, &models, &mut plans).unwrap();
-            prop_assert_eq!(
-                reference(&cur).max_abs_diff(&r.output),
-                0.0,
-                "composite diverged at seq {} (h={}, w={}, tile={}, pokes={}, scramble={})",
-                seq, h, w, tile, n_pokes, scramble
-            );
-            if !scramble && n_pokes == 0 {
-                prop_assert_eq!(r.stats.tiles_recomputed, 0);
-            }
-        }
+        spec.anytime = true;
+        spec.difficulty_thresholds = vec![0.0];
+        check_reuse_case(&case, spec);
     }
 }
 
@@ -436,9 +492,10 @@ fn router_unknown_session_errors_are_typed() {
     );
 }
 
-/// `warm_plans` is a pure cache warm-up: it must precompile every
-/// (rung, tile shape) planner entry without touching session state, and
-/// a warmed session's composites must stay bit-identical to a cold one.
+/// `warm_plans` is a pure cache warm-up: it must precompile each rung's
+/// all-dirty (whole-frame) plan without touching session state, frames
+/// that run whole must then hit that plan, and a warmed session's
+/// composites must stay bit-identical to a cold one.
 #[test]
 fn warm_plans_precompiles_without_changing_outputs() {
     let models: Vec<Arc<CollapsedSesr>> = ladder().iter().map(|(_, m)| Arc::clone(m)).collect();
@@ -448,10 +505,12 @@ fn warm_plans_precompiles_without_changing_outputs() {
     let mut warm = VideoSession::new(spec.clone(), &models).expect("session");
     let mut warm_plans = PlanCache::new();
     warm.warm_plans(&models, &mut warm_plans);
-    // Every rung's planner now exists: re-requesting each is a hit.
+    // Every rung's planner now exists (re-requesting each is a hit) and
+    // holds exactly the whole-frame plan.
     for (key, model) in ladder() {
-        let (_, hit) = warm_plans.tile_planner_for(key, model);
+        let (planner, hit) = warm_plans.tile_planner_for(key, model);
         assert!(hit, "warm_plans must have built the {key:?} planner");
+        assert_eq!(planner.cached_plans(), 1, "{key:?}");
     }
     assert_eq!(warm.stats(), Default::default(), "warming touched stats");
     assert_eq!(warm.last_seq(), None, "warming settled a frame");
@@ -472,4 +531,66 @@ fn warm_plans_precompiles_without_changing_outputs() {
             "warmed session diverged at frame {seq}"
         );
     }
+    // Every frame above was all-dirty and ran as the warmed whole-frame
+    // rectangle: the top rung compiled nothing new.
+    let (key, model) = &ladder()[ladder().len() - 1];
+    let (planner, _) = warm_plans.tile_planner_for(key, model);
+    assert_eq!(planner.cached_plans(), 1);
+}
+
+/// At the benchmark's video geometry — 96x160 LR, 32 px tiles, an
+/// m11-radius (15 px) halo — a sprite stepping one tile per frame dirties
+/// 12 of the 15 tiles, which run as one 96x143 or 96x144 rectangle. With
+/// the whole frame that is three plan shapes, so the top rung's planner
+/// never evicts; per-tile runs touched nine clamped shapes, one more
+/// than `TilePlanner::DEFAULT_CAP`.
+#[test]
+fn steady_pan_never_evicts_the_top_rung_planner() {
+    // Four feature channels keep the m11 chain cheap in debug builds;
+    // the halo depends only on the kernel stack.
+    let cfg = SesrConfig {
+        f: 4,
+        ..SesrConfig::m(11).with_expanded(4).with_seed(60)
+    };
+    let model = Arc::new(Sesr::new(cfg).collapse());
+    assert_eq!(model.receptive_field_radius(), 15);
+    let key = ModelKey::new("m11", 2);
+    let models = vec![Arc::clone(&model)];
+    let mut spec = VideoSessionSpec::new(96, 160, vec![key.clone()]);
+    spec.tile = 32;
+    let mut sess = VideoSession::new(spec, &models).expect("session");
+    let mut plans = PlanCache::new();
+    sess.warm_plans(&models, &mut plans);
+
+    // A 24 px sprite inside tile row 1, bouncing over tile columns 1-3.
+    let background = frame(61, 96, 160);
+    let sprite = frame(62, 24, 24);
+    let pan: Vec<Tensor> = [36usize, 68, 100]
+        .iter()
+        .map(|&x| {
+            let mut f = background.clone();
+            f.blit_hw(&sprite, 36, x);
+            f
+        })
+        .collect();
+    let position = |seq: u64| [0usize, 1, 2, 1][seq as usize % 4];
+    for seq in 0..26u64 {
+        let f = &pan[position(seq)];
+        let r = sess
+            .process_frame(seq, f, None, &models, &mut plans)
+            .expect("pan frame");
+        if seq > 0 {
+            assert_eq!(
+                (r.stats.tiles_recomputed, r.stats.tiles_skipped),
+                (12, 3),
+                "frame {seq}"
+            );
+        }
+        if seq == 25 {
+            assert_eq!(model.run(f).max_abs_diff(&r.output), 0.0);
+        }
+    }
+    let (planner, _) = plans.tile_planner_for(&key, &model);
+    assert_eq!(planner.evictions(), 0);
+    assert_eq!(planner.cached_plans(), 3);
 }
