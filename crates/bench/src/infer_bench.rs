@@ -18,8 +18,8 @@
 use sesr_core::infer_plan::{CollapsedKernels, InferPlan};
 use sesr_core::model::Sesr;
 use sesr_quant::{calibrate, QuantKernels, QuantPlan, QuantizedSesr};
-use sesr_serve::bench::arch_config;
-use sesr_serve::json::{array, JsonObject};
+use sesr_serve::bench::{arch_config, report_archs, ReportConfig};
+use sesr_serve::json::{array, JsonObject, JsonValue};
 use sesr_tensor::simd::{microkernel, set_kernel_variant, KernelVariant};
 use sesr_tensor::Tensor;
 use std::sync::Arc;
@@ -85,6 +85,61 @@ impl Default for InferBenchConfig {
             int8: true,
             psnr_budget: 1.0,
         }
+    }
+}
+
+impl InferBenchConfig {
+    /// Rebuilds the configuration a `BENCH_infer.json` report was
+    /// recorded with: its `archs` list and its `config` block (see
+    /// [`ReportConfig`]).
+    ///
+    /// # Errors
+    ///
+    /// A `config` key is missing, unknown, or not reproducible, or the
+    /// report has no `archs` list.
+    pub fn from_report(report: &JsonValue) -> Result<Self, String> {
+        let c = ReportConfig::of(report)?;
+        let cfg = Self {
+            archs: report_archs(report)?,
+            scale: c.num("scale")? as usize,
+            expanded: c.num("expanded")? as usize,
+            seed: c.num("seed")? as u64,
+            iters: c.num("iters")? as usize,
+            warmup: c.num("warmup")? as usize,
+            h: c.num("h")? as usize,
+            w: c.num("w")? as usize,
+            threads: Some(c.num("threads")? as usize),
+            variant: match c.str("variant")? {
+                "auto" => None,
+                pinned => Some(pinned.to_string()),
+            },
+            int8: c.bool("int8")?,
+            psnr_budget: c.num("psnr_budget")?,
+        };
+        c.matches(&cfg.config_json())?;
+        Ok(cfg)
+    }
+
+    /// The report's `config` block (`threads` resolved to the pool size
+    /// the run used, an unpinned variant written as `auto`).
+    pub fn config_json(&self) -> String {
+        JsonObject::new()
+            .int("scale", self.scale as u64)
+            .int("expanded", self.expanded as u64)
+            .int("seed", self.seed)
+            .int("iters", self.iters as u64)
+            .int("warmup", self.warmup as u64)
+            .int("h", self.h as u64)
+            .int("w", self.w as u64)
+            .int(
+                "threads",
+                self.threads
+                    .unwrap_or_else(sesr_tensor::parallel::num_threads) as u64,
+            )
+            .str("variant", self.variant.as_deref().unwrap_or("auto"))
+            .bool("int8", self.int8)
+            .num("psnr_budget", self.psnr_budget)
+            .finish()
     }
 }
 
@@ -333,23 +388,6 @@ fn ms_since(t0: Instant) -> f64 {
 /// `results` object is keyed by architecture label so the bench gate can
 /// address `results.<arch>.planned_images_per_sec` directly.
 pub fn infer_bench_report_json(cfg: &InferBenchConfig, results: &[InferArchResult]) -> String {
-    let config = JsonObject::new()
-        .int("scale", cfg.scale as u64)
-        .int("expanded", cfg.expanded as u64)
-        .int("seed", cfg.seed)
-        .int("iters", cfg.iters as u64)
-        .int("warmup", cfg.warmup as u64)
-        .int("h", cfg.h as u64)
-        .int("w", cfg.w as u64)
-        .int(
-            "threads",
-            cfg.threads
-                .unwrap_or_else(sesr_tensor::parallel::num_threads) as u64,
-        )
-        .str("variant", cfg.variant.as_deref().unwrap_or("auto"))
-        .bool("int8", cfg.int8)
-        .num("psnr_budget", cfg.psnr_budget)
-        .finish();
     let mut results_obj = JsonObject::new();
     for r in results {
         let mut arch = JsonObject::new()
@@ -386,7 +424,7 @@ pub fn infer_bench_report_json(cfg: &InferBenchConfig, results: &[InferArchResul
             "archs",
             &array(results.iter().map(|r| format!("\"{}\"", r.arch))),
         )
-        .raw("config", &config)
+        .raw("config", &cfg.config_json())
         .raw("results", &results_obj.finish())
         .finish()
 }

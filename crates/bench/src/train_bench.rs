@@ -18,8 +18,8 @@ use sesr_autograd::{Adam, AdamConfig, OpProfile, Tape};
 use sesr_core::model::Sesr;
 use sesr_core::train::SrNetwork;
 use sesr_data::{PatchSampler, TrainSet};
-use sesr_serve::bench::arch_config;
-use sesr_serve::json::{array, JsonObject};
+use sesr_serve::bench::{arch_config, report_archs, ReportConfig};
+use sesr_serve::json::{array, JsonObject, JsonValue};
 use sesr_tensor::Tensor;
 use std::time::Instant;
 
@@ -59,6 +59,52 @@ impl Default for TrainBenchConfig {
             hr_patch: 32,
             threads: None,
         }
+    }
+}
+
+impl TrainBenchConfig {
+    /// Rebuilds the configuration a `BENCH_train.json` report was
+    /// recorded with: its `archs` list and its `config` block (see
+    /// [`ReportConfig`]).
+    ///
+    /// # Errors
+    ///
+    /// A `config` key is missing, unknown, or not reproducible, or the
+    /// report has no `archs` list.
+    pub fn from_report(report: &JsonValue) -> Result<Self, String> {
+        let c = ReportConfig::of(report)?;
+        let cfg = Self {
+            archs: report_archs(report)?,
+            scale: c.num("scale")? as usize,
+            expanded: c.num("expanded")? as usize,
+            seed: c.num("seed")? as u64,
+            steps: c.num("steps")? as usize,
+            warmup: c.num("warmup")? as usize,
+            batch: c.num("batch")? as usize,
+            hr_patch: c.num("hr_patch")? as usize,
+            threads: Some(c.num("threads")? as usize),
+        };
+        c.matches(&cfg.config_json())?;
+        Ok(cfg)
+    }
+
+    /// The report's `config` block (`threads` resolved to the pool size
+    /// the run used).
+    pub fn config_json(&self) -> String {
+        JsonObject::new()
+            .int("scale", self.scale as u64)
+            .int("expanded", self.expanded as u64)
+            .int("seed", self.seed)
+            .int("steps", self.steps as u64)
+            .int("warmup", self.warmup as u64)
+            .int("batch", self.batch as u64)
+            .int("hr_patch", self.hr_patch as u64)
+            .int(
+                "threads",
+                self.threads
+                    .unwrap_or_else(sesr_tensor::parallel::num_threads) as u64,
+            )
+            .finish()
     }
 }
 
@@ -199,20 +245,6 @@ fn ms_since(t0: Instant) -> f64 {
 /// `results` object is keyed by architecture label so the bench gate can
 /// address `results.<arch>.steps_per_sec` directly.
 pub fn train_bench_report_json(cfg: &TrainBenchConfig, results: &[ArchResult]) -> String {
-    let config = JsonObject::new()
-        .int("scale", cfg.scale as u64)
-        .int("expanded", cfg.expanded as u64)
-        .int("seed", cfg.seed)
-        .int("steps", cfg.steps as u64)
-        .int("warmup", cfg.warmup as u64)
-        .int("batch", cfg.batch as u64)
-        .int("hr_patch", cfg.hr_patch as u64)
-        .int(
-            "threads",
-            cfg.threads
-                .unwrap_or_else(sesr_tensor::parallel::num_threads) as u64,
-        )
-        .finish();
     let mut results_obj = JsonObject::new();
     for r in results {
         let phases = JsonObject::new()
@@ -245,7 +277,7 @@ pub fn train_bench_report_json(cfg: &TrainBenchConfig, results: &[ArchResult]) -
             "archs",
             &array(results.iter().map(|r| format!("\"{}\"", r.arch))),
         )
-        .raw("config", &config)
+        .raw("config", &cfg.config_json())
         .raw("results", &results_obj.finish())
         .finish()
 }

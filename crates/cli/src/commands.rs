@@ -1,8 +1,9 @@
 //! The `sesr` subcommands.
 
 use crate::args::{ArgError, Args};
+use crate::gate::{gate, host_has_avx2, Lane};
 use crate::pgm;
-use sesr_core::ir::sesr_ir;
+use sesr_bench::{InferBenchConfig, TrainBenchConfig};
 use sesr_core::model::{Sesr, SesrConfig};
 use sesr_core::model_io::{load_model, save_model};
 use sesr_core::tiling::TileError;
@@ -10,6 +11,13 @@ use sesr_core::train::{DivergenceGuard, TrainConfig, TrainError, Trainer};
 use sesr_core::CollapsedSesr;
 use sesr_data::TrainSet;
 use sesr_npu::{simulate, EthosN78Like};
+use sesr_serve::json::JsonValue;
+use sesr_serve::router_bench::{
+    router_bench_report_json, run_router_bench, RouterBenchConfig, RouterBenchReport,
+};
+use sesr_serve::video_bench::{
+    run_video_bench, video_bench_report_json, VideoBenchConfig, VideoBenchReport,
+};
 use std::fmt;
 use std::path::Path;
 
@@ -95,8 +103,7 @@ USAGE:
   sesr video-bench [--height 96] [--width 96] [--tile 24] [--frames 24]
                 [--scale 2] [--expanded 16] [--seed 7] [--overload 2]
                 [--ladder m3,m5,m7,m11] [--out BENCH_video.json]
-  sesr bench-gate --baseline <BENCH_x.json> --fresh <BENCH_x.json>
-                [--max-regress 0.25]
+  sesr bench-gate --baseline <BENCH_x.json>
 
 Crash safety: with --ckpt, training state is checkpointed atomically every
 --ckpt-every steps; after an interruption, rerun the same command with
@@ -119,6 +126,9 @@ static/pan/scene-cut sequences (frames/sec vs a full-recompute
 baseline, bit-identity checked) plus the any-time ladder under a 2x
 overloaded per-frame deadline (miss rate, rung histogram, PSNR vs the
 top-rung composite).
+
+Performance gate: bench-gate re-runs a lane from its baseline's own
+`config` block and fails on a throughput regression or a failed check.
 ";
 
 /// Runs the CLI and returns its textual report.
@@ -267,10 +277,9 @@ fn simulate_cmd(args: &Args) -> Result<String, CliError> {
     let w = args.parsed_or("width", 1920usize)?;
     let tops = args.parsed_or("tops", 4.0f64)?;
     let model = load_model(Path::new(&model_path))?;
-    let (f, m) = model_dims(&model);
     let mut cfg = EthosN78Like::default().0;
     cfg.peak_tops = tops;
-    let ir = sesr_ir(f, m, model.scale(), model.has_input_residual(), h, w);
+    let ir = model.ir(h, w);
     let report = simulate(&ir, &cfg);
     let mut out = format!(
         "{} on a {tops}-TOP/s NPU, {h}x{w} input (x{}):\n  {:.2} GMACs, {:.1} MB DRAM, {:.2} ms -> {:.1} FPS ({:.0}% memory-bound)\n",
@@ -349,10 +358,61 @@ fn parse_seed(args: &Args, key: &str, default: u64) -> Result<u64, CliError> {
     }
 }
 
+/// A runtime failure with a message (exit code 1).
+fn failure(msg: impl Into<String>) -> CliError {
+    CliError::Io(std::io::Error::other(msg.into()))
+}
+
+/// Runs one bench lane in-process: the run-and-report path that the lane
+/// subcommands and `bench-gate` share. The report is checked to be
+/// well-formed JSON and written to `out`, if given, also when the lane's
+/// own checks failed, so the failing run can be read; those checks then
+/// fail the call. Returns the report and a human summary.
+fn run_lane(lane: &Lane, out: Option<&str>) -> Result<(String, String), CliError> {
+    let (json, mut summary, problems) = match lane {
+        Lane::Train(cfg) => {
+            let results = sesr_bench::run_train_bench(cfg).map_err(failure)?;
+            let json = sesr_bench::train_bench_report_json(cfg, &results);
+            (json, train_summary(cfg, &results), Vec::new())
+        }
+        Lane::Infer(cfg) => {
+            let results = sesr_bench::run_infer_bench(cfg).map_err(failure)?;
+            let json = sesr_bench::infer_bench_report_json(cfg, &results);
+            (json, infer_summary(cfg, &results), Vec::new())
+        }
+        Lane::Video(cfg) => {
+            let report = run_video_bench(cfg).map_err(failure)?;
+            let json = video_bench_report_json(&report);
+            (json, video_summary(&report), report.problems)
+        }
+        Lane::Router(cfg) => {
+            let report = run_router_bench(cfg).map_err(failure)?;
+            let json = router_bench_report_json(cfg, &report);
+            let summary = router_summary(cfg, &report);
+            (json, summary, report.problems)
+        }
+    };
+    sesr_serve::json::validate(&json).map_err(|e| failure(format!("malformed report: {e}")))?;
+    if let Some(path) = out {
+        std::fs::write(Path::new(path), &json)?;
+        summary.push_str(&format!("wrote {path}"));
+    }
+    if !problems.is_empty() {
+        let problems = problems.join("\n  ");
+        return Err(failure(format!("{summary}\nFAILED:\n  {problems}")));
+    }
+    Ok((json, summary))
+}
+
+/// A lane subcommand: run the lane and write its report to `--out`.
+fn lane_cmd(args: &Args, lane: Lane, default_out: &str) -> Result<String, CliError> {
+    let out = args.get("out").unwrap_or(default_out);
+    Ok(run_lane(&lane, Some(out))?.1)
+}
+
 /// The multi-tenant router bench: shard-scaling goodput plus the
 /// overload/shedding phase, written to `BENCH_router.json`.
 fn router_bench(args: &Args) -> Result<String, CliError> {
-    use sesr_serve::router_bench::{router_bench_report_json, run_router_bench, RouterBenchConfig};
     use std::time::Duration;
 
     let d = RouterBenchConfig::default();
@@ -381,14 +441,10 @@ fn router_bench(args: &Args) -> Result<String, CliError> {
         ),
         ..d
     };
-    let out_path = args.get("out").unwrap_or("BENCH_router.json").to_string();
+    lane_cmd(args, Lane::Router(cfg), "BENCH_router.json")
+}
 
-    let report = run_router_bench(&cfg).map_err(|e| CliError::Io(std::io::Error::other(e)))?;
-    let json = router_bench_report_json(&cfg, &report);
-    sesr_serve::json::validate(&json)
-        .map_err(|e| CliError::Io(std::io::Error::other(format!("malformed report: {e}"))))?;
-    std::fs::write(Path::new(&out_path), &json)?;
-
+fn router_summary(cfg: &RouterBenchConfig, report: &RouterBenchReport) -> String {
     let mut summary = format!(
         "router-bench seed {:#x}: goodput {:.1} rps @ {} shard(s) -> {:.1} rps @ {} shards ({:.2}x)\n",
         cfg.seed,
@@ -421,32 +477,14 @@ fn router_bench(args: &Args) -> Result<String, CliError> {
         sc.replication_warm_hits,
         sc.rejected_interactive,
     ));
-    summary.push_str(&format!("wrote {out_path}"));
-    if report.problems.is_empty() {
-        Ok(summary)
-    } else {
-        Err(CliError::Io(std::io::Error::other(format!(
-            "{summary}\nrouter-bench FAILED:\n  {}",
-            report.problems.join("\n  ")
-        ))))
-    }
+    summary
 }
 
 /// The streaming-video bench: temporal tile reuse fps/speedup plus the
 /// any-time deadline phase on synthetic sequences, written to
 /// `BENCH_video.json`.
 fn video_bench(args: &Args) -> Result<String, CliError> {
-    use sesr_serve::video_bench::{run_video_bench, video_bench_report_json, VideoBenchConfig};
-
     let d = VideoBenchConfig::default();
-    let ladder = match args.get("ladder") {
-        Some(list) => list
-            .split(',')
-            .map(|a| a.trim().to_string())
-            .filter(|a| !a.is_empty())
-            .collect(),
-        None => d.ladder.clone(),
-    };
     let cfg = VideoBenchConfig {
         height: args.parsed_or("height", d.height)?,
         width: args.parsed_or("width", d.width)?,
@@ -456,16 +494,13 @@ fn video_bench(args: &Args) -> Result<String, CliError> {
         expanded: args.parsed_or("expanded", d.expanded)?,
         seed: parse_seed(args, "seed", d.seed)?,
         overload: args.parsed_or("overload", d.overload)?,
-        ladder,
+        ladder: args.get("ladder").map_or(d.ladder, arch_list),
     };
-    let out_path = args.get("out").unwrap_or("BENCH_video.json").to_string();
+    lane_cmd(args, Lane::Video(cfg), "BENCH_video.json")
+}
 
-    let report = run_video_bench(&cfg).map_err(|e| CliError::Io(std::io::Error::other(e)))?;
-    let json = video_bench_report_json(&report);
-    sesr_serve::json::validate(&json)
-        .map_err(|e| CliError::Io(std::io::Error::other(format!("malformed report: {e}"))))?;
-    std::fs::write(Path::new(&out_path), &json)?;
-
+fn video_summary(report: &VideoBenchReport) -> String {
+    let cfg = &report.config;
     let mut summary = format!(
         "video-bench {}x{} tile {} frames {} seed {:#x}:\n",
         cfg.height, cfg.width, cfg.tile, cfg.frames, cfg.seed
@@ -484,32 +519,28 @@ fn video_bench(args: &Args) -> Result<String, CliError> {
             s.anytime.mean_psnr_db_vs_top,
         ));
     }
-    summary.push_str(&format!("wrote {out_path}"));
-    if report.problems.is_empty() {
-        Ok(summary)
-    } else {
-        Err(CliError::Io(std::io::Error::other(format!(
-            "{summary}\nvideo-bench FAILED:\n  {}",
-            report.problems.join("\n  ")
-        ))))
+    summary
+}
+
+/// A comma-separated architecture list (`--archs`, `--ladder`).
+fn arch_list(list: &str) -> Vec<String> {
+    list.split(',')
+        .map(|a| a.trim().to_string())
+        .filter(|a| !a.is_empty())
+        .collect()
+}
+
+/// `--threads N`, or `None` to autodetect.
+fn threads(args: &Args) -> Result<Option<usize>, CliError> {
+    match args.get("threads") {
+        None => Ok(None),
+        Some(_) => Ok(Some(args.parsed_or("threads", 4usize)?)),
     }
 }
 
 fn train_bench(args: &Args) -> Result<String, CliError> {
-    use sesr_bench::TrainBenchConfig;
-
-    let threads = match args.get("threads") {
-        None => None,
-        Some(_) => Some(args.parsed_or("threads", 4usize)?),
-    };
     let cfg = TrainBenchConfig {
-        archs: args
-            .get("archs")
-            .unwrap_or("m5,m11")
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect(),
+        archs: arch_list(args.get("archs").unwrap_or("m5,m11")),
         scale: args.parsed_or("scale", 2usize)?,
         expanded: args.parsed_or("expanded", 16usize)?,
         seed: args.parsed_or("seed", 0u64)?,
@@ -517,19 +548,14 @@ fn train_bench(args: &Args) -> Result<String, CliError> {
         warmup: args.parsed_or("warmup", 2usize)?,
         batch: args.parsed_or("batch", 8usize)?,
         hr_patch: args.parsed_or("hr-patch", 32usize)?,
-        threads,
+        threads: threads(args)?,
     };
-    let out_path = args.get("out").unwrap_or("BENCH_train.json").to_string();
+    lane_cmd(args, Lane::Train(cfg), "BENCH_train.json")
+}
 
-    let results =
-        sesr_bench::run_train_bench(&cfg).map_err(|e| CliError::Io(std::io::Error::other(e)))?;
-    let json = sesr_bench::train_bench_report_json(&cfg, &results);
-    sesr_serve::json::validate(&json)
-        .map_err(|e| CliError::Io(std::io::Error::other(format!("malformed report: {e}"))))?;
-    std::fs::write(Path::new(&out_path), &json)?;
-
+fn train_summary(cfg: &TrainBenchConfig, results: &[sesr_bench::ArchResult]) -> String {
     let mut summary = String::new();
-    for r in &results {
+    for r in results {
         summary.push_str(&format!(
             "train-bench {}x{} (expanded {}): {:.3} steps/s over {} steps ({:.0} ms)\n  phases: sample {:.0} ms, forward {:.0} ms, backward {:.0} ms, update {:.0} ms\n",
             r.arch,
@@ -553,25 +579,12 @@ fn train_bench(args: &Args) -> Result<String, CliError> {
             ));
         }
     }
-    summary.push_str(&format!("wrote {out_path}"));
-    Ok(summary)
+    summary
 }
 
 fn infer_bench(args: &Args) -> Result<String, CliError> {
-    use sesr_bench::InferBenchConfig;
-
-    let threads = match args.get("threads") {
-        None => None,
-        Some(_) => Some(args.parsed_or("threads", 4usize)?),
-    };
     let cfg = InferBenchConfig {
-        archs: args
-            .get("archs")
-            .unwrap_or("m5,m11")
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect(),
+        archs: arch_list(args.get("archs").unwrap_or("m5,m11")),
         scale: args.parsed_or("scale", 2usize)?,
         expanded: args.parsed_or("expanded", 16usize)?,
         seed: args.parsed_or("seed", 0u64)?,
@@ -579,25 +592,19 @@ fn infer_bench(args: &Args) -> Result<String, CliError> {
         warmup: args.parsed_or("warmup", 5usize)?,
         h: args.parsed_or("height", 180usize)?,
         w: args.parsed_or("width", 320usize)?,
-        threads,
+        threads: threads(args)?,
         variant: args.get("variant").map(str::to_string),
         int8: args.get("int8").map(|v| v != "off").unwrap_or(true),
         psnr_budget: args.parsed_or("psnr-budget", 1.0f64)?,
     };
-    let out_path = args.get("out").unwrap_or("BENCH_infer.json").to_string();
+    lane_cmd(args, Lane::Infer(cfg), "BENCH_infer.json")
+}
 
-    let results =
-        sesr_bench::run_infer_bench(&cfg).map_err(|e| CliError::Io(std::io::Error::other(e)))?;
-    let json = sesr_bench::infer_bench_report_json(&cfg, &results);
-    sesr_serve::json::validate(&json)
-        .map_err(|e| CliError::Io(std::io::Error::other(format!("malformed report: {e}"))))?;
-    std::fs::write(Path::new(&out_path), &json)?;
-
+fn infer_summary(cfg: &InferBenchConfig, results: &[sesr_bench::InferArchResult]) -> String {
     let mut summary = String::new();
-    for r in &results {
+    for r in results {
         summary.push_str(&format!(
-            "infer-bench {}x{} {}x{}: planned {:.2} img/s vs reference {:.2} img/s ({:.2}x), arena {} KiB, variant {}
-",
+            "infer-bench {}x{} {}x{}: planned {:.2} img/s vs reference {:.2} img/s ({:.2}x), arena {} KiB, variant {}\n",
             r.arch,
             cfg.scale,
             cfg.h,
@@ -610,8 +617,7 @@ fn infer_bench(args: &Args) -> Result<String, CliError> {
         ));
         if let Some(q) = &r.int8 {
             summary.push_str(&format!(
-                "  int8 {:.2} img/s ({:.2}x vs planned), dPSNR {:+.3} dB (budget {:.2}), arena {} KiB, int8 body {}
-",
+                "  int8 {:.2} img/s ({:.2}x vs planned), dPSNR {:+.3} dB (budget {:.2}), arena {} KiB, int8 body {}\n",
                 q.int8_images_per_sec,
                 q.speedup_vs_planned,
                 q.delta_psnr_db,
@@ -625,174 +631,28 @@ fn infer_bench(args: &Args) -> Result<String, CliError> {
                 format!(", int8 {:.3} ms/run", q.layer_ms[i] / r.iters as f64)
             });
             summary.push_str(&format!(
-                "  layer {i:<2} {:>8.2} ms total ({:.3} ms/run{int8})
-",
+                "  layer {i:<2} {:>8.2} ms total ({:.3} ms/run{int8})\n",
                 ms,
                 ms / r.iters as f64
             ));
         }
     }
-    summary.push_str(&format!("wrote {out_path}"));
-    Ok(summary)
+    summary
 }
 
-/// Keys the bench gate knows how to compare, per report kind
-/// (identified by the top-level `"bench"` tag).
-fn gate_metric_paths(kind: &str) -> Result<Vec<&'static [&'static str]>, CliError> {
-    match kind {
-        "sesr-router" => Ok(vec![
-            &["results", "shards_4", "rps"],
-            &["results", "scaling_x"],
-            &["results", "autoscale", "rps"],
-        ]),
-        // Only the absolute fps numbers are gated. speedup_x is a ratio
-        // of two measurements whose denominator (static full_fps, a
-        // short run) wobbles run to run — the bench's own `problems`
-        // check enforces the absolute 5x floor instead. PSNR-vs-top is
-        // not gated either: with seeded (untrained) ladder weights it
-        // can sit below zero, where the multiplicative regression floor
-        // inverts; the miss-rate `problems` check covers the any-time
-        // contract.
-        "sesr-video" => Ok(vec![
-            &["results", "static", "reuse_fps"],
-            &["results", "pan", "reuse_fps"],
-            &["results", "cut", "reuse_fps"],
-        ]),
-        "sesr-train" | "sesr-infer" => Ok(vec![]), // resolved per-arch below
-        other => Err(CliError::Io(std::io::Error::other(format!(
-            "unknown bench kind {other:?} (expected sesr-router|sesr-video|sesr-train|sesr-infer)"
-        )))),
-    }
-}
-
-/// Throughput metric name for report kinds whose `results` object is
-/// keyed by architecture label.
-fn per_arch_metric(kind: &str) -> Option<&'static str> {
-    match kind {
-        "sesr-train" => Some("steps_per_sec"),
-        "sesr-infer" => Some("planned_images_per_sec"),
-        _ => None,
-    }
-}
-
+/// `bench-gate --baseline BENCH_x.json`: rebuild the lane from the
+/// baseline's own `config` block, re-run it in-process, and gate the
+/// fresh report against the baseline.
 fn bench_gate(args: &Args) -> Result<String, CliError> {
-    use sesr_serve::json::JsonValue;
-
-    let baseline_path = args.required("baseline")?.to_string();
-    let fresh_path = args.required("fresh")?.to_string();
-    let max_regress = args.parsed_or("max-regress", 0.25f64)?;
-    // The floor is baseline × (1 − max_regress): at 1 or above it drops to
-    // zero and passes every run; a negative value or NaN fails every one.
-    if !(0.0..1.0).contains(&max_regress) {
-        return Err(CliError::Args(ArgError::Invalid {
-            key: "max-regress".to_string(),
-            value: args.get("max-regress").unwrap_or_default().to_string(),
-        }));
-    }
-
-    let load = |path: &str| -> Result<JsonValue, CliError> {
-        let text = std::fs::read_to_string(Path::new(path))?;
-        JsonValue::parse(&text)
-            .map_err(|e| CliError::Io(std::io::Error::other(format!("{path}: {e}"))))
-    };
-    let baseline = load(&baseline_path)?;
-    let fresh = load(&fresh_path)?;
-
-    let kind = baseline
-        .get(&["bench"])
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| CliError::Io(std::io::Error::other("baseline missing \"bench\" tag")))?
-        .to_string();
-    if fresh.get(&["bench"]).and_then(JsonValue::as_str) != Some(&kind) {
-        return Err(CliError::Io(std::io::Error::other(
-            "baseline and fresh reports are different bench kinds",
-        )));
-    }
-
-    // Train/infer reports key their throughput metric under
-    // results.<arch>.<metric>; compare every arch in the baseline.
-    let mut metrics: Vec<(String, f64, f64)> = Vec::new();
-    if let Some(metric) = per_arch_metric(&kind) {
-        let archs = baseline
-            .get(&["results"])
-            .and_then(JsonValue::as_object_keys)
-            .ok_or_else(|| CliError::Io(std::io::Error::other("baseline missing results")))?;
-        for arch in archs {
-            let path = ["results", arch.as_str(), metric];
-            let b = baseline.get(&path).and_then(JsonValue::as_f64);
-            let f = fresh.get(&path).and_then(JsonValue::as_f64);
-            match (b, f) {
-                (Some(b), Some(f)) => metrics.push((format!("{arch}.{metric}"), b, f)),
-                _ => {
-                    return Err(CliError::Io(std::io::Error::other(format!(
-                        "missing results.{arch}.{metric} in baseline or fresh report"
-                    ))))
-                }
-            }
-            // Infer reports also carry an int8 lane when the baseline ran
-            // with int8 enabled; once gated, a fresh report may not
-            // silently drop it (e.g. by benching with --int8 off).
-            if kind == "sesr-infer" {
-                let path = ["results", arch.as_str(), "int8_images_per_sec"];
-                let b = baseline.get(&path).and_then(JsonValue::as_f64);
-                let f = fresh.get(&path).and_then(JsonValue::as_f64);
-                match (b, f) {
-                    (Some(b), Some(f)) => {
-                        metrics.push((format!("{arch}.int8_images_per_sec"), b, f))
-                    }
-                    (None, _) => {} // baseline predates the int8 lane
-                    (Some(_), None) => {
-                        return Err(CliError::Io(std::io::Error::other(format!(
-                            "baseline gates results.{arch}.int8_images_per_sec but the fresh report has no int8 lane"
-                        ))))
-                    }
-                }
-            }
-        }
-    } else {
-        for path in gate_metric_paths(&kind)? {
-            let b = baseline.get(path).and_then(JsonValue::as_f64);
-            let f = fresh.get(path).and_then(JsonValue::as_f64);
-            let label = path.join(".");
-            match (b, f) {
-                (Some(b), Some(f)) => metrics.push((label, b, f)),
-                _ => {
-                    return Err(CliError::Io(std::io::Error::other(format!(
-                        "missing {label} in baseline or fresh report"
-                    ))))
-                }
-            }
-        }
-    }
-    if metrics.is_empty() {
-        return Err(CliError::Io(std::io::Error::other(
-            "no comparable metrics found",
-        )));
-    }
-
-    let mut summary = format!(
-        "bench-gate {kind} (max regression {:.0}%)\n",
-        max_regress * 100.0
-    );
-    let mut failed = Vec::new();
-    for (label, base, fresh) in &metrics {
-        let floor = base * (1.0 - max_regress);
-        let verdict = if *fresh >= floor { "ok" } else { "REGRESSED" };
-        summary.push_str(&format!(
-            "  {label:<24} baseline {base:>10.3}  fresh {fresh:>10.3}  floor {floor:>10.3}  {verdict}\n"
-        ));
-        if *fresh < floor {
-            failed.push(label.clone());
-        }
-    }
-    if !failed.is_empty() {
-        return Err(CliError::Io(std::io::Error::other(format!(
-            "{summary}throughput regressed beyond {:.0}%: {}",
-            max_regress * 100.0,
-            failed.join(", ")
-        ))));
-    }
-    Ok(summary)
+    let path = args.required("baseline")?.to_string();
+    let baseline = JsonValue::parse(&std::fs::read_to_string(Path::new(&path))?)
+        .map_err(|e| failure(format!("{path}: {e}")))?;
+    let lane = Lane::from_report(&baseline).map_err(|e| failure(format!("{path}: {e}")))?;
+    let (json, summary) = run_lane(&lane, None)?;
+    let fresh = JsonValue::parse(&json).map_err(failure)?;
+    let table =
+        gate(&baseline, &fresh, host_has_avx2()).map_err(|e| failure(format!("{summary}{e}")))?;
+    Ok(format!("{summary}{table}"))
 }
 
 #[cfg(test)]
@@ -1028,181 +888,33 @@ mod tests {
     }
 
     #[test]
-    fn bench_gate_handles_infer_reports_per_arch() {
-        let mk = |name: &str, ips: f64| {
+    fn bench_gate_reruns_the_baselines_own_config() {
+        let baseline = |name: &str, steps_per_sec: f64, extra: &str| {
             let path = tmp(name);
-            let results = sesr_serve::json::JsonObject::new()
-                .raw(
-                    "m5",
-                    &sesr_serve::json::JsonObject::new()
-                        .num("planned_images_per_sec", ips)
-                        .finish(),
-                )
-                .finish();
-            let doc = sesr_serve::json::JsonObject::new()
-                .str("bench", "sesr-infer")
-                .raw("results", &results)
-                .finish();
-            std::fs::write(&path, doc).unwrap();
-            path
-        };
-        let baseline = mk("gate_infer_base.json", 100.0);
-        let ok = mk("gate_infer_ok.json", 90.0);
-        let bad = mk("gate_infer_bad.json", 40.0);
-        let report = run(&args(&format!(
-            "bench-gate --baseline {} --fresh {}",
-            baseline.display(),
-            ok.display()
-        )))
-        .unwrap();
-        assert!(report.contains("m5.planned_images_per_sec"));
-        let err = run(&args(&format!(
-            "bench-gate --baseline {} --fresh {}",
-            baseline.display(),
-            bad.display()
-        )))
-        .unwrap_err();
-        assert!(err.to_string().contains("REGRESSED"), "{err}");
-    }
-
-    #[test]
-    fn bench_gate_covers_the_int8_lane_when_the_baseline_has_it() {
-        let mk = |name: &str, planned: f64, int8: Option<f64>| {
-            let path = tmp(name);
-            let mut arch =
-                sesr_serve::json::JsonObject::new().num("planned_images_per_sec", planned);
-            if let Some(v) = int8 {
-                arch = arch.num("int8_images_per_sec", v);
-            }
-            let results = sesr_serve::json::JsonObject::new()
-                .raw("m5", &arch.finish())
-                .finish();
-            let doc = sesr_serve::json::JsonObject::new()
-                .str("bench", "sesr-infer")
-                .raw("results", &results)
-                .finish();
-            std::fs::write(&path, doc).unwrap();
-            path
-        };
-        let baseline = mk("gate_int8_base.json", 100.0, Some(150.0));
-        // Both lanes healthy.
-        let ok = mk("gate_int8_ok.json", 95.0, Some(140.0));
-        let report = run(&args(&format!(
-            "bench-gate --baseline {} --fresh {}",
-            baseline.display(),
-            ok.display()
-        )))
-        .unwrap();
-        assert!(report.contains("m5.int8_images_per_sec"));
-        // int8 lane regressed while f32 held: the gate still fails.
-        let bad = mk("gate_int8_bad.json", 100.0, Some(60.0));
-        let err = run(&args(&format!(
-            "bench-gate --baseline {} --fresh {}",
-            baseline.display(),
-            bad.display()
-        )))
-        .unwrap_err();
-        assert!(err.to_string().contains("int8_images_per_sec"), "{err}");
-        // Fresh report silently dropped the lane: also an error.
-        let dropped = mk("gate_int8_dropped.json", 100.0, None);
-        let err = run(&args(&format!(
-            "bench-gate --baseline {} --fresh {}",
-            baseline.display(),
-            dropped.display()
-        )))
-        .unwrap_err();
-        assert!(err.to_string().contains("no int8 lane"), "{err}");
-    }
-
-    #[test]
-    fn bench_gate_passes_and_fails_on_regression() {
-        let mk = |name: &str, sps: f64| {
-            let path = tmp(name);
-            let results = sesr_serve::json::JsonObject::new()
-                .raw(
-                    "m5",
-                    &sesr_serve::json::JsonObject::new()
-                        .num("steps_per_sec", sps)
-                        .finish(),
-                )
-                .finish();
-            let doc = sesr_serve::json::JsonObject::new()
-                .str("bench", "sesr-train")
-                .raw("results", &results)
-                .finish();
-            std::fs::write(&path, doc).unwrap();
-            path
-        };
-        let baseline = mk("gate_base.json", 10.0);
-        let ok = mk("gate_ok.json", 8.0); // -20%: within the 25% budget
-        let bad = mk("gate_bad.json", 5.0); // -50%: regressed
-        let report = run(&args(&format!(
-            "bench-gate --baseline {} --fresh {}",
-            baseline.display(),
-            ok.display()
-        )))
-        .unwrap();
-        assert!(report.contains("ok"));
-        let err = run(&args(&format!(
-            "bench-gate --baseline {} --fresh {}",
-            baseline.display(),
-            bad.display()
-        )))
-        .unwrap_err();
-        assert!(err.to_string().contains("REGRESSED"), "{err}");
-        // Tightening the tolerance flips the passing pair too.
-        let err = run(&args(&format!(
-            "bench-gate --baseline {} --fresh {} --max-regress 0.1",
-            baseline.display(),
-            ok.display()
-        )))
-        .unwrap_err();
-        assert!(err.to_string().contains("regressed beyond 10%"), "{err}");
-    }
-
-    #[test]
-    fn bench_gate_rejects_max_regress_outside_zero_to_one() {
-        let report = tmp("gate_range.json");
-        std::fs::write(
-            &report,
-            r#"{"bench":"sesr-train","results":{"m5":{"steps_per_sec":1}}}"#,
-        )
-        .unwrap();
-        for bad in ["1.5", "-0.1", "NaN"] {
-            let err = run(&args(&format!(
-                "bench-gate --baseline {0} --fresh {0} --max-regress {bad}",
-                report.display()
-            )))
-            .unwrap_err();
-            assert!(
-                matches!(&err, CliError::Args(ArgError::Invalid { key, .. }) if key == "max-regress"),
-                "--max-regress {bad}: {err:?}"
-            );
-        }
-        // The ends of the range: 0 gates exactly, just under 1 is the
-        // loosest floor still above zero.
-        for good in ["0", "0.99"] {
-            run(&args(&format!(
-                "bench-gate --baseline {0} --fresh {0} --max-regress {good}",
-                report.display()
-            )))
+            std::fs::write(
+                &path,
+                format!(
+                    r#"{{"bench":"sesr-train","archs":["m5"],"config":{{"scale":2,"expanded":4,"seed":0,"steps":2,"warmup":1,"batch":2,"hr_patch":16,"threads":1{extra}}},"results":{{"m5":{{"steps_per_sec":{steps_per_sec}}}}}}}"#
+                ),
+            )
             .unwrap();
-        }
-    }
-
-    #[test]
-    fn bench_gate_rejects_mismatched_kinds() {
-        let a = tmp("gate_kind_a.json");
-        let b = tmp("gate_kind_b.json");
-        std::fs::write(&a, r#"{"bench":"sesr-train","results":{}}"#).unwrap();
-        std::fs::write(&b, r#"{"bench":"sesr-router","results":{"scaling_x":1}}"#).unwrap();
-        let err = run(&args(&format!(
-            "bench-gate --baseline {} --fresh {}",
-            a.display(),
-            b.display()
-        )))
-        .unwrap_err();
-        assert!(err.to_string().contains("different bench kinds"), "{err}");
+            path
+        };
+        let gate_on = |path: std::path::PathBuf| {
+            run(&args(&format!("bench-gate --baseline {}", path.display())))
+        };
+        // The fresh run used the baseline's config, not the flag defaults.
+        let report = gate_on(baseline("gate_ok.json", 1e-6, "")).unwrap();
+        assert!(report.contains("train-bench m5x2 (expanded 4)"), "{report}");
+        assert!(report.contains("m5.steps_per_sec") && report.contains("ok"));
+        let err = gate_on(baseline("gate_slow.json", 1e12, "")).unwrap_err();
+        assert!(matches!(err, CliError::Io(_)), "{err:?}");
+        assert!(err.to_string().contains("REGRESSED"), "{err}");
+        // A setting the lane does not know is refused before anything runs.
+        let err = gate_on(baseline("gate_key.json", 1e-6, r#","tuner_file":"""#)).unwrap_err();
+        assert!(err.to_string().contains("unknown key"), "{err}");
+        let err = gate_on(tmp("gate_absent.json")).unwrap_err();
+        assert!(matches!(err, CliError::Io(_)), "{err:?}");
     }
 
     #[test]

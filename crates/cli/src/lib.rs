@@ -1,8 +1,9 @@
 //! # sesr-cli
 //!
 //! Library backing the `sesr` command-line tool: a tiny argument parser
-//! (the workspace's offline dependency set has no clap) and the four
-//! subcommands — `train`, `upscale`, `simulate`, `info`.
+//! (the workspace's offline dependency set has no clap), the four model
+//! subcommands — `train`, `upscale`, `simulate`, `info` — and the bench
+//! lanes with the gate that re-runs them against their baselines.
 //!
 //! The command surface mirrors the deployment story of the paper:
 //!
@@ -23,6 +24,7 @@
 
 pub mod args;
 pub mod commands;
+mod gate;
 pub mod pgm;
 
 pub use args::{ArgError, Args};

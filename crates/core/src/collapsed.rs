@@ -105,6 +105,27 @@ impl CollapsedSesr {
         self.feature_residual
     }
 
+    /// The layer-level IR for an `h x w` input, read from this network's
+    /// own layer shapes and residual flags (what `sesr simulate` prices).
+    pub fn ir(&self, h: usize, w: usize) -> crate::ir::NetworkIr {
+        let convs: Vec<crate::ir::ChainConv> = self
+            .layers
+            .iter()
+            .map(|l| {
+                let s = l.weight.shape();
+                (s[1], s[0], s[2], s[3])
+            })
+            .collect();
+        crate::ir::sesr_chain_ir(
+            &convs,
+            self.scale,
+            self.feature_residual,
+            self.input_residual,
+            h,
+            w,
+        )
+    }
+
     /// Total parameter count of the collapsed network, weights plus biases
     /// and PReLU slopes.
     pub fn num_params(&self) -> usize {

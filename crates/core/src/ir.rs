@@ -180,8 +180,69 @@ impl NetworkIr {
     }
 }
 
-/// Builds the IR of a collapsed SESR network (Fig. 2(d)) for an
-/// `h x w` low-resolution input.
+/// One convolution of a collapsed SESR chain: `(cin, cout, kh, kw)`.
+pub(crate) type ChainConv = (usize, usize, usize, usize);
+
+/// Builds the IR of a collapsed SESR chain (Fig. 2(d)) for an `h x w`
+/// low-resolution input: `convs` in execution order (the first stage,
+/// the intermediate stages, the head), the long feature residual before
+/// the head when `feature_residual`, the input-to-output residual after
+/// it when `input_residual`, then depth-to-space up to `scale`.
+///
+/// # Panics
+///
+/// Panics if `convs` has fewer than two layers or `scale` is not 2 or 4.
+pub(crate) fn sesr_chain_ir(
+    convs: &[ChainConv],
+    scale: usize,
+    feature_residual: bool,
+    input_residual: bool,
+    h: usize,
+    w: usize,
+) -> NetworkIr {
+    assert!(scale == 2 || scale == 4, "scale must be 2 or 4");
+    let conv = |&(cin, cout, kh, kw): &ChainConv| LayerIr::Conv {
+        cin,
+        cout,
+        kh,
+        kw,
+        h,
+        w,
+    };
+    let Some((head, body @ [first, ..])) = convs.split_last() else {
+        panic!("need at least first and last stages");
+    };
+    let mut layers: Vec<LayerIr> = body.iter().map(conv).collect();
+    if feature_residual {
+        layers.push(LayerIr::Add { c: head.0, h, w });
+    }
+    layers.push(conv(head));
+    let c = head.1;
+    if input_residual {
+        layers.push(LayerIr::Add { c, h, w });
+    }
+    layers.push(LayerIr::DepthToSpace { c, h, w, r: 2 });
+    if scale == 4 {
+        layers.push(LayerIr::DepthToSpace {
+            c: c / 4,
+            h: h * 2,
+            w: w * 2,
+            r: 2,
+        });
+    }
+    NetworkIr {
+        name: if first.1 == 32 {
+            "SESR-XL".into()
+        } else {
+            format!("SESR-M{}", convs.len() - 2)
+        },
+        layers,
+    }
+}
+
+/// Builds the IR of a collapsed SESR network with `f` feature channels
+/// and `m` intermediate stages from the paper's closed-form shape; the
+/// long feature residual is always present.
 ///
 /// `input_residual` adds the input-to-output residual's feature-map
 /// traffic; the hardware-efficient variant (Sec. 5.5) omits it.
@@ -198,59 +259,10 @@ pub fn sesr_ir(
     w: usize,
 ) -> NetworkIr {
     let head = crate::macs::head_channels(scale);
-    let mut layers = vec![LayerIr::Conv {
-        cin: 1,
-        cout: f,
-        kh: 5,
-        kw: 5,
-        h,
-        w,
-    }];
-    for _ in 0..m {
-        layers.push(LayerIr::Conv {
-            cin: f,
-            cout: f,
-            kh: 3,
-            kw: 3,
-            h,
-            w,
-        });
-    }
-    // Long feature residual.
-    layers.push(LayerIr::Add { c: f, h, w });
-    layers.push(LayerIr::Conv {
-        cin: f,
-        cout: head,
-        kh: 5,
-        kw: 5,
-        h,
-        w,
-    });
-    if input_residual {
-        layers.push(LayerIr::Add { c: head, h, w });
-    }
-    layers.push(LayerIr::DepthToSpace {
-        c: head,
-        h,
-        w,
-        r: 2,
-    });
-    if scale == 4 {
-        layers.push(LayerIr::DepthToSpace {
-            c: head / 4,
-            h: h * 2,
-            w: w * 2,
-            r: 2,
-        });
-    }
-    NetworkIr {
-        name: if f == 32 {
-            "SESR-XL".into()
-        } else {
-            format!("SESR-M{m}")
-        },
-        layers,
-    }
+    let mut convs = vec![(1, f, 5, 5)];
+    convs.extend(std::iter::repeat_n((f, f, 3, 3), m));
+    convs.push((f, head, 5, 5));
+    sesr_chain_ir(&convs, scale, true, input_residual, h, w)
 }
 
 #[cfg(test)]
@@ -309,6 +321,34 @@ mod tests {
             .filter(|l| matches!(l, LayerIr::DepthToSpace { .. }))
             .count();
         assert_eq!(d2s, 2);
+    }
+
+    #[test]
+    fn model_ir_follows_the_models_own_layers_and_residuals() {
+        use crate::model::{Sesr, SesrConfig};
+        let cfg = SesrConfig::m(3).with_expanded(4);
+        let full = Sesr::new(cfg).collapse();
+        assert_eq!(full.ir(32, 48), sesr_ir(16, 3, 2, true, 32, 48));
+
+        let plain = Sesr::new(SesrConfig {
+            feature_residual: false,
+            ..cfg
+        })
+        .collapse();
+        let ir = plain.ir(32, 48);
+        // Only the input residual's add after the head remains.
+        let adds: Vec<&LayerIr> = ir
+            .layers
+            .iter()
+            .filter(|l| matches!(l, LayerIr::Add { .. }))
+            .collect();
+        assert_eq!(adds, [&LayerIr::Add { c: 4, h: 32, w: 48 }]);
+        assert_eq!(ir.total_macs(), full.ir(32, 48).total_macs());
+        let traffic = |ir: &NetworkIr| -> u64 { ir.layers.iter().map(LayerIr::input_bytes).sum() };
+        assert_eq!(
+            traffic(&full.ir(32, 48)) - traffic(&ir),
+            2 * 16 * 32 * 48 * BYTES_PER_ELEMENT
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The workspace builds offline against a no-op `serde` stand-in, so this
 //! module provides the two things the serving layer actually needs: a
 //! small builder that emits well-formed JSON objects/arrays, and a strict
-//! recursive-descent validator: every `sesr` bench harness checks its
-//! report with it before writing, and `bench-gate` parses through it.
+//! recursive-descent parser: every `sesr` bench harness checks its report
+//! with it before writing, and `bench-gate` reads baselines through it.
 
 use std::fmt::Write as _;
 
@@ -125,166 +125,12 @@ pub fn array<I: IntoIterator<Item = String>>(items: I) -> String {
 /// Returns a human-readable description of the first syntax error, with a
 /// byte offset.
 pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing data at byte {i}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    match b.get(*i) {
-        None => Err(format!("unexpected end of input at byte {i}", i = *i)),
-        Some(b'{') => parse_object(b, i),
-        Some(b'[') => parse_array(b, i),
-        Some(b'"') => parse_string(b, i),
-        Some(b't') => parse_lit(b, i, "true"),
-        Some(b'f') => parse_lit(b, i, "false"),
-        Some(b'n') => parse_lit(b, i, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, i),
-        Some(c) => Err(format!("unexpected byte {c:?} at {i}", i = *i)),
-    }
-}
-
-fn parse_object(b: &[u8], i: &mut usize) -> Result<(), String> {
-    *i += 1; // consume '{'
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b'}') {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b'"') {
-            return Err(format!("expected object key at byte {i}", i = *i));
-        }
-        parse_string(b, i)?;
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b':') {
-            return Err(format!("expected ':' at byte {i}", i = *i));
-        }
-        *i += 1;
-        skip_ws(b, i);
-        parse_value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {i}", i = *i)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], i: &mut usize) -> Result<(), String> {
-    *i += 1; // consume '['
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b']') {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, i);
-        parse_value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {i}", i = *i)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    *i += 1; // consume '"'
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                    Some(b'u') => {
-                        for k in 1..=4 {
-                            if !b.get(*i + k).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {i}", i = *i));
-                            }
-                        }
-                        *i += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {i}", i = *i)),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte in string at {i}", i = *i)),
-            _ => *i += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], i: &mut usize) -> Result<(), String> {
-    let start = *i;
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    let digits = |b: &[u8], i: &mut usize| {
-        let s = *i;
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
-        *i > s
-    };
-    if !digits(b, i) {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*i) == Some(&b'.') {
-        *i += 1;
-        if !digits(b, i) {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*i), Some(b'e' | b'E')) {
-        *i += 1;
-        if matches!(b.get(*i), Some(b'+' | b'-')) {
-            *i += 1;
-        }
-        if !digits(b, i) {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn parse_lit(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*i..].starts_with(lit.as_bytes()) {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {i}", i = *i))
-    }
+    JsonValue::parse(s).map(|_| ())
 }
 
 /// A parsed JSON document, for reading values back out of bench reports
-/// (the gate in `scripts/bench_gate.sh` compares fresh runs against the
-/// committed baselines without shelling out to python).
+/// (`sesr bench-gate` rebuilds a lane's configuration from its baseline
+/// and compares the fresh run against it without shelling out).
 ///
 /// Object members keep their document order.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,11 +157,14 @@ impl JsonValue {
     /// Returns a description of the first syntax error, with a byte
     /// offset.
     pub fn parse(s: &str) -> Result<JsonValue, String> {
-        validate(s)?;
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        skip_ws(b, &mut i);
-        Ok(read_value(b, &mut i))
+        let mut p = Parser { s, i: 0 };
+        p.skip_ws();
+        let v = p.value()?;
+        p.skip_ws();
+        if p.i != s.len() {
+            return Err(format!("trailing data at byte {}", p.i));
+        }
+        Ok(v)
     }
 
     /// Walks `path` through nested objects; `None` if any key is absent
@@ -356,115 +205,185 @@ impl JsonValue {
     }
 }
 
-// The readers below assume `validate` has already accepted the document,
-// so they only have to materialize values, not diagnose errors.
-fn read_value(b: &[u8], i: &mut usize) -> JsonValue {
-    match b[*i] {
-        b'{' => {
-            *i += 1;
-            let mut members = Vec::new();
-            skip_ws(b, i);
-            if b[*i] == b'}' {
-                *i += 1;
-                return JsonValue::Object(members);
-            }
-            loop {
-                skip_ws(b, i);
-                let key = read_string(b, i);
-                skip_ws(b, i);
-                *i += 1; // ':'
-                skip_ws(b, i);
-                members.push((key, read_value(b, i)));
-                skip_ws(b, i);
-                let sep = b[*i];
-                *i += 1;
-                if sep == b'}' {
-                    return JsonValue::Object(members);
-                }
-            }
-        }
-        b'[' => {
-            *i += 1;
-            let mut items = Vec::new();
-            skip_ws(b, i);
-            if b[*i] == b']' {
-                *i += 1;
-                return JsonValue::Array(items);
-            }
-            loop {
-                skip_ws(b, i);
-                items.push(read_value(b, i));
-                skip_ws(b, i);
-                let sep = b[*i];
-                *i += 1;
-                if sep == b']' {
-                    return JsonValue::Array(items);
-                }
-            }
-        }
-        b'"' => JsonValue::String(read_string(b, i)),
-        b't' => {
-            *i += 4;
-            JsonValue::Bool(true)
-        }
-        b'f' => {
-            *i += 5;
-            JsonValue::Bool(false)
-        }
-        b'n' => {
-            *i += 4;
-            JsonValue::Null
-        }
-        _ => {
-            let start = *i;
-            while b.get(*i).is_some_and(|c| {
-                matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') || c.is_ascii_digit()
-            }) {
-                *i += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*i]).expect("validated number is ASCII");
-            JsonValue::Number(text.parse().expect("validated number parses"))
-        }
-    }
+/// Recursive-descent parser: one pass that checks the grammar and builds
+/// the value, reporting the first error with its byte offset.
+struct Parser<'a> {
+    s: &'a str,
+    i: usize,
 }
 
-fn read_string(b: &[u8], i: &mut usize) -> String {
-    *i += 1; // opening '"'
-    let mut out = String::new();
-    loop {
-        match b[*i] {
-            b'"' => {
-                *i += 1;
-                return out;
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.i).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.i += 1;
+        }
+    }
+
+    fn value(&mut self) -> Result<JsonValue, String> {
+        match self.peek() {
+            None => Err(format!("unexpected end of input at byte {}", self.i)),
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => self.string().map(JsonValue::String),
+            Some(b't') => self.lit("true", JsonValue::Bool(true)),
+            Some(b'f') => self.lit("false", JsonValue::Bool(false)),
+            Some(b'n') => self.lit("null", JsonValue::Null),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
+            Some(c) => Err(format!("unexpected byte {c:?} at {}", self.i)),
+        }
+    }
+
+    fn object(&mut self) -> Result<JsonValue, String> {
+        self.members(b'}', |p| {
+            if p.peek() != Some(b'"') {
+                return Err(format!("expected object key at byte {}", p.i));
             }
-            b'\\' => {
-                *i += 1;
-                match b[*i] {
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = std::str::from_utf8(&b[*i + 1..*i + 5]).unwrap_or("");
-                        let code = u32::from_str_radix(hex, 16).unwrap_or(0xFFFD);
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *i += 4;
-                    }
-                    c => out.push(c as char),
+            let key = p.string()?;
+            p.skip_ws();
+            if p.peek() != Some(b':') {
+                return Err(format!("expected ':' at byte {}", p.i));
+            }
+            p.i += 1;
+            p.skip_ws();
+            Ok((key, p.value()?))
+        })
+        .map(JsonValue::Object)
+    }
+
+    fn array(&mut self) -> Result<JsonValue, String> {
+        self.members(b']', Self::value).map(JsonValue::Array)
+    }
+
+    /// The comma-separated members of an object or array, from its
+    /// opening byte through `close`.
+    fn members<T>(
+        &mut self,
+        close: u8,
+        mut member: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.i += 1; // consume '{' or '['
+        let mut out = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.i += 1;
+            return Ok(out);
+        }
+        loop {
+            self.skip_ws();
+            out.push(member(self)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.i += 1,
+                Some(c) if c == close => {
+                    self.i += 1;
+                    return Ok(out);
                 }
-                *i += 1;
-            }
-            _ => {
-                // Copy one UTF-8 scalar (multi-byte sequences arrive as
-                // raw bytes; the document was already validated as &str).
-                let start = *i;
-                *i += 1;
-                while b.get(*i).is_some_and(|c| c & 0xC0 == 0x80) {
-                    *i += 1;
+                _ => {
+                    return Err(format!(
+                        "expected ',' or '{}' at byte {}",
+                        close as char, self.i
+                    ))
                 }
-                out.push_str(std::str::from_utf8(&b[start..*i]).expect("input was valid UTF-8"));
             }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.i += 1; // consume '"'
+        let mut out = String::new();
+        // Start of the current unescaped run. Runs end only at ASCII
+        // bytes ('"', '\\'), so they always slice on char boundaries.
+        let mut run = self.i;
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    out.push_str(&self.s[run..self.i]);
+                    self.i += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    out.push_str(&self.s[run..self.i]);
+                    self.i += 1;
+                    out.push(match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => {
+                            let hex = self.s.get(self.i + 1..self.i + 5).unwrap_or("");
+                            if hex.len() != 4 || !hex.bytes().all(|c| c.is_ascii_hexdigit()) {
+                                return Err(format!("bad \\u escape at byte {}", self.i));
+                            }
+                            self.i += 4;
+                            u32::from_str_radix(hex, 16)
+                                .ok()
+                                .and_then(char::from_u32)
+                                .unwrap_or('\u{FFFD}')
+                        }
+                        _ => return Err(format!("bad escape at byte {}", self.i)),
+                    });
+                    self.i += 1;
+                    run = self.i;
+                }
+                Some(0x00..=0x1f) => {
+                    return Err(format!("raw control byte in string at {}", self.i))
+                }
+                Some(_) => self.i += 1,
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.i;
+        if self.peek() == Some(b'-') {
+            self.i += 1;
+        }
+        let digits = |p: &mut Self| {
+            let s = p.i;
+            while p.peek().is_some_and(|c| c.is_ascii_digit()) {
+                p.i += 1;
+            }
+            p.i > s
+        };
+        if !digits(self) {
+            return Err(format!("bad number at byte {start}"));
+        }
+        if self.peek() == Some(b'.') {
+            self.i += 1;
+            if !digits(self) {
+                return Err(format!("bad fraction at byte {start}"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            if !digits(self) {
+                return Err(format!("bad exponent at byte {start}"));
+            }
+        }
+        self.s[start..self.i]
+            .parse()
+            .map(JsonValue::Number)
+            .map_err(|_| format!("bad number at byte {start}"))
+    }
+
+    fn lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
+        if self.s[self.i..].starts_with(lit) {
+            self.i += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.i))
         }
     }
 }

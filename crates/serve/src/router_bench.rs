@@ -36,13 +36,13 @@
 //! cold first request, or rejects interactive work while elastic.
 
 use crate::autoscale::AutoscaleConfig;
-use crate::bench::arch_config;
+use crate::bench::{arch_config, ReportConfig};
 use crate::engine::EngineConfig;
-use crate::json::JsonObject;
+use crate::json::{JsonObject, JsonValue};
 use crate::registry::{ModelKey, ModelRegistry};
 use crate::router::{
-    Priority, RateLimit, Router, RouterConfig, RouterServeError, RouterSnapshot, RouterSubmitError,
-    RouterTicket, TenantPolicy,
+    Priority, RateLimit, Router, RouterConfig, RouterCounters, RouterServeError, RouterSnapshot,
+    RouterSubmitError, RouterTicket, TenantPolicy,
 };
 use sesr_core::model::Sesr;
 use sesr_tensor::Tensor;
@@ -50,7 +50,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Router-bench knobs. The defaults are the committed-baseline
-/// configuration; `scripts/bench_gate.sh` re-runs them exactly.
+/// configuration; `sesr bench-gate` re-runs the baseline's own `config`
+/// block through [`RouterBenchConfig::from_report`].
 #[derive(Debug, Clone)]
 pub struct RouterBenchConfig {
     /// Seed for model init and input tensors.
@@ -121,6 +122,75 @@ impl Default for RouterBenchConfig {
             autoscale_hz: 600.0,
             autoscale_quiet: Duration::from_millis(1500),
         }
+    }
+}
+
+impl RouterBenchConfig {
+    /// Rebuilds the configuration a `BENCH_router.json` report was
+    /// recorded with (see [`ReportConfig`]).
+    /// The heavy tenant's deadline is not recorded and keeps its default.
+    ///
+    /// # Errors
+    ///
+    /// A `config` key is missing, unknown, or not reproducible.
+    pub fn from_report(report: &JsonValue) -> Result<Self, String> {
+        let c = ReportConfig::of(report)?;
+        let secs = |s: f64| Duration::try_from_secs_f64(s).map_err(|e| format!("{s} s: {e}"));
+        let hw = |s: &str| {
+            s.split_once('x')
+                .and_then(|(h, w)| Some((h.parse().ok()?, w.parse().ok()?)))
+                .ok_or_else(|| format!("bad frame size {s:?} (expected HxW)"))
+        };
+        let cfg = Self {
+            seed: c.num("seed")? as u64,
+            phase: secs(c.num("phase_s")?)?,
+            shard_counts: (
+                c.num("shards_low")? as usize,
+                c.num("shards_high")? as usize,
+            ),
+            interactive_tenants: c.num("interactive_tenants")? as usize,
+            interactive_hz: c.num("interactive_hz")?,
+            interactive_deadline: secs(c.num("interactive_deadline_ms")? / 1e3)?,
+            small: hw(c.str("small_hw")?)?,
+            heavy_hz: c.num("heavy_hz")?,
+            big: hw(c.str("big_hw")?)?,
+            overload_factor: c.num("overload_factor")?,
+            overload_heavy_hz: c.num("overload_heavy_hz")?,
+            arch: c.str("arch")?.to_string(),
+            scale: c.num("scale")? as usize,
+            expanded: c.num("expanded")? as usize,
+            autoscale_hz: c.num("autoscale_hz")?,
+            autoscale_quiet: secs(c.num("autoscale_quiet_s")?)?,
+            ..Self::default()
+        };
+        c.matches(&cfg.config_json())?;
+        Ok(cfg)
+    }
+
+    /// The report's `config` block.
+    pub fn config_json(&self) -> String {
+        JsonObject::new()
+            .int("seed", self.seed)
+            .num("phase_s", self.phase.as_secs_f64())
+            .int("shards_low", self.shard_counts.0 as u64)
+            .int("shards_high", self.shard_counts.1 as u64)
+            .int("interactive_tenants", self.interactive_tenants as u64)
+            .num("interactive_hz", self.interactive_hz)
+            .num(
+                "interactive_deadline_ms",
+                self.interactive_deadline.as_secs_f64() * 1e3,
+            )
+            .str("small_hw", &format!("{}x{}", self.small.0, self.small.1))
+            .num("heavy_hz", self.heavy_hz)
+            .str("big_hw", &format!("{}x{}", self.big.0, self.big.1))
+            .num("overload_factor", self.overload_factor)
+            .num("overload_heavy_hz", self.overload_heavy_hz)
+            .str("arch", &self.arch)
+            .int("scale", self.scale as u64)
+            .int("expanded", self.expanded as u64)
+            .num("autoscale_hz", self.autoscale_hz)
+            .num("autoscale_quiet_s", self.autoscale_quiet.as_secs_f64())
+            .finish()
     }
 }
 
@@ -442,15 +512,6 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Result<RouterBenchReport, St
         Duration::ZERO,
         &mut problems,
     )?;
-    if overload.snapshot.counters.shed_batch == 0 {
-        problems.push("overload phase: batch shedding never engaged".to_string());
-    }
-    if overload.snapshot.counters.rejected_interactive > 0 {
-        problems.push(format!(
-            "overload phase: {} interactive requests rejected (must shed batch first)",
-            overload.snapshot.counters.rejected_interactive
-        ));
-    }
     // Elastic phase: interactive-only pressure aimed at a fleet that
     // starts at the low count and must grow its way out of it.
     let elastic: Vec<TenantSpec> = interactive
@@ -471,25 +532,11 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Result<RouterBenchReport, St
         cfg.autoscale_quiet,
         &mut problems,
     )?;
-    let ac = &autoscale.snapshot.counters;
-    if ac.scale_up_events == 0 {
-        problems.push("autoscale phase: fleet never scaled up under overload".to_string());
-    }
-    if ac.scale_down_events == 0 {
-        problems
-            .push("autoscale phase: fleet never drained back down in the quiet tail".to_string());
-    }
-    if ac.replication_warm_hits == 0 {
-        problems.push(
-            "autoscale phase: no shared-plan warm hit (new shards re-collapsed plans)".to_string(),
-        );
-    }
-    if ac.rejected_interactive > 0 {
-        problems.push(format!(
-            "autoscale phase: {} interactive requests rejected while elastic",
-            ac.rejected_interactive
-        ));
-    }
+    problems.extend(phase_problems(
+        &high,
+        &overload.snapshot.counters,
+        &autoscale.snapshot.counters,
+    ));
     Ok(RouterBenchReport {
         low,
         high,
@@ -498,6 +545,49 @@ pub fn run_router_bench(cfg: &RouterBenchConfig) -> Result<RouterBenchReport, St
         autoscale,
         problems,
     })
+}
+
+/// The bench's own checks, beyond each phase's ledger: the high shard
+/// count serves traffic, overload sheds batch before rejecting
+/// interactive, and the elastic fleet scales up, drains back down and
+/// warms new shards from the shared plan store.
+fn phase_problems(
+    high: &PhaseReport,
+    overload: &RouterCounters,
+    elastic: &RouterCounters,
+) -> Vec<String> {
+    let mut problems = Vec::new();
+    if high.rps <= 0.0 {
+        problems.push(format!("shards={}: zero goodput", high.shards));
+    }
+    if overload.shed_batch == 0 {
+        problems.push("overload phase: batch shedding never engaged".to_string());
+    }
+    if overload.rejected_interactive > 0 {
+        problems.push(format!(
+            "overload phase: {} interactive requests rejected (must shed batch first)",
+            overload.rejected_interactive
+        ));
+    }
+    if elastic.scale_up_events == 0 {
+        problems.push("autoscale phase: fleet never scaled up under overload".to_string());
+    }
+    if elastic.scale_down_events == 0 {
+        problems
+            .push("autoscale phase: fleet never drained back down in the quiet tail".to_string());
+    }
+    if elastic.replication_warm_hits == 0 {
+        problems.push(
+            "autoscale phase: no shared-plan warm hit (new shards re-collapsed plans)".to_string(),
+        );
+    }
+    if elastic.rejected_interactive > 0 {
+        problems.push(format!(
+            "autoscale phase: {} interactive requests rejected while elastic",
+            elastic.rejected_interactive
+        ));
+    }
+    problems
 }
 
 fn phase_json(p: &PhaseReport) -> String {
@@ -524,28 +614,6 @@ fn phase_json(p: &PhaseReport) -> String {
 /// Serializes the report (with its configuration) as the
 /// `BENCH_router.json` document.
 pub fn router_bench_report_json(cfg: &RouterBenchConfig, r: &RouterBenchReport) -> String {
-    let config = JsonObject::new()
-        .int("seed", cfg.seed)
-        .num("phase_s", cfg.phase.as_secs_f64())
-        .int("shards_low", cfg.shard_counts.0 as u64)
-        .int("shards_high", cfg.shard_counts.1 as u64)
-        .int("interactive_tenants", cfg.interactive_tenants as u64)
-        .num("interactive_hz", cfg.interactive_hz)
-        .num(
-            "interactive_deadline_ms",
-            cfg.interactive_deadline.as_secs_f64() * 1e3,
-        )
-        .str("small_hw", &format!("{}x{}", cfg.small.0, cfg.small.1))
-        .num("heavy_hz", cfg.heavy_hz)
-        .str("big_hw", &format!("{}x{}", cfg.big.0, cfg.big.1))
-        .num("overload_factor", cfg.overload_factor)
-        .num("overload_heavy_hz", cfg.overload_heavy_hz)
-        .str("arch", &cfg.arch)
-        .int("scale", cfg.scale as u64)
-        .int("expanded", cfg.expanded as u64)
-        .num("autoscale_hz", cfg.autoscale_hz)
-        .num("autoscale_quiet_s", cfg.autoscale_quiet.as_secs_f64())
-        .finish();
     let problems: Vec<String> = r
         .problems
         .iter()
@@ -561,7 +629,61 @@ pub fn router_bench_report_json(cfg: &RouterBenchConfig, r: &RouterBenchReport) 
         .finish();
     JsonObject::new()
         .str("bench", "sesr-router")
-        .raw("config", &config)
+        .raw("config", &cfg.config_json())
         .raw("results", &results)
         .finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn high(rps: f64) -> PhaseReport {
+        PhaseReport {
+            shards: 4,
+            window: Duration::from_secs(1),
+            completed_in_window: 0,
+            rps,
+            assignments: Vec::new(),
+            snapshot: RouterSnapshot {
+                elapsed: Duration::ZERO,
+                counters: RouterCounters::default(),
+                tenants: Vec::new(),
+            },
+        }
+    }
+
+    #[test]
+    fn phase_problems_flag_each_failed_check() {
+        let overload = RouterCounters {
+            shed_batch: 3,
+            ..RouterCounters::default()
+        };
+        let elastic = RouterCounters {
+            scale_up_events: 1,
+            scale_down_events: 1,
+            replication_warm_hits: 2,
+            ..RouterCounters::default()
+        };
+        assert!(phase_problems(&high(10.0), &overload, &elastic).is_empty());
+        assert_eq!(
+            phase_problems(&high(0.0), &overload, &elastic),
+            ["shards=4: zero goodput"]
+        );
+        let rejecting = RouterCounters {
+            rejected_interactive: 1,
+            ..overload
+        };
+        assert_eq!(phase_problems(&high(10.0), &rejecting, &elastic).len(), 1);
+        assert_eq!(
+            phase_problems(&high(10.0), &RouterCounters::default(), &elastic).len(),
+            1
+        );
+        // A fleet that never moved fails the scale-up, scale-down and
+        // warm-hit checks.
+        assert_eq!(
+            phase_problems(&high(10.0), &overload, &RouterCounters::default()).len(),
+            3
+        );
+    }
 }

@@ -27,8 +27,8 @@
 //! parallelism pinned to one thread, so numbers measure the reuse
 //! machinery, not scheduler noise.
 
-use crate::bench::arch_config;
-use crate::json::{array, JsonObject};
+use crate::bench::{arch_config, ReportConfig};
+use crate::json::{array, JsonObject, JsonValue};
 use crate::plan_cache::PlanCache;
 use crate::registry::ModelKey;
 use crate::video::{VideoSession, VideoSessionSpec, RUNG_BUCKETS};
@@ -85,6 +85,49 @@ impl Default for VideoBenchConfig {
             overload: 2.0,
             ladder: vec!["m3".into(), "m5".into(), "m7".into(), "m11".into()],
         }
+    }
+}
+
+impl VideoBenchConfig {
+    /// Rebuilds the configuration a `BENCH_video.json` report was
+    /// recorded with (see [`ReportConfig`]).
+    ///
+    /// # Errors
+    ///
+    /// A `config` key is missing, unknown, or not reproducible.
+    pub fn from_report(report: &JsonValue) -> Result<Self, String> {
+        let c = ReportConfig::of(report)?;
+        let cfg = Self {
+            height: c.num("height")? as usize,
+            width: c.num("width")? as usize,
+            tile: c.num("tile")? as usize,
+            frames: c.num("frames")? as usize,
+            scale: c.num("scale")? as usize,
+            expanded: c.num("expanded")? as usize,
+            seed: c.num("seed")? as u64,
+            overload: c.num("overload")?,
+            ladder: c.strs("ladder")?,
+        };
+        c.matches(&cfg.config_json())?;
+        Ok(cfg)
+    }
+
+    /// The report's `config` block.
+    pub fn config_json(&self) -> String {
+        JsonObject::new()
+            .int("height", self.height as u64)
+            .int("width", self.width as u64)
+            .int("tile", self.tile as u64)
+            .int("frames", self.frames as u64)
+            .int("scale", self.scale as u64)
+            .int("expanded", self.expanded as u64)
+            .int("seed", self.seed)
+            .num("overload", self.overload)
+            .raw(
+                "ladder",
+                &array(self.ladder.iter().map(|a| format!("\"{a}\""))),
+            )
+            .finish()
     }
 }
 
@@ -359,6 +402,19 @@ pub fn run_video_bench(cfg: &VideoBenchConfig) -> Result<VideoBenchReport, Strin
         .map(|name| run_sequence(name, cfg, &ladder))
         .collect::<Result<_, _>>()?;
 
+    let problems = sequence_problems(&sequences);
+    Ok(VideoBenchReport {
+        config: cfg.clone(),
+        sequences,
+        problems,
+    })
+}
+
+/// The self-checks that turn silent regressions into listed problems:
+/// static reuse skips tiles and clears the 5x floor, pan mixes skips with
+/// recomputes, every sequence holds its any-time deadline, and the cut
+/// sequence degrades the ladder.
+fn sequence_problems(sequences: &[SequenceResult]) -> Vec<String> {
     let mut problems = Vec::new();
     let by_name = |n: &str| {
         sequences
@@ -367,6 +423,9 @@ pub fn run_video_bench(cfg: &VideoBenchConfig) -> Result<VideoBenchReport, Strin
             .expect("sequence present")
     };
     let st = by_name("static");
+    if st.tiles_skipped == 0 {
+        problems.push("static never skipped a tile".to_string());
+    }
     if st.speedup_x < 5.0 {
         problems.push(format!(
             "static speedup {:.1}x below the 5x reuse floor",
@@ -380,7 +439,7 @@ pub fn run_video_bench(cfg: &VideoBenchConfig) -> Result<VideoBenchReport, Strin
             pan.tiles_skipped, pan.tiles_recomputed
         ));
     }
-    for s in &sequences {
+    for s in sequences {
         if s.anytime.miss_rate > 0.15 {
             problems.push(format!(
                 "{}: any-time deadline-miss rate {:.0}% not near zero",
@@ -393,31 +452,11 @@ pub fn run_video_bench(cfg: &VideoBenchConfig) -> Result<VideoBenchReport, Strin
     if cut.anytime.tiles_degraded == 0 {
         problems.push("cut never degraded the ladder under 2x overload".into());
     }
-
-    Ok(VideoBenchReport {
-        config: cfg.clone(),
-        sequences,
-        problems,
-    })
+    problems
 }
 
 /// Serializes a report as the `BENCH_video.json` document.
 pub fn video_bench_report_json(report: &VideoBenchReport) -> String {
-    let c = &report.config;
-    let config = JsonObject::new()
-        .int("height", c.height as u64)
-        .int("width", c.width as u64)
-        .int("tile", c.tile as u64)
-        .int("frames", c.frames as u64)
-        .int("scale", c.scale as u64)
-        .int("expanded", c.expanded as u64)
-        .int("seed", c.seed)
-        .num("overload", c.overload)
-        .raw(
-            "ladder",
-            &array(c.ladder.iter().map(|a| format!("\"{a}\""))),
-        )
-        .finish();
     let mut results = JsonObject::new();
     for s in &report.sequences {
         let anytime = JsonObject::new()
@@ -442,7 +481,7 @@ pub fn video_bench_report_json(report: &VideoBenchReport) -> String {
     }
     JsonObject::new()
         .str("bench", "sesr-video")
-        .raw("config", &config)
+        .raw("config", &report.config.config_json())
         .raw("results", &results.finish())
         .raw(
             "problems",
@@ -476,6 +515,51 @@ mod tests {
         assert!(json.contains("\"bench\":\"sesr-video\""));
         assert!(json.contains("\"static\""));
         assert!(json.contains("\"speedup_x\""));
+    }
+
+    #[test]
+    fn sequence_problems_flag_each_failed_check() {
+        let seq = |name, skipped, speedup_x, degraded| SequenceResult {
+            name,
+            reuse_fps: 100.0,
+            full_fps: 10.0,
+            speedup_x,
+            tiles_skipped: skipped,
+            tiles_recomputed: 16,
+            anytime: AnytimeResult {
+                deadline_ms: 5.0,
+                miss_rate: 0.0,
+                mean_psnr_db_vs_top: 30.0,
+                tiles_degraded: degraded,
+                rungs: [0; RUNG_BUCKETS],
+            },
+        };
+        let healthy = || {
+            vec![
+                seq("static", 368, 10.0, 0),
+                seq("pan", 76, 1.0, 0),
+                seq("cut", 320, 5.0, 64),
+            ]
+        };
+        assert!(sequence_problems(&healthy()).is_empty());
+        let mut never_skipped = healthy();
+        never_skipped[0].tiles_skipped = 0;
+        assert_eq!(
+            sequence_problems(&never_skipped),
+            ["static never skipped a tile"]
+        );
+        let mut slow = healthy();
+        slow[0].speedup_x = 4.9;
+        assert_eq!(sequence_problems(&slow).len(), 1);
+        let mut no_mix = healthy();
+        no_mix[1].tiles_recomputed = 0;
+        assert_eq!(sequence_problems(&no_mix).len(), 1);
+        let mut late = healthy();
+        late[2].anytime.miss_rate = 0.2;
+        assert_eq!(sequence_problems(&late).len(), 1);
+        let mut top_only = healthy();
+        top_only[2].anytime.tiles_degraded = 0;
+        assert_eq!(sequence_problems(&top_only).len(), 1);
     }
 
     #[test]
