@@ -5,46 +5,61 @@
 //! [`QuantPlan`] and [`QuantTilePlanner`] are the `sesr_core::infer_plan`
 //! skeleton — depth-first row groups, row rings, bands, timing hook, tile
 //! LRU — over a pre-sized `i32` arena with zero steady-state allocations.
-//! This module supplies only the integer parts: packed-pair rings with
-//! zero borders, input quantization into the input ring, and the band
-//! kernel with its requantizing sinks.
+//! This module supplies only the integer parts: rings of packed `u8`
+//! levels with zero-point borders, input quantization into the input
+//! ring, and the band kernel with its requantizing sinks.
 //!
 //! # Integer datapath
 //!
-//! Activation planes live in the arena as **zero-point-subtracted**
-//! levels: each `i32` element packs two adjacent channels as `i16` lanes
-//! (channel `2c` in the low half, `2c + 1` in the high half). Subtracting
-//! the wire's zero point at store time has two payoffs:
+//! Activation planes live in the arena as the **raw `u8` wire levels**
+//! the oracle stores, one byte per activation: each `i32` word packs four
+//! adjacent channels (channel `4c + b` in byte `b`). The input ring holds
+//! the single input channel as **kx quads** instead: the word at padded
+//! column `p` holds the levels of columns `p..p + 4`, so the first layer's
+//! 5x5 window runs as 5 rows of 2 packed taps rather than 25 taps with
+//! three empty bytes each.
 //!
-//! - the convolution becomes a plain integer dot product
-//!   `acc += (q - zp) * w` with no per-tap zero-point correction, exactly
-//!   the oracle's accumulation, and
-//! - zero padding is *universally* the value `0` for every wire, so every
-//!   stored row carries [`HALO`] zero columns on either side, written
-//!   once at construction, and the rows past the image's top and bottom
-//!   edges are stored as zero rows, rewritten each run by the bands that
-//!   touch those edges. Border taps read them and contribute exactly `0`
-//!   to the `i32` accumulator — bit-identical to the oracle's
-//!   skip-out-of-bounds loop, with no branches in the hot path.
+//! The oracle accumulates `Σ (q - zp) * w` over the in-bounds taps only.
+//! The plan instead runs every tap of the window and folds the zero point
+//! into the accumulator's seed:
 //!
-//! Each activation is a rolling ring of such padded rows per channel pair
+//! - every stored row carries [`HALO`] pad columns on either side, and
+//!   the rows past the image's top and bottom edges are stored as pad
+//!   rows; all of them hold the ring's wire zero point `zp` in every
+//!   byte. `QRing::put` writes a row's pad columns with the row, and the
+//!   bands that touch an image edge rewrite its pad rows, every run:
+//!   one-group plans reuse their ping-pong buffers across wires with
+//!   different zero points, so nothing relies on the arena's initial
+//!   contents;
+//! - each output channel's accumulator starts from the integer
+//!   `-zp * Σw[o]`, summed over the whole window. Then
+//!   `-zp * Σw + Σ_all q * w = Σ_in (q - zp) * w`, because each pad tap
+//!   adds `zp * w`, which its share of the seed cancels exactly. The fold
+//!   stays in integers: folding it into the float bias would round
+//!   differently from the oracle.
+//!
+//! The epilogues that read stored levels back — the residual sink's
+//! `first` operand and the head's input residual — take `q - zp` in
+//! integers before converting, as the oracle's dequantization does.
+//!
+//! Each activation is a rolling ring of such padded rows per channel quad
 //! (see `QRing`): the plan streams the chain a row group at a time, so
 //! a ring holds only the rows its consumers still read. The ring's lowest
 //! `window - 1` slots are mirrored past its period, so every consumer
 //! window is contiguous from its first slot wherever the ring wraps. No
 //! kernel is taller or wider than `2 * HALO + 1`, so every tap of every
-//! output pixel — border rows included — lands on an image row or a zero
-//! row and column. The whole `kh x cpin x kw` window therefore runs from
-//! one row base plus a per-layer tap-offset table built once at plan
-//! compile, with no per-row gather and no border special case: a zero tap
-//! adds exactly `0`, which is what the oracle's skipped tap adds. The
-//! per-row kernel is [`Microkernel::qmadd_taps4`], fed weights packed
-//! tap-major four output channels at a time: it writes four output
-//! channels' accumulator rows from one shared set of tap loads. Each tap
-//! maps onto one AVX2 `vpmaddwd` or AVX-512 VNNI `vpdpwssd`, exact for
-//! these operand ranges (see `sesr_tensor::simd`), and integer addition is
-//! associative, so every kernel variant and body, band count, and column
-//! blocking produces identical accumulators.
+//! output pixel — border rows included — lands on an image row or a pad
+//! row and column. The whole window therefore runs from one row base plus
+//! a per-layer tap-offset table built once at plan compile, with no
+//! per-row gather and no border special case. The per-row kernel is
+//! [`Microkernel::qmadd_taps4`], fed weights packed tap-major four output
+//! channels at a time: it writes four output channels' accumulator rows
+//! from one shared set of tap loads. Each tap maps onto one AVX-512 VNNI
+//! `vpdpbusd` (four `u8 x i8` products per lane) or two AVX2 `vpmaddwd` on
+//! the split bytes, exact for these operand ranges (see
+//! `sesr_tensor::simd`), and integer addition is associative, so every
+//! kernel variant and body, band count, and column blocking produces
+//! identical accumulators.
 //!
 //! # Requantization epilogues
 //!
@@ -71,52 +86,63 @@ use sesr_core::infer_plan::{
     TilePlanner,
 };
 use sesr_tensor::parallel::SendPtr;
-use sesr_tensor::simd::{Microkernel, QuantEpilogue, RowAct};
+use sesr_tensor::simd::{Microkernel, QuantEpilogue, QuantWire, RowAct};
 
-/// Zero ring width around every activation plane. Two rows/columns cover
-/// the widest SESR tap (5x5, pad 2), so no supported kernel (at most
+/// Pad width around every activation plane. Two rows/columns cover the
+/// widest SESR tap (5x5, pad 2), so no supported kernel (at most
 /// `2 * HALO + 1` on a side) ever reads past the ring.
 const HALO: usize = 2;
 
-/// Channel pairs needed to hold `c` channels (odd counts pad the high
-/// lane with zeros).
+/// Words needed to hold `c` channels, four `u8` levels each (a trailing
+/// quad's missing channels meet zero weights).
 #[inline]
-fn pairs(c: usize) -> usize {
-    c.div_ceil(2)
+fn quads(c: usize) -> usize {
+    c.div_ceil(4)
 }
 
-/// Packs two zero-point-subtracted levels into one arena element.
+/// A word with the level `zp` in every byte: a pad column of any ring.
 #[inline]
-fn pack_pair(lo: i32, hi: i32) -> i32 {
-    (lo & 0xffff) | (hi << 16)
+fn pad_word(zp: i32) -> i32 {
+    i32::from_le_bytes([zp as u8; 4])
 }
 
-/// Per-layer activation with slopes flattened for scalar epilogues.
-#[derive(Debug, Clone)]
-enum QAct {
-    None,
-    Relu,
-    /// Per-output-channel negative slopes.
-    PRelu(Vec<f32>),
+fn wire(p: AffineParams) -> QuantWire {
+    QuantWire {
+        scale: p.scale,
+        zero_point: p.zero_point,
+    }
+}
+
+/// How a layer's packed taps walk its source ring: `(planes, cols,
+/// stride)`. Taps run `(ky, plane, col)` and read the word `stride * col`
+/// columns into the window. Layer 0 reads the input's kx quads (one
+/// plane, a word per four kernel columns); every other layer reads
+/// channel quads (a plane per four channels, a word per kernel column).
+fn tap_grid(layer: usize, l: LayerShape) -> (usize, usize, usize) {
+    if layer == 0 {
+        (1, l.kw.div_ceil(4), 4)
+    } else {
+        (quads(l.cin), l.kw, 1)
+    }
 }
 
 /// One layer, preprocessed for planned integer execution (its shape lives
 /// in the [`LayerGraph`]).
 #[derive(Debug, Clone)]
 struct QKernelLayer {
-    /// Packed i16-pair weights for [`Microkernel::qmadd_taps4`], four
-    /// output channels at a time, tap-major: group `g`, tap `t = (ky, cp,
-    /// kx)` and channel `4g + c` sit at `(g * taps + t) * 4 + c`, holding
-    /// input channels `2cp` (low lane) and `2cp + 1` (high lane, zero when
-    /// `cin` is odd). The last group's missing channels are zero.
+    /// Packed weights for [`Microkernel::qmadd_taps4`], four output
+    /// channels at a time, tap-major in [`tap_grid`] order: group `g`, tap
+    /// `t` and channel `4g + c` sit at `(g * taps + t) * 4 + c`. Byte `b`
+    /// of a word weighs byte `b` of the source word: input channel
+    /// `4 * plane + b` at kernel column `col`, or, for layer 0's kx quads,
+    /// kernel column `4 * col + b`. Missing bytes and the last group's
+    /// missing channels are zero.
     taps4: Vec<i32>,
-    /// `in_scale * weight_scale[o]` — the accumulator-to-real factor.
-    scale_io: Vec<f32>,
-    bias: Vec<f32>,
-    act: QAct,
-    /// Outgoing wire. (The incoming wire is folded into `scale_io`: its
-    /// scale is the only part the datapath needs — zero-point-subtracted
-    /// planes already absorb the offset.)
+    /// Per group, each channel's accumulator seed `-zp_in * Σw[o]`.
+    seeds: Vec<[i32; 4]>,
+    /// Per output channel, the requantize-to-wire constants.
+    epilogues: Vec<QuantEpilogue>,
+    /// Outgoing wire: its zero point fills the destination ring's pads.
     out_params: AffineParams,
 }
 
@@ -180,43 +206,67 @@ impl QuantKernels {
         let layers = qlayers
             .iter()
             .zip(in_params)
-            .map(|(l, inp)| {
+            .enumerate()
+            .map(|(i, (l, inp))| {
                 let dims = &l.weight.shape;
                 let (cout, cin, kh, kw) = (dims[0], dims[1], dims[2], dims[3]);
                 assert!(
                     kh <= 2 * HALO + 1 && kw <= 2 * HALO + 1,
                     "kernel too large: {kh}x{kw}"
                 );
-                shapes.push(LayerShape { cin, cout, kh, kw });
-                let cpin = pairs(cin);
-                let taps = kh * cpin * kw;
+                let shape = LayerShape { cin, cout, kh, kw };
+                shapes.push(shape);
+                let (planes, cols, stride) = tap_grid(i, shape);
+                let taps = kh * planes * cols;
                 let mut taps4 = vec![0i32; cout.div_ceil(4) * taps * 4];
+                let mut seeds = vec![[0i32; 4]; cout.div_ceil(4)];
                 for o in 0..cout {
+                    let w = |c: usize, ky: usize, kx: usize| {
+                        l.weight.data[((o * cin + c) * kh + ky) * kw + kx]
+                    };
                     for ky in 0..kh {
-                        for cp in 0..cpin {
-                            for kx in 0..kw {
-                                let at = |c: usize| {
-                                    l.weight.data[((o * cin + c) * kh + ky) * kw + kx] as i32
-                                };
-                                let lo = at(2 * cp);
-                                let hi = if 2 * cp + 1 < cin { at(2 * cp + 1) } else { 0 };
-                                let t = (ky * cpin + cp) * kw + kx;
-                                taps4[((o / 4) * taps + t) * 4 + o % 4] = pack_pair(lo, hi);
+                        for p in 0..planes {
+                            for col in 0..cols {
+                                let bytes: [u8; 4] = std::array::from_fn(|b| {
+                                    let (c, kx) = if stride == 4 {
+                                        (0, 4 * col + b)
+                                    } else {
+                                        (4 * p + b, col)
+                                    };
+                                    if c < cin && kx < kw {
+                                        w(c, ky, kx) as u8
+                                    } else {
+                                        0
+                                    }
+                                });
+                                let t = (ky * planes + p) * cols + col;
+                                taps4[((o / 4) * taps + t) * 4 + o % 4] = i32::from_le_bytes(bytes);
                             }
                         }
                     }
+                    let wsum: i32 = l.weight.data[o * cin * kh * kw..][..cin * kh * kw]
+                        .iter()
+                        .map(|&q| q as i32)
+                        .sum();
+                    seeds[o / 4][o % 4] = -inp.zero_point * wsum;
                 }
-                let scale_io = l.weight.scales.iter().map(|&ws| inp.scale * ws).collect();
-                let act = match &l.act {
-                    None => QAct::None,
-                    Some(Act::Relu) => QAct::Relu,
-                    Some(Act::PRelu(a)) => QAct::PRelu(a.data().to_vec()),
-                };
+                let epilogues = (0..cout)
+                    .map(|o| QuantEpilogue {
+                        scale_io: inp.scale * l.weight.scales[o],
+                        bias: l.bias[o],
+                        act: match &l.act {
+                            None => RowAct::Linear,
+                            Some(Act::Relu) => RowAct::Relu,
+                            Some(Act::PRelu(a)) => RowAct::PRelu(a.data()[o]),
+                        },
+                        out_scale: l.out_params.scale,
+                        zero_point: l.out_params.zero_point,
+                    })
+                    .collect();
                 QKernelLayer {
                     taps4,
-                    scale_io,
-                    bias: l.bias.clone(),
-                    act,
+                    seeds,
+                    epilogues,
                     out_params: l.out_params,
                 }
             })
@@ -253,10 +303,10 @@ impl Datapath for QuantKernels {
         &self.graph
     }
 
-    /// Packed channel pairs, each a ring of padded rows with its zero
+    /// Packed channel quads, each a ring of padded rows with its pad
     /// columns and mirrored window rows ([`QRing`]).
     fn ring_len(c: usize, period: usize, window: usize, w: usize) -> usize {
-        pairs(c) * ring_plane(period, window, w)
+        quads(c) * ring_plane(period, window, w)
     }
 
     /// Four `w`-wide accumulator rows (one `qmadd_taps4` output-channel
@@ -276,27 +326,27 @@ impl Datapath for QuantKernels {
     }
 
     /// Tap offsets for [`Microkernel::qmadd_taps4`], in `taps4`'s
-    /// `(ky, cp, kx)` order, relative to the first padded row of the
-    /// output row's window in a source ring of `period` rows read through
+    /// [`tap_grid`] order, relative to the first padded row of the output
+    /// row's window in a source ring of `period` rows read through
     /// `window`-row windows.
     fn tap_offsets(&self, layer: usize, period: usize, window: usize, w: usize) -> Vec<usize> {
         let l = self.graph.layers()[layer];
-        let (plane, pw, cpin) = (ring_plane(period, window, w), w + 2 * HALO, pairs(l.cin));
+        let (plane, pw) = (ring_plane(period, window, w), w + 2 * HALO);
+        let (planes, cols, stride) = tap_grid(layer, l);
         let left = HALO - (l.kw - 1) / 2;
-        let mut offs = Vec::with_capacity(l.kh * cpin * l.kw);
+        let mut offs = Vec::with_capacity(l.kh * planes * cols);
         for ky in 0..l.kh {
-            for cp in 0..cpin {
-                for kx in 0..l.kw {
-                    offs.push(cp * plane + ky * pw + kx + left);
+            for p in 0..planes {
+                for col in 0..cols {
+                    offs.push(p * plane + ky * pw + stride * col + left);
                 }
             }
         }
         offs
     }
 
-    /// Quantizes input rows onto the input wire, zero-point subtracted,
-    /// into the low lane of the input ring's single pair plane (high lane
-    /// zero: there is no channel 1).
+    /// Quantizes input rows onto the input wire as the input ring's kx
+    /// quads.
     fn stage_rows(
         &self,
         mk: &dyn Microkernel,
@@ -314,14 +364,16 @@ impl Datapath for QuantKernels {
             // SAFETY: bands partition rows, and a group's rows land on
             // distinct ring slots; each row has one writer.
             unsafe {
-                dst.put(0, y, |drow| {
-                    mk.qquantize_row(&input[y * w..][..w], drow, ip.scale, ip.zero_point)
+                dst.put(0, y, ip.zero_point, |row| {
+                    let levels = &mut row[HALO..][..w];
+                    mk.qquantize_row(&input[y * w..][..w], levels, ip.scale, ip.zero_point);
+                    kx_quads(row, ip.zero_point);
                 });
             }
         }
         // SAFETY: as above; only the bands touching an image edge write
-        // the zero rows past it.
-        unsafe { dst.zero_edges(1, y0, y1, h) };
+        // the pad rows past it.
+        unsafe { dst.pad_edges(1, y0, y1, h, ip.zero_point) };
     }
 
     fn run_band(
@@ -339,15 +391,15 @@ impl Datapath for QuantKernels {
             (None, _) => QSink::Head {
                 out: io.out,
                 input: io.input,
-                input_scale: self.input_params.scale,
+                input_wire: wire(self.input_params),
                 graph: &self.graph,
                 out_w: io.w * s,
             },
             (Some(ring), Some(first)) => QSink::ResidualPlane {
                 ring,
                 first,
-                first_scale: self.layers[0].out_params.scale,
-                wide: AffineParams {
+                first_wire: wire(self.layers[0].out_params),
+                wide: QuantWire {
                     scale: lay.out_params.scale * 2.0,
                     zero_point: lay.out_params.zero_point,
                 },
@@ -358,31 +410,51 @@ impl Datapath for QuantKernels {
         qconv_band(mk, lay, shape, io.offs, &io.src, io.w, band, slab, &sink);
         if let Some(ring) = dst {
             // SAFETY: only the bands touching an image edge write the
-            // zero rows past it, on slots no other band of the group
+            // pad rows past it, on slots no other band of the group
             // writes.
-            unsafe { ring.zero_edges(pairs(shape.cout), band.y0, band.y1, io.h) };
+            let zp = lay.out_params.zero_point;
+            unsafe { ring.pad_edges(quads(shape.cout), band.y0, band.y1, io.h, zp) };
         }
     }
 }
 
-/// Elements of one pair plane of an int8 ring: `period` padded rows plus
+/// Turns a padded row of levels, one per word, into kx quads in place:
+/// word `p` becomes the levels of columns `p..p + 4` in bytes 0 to 3,
+/// with `zp` past the row's end. Ascending `p` reads each word before it
+/// is rewritten.
+fn kx_quads(row: &mut [i32], zp: i32) {
+    let n = row.len();
+    for p in 0..n - 3 {
+        row[p] =
+            row[p] & 0xff | (row[p + 1] & 0xff) << 8 | (row[p + 2] & 0xff) << 16 | row[p + 3] << 24;
+    }
+    for p in n - 3..n {
+        let mut word = 0;
+        for b in (0..4).rev() {
+            word = word << 8 | row.get(p + b).map_or(zp, |&v| v & 0xff);
+        }
+        row[p] = word;
+    }
+}
+
+/// Words of one quad plane of an int8 ring: `period` padded rows plus
 /// `window - 1` mirrored ones, each `w + 2 * HALO` wide.
 fn ring_plane(period: usize, window: usize, w: usize) -> usize {
     (period + window - 1) * (w + 2 * HALO)
 }
 
-/// Row `y`'s `w` interior levels in pair plane `cp` of an int8 ring.
-fn qrow<'a>(r: &RingRef<'a, i32>, cp: usize, y: usize, w: usize) -> &'a [i32] {
+/// Row `y`'s `w` interior words in quad plane `cq` of an int8 ring.
+fn qrow<'a>(r: &RingRef<'a, i32>, cq: usize, y: usize, w: usize) -> &'a [i32] {
     let plane = ring_plane(r.period, r.window, w);
-    &r.data[cp * plane + ((y + HALO) % r.period) * (w + 2 * HALO) + HALO..][..w]
+    &r.data[cq * plane + ((y + HALO) % r.period) * (w + 2 * HALO) + HALO..][..w]
 }
 
 /// Write access to an int8 ring in the arena. Padded row `py = y + HALO`
 /// lives in slot `py % period`; the `window - 1` lowest slots are
 /// mirrored past `period`, so the rows of every window lie contiguous
 /// from its first slot and one tap-offset table serves every output row.
-/// Rows past the image edges are stored as zero rows, and every row's
-/// `HALO` columns on either side stay zero from construction.
+/// Rows past the image edges are stored as pad rows, and every row has
+/// `HALO` pad columns on either side, all holding the ring's zero point.
 #[derive(Clone, Copy)]
 struct QRing {
     arena: SendPtr<i32>,
@@ -401,65 +473,63 @@ impl QRing {
         }
     }
 
-    /// The `len` elements at column `x` of slot `slot` of pair plane
-    /// `cp`, and those of its mirror slot when it has one.
+    /// The padded row in slot `slot` of quad plane `cq`, and its mirror
+    /// slot's when it has one.
     ///
     /// # Safety
     ///
-    /// No other thread touches those elements while the slices live.
-    unsafe fn slot<'a>(
-        self,
-        cp: usize,
-        slot: usize,
-        x: usize,
-        len: usize,
-    ) -> (&'a mut [i32], Option<&'a mut [i32]>) {
+    /// No other thread touches those words while the slices live.
+    unsafe fn slot<'a>(self, cq: usize, slot: usize) -> (&'a mut [i32], Option<&'a mut [i32]>) {
         let at = |s: usize| {
-            let off = self.ring.off + cp * self.plane + s * self.pw + x;
+            let off = self.ring.off + cq * self.plane + s * self.pw;
             // SAFETY: in bounds by the ring's layout; exclusive by the
             // caller's contract.
-            unsafe { self.arena.slice_mut(off, len) }
+            unsafe { self.arena.slice_mut(off, self.pw) }
         };
         let mirrored = slot + 1 < self.ring.window;
         (at(slot), mirrored.then(|| at(slot + self.ring.period)))
     }
 
-    /// Lets `f` write image row `y`'s interior in pair plane `cp`, then
-    /// copies it to the mirror slot.
+    /// Fills image row `y`'s pad columns in quad plane `cq` with `zp`,
+    /// lets `f` write the row's interior (`HALO..HALO + w`; `f` gets the
+    /// whole padded row), then copies the row to its mirror slot.
     ///
     /// # Safety
     ///
     /// As [`QRing::slot`].
-    unsafe fn put(&self, cp: usize, y: usize, f: impl FnOnce(&mut [i32])) {
-        let w = self.pw - 2 * HALO;
+    unsafe fn put(&self, cq: usize, y: usize, zp: i32, f: impl FnOnce(&mut [i32])) {
         // SAFETY: the caller's contract.
-        let (row, mirror) = unsafe { self.slot(cp, (y + HALO) % self.ring.period, HALO, w) };
+        let (row, mirror) = unsafe { self.slot(cq, (y + HALO) % self.ring.period) };
+        let pad = pad_word(zp);
+        row[..HALO].fill(pad);
+        row[self.pw - HALO..].fill(pad);
         f(row);
         if let Some(mirror) = mirror {
             mirror.copy_from_slice(row);
         }
     }
 
-    /// Zeroes the stored rows past the image edges that rows `[y0, y1)`
-    /// of an `h`-row image border, in the first `pairs` planes.
+    /// Fills the stored rows past the image edges that rows `[y0, y1)` of
+    /// an `h`-row image border with `zp`, in the first `quads` planes.
     ///
     /// # Safety
     ///
     /// As [`QRing::slot`], for those rows.
-    unsafe fn zero_edges(&self, pairs: usize, y0: usize, y1: usize, h: usize) {
+    unsafe fn pad_edges(&self, quads: usize, y0: usize, y1: usize, h: usize, zp: i32) {
         let top = if y0 == 0 { 0..HALO } else { 0..0 };
         let bottom = if y1 == h {
             h + HALO..h + 2 * HALO
         } else {
             0..0
         };
+        let pad = pad_word(zp);
         for py in top.chain(bottom) {
-            for cp in 0..pairs {
+            for cq in 0..quads {
                 // SAFETY: the caller's contract.
-                let (row, mirror) = unsafe { self.slot(cp, py % self.ring.period, 0, self.pw) };
-                row.fill(0);
+                let (row, mirror) = unsafe { self.slot(cq, py % self.ring.period) };
+                row.fill(pad);
                 if let Some(mirror) = mirror {
-                    mirror.fill(0);
+                    mirror.fill(pad);
                 }
             }
         }
@@ -475,47 +545,30 @@ enum QSink<'a> {
         ring: QRing,
         /// Layer 0's output ring.
         first: RingRef<'a, i32>,
-        /// Layer-0 output wire scale (dequantizes the stored levels).
-        first_scale: f32,
+        /// Layer 0's output wire (dequantizes the stored levels).
+        first_wire: QuantWire,
         /// The widened wire the residual sum is requantized to.
-        wide: AffineParams,
+        wide: QuantWire,
     },
     /// Head: dequantize, then depth-to-space into the output image.
     Head {
         out: SendPtr,
         /// The staged input ring when the model adds the input residual.
         input: Option<RingRef<'a, i32>>,
-        input_scale: f32,
+        input_wire: QuantWire,
         graph: &'a LayerGraph,
         out_w: usize,
     },
-}
-
-/// The requantize-to-wire constants for output channel `o` — the values
-/// the scalar epilogue closures historically read, handed to the
-/// `Microkernel` row epilogues verbatim.
-fn epilogue(lay: &QKernelLayer, o: usize) -> QuantEpilogue {
-    QuantEpilogue {
-        scale_io: lay.scale_io[o],
-        bias: lay.bias[o],
-        act: match &lay.act {
-            QAct::None => RowAct::Linear,
-            QAct::Relu => RowAct::Relu,
-            QAct::PRelu(a) => RowAct::PRelu(a[o]),
-        },
-        out_scale: lay.out_params.scale,
-        zero_point: lay.out_params.zero_point,
-    }
 }
 
 /// Runs one layer over one row band: integer accumulation via
 /// [`Microkernel::qmadd_taps4`] — one whole-window call per output row and
 /// four-channel group, reading the taps at `offs` from the first slot of
 /// the row's window in the source ring — then the vectorized
-/// requantization row epilogue selected by `sink`, one output-channel
-/// pair at a time so ring sinks write whole packed words. The head
-/// dequantizes every channel's row, then interleaves the `scale` rows of
-/// each output row in one pass.
+/// requantization row epilogue selected by `sink`, one group at a time so
+/// ring sinks write whole packed words. The head dequantizes every
+/// channel's row, then interleaves the `scale` rows of each output row in
+/// one pass.
 #[allow(clippy::too_many_arguments)]
 fn qconv_band(
     mk: &dyn Microkernel,
@@ -529,6 +582,7 @@ fn qconv_band(
     sink: &QSink<'_>,
 ) {
     let (pw, cout, up) = (w + 2 * HALO, shape.cout, shape.reach().0);
+    let zp = lay.out_params.zero_point;
     let (accs, vals_raw) = slab.split_at_mut(4 * w);
     // The head sink's dequantized-value scratch, reinterpreted as f32.
     // SAFETY: i32 and f32 share size and alignment; the slab is
@@ -539,71 +593,52 @@ fn qconv_band(
 
     for y in band.y0..band.y1 {
         // Every tap of row `y` lies in the ring's window rows — image rows
-        // or stored zero rows — and its zero columns (see the module
-        // docs), so the whole window runs from its first slot; zero taps
-        // add exactly 0, as the oracle's skipped taps do.
+        // or stored pad rows — and its pad columns (see the module docs),
+        // so the whole window runs from its first slot; the seed cancels
+        // the pad taps.
         let row = &src.data[((y + HALO - up) % src.period) * pw..];
         for (g, ws) in lay.taps4.chunks_exact(4 * offs.len()).enumerate() {
             let lanes = (cout - 4 * g).min(4);
             let acc = &mut accs[..lanes * w];
-            mk.qmadd_taps4(acc, w, ws, offs, row);
-            for p in (0..lanes).step_by(2) {
-                let oi = 4 * g + p;
-                let acc0 = &acc[p * w..(p + 1) * w];
-                // A lone trailing channel packs a zero high lane and never
-                // reads `acc1`.
-                let (acc1, e1) = if p + 1 < lanes {
-                    (&acc[(p + 1) * w..(p + 2) * w], Some(epilogue(lay, oi + 1)))
-                } else {
-                    (acc0, None)
-                };
-                let e0 = epilogue(lay, oi);
-                match sink {
-                    // SAFETY: bands partition rows, and a group's rows
-                    // land on distinct ring slots.
-                    QSink::Plane { ring } => unsafe {
-                        ring.put(oi / 2, y, |drow| {
-                            mk.qrequant_pack_row(acc0, acc1, drow, &e0, e1.as_ref())
+            mk.qmadd_taps4(acc, w, ws, offs, row, lay.seeds[g]);
+            let acc = &*acc;
+            let es = &lay.epilogues[4 * g..][..lanes];
+            match sink {
+                // SAFETY: bands partition rows, and a group's rows land on
+                // distinct ring slots.
+                QSink::Plane { ring } => unsafe {
+                    ring.put(g, y, zp, |prow| {
+                        mk.qrequant_pack_row(acc, es, &mut prow[HALO..][..w])
+                    });
+                },
+                QSink::ResidualPlane {
+                    ring,
+                    first,
+                    first_wire,
+                    wide,
+                } => {
+                    let frow = qrow(first, g, y, w);
+                    // Residual at wire precision: dequantize both
+                    // operands, add, requantize to the widened wire —
+                    // the oracle's `a.add(&b)` path, lane for lane.
+                    // SAFETY: as for the plane arm.
+                    unsafe {
+                        ring.put(g, y, wide.zero_point, |prow| {
+                            let dst = &mut prow[HALO..][..w];
+                            mk.qresidual_pack_row(acc, es, frow, dst, *first_wire, *wide)
                         });
-                    },
-                    QSink::ResidualPlane {
-                        ring,
-                        first,
-                        first_scale,
-                        wide,
-                    } => {
-                        let frow = qrow(first, oi / 2, y, w);
-                        // Residual at wire precision: dequantize both
-                        // operands, add, requantize to the widened wire —
-                        // the oracle's `a.add(&b)` path, lane for lane.
-                        // SAFETY: as for the plane arm.
-                        unsafe {
-                            ring.put(oi / 2, y, |drow| {
-                                mk.qresidual_pack_row(
-                                    acc0,
-                                    acc1,
-                                    frow,
-                                    drow,
-                                    &e0,
-                                    e1.as_ref(),
-                                    *first_scale,
-                                    wide.scale,
-                                    wide.zero_point,
-                                )
-                            });
-                        }
                     }
-                    QSink::Head {
-                        input, input_scale, ..
-                    } => {
-                        let irow = input.as_ref().map(|inp| (qrow(inp, 0, y, w), *input_scale));
-                        for (o, acc, e) in [(oi, acc0, Some(e0)), (oi + 1, acc1, e1)] {
-                            let Some(e) = e else { continue };
-                            // Output leaves on the head wire: quantize, then
-                            // hand callers the dequantized levels — exactly
-                            // the oracle's `qy.dequantize()`.
-                            mk.qhead_row(acc, irow, &mut vals[o * w..][..w], &e);
-                        }
+                }
+                QSink::Head {
+                    input, input_wire, ..
+                } => {
+                    let irow = input.as_ref().map(|inp| (qrow(inp, 0, y, w), *input_wire));
+                    for (c, e) in es.iter().enumerate() {
+                        // Output leaves on the head wire: quantize, then
+                        // hand callers the dequantized levels — exactly
+                        // the oracle's `qy.dequantize()`.
+                        let o = 4 * g + c;
+                        mk.qhead_row(&acc[c * w..][..w], irow, &mut vals[o * w..][..w], e);
                     }
                 }
             }

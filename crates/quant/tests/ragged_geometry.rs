@@ -1,11 +1,11 @@
 //! Planned int8 ≡ the `QuantizedSesr` oracle, bit for bit, on every
 //! detected kernel variant across the ragged geometries of the integer
-//! tap kernel: widths 1..=70 (32-column zmm blocks, AVX2 16- and 8-column
-//! blocks, masked and scalar tails, widths below the 5x5 kernel), one to
-//! six rows (every row a border row of some tap), `f = 6` feature
-//! channels (a group of four output channels plus a remainder group of
-//! two) and `f = 5` (a remainder group of one: a lone low lane with an
-//! empty high lane), and both x2 and x4 heads.
+//! tap kernel: widths 1..=70 (64- and 32-column zmm blocks, AVX2 16- and
+//! 8-column blocks, masked and scalar tails, widths below the 5x5
+//! kernel), one to six rows (every row a border row of some tap), `f` of
+//! 4 to 7 feature channels (each remainder 0 to 3 of the channel quads a
+//! ring word packs, and of the four-channel output groups), and both x2
+//! and x4 heads.
 //!
 //! The oracle runs plain scalar code, and each plan pins its own variant,
 //! so nothing here touches the process-global variant.
@@ -23,7 +23,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 #[test]
 fn planned_int8_matches_oracle_on_ragged_geometry_for_every_variant() {
-    for f in [6usize, 5] {
+    for f in [4usize, 5, 6, 7] {
         for scale in [2usize, 4] {
             let cfg = SesrConfig {
                 f,

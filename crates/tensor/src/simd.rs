@@ -35,11 +35,13 @@
 //! * The quantized executor's integer tap kernel,
 //!   [`Microkernel::qmadd_taps4`], has no madd flavor, so both AVX2
 //!   variants share it: on CPUs with AVX-512F and AVX-512 VNNI it runs
-//!   `vpdpwssd` on zmm (4 channels x 32 columns, masked tail), otherwise
-//!   `vpmaddwd` + `vpaddd` on ymm (4 channels x 16 columns, scalar tail).
-//!   Integer accumulation under the executor's operand bounds is exact
-//!   and associative, so every body, like the scalar reference, yields
-//!   the same bits. [`Microkernel::int8_body`] names the body that runs.
+//!   `vpdpbusd` on zmm (four `u8 x i8` products per lane, 4 channels x 64
+//!   columns, masked tail), otherwise it splits each word into its even
+//!   and odd bytes and runs two `vpmaddwd` on ymm (4 channels x 16
+//!   columns, scalar tail). Integer accumulation under the executor's
+//!   operand bounds is exact and associative, so every body, like the
+//!   scalar reference, yields the same bits. [`Microkernel::int8_body`]
+//!   names the body that runs; [`int8_bodies`] hands each one out.
 //!
 //! [`KernelVariant::Neon`] names the aarch64 slot behind the same trait;
 //! its implementation is currently a guarded stub that executes the scalar
@@ -222,14 +224,14 @@ pub enum RowAct {
 /// accumulator `acc`:
 ///
 /// ```text
-/// v    = scale_io * (acc as f32) + bias      (unfused mul, then add)
-/// v    = act(v)
-/// q    = ((v / out_scale).round() as i32 + zero_point).clamp(0, 255)
-/// wire = q - zero_point
+/// v = scale_io * (acc as f32) + bias      (unfused mul, then add)
+/// v = act(v)
+/// q = ((v / out_scale).round() as i32 + zero_point).clamp(0, 255)
 /// ```
 ///
-/// `round` is Rust's `f32::round` — half away from zero. SIMD
-/// implementations must reproduce this chain bit for bit; see
+/// `q` is the raw `u8` wire level the rings store. `round` is Rust's
+/// `f32::round` — half away from zero. SIMD implementations must
+/// reproduce this chain bit for bit; see
 /// [`Microkernel::qrequant_pack_row`] for why that is possible.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantEpilogue {
@@ -242,6 +244,17 @@ pub struct QuantEpilogue {
     /// Outgoing wire step size.
     pub out_scale: f32,
     /// Outgoing wire zero point (in `[0, 255]`).
+    pub zero_point: i32,
+}
+
+/// An 8-bit activation wire whose stored levels an int8 epilogue reads
+/// back: `real = scale * (q - zero_point)`, with `q - zero_point` taken in
+/// integers before the conversion, as the oracle's dequantization does.
+#[derive(Debug, Clone, Copy)]
+pub struct QuantWire {
+    /// Step size between adjacent levels.
+    pub scale: f32,
+    /// The level of real zero (in `[0, 255]`).
     pub zero_point: i32,
 }
 
@@ -293,32 +306,39 @@ pub trait Microkernel: Sync {
 
     /// Four-output-channel integer tap kernel — the quantized planned
     /// executor's hot loop and the integer twin of
-    /// [`Microkernel::conv_taps4`]. Every `i32` element packs a *pair* of
-    /// `i16` lanes (two adjacent input channels, low channel in the low
-    /// half). `acc` holds `acc.len() / n` rows (1 to 4) of `n` columns, one
-    /// per output channel `c`; `ws` holds four packed weights per tap,
-    /// tap-major (`ws[4 * t + c]`); tap `t` reads `src[offs[t] + x]` at
-    /// column `x`. Each row is overwritten with
-    /// `acc[c * n + x] = sum_t lo(s) * lo(w) + hi(s) * hi(w)` where
-    /// `s = src[offs[t] + x]`, `w = ws[4 * t + c]`, and `lo`/`hi`
-    /// sign-extend the 16-bit halves. Wide implementations load each tap
-    /// segment once for all four channels.
+    /// [`Microkernel::conv_taps4`]. Every `src` word packs four raw `u8`
+    /// levels (byte `b` is lane `b`) and every weight word four `i8`
+    /// weights for the same lanes. `acc` holds `acc.len() / n` rows (1 to
+    /// 4) of `n` columns, one per output channel `c`; `ws` holds four
+    /// packed weights per tap, tap-major (`ws[4 * t + c]`); tap `t` reads
+    /// `src[offs[t] + x]` at column `x`. Each row is overwritten with
+    /// `acc[c * n + x] = seed[c] + sum_t sum_b u8(s, b) * i8(w, b)` where
+    /// `s = src[offs[t] + x]` and `w = ws[4 * t + c]`. Wide
+    /// implementations load each tap segment once for all four channels.
     ///
-    /// Each tap is exactly one `vpmaddwd` (AVX2) or `vpdpwssd` (AVX-512
-    /// VNNI) per lane group, and because the packed values are
-    /// zero-point-subtracted uint8 activations (`|v| <= 255`) against
-    /// int8 weights (`|w| <= 127`), each pair sum is at most
-    /// `2 * 255 * 127`, far inside `i32`: nothing saturates or wraps for
-    /// any window the executor builds, integer addition is associative,
-    /// and so every implementation and every column or tap blocking is
-    /// **bit-identical**.
+    /// Each tap is one AVX-512 VNNI `vpdpbusd` per lane group — the
+    /// non-saturating form — or, on AVX2 alone, two `vpmaddwd` on the
+    /// word's even and odd bytes widened to `i16` (`vpmaddubsw` would
+    /// saturate at `2 * 255 * 127`). A tap adds at most `4 * 255 * 128`
+    /// in magnitude, so for any window up to 2,000 taps and a seed of the
+    /// same order nothing wraps (a 16-channel 5x5 layer runs 100 taps).
+    /// Integer addition is associative, so every implementation and
+    /// every column or tap blocking is **bit-identical**.
     ///
     /// # Panics
     ///
     /// Unless `n > 0`, `acc` holds 1 to 4 whole rows, `ws.len() >= 4 *
     /// offs.len()`, and `offs[t] + n <= src.len()` for every tap.
-    fn qmadd_taps4(&self, acc: &mut [i32], n: usize, ws: &[i32], offs: &[usize], src: &[i32]) {
-        scalar::qmadd_taps4(acc, n, ws, offs, src);
+    fn qmadd_taps4(
+        &self,
+        acc: &mut [i32],
+        n: usize,
+        ws: &[i32],
+        offs: &[usize],
+        src: &[i32],
+        seed: [i32; 4],
+    ) {
+        scalar::qmadd_taps4(acc, n, ws, offs, src, seed);
     }
 
     /// Which body [`Microkernel::qmadd_taps4`] runs on: `"scalar"`,
@@ -329,10 +349,11 @@ pub trait Microkernel: Sync {
         "scalar"
     }
 
-    /// Requantize-to-wire for one output-channel *pair* row: applies
-    /// [`QuantEpilogue`] `e0` to `acc0` (low lane) and `e1` to `acc1`
-    /// (high lane; `None` packs zero — an odd trailing channel), writing
-    /// `dst[x] = (lo & 0xffff) | (hi << 16)`.
+    /// Requantize-to-wire for one four-channel group: applies
+    /// [`QuantEpilogue`] `es[c]` to accumulator row `c` (`acc[c * n..][..n]`,
+    /// `n = dst.len()`) and packs the levels as bytes,
+    /// `dst[x] = q0 | q1 << 8 | q2 << 16 | q3 << 24`; lanes past
+    /// `es.len()` (a trailing group of fewer than four channels) are 0.
     ///
     /// SIMD implementations are **bit-identical** to the scalar chain:
     /// `i32 -> f32` conversion, multiply, add, divide, and the activation
@@ -340,65 +361,56 @@ pub trait Microkernel: Sync {
     /// from zero) equals `trunc(f + copysign(0.5, f))` exactly for
     /// `|f| < 2^22` — `f + copysign(0.5, f)` is exact there because
     /// `ulp(f) <= 0.25`. Beyond that magnitude both paths saturate to the
-    /// same clamp bound (`|wire| <= 255 << 2^22`), so the packed integer
-    /// result agrees for every finite input. `acc0`/`acc1` must be at
-    /// least `dst.len()` long.
-    fn qrequant_pack_row(
-        &self,
-        acc0: &[i32],
-        acc1: &[i32],
-        dst: &mut [i32],
-        e0: &QuantEpilogue,
-        e1: Option<&QuantEpilogue>,
-    ) {
-        scalar::qrequant_pack_row(acc0, acc1, dst, e0, e1);
+    /// same clamp bound (`|q - zero_point| <= 255 << 2^22`), so the packed
+    /// result agrees for every finite input.
+    ///
+    /// # Panics
+    ///
+    /// Unless `es` holds 1 to 4 epilogues and `acc` at least
+    /// `es.len() * dst.len()` accumulators.
+    fn qrequant_pack_row(&self, acc: &[i32], es: &[QuantEpilogue], dst: &mut [i32]) {
+        check_group(acc, es, dst.len());
+        scalar::qrequant_pack_row(acc, es, dst);
     }
 
     /// [`Microkernel::qrequant_pack_row`] fused with the long feature
     /// residual: each lane is requantized to its own wire, dequantized
-    /// (`out_scale * wire`), added to the dequantized `first`-plane lane
-    /// (`first_scale * lane`), and the sum is requantized onto the widened
-    /// wire (`wide_scale`, `wide_zp`) before packing. Same per-lane
-    /// exactness argument as `qrequant_pack_row`; `first` holds the packed
-    /// layer-0 pair plane row. `acc0`/`acc1`/`first` must be at least
-    /// `dst.len()` long.
-    #[allow(clippy::too_many_arguments)]
+    /// (`out_scale * (q - zero_point)`), added to the same lane of the
+    /// layer-0 level `first[x]` dequantized on `first_wire`, and the sum is
+    /// requantized onto the widened wire `wide` before packing — the
+    /// oracle's `a.add(&b)` path. Same per-lane exactness argument as
+    /// `qrequant_pack_row`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Microkernel::qrequant_pack_row`], or when `first` is shorter
+    /// than `dst`.
     fn qresidual_pack_row(
         &self,
-        acc0: &[i32],
-        acc1: &[i32],
+        acc: &[i32],
+        es: &[QuantEpilogue],
         first: &[i32],
         dst: &mut [i32],
-        e0: &QuantEpilogue,
-        e1: Option<&QuantEpilogue>,
-        first_scale: f32,
-        wide_scale: f32,
-        wide_zp: i32,
+        first_wire: QuantWire,
+        wide: QuantWire,
     ) {
-        scalar::qresidual_pack_row(
-            acc0,
-            acc1,
-            first,
-            dst,
-            e0,
-            e1,
-            first_scale,
-            wide_scale,
-            wide_zp,
-        );
+        check_group(acc, es, dst.len());
+        assert!(first.len() >= dst.len(), "first shorter than dst");
+        scalar::qresidual_pack_row(acc, es, first, dst, first_wire, wide);
     }
 
     /// Head epilogue for one output channel row: the `qrequant` chain plus
-    /// an optional input residual (`v += in_scale * lo16(input[x])`,
-    /// applied after the activation), emitting **dequantized** levels
-    /// `vals[x] = out_scale * wire` instead of packed integers — the head
-    /// leaves on its wire and callers scatter real values. Same exactness
-    /// argument as [`Microkernel::qrequant_pack_row`]. `acc` (and the
-    /// input row, when present) must be at least `vals.len()` long.
+    /// an optional input residual (`v += scale * (q - zero_point)` for the
+    /// level `q` in byte 0 of each `input` word, applied after the
+    /// activation), emitting **dequantized** levels `vals[x] = out_scale *
+    /// (q - zero_point)` instead of packed integers — the head leaves on
+    /// its wire and callers scatter real values. Same exactness argument
+    /// as [`Microkernel::qrequant_pack_row`]. `acc` (and the input row,
+    /// when present) must be at least `vals.len()` long.
     fn qhead_row(
         &self,
         acc: &[i32],
-        input: Option<(&[i32], f32)>,
+        input: Option<(&[i32], QuantWire)>,
         vals: &mut [f32],
         e: &QuantEpilogue,
     ) {
@@ -406,9 +418,8 @@ pub trait Microkernel: Sync {
     }
 
     /// Input quantization for the quantized executor: `dst[x] =
-    /// pack(clamp(round(src[x] / scale) + zp, 0, 255) - zp, 0)` — the
-    /// zero-point-subtracted wire level in the low lane, zero in the high
-    /// lane. Same rounding-emulation exactness as
+    /// clamp(round(src[x] / scale) + zp, 0, 255)`, the raw wire level,
+    /// one per word. Same rounding-emulation exactness as
     /// [`Microkernel::qrequant_pack_row`]. `src` must be at least
     /// `dst.len()` long.
     fn qquantize_row(&self, src: &[f32], dst: &mut [i32], scale: f32, zp: i32) {
@@ -520,6 +531,37 @@ fn check_taps4<T>(acc: &[T], n: usize, ws: &[T], offs: &[usize], src: &[T]) {
             "tap segment runs past the end of src"
         );
     }
+}
+
+/// Asserts the length contract of the four-channel int8 epilogues
+/// ([`Microkernel::qrequant_pack_row`], [`Microkernel::qresidual_pack_row`]),
+/// which the SIMD bodies' unchecked loads rely on.
+fn check_group(acc: &[i32], es: &[QuantEpilogue], n: usize) {
+    assert!((1..=4).contains(&es.len()), "1 to 4 epilogues per group");
+    assert!(acc.len() >= es.len() * n, "acc shorter than its rows");
+}
+
+/// One [`Microkernel::qmadd_taps4`] body, with the trait method's
+/// arguments and length checks.
+pub type QmaddBody = fn(&mut [i32], usize, &[i32], &[usize], &[i32], [i32; 4]);
+
+/// Every [`Microkernel::qmadd_taps4`] body this CPU can run, named as
+/// [`Microkernel::int8_body`] names them, scalar first. The list follows
+/// the CPU alone — not the dispatch, nor `force-scalar` — so an identity
+/// test reaches the AVX2 body on a machine whose dispatch picks VNNI.
+pub fn int8_bodies() -> Vec<(&'static str, QmaddBody)> {
+    #[allow(unused_mut)]
+    let mut bodies: Vec<(&'static str, QmaddBody)> = vec![("scalar", scalar::qmadd_taps4)];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx2") {
+            bodies.push(("avx2", x86::qmadd_taps4_avx2_checked));
+        }
+        if x86::has_vnni() {
+            bodies.push(("avx512vnni", x86::qmadd_taps4_vnni_checked));
+        }
+    }
+    bodies
 }
 
 /// Tiles per chunk of [`Microkernel::wino_tile_row`]: two 16-lane or four
@@ -635,7 +677,7 @@ pub fn variant_test_lock() -> std::sync::MutexGuard<'static, ()> {
 /// the planner's unfused `emit_row`, and `axpy` matches the direct
 /// convolution's historic tap loop.
 mod scalar {
-    use super::RowAct;
+    use super::{QuantEpilogue, QuantWire, RowAct};
 
     pub fn gemm_8x8(apanel: &[f32], bstrip: &[f32], kc: usize, acc: &mut [[f32; 8]; 8]) {
         for p in 0..kc {
@@ -690,26 +732,37 @@ mod scalar {
         }
     }
 
-    /// One packed tap — the scalar model of a `vpmaddwd` lane: both
-    /// sign-extended `i16` halves of `s` times those of `w`, summed.
+    /// One packed tap — the scalar model of a `vpdpbusd` lane: the four
+    /// unsigned bytes of `s` times the four signed bytes of `w`, summed.
     #[inline]
-    pub fn pmadd(s: i32, w: i32) -> i32 {
-        (s as i16 as i32) * (w as i16 as i32) + (s >> 16) * (w >> 16)
+    pub fn dot4(s: i32, w: i32) -> i32 {
+        let (s, w) = (s.to_le_bytes(), w.to_le_bytes());
+        s.iter()
+            .zip(w)
+            .map(|(&s, w)| s as i32 * w as i8 as i32)
+            .sum()
     }
 
     /// Scalar [`super::Microkernel::qmadd_taps4`]: 16-column blocks of
     /// four channel sums, so the compiler can keep them in registers.
-    pub fn qmadd_taps4(acc: &mut [i32], n: usize, ws: &[i32], offs: &[usize], src: &[i32]) {
+    pub fn qmadd_taps4(
+        acc: &mut [i32],
+        n: usize,
+        ws: &[i32],
+        offs: &[usize],
+        src: &[i32],
+        seed: [i32; 4],
+    ) {
         super::check_taps4(acc, n, ws, offs, src);
         let mut x = 0usize;
         while x < n {
             let bw = 16.min(n - x);
-            let mut s = [[0i32; 16]; 4];
+            let mut s = seed.map(|c| [c; 16]);
             for (&off, wt) in offs.iter().zip(ws.chunks_exact(4)) {
                 let seg = &src[off + x..][..bw];
                 for (sc, &wc) in s.iter_mut().zip(wt) {
                     for (a, &v) in sc[..bw].iter_mut().zip(seg) {
-                        *a += pmadd(v, wc);
+                        *a += dot4(v, wc);
                     }
                 }
             }
@@ -720,11 +773,11 @@ mod scalar {
         }
     }
 
-    /// The scalar requantize-to-wire reference for one lane — the chain
-    /// documented on [`super::QuantEpilogue`], verbatim.
-    pub fn quant_wire(e: &super::QuantEpilogue, acc: i32) -> i32 {
-        let mut v = e.scale_io * acc as f32 + e.bias;
-        v = match e.act {
+    /// `act(scale_io * acc + bias)` — the epilogue chain up to the
+    /// rounding.
+    fn dequant_act(e: &QuantEpilogue, acc: i32) -> f32 {
+        let v = e.scale_io * acc as f32 + e.bias;
+        match e.act {
             RowAct::Linear => v,
             RowAct::Relu => v.max(0.0),
             RowAct::PRelu(a) => {
@@ -734,88 +787,85 @@ mod scalar {
                     a * v
                 }
             }
-        };
-        let q = ((v / e.out_scale).round() as i32 + e.zero_point).clamp(0, 255);
-        q - e.zero_point
-    }
-
-    pub fn qrequant_pack_row(
-        acc0: &[i32],
-        acc1: &[i32],
-        dst: &mut [i32],
-        e0: &super::QuantEpilogue,
-        e1: Option<&super::QuantEpilogue>,
-    ) {
-        for (x, d) in dst.iter_mut().enumerate() {
-            let lo = quant_wire(e0, acc0[x]);
-            let hi = match e1 {
-                Some(e1) => quant_wire(e1, acc1[x]),
-                None => 0,
-            };
-            *d = (lo & 0xffff) | (hi << 16);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// `v` rounded onto the wire `(scale, zp)`: its clamped `u8` level.
+    fn level(v: f32, scale: f32, zp: i32) -> i32 {
+        ((v / scale).round() as i32 + zp).clamp(0, 255)
+    }
+
+    /// The scalar requantize-to-wire reference for one lane — the chain
+    /// documented on [`QuantEpilogue`], verbatim.
+    pub fn quant_level(e: &QuantEpilogue, acc: i32) -> i32 {
+        level(dequant_act(e, acc), e.out_scale, e.zero_point)
+    }
+
+    /// Column `x` of [`qrequant_pack_row`]: the group's levels packed
+    /// into one word, from accumulator rows `n` apart.
+    pub fn requant_word(acc: &[i32], n: usize, es: &[QuantEpilogue], x: usize) -> i32 {
+        es.iter().enumerate().fold(0, |word, (c, e)| {
+            word | quant_level(e, acc[c * n + x]) << (8 * c)
+        })
+    }
+
+    pub fn qrequant_pack_row(acc: &[i32], es: &[QuantEpilogue], dst: &mut [i32]) {
+        let n = dst.len();
+        for (x, d) in dst.iter_mut().enumerate() {
+            *d = requant_word(acc, n, es, x);
+        }
+    }
+
+    /// Column `x` of [`qresidual_pack_row`], whose `first` word is `f`.
+    pub fn residual_word(
+        acc: &[i32],
+        n: usize,
+        es: &[QuantEpilogue],
+        f: i32,
+        first_wire: QuantWire,
+        wide: QuantWire,
+        x: usize,
+    ) -> i32 {
+        es.iter().enumerate().fold(0, |word, (c, e)| {
+            let a = e.out_scale * (quant_level(e, acc[c * n + x]) - e.zero_point) as f32;
+            let fq = (f >> (8 * c)) & 0xff;
+            let b = first_wire.scale * (fq - first_wire.zero_point) as f32;
+            word | level(a + b, wide.scale, wide.zero_point) << (8 * c)
+        })
+    }
+
     pub fn qresidual_pack_row(
-        acc0: &[i32],
-        acc1: &[i32],
+        acc: &[i32],
+        es: &[QuantEpilogue],
         first: &[i32],
         dst: &mut [i32],
-        e0: &super::QuantEpilogue,
-        e1: Option<&super::QuantEpilogue>,
-        first_scale: f32,
-        wide_scale: f32,
-        wide_zp: i32,
+        first_wire: QuantWire,
+        wide: QuantWire,
     ) {
-        let fuse = |e: &super::QuantEpilogue, acc: i32, f_lane: i32| -> i32 {
-            let a = e.out_scale * quant_wire(e, acc) as f32;
-            let b = first_scale * f_lane as f32;
-            let qr = (((a + b) / wide_scale).round() as i32 + wide_zp).clamp(0, 255);
-            qr - wide_zp
-        };
+        let n = dst.len();
         for (x, d) in dst.iter_mut().enumerate() {
-            let fv = first[x];
-            let lo = fuse(e0, acc0[x], fv as i16 as i32);
-            let hi = match e1 {
-                Some(e1) => fuse(e1, acc1[x], fv >> 16),
-                None => 0,
-            };
-            *d = (lo & 0xffff) | (hi << 16);
+            *d = residual_word(acc, n, es, first[x], first_wire, wide, x);
         }
     }
 
     pub fn qhead_row(
         acc: &[i32],
-        input: Option<(&[i32], f32)>,
+        input: Option<(&[i32], QuantWire)>,
         vals: &mut [f32],
-        e: &super::QuantEpilogue,
+        e: &QuantEpilogue,
     ) {
         for (x, out) in vals.iter_mut().enumerate() {
-            let mut v = e.scale_io * acc[x] as f32 + e.bias;
-            v = match e.act {
-                RowAct::Linear => v,
-                RowAct::Relu => v.max(0.0),
-                RowAct::PRelu(a) => {
-                    if v >= 0.0 {
-                        v
-                    } else {
-                        a * v
-                    }
-                }
-            };
-            if let Some((ir, iscale)) = input {
-                v += iscale * (ir[x] as i16 as i32) as f32;
+            let mut v = dequant_act(e, acc[x]);
+            if let Some((ir, wire)) = input {
+                v += wire.scale * ((ir[x] & 0xff) - wire.zero_point) as f32;
             }
-            let q = ((v / e.out_scale).round() as i32 + e.zero_point).clamp(0, 255);
-            *out = e.out_scale * (q - e.zero_point) as f32;
+            *out = e.out_scale * (level(v, e.out_scale, e.zero_point) - e.zero_point) as f32;
         }
     }
 
     pub fn qquantize_row(src: &[f32], dst: &mut [i32], scale: f32, zp: i32) {
         for (x, d) in dst.iter_mut().enumerate() {
-            let q = ((src[x] / scale).round() as i32 + zp).clamp(0, 255);
-            *d = (q - zp) & 0xffff;
+            *d = level(src[x], scale, zp);
         }
     }
 
@@ -1821,12 +1871,52 @@ mod x86 {
         })
     }
 
-    /// Four-channel integer tap kernel, AVX2 body (see the trait doc):
-    /// 4 channels x 16 columns of `i32` sums in eight registers, each
-    /// tap's segment loaded once and its four packed weights broadcast
-    /// into `vpmaddwd` + `vpaddd`; then an 8-column block and scalar
-    /// remainder columns. Exact integer arithmetic, so bit-identical to
-    /// [`scalar::qmadd_taps4`] under any blocking.
+    /// A tap's four weight words split for `vpmaddwd`: per channel, the
+    /// sign-extended bytes (w0, w2) and (w1, w3) as `i16` pairs, each
+    /// broadcast to every 32-bit lane.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support; `w` must point at four
+    /// readable words.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn split_weights(w: *const i32) -> ([__m256i; 4], [__m256i; 4]) {
+        // SAFETY: the caller's contract.
+        let w4 = unsafe { _mm_loadu_si128(w as *const __m128i) };
+        let even = _mm256_broadcastsi128_si256(_mm_srai_epi16::<8>(_mm_slli_epi16::<8>(w4)));
+        let odd = _mm256_broadcastsi128_si256(_mm_srai_epi16::<8>(w4));
+        let lanes = |v: __m256i| {
+            [
+                _mm256_shuffle_epi32::<0x00>(v),
+                _mm256_shuffle_epi32::<0x55>(v),
+                _mm256_shuffle_epi32::<0xAA>(v),
+                _mm256_shuffle_epi32::<0xFF>(v),
+            ]
+        };
+        (lanes(even), lanes(odd))
+    }
+
+    /// `acc + (even . we) + (odd . wo)` per 32-bit lane: one packed tap
+    /// of a split body.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn madd_split(acc: __m256i, even: __m256i, odd: __m256i, we: __m256i, wo: __m256i) -> __m256i {
+        _mm256_add_epi32(
+            acc,
+            _mm256_add_epi32(_mm256_madd_epi16(even, we), _mm256_madd_epi16(odd, wo)),
+        )
+    }
+
+    /// Four-channel integer tap kernel, AVX2 body (see the trait doc).
+    /// AVX2 has no exact `u8 x i8` dot product (`vpmaddubsw` saturates),
+    /// so each tap's words split into their even bytes (`and 0x00ff`) and
+    /// odd bytes (`srli 8`) as `i16` lanes, and two `vpmaddwd` take them
+    /// against the weights split the same way ([`split_weights`]). 4
+    /// channels x 16 columns of `i32` sums live in eight registers, each
+    /// tap's segment loaded and split once; then an 8-column block and
+    /// scalar remainder columns. Exact integer arithmetic, so
+    /// bit-identical to [`scalar::qmadd_taps4`] under any blocking.
     ///
     /// # Safety
     ///
@@ -1839,40 +1929,36 @@ mod x86 {
         ws: &[i32],
         offs: &[usize],
         src: &[i32],
+        seed: [i32; 4],
     ) {
         let rows = acc.len() / n;
         let ap = acc.as_mut_ptr();
         let wp = ws.as_ptr();
         let sp = src.as_ptr();
+        let lo = _mm256_set1_epi16(0x00ff);
         let mut x = 0usize;
         // SAFETY: x + 16 (resp. 8) <= n and every offs[t] + n <=
         // src.len(), so segment loads are in bounds; ws holds 4 weights
         // per tap; stores go to rows c < rows, each n words of `acc`.
         unsafe {
             while x + 16 <= n {
-                let z = _mm256_setzero_si256();
-                let (mut a00, mut a01, mut a10, mut a11) = (z, z, z, z);
-                let (mut a20, mut a21, mut a30, mut a31) = (z, z, z, z);
+                let mut a = [[_mm256_setzero_si256(); 2]; 4];
+                for (ac, &s) in a.iter_mut().zip(&seed) {
+                    *ac = [_mm256_set1_epi32(s); 2];
+                }
                 for (t, &off) in offs.iter().enumerate() {
                     let s = sp.add(off + x);
                     let v0 = _mm256_loadu_si256(s as *const __m256i);
                     let v1 = _mm256_loadu_si256(s.add(8) as *const __m256i);
-                    let w = wp.add(4 * t);
-                    let w0 = _mm256_set1_epi32(*w);
-                    let w1 = _mm256_set1_epi32(*w.add(1));
-                    let w2 = _mm256_set1_epi32(*w.add(2));
-                    let w3 = _mm256_set1_epi32(*w.add(3));
-                    a00 = _mm256_add_epi32(a00, _mm256_madd_epi16(v0, w0));
-                    a01 = _mm256_add_epi32(a01, _mm256_madd_epi16(v1, w0));
-                    a10 = _mm256_add_epi32(a10, _mm256_madd_epi16(v0, w1));
-                    a11 = _mm256_add_epi32(a11, _mm256_madd_epi16(v1, w1));
-                    a20 = _mm256_add_epi32(a20, _mm256_madd_epi16(v0, w2));
-                    a21 = _mm256_add_epi32(a21, _mm256_madd_epi16(v1, w2));
-                    a30 = _mm256_add_epi32(a30, _mm256_madd_epi16(v0, w3));
-                    a31 = _mm256_add_epi32(a31, _mm256_madd_epi16(v1, w3));
+                    let (e0, o0) = (_mm256_and_si256(v0, lo), _mm256_srli_epi16::<8>(v0));
+                    let (e1, o1) = (_mm256_and_si256(v1, lo), _mm256_srli_epi16::<8>(v1));
+                    let (we, wo) = split_weights(wp.add(4 * t));
+                    for c in 0..4 {
+                        a[c][0] = madd_split(a[c][0], e0, o0, we[c], wo[c]);
+                        a[c][1] = madd_split(a[c][1], e1, o1, we[c], wo[c]);
+                    }
                 }
-                let sums = [[a00, a01], [a10, a11], [a20, a21], [a30, a31]];
-                for (c, pair) in sums.iter().enumerate().take(rows) {
+                for (c, pair) in a.iter().enumerate().take(rows) {
                     let p = ap.add(c * n + x);
                     _mm256_storeu_si256(p as *mut __m256i, pair[0]);
                     _mm256_storeu_si256(p.add(8) as *mut __m256i, pair[1]);
@@ -1880,26 +1966,25 @@ mod x86 {
                 x += 16;
             }
             if x + 8 <= n {
-                let z = _mm256_setzero_si256();
-                let (mut a0, mut a1, mut a2, mut a3) = (z, z, z, z);
+                let mut a = seed.map(|s| _mm256_set1_epi32(s));
                 for (t, &off) in offs.iter().enumerate() {
                     let v = _mm256_loadu_si256(sp.add(off + x) as *const __m256i);
-                    let w = wp.add(4 * t);
-                    a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(v, _mm256_set1_epi32(*w)));
-                    a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(v, _mm256_set1_epi32(*w.add(1))));
-                    a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(v, _mm256_set1_epi32(*w.add(2))));
-                    a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(v, _mm256_set1_epi32(*w.add(3))));
+                    let (e, o) = (_mm256_and_si256(v, lo), _mm256_srli_epi16::<8>(v));
+                    let (we, wo) = split_weights(wp.add(4 * t));
+                    for c in 0..4 {
+                        a[c] = madd_split(a[c], e, o, we[c], wo[c]);
+                    }
                 }
-                for (c, v) in [a0, a1, a2, a3].into_iter().enumerate().take(rows) {
+                for (c, v) in a.into_iter().enumerate().take(rows) {
                     _mm256_storeu_si256(ap.add(c * n + x) as *mut __m256i, v);
                 }
                 x += 8;
             }
             for xi in x..n {
-                for c in 0..rows {
-                    let mut sum = 0i32;
+                for (c, &s) in seed.iter().enumerate().take(rows) {
+                    let mut sum = s;
                     for (t, &off) in offs.iter().enumerate() {
-                        sum += scalar::pmadd(*sp.add(off + xi), *wp.add(4 * t + c));
+                        sum += scalar::dot4(*sp.add(off + xi), *wp.add(4 * t + c));
                     }
                     *ap.add(c * n + xi) = sum;
                 }
@@ -1908,10 +1993,12 @@ mod x86 {
     }
 
     /// Four-channel integer tap kernel, AVX-512 VNNI body: 4 channels x
-    /// 32 columns of `i32` sums in eight zmm registers, one `vpdpwssd`
-    /// (the fused `vpmaddwd` + `vpaddd`) per channel per 16 columns per
-    /// tap; the last `n % 32` columns run 16 at a time with masked loads
-    /// and stores instead of a scalar remainder. `vpdpwssd` wraps rather
+    /// 64 columns of `i32` sums in sixteen zmm registers — enough
+    /// independent chains to cover `vpdpbusd`'s latency — with one
+    /// `vpdpbusd` (four `u8 x i8` products summed into each lane) per
+    /// channel per 16 columns per tap; then one 32-column block, and the
+    /// last columns 16 at a time with masked loads and stores instead of
+    /// a scalar remainder. `vpdpbusd` (unlike `vpdpbusds`) wraps rather
     /// than saturates, and under the trait's operand bounds nothing wraps,
     /// so this is bit-identical to [`scalar::qmadd_taps4`].
     ///
@@ -1926,11 +2013,13 @@ mod x86 {
         ws: &[i32],
         offs: &[usize],
         src: &[i32],
+        seed: [i32; 4],
     ) {
         let rows = acc.len() / n;
         let ap = acc.as_mut_ptr();
         let wp = ws.as_ptr();
         let sp = src.as_ptr();
+        let s4 = seed.map(|s| _mm512_set1_epi32(s));
         let mut x = 0usize;
         // SAFETY: x + 32 <= n in the wide block and every offs[t] + n <=
         // src.len(), so its loads are in bounds; the tail block's masked
@@ -1938,10 +2027,31 @@ mod x86 {
         // never accessed, and x < n keeps the base pointers in bounds);
         // ws holds 4 weights per tap; stores go to rows c < rows.
         unsafe {
-            while x + 32 <= n {
-                let z = _mm512_setzero_si512();
-                let (mut a00, mut a01, mut a10, mut a11) = (z, z, z, z);
-                let (mut a20, mut a21, mut a30, mut a31) = (z, z, z, z);
+            while x + 64 <= n {
+                let mut a = s4.map(|s| [s; 4]);
+                for (t, &off) in offs.iter().enumerate() {
+                    let s = sp.add(off + x);
+                    let mut v = [_mm512_setzero_si512(); 4];
+                    for (j, vj) in v.iter_mut().enumerate() {
+                        *vj = _mm512_loadu_si512(s.add(16 * j) as *const __m512i);
+                    }
+                    for (c, ac) in a.iter_mut().enumerate() {
+                        let wc = _mm512_set1_epi32(*wp.add(4 * t + c));
+                        for (acj, &vj) in ac.iter_mut().zip(&v) {
+                            *acj = _mm512_dpbusd_epi32(*acj, vj, wc);
+                        }
+                    }
+                }
+                for (c, ac) in a.iter().enumerate().take(rows) {
+                    for (j, &acj) in ac.iter().enumerate() {
+                        _mm512_storeu_si512(ap.add(c * n + x + 16 * j) as *mut __m512i, acj);
+                    }
+                }
+                x += 64;
+            }
+            if x + 32 <= n {
+                let (mut a00, mut a01, mut a10, mut a11) = (s4[0], s4[0], s4[1], s4[1]);
+                let (mut a20, mut a21, mut a30, mut a31) = (s4[2], s4[2], s4[3], s4[3]);
                 for (t, &off) in offs.iter().enumerate() {
                     let s = sp.add(off + x);
                     let v0 = _mm512_loadu_si512(s as *const __m512i);
@@ -1951,14 +2061,14 @@ mod x86 {
                     let w1 = _mm512_set1_epi32(*w.add(1));
                     let w2 = _mm512_set1_epi32(*w.add(2));
                     let w3 = _mm512_set1_epi32(*w.add(3));
-                    a00 = _mm512_dpwssd_epi32(a00, v0, w0);
-                    a01 = _mm512_dpwssd_epi32(a01, v1, w0);
-                    a10 = _mm512_dpwssd_epi32(a10, v0, w1);
-                    a11 = _mm512_dpwssd_epi32(a11, v1, w1);
-                    a20 = _mm512_dpwssd_epi32(a20, v0, w2);
-                    a21 = _mm512_dpwssd_epi32(a21, v1, w2);
-                    a30 = _mm512_dpwssd_epi32(a30, v0, w3);
-                    a31 = _mm512_dpwssd_epi32(a31, v1, w3);
+                    a00 = _mm512_dpbusd_epi32(a00, v0, w0);
+                    a01 = _mm512_dpbusd_epi32(a01, v1, w0);
+                    a10 = _mm512_dpbusd_epi32(a10, v0, w1);
+                    a11 = _mm512_dpbusd_epi32(a11, v1, w1);
+                    a20 = _mm512_dpbusd_epi32(a20, v0, w2);
+                    a21 = _mm512_dpbusd_epi32(a21, v1, w2);
+                    a30 = _mm512_dpbusd_epi32(a30, v0, w3);
+                    a31 = _mm512_dpbusd_epi32(a31, v1, w3);
                 }
                 let sums = [[a00, a01], [a10, a11], [a20, a21], [a30, a31]];
                 for (c, pair) in sums.iter().enumerate().take(rows) {
@@ -1969,20 +2079,15 @@ mod x86 {
                 x += 32;
             }
             while x < n {
-                let m: __mmask16 = if n - x >= 16 {
-                    0xffff
-                } else {
-                    (1u16 << (n - x)) - 1
-                };
-                let z = _mm512_setzero_si512();
-                let (mut a0, mut a1, mut a2, mut a3) = (z, z, z, z);
+                let m = l512::mask(n - x);
+                let [mut a0, mut a1, mut a2, mut a3] = s4;
                 for (t, &off) in offs.iter().enumerate() {
                     let v = _mm512_maskz_loadu_epi32(m, sp.add(off + x));
                     let w = wp.add(4 * t);
-                    a0 = _mm512_dpwssd_epi32(a0, v, _mm512_set1_epi32(*w));
-                    a1 = _mm512_dpwssd_epi32(a1, v, _mm512_set1_epi32(*w.add(1)));
-                    a2 = _mm512_dpwssd_epi32(a2, v, _mm512_set1_epi32(*w.add(2)));
-                    a3 = _mm512_dpwssd_epi32(a3, v, _mm512_set1_epi32(*w.add(3)));
+                    a0 = _mm512_dpbusd_epi32(a0, v, _mm512_set1_epi32(*w));
+                    a1 = _mm512_dpbusd_epi32(a1, v, _mm512_set1_epi32(*w.add(1)));
+                    a2 = _mm512_dpbusd_epi32(a2, v, _mm512_set1_epi32(*w.add(2)));
+                    a3 = _mm512_dpbusd_epi32(a3, v, _mm512_set1_epi32(*w.add(3)));
                 }
                 for (c, v) in [a0, a1, a2, a3].into_iter().enumerate().take(rows) {
                     _mm512_mask_storeu_epi32(ap.add(c * n + x), m, v);
@@ -1990,6 +2095,39 @@ mod x86 {
                 x += 16;
             }
         }
+    }
+
+    /// [`qmadd_taps4_avx2`] behind its feature and length checks — the
+    /// AVX2 variants' body on CPUs without VNNI, and an entry of
+    /// [`super::int8_bodies`].
+    pub fn qmadd_taps4_avx2_checked(
+        acc: &mut [i32],
+        n: usize,
+        ws: &[i32],
+        offs: &[usize],
+        src: &[i32],
+        seed: [i32; 4],
+    ) {
+        super::check_taps4(acc, n, ws, offs, src);
+        assert!(is_x86_feature_detected!("avx2"), "the AVX2 body needs AVX2");
+        // SAFETY: AVX2 and the length contract asserted just above.
+        unsafe { qmadd_taps4_avx2(acc, n, ws, offs, src, seed) }
+    }
+
+    /// [`qmadd_taps4_vnni`] behind its feature and length checks.
+    pub fn qmadd_taps4_vnni_checked(
+        acc: &mut [i32],
+        n: usize,
+        ws: &[i32],
+        offs: &[usize],
+        src: &[i32],
+        seed: [i32; 4],
+    ) {
+        super::check_taps4(acc, n, ws, offs, src);
+        assert!(has_vnni(), "the VNNI body needs AVX-512F and AVX-512 VNNI");
+        // SAFETY: AVX-512F + VNNI and the length contract asserted just
+        // above.
+        unsafe { qmadd_taps4_vnni(acc, n, ws, offs, src, seed) }
     }
 
     /// `f32::round` (half away from zero) on 8 lanes, then clamp to the
@@ -2018,10 +2156,10 @@ mod x86 {
 
     /// The [`super::QuantEpilogue`] chain on 8 accumulator lanes, up to
     /// and including the wire clamp — returned as integral floats (the
-    /// wire value; still to be converted or rescaled by the caller).
-    /// Multiply and add are separate (unfused) ops mirroring the scalar
-    /// reference; see [`x86::round_clamp_wire8`] for the rounding
-    /// argument.
+    /// level minus the zero point; still to be converted or rescaled by
+    /// the caller). Multiply and add are separate (unfused) ops mirroring
+    /// the scalar reference; see [`x86::round_clamp_wire8`] for the
+    /// rounding argument.
     ///
     /// # Safety
     ///
@@ -2049,130 +2187,99 @@ mod x86 {
         }
     }
 
-    /// Packs two integral-float wire vectors into `(lo & 0xffff) | (hi <<
-    /// 16)` words. `cvtps_epi32` is exact on integral values in
-    /// `[-255, 255]` regardless of rounding mode.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
+    /// An integral-float wire vector (level minus `zp`) as its `u8`
+    /// levels, shifted into byte `c` of each word. `cvtps_epi32` is exact
+    /// on integral values in `[-255, 255]` regardless of rounding mode.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn pack_wire8(lo: __m256, hi: __m256) -> __m256i {
-        _mm256_or_si256(
-            _mm256_and_si256(_mm256_cvtps_epi32(lo), _mm256_set1_epi32(0xffff)),
-            _mm256_slli_epi32::<16>(_mm256_cvtps_epi32(hi)),
-        )
+    fn level_byte8(wire: __m256, zp: i32, c: usize) -> __m256i {
+        let q = _mm256_add_epi32(_mm256_cvtps_epi32(wire), _mm256_set1_epi32(zp));
+        _mm256_sll_epi32(q, _mm_cvtsi32_si128(8 * c as i32))
     }
 
-    /// Vectorized [`scalar::qrequant_pack_row`], 8 column pairs at a time.
+    /// Byte `c` of each word of `v` minus `zp`, as exact floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn byte_ps8(v: __m256i, c: usize, zp: i32) -> __m256 {
+        let b = _mm256_srl_epi32(v, _mm_cvtsi32_si128(8 * c as i32));
+        let q = _mm256_and_si256(b, _mm256_set1_epi32(0xff));
+        _mm256_cvtepi32_ps(_mm256_sub_epi32(q, _mm256_set1_epi32(zp)))
+    }
+
+    /// Vectorized [`scalar::qrequant_pack_row`], 8 columns at a time.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2 support; `acc0.len()` and
-    /// `acc1.len()` must be at least `dst.len()`.
+    /// Caller must have verified AVX2 support and the length contract
+    /// `check_group` asserts.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn qrequant_pack_row(
-        acc0: &[i32],
-        acc1: &[i32],
-        dst: &mut [i32],
-        e0: &super::QuantEpilogue,
-        e1: Option<&super::QuantEpilogue>,
-    ) {
+    pub unsafe fn qrequant_pack_row(acc: &[i32], es: &[super::QuantEpilogue], dst: &mut [i32]) {
         let n = dst.len();
         let mut x = 0usize;
-        // SAFETY: x + 8 <= n <= acc{0,1}.len() for every lane access.
+        // SAFETY: x + 8 <= n, and row c < es.len() of acc holds n columns
+        // from c * n.
         unsafe {
             while x + 8 <= n {
-                let lo = requant_wire8(
-                    _mm256_loadu_si256(acc0.as_ptr().add(x) as *const __m256i),
-                    e0,
-                );
-                let hi = match e1 {
-                    Some(e1) => requant_wire8(
-                        _mm256_loadu_si256(acc1.as_ptr().add(x) as *const __m256i),
-                        e1,
-                    ),
-                    None => _mm256_setzero_ps(),
-                };
-                _mm256_storeu_si256(dst.as_mut_ptr().add(x) as *mut __m256i, pack_wire8(lo, hi));
+                let mut word = _mm256_setzero_si256();
+                for (c, e) in es.iter().enumerate() {
+                    let a = _mm256_loadu_si256(acc.as_ptr().add(c * n + x) as *const __m256i);
+                    word = _mm256_or_si256(word, level_byte8(requant_wire8(a, e), e.zero_point, c));
+                }
+                _mm256_storeu_si256(dst.as_mut_ptr().add(x) as *mut __m256i, word);
                 x += 8;
             }
         }
-        scalar::qrequant_pack_row(&acc0[x..], &acc1[x..], &mut dst[x..], e0, e1);
+        for (xi, d) in dst.iter_mut().enumerate().skip(x) {
+            *d = scalar::requant_word(acc, n, es, xi);
+        }
     }
 
     /// Vectorized [`scalar::qresidual_pack_row`]: requantize each lane,
-    /// dequantize, add the dequantized `first` lane, requantize onto the
+    /// dequantize, add the dequantized `first` byte, requantize onto the
     /// widened wire, pack. All float steps are unfused per-lane ops.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2 support; `acc0`/`acc1`/`first` must
-    /// be at least `dst.len()` long.
-    #[allow(clippy::too_many_arguments)]
+    /// Caller must have verified AVX2 support and the length contract
+    /// `check_group` asserts; `first` must be at least `dst.len()` long.
     #[target_feature(enable = "avx2")]
     pub unsafe fn qresidual_pack_row(
-        acc0: &[i32],
-        acc1: &[i32],
+        acc: &[i32],
+        es: &[super::QuantEpilogue],
         first: &[i32],
         dst: &mut [i32],
-        e0: &super::QuantEpilogue,
-        e1: Option<&super::QuantEpilogue>,
-        first_scale: f32,
-        wide_scale: f32,
-        wide_zp: i32,
+        first_wire: super::QuantWire,
+        wide: super::QuantWire,
     ) {
         let n = dst.len();
         let mut x = 0usize;
-        // SAFETY: x + 8 <= n and every source is at least n long.
+        // SAFETY: x + 8 <= n, every row and `first` hold n columns.
         unsafe {
-            let vfirst = _mm256_set1_ps(first_scale);
-            let vwide = _mm256_set1_ps(wide_scale);
+            let vfirst = _mm256_set1_ps(first_wire.scale);
+            let vwide = _mm256_set1_ps(wide.scale);
             while x + 8 <= n {
                 let fv = _mm256_loadu_si256(first.as_ptr().add(x) as *const __m256i);
-                // Sign-extend the two packed 16-bit lanes.
-                let flo = _mm256_cvtepi32_ps(_mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(fv)));
-                let fhi = _mm256_cvtepi32_ps(_mm256_srai_epi32::<16>(fv));
-                let a0 = _mm256_mul_ps(
-                    _mm256_set1_ps(e0.out_scale),
-                    requant_wire8(
-                        _mm256_loadu_si256(acc0.as_ptr().add(x) as *const __m256i),
-                        e0,
-                    ),
-                );
-                let s0 = _mm256_div_ps(_mm256_add_ps(a0, _mm256_mul_ps(vfirst, flo)), vwide);
-                let lo = round_clamp_wire8(s0, wide_zp);
-                let hi = match e1 {
-                    Some(e1) => {
-                        let a1 = _mm256_mul_ps(
-                            _mm256_set1_ps(e1.out_scale),
-                            requant_wire8(
-                                _mm256_loadu_si256(acc1.as_ptr().add(x) as *const __m256i),
-                                e1,
-                            ),
-                        );
-                        let s1 =
-                            _mm256_div_ps(_mm256_add_ps(a1, _mm256_mul_ps(vfirst, fhi)), vwide);
-                        round_clamp_wire8(s1, wide_zp)
-                    }
-                    None => _mm256_setzero_ps(),
-                };
-                _mm256_storeu_si256(dst.as_mut_ptr().add(x) as *mut __m256i, pack_wire8(lo, hi));
+                let mut word = _mm256_setzero_si256();
+                for (c, e) in es.iter().enumerate() {
+                    let a = _mm256_mul_ps(
+                        _mm256_set1_ps(e.out_scale),
+                        requant_wire8(
+                            _mm256_loadu_si256(acc.as_ptr().add(c * n + x) as *const __m256i),
+                            e,
+                        ),
+                    );
+                    let f = byte_ps8(fv, c, first_wire.zero_point);
+                    let s = _mm256_div_ps(_mm256_add_ps(a, _mm256_mul_ps(vfirst, f)), vwide);
+                    let q = round_clamp_wire8(s, wide.zero_point);
+                    word = _mm256_or_si256(word, level_byte8(q, wide.zero_point, c));
+                }
+                _mm256_storeu_si256(dst.as_mut_ptr().add(x) as *mut __m256i, word);
                 x += 8;
             }
         }
-        scalar::qresidual_pack_row(
-            &acc0[x..],
-            &acc1[x..],
-            &first[x..],
-            &mut dst[x..],
-            e0,
-            e1,
-            first_scale,
-            wide_scale,
-            wide_zp,
-        );
+        for (xi, d) in dst.iter_mut().enumerate().skip(x) {
+            *d = scalar::residual_word(acc, n, es, first[xi], first_wire, wide, xi);
+        }
     }
 
     /// Vectorized [`scalar::qhead_row`]: the requant chain with an
@@ -2185,7 +2292,7 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn qhead_row(
         acc: &[i32],
-        input: Option<(&[i32], f32)>,
+        input: Option<(&[i32], super::QuantWire)>,
         vals: &mut [f32],
         e: &super::QuantEpilogue,
     ) {
@@ -2209,11 +2316,10 @@ mod x86 {
                         _mm256_blendv_ps(neg, v, keep)
                     }
                 };
-                if let Some((ir, iscale)) = input {
+                if let Some((ir, wire)) = input {
                     let iv = _mm256_loadu_si256(ir.as_ptr().add(x) as *const __m256i);
-                    let il =
-                        _mm256_cvtepi32_ps(_mm256_srai_epi32::<16>(_mm256_slli_epi32::<16>(iv)));
-                    v = _mm256_add_ps(v, _mm256_mul_ps(_mm256_set1_ps(iscale), il));
+                    let il = byte_ps8(iv, 0, wire.zero_point);
+                    v = _mm256_add_ps(v, _mm256_mul_ps(_mm256_set1_ps(wire.scale), il));
                 }
                 let wire =
                     round_clamp_wire8(_mm256_div_ps(v, _mm256_set1_ps(e.out_scale)), e.zero_point);
@@ -2231,7 +2337,7 @@ mod x86 {
         }
         scalar::qhead_row(
             &acc[x..],
-            input.map(|(ir, s)| (&ir[x..], s)),
+            input.map(|(ir, wire)| (&ir[x..], wire)),
             &mut vals[x..],
             e,
         );
@@ -2307,86 +2413,45 @@ mod x86 {
         }
     }
 
-    /// [`pack_wire8`] on 16 lanes.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX-512F support.
+    /// [`level_byte8`] on 16 lanes.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn pack_wire16(lo: __m512, hi: __m512) -> __m512i {
-        _mm512_or_si512(
-            _mm512_and_si512(_mm512_cvtps_epi32(lo), _mm512_set1_epi32(0xffff)),
-            _mm512_slli_epi32::<16>(_mm512_cvtps_epi32(hi)),
-        )
+    fn level_byte16(wire: __m512, zp: i32, c: usize) -> __m512i {
+        let q = _mm512_add_epi32(_mm512_cvtps_epi32(wire), _mm512_set1_epi32(zp));
+        _mm512_sll_epi32(q, _mm_cvtsi32_si128(8 * c as i32))
     }
 
-    /// Sign-extends the low (`hi == false`) or high packed 16-bit lane of
-    /// each word to a float.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX-512F support.
+    /// [`byte_ps8`] on 16 lanes.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn lane16_ps(v: __m512i, hi: bool) -> __m512 {
-        let v = if hi { v } else { _mm512_slli_epi32::<16>(v) };
-        _mm512_cvtepi32_ps(_mm512_srai_epi32::<16>(v))
-    }
-
-    /// One lane set of [`qresidual_pack_row`]'s fused chain on 16 lanes:
-    /// requantize, dequantize, add the dequantized `first` lane `f`,
-    /// requantize onto the widened wire.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX-512F support.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn residual_wire16(
-        acc: __m512i,
-        e: &super::QuantEpilogue,
-        f: __m512,
-        vfirst: __m512,
-        vwide: __m512,
-        wide_zp: i32,
-    ) -> __m512 {
-        // SAFETY: pure register ops under the caller's AVX-512F check.
-        unsafe {
-            let a = _mm512_mul_ps(_mm512_set1_ps(e.out_scale), requant_wire16(acc, e));
-            let s = _mm512_div_ps(_mm512_add_ps(a, _mm512_mul_ps(vfirst, f)), vwide);
-            round_clamp_wire16(s, wide_zp)
-        }
+    fn byte_ps16(v: __m512i, c: usize, zp: i32) -> __m512 {
+        let b = _mm512_srl_epi32(v, _mm_cvtsi32_si128(8 * c as i32));
+        let q = _mm512_and_si512(b, _mm512_set1_epi32(0xff));
+        _mm512_cvtepi32_ps(_mm512_sub_epi32(q, _mm512_set1_epi32(zp)))
     }
 
     /// AVX-512 body of [`qrequant_pack_row`].
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX-512F support ([`has_avx512`]);
-    /// `acc0.len()` and `acc1.len()` must be at least `dst.len()`.
+    /// Caller must have verified AVX-512F support ([`has_avx512`]) and
+    /// the length contract `check_group` asserts.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn qrequant_pack_row_512(
-        acc0: &[i32],
-        acc1: &[i32],
-        dst: &mut [i32],
-        e0: &super::QuantEpilogue,
-        e1: Option<&super::QuantEpilogue>,
-    ) {
+    pub unsafe fn qrequant_pack_row_512(acc: &[i32], es: &[super::QuantEpilogue], dst: &mut [i32]) {
         let n = dst.len();
-        // SAFETY: the masked loads and stores touch only columns x..n,
-        // inside every slice; masked-out lanes are never accessed.
+        // SAFETY: the masked loads and stores touch only columns x..n of
+        // `dst` and of each row c < es.len() of `acc` (n columns from
+        // c * n); masked-out lanes are never accessed.
         unsafe {
             for x in (0..n).step_by(16) {
                 let k = l512::mask(n - x);
-                let lo = requant_wire16(_mm512_maskz_loadu_epi32(k, acc0.as_ptr().add(x)), e0);
-                let hi = match e1 {
-                    Some(e1) => {
-                        requant_wire16(_mm512_maskz_loadu_epi32(k, acc1.as_ptr().add(x)), e1)
-                    }
-                    None => _mm512_setzero_ps(),
-                };
-                _mm512_mask_storeu_epi32(dst.as_mut_ptr().add(x), k, pack_wire16(lo, hi));
+                let mut word = _mm512_setzero_si512();
+                for (c, e) in es.iter().enumerate() {
+                    let a = _mm512_maskz_loadu_epi32(k, acc.as_ptr().add(c * n + x));
+                    word =
+                        _mm512_or_si512(word, level_byte16(requant_wire16(a, e), e.zero_point, c));
+                }
+                _mm512_mask_storeu_epi32(dst.as_mut_ptr().add(x), k, word);
             }
         }
     }
@@ -2395,39 +2460,36 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX-512F support ([`has_avx512`]);
-    /// `acc0`/`acc1`/`first` must be at least `dst.len()` long.
-    #[allow(clippy::too_many_arguments)]
+    /// Caller must have verified AVX-512F support ([`has_avx512`]) and
+    /// the length contract `check_group` asserts; `first` must be at
+    /// least `dst.len()` long.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn qresidual_pack_row_512(
-        acc0: &[i32],
-        acc1: &[i32],
+        acc: &[i32],
+        es: &[super::QuantEpilogue],
         first: &[i32],
         dst: &mut [i32],
-        e0: &super::QuantEpilogue,
-        e1: Option<&super::QuantEpilogue>,
-        first_scale: f32,
-        wide_scale: f32,
-        wide_zp: i32,
+        first_wire: super::QuantWire,
+        wide: super::QuantWire,
     ) {
         let n = dst.len();
-        let (vfirst, vwide) = (_mm512_set1_ps(first_scale), _mm512_set1_ps(wide_scale));
-        // SAFETY: as in `qrequant_pack_row_512`; every source is at least
-        // n long.
+        let (vfirst, vwide) = (_mm512_set1_ps(first_wire.scale), _mm512_set1_ps(wide.scale));
+        // SAFETY: as in `qrequant_pack_row_512`; `first` is at least n
+        // long.
         unsafe {
             for x in (0..n).step_by(16) {
                 let k = l512::mask(n - x);
                 let fv = _mm512_maskz_loadu_epi32(k, first.as_ptr().add(x));
-                let a0 = _mm512_maskz_loadu_epi32(k, acc0.as_ptr().add(x));
-                let lo = residual_wire16(a0, e0, lane16_ps(fv, false), vfirst, vwide, wide_zp);
-                let hi = match e1 {
-                    Some(e1) => {
-                        let a1 = _mm512_maskz_loadu_epi32(k, acc1.as_ptr().add(x));
-                        residual_wire16(a1, e1, lane16_ps(fv, true), vfirst, vwide, wide_zp)
-                    }
-                    None => _mm512_setzero_ps(),
-                };
-                _mm512_mask_storeu_epi32(dst.as_mut_ptr().add(x), k, pack_wire16(lo, hi));
+                let mut word = _mm512_setzero_si512();
+                for (c, e) in es.iter().enumerate() {
+                    let acc = _mm512_maskz_loadu_epi32(k, acc.as_ptr().add(c * n + x));
+                    let a = _mm512_mul_ps(_mm512_set1_ps(e.out_scale), requant_wire16(acc, e));
+                    let f = byte_ps16(fv, c, first_wire.zero_point);
+                    let s = _mm512_div_ps(_mm512_add_ps(a, _mm512_mul_ps(vfirst, f)), vwide);
+                    let q = round_clamp_wire16(s, wide.zero_point);
+                    word = _mm512_or_si512(word, level_byte16(q, wide.zero_point, c));
+                }
+                _mm512_mask_storeu_epi32(dst.as_mut_ptr().add(x), k, word);
             }
         }
     }
@@ -2442,7 +2504,7 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub unsafe fn qhead_row_512(
         acc: &[i32],
-        input: Option<(&[i32], f32)>,
+        input: Option<(&[i32], super::QuantWire)>,
         vals: &mut [f32],
         e: &super::QuantEpilogue,
     ) {
@@ -2453,9 +2515,13 @@ mod x86 {
             for x in (0..n).step_by(16) {
                 let k = l512::mask(n - x);
                 let mut v = dequant_act16(_mm512_maskz_loadu_epi32(k, acc.as_ptr().add(x)), e);
-                if let Some((ir, iscale)) = input {
-                    let il = lane16_ps(_mm512_maskz_loadu_epi32(k, ir.as_ptr().add(x)), false);
-                    v = _mm512_add_ps(v, _mm512_mul_ps(_mm512_set1_ps(iscale), il));
+                if let Some((ir, wire)) = input {
+                    let il = byte_ps16(
+                        _mm512_maskz_loadu_epi32(k, ir.as_ptr().add(x)),
+                        0,
+                        wire.zero_point,
+                    );
+                    v = _mm512_add_ps(v, _mm512_mul_ps(_mm512_set1_ps(wire.scale), il));
                 }
                 let wire =
                     round_clamp_wire16(_mm512_div_ps(v, _mm512_set1_ps(e.out_scale)), e.zero_point);
@@ -2471,8 +2537,8 @@ mod x86 {
         }
     }
 
-    /// Vectorized [`scalar::qquantize_row`]: quantize real inputs onto the
-    /// zero-point-subtracted wire, low lane only.
+    /// Vectorized [`scalar::qquantize_row`]: quantize real inputs to their
+    /// raw wire levels.
     ///
     /// # Safety
     ///
@@ -2484,14 +2550,10 @@ mod x86 {
         // SAFETY: x + 8 <= n <= src.len() for every lane access.
         unsafe {
             let vscale = _mm256_set1_ps(scale);
-            let mask = _mm256_set1_epi32(0xffff);
             while x + 8 <= n {
                 let f = _mm256_div_ps(_mm256_loadu_ps(src.as_ptr().add(x)), vscale);
-                let wire = _mm256_cvtps_epi32(round_clamp_wire8(f, zp));
-                _mm256_storeu_si256(
-                    dst.as_mut_ptr().add(x) as *mut __m256i,
-                    _mm256_and_si256(wire, mask),
-                );
+                let level = level_byte8(round_clamp_wire8(f, zp), zp, 0);
+                _mm256_storeu_si256(dst.as_mut_ptr().add(x) as *mut __m256i, level);
                 x += 8;
             }
         }
@@ -2738,19 +2800,15 @@ macro_rules! avx2_trait_impl {
                 ws: &[i32],
                 offs: &[usize],
                 src: &[i32],
+                seed: [i32; 4],
             ) {
-                check_taps4(acc, n, ws, offs, src);
                 // Integer kernel shared by both AVX2 variants (there is no
                 // madd flavor to differ on); the body is picked once per
                 // process and cannot change a bit.
-                // SAFETY: AVX2 verified at dispatch, AVX-512F + VNNI by
-                // `has_vnni`; lengths checked.
-                unsafe {
-                    if x86::has_vnni() {
-                        x86::qmadd_taps4_vnni(acc, n, ws, offs, src)
-                    } else {
-                        x86::qmadd_taps4_avx2(acc, n, ws, offs, src)
-                    }
+                if x86::has_vnni() {
+                    x86::qmadd_taps4_vnni_checked(acc, n, ws, offs, src, seed)
+                } else {
+                    x86::qmadd_taps4_avx2_checked(acc, n, ws, offs, src, seed)
                 }
             }
 
@@ -2762,72 +2820,40 @@ macro_rules! avx2_trait_impl {
                 }
             }
 
-            fn qrequant_pack_row(
-                &self,
-                acc0: &[i32],
-                acc1: &[i32],
-                dst: &mut [i32],
-                e0: &QuantEpilogue,
-                e1: Option<&QuantEpilogue>,
-            ) {
-                assert!(acc0.len() >= dst.len(), "acc0 shorter than dst");
-                assert!(acc1.len() >= dst.len(), "acc1 shorter than dst");
+            fn qrequant_pack_row(&self, acc: &[i32], es: &[QuantEpilogue], dst: &mut [i32]) {
+                check_group(acc, es, dst.len());
                 // Shared by both AVX2 variants: the epilogue mirrors the
                 // scalar chain with unfused mul/add, so there is no madd
                 // flavor to diverge on.
                 // SAFETY: AVX2 verified at dispatch, AVX-512F by
-                // `has_avx512`; lengths asserted.
+                // `has_avx512`; lengths checked.
                 unsafe {
                     if x86::has_avx512() {
-                        x86::qrequant_pack_row_512(acc0, acc1, dst, e0, e1)
+                        x86::qrequant_pack_row_512(acc, es, dst)
                     } else {
-                        x86::qrequant_pack_row(acc0, acc1, dst, e0, e1)
+                        x86::qrequant_pack_row(acc, es, dst)
                     }
                 }
             }
 
             fn qresidual_pack_row(
                 &self,
-                acc0: &[i32],
-                acc1: &[i32],
+                acc: &[i32],
+                es: &[QuantEpilogue],
                 first: &[i32],
                 dst: &mut [i32],
-                e0: &QuantEpilogue,
-                e1: Option<&QuantEpilogue>,
-                first_scale: f32,
-                wide_scale: f32,
-                wide_zp: i32,
+                first_wire: QuantWire,
+                wide: QuantWire,
             ) {
-                assert!(acc0.len() >= dst.len(), "acc0 shorter than dst");
-                assert!(acc1.len() >= dst.len(), "acc1 shorter than dst");
+                check_group(acc, es, dst.len());
                 assert!(first.len() >= dst.len(), "first shorter than dst");
                 // SAFETY: AVX2 verified at dispatch, AVX-512F by
-                // `has_avx512`; lengths asserted.
+                // `has_avx512`; lengths checked.
                 unsafe {
                     if x86::has_avx512() {
-                        x86::qresidual_pack_row_512(
-                            acc0,
-                            acc1,
-                            first,
-                            dst,
-                            e0,
-                            e1,
-                            first_scale,
-                            wide_scale,
-                            wide_zp,
-                        )
+                        x86::qresidual_pack_row_512(acc, es, first, dst, first_wire, wide)
                     } else {
-                        x86::qresidual_pack_row(
-                            acc0,
-                            acc1,
-                            first,
-                            dst,
-                            e0,
-                            e1,
-                            first_scale,
-                            wide_scale,
-                            wide_zp,
-                        )
+                        x86::qresidual_pack_row(acc, es, first, dst, first_wire, wide)
                     }
                 }
             }
@@ -2835,7 +2861,7 @@ macro_rules! avx2_trait_impl {
             fn qhead_row(
                 &self,
                 acc: &[i32],
-                input: Option<(&[i32], f32)>,
+                input: Option<(&[i32], QuantWire)>,
                 vals: &mut [f32],
                 e: &QuantEpilogue,
             ) {
@@ -2988,34 +3014,59 @@ mod tests {
             cin,
             (2.0 * cout as f64 * cin as f64 * 16.0 * reps as f64) / el / 1e9
         );
-        // qmadd_taps4: an m5 3x3 body layer's row at the bulk tile patch
-        // width — 4 output channels, 8 input channel pairs x 3 x 3 = 72
-        // packed taps over 146 columns, rows `pw` apart inside planes of
-        // three padded rows.
-        let (nt, n, pw) = (72usize, 146usize, 150usize);
+        // qmadd_taps4: an m5 3x3 body layer's row at 320 columns — 4
+        // output channels, 4 input channel quads x 3 x 3 = 36 packed taps,
+        // rows `pw` apart inside planes of three padded rows.
+        let (nt, n, pw) = (36usize, 320usize, 324usize);
         let offs: Vec<usize> = (0..nt)
             .map(|t| (t / 9) * 3 * pw + (t % 9 / 3) * pw + t % 3)
             .collect();
-        let level = |i: usize, m: usize| (i % (2 * m + 1)) as i32 - m as i32;
-        let qsrc: Vec<i32> = (0..8 * 3 * pw)
-            .map(|i| pack(level(37 * i, 255), level(11 * i, 255)))
-            .collect();
-        let qws: Vec<i32> = (0..4 * nt)
-            .map(|i| pack(level(13 * i, 127), level(7 * i, 127)))
-            .collect();
+        let byte = |i: usize| (i.wrapping_mul(2_654_435_761) >> 7) as u8;
+        let word = |i: usize| {
+            i32::from_le_bytes([
+                byte(4 * i),
+                byte(4 * i + 1),
+                byte(4 * i + 2),
+                byte(4 * i + 3),
+            ])
+        };
+        let qsrc: Vec<i32> = (0..4 * 3 * pw).map(word).collect();
+        let qws: Vec<i32> = (0..4 * nt).map(|i| word(i + 99_991)).collect();
         let mut qacc = vec![0i32; 4 * n];
         let reps = 20_000;
+        // Every body this CPU runs, not just the one the dispatch picks
+        // (`int8_body` names that one).
+        println!("qmadd_taps4 dispatches to {}", mk.int8_body());
+        for (name, body) in int8_bodies() {
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                body(&mut qacc, n, &qws, &offs, &qsrc, [1, 2, 3, 4]);
+            }
+            let el = t0.elapsed().as_secs_f64();
+            println!(
+                "qmadd_taps4 ({name}) 4x{nt}x{n}: {:.1} GMAC/s (int8 MACs, four per packed tap)",
+                (4.0 * 4.0 * nt as f64 * n as f64 * reps as f64) / el / 1e9
+            );
+        }
+        // qrequant_pack_row: the same group's epilogue, four PReLU
+        // channels requantized and packed into one row of words.
+        let es = [0.01f32, 0.02, 0.03, 0.04].map(|s| QuantEpilogue {
+            scale_io: s * 1e-3,
+            bias: 0.1,
+            act: RowAct::PRelu(0.25),
+            out_scale: 0.02,
+            zero_point: 17,
+        });
+        let mut words = vec![0i32; n];
         let t0 = Instant::now();
         for _ in 0..reps {
-            mk.qmadd_taps4(&mut qacc, n, &qws, &offs, &qsrc);
+            mk.qrequant_pack_row(&qacc, &es, &mut words);
         }
         let el = t0.elapsed().as_secs_f64();
         println!(
-            "qmadd_taps4 ({}) 4x{}x{}: {:.1} GMAC/s (int8 MACs, two per packed tap)",
-            mk.int8_body(),
-            nt,
+            "qrequant_pack_row 4x{}: {:.2} ns/level",
             n,
-            (2.0 * 4.0 * nt as f64 * n as f64 * reps as f64) / el / 1e9
+            el * 1e9 / (4.0 * n as f64 * reps as f64)
         );
         // wino_tile_row: one m5 body layer, 16 -> 16 channels over a
         // 180x320 plane — 90 tile rows of 160 tiles — as the planner runs
@@ -3052,7 +3103,7 @@ mod tests {
             (2.0 * (cin * cout * 16 * tiles * trows) as f64) / el / 1e9
         );
         assert!(acc[0].is_finite() && m[0].is_finite() && out[0].is_finite());
-        std::hint::black_box(&qacc);
+        std::hint::black_box((&qacc, &words));
     }
 
     /// Variants whose arithmetic must equal scalar bit-for-bit.
@@ -3204,115 +3255,98 @@ mod tests {
         }
     }
 
-    /// Packs two `i16` lanes the way the quantized executor does.
-    fn pack(lo: i32, hi: i32) -> i32 {
-        (lo & 0xFFFF) | (hi << 16)
+    /// Packs four lanes into one word the way the quantized executor does:
+    /// `u8` levels or `i8` weights, lane `b` in byte `b`.
+    fn quad(lanes: [i32; 4]) -> i32 {
+        i32::from_le_bytes(lanes.map(|v| v as u8))
     }
 
     #[test]
     fn qmadd_taps4_known_answer() {
-        // Two taps over two rows; negative halves must sign-extend and the
-        // rows are overwritten, not accumulated. Tap 0 reads (5, 7) and tap
-        // 1 reads (-3, 2); channel 0 weighs them (2, 3) and (1, -1),
-        // channel 1 (-2, 3) and (4, 0); channels 2 and 3 are padding.
-        let src = [pack(5, 7), pack(-3, 2)];
-        let ws = [pack(2, 3), pack(-2, 3), 0, 0, pack(1, -1), pack(4, 0), 0, 0];
+        // Two taps over two rows, seeded; levels are unsigned (200 and 255
+        // must not read as negative), weights signed, and the rows are
+        // overwritten, not accumulated. Tap 0 reads (5, 200, 0, 255), tap
+        // 1 reads (1, 2, 3, 4); channel 0 weighs them (2, -1, 7, 1) and
+        // (1, 1, 1, 1) from seed 100, channel 1 (-3, 0, 0, -2) and (0, 0,
+        // 0, 127) from seed -7; channels 2 and 3 are padding.
+        let src = [quad([5, 200, 0, 255]), quad([1, 2, 3, 4])];
+        let ws = [
+            quad([2, -1, 7, 1]),
+            quad([-3, 0, 0, -2]),
+            0,
+            0,
+            quad([1, 1, 1, 1]),
+            quad([0, 0, 0, 127]),
+            0,
+            0,
+        ];
         for &v in detected_variants() {
             let mut acc = [99i32, 99];
-            microkernel(v).qmadd_taps4(&mut acc, 1, &ws, &[0, 1], &src);
-            assert_eq!(acc, [10 + 21 - 3 - 2, -10 + 21 - 12], "{}", v.name());
-        }
-    }
-
-    /// Every `qmadd_taps4` body — the AVX2 and AVX-512 VNNI bodies called
-    /// directly (each when the CPU has it) and every detected variant
-    /// through the trait — equals the scalar reference bit for bit, over
-    /// the column counts that exercise zmm blocks, AVX2 16- and 8-column
-    /// blocks, masked and scalar tails, 1 to 200 taps, 1 to 4 rows, and
-    /// operands at the executor's extremes (`±255` activations against
-    /// `±127` weights), where any saturation would show.
-    #[test]
-    fn qmadd_taps4_bodies_match_scalar_exactly() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move |m: i32| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let r = (state >> 33) as i32;
-            // Half the draws sit on the range's rails.
-            match r % 4 {
-                0 => m,
-                1 => -m,
-                _ => (r / 4) % (2 * m + 1) - m,
-            }
-        };
-        for n in [1usize, 8, 15, 16, 17, 31, 32, 33, 64, 65, 146] {
-            for nt in [1usize, 2, 9, 25, 72, 200] {
-                let offs: Vec<usize> = (0..nt).map(|t| 3 * t + t % 5).collect();
-                let src: Vec<i32> = (0..n + 3 * nt + 5)
-                    .map(|_| pack(next(255), next(255)))
-                    .collect();
-                let ws: Vec<i32> = (0..4 * nt).map(|_| pack(next(127), next(127))).collect();
-                for rows in 1..=4usize {
-                    let mut want = vec![0i32; rows * n];
-                    microkernel(KernelVariant::Scalar).qmadd_taps4(&mut want, n, &ws, &offs, &src);
-                    let mut bodies: Vec<(&str, Vec<i32>)> = Vec::new();
-                    for &v in detected_variants() {
-                        let mut got = vec![7i32; rows * n];
-                        microkernel(v).qmadd_taps4(&mut got, n, &ws, &offs, &src);
-                        bodies.push((v.name(), got));
-                    }
-                    #[cfg(target_arch = "x86_64")]
-                    {
-                        if is_x86_feature_detected!("avx2") {
-                            let mut got = vec![7i32; rows * n];
-                            // SAFETY: AVX2 detected just above; the
-                            // lengths satisfy check_taps4 (offs[t] + n <=
-                            // src.len(), four weights per tap).
-                            unsafe { x86::qmadd_taps4_avx2(&mut got, n, &ws, &offs, &src) };
-                            bodies.push(("avx2 body", got));
-                        }
-                        if x86::has_vnni() {
-                            let mut got = vec![7i32; rows * n];
-                            // SAFETY: AVX-512F + VNNI detected by
-                            // has_vnni; lengths as above.
-                            unsafe { x86::qmadd_taps4_vnni(&mut got, n, &ws, &offs, &src) };
-                            bodies.push(("avx512vnni body", got));
-                        }
-                    }
-                    for (name, got) in bodies {
-                        assert_eq!(got, want, "{name} n={n} taps={nt} rows={rows}");
-                    }
-                }
-            }
+            microkernel(v).qmadd_taps4(&mut acc, 1, &ws, &[0, 1], &src, [100, -7, 5, 5]);
+            assert_eq!(acc, [100 + 65 + 10, -7 - 525 + 508], "{}", v.name());
         }
     }
 
     #[test]
     fn qmadd_taps4_names_its_integer_body() {
         assert_eq!(microkernel(KernelVariant::Scalar).int8_body(), "scalar");
+        let bodies: Vec<&str> = int8_bodies().iter().map(|&(name, _)| name).collect();
+        assert_eq!(bodies[0], "scalar");
         for &v in detected_variants() {
             let body = microkernel(v).int8_body();
-            assert!(["scalar", "avx2", "avx512vnni"].contains(&body), "{body}");
+            assert!(bodies.contains(&body), "{body} not in {bodies:?}");
         }
     }
 
-    /// Adversarial epilogue sweep: every variant's requantization row ops
-    /// must equal the scalar reference bit for bit — including round
-    /// half-ties (odd accumulators against `out_scale` 2.0 land real
-    /// values exactly on `x.5`), clamp saturation from huge accumulators,
-    /// zero-point extremes, PRelu with negative slopes, and tiny negative
-    /// values whose rounding produces `-0.0`.
-    #[test]
-    fn quant_epilogues_match_scalar_exactly_for_all_variants() {
-        let mut state = 0x8091_A2B3_C4D5_E6F7u64;
-        let mut next = move |m: i32| {
+    /// A deterministic stream of integers in `[-m, m]`.
+    fn draws(seed: u64) -> impl FnMut(i32) -> i32 {
+        let mut state = seed;
+        move |m: i32| {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as i32 % (2 * m + 1)) - m
+        }
+    }
+
+    /// Four channels' epilogue constants over one zero point and
+    /// activation: channel 0 lands odd accumulators exactly on `x.5` ties
+    /// (`scale_io` 1 against `out_scale` 2), the others mix scales and
+    /// zero points.
+    fn group_epilogues(zp: i32, act: RowAct, out_scale: f32) -> [QuantEpilogue; 4] {
+        let e = |scale_io: f32, bias: f32, out_scale: f32, zero_point: i32| QuantEpilogue {
+            scale_io,
+            bias,
+            act,
+            out_scale,
+            zero_point,
         };
+        [
+            e(1.0, 0.25, 2.0, zp),
+            e(3.1e-4, -0.125, out_scale, zp),
+            e(2.7e-3, 0.5, out_scale, 255 - zp),
+            e(1.9e-5, 0.0, 0.0173, (zp + 97) % 256),
+        ]
+    }
+
+    /// Adversarial epilogue sweep: every variant's requantization row ops
+    /// must equal the scalar reference bit for bit — at every group width
+    /// 1 to 4, including round half-ties, clamp saturation from huge
+    /// accumulators, zero-point extremes, PRelu with negative slopes, tiny
+    /// negative values whose rounding produces `-0.0`, and stored levels
+    /// on both rails.
+    #[test]
+    fn quant_epilogues_match_scalar_exactly_for_all_variants() {
+        let mut next = draws(0x8091_A2B3_C4D5_E6F7);
         let sc = microkernel(KernelVariant::Scalar);
+        let first_wire = QuantWire {
+            scale: 0.021,
+            zero_point: 116,
+        };
+        let wide = QuantWire {
+            scale: 0.044,
+            zero_point: 3,
+        };
         for n in [1usize, 5, 8, 13, 24, 100] {
             for (zp, out_scale) in [(0i32, 2.0f32), (128, 0.0173), (255, 0.5), (37, 3.25e-3)] {
                 for act in [
@@ -3321,93 +3355,43 @@ mod tests {
                     RowAct::PRelu(-0.7),
                     RowAct::PRelu(0.4),
                 ] {
-                    let e0 = QuantEpilogue {
-                        scale_io: 1.0, // odd accs hit exact .5 ties at out_scale 2.0
-                        bias: 0.25,
-                        act,
-                        out_scale,
-                        zero_point: zp,
-                    };
-                    let e1 = QuantEpilogue {
-                        scale_io: 3.1e-4,
-                        bias: -0.125,
-                        act,
-                        out_scale,
-                        zero_point: zp,
-                    };
+                    let es = group_epilogues(zp, act, out_scale);
                     // Mix huge magnitudes (clamp saturation on both
                     // sides) with small ones (tie and -0.0 territory).
-                    let acc0: Vec<i32> = (0..n)
+                    let acc: Vec<i32> = (0..4 * n)
                         .map(|i| if i % 3 == 0 { next(2_000_000) } else { next(7) })
                         .collect();
-                    let acc1: Vec<i32> = (0..n).map(|_| next(2_000_000)).collect();
                     let first: Vec<i32> = (0..n)
-                        .map(|_| (next(255) & 0xFFFF) | (next(255) << 16))
+                        .map(|_| quad([0, 255, next(127) + 128, next(127) + 128]))
                         .collect();
-
-                    let mut want = vec![0i32; n];
-                    sc.qrequant_pack_row(&acc0, &acc1, &mut want, &e0, Some(&e1));
-                    let mut want_half = vec![0i32; n];
-                    sc.qrequant_pack_row(&acc0, &acc1, &mut want_half, &e0, None);
-                    let mut want_res = vec![0i32; n];
-                    sc.qresidual_pack_row(
-                        &acc0,
-                        &acc1,
-                        &first,
-                        &mut want_res,
-                        &e0,
-                        Some(&e1),
-                        0.021,
-                        0.044,
-                        116,
-                    );
-                    let mut want_head = vec![0f32; n];
-                    sc.qhead_row(&acc0, Some((&first, 0.013)), &mut want_head, &e0);
-                    let mut want_head_plain = vec![0f32; n];
-                    sc.qhead_row(&acc0, None, &mut want_head_plain, &e1);
+                    let input_wire = QuantWire {
+                        scale: 0.013,
+                        zero_point: zp,
+                    };
                     let floats: Vec<f32> = (0..n).map(|_| next(1000) as f32 * 0.37e-2).collect();
-                    let mut want_q = vec![0i32; n];
-                    sc.qquantize_row(&floats, &mut want_q, 0.01937, zp);
-
-                    for v in detected_variants() {
-                        let mk = microkernel(*v);
-                        let ctx = format!("variant {} n={n} zp={zp} act={act:?}", v.name());
-                        let mut got = vec![0i32; n];
-                        mk.qrequant_pack_row(&acc0, &acc1, &mut got, &e0, Some(&e1));
-                        assert_eq!(got, want, "qrequant_pack_row {ctx}");
-                        let mut got = vec![0i32; n];
-                        mk.qrequant_pack_row(&acc0, &acc1, &mut got, &e0, None);
-                        assert_eq!(got, want_half, "qrequant_pack_row(half) {ctx}");
-                        let mut got = vec![0i32; n];
-                        mk.qresidual_pack_row(
-                            &acc0,
-                            &acc1,
-                            &first,
-                            &mut got,
-                            &e0,
-                            Some(&e1),
-                            0.021,
-                            0.044,
-                            116,
-                        );
-                        assert_eq!(got, want_res, "qresidual_pack_row {ctx}");
-                        let mut got = vec![0f32; n];
-                        mk.qhead_row(&acc0, Some((&first, 0.013)), &mut got, &e0);
-                        let same = got
-                            .iter()
-                            .zip(&want_head)
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
-                        assert!(same, "qhead_row {ctx}");
-                        let mut got = vec![0f32; n];
-                        mk.qhead_row(&acc0, None, &mut got, &e1);
-                        let same = got
-                            .iter()
-                            .zip(&want_head_plain)
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
-                        assert!(same, "qhead_row(no residual) {ctx}");
-                        let mut got = vec![0i32; n];
-                        mk.qquantize_row(&floats, &mut got, 0.01937, zp);
-                        assert_eq!(got, want_q, "qquantize_row {ctx}");
+                    let run = |mk: &dyn Microkernel, lanes: usize| {
+                        let es = &es[..lanes];
+                        let (mut q, mut r) = (vec![0i32; n], vec![0i32; n]);
+                        mk.qrequant_pack_row(&acc, es, &mut q);
+                        mk.qresidual_pack_row(&acc, es, &first, &mut r, first_wire, wide);
+                        let (mut hd, mut plain) = (vec![0f32; n], vec![0f32; n]);
+                        mk.qhead_row(&acc, Some((&first, input_wire)), &mut hd, &es[0]);
+                        mk.qhead_row(&acc[n..], None, &mut plain, &es[lanes - 1]);
+                        let mut quant = vec![0i32; n];
+                        mk.qquantize_row(&floats, &mut quant, 0.01937, zp);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        (q, r, bits(&hd), bits(&plain), quant)
+                    };
+                    for lanes in 1..=4 {
+                        let want = run(sc, lanes);
+                        for &v in detected_variants() {
+                            let got = run(microkernel(v), lanes);
+                            assert!(
+                                got == want,
+                                "variant {} n={n} zp={zp} act={act:?} lanes={lanes}",
+                                v.name()
+                            );
+                        }
                     }
                 }
             }
@@ -3425,12 +3409,18 @@ mod tests {
         if !is_x86_feature_detected!("avx2") {
             return;
         }
-        let mut state = 0x1234_5678_9ABC_DEF1u64;
-        let mut next = move |m: i32| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as i32 % (2 * m + 1)) - m
+        let mut next = draws(0x1234_5678_9ABC_DEF1);
+        let first_wire = QuantWire {
+            scale: 0.021,
+            zero_point: 116,
+        };
+        let wide = QuantWire {
+            scale: 0.044,
+            zero_point: 200,
+        };
+        let input_wire = QuantWire {
+            scale: 0.013,
+            zero_point: 9,
         };
         for n in 1..=40usize {
             for (zp, act) in [
@@ -3438,82 +3428,58 @@ mod tests {
                 (128, RowAct::Relu),
                 (37, RowAct::PRelu(-0.7)),
             ] {
-                let e0 = QuantEpilogue {
-                    scale_io: 1.0,
-                    bias: 0.25,
-                    act,
-                    out_scale: 2.0,
-                    zero_point: zp,
-                };
-                let e1 = QuantEpilogue {
-                    scale_io: 3.1e-4,
-                    bias: -0.125,
-                    act,
-                    out_scale: 0.0173,
-                    zero_point: zp,
-                };
-                let acc0: Vec<i32> = (0..n)
+                let es = group_epilogues(zp, act, 0.0173);
+                let acc: Vec<i32> = (0..4 * n)
                     .map(|i| if i % 3 == 0 { next(2_000_000) } else { next(7) })
                     .collect();
-                let acc1: Vec<i32> = (0..n).map(|_| next(2_000_000)).collect();
                 let first: Vec<i32> = (0..n)
-                    .map(|_| (next(255) & 0xFFFF) | (next(255) << 16))
+                    .map(|_| quad([next(127) + 128, next(127) + 128, 0, 255]))
                     .collect();
                 let mut want = vec![0i32; n];
-                scalar::qrequant_pack_row(&acc0, &acc1, &mut want, &e0, Some(&e1));
+                scalar::qrequant_pack_row(&acc, &es, &mut want);
                 let mut want_res = vec![0i32; n];
-                scalar::qresidual_pack_row(
-                    &acc0,
-                    &acc1,
-                    &first,
-                    &mut want_res,
-                    &e0,
-                    Some(&e1),
-                    0.021,
-                    0.044,
-                    116,
-                );
+                scalar::qresidual_pack_row(&acc, &es, &first, &mut want_res, first_wire, wide);
                 let mut want_head = vec![0f32; n];
-                scalar::qhead_row(&acc0, Some((&first, 0.013)), &mut want_head, &e0);
+                scalar::qhead_row(&acc, Some((&first, input_wire)), &mut want_head, &es[0]);
                 let want_head: Vec<u32> = want_head.iter().map(|x| x.to_bits()).collect();
-                for wide in [false, true] {
-                    if wide && !x86::has_avx512() {
+                for wide_body in [false, true] {
+                    if wide_body && !x86::has_avx512() {
                         continue;
                     }
-                    let ctx = format!("n={n} zp={zp} act={act:?} avx512={wide}");
+                    let ctx = format!("n={n} zp={zp} act={act:?} avx512={wide_body}");
                     let (mut got, mut got_res, mut got_head) =
                         (vec![0i32; n], vec![0i32; n], vec![0f32; n]);
                     // SAFETY: AVX2 detected above, AVX-512F by has_avx512
-                    // for the wide bodies; every source is n long.
+                    // for the wide bodies; `acc` holds four rows of n and
+                    // every other source is n long.
                     unsafe {
-                        if wide {
-                            x86::qrequant_pack_row_512(&acc0, &acc1, &mut got, &e0, Some(&e1));
+                        if wide_body {
+                            x86::qrequant_pack_row_512(&acc, &es, &mut got);
                             x86::qresidual_pack_row_512(
-                                &acc0,
-                                &acc1,
+                                &acc,
+                                &es,
                                 &first,
                                 &mut got_res,
-                                &e0,
-                                Some(&e1),
-                                0.021,
-                                0.044,
-                                116,
+                                first_wire,
+                                wide,
                             );
-                            x86::qhead_row_512(&acc0, Some((&first, 0.013)), &mut got_head, &e0);
+                            x86::qhead_row_512(
+                                &acc,
+                                Some((&first, input_wire)),
+                                &mut got_head,
+                                &es[0],
+                            );
                         } else {
-                            x86::qrequant_pack_row(&acc0, &acc1, &mut got, &e0, Some(&e1));
+                            x86::qrequant_pack_row(&acc, &es, &mut got);
                             x86::qresidual_pack_row(
-                                &acc0,
-                                &acc1,
+                                &acc,
+                                &es,
                                 &first,
                                 &mut got_res,
-                                &e0,
-                                Some(&e1),
-                                0.021,
-                                0.044,
-                                116,
+                                first_wire,
+                                wide,
                             );
-                            x86::qhead_row(&acc0, Some((&first, 0.013)), &mut got_head, &e0);
+                            x86::qhead_row(&acc, Some((&first, input_wire)), &mut got_head, &es[0]);
                         }
                     }
                     assert_eq!(got, want, "qrequant_pack_row {ctx}");

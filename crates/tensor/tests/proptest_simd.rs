@@ -23,8 +23,8 @@
 use proptest::prelude::*;
 use sesr_tensor::autotune::{gemm_blocking_with, pick, GemmBlocking};
 use sesr_tensor::simd::{
-    detected_variants, microkernel, wino_pack_u, wino_scratch_len, KernelVariant, Microkernel,
-    QuantEpilogue, RowAct, WinoRow,
+    detected_variants, int8_bodies, microkernel, wino_pack_u, wino_scratch_len, KernelVariant,
+    Microkernel, QuantEpilogue, QuantWire, RowAct, WinoRow,
 };
 
 /// One multiply-add with the variant's documented rounding behavior.
@@ -285,27 +285,43 @@ proptest! {
 
     /// The fused int8 epilogues (requantize-and-pack, the residual fuse,
     /// the head row) equal the scalar chain bit for bit on every variant
-    /// at lengths 1..=40 — the 16-lane bodies' full vectors and masked
-    /// tails where AVX-512 runs, the 8-lane bodies' scalar tails where it
-    /// does not.
+    /// at lengths 1..=40 and group widths 1 to 4 — the 16-lane bodies'
+    /// full vectors and masked tails where AVX-512 runs, the 8-lane
+    /// bodies' scalar tails where it does not — with stored levels and
+    /// zero points anywhere in `[0, 255]`.
     #[test]
     fn int8_epilogues_match_scalar(
         n in 1usize..41,
+        lanes in 1usize..5,
         zp in 0i32..256,
+        first_zp in 0i32..256,
+        wide_zp in 0i32..256,
         act in row_act(),
         out_scale in prop_oneof![Just(2.0f32), 0.002f32..0.5],
-        accs in proptest::collection::vec(-3_000_000i32..3_000_000, 80),
-        lanes in proptest::collection::vec(-255i32..256, 80),
+        accs in proptest::collection::vec(-3_000_000i32..3_000_000, 160),
+        levels in proptest::collection::vec(0u8..=255, 160),
     ) {
-        let e0 = QuantEpilogue { scale_io: 1.0, bias: 0.25, act, out_scale, zero_point: zp };
-        let e1 = QuantEpilogue { scale_io: 3.1e-4, bias: -0.125, act, out_scale, zero_point: zp };
-        let (acc0, acc1) = (&accs[..n], &accs[40..40 + n]);
-        let first: Vec<i32> = (0..n).map(|x| (lanes[x] & 0xFFFF) | (lanes[40 + x] << 16)).collect();
+        let es: Vec<QuantEpilogue> = (0..lanes)
+            .map(|c| QuantEpilogue {
+                scale_io: [1.0, 3.1e-4, 2.7e-3, 1.9e-5][c],
+                bias: [0.25, -0.125, 0.5, 0.0][c],
+                act,
+                out_scale,
+                zero_point: (zp + 61 * c as i32) % 256,
+            })
+            .collect();
+        let acc = &accs[..4 * n];
+        let first: Vec<i32> = levels[..4 * n]
+            .chunks_exact(4)
+            .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
+        let first_wire = QuantWire { scale: 0.021, zero_point: first_zp };
+        let wide = QuantWire { scale: 0.044, zero_point: wide_zp };
         let run = |mk: &dyn Microkernel| {
             let (mut q, mut r, mut hd) = (vec![0i32; n], vec![0i32; n], vec![0f32; n]);
-            mk.qrequant_pack_row(acc0, acc1, &mut q, &e0, Some(&e1));
-            mk.qresidual_pack_row(acc0, acc1, &first, &mut r, &e0, Some(&e1), 0.021, 0.044, 116);
-            mk.qhead_row(acc0, Some((&first, 0.013)), &mut hd, &e0);
+            mk.qrequant_pack_row(acc, &es, &mut q);
+            mk.qresidual_pack_row(acc, &es, &first, &mut r, first_wire, wide);
+            mk.qhead_row(acc, Some((&first, first_wire)), &mut hd, &es[0]);
             (q, r, bits(&hd))
         };
         let want = run(microkernel(KernelVariant::Scalar));
@@ -384,5 +400,71 @@ proptest! {
         prop_assert_eq!(first, second);
         prop_assert!(first.nc >= 8 && first.nc % 8 == 0, "nc must be a clamped strip multiple");
         prop_assert!(first.mc_blocks >= 1);
+    }
+}
+
+/// A deterministic stream of words: each call draws a fresh 64-bit LCG
+/// state.
+fn lcg(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 11
+    }
+}
+
+/// The integer tap kernel's identity: every `qmadd_taps4` body this CPU
+/// runs — scalar, the AVX2 split body, the AVX-512 VNNI body, whichever
+/// the dispatch would pick (`int8_bodies`, so under `force-scalar` too) —
+/// equals the scalar body bit for bit at every width 1..=70 (every
+/// 32-column zmm block and masked tail, every 16- and 8-column ymm block
+/// and scalar tail), 1 to 400 taps, 1 to 4 rows, and nonzero seeds, with
+/// operands at the extremes: levels on the `{0, 255}` rails against
+/// weights at `{-127, 127}` (all-max sums of both signs, then random
+/// rails), and uniform bytes. A body that read levels as signed, or
+/// saturated, would diverge on the rails.
+#[test]
+fn qmadd_taps4_bodies_match_scalar_at_the_extremes() {
+    let bodies = int8_bodies();
+    let mut next = lcg(0x9E37_79B9_7F4A_7C15);
+    let max = 400 * 4 * 255 * 127;
+    for n in 1..=70usize {
+        let rows = 1 + n % 4;
+        for nt in [1usize, 10, 36, 100, 400] {
+            let offs: Vec<usize> = (0..nt).map(|t| (5 * t) % 97).collect();
+            for mode in 0..4 {
+                let mut level = || match mode {
+                    0 | 1 => 255u8,
+                    2 => [0, 255][(next() & 1) as usize],
+                    _ => next() as u8,
+                };
+                let src: Vec<i32> = (0..n + 97)
+                    .map(|_| i32::from_le_bytes([level(), level(), level(), level()]))
+                    .collect();
+                let mut weight = || match mode {
+                    0 => 127i8,
+                    1 => -127,
+                    2 => [-127, 127][(next() & 1) as usize],
+                    _ => next() as i8,
+                };
+                let ws: Vec<i32> = (0..4 * nt)
+                    .map(|_| {
+                        i32::from_le_bytes(
+                            [weight(), weight(), weight(), weight()].map(|w| w as u8),
+                        )
+                    })
+                    .collect();
+                let seed = [max / 4, -max / 4, 1, -(next() as i32 % 1000)];
+                let mut want = vec![0i32; rows * n];
+                (bodies[0].1)(&mut want, n, &ws, &offs, &src, seed);
+                for &(name, body) in &bodies[1..] {
+                    let mut got = vec![7i32; rows * n];
+                    body(&mut got, n, &ws, &offs, &src, seed);
+                    assert_eq!(got, want, "{name} n={n} taps={nt} rows={rows} mode={mode}");
+                }
+            }
+        }
     }
 }

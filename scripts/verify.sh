@@ -135,17 +135,22 @@ step_int8() {
     # architectures/shapes/bands/variants/threads (property sweep) and on
     # every detected kernel variant over ragged tap-kernel geometries,
     # the quantizer's own properties, zero steady-state heap allocations,
-    # quantizer edge cases, the kernel-level identity sweeps (every
-    # integer tap-kernel body against scalar; requantization epilogues
-    # under round ties, clamp saturation, zero-point extremes, -0.0), and
-    # the plan cache's int8 oracle, single-flight and replication tests,
-    # and the engine's PSNR-budget grading with silent f32 fallback plus
-    # the autoscaler's warm-decision replication.
+    # quantizer edge cases, every wire forced to zero points 0, 1, 128,
+    # 254 and 255 (pad fill and accumulator seed), the kernel-level
+    # identity sweeps (every integer tap-kernel body against scalar at the
+    # operand extremes — the `qmadd` filter runs proptest_simd's
+    # qmadd_taps4_bodies_match_scalar_at_the_extremes with the unit tests;
+    # requantization epilogues under round ties, clamp saturation,
+    # zero-point extremes, -0.0), and the plan cache's int8 oracle,
+    # single-flight and replication tests, and the engine's PSNR-budget
+    # grading with silent f32 fallback plus the autoscaler's
+    # warm-decision replication.
     cargo test -q --offline -p sesr --test proptest_qplan
     cargo test -q --offline -p sesr-quant --test ragged_geometry
     cargo test -q --offline -p sesr-quant --test proptest_quant
     cargo test -q --offline -p sesr-quant --test zero_alloc_int8
     cargo test -q --offline -p sesr-quant --test edge_cases
+    cargo test -q --offline -p sesr-quant --test zero_points
     cargo test -q --offline -p sesr-tensor quant_epilogues
     cargo test -q --offline -p sesr-tensor qmadd
     cargo test -q --offline -p sesr-serve --lib plan_cache
