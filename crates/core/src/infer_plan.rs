@@ -50,18 +50,21 @@
 //! * **Fused epilogues.** Bias, PReLU/ReLU, the long feature residual, the
 //!   input residual, and the depth-to-space permutation are folded into
 //!   the producing conv's output-row write (including after the Winograd
-//!   output transform), eliminating whole-tensor passes. Epilogue passes
-//!   run row-at-a-time with the variant dispatch hoisted out of the inner
-//!   loops, so they vectorize; the head interleaves the `scale` channel
-//!   rows that share an output row in one contiguous store.
+//!   output transform), eliminating whole-tensor passes. Each output row
+//!   of each channel takes one [`epilogue_row`] call that applies the
+//!   whole chain and writes straight to the ring row; the head
+//!   interleaves the `scale` channel rows that share an output row in one
+//!   contiguous store.
 //! * **Direct blocked convolution.** The 5x5 layers skip im2col entirely.
 //!   The reference path's `im2col + gemm` materializes a `cin*kh*kw x h*w`
 //!   column matrix (tens of MB at video sizes) just to stream it through
-//!   the GEMM once; the direct kernel instead stages, per output row, the
-//!   `kh` input rows of every channel as zero-padded rows in the band's
-//!   slab, so every tap reads the slab at an offset fixed at plan build.
-//!   [`Microkernel::conv_taps4`] then loads each tap segment once for
-//!   four output channels x 16 columns of register accumulators.
+//!   the GEMM once; the direct kernel instead keeps the `kh` input rows
+//!   of every channel that an output row reads as zero-padded rows in a
+//!   per-channel ring in the band's slab (each input row staged once per
+//!   band), so every tap reads the slab at an offset fixed at plan build
+//!   for the row's ring phase. [`Microkernel::conv_taps4`] then loads each
+//!   tap segment once for four output channels x 64 columns (16-lane
+//!   bodies) or x 16 columns (8-lane) of register accumulators.
 //!   Accumulation mimics [`sesr_tensor::gemm::KC`]-block grouping, so the
 //!   bits match the packed GEMM exactly (see below).
 //!
@@ -83,8 +86,8 @@ use sesr_tensor::conv::Conv2dParams;
 use sesr_tensor::gemm::KC;
 use sesr_tensor::parallel::{num_threads, parallel_for, SendPtr};
 use sesr_tensor::simd::{
-    detected_variants, kernel_variant, microkernel, wino_pack_u, wino_scratch_len, KernelVariant,
-    Microkernel, RowAct, WinoRow,
+    detected_variants, epilogue_row, kernel_variant, microkernel, split_row, wino_pack_u,
+    wino_scratch_len, KernelVariant, Microkernel, RowAct, RowEpilogue, WinoRow,
 };
 use sesr_tensor::winograd::kernel_transform;
 use sesr_tensor::Tensor;
@@ -251,8 +254,8 @@ pub fn depth_to_space_row(dst: &mut [f32], src: &[&[f32]]) {
 /// owns everything else. Implementations are immutable, preprocessed
 /// kernels shared (`Arc`) across plans, threads, and tile shapes.
 pub trait Datapath: Debug + Send + Sync + 'static {
-    /// Arena element: `f32`, or two `i16` channel levels packed in an
-    /// `i32`.
+    /// Arena element: `f32`, or four raw `u8` channel levels packed in an
+    /// `i32` (byte `b` is channel `b` of a four-channel group).
     type Elem: Copy + Default + Debug + Send + Sync + 'static;
 
     /// Whether step 0 reads a copy of the input staged in the arena's
@@ -395,6 +398,16 @@ const GROUP_BYTES: usize = 512 << 10;
 /// requests, video tiles) run as one group, layer at a time.
 const MAX_GROUP: usize = 64;
 
+/// Byte alignment of every arena region (rings, band states, slabs): one
+/// cache line, so a vector row access that starts a region or a 64-byte
+/// row never splits a line.
+const ARENA_ALIGN: usize = 64;
+
+/// `len` elements rounded up to whole [`ARENA_ALIGN`]-byte lines.
+fn aligned<D: Datapath>(len: usize) -> usize {
+    len.next_multiple_of(ARENA_ALIGN / std::mem::size_of::<D::Elem>())
+}
+
 /// A compiled execution plan for one `(kernels, input shape)` pair.
 ///
 /// Building the plan allocates the arena; [`Plan::run_image_into`] then
@@ -430,8 +443,11 @@ pub struct Plan<D: Datapath> {
     states: Vec<(usize, usize)>,
     /// Per step: the band slot that ran its last sub-band this run.
     last_slot: Vec<usize>,
-    /// The rings, then per-step band states, then one slab per band.
+    /// The rings, then per-step band states, then one slab per band, from
+    /// the first [`ARENA_ALIGN`]-byte boundary at `arena[base]`, each
+    /// region on such a boundary.
     arena: Vec<D::Elem>,
+    base: usize,
     off_slabs: usize,
     slab_len: usize,
 }
@@ -476,7 +492,9 @@ impl<D: Datapath> Plan<D> {
             .collect();
         // One group never resumes, so its steps (which run one after
         // another) share one state region.
-        let lens: Vec<usize> = (0..n).map(|l| kernels.state_len(l, w)).collect();
+        let lens: Vec<usize> = (0..n)
+            .map(|l| aligned::<D>(kernels.state_len(l, w)))
+            .collect();
         let states = if h <= group {
             let base = off;
             off += nbands * lens.iter().max().unwrap_or(&0);
@@ -489,11 +507,12 @@ impl<D: Datapath> Plan<D> {
                 })
                 .collect()
         };
-        let slab_len = kernels.slab_len(w);
-        // Zero-filled: rings are overwritten every run, except the int8
-        // rings' zero columns, which stay zero forever — the int8
-        // padding argument.
-        let arena = vec![D::Elem::default(); off + nbands * slab_len];
+        let slab_len = aligned::<D>(kernels.slab_len(w));
+        // Zero-filled, but nothing relies on it: every run rewrites the
+        // rings (the int8 pads with each wire's zero point) before it
+        // reads them.
+        let arena = vec![D::Elem::default(); aligned::<D>(1) + off + nbands * slab_len];
+        let base = arena.as_ptr().align_offset(ARENA_ALIGN);
         Self {
             kernels,
             h,
@@ -507,6 +526,7 @@ impl<D: Datapath> Plan<D> {
             states,
             last_slot: vec![0; n],
             arena,
+            base,
             off_slabs: off,
             slab_len,
         }
@@ -622,7 +642,7 @@ impl<D: Datapath> Plan<D> {
         // also carries the input staging of every group.
         let mut mark = timings.is_some().then(Instant::now);
         let mk = microkernel(self.variant);
-        let arena = SendPtr(self.arena.as_mut_ptr());
+        let arena = SendPtr(self.arena[self.base..].as_mut_ptr());
         let out_ptr = SendPtr(out.as_mut_ptr());
         let (off_slabs, slab_len) = (self.off_slabs, self.slab_len);
         // SAFETY (every ring view below): a step reads only rings other
@@ -790,10 +810,10 @@ fn ring_layout<D: Datapath>(
     let (ends, middles) = rings.split_at_mut(2);
     for r in ends {
         r.off = off;
-        off += r.len;
+        off += aligned::<D>(r.len);
     }
     if h <= group {
-        let len = middles.iter().map(|r| r.len).max().unwrap_or(0);
+        let len = aligned::<D>(middles.iter().map(|r| r.len).max().unwrap_or(0));
         for (i, r) in middles.iter_mut().enumerate() {
             r.off = off + (i % 2) * len;
         }
@@ -801,7 +821,7 @@ fn ring_layout<D: Datapath>(
     } else {
         for r in middles {
             r.off = off;
-            off += r.len;
+            off += aligned::<D>(r.len);
         }
     }
     (rings, off)
@@ -1186,19 +1206,23 @@ impl Datapath for CollapsedKernels {
     }
 
     /// The staging-slab offset of every tap of a direct-conv layer in
-    /// im2col row order (`KC`-sized blocks are contiguous slices); empty
-    /// for Winograd layers. Padded rows make the offsets independent of
-    /// the output row and of the source ring.
+    /// im2col row order (`KC`-sized blocks are contiguous slices), once
+    /// per output-row phase `y % kh`: `kh` tables of `cin * kh * kw`
+    /// offsets. Each channel's `kh` staged rows are a ring (input row `iy`
+    /// in slot `(iy + pt) % kh`), so tap `(cc, ky, kx)` of output row `y`
+    /// reads slot `(y + ky) % kh`. Empty for Winograd layers. Padded rows
+    /// make the offsets independent of the source ring.
     fn tap_offsets(&self, layer: usize, _period: usize, _window: usize, w: usize) -> Vec<usize> {
         if self.layers[layer].wino_u.is_some() {
             return Vec::new();
         }
         let s = self.graph.layers()[layer];
         let stride = padded_stride(w, s.kw);
-        (0..s.cin * s.kh * s.kw)
-            .map(|p| {
-                let (row, kx) = (p / s.kw, p % s.kw);
-                row * stride + kx
+        (0..s.kh * s.cin * s.kh * s.kw)
+            .map(|i| {
+                let (phase, p) = (i / (s.cin * s.kh * s.kw), i % (s.cin * s.kh * s.kw));
+                let (cc, ky, kx) = (p / (s.kh * s.kw), p / s.kw % s.kh, p % s.kw);
+                (cc * s.kh + (phase + ky) % s.kh) * stride + kx
             })
             .collect()
     }
@@ -1233,7 +1257,6 @@ impl Datapath for CollapsedKernels {
         let (layer, shape) = (&self.layers[io.layer], self.graph.layers()[io.layer]);
         let (w, s) = (io.w, self.graph.scale());
         let epi = Epilogue {
-            mk,
             bias: &layer.bias,
             act: &layer.act,
             double_output: io.double_output,
@@ -1271,7 +1294,6 @@ fn ring_row<'a>(r: &RingRef<'a, f32>, c: usize, y: usize, w: usize) -> &'a [f32]
 /// exactly the per-element operations of the unfused path, in the same
 /// order: `+ bias`, activation, residuals, destination permutation.
 struct Epilogue<'a> {
-    mk: &'a dyn Microkernel,
     bias: &'a [f32],
     act: &'a ActKind,
     double_output: bool,
@@ -1297,37 +1319,34 @@ enum Dst<'a> {
 
 impl Epilogue<'_> {
     /// Applies the fused tail to output row `y` of every channel — raw
-    /// rows `raw[co * stride..][..w]`, in place — and writes them to the
-    /// destination. Each pass applies one per-element op over a whole row
-    /// with the variant dispatch hoisted outside the loop, so the loops
-    /// vectorize; the op *order* per element is exactly that of the
-    /// unfused path: `+ bias`, activation, doubling, `+ first`, `+ input`,
-    /// destination permutation. The head's permutation interleaves the
-    /// `scale` channel rows of each output row in one pass.
+    /// rows `raw[co * stride..][..w]` — in one [`epilogue_row`] call per
+    /// row, which keeps the unfused path's per-element op order
+    /// (`+ bias`, activation, doubling, `+ first`, `+ input`) and writes
+    /// straight to the ring row, or back into the raw row for the head.
+    /// The head's permutation then interleaves the `scale` channel rows of
+    /// each output row in one pass.
     fn emit(&self, y: usize, raw: &mut [f32], stride: usize, w: usize) {
         for (co, &bias) in self.bias.iter().enumerate() {
-            let row = &mut raw[co * stride..][..w];
-            let act = match self.act {
-                ActKind::None => RowAct::Linear,
-                ActKind::Relu => RowAct::Relu,
-                ActKind::PRelu(ref a) => RowAct::PRelu(a[co]),
+            let e = RowEpilogue {
+                bias,
+                act: match self.act {
+                    ActKind::None => RowAct::Linear,
+                    ActKind::Relu => RowAct::Relu,
+                    ActKind::PRelu(ref a) => RowAct::PRelu(a[co]),
+                },
+                double: self.double_output,
+                first: self.add_first.as_ref().map(|f| ring_row(f, co, y, w)),
+                input: self.input_plane.as_ref().map(|i| ring_row(i, 0, y, w)),
             };
-            self.mk.bias_act_row(row, bias, act);
-            if self.double_output {
-                self.mk.double_row(row);
-            }
-            if let Some(first) = &self.add_first {
-                self.mk.add_row(row, ring_row(first, co, y, w));
-            }
-            if let Some(inp) = &self.input_plane {
-                self.mk.add_row(row, ring_row(inp, 0, y, w));
-            }
-            if let Dst::Ring { ptr, off, period } = self.dst {
+            let out = match self.dst {
                 // SAFETY: bands write disjoint rows, and a group's rows
                 // land on distinct ring slots (`ring_periods`).
-                let dstrow = unsafe { ptr.slice_mut(off + (co * period + y % period) * w, w) };
-                dstrow.copy_from_slice(row);
-            }
+                Dst::Ring { ptr, off, period } => {
+                    Some(unsafe { ptr.slice_mut(off + (co * period + y % period) * w, w) })
+                }
+                Dst::DepthToSpace { .. } => None,
+            };
+            epilogue_row(&mut raw[co * stride..][..w], out, &e);
         }
         if let Dst::DepthToSpace { ptr, out_w, graph } = self.dst {
             let s = graph.scale();
@@ -1355,14 +1374,17 @@ fn padded_stride(w: usize, kw: usize) -> usize {
 
 /// Executes output rows `band.y0..band.y1` of a non-3x3 layer as a
 /// direct blocked convolution with the epilogue fused into the row write.
-/// No im2col, no GEMM call — yet bit-identical to `im2col + gemm`. Per
-/// output row, the `kh` input rows of every channel are staged from the
-/// source ring as zero-padded rows, so tap `p` of the im2col order reads
-/// the slab at the fixed offset `offs[p]`, and padding taps multiply
-/// `0.0` exactly as im2col's zero entries do. Taps are grouped into the
-/// same [`KC`]-sized k-blocks as the packed GEMM; each block's chain
-/// starts from `+0.0` in ascending k order, and blocks combine in order
-/// (the first by plain write).
+/// No im2col, no GEMM call — yet bit-identical to `im2col + gemm`. The
+/// `kh` input rows of every channel that an output row reads are staged
+/// from the source ring as zero-padded rows in a per-channel ring of `kh`
+/// slots: the band's first row stages all of them, every later row only
+/// the one new row, in the slot the row `kh` above it held. Tap `p` of
+/// the im2col order then reads the slab at the fixed offset
+/// `offs[phase * k + p]` for the row's phase `y % kh`, and padding taps
+/// multiply `0.0` exactly as im2col's zero entries do. Taps are grouped
+/// into the same [`KC`]-sized k-blocks as the packed GEMM; each block's
+/// chain starts from `+0.0` in ascending k order, and blocks combine in
+/// order (the first by plain write).
 #[allow(clippy::too_many_arguments)]
 fn conv_band(
     mk: &dyn Microkernel,
@@ -1376,24 +1398,29 @@ fn conv_band(
     slab: &mut [f32],
     epi: &Epilogue<'_>,
 ) {
-    let (pt, _pb, pl, _pr) = Conv2dParams::same().resolve_padding(shape.kh, shape.kw);
-    let k = shape.cin * shape.kh * shape.kw;
+    let kh = shape.kh;
+    let (pt, _pb, pl, _pr) = Conv2dParams::same().resolve_padding(kh, shape.kw);
+    let k = shape.cin * kh * shape.kw;
     let taps4 = layer.taps4.as_ref().expect("direct-conv layer");
     let (npad, stride) = (w.next_multiple_of(8), padded_stride(w, shape.kw));
     let (totals, rest) = slab.split_at_mut(shape.cout * npad);
-    let stage = &mut rest[..shape.cin * shape.kh * stride];
+    let stage = &mut rest[..shape.cin * kh * stride];
     for y in band.y0..band.y1 {
-        for (r, row) in stage.chunks_exact_mut(stride).enumerate() {
-            let (cc, ky) = (r / shape.kh, r % shape.kh);
-            match (y + ky).checked_sub(pt).filter(|&iy| iy < h) {
-                Some(iy) => {
-                    row[..pl].fill(0.0);
-                    row[pl..pl + w].copy_from_slice(ring_row(src, cc, iy, w));
-                    row[pl + w..].fill(0.0);
+        let fresh = if y == band.y0 { 0 } else { kh - 1 };
+        for (cc, slots) in stage.chunks_exact_mut(kh * stride).enumerate() {
+            for ky in fresh..kh {
+                let row = &mut slots[(y + ky) % kh * stride..][..stride];
+                match (y + ky).checked_sub(pt).filter(|&iy| iy < h) {
+                    Some(iy) => {
+                        row[..pl].fill(0.0);
+                        row[pl..pl + w].copy_from_slice(ring_row(src, cc, iy, w));
+                        row[pl + w..].fill(0.0);
+                    }
+                    None => row.fill(0.0),
                 }
-                None => row.fill(0.0),
             }
         }
+        let offs = &offs[y % kh * k..][..k];
         for (acc, wg) in totals.chunks_mut(4 * npad).zip(taps4.chunks_exact(4 * k)) {
             for k0 in (0..k).step_by(KC) {
                 let k1 = (k0 + KC).min(k);
@@ -1472,30 +1499,12 @@ fn wino_band(
 }
 
 /// Tiles per Winograd tile row at width `w`, and the length of one
-/// even/odd half of a split input row (`tiles + 1`: tile `t` reads
-/// columns `t` and `t + 1` of each half).
+/// even/odd half of a split input row: `tiles + 1` (tile `t` reads
+/// columns `t` and `t + 1` of each half), rounded up to whole 16-float
+/// lines so every half starts on one.
 fn wino_row_geometry(w: usize) -> (usize, usize) {
     let tiles = w.div_ceil(2);
-    (tiles, tiles + 1)
-}
-
-/// Splits input row `x` into the zero-padded halves of a
-/// [`WinoRow`] row: `e[t] = x[2t - 1]` then `o[t] = x[2t]`, `0.0`
-/// outside the row.
-fn split_row(halves: &mut [f32], x: &[f32]) {
-    let (e, o) = halves.split_at_mut(halves.len() / 2);
-    let pairs = x.chunks_exact(2);
-    let (half, tail) = (x.len() / 2, pairs.remainder());
-    for ((p, ot), et) in pairs.zip(o.iter_mut()).zip(&mut e[1..]) {
-        *ot = p[0];
-        *et = p[1];
-    }
-    e[0] = 0.0;
-    e[half + 1..].fill(0.0);
-    o[half..].fill(0.0);
-    if let [last] = tail {
-        o[half] = *last;
-    }
+    (tiles, (tiles + 1).next_multiple_of(16))
 }
 
 #[cfg(test)]

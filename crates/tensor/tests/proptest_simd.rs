@@ -6,8 +6,14 @@
 //! `c + a*b`, the fusing variant (`avx2fma`) must match the
 //! single-rounding chain `a.mul_add(b, c)` — same taps, same ascending
 //! order, only the rounding of the multiply-add pair differs. Pure
-//! add/sub kernels (the Winograd transforms, the epilogue rows) must be
-//! bit-identical across *all* variants.
+//! add/sub kernels (the Winograd transforms) must be bit-identical across
+//! *all* variants.
+//!
+//! The f32 `*_bodies_*` tests call every body of the f32 plan's two
+//! compute kernels this CPU can run directly — `conv_taps4` at 8 and 16
+//! lanes, `wino_tile_row` with its 4x2 and 8x2 register blocks, each madd
+//! flavor — whichever one the dispatch picks, so they cover the SIMD
+//! bodies under `force-scalar` too.
 //!
 //! Shapes, lengths, slice offsets (alignment), and remainder columns are
 //! all drawn randomly, so the vector-body/remainder seams of the AVX2
@@ -23,9 +29,11 @@
 use proptest::prelude::*;
 use sesr_tensor::autotune::{gemm_blocking_with, pick, GemmBlocking};
 use sesr_tensor::simd::{
-    detected_variants, int8_bodies, microkernel, wino_pack_u, wino_scratch_len, KernelVariant,
-    Microkernel, QuantEpilogue, QuantWire, RowAct, WinoRow,
+    conv_taps4_bodies, detected_variants, epilogue_row, int8_bodies, microkernel, wino_pack_u,
+    wino_scratch_len, wino_tile_row_bodies, KernelVariant, Microkernel, QuantEpilogue, QuantWire,
+    RowAct, RowEpilogue, WinoRow,
 };
+use sesr_tensor::winograd::{input_transform, output_transform};
 
 /// One multiply-add with the variant's documented rounding behavior.
 fn madd(fused: bool, a: f32, b: f32, c: f32) -> f32 {
@@ -60,6 +68,82 @@ fn row_act() -> impl Strategy<Value = RowAct> {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The per-tile Winograd pipeline a `wino_tile_row` body must reproduce:
+/// gather each tile's 4x4 window from the split rows, the scalar input
+/// transform (pure add/sub, so exact on every variant), the channel
+/// reduction as chains from `+0.0` with `cc` ascending in the body's madd
+/// flavor, then the scalar output transform, written at `ostride`.
+fn wino_oracle(row: &WinoRow<'_>, u: &[[f32; 16]], fused: bool, ostride: usize) -> Vec<f32> {
+    let WinoRow {
+        rows,
+        sw,
+        tiles,
+        cin,
+        cout,
+        ..
+    } = *row;
+    let mut out = vec![f32::NAN; 2 * cout * ostride];
+    let mut v = vec![[0.0f32; 16]; cin];
+    for t in 0..tiles {
+        for (cc, vc) in v.iter_mut().enumerate() {
+            let mut d = [0.0f32; 16];
+            for (r, src) in rows.iter().enumerate() {
+                let (e, o) = (cc * 2 * sw + t, cc * 2 * sw + sw + t);
+                d[4 * r..4 * r + 4].copy_from_slice(&[src[e], src[o], src[e + 1], src[o + 1]]);
+            }
+            *vc = input_transform(&d);
+        }
+        for oo in 0..cout {
+            let mut m = [0.0f32; 16];
+            for (cc, vc) in v.iter().enumerate() {
+                for k in 0..16 {
+                    m[k] = madd(fused, u[oo * cin + cc][k], vc[k], m[k]);
+                }
+            }
+            let y = output_transform(&m);
+            for dy in 0..2 {
+                let at = (2 * oo + dy) * ostride + 2 * t;
+                out[at..at + 2].copy_from_slice(&y[2 * dy..2 * dy + 2]);
+            }
+        }
+    }
+    out
+}
+
+/// The epilogue as the separate per-op row passes it replaced: `+ bias`
+/// and the activation, the doubled write, the feature residual, then the
+/// input residual.
+fn per_op_chain(row: &[f32], e: &RowEpilogue<'_>) -> Vec<f32> {
+    let mut r: Vec<f32> = row
+        .iter()
+        .map(|&v| {
+            let t = v + e.bias;
+            match e.act {
+                RowAct::Linear => t,
+                RowAct::Relu => t.max(0.0),
+                RowAct::PRelu(a) => {
+                    if t >= 0.0 {
+                        t
+                    } else {
+                        a * t
+                    }
+                }
+            }
+        })
+        .collect();
+    if e.double {
+        for v in r.iter_mut() {
+            *v += *v;
+        }
+    }
+    for residual in [e.first, e.input].into_iter().flatten() {
+        for (v, &o) in r.iter_mut().zip(residual) {
+            *v += o;
+        }
+    }
+    r
 }
 
 proptest! {
@@ -192,16 +276,17 @@ proptest! {
     /// gather each tile's window from the split rows, then
     /// `wino_input_transform`, `wino_channel_reduce` and
     /// `wino_output_transform` — bit for bit, at tile counts that cross
-    /// the 32-tile chunk and every vector seam, 1–4-channel output groups,
-    /// slack past the split halves, and signed zeros.
+    /// the 32-tile chunk and every vector seam, 1–20 output channels (every
+    /// 4- and 8-channel register block and their tails), slack past the
+    /// split halves, and signed zeros.
     #[test]
     fn wino_tile_row_matches_per_tile_pipeline(
         tiles in 1usize..80,
         slack in 1usize..4,
         cin in 1usize..7,
-        cout in 1usize..10,
+        cout in 1usize..21,
         rseed in buf(4 * 6 * 2 * 83),
-        useed in buf(9 * 6 * 16),
+        useed in buf(20 * 6 * 16),
     ) {
         let sw = tiles + slack;
         let len = cin * 2 * sw;
@@ -330,39 +415,6 @@ proptest! {
         }
     }
 
-    /// The fused epilogue rows (bias+activation, residual add, doubled
-    /// write) contain no multiply-add pairs, so every variant must match
-    /// the scalar reference bitwise — including signed zeros at the ReLU
-    /// boundary and negative PReLU slopes.
-    #[test]
-    fn epilogue_rows_identical_across_variants(
-        len in 0usize..100,
-        off in 0usize..8,
-        row0 in buf(108),
-        other in buf(108),
-        bias in elem(),
-        act in row_act(),
-    ) {
-        let scalar = microkernel(KernelVariant::Scalar);
-        for &v in detected_variants() {
-            let mk = microkernel(v);
-            let (mut got, mut want) = (row0.clone(), row0.clone());
-            mk.bias_act_row(&mut got[off..off + len], bias, act);
-            scalar.bias_act_row(&mut want[off..off + len], bias, act);
-            prop_assert_eq!(bits(&got), bits(&want), "bias_act_row diverged on {}", v.name());
-
-            let (mut got, mut want) = (row0.clone(), row0.clone());
-            mk.add_row(&mut got[off..off + len], &other[off..off + len]);
-            scalar.add_row(&mut want[off..off + len], &other[off..off + len]);
-            prop_assert_eq!(bits(&got), bits(&want), "add_row diverged on {}", v.name());
-
-            let (mut got, mut want) = (row0.clone(), row0.clone());
-            mk.double_row(&mut got[off..off + len]);
-            scalar.double_row(&mut want[off..off + len]);
-            prop_assert_eq!(bits(&got), bits(&want), "double_row diverged on {}", v.name());
-        }
-    }
-
     /// `pick` is argmin with first-index tiebreak over the per-candidate
     /// minimum — a pure function of the measurement sequence, so the same
     /// costs always produce the same winner.
@@ -464,6 +516,172 @@ fn qmadd_taps4_bodies_match_scalar_at_the_extremes() {
                     body(&mut got, n, &ws, &offs, &src, seed);
                     assert_eq!(got, want, "{name} n={n} taps={nt} rows={rows} mode={mode}");
                 }
+            }
+        }
+    }
+}
+
+/// A deterministic stream of floats in `[-2, 2]` with exact zeros of both
+/// signs mixed in (ReLU boundaries, padding).
+fn floats(seed: u64) -> impl FnMut() -> f32 {
+    let mut next = lcg(seed);
+    move || match next() % 16 {
+        0 => 0.0,
+        1 => -0.0,
+        r => ((r * 7919 + next() % 4001) % 4001) as f32 / 1000.0 - 2.0,
+    }
+}
+
+/// The f32 tap kernel's identity: every `conv_taps4` body this CPU runs —
+/// scalar, the 8-lane AVX2 body and, with AVX-512F, the 16-lane one, in
+/// both madd flavors — equals the documented chain of its flavor (`s =
+/// 0.0; s = madd(w, x, s)` per tap in list order, then written or added
+/// to the old row) bit for bit, at every width 1..=200 (every 64-, 32-
+/// and 16-column zmm block, the 8-lane tail and its scalar twin), 1–4
+/// rows, accumulate on and off, and a tap list run as two k-blocks the
+/// way the planner splits one at `KC` (the first written, the second
+/// accumulated).
+#[test]
+fn conv_taps4_bodies_match_the_reference_chain() {
+    let bodies = conv_taps4_bodies();
+    let mut draw = floats(0x5EED_F00D_1234_5678);
+    let src: Vec<f32> = (0..200 + 97).map(|_| draw()).collect();
+    let ws: Vec<f32> = (0..4 * 40).map(|_| draw()).collect();
+    let old: Vec<f32> = (0..4 * 200).map(|_| draw()).collect();
+    // Unordered, repeating offsets: the chain follows the list, not the
+    // addresses.
+    let offs: Vec<usize> = (0..40).map(|t| (37 * t + 11) % 97).collect();
+    let chain = |fused: bool, taps: std::ops::Range<usize>, c: usize, x: usize| {
+        taps.fold(0.0f32, |s, t| {
+            madd(fused, ws[4 * t + c], src[offs[t] + x], s)
+        })
+    };
+    for n in 1..=200usize {
+        let rows = 1 + n % 4;
+        let old = &old[..rows * n];
+        for &(name, fused, body) in &bodies {
+            for (taps, accumulate) in [(0..1, false), (0..9, false), (0..9, true)] {
+                let mut got = old.to_vec();
+                body(
+                    &mut got,
+                    n,
+                    &ws[4 * taps.start..4 * taps.end],
+                    &offs[taps.clone()],
+                    &src,
+                    accumulate,
+                );
+                for c in 0..rows {
+                    for x in 0..n {
+                        let s = chain(fused, taps.clone(), c, x);
+                        let want = if accumulate { old[c * n + x] + s } else { s };
+                        assert_eq!(
+                            got[c * n + x].to_bits(),
+                            want.to_bits(),
+                            "{name} n={n} rows={rows} taps={taps:?} accumulate={accumulate} c={c} x={x}"
+                        );
+                    }
+                }
+            }
+            // A 40-tap list as two k-blocks, 25 then 15.
+            let mut got = old.to_vec();
+            body(&mut got, n, &ws[..4 * 25], &offs[..25], &src, false);
+            body(&mut got, n, &ws[4 * 25..], &offs[25..], &src, true);
+            for c in 0..rows {
+                for x in 0..n {
+                    let want = chain(fused, 0..25, c, x) + chain(fused, 25..40, c, x);
+                    assert_eq!(
+                        got[c * n + x].to_bits(),
+                        want.to_bits(),
+                        "{name} n={n} rows={rows} k-blocks c={c} x={x}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every `wino_tile_row` body this CPU runs — scalar, the 8-lane AVX2
+/// body (4 output channels x 2 vectors per register block) and, with
+/// AVX-512F, the 16-lane one (8 x 2, with a 4-channel block for a
+/// `cout4 % 8 == 4` tail), in both madd flavors — equals the per-tile
+/// pipeline of its flavor bit for bit, over tile counts that cross chunk
+/// and vector seams, every output-channel count from one partial 4-block
+/// to two 8-blocks and a 4-block tail, a NaN-filled scratch, signed-zero
+/// inputs and an output stride with slack it must not write.
+#[test]
+fn wino_tile_row_bodies_match_per_tile_pipeline() {
+    let bodies = wino_tile_row_bodies();
+    let mut draw = floats(0xC0FF_EE00_BEEF_0001);
+    for cout in [1usize, 3, 4, 5, 8, 12, 16, 20] {
+        for (tiles, cin) in [(1usize, 1usize), (7, 3), (17, 16), (33, 2), (74, 16)] {
+            let sw = tiles + 2;
+            let rows: Vec<Vec<f32>> = (0..4)
+                .map(|_| (0..cin * 2 * sw).map(|_| draw()).collect())
+                .collect();
+            let u: Vec<[f32; 16]> = (0..cout * cin)
+                .map(|_| std::array::from_fn(|_| draw()))
+                .collect();
+            let packed = wino_pack_u(&u, cout, cin);
+            let row = WinoRow {
+                rows: [&rows[0], &rows[1], &rows[2], &rows[3]],
+                sw,
+                tiles,
+                u: &packed,
+                cin,
+                cout,
+            };
+            let ostride = 2 * tiles + 3;
+            for &(name, fused, body) in &bodies {
+                let want = wino_oracle(&row, &u, fused, ostride);
+                let mut scratch = vec![f32::NAN; wino_scratch_len(cin)];
+                let mut got = vec![f32::NAN; 2 * cout * ostride];
+                body(&row, &mut scratch, &mut got, ostride);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{name} tiles={tiles} cin={cin} cout={cout}"
+                );
+            }
+        }
+    }
+}
+
+/// The fused epilogue row equals the per-op passes it replaced (`+ bias`
+/// and the activation, doubling, `+ first`, `+ input`) bit for bit, at
+/// every length 1..=70, every activation, doubling and each residual on
+/// and off, in place and into a separate row, over signed zeros, NaN and
+/// values the bias flips.
+#[test]
+fn epilogue_row_matches_the_per_op_chain() {
+    let mut draw = floats(0xE91_0605_0000_0001);
+    for n in 1..=70usize {
+        let mut raw: Vec<f32> = (0..n).map(|_| draw()).collect();
+        raw[0] = f32::NAN;
+        let first: Vec<f32> = (0..n).map(|_| draw()).collect();
+        let input: Vec<f32> = (0..n).map(|_| draw()).collect();
+        for act in [
+            RowAct::Linear,
+            RowAct::Relu,
+            RowAct::PRelu(-0.7),
+            RowAct::PRelu(0.4),
+        ] {
+            for flags in 0..8usize {
+                let e = RowEpilogue {
+                    bias: [0.0, -0.0, -0.25, 0.5][n % 4],
+                    act,
+                    double: flags & 1 == 1,
+                    first: (flags & 2 == 2).then_some(&first[..]),
+                    input: (flags & 4 == 4).then_some(&input[..]),
+                };
+                let want = bits(&per_op_chain(&raw, &e));
+                let ctx = format!("n={n} act={act:?} flags={flags}");
+                let mut row = raw.clone();
+                epilogue_row(&mut row, None, &e);
+                assert_eq!(bits(&row), want, "in place: {ctx}");
+                let (mut row, mut out) = (raw.clone(), vec![7.0f32; n]);
+                epilogue_row(&mut row, Some(&mut out), &e);
+                assert_eq!(bits(&out), want, "into out: {ctx}");
+                assert_eq!(bits(&row), bits(&raw), "source written: {ctx}");
             }
         }
     }

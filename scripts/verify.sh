@@ -124,6 +124,12 @@ step_infer() {
     cargo test -q --offline -p sesr-core --test ragged_geometry
     cargo test -q --offline -p sesr-core --test wide_geometry
     cargo test -q --offline -p sesr-core --test zero_alloc
+    # Every f32 compute-kernel body this CPU runs (8- and 16-lane
+    # conv_taps4, the 4x2 and 8x2 Winograd register blocks), called
+    # directly whichever body the dispatch picks, and the fused epilogue
+    # row against the per-op chain it replaced.
+    cargo test -q --offline -p sesr-tensor --test proptest_simd -- conv_taps4_bodies \
+        wino_tile_row_bodies epilogue_row_matches
     # The f32 and int8 plans share one skeleton (tile LRU, timing hook,
     # variant pin); its checks run once per datapath.
     cargo test -q --offline -p sesr --test plan_datapaths
