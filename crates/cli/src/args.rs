@@ -67,6 +67,11 @@ impl Args {
         self.options.get(key).map(String::as_str)
     }
 
+    /// Every option given, by name (without the leading `--`).
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().map(String::as_str)
+    }
+
     /// True if the flag was present (with or without a value).
     pub fn has(&self, key: &str) -> bool {
         self.options.contains_key(key)

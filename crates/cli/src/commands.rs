@@ -6,9 +6,9 @@ use crate::pgm;
 use sesr_bench::{InferBenchConfig, TrainBenchConfig};
 use sesr_core::model::{Sesr, SesrConfig};
 use sesr_core::model_io::{load_model, save_model};
-use sesr_core::tiling::TileError;
+use sesr_core::tiling::{run_tiles, TileError};
 use sesr_core::train::{DivergenceGuard, TrainConfig, TrainError, Trainer};
-use sesr_core::CollapsedSesr;
+use sesr_core::{CollapsedKernels, CollapsedSesr, TilePlan};
 use sesr_data::TrainSet;
 use sesr_npu::{simulate, EthosN78Like};
 use sesr_serve::json::JsonValue;
@@ -18,8 +18,10 @@ use sesr_serve::router_bench::{
 use sesr_serve::video_bench::{
     run_video_bench, video_bench_report_json, VideoBenchConfig, VideoBenchReport,
 };
+use sesr_tensor::parallel::num_threads;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -82,8 +84,8 @@ sesr — Super-Efficient Super Resolution (MLSys 2022 reproduction)
 USAGE:
   sesr train    --out <model.sesr> [--m 5] [--f 16] [--scale 2] [--steps 500]
                 [--expanded 64] [--batch 8] [--lr 5e-4] [--relu] [--seed N]
-                [--ckpt <run.ckpt>] [--ckpt-every 50] [--resume <run.ckpt>]
-                [--clip <max-grad-norm>] [--guard]
+                [--images 12] [--ckpt <run.ckpt>] [--ckpt-every 50]
+                [--resume <run.ckpt>] [--clip <max-grad-norm>] [--guard]
   sesr upscale  --model <model.sesr> --in <image.pgm> --out <sr.pgm> [--tile N]
   sesr simulate --model <model.sesr> [--height 1080] [--width 1920] [--tops 4]
   sesr info     --model <model.sesr>
@@ -104,6 +106,8 @@ USAGE:
                 [--scale 2] [--expanded 16] [--seed 7] [--overload 2]
                 [--ladder m3,m5,m7,m11] [--out BENCH_video.json]
   sesr bench-gate --baseline <BENCH_x.json>
+
+A subcommand refuses any option its line above does not name.
 
 Crash safety: with --ckpt, training state is checkpointed atomically every
 --ckpt-every steps; after an interruption, rerun the same command with
@@ -131,13 +135,37 @@ Performance gate: bench-gate re-runs a lane from its baseline's own
 `config` block and fails on a throughput regression or a failed check.
 ";
 
+/// The options subcommand `sub` takes: every `--flag` its [`USAGE`] entry
+/// names (its `sesr sub` line and the indented lines under it).
+fn usage_flags(sub: &str) -> Vec<&'static str> {
+    let head = format!("  sesr {sub} ");
+    let mut entry = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+    entry
+        .next()
+        .into_iter()
+        .chain(entry.take_while(|l| l.starts_with("   ")))
+        .flat_map(str::split_whitespace)
+        .filter_map(|t| t.trim_start_matches('[').strip_prefix("--"))
+        .map(|t| t.trim_end_matches(']'))
+        .collect()
+}
+
 /// Runs the CLI and returns its textual report.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on bad arguments, unknown subcommands, or I/O
-/// failure.
+/// Returns [`CliError`] on bad arguments (an option the subcommand does
+/// not take among them, checked before anything runs), unknown
+/// subcommands, or I/O failure.
 pub fn run(args: &Args) -> Result<String, CliError> {
+    if let Some(sub) = args.subcommand() {
+        let flags = usage_flags(sub);
+        if let Some(bad) = args.keys().find(|k| !flags.contains(k)) {
+            return Err(CliError::Usage(format!(
+                "sesr {sub} does not take --{bad}\n\n{USAGE}"
+            )));
+        }
+    }
     match args.subcommand() {
         Some("train") => train(args),
         Some("upscale") => upscale(args),
@@ -241,17 +269,21 @@ fn upscale(args: &Args) -> Result<String, CliError> {
     let model = load_model(Path::new(&model_path))?;
     let lr = pgm::read(Path::new(&input))?;
     // `--tile N` tiles at that size; without it (or with 0) the image runs
-    // whole through the streamed plan, whose arena grows with the width
-    // only.
+    // as one full-height strip per pool thread, each streamed through its
+    // own plan, whose arena grows with the width only.
     let tile = args.parsed_or("tile", 0usize)?;
+    let radius = model.receptive_field_radius();
     let (sr, how) = if tile > 0 {
-        let radius = model.receptive_field_radius();
         (
             model.run_tiled(&lr, tile, radius)?,
             format!("tiled {tile}px"),
         )
     } else {
-        (model.run(&lr), "whole-image".to_string())
+        let dims = lr.shape();
+        let plan = TilePlan::strips(dims[1], dims[2], num_threads(), radius);
+        let kernels = Arc::new(CollapsedKernels::new(&model));
+        let sr = run_tiles(&kernels, &lr, &plan).composite(&plan);
+        (sr, format!("{} strip(s)", plan.len()))
     };
     pgm::write(&sr, Path::new(&output))?;
     Ok(format!(
@@ -915,6 +947,34 @@ mod tests {
         assert!(err.to_string().contains("unknown key"), "{err}");
         let err = gate_on(tmp("gate_absent.json")).unwrap_err();
         assert!(matches!(err, CliError::Io(_)), "{err:?}");
+    }
+
+    #[test]
+    fn each_subcommand_takes_the_options_its_usage_entry_names() {
+        let subs = [
+            "train",
+            "upscale",
+            "simulate",
+            "info",
+            "train-bench",
+            "infer-bench",
+            "router-bench",
+            "video-bench",
+            "bench-gate",
+        ];
+        for sub in subs {
+            assert!(!usage_flags(sub).is_empty(), "{sub} has no usage entry");
+        }
+        let train = usage_flags("train");
+        for flag in ["out", "m", "images", "ckpt-every", "clip", "guard"] {
+            assert!(train.contains(&flag), "train lost --{flag}: {train:?}");
+        }
+        // The entry ends where the next one starts.
+        assert!(!train.contains(&"archs"), "{train:?}");
+        assert_eq!(usage_flags("bench-gate"), ["baseline"]);
+        let err = run(&args("info --model m.sesr --tile 4")).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        assert!(err.to_string().contains("--tile"), "{err}");
     }
 
     #[test]

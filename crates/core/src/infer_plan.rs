@@ -8,22 +8,22 @@
 //!
 //! * **The skeleton**, shared by both precisions. A [`LayerGraph`] holds
 //!   each layer's shape, the step list (fused residual flags) and the
-//!   head's depth-to-space map. [`Plan`] runs the chain **depth-first**:
-//!   output rows advance in row groups, and in each group every step
-//!   produces just the rows its consumer's window needs next. Each step
-//!   writes its own rolling row ring, so the arena — the staged input
-//!   ring (if the datapath stages one), one ring per non-head step, the
-//!   per-band state and one scratch slab per row band — grows with the
-//!   width, not the height. Within a group a step's rows split into
-//!   2-row-aligned sub-bands on the persistent pool. The group height is
-//!   derived at build from the graph and the width ([`Plan::group_rows`]),
-//!   unless one group's layer-at-a-time planes would take less memory
-//!   than the rings; when the group covers the whole image the plan is
-//!   the layer-at-a-time run, and alternate middle rings share two
-//!   buffers as ping-pong planes.
+//!   head's depth-to-space map. [`Plan`] runs the chain **depth-first** on
+//!   the calling thread: output rows advance in row groups, and in each
+//!   group every step produces just the rows its consumer's window needs
+//!   next. Each step writes its own rolling row ring, so the arena — the
+//!   staged input ring (if the datapath stages one), one ring per non-head
+//!   step, the per-step state and one scratch slab — grows with the width,
+//!   not the height. The group height is derived at build from the graph
+//!   and the width ([`Plan::group_rows`]), unless one group's
+//!   layer-at-a-time planes would take less memory than the rings; when
+//!   the group covers the whole image the plan is the layer-at-a-time run,
+//!   and alternate middle rings share two buffers as ping-pong planes.
 //!   The timed run charges each step the time since the previous mark.
-//!   [`TilePlanner`] caches one single-band plan per tile shape in a
-//!   bounded LRU.
+//!   [`TilePlanner`] caches one plan per tile shape in a bounded LRU. A
+//!   plan never touches the thread pool: a frame spreads over cores as
+//!   vertical strips, each run by its own plan
+//!   ([`crate::TilePlan::strips`] through [`crate::tiling::run_tiles`]).
 //! * **The datapath** ([`Datapath`]), which supplies only what differs
 //!   between precisions: the arena element, ring, state and slab lengths,
 //!   the per-layer tap-offset table, input staging, and the band runner
@@ -33,12 +33,10 @@
 //!
 //! `Plan` is monomorphized per datapath. Steady-state
 //! [`Plan::run_image_into`] touches only the arena: zero heap allocations
-//! after the plan is built (at one thread; with a pool, `parallel_for`
-//! posts one job header per step and row group — see DESIGN.md Sec. 11).
-//! Sub-bands are aligned to Winograd tile rows (2 rows), rows are kept in
-//! the rings rather than recomputed, and every per-element accumulation
-//! order is independent of the band split, so output is bit-identical
-//! from 1 to N threads and to the layer-at-a-time run.
+//! after the plan is built. Rows are kept in the rings rather than
+//! recomputed, and every per-element accumulation order is independent of
+//! the row-group split, so output is bit-identical to the layer-at-a-time
+//! run.
 //!
 //! # The f32 datapath
 //!
@@ -84,7 +82,7 @@ use crate::tiling::TileSpec;
 use sesr_tensor::autotune::{pick, time_ns};
 use sesr_tensor::conv::Conv2dParams;
 use sesr_tensor::gemm::KC;
-use sesr_tensor::parallel::{num_threads, parallel_for, SendPtr};
+use sesr_tensor::parallel::SendPtr;
 use sesr_tensor::simd::{
     detected_variants, epilogue_row, kernel_variant, microkernel, split_row, wino_pack_u,
     wino_scratch_len, KernelVariant, Microkernel, RowAct, RowEpilogue, WinoRow,
@@ -92,6 +90,7 @@ use sesr_tensor::simd::{
 use sesr_tensor::winograd::kernel_transform;
 use sesr_tensor::Tensor;
 use std::fmt::Debug;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -275,11 +274,11 @@ pub trait Datapath: Debug + Send + Sync + 'static {
     /// tall.
     fn ring_len(c: usize, period: usize, window: usize, w: usize) -> usize;
 
-    /// Elements of one band's scratch slab, enough for every layer.
+    /// Elements of the plan's scratch slab, enough for every layer.
     fn slab_len(&self, w: usize) -> usize;
 
-    /// Elements of the state one band of `layer` carries from one row
-    /// group to the next (0 when it carries none).
+    /// Elements of the state a step of `layer` carries from one row group
+    /// to the next (0 when it carries none).
     fn state_len(&self, layer: usize, w: usize) -> usize;
 
     /// Step 0's source rows: the caller's `input` plane itself, or the
@@ -307,14 +306,15 @@ pub trait Datapath: Debug + Send + Sync + 'static {
         y1: usize,
     );
 
-    /// Runs output rows `band.y0..band.y1` of one step, fused epilogue
-    /// included, with `slab` as band-private scratch and `state` as the
-    /// band slot's carried state for this step.
+    /// Runs output rows `rows` of one step in one row group, fused
+    /// epilogue included, with `slab` as scratch and `state` as the step's
+    /// carried state. A band with `rows.start > 0` resumes: `state` holds
+    /// what the step's previous band, which ended at `rows.start`, left.
     fn run_band(
         &self,
         mk: &dyn Microkernel,
         io: &StepIo<'_, Self::Elem>,
-        band: Band,
+        rows: Range<usize>,
         slab: &mut [Self::Elem],
         state: &mut [Self::Elem],
     );
@@ -348,19 +348,7 @@ pub struct RingRef<'a, E> {
     pub window: usize,
 }
 
-/// One sub-band of one step in one row group.
-#[derive(Debug, Clone, Copy)]
-pub struct Band {
-    /// First output row (even).
-    pub y0: usize,
-    /// One past the last output row.
-    pub y1: usize,
-    /// The band's state slot last ran this step on the rows just above
-    /// `y0`, in this run, so state carried in it is valid.
-    pub resume: bool,
-}
-
-/// One step's operands, handed by [`Plan`] to every band of the step.
+/// One step's operands, handed by [`Plan`] to the step's band.
 pub struct StepIo<'a, E> {
     /// Index of the layer the step runs.
     pub layer: usize,
@@ -398,7 +386,7 @@ const GROUP_BYTES: usize = 512 << 10;
 /// requests, video tiles) run as one group, layer at a time.
 const MAX_GROUP: usize = 64;
 
-/// Byte alignment of every arena region (rings, band states, slabs): one
+/// Byte alignment of every arena region (rings, step states, slab): one
 /// cache line, so a vector row access that starts a region or a 64-byte
 /// row never splits a line.
 const ARENA_ALIGN: usize = 64;
@@ -426,8 +414,6 @@ pub struct Plan<D: Datapath> {
     /// the same variant; *between* variants, FMA contraction changes bits.
     /// Int8 output is the same on every variant.
     variant: KernelVariant,
-    /// Most sub-bands one step splits a group's rows into.
-    nbands: usize,
     /// Head rows per row group.
     group: usize,
     /// `targets[g * (n + 1) + c]`: rows producer column `c` has written
@@ -439,16 +425,14 @@ pub struct Plan<D: Datapath> {
     rings: Vec<Ring>,
     /// Per-layer tap-offset tables ([`Datapath::tap_offsets`]).
     tap_offs: Vec<Vec<usize>>,
-    /// Per step: arena offset and length of one band slot's state.
+    /// Per step: arena offset and length of its carried state.
     states: Vec<(usize, usize)>,
-    /// Per step: the band slot that ran its last sub-band this run.
-    last_slot: Vec<usize>,
-    /// The rings, then per-step band states, then one slab per band, from
-    /// the first [`ARENA_ALIGN`]-byte boundary at `arena[base]`, each
-    /// region on such a boundary.
+    /// The rings, then the per-step states, then the slab, from the first
+    /// [`ARENA_ALIGN`]-byte boundary at `arena[base]`, each region on such
+    /// a boundary.
     arena: Vec<D::Elem>,
     base: usize,
-    off_slabs: usize,
+    off_slab: usize,
     slab_len: usize,
 }
 
@@ -456,26 +440,15 @@ pub struct Plan<D: Datapath> {
 pub type InferPlan = Plan<CollapsedKernels>;
 
 impl<D: Datapath> Plan<D> {
-    /// Compiles a plan for an `h x w` LR input, with one row band per
-    /// available worker thread (fixed at build time).
+    /// Compiles a plan for an `h x w` LR input. The plan runs on the
+    /// calling thread; to spread one frame over the pool, run it as strips
+    /// ([`crate::TilePlan::strips`], [`crate::tiling::run_tiles`]).
     ///
     /// # Panics
     ///
-    /// As [`Plan::with_bands`].
+    /// Panics on a degenerate shape.
     pub fn new(kernels: Arc<D>, h: usize, w: usize) -> Self {
-        let n = num_threads();
-        Self::with_bands(kernels, h, w, n)
-    }
-
-    /// Compiles a plan with an explicit band count (1 disables intra-layer
-    /// parallelism — used by tile executors that parallelize over tiles).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate shape or zero bands.
-    pub fn with_bands(kernels: Arc<D>, h: usize, w: usize, nbands: usize) -> Self {
         assert!(h > 0 && w > 0, "degenerate input {h}x{w}");
-        assert!(nbands > 0, "need at least one band");
         let graph = kernels.graph();
         let n = graph.layers().len();
         // Streaming pays only when its rings take less memory than one
@@ -497,13 +470,13 @@ impl<D: Datapath> Plan<D> {
             .collect();
         let states = if h <= group {
             let base = off;
-            off += nbands * lens.iter().max().unwrap_or(&0);
+            off += lens.iter().max().unwrap_or(&0);
             lens.iter().map(|&len| (base, len)).collect()
         } else {
             lens.iter()
                 .map(|&len| {
-                    off += nbands * len;
-                    (off - nbands * len, len)
+                    off += len;
+                    (off - len, len)
                 })
                 .collect()
         };
@@ -511,25 +484,38 @@ impl<D: Datapath> Plan<D> {
         // Zero-filled, but nothing relies on it: every run rewrites the
         // rings (the int8 pads with each wire's zero point) before it
         // reads them.
-        let arena = vec![D::Elem::default(); aligned::<D>(1) + off + nbands * slab_len];
+        let arena = vec![D::Elem::default(); aligned::<D>(1) + off + slab_len];
         let base = arena.as_ptr().align_offset(ARENA_ALIGN);
         Self {
             kernels,
             h,
             w,
             variant: kernel_variant(),
-            nbands,
             group,
             targets,
             rings,
             tap_offs,
             states,
-            last_slot: vec![0; n],
             arena,
             base,
-            off_slabs: off,
+            off_slab: off,
             slab_len,
         }
+    }
+
+    /// [`Plan::new`], for callers written when a plan split its rows into
+    /// sub-bands on the pool. Plans now run on the calling thread, so one
+    /// band is the only count left.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `nbands` is 1, and as [`Plan::new`].
+    pub fn with_bands(kernels: Arc<D>, h: usize, w: usize, nbands: usize) -> Self {
+        assert_eq!(
+            nbands, 1,
+            "a plan runs one band; use strips to run a frame in parallel"
+        );
+        Self::new(kernels, h, w)
     }
 
     /// The `(h, w)` LR shape this plan was compiled for.
@@ -601,9 +587,8 @@ impl<D: Datapath> Plan<D> {
     }
 
     /// Runs the planned network on one LR plane (`h * w` floats) into a
-    /// preallocated HR plane (`h*scale * w*scale` floats). Performs zero
-    /// heap allocations (one pool-job header per step and row group when
-    /// running on more than one thread).
+    /// preallocated HR plane (`h*scale * w*scale` floats) on the calling
+    /// thread. Performs zero heap allocations.
     ///
     /// # Panics
     ///
@@ -631,7 +616,7 @@ impl<D: Datapath> Plan<D> {
     }
 
     fn run_steps(&mut self, input: &[f32], out: &mut [f32], mut timings: Option<&mut [u64]>) {
-        let (h, w, nb) = (self.h, self.w, self.nbands);
+        let (h, w) = (self.h, self.w);
         let kernels = &*self.kernels;
         let graph = kernels.graph();
         let s = graph.scale();
@@ -644,11 +629,13 @@ impl<D: Datapath> Plan<D> {
         let mk = microkernel(self.variant);
         let arena = SendPtr(self.arena[self.base..].as_mut_ptr());
         let out_ptr = SendPtr(out.as_mut_ptr());
-        let (off_slabs, slab_len) = (self.off_slabs, self.slab_len);
+        // SAFETY: the slab lies past every ring and state, and nothing
+        // else borrows it while the step loop runs.
+        let slab = unsafe { arena.slice_mut(self.off_slab, self.slab_len) };
         // SAFETY (every ring view below): a step reads only rings other
         // than the one it writes, and each ring's rows were written by an
-        // earlier step or group — steps are separated by parallel_for
-        // joins. Ring periods cover every row still read (`ring_periods`).
+        // earlier step or group; steps run one after another on this
+        // thread. Ring periods cover every row still read (`ring_periods`).
         let view = |c: usize| {
             let r = self.rings[c];
             let data = unsafe { arena.slice(r.off, r.len) };
@@ -671,10 +658,7 @@ impl<D: Datapath> Plan<D> {
                 };
                 if c == 0 {
                     if D::STAGES_INPUT && y0 < y1 {
-                        let ring = self.rings[0];
-                        on_bands(y0, y1, nb, |_, a, b| {
-                            kernels.stage_rows(mk, input, arena, ring, h, w, a, b);
-                        });
+                        kernels.stage_rows(mk, input, arena, self.rings[0], h, w, y0, y1);
                     }
                     continue;
                 }
@@ -696,27 +680,11 @@ impl<D: Datapath> Plan<D> {
                         out: out_ptr,
                     };
                     let (state_off, state_len) = self.states[si];
-                    let first_slot = self.last_slot[si];
-                    let k = on_bands(y0, y1, nb, |i, a, b| {
-                        // Sub-band 0 continues on the slot that ran this
-                        // step's rows just above it.
-                        let slot = (first_slot + i) % nb;
-                        // SAFETY: the sub-bands of one step use distinct
-                        // slots, so slabs and states are disjoint.
-                        let (slab, state) = unsafe {
-                            (
-                                arena.slice_mut(off_slabs + slot * slab_len, slab_len),
-                                arena.slice_mut(state_off + slot * state_len, state_len),
-                            )
-                        };
-                        let band = Band {
-                            y0: a,
-                            y1: b,
-                            resume: i == 0 && y0 > 0,
-                        };
-                        kernels.run_band(mk, &io, band, slab, state);
-                    });
-                    self.last_slot[si] = (first_slot + k - 1) % nb;
+                    // SAFETY: the state region is disjoint from the rings
+                    // and the slab, and only this step borrows it now (a
+                    // one-group plan's steps share it, one after another).
+                    let state = unsafe { arena.slice_mut(state_off, state_len) };
+                    kernels.run_band(mk, &io, y0..y1, &mut *slab, state);
                 }
                 if let (Some(t), Some(m)) = (timings.as_deref_mut(), mark.as_mut()) {
                     let now = Instant::now();
@@ -862,8 +830,8 @@ fn schedule(graph: &LayerGraph, h: usize, group: usize) -> Vec<usize> {
 /// Rows each ring must hold under `schedule(graph, h, group)`: per group,
 /// from the lowest row any consumer still reads (or the producer writes)
 /// to the highest row written, counting `zero_rows` stored rows past
-/// either image edge. A group's writes thus never land on a slot another
-/// band writes or a consumer still reads.
+/// either image edge. A group's writes thus never land on a slot a
+/// consumer still reads.
 fn ring_spans(graph: &LayerGraph, h: usize, group: usize, zero_rows: usize) -> Vec<usize> {
     let n = graph.layers().len();
     let targets = schedule(graph, h, group);
@@ -922,39 +890,7 @@ fn ring_periods(graph: &LayerGraph, h: usize, group: usize, zero_rows: usize) ->
     periods
 }
 
-/// Splits rows `[y0, y1)` into at most `nb` sub-bands ([`band`]) and runs
-/// `f(i, band_y0, band_y1)` for each on the pool, every sub-band handed
-/// whole to one closure call. Returns the sub-band count.
-fn on_bands(y0: usize, y1: usize, nb: usize, f: impl Fn(usize, usize, usize) + Sync) -> usize {
-    let k = band_count(y0, y1, nb);
-    parallel_for(k, 1, |b0, b1| {
-        for i in b0..b1 {
-            let (a, b) = band(y0, y1, k, i);
-            f(i, a, b);
-        }
-    });
-    k
-}
-
-/// Sub-bands rows `[y0, y1)` split into: at most `nb`, each at least one
-/// Winograd tile row.
-fn band_count(y0: usize, y1: usize, nb: usize) -> usize {
-    (y1 - y0).div_ceil(2).min(nb).max(1)
-}
-
-/// Sub-band `i` of the `k` that split rows `[y0, y1)` (`y0` even):
-/// contiguous, 2-row aligned, ends even or `y1`, a pure function of its
-/// arguments — fixed band order is part of the determinism argument.
-fn band(y0: usize, y1: usize, k: usize, i: usize) -> (usize, usize) {
-    let pairs = (y1 - y0).div_ceil(2);
-    let (base, rem) = (pairs / k, pairs % k);
-    let p0 = i * base + i.min(rem);
-    let p1 = p0 + base + usize::from(i < rem);
-    (y0 + 2 * p0, (y0 + 2 * p1).min(y1))
-}
-
-/// Lazily builds and caches one [`Plan`] per tile shape. Tile executors
-/// parallelize over tiles, so cached plans use a single band. Int8
+/// Lazily builds and caches one [`Plan`] per tile shape. Int8
 /// quantization parameters are fixed per model (calibrated once), so int8
 /// tiles composite exactly like f32 ones.
 ///
@@ -1018,8 +954,7 @@ impl<D: Datapath> TilePlanner<D> {
                 self.plans.pop();
                 self.evictions += 1;
             }
-            self.plans
-                .insert(0, Plan::with_bands(self.kernels.clone(), h, w, 1));
+            self.plans.insert(0, Plan::new(self.kernels.clone(), h, w));
         }
         &mut self.plans[0]
     }
@@ -1194,9 +1129,8 @@ impl Datapath for CollapsedKernels {
             .unwrap_or(0)
     }
 
-    /// A Winograd layer's band carries its four-row ring of split input
-    /// rows, so each input row is split once per band slot, not once per
-    /// row group.
+    /// A Winograd step carries its four-row ring of split input rows from
+    /// one row group to the next, so each input row is split once.
     fn state_len(&self, layer: usize, w: usize) -> usize {
         if self.layers[layer].wino_u.is_some() {
             4 * self.graph.layers()[layer].cin * 2 * wino_row_geometry(w).1
@@ -1250,7 +1184,7 @@ impl Datapath for CollapsedKernels {
         &self,
         mk: &dyn Microkernel,
         io: &StepIo<'_, f32>,
-        band: Band,
+        rows: Range<usize>,
         slab: &mut [f32],
         state: &mut [f32],
     ) {
@@ -1276,10 +1210,10 @@ impl Datapath for CollapsedKernels {
             },
         };
         if layer.wino_u.is_some() {
-            wino_band(mk, layer, shape, &io.src, io.h, w, band, slab, state, &epi);
+            wino_band(mk, layer, shape, &io.src, io.h, w, rows, slab, state, &epi);
         } else {
             conv_band(
-                mk, layer, shape, io.offs, &io.src, io.h, w, band, slab, &epi,
+                mk, layer, shape, io.offs, &io.src, io.h, w, rows, slab, &epi,
             );
         }
     }
@@ -1339,8 +1273,8 @@ impl Epilogue<'_> {
                 input: self.input_plane.as_ref().map(|i| ring_row(i, 0, y, w)),
             };
             let out = match self.dst {
-                // SAFETY: bands write disjoint rows, and a group's rows
-                // land on distinct ring slots (`ring_periods`).
+                // SAFETY: a group's rows land on distinct ring slots
+                // (`ring_periods`), which no ring view of this step reads.
                 Dst::Ring { ptr, off, period } => {
                     Some(unsafe { ptr.slice_mut(off + (co * period + y % period) * w, w) })
                 }
@@ -1355,8 +1289,8 @@ impl Epilogue<'_> {
                 let src: [&[f32]; 4] = std::array::from_fn(|rx| {
                     chans.get(rx).map_or(&[][..], |&c| &raw[c * stride..][..w])
                 });
-                // SAFETY: bands are disjoint in y, so output rows
-                // `s * y + ry` are disjoint too.
+                // SAFETY: output row `s * y + ry` lies in the caller's
+                // plane, which nothing else borrows during the run.
                 let dst = unsafe { ptr.slice_mut((s * y + ry) * out_w, out_w) };
                 depth_to_space_row(dst, &src[..s]);
             }
@@ -1372,7 +1306,7 @@ fn padded_stride(w: usize, kw: usize) -> usize {
     w.next_multiple_of(8) + kw - 1
 }
 
-/// Executes output rows `band.y0..band.y1` of a non-3x3 layer as a
+/// Executes output rows `rows` of a non-3x3 layer as a
 /// direct blocked convolution with the epilogue fused into the row write.
 /// No im2col, no GEMM call — yet bit-identical to `im2col + gemm`. The
 /// `kh` input rows of every channel that an output row reads are staged
@@ -1394,7 +1328,7 @@ fn conv_band(
     src: &RingRef<'_, f32>,
     h: usize,
     w: usize,
-    band: Band,
+    rows: Range<usize>,
     slab: &mut [f32],
     epi: &Epilogue<'_>,
 ) {
@@ -1405,8 +1339,8 @@ fn conv_band(
     let (npad, stride) = (w.next_multiple_of(8), padded_stride(w, shape.kw));
     let (totals, rest) = slab.split_at_mut(shape.cout * npad);
     let stage = &mut rest[..shape.cin * kh * stride];
-    for y in band.y0..band.y1 {
-        let fresh = if y == band.y0 { 0 } else { kh - 1 };
+    for y in rows.clone() {
+        let fresh = if y == rows.start { 0 } else { kh - 1 };
         for (cc, slots) in stage.chunks_exact_mut(kh * stride).enumerate() {
             for ky in fresh..kh {
                 let row = &mut slots[(y + ky) % kh * stride..][..stride];
@@ -1431,19 +1365,17 @@ fn conv_band(
     }
 }
 
-/// Executes output rows `band.y0..band.y1` of a 3x3 layer with the
-/// Winograd `F(2x2, 3x3)` pipeline, one tile row at a time, epilogue fused
-/// into the row write. Each input row is split once into zero-padded
-/// even/odd columns and kept in `ring`, the band slot's four-row ring (a
-/// tile row reads input rows `oy - 1 ..= oy + 2`, so consecutive tile
-/// rows share two; a band that resumes where its slot stopped in the
-/// previous row group keeps them too), then [`Microkernel::wino_tile_row`]
-/// runs the whole row and writes both raw output rows of every channel
-/// for the epilogue. Rows and columns outside the plane stage as `0.0`,
-/// the zero padding of the reference's per-tile gather. Tiles are
-/// independent, so running the band's tile rows is arithmetically
-/// identical to the whole-image kernel; bands are 2-row aligned so no
-/// tile straddles a band boundary.
+/// Executes output rows `rows` of a 3x3 layer with the Winograd
+/// `F(2x2, 3x3)` pipeline, one tile row at a time, epilogue fused into the
+/// row write. Each input row is split once into zero-padded even/odd
+/// columns and kept in `ring`, the step's four-row ring (a tile row reads
+/// input rows `oy - 1 ..= oy + 2`, so consecutive tile rows share two,
+/// also across row groups), then [`Microkernel::wino_tile_row`] runs the
+/// whole row and writes both raw output rows of every channel for the
+/// epilogue. Rows and columns outside the plane stage as `0.0`, the zero
+/// padding of the reference's per-tile gather. Tiles are independent, so
+/// running the band's tile rows is arithmetically identical to the
+/// whole-image kernel; bands start on even rows so no tile straddles two.
 #[allow(clippy::too_many_arguments)]
 fn wino_band(
     mk: &dyn Microkernel,
@@ -1452,7 +1384,7 @@ fn wino_band(
     src: &RingRef<'_, f32>,
     h: usize,
     w: usize,
-    band: Band,
+    rows: Range<usize>,
     slab: &mut [f32],
     ring: &mut [f32],
     epi: &Epilogue<'_>,
@@ -1464,13 +1396,12 @@ fn wino_band(
     let ostride = 2 * tiles;
     let rowbuf = &mut rest[..cout * 2 * ostride];
     let slot_len = cin * 2 * sw;
-    let ty0 = band.y0 / 2;
-    for ty in ty0..band.y1.div_ceil(2) {
+    for ty in rows.start / 2..rows.end.div_ceil(2) {
         let oy = 2 * ty;
-        // Input row `oy - 1 + r` lives in ring slot `(oy + r) % 4`; a
-        // band's first tile row stages all four unless it resumes, later
-        // ones the two new.
-        let fresh = if ty == ty0 && !band.resume { 0 } else { 2 };
+        // Input row `oy - 1 + r` lives in ring slot `(oy + r) % 4`; the
+        // image's first tile row stages all four, every later one (in
+        // this band or resumed from the step's previous one) the two new.
+        let fresh = if oy == 0 { 0 } else { 2 };
         for r in fresh..4 {
             let slot = &mut ring[(oy + r) % 4 * slot_len..][..slot_len];
             let iy = (oy + r).checked_sub(1).filter(|&iy| iy < h);
@@ -1516,8 +1447,8 @@ mod tests {
         Sesr::new(cfg).collapse()
     }
 
-    fn plan_of(net: &CollapsedSesr, h: usize, w: usize, bands: usize) -> InferPlan {
-        InferPlan::with_bands(Arc::new(CollapsedKernels::new(net)), h, w, bands)
+    fn plan_of(net: &CollapsedSesr, h: usize, w: usize) -> InferPlan {
+        InferPlan::new(Arc::new(CollapsedKernels::new(net)), h, w)
     }
 
     #[test]
@@ -1525,16 +1456,16 @@ mod tests {
         let net = collapsed(SesrConfig::m(2).with_expanded(8).with_seed(3));
         let lr = Tensor::rand_uniform(&[1, 9, 13], 0.0, 1.0, 1);
         let reference = net.run_reference(&lr);
-        for bands in [1usize, 2, 3, 5] {
-            let mut plan = plan_of(&net, 9, 13, bands);
-            let planned = plan.run(&lr);
-            assert_eq!(
-                reference.max_abs_diff(&planned),
-                0.0,
-                "{bands} bands diverged"
-            );
-            assert_eq!(planned.shape(), reference.shape());
-        }
+        let planned = plan_of(&net, 9, 13).run(&lr);
+        assert_eq!(reference.max_abs_diff(&planned), 0.0);
+        assert_eq!(planned.shape(), reference.shape());
+    }
+
+    #[test]
+    #[should_panic(expected = "a plan runs one band")]
+    fn with_bands_accepts_only_one_band() {
+        let net = collapsed(SesrConfig::m(2).with_expanded(8).with_seed(3));
+        let _ = InferPlan::with_bands(Arc::new(CollapsedKernels::new(&net)), 8, 8, 2);
     }
 
     #[test]
@@ -1551,7 +1482,7 @@ mod tests {
             let net = collapsed(*cfg);
             let lr = Tensor::rand_uniform(&[1, 11, 7], 0.0, 1.0, 70 + i as u64);
             let reference = net.run_reference(&lr);
-            let mut plan = plan_of(&net, 11, 7, 3);
+            let mut plan = plan_of(&net, 11, 7);
             assert_eq!(
                 reference.max_abs_diff(&plan.run(&lr)),
                 0.0,
@@ -1579,14 +1510,14 @@ mod tests {
         let net = CollapsedSesr::new(vec![l0, head], 2, true, true);
         let lr = Tensor::rand_uniform(&[1, 9, 11], 0.0, 1.0, 95);
         let reference = net.run_reference(&lr);
-        let mut plan = plan_of(&net, 9, 11, 2);
+        let mut plan = plan_of(&net, 9, 11);
         assert_eq!(reference.max_abs_diff(&plan.run(&lr)), 0.0);
     }
 
     #[test]
     fn plan_reuse_does_not_leak_state_between_images() {
         let net = collapsed(SesrConfig::m(2).with_expanded(8).with_seed(3));
-        let mut plan = plan_of(&net, 8, 8, 2);
+        let mut plan = plan_of(&net, 8, 8);
         let a = Tensor::rand_uniform(&[1, 8, 8], 0.0, 1.0, 2);
         let b = Tensor::rand_uniform(&[1, 8, 8], -1.0, 1.0, 9);
         let first_a = plan.run(&a);
@@ -1603,7 +1534,7 @@ mod tests {
     #[test]
     fn arena_size_is_fixed_after_build() {
         let net = collapsed(SesrConfig::m(2).with_expanded(8).with_seed(3));
-        let mut plan = plan_of(&net, 16, 16, 4);
+        let mut plan = plan_of(&net, 16, 16);
         let before = plan.arena_bytes();
         assert!(before > 0);
         let lr = Tensor::rand_uniform(&[1, 16, 16], 0.0, 1.0, 3);
@@ -1620,7 +1551,7 @@ mod tests {
             .map(|i| Tensor::rand_uniform(&[1, 10, 14], 0.0, 1.0, 80 + i))
             .collect();
         let batch = Tensor::stack(&images.iter().collect::<Vec<_>>());
-        let mut plan = plan_of(&net, 10, 14, 2);
+        let mut plan = plan_of(&net, 10, 14);
         let out = plan.run_batch(&batch);
         for (i, (img, got)) in images.iter().zip(out.unstack()).enumerate() {
             let single = net.run_reference(img);
@@ -1652,26 +1583,6 @@ mod tests {
     }
 
     #[test]
-    fn bands_are_even_aligned_and_cover_rows() {
-        for (y0, y1) in [(0usize, 1usize), (0, 2), (0, 3), (4, 11), (6, 14), (0, 17)] {
-            for nb in [1usize, 2, 4, 13] {
-                let k = band_count(y0, y1, nb);
-                let bands: Vec<_> = (0..k).map(|i| band(y0, y1, k, i)).collect();
-                assert_eq!(bands[0].0, y0);
-                assert_eq!(bands.last().unwrap().1, y1);
-                for win in bands.windows(2) {
-                    assert_eq!(win[0].1, win[1].0, "bands must be contiguous");
-                }
-                for &(a, b) in &bands {
-                    assert!(a % 2 == 0, "band start must be tile-aligned");
-                    assert!(b % 2 == 0 || b == y1);
-                    assert!(b > a, "empty band");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn schedule_runs_every_step_ahead_of_its_consumer() {
         let net = collapsed(SesrConfig::m(3).with_expanded(8).with_seed(3));
         let kernels = CollapsedKernels::new(&net);
@@ -1695,18 +1606,12 @@ mod tests {
     fn streamed_plan_matches_reference_on_tall_images() {
         let net = collapsed(SesrConfig::m(2).with_expanded(8).with_seed(6));
         let w = 9;
-        let group = plan_of(&net, 1, w, 1).group_rows();
+        let group = plan_of(&net, 1, w).group_rows();
         for h in [group - 1, group + 1, 3 * group + 5] {
             let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, h as u64);
             let reference = net.run_reference(&lr);
-            for bands in [1usize, 3] {
-                let mut plan = plan_of(&net, h, w, bands);
-                assert_eq!(
-                    reference.max_abs_diff(&plan.run(&lr)),
-                    0.0,
-                    "h={h} bands={bands} diverged"
-                );
-            }
+            let planned = plan_of(&net, h, w).run(&lr);
+            assert_eq!(reference.max_abs_diff(&planned), 0.0, "h={h} diverged");
         }
     }
 
@@ -1714,11 +1619,11 @@ mod tests {
     fn arena_is_bounded_by_width_not_height() {
         let net = collapsed(SesrConfig::m(3).with_expanded(8).with_seed(3));
         let w = 24;
-        let group = plan_of(&net, 1, w, 2).group_rows();
+        let group = plan_of(&net, 1, w).group_rows();
         let h = 12 * group;
-        let short = plan_of(&net, h, w, 2).arena_bytes();
-        assert_eq!(short, plan_of(&net, 2 * h, w, 2).arena_bytes());
-        assert_eq!(short, plan_of(&net, 2 * h + 3, w, 2).arena_bytes());
-        assert!(plan_of(&net, h, 2 * w, 2).arena_bytes() > short);
+        let short = plan_of(&net, h, w).arena_bytes();
+        assert_eq!(short, plan_of(&net, 2 * h, w).arena_bytes());
+        assert_eq!(short, plan_of(&net, 2 * h + 3, w).arena_bytes());
+        assert!(plan_of(&net, h, 2 * w).arena_bytes() > short);
     }
 }

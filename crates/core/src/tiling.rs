@@ -6,18 +6,22 @@
 //! pixels, and crops the halo after upscaling. This module extracts that
 //! geometry into a first-class [`TilePlan`] and runs it in two phases for
 //! `CollapsedSesr::run_tiled` (and `sesr upscale --tile N` through it).
-//! Video sessions hash tiles for CRC reuse, merge the dirty ones into
+//! [`TilePlan::strips`] cuts a frame into full-height vertical strips
+//! instead, one per pool thread: that is how one frame spreads over
+//! cores (`sesr upscale` without `--tile`), since a
+//! [`crate::infer_plan::Plan`] runs on its caller's thread. Video
+//! sessions hash tiles for CRC reuse, merge the dirty ones into
 //! rectangles ([`TilePlan::dirty_rects`]), and run each rectangle through
-//! `TilePlanner::run_tile` and [`paste_interior`]. Whole frames no longer need
-//! tiling to bound memory: a [`crate::infer_plan::Plan`] streams the chain
-//! depth-first through row rings, so its arena grows with the width only,
-//! and the serving engine runs large frames whole.
+//! `TilePlanner::run_tile` and [`paste_interior`]. Whole frames no longer
+//! need tiling to bound memory: a plan streams the chain depth-first
+//! through row rings, so its arena grows with the width only, and the
+//! serving engine runs large frames whole.
 //!
 //! * **Compute** ([`run_tiles`]): the plan's tiles fan over
 //!   `sesr_tensor::parallel::parallel_for` chunks on the persistent pool,
-//!   one [`TilePlanner`] per chunk, each tile through the same
-//!   single-band plan; the result is every tile's SR patch plus the peak
-//!   arena size. At one thread the fan-out runs inline on the caller.
+//!   one [`TilePlanner`] per chunk, each tile through its shape's plan;
+//!   the result is every tile's SR patch plus the peak arena size. At one
+//!   thread the fan-out runs inline on the caller.
 //! * **Composite** ([`TiledRun::composite`]): one [`paste_interior`] per
 //!   tile, built on `Tensor::copy_region_hw`.
 //!
@@ -120,7 +124,8 @@ pub struct TilePlan {
     tiles: Vec<TileSpec>,
     h: usize,
     w: usize,
-    tile: usize,
+    /// Interior height and width of a full (not edge-clipped) tile.
+    tile: (usize, usize),
     overlap: usize,
 }
 
@@ -137,13 +142,28 @@ impl TilePlan {
         if tile == 0 {
             return Err(TileError::ZeroTile);
         }
+        Ok(Self::grid(h, w, (tile, tile), overlap))
+    }
+
+    /// Plans at most `n` full-height vertical strips with `overlap` halo
+    /// pixels over an `h x w` image: the way one frame runs on `n`
+    /// threads. Every strip but the last is `ceil(w / n)` columns wide, so
+    /// none is empty: a width below `n` gets `w` one-column strips.
+    /// Halos and origins follow [`TilePlan::new`]'s rules.
+    pub fn strips(h: usize, w: usize, n: usize, overlap: usize) -> Self {
+        Self::grid(h, w, (h.max(1), w.div_ceil(n.max(1)).max(1)), overlap)
+    }
+
+    /// The row-major grid of `(th, tw)` interiors (both positive) over an
+    /// `h x w` image, edge tiles clipped, each with its halo.
+    fn grid(h: usize, w: usize, (th, tw): (usize, usize), overlap: usize) -> Self {
         let mut tiles = Vec::new();
         let mut y0 = 0;
         while y0 < h {
-            let y1 = (y0 + tile).min(h);
+            let y1 = (y0 + th).min(h);
             let mut x0 = 0;
             while x0 < w {
-                let x1 = (x0 + tile).min(w);
+                let x1 = (x0 + tw).min(w);
                 // Halo, clamped to the image and rounded down to an even
                 // origin so Winograd tile phase matches the whole image
                 // (bit-identity; see module docs). Extra halo is harmless.
@@ -165,13 +185,13 @@ impl TilePlan {
             }
             y0 = y1;
         }
-        Ok(Self {
+        Self {
             tiles,
             h,
             w,
-            tile,
+            tile: (th, tw),
             overlap,
-        })
+        }
     }
 
     /// The planned tiles, row-major over the image.
@@ -199,8 +219,9 @@ impl TilePlan {
         self.w
     }
 
-    /// The requested tile side length.
-    pub fn tile(&self) -> usize {
+    /// Interior height and width of a full tile: `(tile, tile)` for
+    /// [`TilePlan::new`], `(h, strip width)` for [`TilePlan::strips`].
+    pub fn tile(&self) -> (usize, usize) {
         self.tile
     }
 
@@ -272,7 +293,7 @@ impl TilePlan {
         if self.tiles.is_empty() {
             return Vec::new();
         }
-        let cols = self.w.div_ceil(self.tile);
+        let cols = self.w.div_ceil(self.tile.1);
         let rows = self.tiles.len() / cols;
         // Open rectangles as (first row, column span), extended while the
         // next tile row has a run with the same span. Row `rows` has no
@@ -409,29 +430,50 @@ mod tests {
         assert_eq!(TilePlan::new(8, 8, 0, 2).unwrap_err(), TileError::ZeroTile);
     }
 
+    /// Square tiles, and strips with their `n` — below, at and above the
+    /// width.
+    fn plans() -> Vec<(TilePlan, Option<usize>)> {
+        let mut plans = vec![(TilePlan::new(17, 23, 6, 4).unwrap(), None)];
+        for (h, w, n) in [(17, 23, 2), (17, 23, 4), (9, 3, 2), (5, 7, 7), (5, 7, 16)] {
+            plans.push((TilePlan::strips(h, w, n, 4), Some(n)));
+        }
+        plans
+    }
+
     #[test]
     fn interiors_partition_the_image() {
-        let plan = TilePlan::new(17, 23, 6, 4).unwrap();
-        let mut covered = vec![0u8; 17 * 23];
-        for t in plan.tiles() {
-            assert!(t.ey0 <= t.y0 && t.y1 <= t.ey1);
-            assert!(t.ex0 <= t.x0 && t.x1 <= t.ex1);
-            for y in t.y0..t.y1 {
-                for x in t.x0..t.x1 {
-                    covered[y * 23 + x] += 1;
+        for (plan, n) in plans() {
+            let (h, w) = (plan.image_h(), plan.image_w());
+            let mut covered = vec![0u8; h * w];
+            for t in plan.tiles() {
+                assert!(t.ey0 <= t.y0 && t.y1 <= t.ey1);
+                assert!(t.ex0 <= t.x0 && t.x1 <= t.ex1);
+                assert!(t.y0 < t.y1 && t.x0 < t.x1, "empty tile {t:?}");
+                for y in t.y0..t.y1 {
+                    for x in t.x0..t.x1 {
+                        covered[y * w + x] += 1;
+                    }
                 }
             }
+            assert!(
+                covered.iter().all(|&c| c == 1),
+                "interiors must tile the image exactly once"
+            );
+            if let Some(n) = n {
+                assert!(plan.len() <= n, "{} strips for n = {n}", plan.len());
+                assert!(plan.tiles().iter().all(|t| (t.ey0, t.ey1) == (0, h)));
+            }
         }
-        assert!(
-            covered.iter().all(|&c| c == 1),
-            "interiors must tile the image exactly once"
-        );
     }
 
     #[test]
     fn halo_origins_are_even_aligned() {
-        for (h, w, tile, overlap) in [(24, 24, 7, 3), (31, 19, 5, 6), (16, 16, 4, 1)] {
-            let plan = TilePlan::new(h, w, tile, overlap).unwrap();
+        let square = [(24, 24, 7, 3), (31, 19, 5, 6), (16, 16, 4, 1)]
+            .map(|(h, w, tile, overlap)| TilePlan::new(h, w, tile, overlap).unwrap());
+        let strips = [(31, 19, 3, 6), (16, 16, 4, 1)]
+            .map(|(h, w, n, overlap)| TilePlan::strips(h, w, n, overlap));
+        for plan in square.iter().chain(&strips) {
+            let overlap = plan.overlap();
             for t in plan.tiles() {
                 assert_eq!(t.ey0 % 2, 0, "{t:?}");
                 assert_eq!(t.ex0 % 2, 0, "{t:?}");
@@ -495,7 +537,7 @@ mod tests {
 
     /// Grid `(row, col)` spans of each rectangle, for readable asserts.
     fn spans(plan: &TilePlan, rects: &[TileRect]) -> Vec<((usize, usize), (usize, usize))> {
-        let t = plan.tile();
+        let (t, _) = plan.tile();
         rects
             .iter()
             .map(|r| {

@@ -39,7 +39,7 @@ fn planned_matches_reference_on_ragged_geometry_for_every_variant() {
                     let seed = (scale * 1000 + h * 31 + w) as u64;
                     let lr = Tensor::rand_uniform(&[1, h, w], -1.0, 1.0, seed);
                     let want = net.run_reference(&lr);
-                    let mut plan = InferPlan::with_bands(kernels.clone(), h, w, 2);
+                    let mut plan = InferPlan::new(kernels.clone(), h, w);
                     plan.set_variant(v);
                     assert_eq!(
                         bits(&want),

@@ -2,8 +2,8 @@
 //! widths that cross the Winograd tile-row kernel's 32-tile chunks and
 //! vector seams: `w` in {33, 64, 75, 97, 148} (17 to 74 tiles per row,
 //! full and narrower tail chunks, odd widths with a half tile), odd
-//! heights (a half tile row at the bottom), one and three bands, m3, m5
-//! and m11, x2 and x4 heads.
+//! heights (a half tile row at the bottom), m3, m5 and m11, x2 and x4
+//! heads.
 //!
 //! The reference dispatches through the process-global variant, so the
 //! sweep pins it per variant. That is why this is its own test binary
@@ -37,16 +37,14 @@ fn planned_matches_reference_on_wide_geometry_for_every_variant() {
                     let seed = (m * 1000 + scale * 100 + w) as u64;
                     let lr = Tensor::rand_uniform(&[1, h, w], -1.0, 1.0, seed);
                     let want = bits(&net.run_reference(&lr));
-                    for bands in [1usize, 3] {
-                        let mut plan = InferPlan::with_bands(kernels.clone(), h, w, bands);
-                        plan.set_variant(v);
-                        assert_eq!(
-                            want,
-                            bits(&plan.run(&lr)),
-                            "m{m} x{scale} {h}x{w} bands={bands} diverged on {}",
-                            v.name()
-                        );
-                    }
+                    let mut plan = InferPlan::new(kernels.clone(), h, w);
+                    plan.set_variant(v);
+                    assert_eq!(
+                        want,
+                        bits(&plan.run(&lr)),
+                        "m{m} x{scale} {h}x{w} diverged on {}",
+                        v.name()
+                    );
                 }
             }
         }

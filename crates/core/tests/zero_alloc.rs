@@ -3,12 +3,10 @@
 //! `InferPlan::run_image_into` must not touch the heap.
 //!
 //! This is its own integration binary (not a unit test) so the counting
-//! allocator observes only this test's allocations, and the thread count
-//! can be pinned to 1 without racing other tests. At one thread,
-//! `parallel_for` runs bands inline with no job allocation; the >1-thread
-//! case posts one job header per layer and is covered by the arena
-//! instrumentation (`arena_bytes` fixed after build) plus the
-//! bit-identicality sweep — see DESIGN.md Sec. 11.
+//! allocator observes only this test's allocations, and the pool size can
+//! be pinned without racing other tests. A plan runs on its caller's
+//! thread, so the claim holds at every pool size; the check runs at pools
+//! of 1 and 2.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,35 +42,36 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn planned_run_is_allocation_free_after_warmup() {
-    set_num_threads(1);
     let net = Sesr::new(SesrConfig::m(3).with_expanded(8).with_seed(7)).collapse();
     let kernels = Arc::new(CollapsedKernels::new(&net));
     // Tall enough that the plan streams several row groups through its
     // rings, wrapping them.
     let (h, w) = (160, 40);
-    let mut plan = InferPlan::with_bands(kernels, h, w, 1);
-    assert!(2 * plan.group_rows() < h, "the plan must stream");
-
     let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, 1);
-    let scale = net.scale();
-    let mut out = vec![0.0f32; h * scale * w * scale];
-
-    // Warmup (first run touches nothing lazily today, but keep the claim
-    // honest about "steady state").
-    plan.run_image_into(lr.data(), &mut out);
     let reference = net.run_reference(&lr);
+    let scale = net.scale();
+    for threads in [1, 2] {
+        set_num_threads(threads);
+        let mut plan = InferPlan::new(kernels.clone(), h, w);
+        assert!(2 * plan.group_rows() < h, "the plan must stream");
+        let mut out = vec![0.0f32; h * scale * w * scale];
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..3 {
+        // Warmup (first run touches nothing lazily today, but keep the
+        // claim honest about "steady state").
         plan.run_image_into(lr.data(), &mut out);
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state planned run must not allocate"
-    );
 
-    // The allocation-free path still produces the exact reference bits.
-    assert_eq!(reference.data(), out.as_slice());
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..3 {
+            plan.run_image_into(lr.data(), &mut out);
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state planned run must not allocate at a pool of {threads}"
+        );
+
+        // The allocation-free path still produces the exact reference bits.
+        assert_eq!(reference.data(), out.as_slice());
+    }
 }

@@ -3,8 +3,9 @@
 //! [`QuantKernels`] preprocesses a [`QuantizedSesr`] once (weight packing,
 //! wire-parameter chaining, layer graph) and implements [`Datapath`], so
 //! [`QuantPlan`] and [`QuantTilePlanner`] are the `sesr_core::infer_plan`
-//! skeleton — depth-first row groups, row rings, bands, timing hook, tile
-//! LRU — over a pre-sized `i32` arena with zero steady-state allocations.
+//! skeleton — depth-first row groups on the calling thread, row rings,
+//! timing hook, tile LRU — over a pre-sized `i32` arena with zero
+//! steady-state allocations.
 //! This module supplies only the integer parts: rings of packed `u8`
 //! levels with zero-point borders, input quantization into the input
 //! ring, and the band kernel with its requantizing sinks.
@@ -27,7 +28,8 @@
 //!   the rows past the image's top and bottom edges are stored as pad
 //!   rows; all of them hold the ring's wire zero point `zp` in every
 //!   byte. `QRing::put` writes a row's pad columns with the row, and the
-//!   bands that touch an image edge rewrite its pad rows, every run:
+//!   band (one step's rows in one row group) that touches an image edge
+//!   rewrites its pad rows, every run:
 //!   one-group plans reuse their ping-pong buffers across wires with
 //!   different zero points, so nothing relies on the arena's initial
 //!   contents;
@@ -58,7 +60,7 @@
 //! `vpdpbusd` (four `u8 x i8` products per lane) or two AVX2 `vpmaddwd` on
 //! the split bytes, exact for these operand ranges (see
 //! `sesr_tensor::simd`), and integer addition is associative, so every
-//! kernel variant and body, band count, and column blocking produces
+//! kernel variant and body, row-group split, and column blocking produces
 //! identical accumulators.
 //!
 //! # Requantization epilogues
@@ -82,11 +84,11 @@ use crate::execute::QuantizedSesr;
 use crate::qtensor::AffineParams;
 use sesr_core::collapsed::Act;
 use sesr_core::infer_plan::{
-    depth_to_space_row, Band, Datapath, LayerGraph, LayerShape, Plan, Ring, RingRef, StepIo,
-    TilePlanner,
+    depth_to_space_row, Datapath, LayerGraph, LayerShape, Plan, Ring, RingRef, StepIo, TilePlanner,
 };
 use sesr_tensor::parallel::SendPtr;
 use sesr_tensor::simd::{Microkernel, QuantEpilogue, QuantWire, RowAct};
+use std::ops::Range;
 
 /// Pad width around every activation plane. Two rows/columns cover the
 /// widest SESR tap (5x5, pad 2), so no supported kernel (at most
@@ -162,8 +164,8 @@ pub struct QuantKernels {
 /// exactly, on every kernel variant.
 pub type QuantPlan = Plan<QuantKernels>;
 
-/// The int8 tile planner: one cached single-band [`QuantPlan`] per tile
-/// shape, under the same bounded LRU as the f32 planner.
+/// The int8 tile planner: one cached [`QuantPlan`] per tile shape, under
+/// the same bounded LRU as the f32 planner.
 pub type QuantTilePlanner = TilePlanner<QuantKernels>;
 
 impl QuantKernels {
@@ -361,8 +363,8 @@ impl Datapath for QuantKernels {
         let ip = self.input_params;
         let dst = QRing::new(arena, ring, w);
         for y in y0..y1 {
-            // SAFETY: bands partition rows, and a group's rows land on
-            // distinct ring slots; each row has one writer.
+            // SAFETY: a group's rows land on distinct ring slots, which no
+            // ring view of this group's staging reads.
             unsafe {
                 dst.put(0, y, ip.zero_point, |row| {
                     let levels = &mut row[HALO..][..w];
@@ -371,8 +373,7 @@ impl Datapath for QuantKernels {
                 });
             }
         }
-        // SAFETY: as above; only the bands touching an image edge write
-        // the pad rows past it.
+        // SAFETY: as above, for the pad rows past an image edge.
         unsafe { dst.pad_edges(1, y0, y1, h, ip.zero_point) };
     }
 
@@ -380,7 +381,7 @@ impl Datapath for QuantKernels {
         &self,
         mk: &dyn Microkernel,
         io: &StepIo<'_, i32>,
-        band: Band,
+        rows: Range<usize>,
         slab: &mut [i32],
         _state: &mut [i32],
     ) {
@@ -407,13 +408,13 @@ impl Datapath for QuantKernels {
             (Some(ring), None) => QSink::Plane { ring },
         };
         let shape = self.graph.layers()[io.layer];
-        qconv_band(mk, lay, shape, io.offs, &io.src, io.w, band, slab, &sink);
+        let (y0, y1) = (rows.start, rows.end);
+        qconv_band(mk, lay, shape, io.offs, &io.src, io.w, rows, slab, &sink);
         if let Some(ring) = dst {
-            // SAFETY: only the bands touching an image edge write the
-            // pad rows past it, on slots no other band of the group
-            // writes.
+            // SAFETY: the pad rows past an image edge sit on slots no
+            // ring view of this step reads.
             let zp = lay.out_params.zero_point;
-            unsafe { ring.pad_edges(quads(shape.cout), band.y0, band.y1, io.h, zp) };
+            unsafe { ring.pad_edges(quads(shape.cout), y0, y1, io.h, zp) };
         }
     }
 }
@@ -561,7 +562,7 @@ enum QSink<'a> {
     },
 }
 
-/// Runs one layer over one row band: integer accumulation via
+/// Runs one layer over one band of rows: integer accumulation via
 /// [`Microkernel::qmadd_taps4`] — one whole-window call per output row and
 /// four-channel group, reading the taps at `offs` from the first slot of
 /// the row's window in the source ring — then the vectorized
@@ -577,7 +578,7 @@ fn qconv_band(
     offs: &[usize],
     src: &RingRef<'_, i32>,
     w: usize,
-    band: Band,
+    rows: Range<usize>,
     slab: &mut [i32],
     sink: &QSink<'_>,
 ) {
@@ -585,13 +586,13 @@ fn qconv_band(
     let zp = lay.out_params.zero_point;
     let (accs, vals_raw) = slab.split_at_mut(4 * w);
     // The head sink's dequantized-value scratch, reinterpreted as f32.
-    // SAFETY: i32 and f32 share size and alignment; the slab is
-    // band-private and `vals_raw` is never read as i32.
+    // SAFETY: i32 and f32 share size and alignment; the slab is the
+    // plan's private scratch and `vals_raw` is never read as i32.
     let vals: &mut [f32] = unsafe {
         std::slice::from_raw_parts_mut(vals_raw.as_mut_ptr() as *mut f32, vals_raw.len())
     };
 
-    for y in band.y0..band.y1 {
+    for y in rows {
         // Every tap of row `y` lies in the ring's window rows — image rows
         // or stored pad rows — and its pad columns (see the module docs),
         // so the whole window runs from its first slot; the seed cancels
@@ -604,8 +605,8 @@ fn qconv_band(
             let acc = &*acc;
             let es = &lay.epilogues[4 * g..][..lanes];
             match sink {
-                // SAFETY: bands partition rows, and a group's rows land on
-                // distinct ring slots.
+                // SAFETY: a group's rows land on distinct ring slots,
+                // which no ring view of this step reads.
                 QSink::Plane { ring } => unsafe {
                     ring.put(g, y, zp, |prow| {
                         mk.qrequant_pack_row(acc, es, &mut prow[HALO..][..w])
@@ -653,8 +654,8 @@ fn qconv_band(
                 let rows: [&[f32]; 4] = std::array::from_fn(|rx| {
                     chans.get(rx).map_or(&[][..], |&c| &vals[c * w..][..w])
                 });
-                // SAFETY: bands are disjoint in y, so output rows
-                // `s * y + ry` are disjoint too.
+                // SAFETY: output row `s * y + ry` lies in the caller's
+                // plane, which nothing else borrows during the run.
                 let dst = unsafe { out.slice_mut((s * y + ry) * out_w, out_w) };
                 depth_to_space_row(dst, &rows[..s]);
             }
@@ -696,11 +697,11 @@ mod tests {
         generate(family, h.max(16), w.max(16), seed).crop_hw(0, h, 0, w)
     }
 
-    fn assert_bit_identical(qnet: &QuantizedSesr, h: usize, w: usize, nbands: usize, seed: u64) {
+    fn assert_bit_identical(qnet: &QuantizedSesr, h: usize, w: usize, seed: u64) {
         let lr = lr_image(Family::Urban, h, w, seed);
         let want = qnet.run(&lr);
         let kernels = Arc::new(QuantKernels::new(qnet));
-        let mut plan = QuantPlan::with_bands(kernels, h, w, nbands);
+        let mut plan = QuantPlan::new(kernels, h, w);
         let got = plan.run(&lr);
         assert_eq!(want.shape(), got.shape());
         let exact = want
@@ -714,34 +715,32 @@ mod tests {
     #[test]
     fn plan_matches_oracle_x2() {
         let (_, qnet) = quantized(2, 2, 7);
-        assert_bit_identical(&qnet, 17, 13, 1, 1);
-        assert_bit_identical(&qnet, 24, 31, 3, 2);
+        assert_bit_identical(&qnet, 17, 13, 1);
+        assert_bit_identical(&qnet, 24, 31, 2);
     }
 
     #[test]
     fn plan_matches_oracle_x4() {
         let (_, qnet) = quantized(1, 4, 11);
-        assert_bit_identical(&qnet, 19, 23, 2, 3);
+        assert_bit_identical(&qnet, 19, 23, 3);
     }
 
     #[test]
-    fn plan_matches_oracle_across_band_counts_and_variants() {
+    fn plan_matches_oracle_across_variants() {
         let (_, qnet) = quantized(2, 2, 5);
         let kernels = Arc::new(QuantKernels::new(&qnet));
         let lr = generate(Family::Detail, 21, 18, 4);
         let want = qnet.run(&lr);
-        for nbands in [1, 2, 5, 16] {
-            let mut plan = QuantPlan::with_bands(kernels.clone(), 21, 18, nbands);
-            for &v in detected_variants() {
-                plan.set_variant(v);
-                let got = plan.run(&lr);
-                let exact = want
-                    .data()
-                    .iter()
-                    .zip(got.data())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(exact, "bands={nbands} variant={v:?} diverged");
-            }
+        let mut plan = QuantPlan::new(kernels, 21, 18);
+        for &v in detected_variants() {
+            plan.set_variant(v);
+            let got = plan.run(&lr);
+            let exact = want
+                .data()
+                .iter()
+                .zip(got.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(exact, "variant={v:?} diverged");
         }
     }
 
@@ -797,11 +796,9 @@ mod tests {
         let (_, qnet) = quantized(2, 2, 17);
         let kernels = Arc::new(QuantKernels::new(&qnet));
         let w = 11;
-        let group = QuantPlan::with_bands(kernels.clone(), 1, w, 1).group_rows();
+        let group = QuantPlan::new(kernels, 1, w).group_rows();
         for h in [group - 1, group + 1, 3 * group + 5] {
-            for nbands in [1, 3] {
-                assert_bit_identical(&qnet, h, w, nbands, h as u64);
-            }
+            assert_bit_identical(&qnet, h, w, h as u64);
         }
     }
 
@@ -810,9 +807,8 @@ mod tests {
         let (_, qnet) = quantized(3, 2, 19);
         let kernels = Arc::new(QuantKernels::new(&qnet));
         let w = 24;
-        let group = QuantPlan::with_bands(kernels.clone(), 1, w, 2).group_rows();
-        let bytes =
-            |h: usize, w: usize| QuantPlan::with_bands(kernels.clone(), h, w, 2).arena_bytes();
+        let group = QuantPlan::new(kernels.clone(), 1, w).group_rows();
+        let bytes = |h: usize, w: usize| QuantPlan::new(kernels.clone(), h, w).arena_bytes();
         let h = 12 * group;
         assert_eq!(bytes(h, w), bytes(2 * h, w));
         assert_eq!(bytes(h, w), bytes(2 * h + 3, w));
@@ -823,8 +819,8 @@ mod tests {
     fn arena_is_single_allocation_sized_to_shape() {
         let (_, qnet) = quantized(1, 2, 21);
         let kernels = Arc::new(QuantKernels::new(&qnet));
-        let plan = QuantPlan::with_bands(kernels.clone(), 16, 16, 2);
-        let bigger = QuantPlan::with_bands(kernels, 32, 32, 2);
+        let plan = QuantPlan::new(kernels.clone(), 16, 16);
+        let bigger = QuantPlan::new(kernels, 32, 32);
         assert!(plan.arena_bytes() > 0);
         assert!(bigger.arena_bytes() > plan.arena_bytes());
     }

@@ -122,7 +122,7 @@ fn plan_matches_oracle_under_saturating_input_and_degenerate_profile() {
     wild.data_mut()[1] = -1000.0;
     let want = qnet.run(&wild);
     let kernels = Arc::new(QuantKernels::new(&qnet));
-    let got = QuantPlan::with_bands(kernels, 18, 15, 2).run(&wild);
+    let got = QuantPlan::new(kernels, 18, 15).run(&wild);
     assert!(
         bits_equal(&want, &got),
         "saturating/degenerate case diverged from the oracle"

@@ -43,7 +43,7 @@ fn planned_int8_matches_oracle_on_ragged_geometry_for_every_variant() {
                     let seed = (f * 10_000 + scale * 1000 + h * 97 + w) as u64;
                     let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, seed);
                     let want = bits(&qnet.run(&lr));
-                    let mut plan = QuantPlan::with_bands(kernels.clone(), h, w, 2);
+                    let mut plan = QuantPlan::new(kernels.clone(), h, w);
                     for &v in detected_variants() {
                         plan.set_variant(v);
                         assert_eq!(

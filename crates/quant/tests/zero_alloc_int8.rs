@@ -6,8 +6,8 @@
 //! single arena sized at compile time of the plan.
 //!
 //! Mirrors `crates/core/tests/zero_alloc.rs`: its own integration binary
-//! so the counting allocator observes only this test, with the thread
-//! count pinned to 1 so `parallel_for` runs bands inline.
+//! so the counting allocator observes only this test, checked at pools of
+//! 1 and 2 (a plan runs on its caller's thread at any pool size).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,7 +43,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn planned_int8_run_is_allocation_free_after_warmup() {
-    set_num_threads(1);
     let net = Sesr::new(SesrConfig::m(3).with_expanded(8).with_seed(7)).collapse();
     let calib: Vec<Tensor> = (0..3)
         .map(|i| Tensor::rand_uniform(&[1, 20, 20], 0.0, 1.0, 30 + i))
@@ -54,29 +53,31 @@ fn planned_int8_run_is_allocation_free_after_warmup() {
     // Tall enough that the plan streams several row groups through its
     // rings, wrapping them.
     let (h, w) = (160, 40);
-    let mut plan = QuantPlan::with_bands(kernels, h, w, 1);
-    assert!(2 * plan.group_rows() < h, "the plan must stream");
-
     let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, 1);
-    let scale = net.scale();
-    let mut out = vec![0.0f32; h * scale * w * scale];
-
-    // Warmup (first run touches nothing lazily today, but keep the claim
-    // honest about "steady state").
-    plan.run_image_into(lr.data(), &mut out);
     let oracle = qnet.run(&lr);
+    let scale = net.scale();
+    for threads in [1, 2] {
+        set_num_threads(threads);
+        let mut plan = QuantPlan::new(kernels.clone(), h, w);
+        assert!(2 * plan.group_rows() < h, "the plan must stream");
+        let mut out = vec![0.0f32; h * scale * w * scale];
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..3 {
+        // Warmup (first run touches nothing lazily today, but keep the
+        // claim honest about "steady state").
         plan.run_image_into(lr.data(), &mut out);
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state planned int8 run must not allocate"
-    );
 
-    // The allocation-free path still produces the exact oracle bits.
-    assert_eq!(oracle.data(), out.as_slice());
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..3 {
+            plan.run_image_into(lr.data(), &mut out);
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state planned int8 run must not allocate at a pool of {threads}"
+        );
+
+        // The allocation-free path still produces the exact oracle bits.
+        assert_eq!(oracle.data(), out.as_slice());
+    }
 }

@@ -73,7 +73,7 @@ fn one_group_plans_match_the_oracle_at_every_zero_point() {
             for w in [1usize, 7, 37] {
                 let lr = Tensor::rand_uniform(&[1, h, w], -0.2, 1.2, (h * 100 + w) as u64);
                 let want = bits(&qnet.run(&lr));
-                let mut plan = QuantPlan::with_bands(kernels.clone(), h, w, 2);
+                let mut plan = QuantPlan::new(kernels.clone(), h, w);
                 assert!(plan.group_rows() >= h, "{h} rows must run as one group");
                 for &v in detected_variants() {
                     plan.set_variant(v);
@@ -98,10 +98,10 @@ fn streamed_plans_match_the_oracle_at_every_zero_point() {
     for (name, p) in profiles(&profile) {
         let qnet = QuantizedSesr::quantize(&net, &p);
         let kernels = Arc::new(QuantKernels::new(&qnet));
-        let h = 3 * QuantPlan::with_bands(kernels.clone(), 400, w, 2).ring_rows() + 1;
+        let h = 3 * QuantPlan::new(kernels.clone(), 400, w).ring_rows() + 1;
         let lr = Tensor::rand_uniform(&[1, h, w], -0.2, 1.2, 7);
         let want = bits(&qnet.run(&lr));
-        let mut plan = QuantPlan::with_bands(kernels, h, w, 2);
+        let mut plan = QuantPlan::new(kernels, h, w);
         assert!(plan.group_rows() < h, "{h} rows must stream");
         for &v in detected_variants() {
             plan.set_variant(v);

@@ -21,8 +21,7 @@
 //! the dead worker thread is respawned by a supervisor under an
 //! exponential-backoff restart budget. A panic on a lone large frame
 //! (above [`EngineConfig::tile_threshold_px`]) is caught the same way but
-//! does not kill the worker, which keeps its warm plans. A pool worker's
-//! panic is re-raised on the submitting thread either way. Transient
+//! does not kill the worker, which keeps its warm plans. Transient
 //! model-load failures follow the same retry path. A request that crashes every attempt exhausts its retries and
 //! is quarantined — a poison-pill input cannot crash-loop the pool
 //! beyond its retry budget. Result delivery is idempotent: a ticket's

@@ -641,7 +641,7 @@ fn large_int8_frame_matches_the_whole_frame_quantized_plan() {
         registry,
     );
     let x = img(6, 150, 24);
-    let mut plan = QuantPlan::with_bands(oracle, 150, 24, 1);
+    let mut plan = QuantPlan::new(oracle, 150, 24);
     let want = plan.run(&x);
     let served = engine.submit(&key, x, None).unwrap().wait().unwrap();
     let exact = served

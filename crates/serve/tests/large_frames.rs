@@ -1,9 +1,9 @@
-//! Concurrent large frames through the shared intra-op pool: two engine
-//! workers run same-shape large requests at the same time through cached
-//! streamed plans, their row bands inline at one thread and fanned across
-//! the pool at four. Every output must stay bit-identical to its
-//! whole-frame oracle — f32 to `CollapsedSesr::run`, int8 to a
-//! single-band whole-frame `QuantPlan`.
+//! Concurrent large frames: two engine workers run same-shape large
+//! requests at the same time through cached streamed plans, each plan on
+//! its worker's thread, with the process-wide pool at one thread and at
+//! four (a plan never uses the pool, so the size must not matter). Every
+//! output must stay bit-identical to its whole-frame oracle — f32 to
+//! `CollapsedSesr::run`, int8 to a whole-frame `QuantPlan`.
 //!
 //! Its own binary because it pins the process-wide pool size.
 
@@ -42,7 +42,7 @@ fn oracle(key: &ModelKey, precision: PrecisionPolicy) -> impl Fn(&Tensor) -> Ten
     };
     move |x: &Tensor| match &kernels {
         None => model.run(x),
-        Some(qk) => QuantPlan::with_bands(qk.clone(), H, W, 1).run(x),
+        Some(qk) => QuantPlan::new(qk.clone(), H, W).run(x),
     }
 }
 
@@ -51,7 +51,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 }
 
 #[test]
-fn concurrent_large_frames_share_the_pool_and_stay_bit_identical() {
+fn concurrent_large_frames_stay_bit_identical_at_any_pool_size() {
     let before = num_threads();
     for precision in [
         PrecisionPolicy::F32,

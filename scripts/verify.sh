@@ -131,14 +131,15 @@ step_infer() {
     cargo test -q --offline -p sesr-tensor --test proptest_simd -- conv_taps4_bodies \
         wino_tile_row_bodies epilogue_row_matches
     # The f32 and int8 plans share one skeleton (tile LRU, timing hook,
-    # variant pin); its checks run once per datapath.
+    # strips through run_tiles, variant pin); its checks run once per
+    # datapath.
     cargo test -q --offline -p sesr --test plan_datapaths
 }
 
 step_int8() {
     # The int8 serving path's load-bearing guarantees: the quantized
     # plan's bit-identity to the QuantizedSesr oracle across
-    # architectures/shapes/bands/variants/threads (property sweep) and on
+    # architectures/shapes/variants/pool sizes (property sweep) and on
     # every detected kernel variant over ragged tap-kernel geometries,
     # the quantizer's own properties, zero steady-state heap allocations,
     # quantizer edge cases, every wire forced to zero points 0, 1, 128,

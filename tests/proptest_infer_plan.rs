@@ -1,9 +1,9 @@
 //! Property-based equivalence of planned inference: for every SESR size
 //! (M3/M5/M7/M11/XL), both scales (x2/x4), arbitrary (odd included) input
-//! sizes, any band count, and 1 vs 4 threads, [`InferPlan`] output must be
+//! sizes, and a pool of 1 vs 4 threads, [`InferPlan`] output must be
 //! **bit-identical** to the unfused reference executor
-//! [`CollapsedSesr::run_batch_reference`]. Fused epilogues and row-band
-//! parallelism change where and when values are computed, never the
+//! [`CollapsedSesr::run_batch_reference`]. Fused epilogues and row-group
+//! streaming change where and when values are computed, never the
 //! per-element arithmetic or its order — so even the floating-point
 //! rounding matches exactly.
 //!
@@ -57,14 +57,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The planned executor reproduces the reference bits for every model
-    /// size, scale, input shape, band count, and thread count.
+    /// size, scale, input shape, and pool size.
     #[test]
     fn planned_inference_is_bit_identical_to_reference(
         arch_idx in 0usize..ARCHS.len(),
         scale_x4 in any::<bool>(),
         h in 5usize..22,
         w in 5usize..22,
-        bands in 1usize..5,
         seed in 0u64..1000,
     ) {
         let scale = if scale_x4 { 4 } else { 2 };
@@ -75,22 +74,22 @@ proptest! {
         let kernels = Arc::new(CollapsedKernels::new(net));
 
         let one = with_threads(1, || {
-            InferPlan::with_bands(kernels.clone(), h, w, bands).run(&lr)
+            InferPlan::new(kernels.clone(), h, w).run(&lr)
         });
         let four = with_threads(4, || {
-            InferPlan::with_bands(kernels.clone(), h, w, bands).run(&lr)
+            InferPlan::new(kernels.clone(), h, w).run(&lr)
         });
 
         prop_assert_eq!(one.shape(), reference.shape());
         prop_assert!(
             reference.max_abs_diff(&one) == 0.0,
-            "{} x{} {}x{} bands={} diverged at 1 thread",
-            ARCHS[arch_idx], scale, h, w, bands
+            "{} x{} {}x{} diverged at 1 thread",
+            ARCHS[arch_idx], scale, h, w
         );
         prop_assert!(
             reference.max_abs_diff(&four) == 0.0,
-            "{} x{} {}x{} bands={} diverged at 4 threads",
-            ARCHS[arch_idx], scale, h, w, bands
+            "{} x{} {}x{} diverged at 4 threads",
+            ARCHS[arch_idx], scale, h, w
         );
     }
 

@@ -1,6 +1,6 @@
 //! Property-based equivalence of planned int8 inference: for every SESR
 //! size (M3/M5/M7/M11), both scales (x2/x4), arbitrary (odd included)
-//! input sizes, any band count, and 1 vs 4 threads, [`QuantPlan`] output
+//! input sizes, and a pool of 1 vs 4 threads, [`QuantPlan`] output
 //! must be **bit-identical** to the integer-accumulation oracle
 //! [`QuantizedSesr::run`]. The integer datapath is exact under any
 //! reassociation and the requantization epilogues are scalar f32
@@ -74,14 +74,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The planned int8 executor reproduces the oracle bits for every
-    /// model size, scale, input shape, band count, and thread count.
+    /// model size, scale, input shape, and pool size.
     #[test]
     fn planned_int8_is_bit_identical_to_oracle(
         arch_idx in 0usize..ARCHS.len(),
         scale_x4 in any::<bool>(),
         h in 5usize..22,
         w in 5usize..22,
-        bands in 1usize..5,
         seed in 0u64..1000,
     ) {
         let scale = if scale_x4 { 4 } else { 2 };
@@ -90,10 +89,10 @@ proptest! {
         let want = qnet.run(&lr);
 
         let one = with_threads(1, || {
-            QuantPlan::with_bands(kernels.clone(), h, w, bands).run(&lr)
+            QuantPlan::new(kernels.clone(), h, w).run(&lr)
         });
         let four = with_threads(4, || {
-            QuantPlan::with_bands(kernels.clone(), h, w, bands).run(&lr)
+            QuantPlan::new(kernels.clone(), h, w).run(&lr)
         });
         assert_bits_equal(&want, &one, "1 thread");
         assert_bits_equal(&want, &four, "4 threads");

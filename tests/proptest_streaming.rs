@@ -1,8 +1,8 @@
 //! Property-based proof that depth-first streaming changes no bits, on
 //! both datapaths. A plan runs its chain in row groups through rolling
 //! row rings; at heights that wrap every ring several times (and at the
-//! edge heights 1, 2, 3 and one ring ± 1), odd widths, 1–5 bands and 1 or
-//! 4 threads, [`InferPlan`] output must equal the unfused reference
+//! edge heights 1, 2, 3 and one ring ± 1), odd widths, and a pool of 1
+//! or 4 threads, [`InferPlan`] output must equal the unfused reference
 //! executor bit for bit, and [`QuantPlan`] output the integer oracle —
 //! for x2 and x4 heads, the hardware-efficient variant, and (f32 only;
 //! the int8 planner needs a middle layer) the degenerate two-layer
@@ -115,24 +115,23 @@ proptest! {
         kind in 0usize..KINDS,
         pick in 0usize..6,
         half_w in 0usize..12,
-        bands in 1usize..6,
         threads in prop::sample::select(vec![1usize, 4]),
         seed in 0u64..1000,
     ) {
         let (net, _) = model(kind);
         let w = 2 * half_w + 1;
         let kernels = Arc::new(CollapsedKernels::new(net));
-        let ring = InferPlan::with_bands(kernels.clone(), TALL, w, bands).ring_rows();
+        let ring = InferPlan::new(kernels.clone(), TALL, w).ring_rows();
         let h = height(pick, ring);
         let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, seed);
-        let mut plan = InferPlan::with_bands(kernels, h, w, bands);
+        let mut plan = InferPlan::new(kernels, h, w);
         prop_assert!(pick < 5 || plan.group_rows() < h, "{} rows must stream", h);
         let got = with_threads(threads, || plan.run(&lr));
         prop_assert_eq!(
             bits(&got),
             bits(&net.run_reference(&lr)),
-            "kind {} {}x{} bands={} threads={} diverged",
-            kind, h, w, bands, threads
+            "kind {} {}x{} threads={} diverged",
+            kind, h, w, threads
         );
     }
 
@@ -142,24 +141,23 @@ proptest! {
         kind in 0usize..KINDS - 1,
         pick in 0usize..6,
         half_w in 0usize..12,
-        bands in 1usize..6,
         threads in prop::sample::select(vec![1usize, 4]),
         seed in 0u64..1000,
     ) {
         let (_, quant) = model(kind);
         let (qnet, kernels) = quant.as_ref().expect("three or more layers quantize");
         let w = 2 * half_w + 1;
-        let ring = QuantPlan::with_bands(kernels.clone(), TALL, w, bands).ring_rows();
+        let ring = QuantPlan::new(kernels.clone(), TALL, w).ring_rows();
         let h = height(pick, ring);
         let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, seed);
-        let mut plan = QuantPlan::with_bands(kernels.clone(), h, w, bands);
+        let mut plan = QuantPlan::new(kernels.clone(), h, w);
         prop_assert!(pick < 5 || plan.group_rows() < h, "{} rows must stream", h);
         let got = with_threads(threads, || plan.run(&lr));
         prop_assert_eq!(
             bits(&got),
             bits(&qnet.run(&lr)),
-            "kind {} {}x{} bands={} threads={} diverged",
-            kind, h, w, bands, threads
+            "kind {} {}x{} threads={} diverged",
+            kind, h, w, threads
         );
     }
 }
