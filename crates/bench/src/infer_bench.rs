@@ -52,8 +52,8 @@ pub struct InferBenchConfig {
     pub w: usize,
     /// Cap the intra-op thread pool; `None` = autodetect.
     pub threads: Option<usize>,
-    /// Pin the microkernel variant by name (`scalar`, `avx2`, `avx2fma`,
-    /// `neon`); `None` runs the plan-level autotuner (Measure policy) and
+    /// Pin the microkernel variant by name (`scalar`, `avx2`,
+    /// `avx2fma`); `None` runs the plan-level autotuner (Measure policy) and
     /// reports what it picked. Either way the process-global variant is
     /// pinned to the same choice so the reference path — the bit-identity
     /// gate's other side — runs the same arithmetic.

@@ -94,7 +94,7 @@ USAGE:
                 [--threads N] [--out BENCH_train.json]
   sesr infer-bench [--archs m5,m11] [--scale 2] [--expanded 16] [--seed 0]
                 [--iters 30] [--warmup 5] [--height 180] [--width 320]
-                [--threads N] [--variant scalar|avx2|avx2fma|neon]
+                [--threads N] [--variant scalar|avx2|avx2fma]
                 [--int8 on|off] [--psnr-budget 1.0] [--out BENCH_infer.json]
   sesr router-bench [--seed 0xB0A7] [--phase-ms 3000] [--shards-low 1]
                 [--shards-high 4] [--tenants 3] [--interactive-hz 30]
@@ -282,8 +282,10 @@ fn upscale(args: &Args) -> Result<String, CliError> {
         let dims = lr.shape();
         let plan = TilePlan::strips(dims[1], dims[2], num_threads(), radius);
         let kernels = Arc::new(CollapsedKernels::new(&model));
-        let sr = run_tiles(&kernels, &lr, &plan).composite(&plan);
-        (sr, format!("{} strip(s)", plan.len()))
+        (
+            run_tiles(&kernels, &lr, &plan),
+            format!("{} strip(s)", plan.len()),
+        )
     };
     pgm::write(&sr, Path::new(&output))?;
     Ok(format!(

@@ -266,13 +266,14 @@ impl CollapsedSesr {
     }
 
     /// Super-resolves a large image tile by tile (the paper's DRAM
-    /// optimization, Sec. 5.6): plans the tiles, runs them through
-    /// [`run_tiles`] (fanned across the intra-op thread pool), and
-    /// composites the interiors. `tile` is the LR tile side length; tiles
-    /// at the right/bottom edges may be smaller. `overlap` LR pixels of
-    /// halo are added around every tile and cropped after upscaling; with
-    /// the plan's receptive-field and alignment guarantees the result is
-    /// bit-identical to [`CollapsedSesr::run`] at any thread count.
+    /// optimization, Sec. 5.6): plans the tiles and runs them through
+    /// [`run_tiles`] (fanned across the intra-op thread pool), each
+    /// writing its interior into the output. `tile` is the LR tile side
+    /// length; tiles at the right/bottom edges may be smaller. `overlap`
+    /// LR pixels of halo are read around every tile and only its interior
+    /// is written; with the plan's receptive-field and alignment
+    /// guarantees the result is bit-identical to [`CollapsedSesr::run`]
+    /// at any thread count.
     ///
     /// # Errors
     ///
@@ -286,7 +287,7 @@ impl CollapsedSesr {
         assert_eq!(dims.len(), 3, "expected [1, H, W]");
         let plan = self.plan_tiles(dims[1], dims[2], tile, overlap)?;
         let kernels = Arc::new(CollapsedKernels::new(self));
-        Ok(run_tiles(&kernels, lr, &plan).composite(&plan))
+        Ok(run_tiles(&kernels, lr, &plan))
     }
 }
 

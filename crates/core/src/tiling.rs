@@ -4,38 +4,41 @@
 //! The paper's DRAM optimization (Sec. 5.6) splits a large LR image into
 //! tiles, runs the collapsed network per tile with a halo of `overlap`
 //! pixels, and crops the halo after upscaling. This module extracts that
-//! geometry into a first-class [`TilePlan`] and runs it in two phases for
+//! geometry into a first-class [`TilePlan`] and runs it for
 //! `CollapsedSesr::run_tiled` (and `sesr upscale --tile N` through it).
 //! [`TilePlan::strips`] cuts a frame into full-height vertical strips
 //! instead, one per pool thread: that is how one frame spreads over
 //! cores (`sesr upscale` without `--tile`), since a
 //! [`crate::infer_plan::Plan`] runs on its caller's thread. Video
 //! sessions hash tiles for CRC reuse, merge the dirty ones into
-//! rectangles ([`TilePlan::dirty_rects`]), and run each rectangle through
-//! `TilePlanner::run_tile` and [`paste_interior`]. Whole frames no longer
-//! need tiling to bound memory: a plan streams the chain depth-first
-//! through row rings, so its arena grows with the width only, and the
-//! serving engine runs large frames whole.
+//! rectangles ([`TilePlan::dirty_rects`]), and run each rectangle as a
+//! window into the session's HR frame. Whole frames no longer need
+//! tiling to bound memory: a plan streams the chain depth-first through
+//! row rings, so its arena grows with the width only, and the serving
+//! engine runs large frames whole.
 //!
-//! * **Compute** ([`run_tiles`]): the plan's tiles fan over
-//!   `sesr_tensor::parallel::parallel_for` chunks on the persistent pool,
-//!   one [`TilePlanner`] per chunk, each tile through its shape's plan;
-//!   the result is every tile's SR patch plus the peak arena size. At one
-//!   thread the fan-out runs inline on the caller.
-//! * **Composite** ([`TiledRun::composite`]): one [`paste_interior`] per
-//!   tile, built on `Tensor::copy_region_hw`.
+//! There is one phase, compute ([`run_tiles`]): the plan's tiles fan over
+//! `sesr_tensor::parallel::parallel_for` chunks on the persistent pool,
+//! one [`TilePlanner`] per chunk. Each tile is a window of its shape's
+//! plan ([`crate::infer_plan::Plan::run_tile_into`]): step 0 reads the
+//! tile's halo-expanded region of the caller's LR plane in place, and the
+//! head writes only the tile's interior, straight into the one HR plane.
+//! Nothing is cropped, no per-tile SR patch exists, and nothing is
+//! pasted. At one thread the fan-out runs inline on the caller.
 //!
-//! Which thread runs a tile never changes its arithmetic, so the
-//! composite stays bit-identical to whole-image execution at any thread
-//! count, on either datapath. Two properties make tiling exact rather
-//! than merely approximate:
+//! Which thread runs a tile never changes its arithmetic, so the output
+//! stays bit-identical to whole-image execution at any thread count, on
+//! either datapath. Two properties make tiling exact rather than merely
+//! approximate:
 //!
 //! 1. **Halo ≥ receptive-field radius.** Every output pixel of the
 //!    collapsed network depends on LR pixels within the network's
 //!    receptive-field radius; a halo at least that wide means every
 //!    interior output sees exactly the pixels it would see in a
-//!    whole-image run. Plans with a smaller overlap are rejected with
-//!    [`TileError::OverlapTooSmall`] instead of silently producing seams.
+//!    whole-image run. A window reads as zero outside its halo-expanded
+//!    region, exactly as a cropped patch would. Plans with a smaller
+//!    overlap are rejected with [`TileError::OverlapTooSmall`] instead of
+//!    silently producing seams.
 //! 2. **Even-aligned tile origins.** The Winograd `F(2x2, 3x3)` kernel
 //!    computes 2x2 output tiles anchored at the patch origin; an output
 //!    pixel's floating-point expression depends on its parity relative to
@@ -45,11 +48,10 @@
 //!    hence the bits — match exactly.
 
 use crate::infer_plan::{Datapath, TilePlanner};
-use sesr_tensor::parallel::parallel_for;
+use sesr_tensor::parallel::{parallel_for, SendPtr};
 use sesr_tensor::Tensor;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Typed failure modes of tile-plan construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -353,72 +355,38 @@ pub struct TileRect {
     pub tiles: Vec<usize>,
 }
 
-/// Every tile's output from one [`run_tiles`] call.
-#[derive(Debug)]
-pub struct TiledRun {
-    /// Each tile's SR patch, halo included, in [`TilePlan::tiles`] order.
-    pub patches: Vec<Tensor>,
-    /// Largest arena any chunk's planner ran in, in bytes (telemetry).
-    pub peak_arena_bytes: usize,
-    scale: usize,
-}
-
-impl TiledRun {
-    /// The composite phase: pastes every patch's interior into a fresh
-    /// `[1, h * scale, w * scale]` plane.
-    ///
-    /// # Panics
-    ///
-    /// When `plan` is not the plan these patches were computed for.
-    pub fn composite(&self, plan: &TilePlan) -> Tensor {
-        assert_eq!(self.patches.len(), plan.len(), "one patch per tile");
-        let s = self.scale;
-        let mut out = Tensor::zeros(&[1, plan.image_h() * s, plan.image_w() * s]);
-        for (spec, sr) in plan.tiles().iter().zip(&self.patches) {
-            paste_interior(&mut out, sr, spec, s);
-        }
-        out
-    }
-}
-
-/// The compute phase: runs every tile of `plan` over `lr` (`[1, H, W]`)
-/// on `kernels`' datapath. Tiles fan over `parallel_for` chunks, one
-/// [`TilePlanner`] per chunk, so same-shaped tiles in a chunk reuse one
-/// compiled single-band plan and its arena. A panic in any tile reaches
-/// the caller (`parallel_for` re-raises it on the submitting thread).
-pub fn run_tiles<D: Datapath>(kernels: &Arc<D>, lr: &Tensor, plan: &TilePlan) -> TiledRun {
+/// Runs every tile of `plan` over `lr` (`[1, H, W]`) on `kernels`'
+/// datapath and returns the `[1, H * scale, W * scale]` HR plane. Tiles
+/// fan over `parallel_for` chunks, one [`TilePlanner`] per chunk, so
+/// same-shaped tiles in a chunk reuse one compiled plan and its arena;
+/// each tile reads its window of `lr` in place and writes its interior
+/// straight into the HR plane. A panic in any tile reaches the caller
+/// (`parallel_for` re-raises it on the submitting thread).
+///
+/// # Panics
+///
+/// When `lr` is not the `[1, H, W]` image `plan` was built for.
+pub fn run_tiles<D: Datapath>(kernels: &Arc<D>, lr: &Tensor, plan: &TilePlan) -> Tensor {
+    let (h, w) = (plan.image_h(), plan.image_w());
+    assert_eq!(lr.shape(), &[1, h, w], "image must match the tile plan");
+    let s = kernels.graph().scale();
+    let mut hr = Tensor::zeros(&[1, h * s, w * s]);
+    let len = hr.data().len();
+    let out = SendPtr(hr.data_mut().as_mut_ptr());
     let tiles = plan.tiles();
-    let slots: Vec<OnceLock<Tensor>> = tiles.iter().map(|_| OnceLock::new()).collect();
-    let peak = AtomicUsize::new(0);
     parallel_for(tiles.len(), 1, |a, b| {
         let mut planner = TilePlanner::new(kernels.clone());
-        for (slot, spec) in slots[a..b].iter().zip(&tiles[a..b]) {
-            let _ = slot.set(planner.run_tile(lr, spec));
+        for spec in &tiles[a..b] {
+            let tile = planner.plan_for(spec.patch_h(), spec.patch_w());
+            // SAFETY: `hr` is the `h*s x w*s` plane of `lr` and outlives
+            // `parallel_for`, which returns only after every chunk ran.
+            // A tile writes only its interior's HR region, and the
+            // interiors partition the image (`interiors_partition_the_image`
+            // below), so no two tiles, in any chunk, write the same float.
+            unsafe { tile.run_window(lr.data(), w, spec, out, len, None) };
         }
-        peak.fetch_max(planner.max_arena_bytes(), Ordering::Relaxed);
     });
-    TiledRun {
-        patches: slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every tile ran"))
-            .collect(),
-        peak_arena_bytes: peak.into_inner(),
-        scale: kernels.graph().scale(),
-    }
-}
-
-/// Pastes the interior of tile `spec`'s halo-expanded SR patch `sr` into
-/// the HR plane `out`; `s` is the upscaling factor.
-pub fn paste_interior(out: &mut Tensor, sr: &Tensor, spec: &TileSpec, s: usize) {
-    out.copy_region_hw(
-        sr,
-        (spec.y0 - spec.ey0) * s,
-        (spec.x0 - spec.ex0) * s,
-        (spec.y1 - spec.y0) * s,
-        (spec.x1 - spec.x0) * s,
-        spec.y0 * s,
-        spec.x0 * s,
-    );
+    hr
 }
 
 #[cfg(test)]

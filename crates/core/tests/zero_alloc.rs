@@ -12,8 +12,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sesr_core::infer_plan::{CollapsedKernels, InferPlan};
+use sesr_core::infer_plan::{CollapsedKernels, InferPlan, TilePlanner};
 use sesr_core::model::{Sesr, SesrConfig};
+use sesr_core::TilePlan;
 use sesr_tensor::parallel::set_num_threads;
 use sesr_tensor::Tensor;
 
@@ -72,6 +73,34 @@ fn planned_run_is_allocation_free_after_warmup() {
         );
 
         // The allocation-free path still produces the exact reference bits.
+        assert_eq!(reference.data(), out.as_slice());
+
+        // A warm tile planner's window at a non-zero origin: the plan
+        // reads the tile's halo region of `lr` in place and writes its
+        // interior into the preallocated HR plane, which already holds
+        // those bits.
+        let tiling = TilePlan::new(h, w, 24, net.receptive_field_radius()).unwrap();
+        let spec = *tiling
+            .tiles()
+            .iter()
+            .find(|t| t.ey0 > 0 && t.ex0 > 0)
+            .expect("an inner tile");
+        let mut planner = TilePlanner::new(kernels.clone());
+        let mut window = |out: &mut [f32]| {
+            let plan = planner.plan_for(spec.patch_h(), spec.patch_w());
+            plan.run_tile_into(lr.data(), w, &spec, out);
+        };
+        window(&mut out);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..3 {
+            window(&mut out);
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert_eq!(
+            after - before,
+            0,
+            "a warm window run must not allocate at a pool of {threads}"
+        );
         assert_eq!(reference.data(), out.as_slice());
     }
 }

@@ -4,11 +4,12 @@
 //! wire-parameter chaining, layer graph) and implements [`Datapath`], so
 //! [`QuantPlan`] and [`QuantTilePlanner`] are the `sesr_core::infer_plan`
 //! skeleton — depth-first row groups on the calling thread, row rings,
-//! timing hook, tile LRU — over a pre-sized `i32` arena with zero
-//! steady-state allocations.
+//! windows and the head's store, timing hook, tile LRU — over a pre-sized
+//! `i32` arena with zero steady-state allocations.
 //! This module supplies only the integer parts: rings of packed `u8`
-//! levels with zero-point borders, input quantization into the input
-//! ring, and the band kernel with its requantizing sinks.
+//! levels with zero-point borders, quantization of the input window's
+//! rows into the input ring, and the band kernel with its requantizing
+//! sinks.
 //!
 //! # Integer datapath
 //!
@@ -84,7 +85,7 @@ use crate::execute::QuantizedSesr;
 use crate::qtensor::AffineParams;
 use sesr_core::collapsed::Act;
 use sesr_core::infer_plan::{
-    depth_to_space_row, Datapath, LayerGraph, LayerShape, Plan, Ring, RingRef, StepIo, TilePlanner,
+    Datapath, HrWindow, LayerGraph, LayerShape, Plan, Ring, RingRef, StepIo, TilePlanner,
 };
 use sesr_tensor::parallel::SendPtr;
 use sesr_tensor::simd::{Microkernel, QuantEpilogue, QuantWire, RowAct};
@@ -347,12 +348,13 @@ impl Datapath for QuantKernels {
         offs
     }
 
-    /// Quantizes input rows onto the input wire as the input ring's kx
-    /// quads.
+    /// Quantizes rows of the caller's input window onto the input wire
+    /// as the input ring's kx quads.
     fn stage_rows(
         &self,
         mk: &dyn Microkernel,
         input: &[f32],
+        stride: usize,
         arena: SendPtr<i32>,
         ring: Ring,
         h: usize,
@@ -368,7 +370,7 @@ impl Datapath for QuantKernels {
             unsafe {
                 dst.put(0, y, ip.zero_point, |row| {
                     let levels = &mut row[HALO..][..w];
-                    mk.qquantize_row(&input[y * w..][..w], levels, ip.scale, ip.zero_point);
+                    mk.qquantize_row(&input[y * stride..][..w], levels, ip.scale, ip.zero_point);
                     kx_quads(row, ip.zero_point);
                 });
             }
@@ -386,15 +388,12 @@ impl Datapath for QuantKernels {
         _state: &mut [i32],
     ) {
         let lay = &self.layers[io.layer];
-        let s = self.graph.scale();
         let dst = io.dst.map(|ring| QRing::new(io.arena, ring, io.w));
         let sink = match (dst, io.first) {
             (None, _) => QSink::Head {
                 out: io.out,
                 input: io.input,
                 input_wire: wire(self.input_params),
-                graph: &self.graph,
-                out_w: io.w * s,
             },
             (Some(ring), Some(first)) => QSink::ResidualPlane {
                 ring,
@@ -551,14 +550,13 @@ enum QSink<'a> {
         /// The widened wire the residual sum is requantized to.
         wide: QuantWire,
     },
-    /// Head: dequantize, then depth-to-space into the output image.
+    /// Head: dequantize, then depth-to-space into the window's interior
+    /// of the output image.
     Head {
-        out: SendPtr,
+        out: HrWindow<'a>,
         /// The staged input ring when the model adds the input residual.
         input: Option<RingRef<'a, i32>>,
         input_wire: QuantWire,
-        graph: &'a LayerGraph,
-        out_w: usize,
     },
 }
 
@@ -568,8 +566,7 @@ enum QSink<'a> {
 /// the row's window in the source ring — then the vectorized
 /// requantization row epilogue selected by `sink`, one group at a time so
 /// ring sinks write whole packed words. The head dequantizes every
-/// channel's row, then interleaves the `scale` rows of each output row in
-/// one pass.
+/// channel's row, then stores the output row through [`HrWindow::store`].
 #[allow(clippy::too_many_arguments)]
 fn qconv_band(
     mk: &dyn Microkernel,
@@ -644,21 +641,10 @@ fn qconv_band(
                 }
             }
         }
-        if let QSink::Head {
-            out, graph, out_w, ..
-        } = *sink
-        {
-            let s = graph.scale();
-            for ry in 0..s {
-                let chans = graph.head_row(ry);
-                let rows: [&[f32]; 4] = std::array::from_fn(|rx| {
-                    chans.get(rx).map_or(&[][..], |&c| &vals[c * w..][..w])
-                });
-                // SAFETY: output row `s * y + ry` lies in the caller's
-                // plane, which nothing else borrows during the run.
-                let dst = unsafe { out.slice_mut((s * y + ry) * out_w, out_w) };
-                depth_to_space_row(dst, &rows[..s]);
-            }
+        if let QSink::Head { out, .. } = *sink {
+            // SAFETY: the head's band stores its rows on the plan's thread
+            // during the run.
+            unsafe { out.store(y, vals, w) };
         }
     }
 }
@@ -669,7 +655,6 @@ mod tests {
     use crate::scheme::calibrate;
     use sesr_core::collapsed::CollapsedSesr;
     use sesr_core::model::{Sesr, SesrConfig};
-    use sesr_core::tiling::paste_interior;
     use sesr_data::synth::{generate, Family};
     use sesr_tensor::simd::detected_variants;
     use sesr_tensor::Tensor;
@@ -776,14 +761,15 @@ mod tests {
         let overlap = net.receptive_field_radius();
         let plan = net.plan_tiles(33, 29, 16, overlap).unwrap();
         let mut tp = QuantTilePlanner::new(kernels);
-        let mut out = Tensor::zeros(&[1, 66, 58]);
+        let mut out = vec![0.0f32; 66 * 58];
         for spec in plan.tiles() {
-            paste_interior(&mut out, &tp.run_tile(&lr, spec), spec, 2);
+            let tile = tp.plan_for(spec.patch_h(), spec.patch_w());
+            tile.run_tile_into(lr.data(), 29, spec, &mut out);
         }
         let exact = want
             .data()
             .iter()
-            .zip(out.data())
+            .zip(&out)
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(
             exact,

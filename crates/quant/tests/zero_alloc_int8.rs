@@ -1,6 +1,7 @@
 //! Proves the planned int8 path's zero-allocation claim with a counting
 //! global allocator: after the plan is built and warmed up,
-//! `QuantPlan::run_image_into` must not touch the heap. Row-tap
+//! `QuantPlan::run_image_into` must not touch the heap, and neither must
+//! a warm `QuantTilePlanner` window run (`Plan::run_tile_into`). Row-tap
 //! descriptors live in fixed stack arrays and all intermediates —
 //! packed activation planes and i32 accumulator slabs — live in the
 //! single arena sized at compile time of the plan.
@@ -14,7 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sesr_core::model::{Sesr, SesrConfig};
-use sesr_quant::{calibrate, QuantKernels, QuantPlan, QuantizedSesr};
+use sesr_core::TilePlan;
+use sesr_quant::{calibrate, QuantKernels, QuantPlan, QuantTilePlanner, QuantizedSesr};
 use sesr_tensor::parallel::set_num_threads;
 use sesr_tensor::Tensor;
 
@@ -78,6 +80,34 @@ fn planned_int8_run_is_allocation_free_after_warmup() {
         );
 
         // The allocation-free path still produces the exact oracle bits.
+        assert_eq!(oracle.data(), out.as_slice());
+
+        // A warm tile planner's window at a non-zero origin: the plan
+        // reads the tile's halo region of `lr` in place and writes its
+        // interior into the preallocated HR plane, which already holds
+        // those bits.
+        let tiling = TilePlan::new(h, w, 24, net.receptive_field_radius()).unwrap();
+        let spec = *tiling
+            .tiles()
+            .iter()
+            .find(|t| t.ey0 > 0 && t.ex0 > 0)
+            .expect("an inner tile");
+        let mut planner = QuantTilePlanner::new(kernels.clone());
+        let mut window = |out: &mut [f32]| {
+            let plan = planner.plan_for(spec.patch_h(), spec.patch_w());
+            plan.run_tile_into(lr.data(), w, &spec, out);
+        };
+        window(&mut out);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..3 {
+            window(&mut out);
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert_eq!(
+            after - before,
+            0,
+            "a warm window run must not allocate at a pool of {threads}"
+        );
         assert_eq!(oracle.data(), out.as_slice());
     }
 }

@@ -15,14 +15,18 @@
 //!   exactly when some changed interior intersects `T`'s run region.
 //!   [`TilePlan::dirty_rects`] then merges the dirty tiles into
 //!   rectangles — maximal runs per tile row, stacked while consecutive
-//!   rows share a column span — and each rectangle runs once through
-//!   `TilePlanner::run_tile` with one halo, instead of one halo per
-//!   tile (a 12-tile pan at a 15 px halo drops from 37k to 14k LR pixels
-//!   of work). A rectangle's spec is the union of its members' specs:
-//!   even origin, halo ≥ radius on every side, no clean member. Because
-//!   each output depends on precisely its expanded region, the
-//!   reused+recomputed composite is **bit-identical** to a whole-frame
-//!   run (enforced by proptest in `tests/video.rs`).
+//!   rows share a column span — and each rectangle runs once, with one
+//!   halo, instead of one halo per tile (a 12-tile pan at a 15 px halo
+//!   drops from 37k to 14k LR pixels of work). A rectangle's spec is the
+//!   union of its members' specs: even origin, halo ≥ radius on every
+//!   side, no clean member. It runs as a window of its shape's plan
+//!   (`Plan::run_tile_into`): the plan reads the rectangle's halo region
+//!   of the frame in place and writes its interior straight into the
+//!   frame's copy of the cached HR plane — no crop, no per-rectangle SR
+//!   tensor, no paste. Because each output depends on precisely its
+//!   expanded region, the reused+recomputed composite is
+//!   **bit-identical** to a whole-frame run (enforced by proptest in
+//!   `tests/video.rs`).
 //! * **Any-time quality ladder.** Under deadline pressure the session
 //!   degrades PSNR instead of latency (after "ARM: Any-Time
 //!   Super-Resolution Method"): each dirty rectangle picks a rung of the
@@ -49,7 +53,6 @@
 use crate::plan_cache::PlanCache;
 use crate::registry::ModelKey;
 use sesr_core::crc32::Crc32;
-use sesr_core::tiling::paste_interior;
 use sesr_core::{CollapsedSesr, TileError, TilePlan, TileSpec};
 use sesr_tensor::Tensor;
 use std::fmt;
@@ -346,19 +349,23 @@ impl VideoSession {
 
     /// Precompiles, per ladder rung, the plan of the all-dirty frame —
     /// the one whole-frame rectangle that frame 0 and every scene cut
-    /// run — by running it once against a zero frame. Partial frames'
-    /// rectangle shapes depend on where the content moves, so they
-    /// compile on first use. A caller that must hold per-frame deadlines
+    /// run — by running it once against a zero frame into a scratch HR
+    /// plane. Partial frames' rectangle shapes depend on where the
+    /// content moves, so they compile on first use. A caller that must hold per-frame deadlines
     /// from the start pays the largest compile cost here instead of
     /// inside a deadline window. Session state and the EWMA cost model
     /// are untouched — warming runs are not load-representative samples.
     pub fn warm_plans(&self, models: &[Arc<CollapsedSesr>], plans: &mut PlanCache) {
-        let frame = Tensor::zeros(&[1, self.spec.height, self.spec.width]);
+        let (h, w, s) = (self.spec.height, self.spec.width, self.scale);
+        let frame = vec![0.0f32; h * w];
+        let mut hr = vec![0.0f32; h * s * w * s];
         let rects = self.plan.dirty_rects(&vec![true; self.plan.len()]);
         for (key, model) in self.spec.ladder.iter().zip(models) {
             let (planner, _) = plans.tile_planner_for(key, model);
             for rect in &rects {
-                planner.run_tile(&frame, &rect.spec);
+                let spec = &rect.spec;
+                let plan = planner.plan_for(spec.patch_h(), spec.patch_w());
+                plan.run_tile_into(&frame, w, spec, &mut hr);
             }
         }
     }
@@ -475,8 +482,9 @@ impl VideoSession {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
 
-        // Pass 4: compute dirty rectangles into a fresh copy of the plane
-        // (commit-at-end keeps a mid-frame panic from corrupting state).
+        // Pass 4: compute dirty rectangles straight into a fresh copy of
+        // the plane, each writing only its interior (commit-at-end keeps a
+        // mid-frame panic from corrupting state).
         let mut out = match &self.hr {
             Some(prev) => prev.clone(),
             None => Tensor::zeros(&[1, h * s, w * s]),
@@ -502,14 +510,14 @@ impl VideoSession {
             };
             let started = Instant::now();
             let (planner, _) = plans.tile_planner_for(&keys[rung], &models[rung]);
-            let sr = planner.run_tile(frame, &d.spec);
+            let plan = planner.plan_for(d.spec.patch_h(), d.spec.patch_w());
+            plan.run_tile_into(frame.data(), w, &d.spec, out.data_mut());
             let elapsed = started.elapsed().as_nanos() as f64;
             let sample = elapsed / d.patch_px.max(1.0);
             ewma[rung] = Some(match ewma[rung] {
                 Some(prev) => 0.7 * prev + 0.3 * sample,
                 None => sample,
             });
-            paste_interior(&mut out, &sr, &d.spec, s);
             frame_stats.tiles_recomputed += d.tiles;
             frame_stats.rungs[rung.min(RUNG_BUCKETS - 1)] += d.tiles;
             if rung < top {

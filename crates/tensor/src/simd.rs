@@ -47,12 +47,6 @@
 //!   scalar reference, yields the same bits. [`Microkernel::int8_body`]
 //!   names the body that runs; [`int8_bodies`] hands each one out.
 //!
-//! [`KernelVariant::Neon`] names the aarch64 slot behind the same trait;
-//! its implementation is currently a guarded stub that executes the scalar
-//! ops (structured so 4-lane intrinsics can drop in without touching call
-//! sites). On aarch64 it is detected as the default so the dispatch layer
-//! is exercised.
-//!
 //! The operations with no multiply-add pairs — the Winograd input/output
 //! transforms (pure add/sub) and the activations of the int8 epilogues —
 //! are bit-identical across *all* variants: vectorizing changes which
@@ -91,8 +85,6 @@ pub enum KernelVariant {
     Avx2,
     /// AVX2 + FMA intrinsics, single-rounding multiply-add.
     Avx2Fma,
-    /// aarch64 NEON slot (currently a scalar-op stub behind the trait).
-    Neon,
 }
 
 impl KernelVariant {
@@ -102,7 +94,6 @@ impl KernelVariant {
             KernelVariant::Scalar => "scalar",
             KernelVariant::Avx2 => "avx2",
             KernelVariant::Avx2Fma => "avx2fma",
-            KernelVariant::Neon => "neon",
         }
     }
 
@@ -112,7 +103,6 @@ impl KernelVariant {
             "scalar" => Some(KernelVariant::Scalar),
             "avx2" => Some(KernelVariant::Avx2),
             "avx2fma" => Some(KernelVariant::Avx2Fma),
-            "neon" => Some(KernelVariant::Neon),
             _ => None,
         }
     }
@@ -135,7 +125,6 @@ impl KernelVariant {
             KernelVariant::Scalar => 0,
             KernelVariant::Avx2 => 1,
             KernelVariant::Avx2Fma => 2,
-            KernelVariant::Neon => 3,
         }
     }
 
@@ -143,7 +132,6 @@ impl KernelVariant {
         match v {
             1 => KernelVariant::Avx2,
             2 => KernelVariant::Avx2Fma,
-            3 => KernelVariant::Neon,
             _ => KernelVariant::Scalar,
         }
     }
@@ -170,11 +158,6 @@ pub fn detected_variants() -> &'static [KernelVariant] {
             return &[KernelVariant::Scalar, KernelVariant::Avx2];
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return &[KernelVariant::Scalar, KernelVariant::Neon];
-    }
-    #[allow(unreachable_code)]
     &[KernelVariant::Scalar]
 }
 
@@ -525,8 +508,6 @@ pub fn microkernel(v: KernelVariant) -> &'static dyn Microkernel {
         KernelVariant::Avx2 => &Avx2Kernel,
         #[cfg(target_arch = "x86_64")]
         KernelVariant::Avx2Fma => &Avx2FmaKernel,
-        #[cfg(target_arch = "aarch64")]
-        KernelVariant::Neon => &NeonKernel,
         #[allow(unreachable_patterns)]
         _ => &ScalarKernel,
     }
@@ -1180,59 +1161,6 @@ struct ScalarKernel;
 impl Microkernel for ScalarKernel {
     fn variant(&self) -> KernelVariant {
         KernelVariant::Scalar
-    }
-
-    fn gemm_8x8(&self, apanel: &[f32], bstrip: &[f32], kc: usize, acc: &mut [[f32; 8]; 8]) {
-        scalar::gemm_8x8(apanel, bstrip, kc, acc)
-    }
-
-    fn axpy(&self, acc: &mut [f32], src: &[f32], c: f32) {
-        scalar::axpy(acc, src, c)
-    }
-
-    fn conv_taps4(
-        &self,
-        acc: &mut [f32],
-        n: usize,
-        ws: &[f32],
-        offs: &[usize],
-        src: &[f32],
-        accumulate: bool,
-    ) {
-        scalar::conv_taps4(acc, n, ws, offs, src, accumulate)
-    }
-
-    fn wino_input_transform(&self, d: &[f32; 16]) -> [f32; 16] {
-        crate::winograd::input_transform(d)
-    }
-
-    fn wino_output_transform(&self, m: &[f32; 16]) -> [f32; 4] {
-        crate::winograd::output_transform(m)
-    }
-
-    fn wino_channel_reduce(
-        &self,
-        m_slab: &mut [f32],
-        u: &[[f32; 16]],
-        v_slab: &[f32],
-        cout: usize,
-        cin: usize,
-    ) {
-        scalar::wino_channel_reduce(m_slab, u, v_slab, cout, cin)
-    }
-}
-
-/// [`KernelVariant::Neon`]: aarch64 slot. The trait plumbing, detection
-/// order, and tests are arch-neutral; the bodies currently execute the
-/// scalar ops (bit-identical by construction) until 4-lane intrinsics
-/// land. Kept cfg-gated so x86 builds cannot reference it by accident.
-#[cfg(target_arch = "aarch64")]
-struct NeonKernel;
-
-#[cfg(target_arch = "aarch64")]
-impl Microkernel for NeonKernel {
-    fn variant(&self) -> KernelVariant {
-        KernelVariant::Neon
     }
 
     fn gemm_8x8(&self, apanel: &[f32], bstrip: &[f32], kc: usize, acc: &mut [[f32; 8]; 8]) {
@@ -3457,7 +3385,6 @@ mod tests {
             KernelVariant::Scalar,
             KernelVariant::Avx2,
             KernelVariant::Avx2Fma,
-            KernelVariant::Neon,
         ] {
             assert_eq!(KernelVariant::parse(v.name()), Some(v));
         }
@@ -3471,21 +3398,24 @@ mod tests {
         let prev = set_kernel_variant(KernelVariant::Scalar);
         assert_eq!(prev, base);
         assert_eq!(kernel_variant(), KernelVariant::Scalar);
-        // Neon is never available on x86 (nor under force-scalar):
-        // requesting it must degrade to the best available variant, not
-        // panic or silently dispatch a stub.
-        if !KernelVariant::Neon.available() {
-            set_kernel_variant(KernelVariant::Neon);
-            assert!(kernel_variant().available());
+        // Avx2 is unavailable under force-scalar and off x86: requesting
+        // it must degrade to the best available variant, not panic.
+        set_kernel_variant(KernelVariant::Avx2);
+        assert!(kernel_variant().available());
+        if KernelVariant::Avx2.available() {
+            assert_eq!(kernel_variant(), KernelVariant::Avx2);
         }
         set_kernel_variant(base);
     }
 
     #[test]
     fn unavailable_variant_dispatches_to_available_kernel() {
-        if !KernelVariant::Neon.available() {
-            let mk = microkernel(KernelVariant::Neon);
-            assert!(mk.variant().available());
+        // Under force-scalar (or off x86) Avx2 is unavailable and must
+        // dispatch to the scalar kernel; where it runs, to itself.
+        let mk = microkernel(KernelVariant::Avx2);
+        assert!(mk.variant().available());
+        if !KernelVariant::Avx2.available() {
+            assert_eq!(mk.variant(), KernelVariant::Scalar);
         }
     }
 

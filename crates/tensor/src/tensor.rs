@@ -271,74 +271,35 @@ impl Tensor {
         Tensor::from_vec(data, &[c, ch, cw])
     }
 
-    /// Copies an `h x w` spatial region from `src` into this tensor,
-    /// in place: rows `[sy0, sy0 + h)` x columns `[sx0, sx0 + w)` of
-    /// every channel of `src` land at `(dy0, dx0)` here. Both tensors
-    /// must be rank-3 `[C, H, W]` with the same channel count; the
-    /// region must lie fully inside both. This is the blit primitive
-    /// behind dirty-rect composition — recomputed tile output is pasted
-    /// into a persistent HR plane without reallocating it.
+    /// Pastes the whole of `src` into this tensor at `(dy0, dx0)`, in
+    /// place: every channel's `h x w` plane of `src` lands on rows
+    /// `[dy0, dy0 + h)` x columns `[dx0, dx0 + w)` here. Both tensors
+    /// must be rank-3 `[C, H, W]` with the same channel count.
     ///
     /// # Panics
     ///
     /// Panics when either tensor is not rank-3, the channel counts
-    /// differ, or the region overruns either tensor's bounds.
-    #[allow(clippy::too_many_arguments)] // a blit is naturally (src, sy, sx, h, w, dy, dx)
-    pub fn copy_region_hw(
-        &mut self,
-        src: &Tensor,
-        sy0: usize,
-        sx0: usize,
-        h: usize,
-        w: usize,
-        dy0: usize,
-        dx0: usize,
-    ) {
+    /// differ, or `src` overruns this tensor at `(dy0, dx0)`.
+    pub fn blit_hw(&mut self, src: &Tensor, dy0: usize, dx0: usize) {
         let (ds, ss) = (self.shape().to_vec(), src.shape());
-        assert_eq!(
-            ds.len(),
-            3,
-            "copy_region_hw expects a [C, H, W] destination"
-        );
-        assert_eq!(ss.len(), 3, "copy_region_hw expects a [C, H, W] source");
-        assert_eq!(ds[0], ss[0], "channel counts must match");
-        let (c, dh, dw) = (ds[0], ds[1], ds[2]);
-        let (sh, sw) = (ss[1], ss[2]);
         assert!(
-            sy0 + h <= sh && sx0 + w <= sw,
-            "source region [{sy0},{})x[{sx0},{}) out of bounds for {sh}x{sw}",
-            sy0 + h,
-            sx0 + w
+            ds.len() == 3 && ss.len() == 3,
+            "blit_hw expects [C, H, W] tensors"
         );
+        assert_eq!(ds[0], ss[0], "channel counts must match");
+        let (c, dh, dw, h, w) = (ds[0], ds[1], ds[2], ss[1], ss[2]);
         assert!(
             dy0 + h <= dh && dx0 + w <= dw,
             "destination region [{dy0},{})x[{dx0},{}) out of bounds for {dh}x{dw}",
             dy0 + h,
             dx0 + w
         );
-        let src_data = src.data();
         for cc in 0..c {
-            let sbase = cc * sh * sw;
-            let dbase = cc * dh * dw;
             for y in 0..h {
-                let srow = sbase + (sy0 + y) * sw + sx0;
-                let drow = dbase + (dy0 + y) * dw + dx0;
-                self.data[drow..drow + w].copy_from_slice(&src_data[srow..srow + w]);
+                let (srow, drow) = ((cc * h + y) * w, (cc * dh + dy0 + y) * dw + dx0);
+                self.data[drow..drow + w].copy_from_slice(&src.data[srow..srow + w]);
             }
         }
-    }
-
-    /// Pastes the whole of `src` into this tensor at `(dy0, dx0)`.
-    /// Shorthand for [`Tensor::copy_region_hw`] over `src`'s full extent.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Tensor::copy_region_hw`].
-    pub fn blit_hw(&mut self, src: &Tensor, dy0: usize, dx0: usize) {
-        let ss = src.shape();
-        assert_eq!(ss.len(), 3, "blit_hw expects a [C, H, W] source");
-        let (h, w) = (ss[1], ss[2]);
-        self.copy_region_hw(src, 0, 0, h, w, dy0, dx0);
     }
 
     /// Element-wise addition.
@@ -600,20 +561,18 @@ mod tests {
     }
 
     #[test]
-    fn copy_region_hw_moves_exactly_the_window() {
-        // 2-channel 3x4 destination of zeros; paste a 2x2 window taken
-        // from the middle of a 3x4 ramp source at destination (1, 2).
-        let src = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 4]);
+    fn blit_hw_moves_exactly_the_source() {
+        // A 2-channel 2x2 ramp pasted at (1, 2) of a 3x4 zero plane lands
+        // there and nowhere else.
+        let src = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 2, 2]);
         let mut dst = Tensor::zeros(&[2, 3, 4]);
-        dst.copy_region_hw(&src, 1, 1, 2, 2, 1, 2);
+        dst.blit_hw(&src, 1, 2);
         for c in 0..2 {
             for y in 0..3 {
                 for x in 0..4 {
                     let got = dst.at(&[c, y, x]);
-                    let inside = (1..3).contains(&y) && (2..4).contains(&x);
-                    if inside {
-                        let want = src.at(&[c, y, x - 1]);
-                        assert_eq!(got, want, "inside at ({c},{y},{x})");
+                    if (1..3).contains(&y) && (2..4).contains(&x) {
+                        assert_eq!(got, src.at(&[c, y - 1, x - 2]), "inside at ({c},{y},{x})");
                     } else {
                         assert_eq!(got, 0.0, "outside at ({c},{y},{x}) must be untouched");
                     }
@@ -623,46 +582,19 @@ mod tests {
     }
 
     #[test]
-    fn copy_region_hw_accepts_exact_corner_fit() {
-        // A region ending exactly at the last row/column is in bounds.
-        let src = Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[1, 3, 4]);
-        let mut dst = Tensor::zeros(&[1, 3, 4]);
-        dst.copy_region_hw(&src, 1, 2, 2, 2, 1, 2);
-        assert_eq!(dst.at(&[0, 2, 3]), src.at(&[0, 2, 3]));
-    }
-
-    #[test]
     #[should_panic(expected = "destination region")]
-    fn copy_region_hw_rejects_destination_overrun() {
-        let src = Tensor::zeros(&[1, 4, 4]);
-        let mut dst = Tensor::zeros(&[1, 3, 3]);
-        dst.copy_region_hw(&src, 0, 0, 2, 2, 2, 2); // 2+2 > 3
-    }
-
-    #[test]
-    #[should_panic(expected = "source region")]
-    fn copy_region_hw_rejects_source_overrun() {
+    fn blit_hw_rejects_destination_overrun() {
         let src = Tensor::zeros(&[1, 2, 2]);
-        let mut dst = Tensor::zeros(&[1, 8, 8]);
-        dst.copy_region_hw(&src, 1, 1, 2, 2, 0, 0); // 1+2 > 2
+        let mut dst = Tensor::zeros(&[1, 3, 3]);
+        dst.blit_hw(&src, 2, 2); // 2+2 > 3
     }
 
     #[test]
     #[should_panic(expected = "channel counts")]
-    fn copy_region_hw_rejects_channel_mismatch() {
-        let src = Tensor::zeros(&[2, 4, 4]);
+    fn blit_hw_rejects_channel_mismatch() {
+        let src = Tensor::zeros(&[2, 1, 1]);
         let mut dst = Tensor::zeros(&[1, 4, 4]);
-        dst.copy_region_hw(&src, 0, 0, 1, 1, 0, 0);
-    }
-
-    #[test]
-    fn blit_hw_pastes_full_source() {
-        let src = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
-        let mut dst = Tensor::zeros(&[1, 4, 4]);
-        dst.blit_hw(&src, 2, 1);
-        assert_eq!(dst.at(&[0, 2, 1]), 1.0);
-        assert_eq!(dst.at(&[0, 3, 2]), 4.0);
-        assert_eq!(dst.at(&[0, 0, 0]), 0.0);
+        dst.blit_hw(&src, 0, 0);
     }
 
     #[test]

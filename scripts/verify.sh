@@ -9,7 +9,7 @@
 #   fmt         cargo fmt --check over the whole workspace
 #   build       release build (offline, vendored deps)
 #   test        workspace test suite (tier-1)
-#   clippy      workspace lint, warnings are errors
+#   clippy      workspace lint over every target (tests, examples), warnings are errors
 #   serve       serve crate tests
 #   chaos       engine fault-injection tests, incl. the seeded soak
 #   router      sharded-router tests, incl. the fleet-scope shard-chaos soak
@@ -47,7 +47,7 @@ step_test() {
 }
 
 step_clippy() {
-    cargo clippy --workspace --offline -- -D warnings
+    cargo clippy --workspace --all-targets --offline -- -D warnings
 }
 
 step_serve() {
@@ -115,8 +115,9 @@ step_infer() {
     # architectures/scales/shapes/threads (property sweep), on every
     # detected kernel variant over ragged direct-conv geometries and over
     # widths that cross the Winograd tile-row chunks, and zero
-    # steady-state heap allocations (counting global allocator). The
-    # tiled executor's composite is checked against the whole frame too,
+    # steady-state heap allocations (counting global allocator), whole
+    # image and window. The tiled executor's output is checked against
+    # the whole frame too,
     # and depth-first streaming against the reference (f32) and the
     # integer oracle (int8) at heights that wrap every row ring.
     cargo test -q --offline -p sesr --test proptest_infer_plan --test proptest_tiling \
@@ -131,8 +132,8 @@ step_infer() {
     cargo test -q --offline -p sesr-tensor --test proptest_simd -- conv_taps4_bodies \
         wino_tile_row_bodies epilogue_row_matches
     # The f32 and int8 plans share one skeleton (tile LRU, timing hook,
-    # strips through run_tiles, variant pin); its checks run once per
-    # datapath.
+    # windows that write exactly their interior, strips and tiles through
+    # run_tiles, variant pin); its checks run once per datapath.
     cargo test -q --offline -p sesr --test plan_datapaths
 }
 

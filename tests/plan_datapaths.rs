@@ -1,9 +1,10 @@
 //! The planned executor's shared skeleton, checked once per datapath.
 //! Each check is one generic function over [`Datapath`], instantiated for
 //! the f32 kernels ([`InferPlan`]) and the int8 kernels ([`QuantPlan`]):
-//! the tile-plan LRU, the per-step timing hook, strips through
-//! `run_tiles`, and the variant pin all live in `Plan`/`TilePlanner`/
-//! `tiling`, so both precisions must pass the same assertions.
+//! the tile-plan LRU, the per-step timing hook, windows through
+//! `run_tile_into`, strips and tiles through `run_tiles`, and the variant
+//! pin all live in `Plan`/`TilePlanner`/`tiling`, so both precisions must
+//! pass the same assertions.
 //! Whole-network identity sweeps stay in the per-precision proptests.
 //!
 //! [`Datapath`]: sesr::core::Datapath
@@ -98,7 +99,7 @@ fn timed_run_matches_untimed<D: Datapath>(kernels: Arc<D>) {
         let strips = TilePlan::strips(h, w, 2, radius);
         for threads in [1, default_threads()] {
             set_num_threads(threads);
-            let got = run_tiles(&kernels, &lr, &strips).composite(&strips);
+            let got = run_tiles(&kernels, &lr, &strips);
             let what = format!("{} strips of {h}x{w} at a pool of {threads}", strips.len());
             assert_same_bits(want.data(), got.data(), &what);
         }
@@ -117,6 +118,42 @@ fn timed_run_matches_untimed<D: Datapath>(kernels: Arc<D>) {
     }
 }
 
+/// A window writes exactly its interior. Each tile of a square tiling
+/// (an odd side, so interiors start on odd columns while halo origins
+/// round down to even ones) and of a strip tiling (the second strip starts
+/// at column 9) runs alone through `run_tile_into` into an HR plane
+/// prefilled with a NaN sentinel: its interior must hold the whole-frame
+/// plan's bits and every other element the sentinel. `run_tiles` over
+/// either tiling must write the whole frame's bits.
+fn window_writes_exactly_its_interior<D: Datapath>(kernels: Arc<D>) {
+    let s = kernels.graph().scale();
+    let radius = collapsed().receptive_field_radius();
+    let (h, w) = (19, 17);
+    let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, 12);
+    let want = Plan::new(kernels.clone(), h, w).run(&lr);
+    let sentinel = f32::from_bits(0x7fc0_beef);
+    let mut planner = TilePlanner::new(kernels.clone());
+    let tilings = [
+        TilePlan::new(h, w, 5, radius).unwrap(),
+        TilePlan::strips(h, w, 2, radius),
+    ];
+    for tiling in &tilings {
+        for spec in tiling.tiles() {
+            let mut hr = vec![sentinel; want.data().len()];
+            let plan = planner.plan_for(spec.patch_h(), spec.patch_w());
+            plan.run_tile_into(lr.data(), w, spec, &mut hr);
+            for (i, (got, whole)) in hr.iter().zip(want.data()).enumerate() {
+                let (y, x) = (i / (w * s) / s, i % (w * s) / s);
+                let inside = (spec.y0..spec.y1).contains(&y) && (spec.x0..spec.x1).contains(&x);
+                let expect = if inside { whole } else { &sentinel };
+                assert_eq!(got.to_bits(), expect.to_bits(), "{spec:?} at LR ({y}, {x})");
+            }
+        }
+        let got = run_tiles(&kernels, &lr, tiling);
+        assert_same_bits(want.data(), got.data(), &format!("{} tiles", tiling.len()));
+    }
+}
+
 fn timed_run_with_one_slot<D: Datapath>(kernels: Arc<D>) {
     let s = kernels.graph().scale();
     let mut plan = Plan::new(kernels, 8, 8);
@@ -132,7 +169,6 @@ fn set_variant_pins_an_available_variant<D: Datapath>(kernels: Arc<D>) {
         KernelVariant::Scalar,
         KernelVariant::Avx2,
         KernelVariant::Avx2Fma,
-        KernelVariant::Neon,
     ] {
         let pinned = plan.set_variant(v);
         assert_eq!(pinned, plan.variant(), "{v:?}");
@@ -163,6 +199,16 @@ fn timed_run_matches_untimed_f32() {
 #[test]
 fn timed_run_matches_untimed_int8() {
     timed_run_matches_untimed(int8_case().0);
+}
+
+#[test]
+fn window_writes_exactly_its_interior_f32() {
+    window_writes_exactly_its_interior(f32_case().0);
+}
+
+#[test]
+fn window_writes_exactly_its_interior_int8() {
+    window_writes_exactly_its_interior(int8_case().0);
 }
 
 #[test]
@@ -202,8 +248,8 @@ fn median_ms(mut f: impl FnMut()) -> f64 {
 }
 
 /// One probe row per pool size: a frame through the sequential plan, and
-/// through one strip per pool thread (crops, strip plans and the
-/// composite included, as `sesr upscale` pays them).
+/// through one strip per pool thread (strip plans and the HR plane
+/// included, as `sesr upscale` pays them).
 fn probe_frame<D: Datapath>(name: &str, kernels: &Arc<D>, lr: &Tensor, radius: usize) {
     let (h, w) = (lr.shape()[1], lr.shape()[2]);
     for threads in [1, 2] {
@@ -214,7 +260,7 @@ fn probe_frame<D: Datapath>(name: &str, kernels: &Arc<D>, lr: &Tensor, radius: u
         });
         let strips = TilePlan::strips(h, w, threads, radius);
         let striped = median_ms(|| {
-            std::hint::black_box(run_tiles(kernels, lr, &strips).composite(&strips));
+            std::hint::black_box(run_tiles(kernels, lr, &strips));
         });
         println!(
             "{name} {h}x{w} pool {threads}: sequential plan {sequential:.2} ms, {} strip(s) {striped:.2} ms",

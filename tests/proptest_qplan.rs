@@ -30,10 +30,13 @@ fn config(arch: &str) -> SesrConfig {
     cfg.with_expanded(8).with_seed(23)
 }
 
+/// One lazily built model per (arch, scale) pair.
+type ModelSlots = Vec<OnceLock<(QuantizedSesr, Arc<QuantKernels>)>>;
+
 /// Models are expensive to collapse and calibrate; build each
 /// (arch, scale) pair once per process.
 fn model(arch_idx: usize, scale: usize) -> &'static (QuantizedSesr, Arc<QuantKernels>) {
-    static CACHE: OnceLock<Vec<OnceLock<(QuantizedSesr, Arc<QuantKernels>)>>> = OnceLock::new();
+    static CACHE: OnceLock<ModelSlots> = OnceLock::new();
     let cells = CACHE.get_or_init(|| (0..ARCHS.len() * 2).map(|_| OnceLock::new()).collect());
     let slot = arch_idx * 2 + usize::from(scale == 4);
     cells[slot].get_or_init(|| {
