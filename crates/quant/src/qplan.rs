@@ -25,7 +25,7 @@
 //! The plan instead runs every tap of the window and folds the zero point
 //! into the accumulator's seed:
 //!
-//! - every stored row carries [`HALO`] pad columns on either side, and
+//! - every stored row carries `HALO` pad columns on either side, and
 //!   the rows past the image's top and bottom edges are stored as pad
 //!   rows; all of them hold the ring's wire zero point `zp` in every
 //!   byte. `QRing::put` writes a row's pad columns with the row, and the
@@ -307,7 +307,7 @@ impl Datapath for QuantKernels {
     }
 
     /// Packed channel quads, each a ring of padded rows with its pad
-    /// columns and mirrored window rows ([`QRing`]).
+    /// columns and mirrored window rows (`QRing`).
     fn ring_len(c: usize, period: usize, window: usize, w: usize) -> usize {
         quads(c) * ring_plane(period, window, w)
     }
@@ -329,7 +329,7 @@ impl Datapath for QuantKernels {
     }
 
     /// Tap offsets for [`Microkernel::qmadd_taps4`], in `taps4`'s
-    /// [`tap_grid`] order, relative to the first padded row of the output
+    /// `tap_grid` order, relative to the first padded row of the output
     /// row's window in a source ring of `period` rows read through
     /// `window`-row windows.
     fn tap_offsets(&self, layer: usize, period: usize, window: usize, w: usize) -> Vec<usize> {

@@ -1,18 +1,24 @@
 //! The serving engine: supervised worker pool + bounded queue + batcher.
 //!
-//! Requests enter through [`Engine::submit`], which validates the input
-//! at the boundary (NaN/Inf/zero-dim tensors are rejected with typed
-//! errors before touching the queue) and returns a [`Ticket`]
-//! immediately — or a typed [`SubmitError`] when the queue is full, the
-//! model unknown, or the engine draining. Worker threads pull *groups*
-//! of same-model, same-shape requests from the queue and execute them as
-//! one batched forward pass through a cached plan. Large frames take the
-//! same path: plans stream the chain depth-first through row rings, so a
-//! whole-frame plan's arena grows with the width, not the height, and a
-//! 360x640 frame runs whole instead of as halo tiles. Each request's
-//! journey is timed per stage (queue wait → batch assembly → compute →
-//! reassembly) into the shared
-//! [`Telemetry`](crate::telemetry::Telemetry).
+//! Requests enter through one admission path with three fronts:
+//! [`Engine::submit`] and [`Engine::feed_video_frame`] return a
+//! [`Ticket`] immediately or a typed [`SubmitError`], and
+//! [`Engine::submit_with`] settles every outcome, rejections included,
+//! through a completion hook. The path checks, in order, that the engine
+//! is not draining, that the input is valid at the boundary
+//! (NaN/Inf/zero-dim tensors are rejected before touching the queue),
+//! the front's own checks (a registered model, or an open session of
+//! the frame's shape) and the queue's bound, and counts every outcome.
+//! Worker threads pull *groups* of same-model, same-shape requests from
+//! the queue. Every group passes one preamble (queue wait, retry
+//! backoff, deadlines) and one model resolution, then runs: an image
+//! group as one batched forward pass through a cached plan, a video
+//! session's frames one by one. Large frames take the same path: plans
+//! stream the chain depth-first through row rings, so a whole-frame
+//! plan's arena grows with the width, not the height, and a 360x640
+//! frame runs whole instead of as halo tiles. Each request's journey is
+//! timed per stage (queue wait → batch assembly → compute → reassembly)
+//! into the shared [`Telemetry`].
 //!
 //! **Fault model.** A panicking forward pass no longer aborts the
 //! process: batched-path panics are caught per group, the in-flight
@@ -54,7 +60,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -366,14 +372,33 @@ struct SessionHandle {
     state: Mutex<VideoSession>,
 }
 
+impl SessionHandle {
+    fn stats(&self) -> SessionStats {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stats()
+    }
+}
+
 enum JobKind {
-    /// A stateless single-image request (the original engine path).
+    /// A stateless single-image request.
     Image,
     /// One frame of an open video session.
     Frame {
         session: Arc<SessionHandle>,
         seq: u64,
     },
+}
+
+/// When an admitted request must be answered.
+enum Due {
+    /// Within this long of admission ([`Engine::submit`],
+    /// [`Engine::feed_video_frame`]).
+    Within(Option<Duration>),
+    /// By this instant ([`Engine::submit_with`]); one already past is
+    /// refused at admission.
+    By(Option<Instant>),
 }
 
 struct Job {
@@ -410,6 +435,27 @@ struct Shared {
 }
 
 impl Shared {
+    /// True until shutdown begins or the worker pool dies.
+    fn running(&self) -> bool {
+        self.state.load(Ordering::Acquire) == STATE_RUNNING
+    }
+
+    /// Stops admissions and closes the queue: shutdown, or a dead pool.
+    fn stop_admitting(&self) {
+        let _ = self.state.compare_exchange(
+            STATE_RUNNING,
+            STATE_DRAINING,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        self.queue.close();
+    }
+
+    /// Takes every job left in the closed queue, oldest first.
+    fn drain(&self) -> impl Iterator<Item = Job> + '_ {
+        std::iter::from_fn(|| self.queue.pop_group(usize::MAX, |_| 0u8)).flatten()
+    }
+
     fn count_fault(&self, point: FaultPoint) {
         self.telemetry.counters(|c| {
             c.faults_injected += 1;
@@ -518,46 +564,7 @@ impl Engine {
         input: Tensor,
         deadline: Option<Duration>,
     ) -> Result<Ticket, SubmitError> {
-        if self.shared.state.load(Ordering::Acquire) != STATE_RUNNING {
-            self.shared.telemetry.counters(|c| c.rejected_draining += 1);
-            return Err(SubmitError::Draining);
-        }
-        if let Err(reason) = validate_input(&input) {
-            self.shared.telemetry.counters(|c| c.rejected_invalid += 1);
-            return Err(SubmitError::InvalidInput { reason });
-        }
-        if !self.shared.registry.contains(key) {
-            return Err(SubmitError::UnknownModel(key.clone()));
-        }
-        let now = Instant::now();
-        let slot = Slot::new();
-        let id = self.shared.ids.fetch_add(1, Ordering::Relaxed);
-        let job = Job {
-            key: key.clone(),
-            input,
-            deadline: deadline.map(|d| now + d),
-            enqueued: now,
-            slot: Arc::clone(&slot),
-            retries: 0,
-            not_before: None,
-            kind: JobKind::Image,
-        };
-        match self.shared.queue.push(job) {
-            Ok(()) => {
-                self.shared.telemetry.counters(|c| c.submitted += 1);
-                Ok(Ticket { id, slot })
-            }
-            Err(PushError::Full { capacity }) => {
-                self.shared
-                    .telemetry
-                    .counters(|c| c.rejected_queue_full += 1);
-                Err(SubmitError::QueueFull { capacity })
-            }
-            Err(PushError::Closed) => {
-                self.shared.telemetry.counters(|c| c.rejected_shutdown += 1);
-                Err(SubmitError::ShuttingDown)
-            }
-        }
+        self.admit_ticket(input, deadline, |_| self.image_job(key))
     }
 
     /// Lifecycle-hook submission: like [`Engine::submit`], but the
@@ -576,110 +583,10 @@ impl Engine {
         deadline: Option<Instant>,
         done: Completion,
     ) {
-        if self.shared.state.load(Ordering::Acquire) != STATE_RUNNING {
-            self.shared.telemetry.counters(|c| c.rejected_draining += 1);
-            done(Err(ServeError::Rejected(SubmitError::Draining)));
-            return;
-        }
-        let now = Instant::now();
-        if deadline.is_some_and(|d| now >= d) {
-            self.shared.telemetry.counters(|c| c.rejected_deadline += 1);
-            done(Err(ServeError::DeadlineExpired));
-            return;
-        }
-        if let Err(reason) = validate_input(&input) {
-            self.shared.telemetry.counters(|c| c.rejected_invalid += 1);
-            done(Err(ServeError::Rejected(SubmitError::InvalidInput {
-                reason,
-            })));
-            return;
-        }
-        if !self.shared.registry.contains(key) {
-            done(Err(ServeError::Rejected(SubmitError::UnknownModel(
-                key.clone(),
-            ))));
-            return;
-        }
         let slot = Slot::hooked(done);
-        self.shared.ids.fetch_add(1, Ordering::Relaxed);
-        let job = Job {
-            key: key.clone(),
-            input,
-            deadline,
-            enqueued: now,
-            slot: Arc::clone(&slot),
-            retries: 0,
-            not_before: None,
-            kind: JobKind::Image,
-        };
-        match self.shared.queue.offer(job) {
-            Ok(()) => {
-                self.shared.telemetry.counters(|c| c.submitted += 1);
-            }
-            Err((PushError::Full { capacity }, job)) => {
-                self.shared
-                    .telemetry
-                    .counters(|c| c.rejected_queue_full += 1);
-                job.slot
-                    .fulfill(Err(ServeError::Rejected(SubmitError::QueueFull {
-                        capacity,
-                    })));
-            }
-            Err((PushError::Closed, job)) => {
-                self.shared.telemetry.counters(|c| c.rejected_shutdown += 1);
-                job.slot
-                    .fulfill(Err(ServeError::Rejected(SubmitError::ShuttingDown)));
-            }
+        if let Err(e) = self.admit(input, Due::By(deadline), &slot, |_| self.image_job(key)) {
+            slot.fulfill(Err(e));
         }
-    }
-
-    /// Opens a streaming video session over `spec` and returns its id.
-    /// The ladder is resolved once here to validate geometry (uniform
-    /// scale, halo radius); the per-frame path re-resolves models so
-    /// registry reloads take effect mid-session.
-    ///
-    /// # Errors
-    ///
-    /// [`VideoError::Draining`] once shutdown began,
-    /// [`VideoError::ModelLoad`] for unknown or unloadable ladder keys,
-    /// and the [`VideoSession::new`] geometry errors.
-    pub fn open_video_session(&self, spec: VideoSessionSpec) -> Result<u64, VideoError> {
-        if self.shared.state.load(Ordering::Acquire) != STATE_RUNNING {
-            return Err(VideoError::Draining);
-        }
-        let mut models = Vec::with_capacity(spec.ladder.len());
-        for key in &spec.ladder {
-            if !self.shared.registry.contains(key) {
-                return Err(VideoError::ModelLoad(format!(
-                    "model {key} is not registered"
-                )));
-            }
-            models.push(
-                self.shared
-                    .registry
-                    .get(key)
-                    .map_err(|e| VideoError::ModelLoad(e.to_string()))?,
-            );
-        }
-        let session = VideoSession::new(spec, &models)?;
-        let id = self.shared.session_ids.fetch_add(1, Ordering::Relaxed);
-        let handle = Arc::new(SessionHandle {
-            id,
-            ladder: session.spec().ladder.clone(),
-            height: session.spec().height,
-            width: session.spec().width,
-            closed: AtomicBool::new(false),
-            state: Mutex::new(session),
-        });
-        self.shared
-            .videos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(id, handle);
-        self.shared
-            .telemetry
-            .counters(|c| c.video_sessions_opened += 1);
-        Ok(id)
     }
 
     /// Feeds frame `seq` to session `session_id`, to be settled within
@@ -700,75 +607,148 @@ impl Engine {
         frame: Tensor,
         deadline: Option<Duration>,
     ) -> Result<Ticket, SubmitError> {
-        if self.shared.state.load(Ordering::Acquire) != STATE_RUNNING {
-            self.shared.telemetry.counters(|c| c.rejected_draining += 1);
-            return Err(SubmitError::Draining);
+        self.admit_ticket(frame, deadline, |frame| {
+            let session = self
+                .session(session_id)
+                .ok_or(SubmitError::UnknownSession(session_id))?;
+            let shape = frame.shape();
+            if shape[1] != session.height || shape[2] != session.width {
+                return Err(SubmitError::InvalidInput {
+                    reason: format!(
+                        "frame shape {shape:?} does not match session shape [1, {}, {}]",
+                        session.height, session.width
+                    ),
+                });
+            }
+            // Grouped under the top rung: the queue batches frames per
+            // session (the id is in the batch key), and the key only has
+            // to be a registered model for admission.
+            let key = session
+                .ladder
+                .last()
+                .cloned()
+                .expect("open session has a non-empty ladder");
+            Ok((key, JobKind::Frame { session, seq }))
+        })
+    }
+
+    /// The one admission path; [`Engine::submit`],
+    /// [`Engine::submit_with`] and [`Engine::feed_video_frame`] are its
+    /// fronts. In order: the lifecycle check, a [`Due::By`] deadline
+    /// already past, boundary validation, the front's own checks (`front`
+    /// names the job's key and kind), then one `offer`. Every outcome is
+    /// counted here; the front delivers a refusal through its own
+    /// channel. Returns the request id.
+    fn admit(
+        &self,
+        input: Tensor,
+        due: Due,
+        slot: &Arc<Slot>,
+        front: impl FnOnce(&Tensor) -> Result<(ModelKey, JobKind), SubmitError>,
+    ) -> Result<u64, ServeError> {
+        let shared = &self.shared;
+        if !shared.running() {
+            shared.telemetry.counters(|c| c.rejected_draining += 1);
+            return Err(ServeError::Rejected(SubmitError::Draining));
         }
-        if let Err(reason) = validate_input(&frame) {
-            self.shared.telemetry.counters(|c| c.rejected_invalid += 1);
-            return Err(SubmitError::InvalidInput { reason });
+        if let Due::By(Some(d)) = due {
+            if Instant::now() >= d {
+                shared.telemetry.counters(|c| c.rejected_deadline += 1);
+                return Err(ServeError::DeadlineExpired);
+            }
         }
-        let handle = self
-            .shared
-            .videos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&session_id)
-            .cloned()
-            .ok_or(SubmitError::UnknownSession(session_id))?;
-        let shape = frame.shape();
-        if shape[1] != handle.height || shape[2] != handle.width {
-            self.shared.telemetry.counters(|c| c.rejected_invalid += 1);
-            return Err(SubmitError::InvalidInput {
-                reason: format!(
-                    "frame shape {shape:?} does not match session shape [1, {}, {}]",
-                    handle.height, handle.width
-                ),
-            });
-        }
-        // Grouped under the top rung: the queue batches frames per
-        // session (the id is in the batch key), and the key only has to
-        // be a registered model for admission.
-        let key = handle
-            .ladder
-            .last()
-            .cloned()
-            .expect("open session has a non-empty ladder");
+        let checked = validate_input(&input)
+            .map_err(|reason| SubmitError::InvalidInput { reason })
+            .and_then(|()| front(&input));
+        let (key, kind) = checked.map_err(|e| {
+            if matches!(e, SubmitError::InvalidInput { .. }) {
+                shared.telemetry.counters(|c| c.rejected_invalid += 1);
+            }
+            ServeError::Rejected(e)
+        })?;
         let now = Instant::now();
-        let slot = Slot::new();
-        let id = self.shared.ids.fetch_add(1, Ordering::Relaxed);
+        let id = shared.ids.fetch_add(1, Ordering::Relaxed);
+        let frame = matches!(kind, JobKind::Frame { .. });
         let job = Job {
             key,
-            input: frame,
-            deadline: deadline.map(|d| now + d),
+            input,
+            deadline: match due {
+                Due::Within(d) => d.map(|d| now + d),
+                Due::By(d) => d,
+            },
             enqueued: now,
-            slot: Arc::clone(&slot),
+            slot: Arc::clone(slot),
             retries: 0,
             not_before: None,
-            kind: JobKind::Frame {
-                session: handle,
-                seq,
-            },
+            kind,
         };
-        match self.shared.queue.push(job) {
+        let refusal = match shared.queue.offer(job) {
             Ok(()) => {
-                self.shared.telemetry.counters(|c| {
+                shared.telemetry.counters(|c| {
                     c.submitted += 1;
-                    c.video_frames_in += 1;
+                    c.video_frames_in += u64::from(frame);
                 });
-                Ok(Ticket { id, slot })
+                return Ok(id);
             }
-            Err(PushError::Full { capacity }) => {
-                self.shared
-                    .telemetry
-                    .counters(|c| c.rejected_queue_full += 1);
-                Err(SubmitError::QueueFull { capacity })
+            Err((PushError::Full { capacity }, _)) => {
+                shared.telemetry.counters(|c| c.rejected_queue_full += 1);
+                SubmitError::QueueFull { capacity }
             }
-            Err(PushError::Closed) => {
-                self.shared.telemetry.counters(|c| c.rejected_shutdown += 1);
-                Err(SubmitError::ShuttingDown)
+            Err((PushError::Closed, _)) => {
+                shared.telemetry.counters(|c| c.rejected_shutdown += 1);
+                SubmitError::ShuttingDown
             }
+        };
+        Err(ServeError::Rejected(refusal))
+    }
+
+    /// [`Engine::admit`] for the two fronts that answer through a
+    /// [`Ticket`]. Their deadlines are relative, so none is past at
+    /// admission.
+    fn admit_ticket(
+        &self,
+        input: Tensor,
+        deadline: Option<Duration>,
+        front: impl FnOnce(&Tensor) -> Result<(ModelKey, JobKind), SubmitError>,
+    ) -> Result<Ticket, SubmitError> {
+        let slot = Slot::new();
+        match self.admit(input, Due::Within(deadline), &slot, front) {
+            Ok(id) => Ok(Ticket { id, slot }),
+            Err(ServeError::Rejected(e)) => Err(e),
+            Err(e) => unreachable!("a relative deadline is never past at admission: {e}"),
         }
+    }
+
+    /// The image fronts' own check: `key` must be registered.
+    fn image_job(&self, key: &ModelKey) -> Result<(ModelKey, JobKind), SubmitError> {
+        if self.shared.registry.contains(key) {
+            Ok((key.clone(), JobKind::Image))
+        } else {
+            Err(SubmitError::UnknownModel(key.clone()))
+        }
+    }
+
+    /// Opens a streaming video session over `spec` and returns its id.
+    /// The ladder is resolved once here to validate geometry (uniform
+    /// scale, halo radius); the per-frame path re-resolves models so
+    /// registry reloads take effect mid-session.
+    ///
+    /// # Errors
+    ///
+    /// [`VideoError::Draining`] once shutdown began,
+    /// [`VideoError::ModelLoad`] for unknown or unloadable ladder keys,
+    /// and the [`VideoSession::new`] geometry errors.
+    pub fn open_video_session(&self, spec: VideoSessionSpec) -> Result<u64, VideoError> {
+        if !self.shared.running() {
+            return Err(VideoError::Draining);
+        }
+        let models = spec
+            .ladder
+            .iter()
+            .map(|key| self.shared.registry.get(key))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| VideoError::ModelLoad(e.to_string()))?;
+        Ok(self.insert_session(VideoSession::new(spec, &models)?))
     }
 
     /// Closes a video session, returning its lifetime stats. Frames
@@ -779,23 +759,7 @@ impl Engine {
     ///
     /// [`VideoError::UnknownSession`] when no session has this id.
     pub fn close_video_session(&self, session_id: u64) -> Result<SessionStats, VideoError> {
-        let handle = self
-            .shared
-            .videos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&session_id)
-            .ok_or(VideoError::UnknownSession(session_id))?;
-        handle.closed.store(true, Ordering::Release);
-        self.shared
-            .telemetry
-            .counters(|c| c.video_sessions_closed += 1);
-        let stats = handle
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats();
-        Ok(stats)
+        Ok(self.remove_session(session_id)?.stats())
     }
 
     /// Removes session `session_id` and hands its state (tile hashes,
@@ -813,18 +777,7 @@ impl Engine {
     /// [`VideoError::SessionLost`] when the state is pinned by an
     /// in-flight frame.
     pub fn export_video_session(&self, session_id: u64) -> Result<VideoSession, VideoError> {
-        let handle = self
-            .shared
-            .videos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&session_id)
-            .ok_or(VideoError::UnknownSession(session_id))?;
-        handle.closed.store(true, Ordering::Release);
-        self.shared
-            .telemetry
-            .counters(|c| c.video_sessions_closed += 1);
-        match Arc::try_unwrap(handle) {
+        match Arc::try_unwrap(self.remove_session(session_id)?) {
             Ok(h) => Ok(h.state.into_inner().unwrap_or_else(PoisonError::into_inner)),
             // A queued frame still holds the handle; its worker will see
             // `closed` and settle it typed. The state itself cannot be
@@ -841,9 +794,44 @@ impl Engine {
     ///
     /// [`VideoError::Draining`] once shutdown began.
     pub fn import_video_session(&self, session: VideoSession) -> Result<u64, VideoError> {
-        if self.shared.state.load(Ordering::Acquire) != STATE_RUNNING {
+        if !self.shared.running() {
             return Err(VideoError::Draining);
         }
+        Ok(self.insert_session(session))
+    }
+
+    /// Lifetime stats of an open session.
+    ///
+    /// # Errors
+    ///
+    /// [`VideoError::UnknownSession`] when no session has this id.
+    pub fn video_session_stats(&self, session_id: u64) -> Result<SessionStats, VideoError> {
+        self.session(session_id)
+            .map(|s| s.stats())
+            .ok_or(VideoError::UnknownSession(session_id))
+    }
+
+    /// Number of currently open video sessions.
+    pub fn open_video_sessions(&self) -> usize {
+        self.sessions().len()
+    }
+
+    /// The session table, locked.
+    fn sessions(&self) -> MutexGuard<'_, HashMap<u64, Arc<SessionHandle>>> {
+        self.shared
+            .videos
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The open session with this id.
+    fn session(&self, session_id: u64) -> Option<Arc<SessionHandle>> {
+        self.sessions().get(&session_id).cloned()
+    }
+
+    /// The one insert into the session table, for an opened or an
+    /// imported session.
+    fn insert_session(&self, session: VideoSession) -> u64 {
         let id = self.shared.session_ids.fetch_add(1, Ordering::Relaxed);
         let handle = Arc::new(SessionHandle {
             id,
@@ -853,46 +841,26 @@ impl Engine {
             closed: AtomicBool::new(false),
             state: Mutex::new(session),
         });
-        self.shared
-            .videos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(id, handle);
+        self.sessions().insert(id, handle);
         self.shared
             .telemetry
             .counters(|c| c.video_sessions_opened += 1);
-        Ok(id)
+        id
     }
 
-    /// Lifetime stats of an open session.
-    ///
-    /// # Errors
-    ///
-    /// [`VideoError::UnknownSession`] when no session has this id.
-    pub fn video_session_stats(&self, session_id: u64) -> Result<SessionStats, VideoError> {
+    /// The one remove from the session table, for a close or an export.
+    /// The handle is marked `closed`, so frames still queued for it
+    /// settle typed.
+    fn remove_session(&self, session_id: u64) -> Result<Arc<SessionHandle>, VideoError> {
         let handle = self
-            .shared
-            .videos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&session_id)
-            .cloned()
+            .sessions()
+            .remove(&session_id)
             .ok_or(VideoError::UnknownSession(session_id))?;
-        let stats = handle
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats();
-        Ok(stats)
-    }
-
-    /// Number of currently open video sessions.
-    pub fn open_video_sessions(&self) -> usize {
+        handle.closed.store(true, Ordering::Release);
         self.shared
-            .videos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+            .telemetry
+            .counters(|c| c.video_sessions_closed += 1);
+        Ok(handle)
     }
 
     /// Stops workers from consuming (producers still admit up to the
@@ -929,7 +897,7 @@ impl Engine {
     /// Readiness derived from restart-budget consumption and queue
     /// depth; `Draining` once shutdown began or the worker pool died.
     pub fn health(&self) -> Health {
-        if self.shared.state.load(Ordering::Acquire) != STATE_RUNNING {
+        if !self.shared.running() {
             return Health::Draining;
         }
         let used = self.shared.restarts_used.load(Ordering::Relaxed);
@@ -959,13 +927,7 @@ impl Engine {
             .supervisor
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let _ = self.shared.state.compare_exchange(
-            STATE_RUNNING,
-            STATE_DRAINING,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-        self.shared.queue.close();
+        self.shared.stop_admitting();
         let mut joined = true;
         if let Some(h) = guard.take() {
             loop {
@@ -985,17 +947,15 @@ impl Engine {
         // drain short) is answered here so no ticket waits forever.
         let (mut dropped, mut expired) = (0u64, 0u64);
         let now = Instant::now();
-        while let Some(group) = self.shared.queue.pop_group(usize::MAX, |_| 0u8) {
-            for job in group {
-                if job.deadline.is_some_and(|d| now >= d) {
-                    expired += 1;
-                    self.shared.telemetry.counters(|c| c.rejected_deadline += 1);
-                    job.slot.fulfill(Err(ServeError::DeadlineExpired));
-                } else {
-                    dropped += 1;
-                    self.shared.telemetry.counters(|c| c.dropped_in_drain += 1);
-                    job.slot.fulfill(Err(ServeError::ShuttingDown));
-                }
+        for job in self.shared.drain() {
+            if job.deadline.is_some_and(|d| now >= d) {
+                expired += 1;
+                self.shared.telemetry.counters(|c| c.rejected_deadline += 1);
+                job.slot.fulfill(Err(ServeError::DeadlineExpired));
+            } else {
+                dropped += 1;
+                self.shared.telemetry.counters(|c| c.dropped_in_drain += 1);
+                job.slot.fulfill(Err(ServeError::ShuttingDown));
             }
         }
         self.shared.state.store(STATE_STOPPED, Ordering::Release);
@@ -1102,7 +1062,7 @@ fn supervisor_loop(
         // While draining, respawn immediately: queued work still needs a
         // consumer, and the backoff only protects a live engine from a
         // hot crash loop.
-        if shared.state.load(Ordering::Acquire) == STATE_RUNNING {
+        if shared.running() {
             std::thread::sleep(shared.backoff(consecutive[exit.index]));
         }
         shared.telemetry.counters(|c| c.worker_restarts += 1);
@@ -1114,20 +1074,12 @@ fn supervisor_loop(
 /// Terminal path for a dead pool: close the queue and answer everything
 /// still in it. The engine stops admitting (submitters see `Draining`).
 fn fail_pending_after_pool_death(shared: &Shared) {
-    let _ = shared.state.compare_exchange(
-        STATE_RUNNING,
-        STATE_DRAINING,
-        Ordering::AcqRel,
-        Ordering::Acquire,
-    );
-    shared.queue.close();
-    while let Some(group) = shared.queue.pop_group(usize::MAX, |_| 0u8) {
-        for job in group {
-            shared.telemetry.counters(|c| c.requests_quarantined += 1);
-            job.slot.fulfill(Err(ServeError::WorkerCrashed(
-                "worker pool dead: restart budget exhausted".to_string(),
-            )));
-        }
+    shared.stop_admitting();
+    for job in shared.drain() {
+        shared.telemetry.counters(|c| c.requests_quarantined += 1);
+        job.slot.fulfill(Err(ServeError::WorkerCrashed(
+            "worker pool dead: restart budget exhausted".to_string(),
+        )));
     }
 }
 
@@ -1160,10 +1112,14 @@ fn worker_loop(shared: &Shared) -> LoopEnd {
     // serialize compute on a lock).
     let mut plans = PlanCache::with_shared(shared.cfg.shared_plans.clone().unwrap_or_default());
     while let Some(group) = shared.queue.pop_group(shared.cfg.max_batch, batch_key) {
-        let outcome = if matches!(group[0].kind, JobKind::Frame { .. }) {
-            process_video_group(shared, &mut plans, group)
+        let live = dequeue(shared, group);
+        if live.is_empty() {
+            continue;
+        }
+        let outcome = if matches!(live[0].kind, JobKind::Frame { .. }) {
+            process_video_group(shared, &mut plans, live)
         } else {
-            process_group(shared, &mut plans, group)
+            process_group(shared, &mut plans, live)
         };
         if matches!(outcome, GroupOutcome::WorkerCrashed) {
             return LoopEnd::Crashed;
@@ -1172,7 +1128,10 @@ fn worker_loop(shared: &Shared) -> LoopEnd {
     LoopEnd::Clean
 }
 
-fn process_group(shared: &Shared, plans: &mut PlanCache, group: Vec<Job>) -> GroupOutcome {
+/// The group preamble both group paths share: records each job's queue
+/// wait, honours retry backoff and settles the jobs whose deadline has
+/// passed. Returns the jobs still live.
+fn dequeue(shared: &Shared, group: Vec<Job>) -> Vec<Job> {
     let dequeued = Instant::now();
     // Queue wait is per-request: admission to first worker attention.
     for job in &group {
@@ -1188,8 +1147,9 @@ fn process_group(shared: &Shared, plans: &mut PlanCache, group: Vec<Job>) -> Gro
         }
     }
     // Deadline check happens at dequeue: a request that waited past its
-    // deadline is dropped *before* spending compute on it. Chaos can
-    // skew the observed clock forward, making deadlines fire early.
+    // deadline is dropped *before* spending compute on it (the any-time
+    // ladder governs frames that are only *near* theirs). Chaos can skew
+    // the observed clock forward, making deadlines fire early.
     let mut now = Instant::now();
     if let Some(skew) = shared.chaos.as_ref().and_then(|c| c.deadline_skew()) {
         shared.count_fault(FaultPoint::ClockSkew);
@@ -1202,36 +1162,54 @@ fn process_group(shared: &Shared, plans: &mut PlanCache, group: Vec<Job>) -> Gro
         shared.telemetry.counters(|c| c.rejected_deadline += 1);
         job.slot.fulfill(Err(ServeError::DeadlineExpired));
     }
-    if live.is_empty() {
-        return GroupOutcome::Done;
-    }
-    // Model resolution. Chaos-injected load failures are transient and
-    // retryable; real registry errors retry too (a second attempt may
-    // hit a repaired artifact), terminal after the budget.
+    live
+}
+
+/// Model resolution for a group: one key for an image group, the whole
+/// ladder for a frame group (re-resolved per group, so registry reloads
+/// take effect mid-session). Chaos-injected load failures are transient
+/// and retryable; real registry errors retry too (a second attempt may
+/// hit a repaired artifact), terminal after the budget. On a failure the
+/// jobs go to [`retry_or_fail`] and `None` is returned.
+fn load_models(
+    shared: &Shared,
+    keys: &[ModelKey],
+    jobs: &mut Vec<Job>,
+) -> Option<Vec<Arc<CollapsedSesr>>> {
     let loaded = if shared.chaos.as_ref().is_some_and(Chaos::fail_registry_load) {
         shared.count_fault(FaultPoint::RegistryLoad);
         Err("chaos: injected transient registry load failure".to_string())
     } else {
-        shared.registry.get(&live[0].key).map_err(|e| e.to_string())
+        keys.iter()
+            .map(|k| shared.registry.get(k).map_err(|e| e.to_string()))
+            .collect()
     };
-    let model = match loaded {
+    let models = match loaded {
         Ok(m) => m,
         Err(msg) => {
             shared.telemetry.counters(|c| c.model_load_failures += 1);
-            retry_or_fail(shared, live, &FailureKind::ModelLoad, &msg);
-            return GroupOutcome::Done;
+            retry_or_fail(shared, std::mem::take(jobs), &FailureKind::ModelLoad, &msg);
+            return None;
         }
     };
     if let Some(delay) = shared.chaos.as_ref().and_then(Chaos::slow_model) {
         shared.count_fault(FaultPoint::SlowModel);
         std::thread::sleep(delay);
     }
+    Some(models)
+}
+
+fn process_group(shared: &Shared, plans: &mut PlanCache, mut live: Vec<Job>) -> GroupOutcome {
+    let key = live[0].key.clone();
+    let Some(models) = load_models(shared, std::slice::from_ref(&key), &mut live) else {
+        return GroupOutcome::Done;
+    };
     // Resolve the serving precision once per group. Under the f32 policy
     // the first group for a model pays the flatten; under int8 it pays
     // the grading (calibrate → quantize → ΔPSNR). Either may be warmed
     // from the store, and every later group hits the worker-local entry.
     let policy = shared.cfg.precision;
-    let (decision, source) = plans.decision(&live[0].key, &model, policy);
+    let (decision, source) = plans.decision(&key, &models[0], policy);
     if source == DecisionSource::Computed
         && matches!(policy, PrecisionPolicy::Int8 { .. })
         && !decision.is_int8()
@@ -1252,36 +1230,7 @@ fn process_group(shared: &Shared, plans: &mut PlanCache, group: Vec<Job>) -> Gro
 /// frame's, a crash fails (retryably) only that frame, never the worker
 /// thread — and because the session commits state only after a
 /// frame fully computes, the retry replays against unchanged state.
-fn process_video_group(shared: &Shared, plans: &mut PlanCache, group: Vec<Job>) -> GroupOutcome {
-    let dequeued = Instant::now();
-    for job in &group {
-        shared
-            .telemetry
-            .record(Stage::QueueWait, dequeued.duration_since(job.enqueued));
-    }
-    if let Some(nb) = group.iter().filter_map(|j| j.not_before).max() {
-        if let Some(d) = nb.checked_duration_since(dequeued) {
-            std::thread::sleep(d);
-        }
-    }
-    // Frames whose deadline already passed at dequeue are dropped before
-    // compute, exactly like image requests; the any-time ladder governs
-    // frames that are *near* their deadline, passed through below.
-    let mut now = Instant::now();
-    if let Some(skew) = shared.chaos.as_ref().and_then(|c| c.deadline_skew()) {
-        shared.count_fault(FaultPoint::ClockSkew);
-        now += skew;
-    }
-    let (live, expired): (Vec<Job>, Vec<Job>) = group
-        .into_iter()
-        .partition(|j| j.deadline.is_none_or(|d| now < d));
-    for job in expired {
-        shared.telemetry.counters(|c| c.rejected_deadline += 1);
-        job.slot.fulfill(Err(ServeError::DeadlineExpired));
-    }
-    if live.is_empty() {
-        return GroupOutcome::Done;
-    }
+fn process_video_group(shared: &Shared, plans: &mut PlanCache, mut live: Vec<Job>) -> GroupOutcome {
     let JobKind::Frame { session, .. } = &live[0].kind else {
         unreachable!("video groups hold only frame jobs");
     };
@@ -1295,31 +1244,9 @@ fn process_video_group(shared: &Shared, plans: &mut PlanCache, group: Vec<Job>) 
         }
         return GroupOutcome::Done;
     }
-    // Resolve the whole ladder fresh (registry reloads take effect
-    // mid-session). Transient failures retry the frames with backoff.
-    let loaded: Result<Vec<Arc<CollapsedSesr>>, String> =
-        if shared.chaos.as_ref().is_some_and(Chaos::fail_registry_load) {
-            shared.count_fault(FaultPoint::RegistryLoad);
-            Err("chaos: injected transient registry load failure".to_string())
-        } else {
-            session
-                .ladder
-                .iter()
-                .map(|k| shared.registry.get(k).map_err(|e| e.to_string()))
-                .collect()
-        };
-    let models = match loaded {
-        Ok(m) => m,
-        Err(msg) => {
-            shared.telemetry.counters(|c| c.model_load_failures += 1);
-            retry_or_fail(shared, live, &FailureKind::ModelLoad, &msg);
-            return GroupOutcome::Done;
-        }
+    let Some(models) = load_models(shared, &session.ladder, &mut live) else {
+        return GroupOutcome::Done;
     };
-    if let Some(delay) = shared.chaos.as_ref().and_then(Chaos::slow_model) {
-        shared.count_fault(FaultPoint::SlowModel);
-        std::thread::sleep(delay);
-    }
     for job in live {
         let seq = match &job.kind {
             JobKind::Frame { seq, .. } => *seq,

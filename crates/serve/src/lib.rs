@@ -36,7 +36,7 @@
 //! * [`telemetry`] — log-scale latency histograms per pipeline stage
 //!   (queue wait, batch assembly, compute, reassembly) plus throughput
 //!   and rejection counters; exportable as JSON.
-//! * [`bench`] — the architecture labels (`m3` … `xl`) every bench
+//! * [`mod@bench`] — the architecture labels (`m3` … `xl`) every bench
 //!   harness names its models by.
 //! * [`chaos`] — deterministic seed-driven fault injection (panics, slow
 //!   models, load failures, clock skew) for the engine's chaos soak test,

@@ -162,11 +162,6 @@ impl<T> BoundedQueue<T> {
         self.notify.notify_all();
     }
 
-    /// True once [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Pauses or resumes consumption (producers are unaffected).
     pub fn set_paused(&self, paused: bool) {
         self.lock().paused = paused;
@@ -248,7 +243,6 @@ mod tests {
         q.close();
         let (err, item) = q.offer(3).unwrap_err();
         assert_eq!((err, item), (PushError::Closed, 3));
-        assert!(q.is_closed());
     }
 
     #[test]

@@ -354,12 +354,93 @@ fn open_rejects_unknown_ladder_models() {
     }
 }
 
+/// One admission front as the table below sees it: `Ok` when the request
+/// was admitted, its typed rejection otherwise.
+type Front<'a> = &'a dyn Fn(&Engine, u64, Tensor) -> Result<(), SubmitError>;
+
+#[test]
+fn every_admission_front_rejects_and_counts_alike() {
+    // `submit`, `submit_with` and `feed_video_frame` share one admission
+    // path: each must turn away an invalid input, a full queue and a
+    // draining engine with the same typed error and the same counters.
+    let key = ladder_keys()[1].clone();
+    let submit = |e: &Engine, _: u64, t: Tensor| e.submit(&key, t, None).map(drop);
+    // `submit_with` settles its rejections synchronously through the hook.
+    let submit_with = |e: &Engine, _: u64, t: Tensor| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        e.submit_with(
+            &key,
+            t,
+            None,
+            Box::new(move |r| {
+                let _ = tx.send(r);
+            }),
+        );
+        match rx.try_recv() {
+            Err(_) => Ok(()),
+            Ok(Err(ServeError::Rejected(e))) => Err(e),
+            Ok(other) => panic!("unexpected synchronous settlement: {other:?}"),
+        }
+    };
+    let feed = |e: &Engine, sid: u64, t: Tensor| e.feed_video_frame(sid, 0, t, None).map(drop);
+    let fronts: [(&str, Front); 3] = [
+        ("submit", &submit),
+        ("submit_with", &submit_with),
+        ("feed_video_frame", &feed),
+    ];
+    for (name, front) in fronts {
+        let eng = Engine::new(
+            EngineConfig {
+                workers: 1,
+                queue_capacity: 1,
+                ..EngineConfig::default()
+            },
+            registry(),
+        );
+        let sid = eng
+            .open_video_session(VideoSessionSpec::new(16, 16, ladder_keys()))
+            .expect("open");
+        eng.pause();
+        let mut nan = frame(300, 16, 16);
+        nan.data_mut()[5] = f32::NAN;
+        assert!(
+            matches!(front(&eng, sid, nan), Err(SubmitError::InvalidInput { .. })),
+            "{name}: a NaN input is invalid"
+        );
+        assert_eq!(front(&eng, sid, frame(301, 16, 16)), Ok(()), "{name}");
+        assert_eq!(
+            front(&eng, sid, frame(302, 16, 16)),
+            Err(SubmitError::QueueFull { capacity: 1 }),
+            "{name}: the second request finds the queue full"
+        );
+        let c = eng.telemetry().snapshot().counters;
+        assert_eq!(
+            (c.submitted, c.rejected_invalid, c.rejected_queue_full),
+            (1, 1, 1),
+            "{name}"
+        );
+        eng.shutdown(Duration::from_secs(10));
+        assert_eq!(
+            front(&eng, sid, frame(303, 16, 16)),
+            Err(SubmitError::Draining),
+            "{name}"
+        );
+        assert_eq!(
+            eng.telemetry().snapshot().counters.rejected_draining,
+            1,
+            "{name}"
+        );
+    }
+}
+
 #[test]
 fn chaos_frames_all_settle_and_successes_stay_exact() {
-    // Seeded panic + slow-model faults against a stream of frames: the
-    // process must not abort, every ticket must settle exactly once,
-    // and every Ok settlement must still be bit-identical — a frame
-    // that panicked mid-attempt retries against uncommitted state.
+    // All four seeded fault points against a stream of frames: panics,
+    // slow models, transient load failures and a clock skewed past the
+    // frames' deadline. The process must not abort, every ticket must
+    // settle exactly once with a typed outcome, and every Ok settlement
+    // must still be bit-identical — a frame that panicked mid-attempt
+    // retries against uncommitted state.
     let eng = Engine::new(
         EngineConfig {
             workers: 2,
@@ -372,7 +453,9 @@ fn chaos_frames_all_settle_and_successes_stay_exact() {
                 panic_per_mille: 150,
                 slow_per_mille: 100,
                 slow: Duration::from_millis(1),
-                ..ChaosConfig::default()
+                load_fail_per_mille: 200,
+                skew_per_mille: 100,
+                skew: Duration::from_secs(60),
             }),
             ..EngineConfig::default()
         },
@@ -381,15 +464,16 @@ fn chaos_frames_all_settle_and_successes_stay_exact() {
     let sid = eng
         .open_video_session(VideoSessionSpec::new(16, 16, ladder_keys()))
         .expect("open");
-    let mut ok = 0u32;
-    let mut failed = 0u32;
+    let (mut ok, mut expired, mut load, mut crashed) = (0u64, 0u64, 0u64, 0u64);
     let mut seq = 0u64;
-    for i in 0..24u64 {
+    let frames = 48u64;
+    for i in 0..frames {
         let f = frame(200 + i / 3, 16, 16); // every third frame changes
         let out = eng
-            .feed_video_frame(sid, seq, f.clone(), None)
+            .feed_video_frame(sid, seq, f.clone(), Some(Duration::from_secs(30)))
             .expect("feed")
             .wait();
+        // After any failure the same seq is fed again.
         match out {
             Ok(t) => {
                 ok += 1;
@@ -400,16 +484,30 @@ fn chaos_frames_all_settle_and_successes_stay_exact() {
                     "chaos-surviving frame diverged"
                 );
             }
-            Err(ServeError::WorkerCrashed(_)) => {
-                failed += 1; // retry budget exhausted: typed, re-feed same seq
-            }
+            Err(ServeError::DeadlineExpired) => expired += 1,
+            Err(ServeError::ModelLoad(_)) => load += 1,
+            Err(ServeError::WorkerCrashed(_)) => crashed += 1,
             Err(e) => panic!("unexpected terminal error: {e}"),
         }
     }
-    assert_eq!(ok + failed, 24, "every frame settles exactly once");
+    assert_eq!(
+        ok + expired + load + crashed,
+        frames,
+        "every frame settles exactly once"
+    );
     assert!(ok > 0, "some frames must survive the chaos schedule");
     let stats = eng.close_video_session(sid).expect("close");
-    assert_eq!(u64::from(ok), stats.frames_in - stats.frames_duplicate);
+    assert_eq!(ok, stats.frames_in - stats.frames_duplicate);
+    let c = eng.telemetry().snapshot().counters;
+    assert_eq!(c.rejected_deadline, expired);
+    assert_eq!(c.requests_quarantined, crashed);
+    assert_eq!(c.faults_load, c.model_load_failures);
+    assert_eq!(c.worker_restarts, 0, "frame panics are contained");
+    let faults = [c.faults_panic, c.faults_slow, c.faults_load, c.faults_skew];
+    assert!(
+        faults.iter().all(|&n| n > 0),
+        "every fault point must fire: {faults:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -280,9 +280,10 @@ pub trait Microkernel: Sync {
     /// Which variant this implementation realizes.
     fn variant(&self) -> KernelVariant;
 
-    /// Rank-1-update GEMM register tile: `acc[i][j] += sum_p apanel[p*8+i]
-    /// * bstrip[p*8+j]` with `p` ascending. Panels are packed p-major,
-    /// 8-wide, `>= kc * 8` floats each.
+    /// Rank-1-update GEMM register tile:
+    /// `acc[i][j] += sum_p apanel[p*8+i] * bstrip[p*8+j]` with `p`
+    /// ascending. Panels are packed p-major, 8-wide, `>= kc * 8` floats
+    /// each.
     fn gemm_8x8(&self, apanel: &[f32], bstrip: &[f32], kc: usize, acc: &mut [[f32; 8]; 8]);
 
     /// `acc[x] += c * src[x]`. Slices must be equal length.

@@ -10,6 +10,7 @@
 #   build       release build (offline, vendored deps)
 #   test        workspace test suite (tier-1)
 #   clippy      workspace lint over every target (tests, examples), warnings are errors
+#   doc         rustdoc of every crates/* package, warnings are errors
 #   serve       serve crate tests
 #   chaos       engine fault-injection tests, incl. the seeded soak
 #   router      sharded-router tests, incl. the fleet-scope shard-chaos soak
@@ -48,6 +49,16 @@ step_test() {
 
 step_clippy() {
     cargo clippy --workspace --all-targets --offline -- -D warnings
+}
+
+step_doc() {
+    # Every package under crates/ (not --workspace, which would also
+    # document the vendored stand-ins), so a dead intra-doc link fails.
+    local pkgs=() m
+    for m in crates/*/Cargo.toml; do
+        pkgs+=(-p "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$m" | head -n 1)")
+    done
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline "${pkgs[@]}"
 }
 
 step_serve() {
@@ -237,7 +248,7 @@ step_benchmark() {
     git diff --exit-code -- crates/bench/src/bin/benchmark/Cargo.lock
 }
 
-ALL_STEPS=(fmt build test clippy serve chaos router router-bench autoscale video infer int8 simd bench-gate benchmark)
+ALL_STEPS=(fmt build test clippy doc serve chaos router router-bench autoscale video infer int8 simd bench-gate benchmark)
 
 steps=("$@")
 if [[ ${#steps[@]} -eq 0 ]]; then
